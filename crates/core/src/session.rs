@@ -476,11 +476,13 @@ impl Session {
     ///   [`Session::skipped`] and feed the bounded [`Session::parse_errors`] sample without
     ///   allocating per failure, and never abort the stream.
     ///
-    /// Combined with the accumulator's distinct-tree arena (duplicate shapes share one
-    /// retained tree), session memory grows with the number of *distinct* statements `d`
-    /// plus ~5 bytes per row — see [`Session::memory_footprint`] — not with total trace
-    /// volume.  The graph, snapshots and widgets are byte-identical to pushing the same
-    /// statements one at a time.
+    /// The accumulator's distinct-tree arena keeps one retained tree per distinct shape,
+    /// so the query log itself grows with the number of *distinct* statements `d` plus
+    /// ~5 bytes per row.  Mined state does not stay that small: every admitted pair
+    /// appends its records to the `DiffStore`, which [`Session::memory_footprint`] prices
+    /// at 32 bytes per record, so session memory grows with the mined records — with
+    /// trace volume and window width, not only with `d`.  The graph, snapshots and
+    /// widgets are byte-identical to pushing the same statements one at a time.
     pub fn push_stream_tagged<I, S>(&mut self, lines: I) -> usize
     where
         I: IntoIterator<Item = (Dialect, S)>,

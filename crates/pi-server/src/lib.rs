@@ -12,8 +12,9 @@
 //! - [`pool`] — a [`SessionPool`] mapping `(user_id, thread_id)` to an
 //!   owned streaming [`Session`](pi_core::Session) behind sharded locks, with bounded
 //!   per-tenant ingest queues (full queue ⇒ explicit backpressure, never a blocked
-//!   acceptor), capacity-bounded residency with LRU eviction, and byte-identical replay
-//!   rehydration when an evicted tenant returns.
+//!   acceptor), capacity-bounded residency with LRU eviction, and one rule for rebuilding
+//!   a tenant after an eviction, a restart or a panicking statement: a tenant is its last
+//!   snapshot plus the statements applied since, restored byte-identically.
 //! - [`wire`] — the tolerant `LogItem` JSON ingest format, modelled on what production
 //!   query-log pipelines actually emit.
 //! - [`http`] — a dependency-free HTTP/1.1 front end (`POST /logs`, `GET

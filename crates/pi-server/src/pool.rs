@@ -1,5 +1,5 @@
 //! The [`SessionPool`]: many tenants' mining sessions behind sharded locks, with bounded
-//! ingest queues, LRU eviction, and replay rehydration.
+//! ingest queues, LRU eviction, and snapshot rehydration.
 //!
 //! ## Layout
 //!
@@ -7,7 +7,7 @@
 //! [`Mutex`]-guarded maps, so concurrent tenants contend only when they collide on a shard
 //! — never on one global lock.  The shard lock guards only *membership* (map, LRU stamps,
 //! the archive of evicted tenants); each resident tenant carries its own `Mutex` around
-//! its [`Session`], queue and history, so applying one tenant's mining work never holds a
+//! its [`Session`], queue and tail, so applying one tenant's mining work never holds a
 //! shard lock.  Lock order is always shard → tenant, and every queue mutation happens with
 //! the shard lock held, which is what makes eviction race-free: once a tenant leaves the
 //! map, nothing can append to it.
@@ -21,26 +21,28 @@
 //! overload the server sheds load explicitly rather than stalling every connection behind
 //! the slowest tenant.
 //!
-//! ## Eviction and rehydration
+//! ## Durable state: a base plus a tail
 //!
-//! The pool holds at most `capacity` resident sessions.  Inserting into a full shard
-//! evicts the shard's least-recently-used tenant: its pending queue is applied, its full
-//! mining state is **persisted to a versioned binary snapshot**
-//! ([`Session::persist`]) and archived together with its *history* — the raw tagged
-//! statement texts it ingested, in order — and the session (graph, memo, widgets) is
-//! dropped.  When the tenant returns, the pool **restores the snapshot** — a
-//! deserialization pass over distinct state, milliseconds where re-mining a long history
-//! takes seconds — and the restored session continues exactly where it stood, warm memo
-//! included.  The history is the *fallback*: if the snapshot fails integrity checks the
-//! pool replays the history through a fresh session via the normal worker path.  Either
-//! way the rehydrated session is **byte-identical** to one that was never evicted — same
-//! versions, same graph, same skip counts (property-tested in `tests/`); only accumulated
-//! wall-clock timings differ.
+//! Every rebuild follows one rule: a tenant is its **base**, the versioned binary snapshot
+//! ([`Session::persist`]) it was last restored from or persisted to (nothing when new),
+//! plus its **tail**, the statements applied since.  Persisting a tenant makes the
+//! snapshot its new base and clears the tail, so no tenant keeps its whole history.
 //!
-//! With a *spill directory* ([`SessionPool::with_spill`], wired to
-//! `ServerOptions::spill_dir`), eviction snapshots are also written to disk, so a tenant
-//! returning after a **process restart** rehydrates from its spill file instead of
-//! starting empty — persistence across the pool's own lifetime, not just across evictions.
+//! - **Eviction** persists a full shard's least-recently-used tenant and keeps the base
+//!   in the shard's archive; a returning tenant restores it — milliseconds where
+//!   re-mining takes seconds — and continues where it stood, warm memo included.
+//! - **Restart**: with a *spill directory* ([`SessionPool::with_spill`], wired to
+//!   `ServerOptions::spill_dir`) each base is also written to disk with its `applied`
+//!   watermark; a pool reopened over the directory restores it, and startup recovery
+//!   replays the journal past the watermark.
+//! - **Quarantine**: when a statement panics the miner, the supervisor restores the base
+//!   and replays the tail without it.
+//!
+//! The rebuilt session is **byte-identical** to one never evicted, restarted or rebuilt
+//! (property-tested in `tests/`); only accumulated wall-clock timings differ.  Eviction,
+//! checkpoints and `close` share one spill step, which skips a tenant whose `applied`
+//! watermark equals its last durable spill: a checkpoint writes only the tenants that
+//! changed, and a tenant whose spill write failed stays dirty until a retry lands.
 
 use crate::journal::{DurabilityOptions, Journal, JournalStats, RecoveredLog};
 use crate::wire::LogItem;
@@ -144,7 +146,7 @@ impl std::error::Error for EnqueueError {}
 pub struct PoolGauge {
     /// Resident sessions.
     pub occupancy: usize,
-    /// Evicted tenants whose history waits in the archive.
+    /// Evicted tenants whose snapshot waits in the archive.
     pub archived: usize,
     /// Statements queued but not yet applied, across all tenants.
     pub queued: usize,
@@ -174,15 +176,7 @@ pub struct PoolGauge {
     /// Bytes of versioned binary snapshots currently held for evicted tenants (the
     /// in-memory archive; spill files on disk are not counted).
     pub snapshot_bytes: usize,
-    /// Lifetime evictions archived with a binary snapshot.
-    pub snapshot_archives: u64,
-    /// Lifetime evictions archived with raw history only (snapshot persist failed).
-    pub replay_archives: u64,
-    /// Lifetime rehydrations served by deserializing a snapshot (archive or spill file).
-    pub snapshot_rehydrations: u64,
-    /// Lifetime rehydrations served by replaying raw history through a fresh session.
-    pub replay_rehydrations: u64,
-    /// Accumulated wall-clock spent persisting eviction snapshots, milliseconds.
+    /// Accumulated wall-clock spent persisting tenant snapshots, milliseconds.
     pub persist_ms: f64,
     /// Accumulated wall-clock spent restoring sessions from snapshots, milliseconds.
     pub restore_ms: f64,
@@ -225,30 +219,47 @@ pub const GAUGE_ERROR_SAMPLES: usize = 8;
 
 struct TenantInner {
     session: Session,
-    /// Raw tagged statement texts applied so far, in order — the rehydration source.
-    /// `Arc`-shared with the wire decoder's batch and the archive, so the history costs
-    /// two words per statement, not a copy of its text.
-    history: Vec<(pi_ast::Dialect, Arc<str>)>,
+    /// The snapshot the tenant was last restored from or persisted to; `None` while it has
+    /// been neither, when the base is an empty session.
+    base: Option<Arc<Vec<u8>>>,
+    /// Statements applied since `base`, in order: what a supervisor rebuild replays over
+    /// it.  Cleared whenever the tenant is persisted.  `Arc`-shared with the wire
+    /// decoder's batch, so each costs two words, not a copy of its text.
+    tail: Vec<(pi_ast::Dialect, Arc<str>)>,
     /// Statements accepted but not yet applied.
     queue: VecDeque<(pi_ast::Dialect, Arc<str>)>,
-    /// How many queued entries are an eviction replay (exempt from the queue bound —
-    /// rehydration must never be rejected for being larger than one ingest burst).
-    replaying: usize,
     /// Whether the tenant currently sits in the dispatch queue.
     dispatched: bool,
-    /// Statements acknowledged (journaled) so far — the next statement's sequence number.
-    acked: u64,
-    /// Statements applied into the session (≤ `acked`; the journal seq the next spill
-    /// snapshot records, so recovery replay over it is idempotent).
+    /// Statements applied into the session, quarantined ones included: the journal
+    /// sequence a spill records, so recovery replay over the spill is idempotent.
     applied: u64,
-    /// The spill snapshot this session was restored from, when its `history` does not
-    /// reach back to an empty session (restart rehydration): a supervisor rebuild then
-    /// restores this base and replays `history` over it.  `None` means `history` is the
-    /// tenant's complete record and rebuilds start from a fresh session.
-    base: Option<Arc<Vec<u8>>>,
+    /// The `applied` watermark of the tenant's last durable spill (0 without one).  Equal
+    /// to `applied` means the spill already covers the tenant and the spill step skips it.
+    spilled: u64,
     /// Set when a poisoned tenant lock was recovered: the session may be mid-mutation and
     /// must be rebuilt from durable state before it is trusted again.
     suspect: bool,
+}
+
+impl TenantInner {
+    /// A tenant with no base, no tail and nothing applied.
+    fn new(session: Session) -> TenantInner {
+        TenantInner {
+            session,
+            base: None,
+            tail: Vec::new(),
+            queue: VecDeque::new(),
+            dispatched: false,
+            applied: 0,
+            spilled: 0,
+            suspect: false,
+        }
+    }
+
+    /// The journal sequence number of the next statement accepted.
+    fn next_seq(&self) -> u64 {
+        self.applied + self.queue.len() as u64
+    }
 }
 
 struct Tenant {
@@ -261,28 +272,18 @@ struct Resident {
     last_used: u64,
 }
 
-/// What the shard keeps for an evicted tenant.
+/// What the shard keeps for an evicted tenant: its base, persisted at eviction, and the
+/// watermarks `TenantInner::applied` and `TenantInner::spilled` it had then.
 struct ArchiveEntry {
-    /// The evicted session's versioned binary snapshot — the fast rehydration path.
-    /// `None` when persist failed (I/O is infallible into a `Vec`, so in practice this
-    /// only happens if a future snapshot precondition is violated).
-    snapshot: Option<Vec<u8>>,
-    /// The evicted tenant's rebuild base (see `TenantInner::base`), carried across the
-    /// eviction so a later supervisor rebuild still has it.
-    base: Option<Arc<Vec<u8>>>,
-    /// The raw tagged statement history, in order — the replay fallback when the snapshot
-    /// fails integrity checks, and the history the rehydrated tenant keeps extending.
-    /// Moving it in and out of the archive moves `Arc` handles; text is never copied.
-    history: Vec<(pi_ast::Dialect, Arc<str>)>,
-    /// The tenant's acknowledged / applied statement counters at eviction.
-    acked: u64,
+    snapshot: Arc<Vec<u8>>,
     applied: u64,
+    spilled: u64,
 }
 
 #[derive(Default)]
 struct Shard {
     tenants: HashMap<TenantId, Resident>,
-    /// Evicted tenants' snapshots and histories, awaiting rehydration if they return.
+    /// Evicted tenants' snapshots, awaiting rehydration if they return.
     archive: HashMap<TenantId, ArchiveEntry>,
     /// LRU clock: bumps on every touch; the resident with the smallest stamp is evicted.
     clock: u64,
@@ -299,8 +300,8 @@ pub struct SessionPool {
     workers: Mutex<Vec<JoinHandle<()>>>,
     default_dialect: pi_ast::Dialect,
     known_dialects: Vec<pi_ast::Dialect>,
-    /// Eviction snapshots are mirrored here as spill files, and tenants unknown to every
-    /// shard are probed here before being treated as new — restart rehydration.
+    /// Persisted bases are written here as spill files, and tenants unknown to every shard
+    /// are probed here before being treated as new — restart rehydration.
     spill_dir: Option<PathBuf>,
     /// The write-ahead journal, when the pool runs with durability.
     journal: Option<Journal>,
@@ -319,10 +320,6 @@ pub struct SessionPool {
     rehydrations: AtomicU64,
     accepted: AtomicU64,
     rejected_batches: AtomicU64,
-    snapshot_archives: AtomicU64,
-    replay_archives: AtomicU64,
-    snapshot_rehydrations: AtomicU64,
-    replay_rehydrations: AtomicU64,
     worker_panics: AtomicU64,
     session_rebuilds: AtomicU64,
     quarantined_statements: AtomicU64,
@@ -337,8 +334,6 @@ pub struct SessionPool {
     persist_us: AtomicU64,
     restore_us: AtomicU64,
     last_recovery_us: AtomicU64,
-    /// Bytes of snapshots currently archived, maintained at archive insert/remove.
-    snapshot_bytes: AtomicUsize,
 }
 
 /// Recovers a poisoned lock on pool-global state (dispatch queue, worker list, sample
@@ -348,6 +343,16 @@ fn lock_or_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// A shard's resident tenants, listed under its lock so that callers lock each tenant
+/// after releasing it.
+fn residents(shard: &Shard) -> Vec<Arc<Tenant>> {
+    shard
+        .tenants
+        .values()
+        .map(|r| Arc::clone(&r.tenant))
+        .collect()
 }
 
 /// Renders a caught panic payload for counters and quarantine samples.
@@ -375,20 +380,21 @@ enum SpillRead {
 }
 
 impl SessionPool {
-    /// Builds a pool and spawns its ingest workers; no spill directory — eviction
+    /// Builds a pool and spawns its ingest workers; no spill directory — evicted tenants'
     /// snapshots live in memory only and die with the pool.
     pub fn new(opts: PoolOptions) -> Arc<SessionPool> {
         SessionPool::with_spill(opts, None)
     }
 
-    /// Builds a pool whose eviction snapshots are also mirrored into `spill_dir`, so
+    /// Builds a pool whose persisted snapshots are also written into `spill_dir`, so
     /// tenants survive a process restart: a pool opened over the same directory restores
     /// any spilled tenant's full mining state on first touch instead of starting empty.
     ///
-    /// Spilling is best-effort — the directory is created if missing, unwritable files
-    /// degrade silently to the in-memory archive (which preserves all single-process
-    /// guarantees), and a spill file whose integrity check fails on read is quarantined
-    /// (renamed `*.corrupt`) and the tenant falls back to journal/history replay.
+    /// Spilling is best-effort — the directory is created if missing, a failed write
+    /// leaves the tenant dirty for the next spill step to retry (the in-memory archive
+    /// preserves all single-process guarantees meanwhile), and a spill file whose
+    /// integrity check fails on read is quarantined (renamed `*.corrupt`) and the tenant
+    /// starts empty, with journal replay restoring whatever the journal still holds.
     ///
     /// With [`PoolOptions::durability`] set, the journal under its directory is opened
     /// (its tail scanned, torn records discarded) and a background recovery thread
@@ -435,10 +441,6 @@ impl SessionPool {
             rehydrations: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
             rejected_batches: AtomicU64::new(0),
-            snapshot_archives: AtomicU64::new(0),
-            replay_archives: AtomicU64::new(0),
-            snapshot_rehydrations: AtomicU64::new(0),
-            replay_rehydrations: AtomicU64::new(0),
             worker_panics: AtomicU64::new(0),
             session_rebuilds: AtomicU64::new(0),
             quarantined_statements: AtomicU64::new(0),
@@ -452,7 +454,6 @@ impl SessionPool {
             persist_us: AtomicU64::new(0),
             restore_us: AtomicU64::new(0),
             last_recovery_us: AtomicU64::new(0),
-            snapshot_bytes: AtomicUsize::new(0),
             default_dialect,
             known_dialects,
             spill_dir,
@@ -514,7 +515,7 @@ impl SessionPool {
     ///
     /// Statements arriving as `Arc<str>` (the wire decoder's shape) are enqueued by
     /// refcount bump; `&str` callers pay the one owning allocation here and never again —
-    /// the queue, the history and any eviction replay all share it.
+    /// the queue and the tail share it.
     ///
     /// With durability on, the batch's journal record is appended under the tenant lock
     /// (atomically with sequence assignment and queue insertion, so file order equals
@@ -550,9 +551,7 @@ impl SessionPool {
         let tenant = self.resident(&mut guard, &key);
         let (accepted, ticket) = {
             let mut inner = self.lock_tenant(&tenant);
-            // Replay backlog is exempt from the bound; only genuinely new statements count.
-            let backlog = inner.queue.len() - inner.replaying;
-            if backlog + statements.len() > self.opts.queue_depth {
+            if inner.queue.len() + statements.len() > self.opts.queue_depth {
                 self.rejected_batches.fetch_add(1, Ordering::Relaxed);
                 return Err(EnqueueError::QueueFull {
                     queued: inner.queue.len(),
@@ -564,7 +563,7 @@ impl SessionPool {
                     let record = crate::journal::encode_batch_record(
                         &key.0,
                         &key.1,
-                        inner.acked,
+                        inner.next_seq(),
                         &statements,
                     );
                     match journal.append(shard_idx, &record) {
@@ -575,7 +574,6 @@ impl SessionPool {
                 None => None,
             };
             let accepted = statements.len();
-            inner.acked += accepted as u64;
             inner.queue.extend(statements);
             self.queued_statements
                 .fetch_add(accepted, Ordering::Relaxed);
@@ -603,8 +601,7 @@ impl SessionPool {
     ///
     /// Read-your-writes: any statements still queued for the tenant are applied inline
     /// before the snapshot, so a client that ingested and immediately fetched sees its own
-    /// queries.  An evicted tenant rehydrates transparently (its full history replays
-    /// first).
+    /// queries.  An evicted tenant rehydrates transparently from its snapshot first.
     pub fn snapshot(&self, user_id: &str, thread_id: &str) -> Option<GeneratedInterface> {
         let key: TenantId = (user_id.to_string(), thread_id.to_string());
         let mut guard = self.lock_shard(&self.shards[self.shard_of(&key)]);
@@ -633,18 +630,14 @@ impl SessionPool {
         Some(self.apply_supervised(&tenant, &mut inner))
     }
 
-    /// A point-in-time gauge across every shard (locks each shard and tenant briefly).
+    /// A point-in-time gauge across every shard.  Each shard lock is held only to list the
+    /// shard's tenants: a tenant busy mining must not block the shard's ingest behind it.
     pub fn gauge(&self) -> PoolGauge {
         let mut gauge = PoolGauge {
             evictions: self.evictions.load(Ordering::Relaxed),
             rehydrations: self.rehydrations.load(Ordering::Relaxed),
             accepted: self.accepted.load(Ordering::Relaxed),
             rejected_batches: self.rejected_batches.load(Ordering::Relaxed),
-            snapshot_bytes: self.snapshot_bytes.load(Ordering::Relaxed),
-            snapshot_archives: self.snapshot_archives.load(Ordering::Relaxed),
-            replay_archives: self.replay_archives.load(Ordering::Relaxed),
-            snapshot_rehydrations: self.snapshot_rehydrations.load(Ordering::Relaxed),
-            replay_rehydrations: self.replay_rehydrations.load(Ordering::Relaxed),
             persist_ms: self.persist_us.load(Ordering::Relaxed) as f64 / 1e3,
             restore_ms: self.restore_us.load(Ordering::Relaxed) as f64 / 1e3,
             recovering: self.recovering.load(Ordering::Acquire),
@@ -664,11 +657,16 @@ impl SessionPool {
             ..PoolGauge::default()
         };
         for shard in &self.shards {
-            let guard = self.lock_shard(shard);
-            gauge.occupancy += guard.tenants.len();
-            gauge.archived += guard.archive.len();
-            for resident in guard.tenants.values() {
-                let inner = self.lock_tenant(&resident.tenant);
+            let tenants = {
+                let guard = self.lock_shard(shard);
+                gauge.archived += guard.archive.len();
+                let archived = guard.archive.values().map(|e| e.snapshot.len());
+                gauge.snapshot_bytes += archived.sum::<usize>();
+                residents(&guard)
+            };
+            gauge.occupancy += tenants.len();
+            for tenant in tenants {
+                let inner = self.lock_tenant(&tenant);
                 gauge.queued += inner.queue.len();
                 gauge.queries += inner.session.len();
                 gauge.skipped += inner.session.skipped();
@@ -688,12 +686,10 @@ impl SessionPool {
     }
 
     /// Graceful shutdown: stop accepting, join the workers, then drain every remaining
-    /// queue and flush a final snapshot per resident session (so the last mapped interface
-    /// and final timings are materialised before the pool drops).  With a spill directory,
-    /// every non-empty resident session is also persisted to disk, so a pool reopened over
-    /// the same directory rehydrates *all* tenants — not just the previously evicted ones.
-    /// With durability, a final checkpoint then prunes the journal the spills now cover.
-    /// Idempotent.
+    /// queue.  With a spill directory, every resident that changed since its last spill is
+    /// also spilled, so a pool reopened over the same directory rehydrates *all* tenants —
+    /// not just the previously evicted ones.  With durability, a final checkpoint then
+    /// prunes the journal the spills now cover.  Idempotent.
     pub fn close(&self) {
         // Let an in-flight recovery finish first: its replay work must not race the
         // drain, and an interrupted recovery must keep `recovering` set so no checkpoint
@@ -709,28 +705,13 @@ impl SessionPool {
             let _ = handle.join();
         }
         for shard in &self.shards {
-            let tenants: Vec<Arc<Tenant>> = {
-                let guard = self.lock_shard(shard);
-                guard
-                    .tenants
-                    .values()
-                    .map(|r| Arc::clone(&r.tenant))
-                    .collect()
-            };
+            let tenants = residents(&self.lock_shard(shard));
             for tenant in tenants {
                 let mut inner = self.lock_tenant(&tenant);
-                self.apply_supervised(&tenant, &mut inner);
-                if !inner.session.is_empty() {
-                    inner.session.snapshot();
-                    if self.spill_dir.is_some() {
-                        let start = Instant::now();
-                        let applied = inner.applied;
-                        if let Ok(bytes) = inner.session.persist_to_vec() {
-                            self.persist_us
-                                .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
-                            self.write_spill(&tenant.key, &bytes, applied);
-                        }
-                    }
+                if self.spill_dir.is_some() {
+                    self.spill(&tenant, &mut inner);
+                } else {
+                    self.apply_supervised(&tenant, &mut inner);
                 }
             }
         }
@@ -763,162 +744,36 @@ impl SessionPool {
         if shard.tenants.len() >= shard_cap {
             self.evict_lru(shard);
         }
-        // Rehydration.  Preferred path: deserialize the eviction snapshot — milliseconds,
-        // state byte-identical, memo warm.  Fallback: preload the archived history as a
-        // replay queue; the normal worker path re-applies it, rebuilding the same session
-        // by re-mining.  A tenant in neither the map nor the archive may still have a
-        // spill file from a previous process — restart rehydration, same restore path.
-        let archived = shard.archive.remove(key);
-        let from_spill = archived.is_none();
-        let spilled = if from_spill {
-            match self.read_spill(key) {
-                SpillRead::Loaded { applied, snapshot } => Some(ArchiveEntry {
-                    snapshot: Some(snapshot),
-                    base: None,
-                    history: Vec::new(),
-                    acked: applied,
-                    applied,
-                }),
+        // A tenant arriving here has no tail.  An evicted tenant finds its base in the
+        // archive, a tenant from before a restart finds it in its spill file (recovery then
+        // replays the journal past the spill's watermark), and a new tenant has none.
+        let restored = match shard.archive.remove(key) {
+            Some(entry) => self.restore(entry.snapshot, entry.applied, entry.spilled),
+            None => match self.read_spill(key) {
+                SpillRead::Loaded { applied, snapshot } => {
+                    let restored = self.restore(Arc::new(snapshot), applied, applied);
+                    if restored.is_none() {
+                        // The spill framing was intact but the embedded snapshot failed
+                        // its integrity checks.
+                        self.quarantine_spill(key);
+                    }
+                    restored
+                }
                 SpillRead::Corrupt => {
-                    // Malformed spill: quarantine the file (an operator can inspect it)
-                    // and start the tenant fresh — journal replay, when durability is on,
-                    // restores whatever the pruned log still covers.
                     self.quarantine_spill(key);
-                    self.rehydrations.fetch_add(1, Ordering::Relaxed);
-                    self.replay_rehydrations.fetch_add(1, Ordering::Relaxed);
                     None
                 }
                 SpillRead::Missing => None,
-            }
-        } else {
-            None
-        };
-        let entry = match archived {
-            Some(entry) => {
-                if let Some(snapshot) = &entry.snapshot {
-                    self.snapshot_bytes
-                        .fetch_sub(snapshot.len(), Ordering::Relaxed);
-                }
-                Some(entry)
-            }
-            None => spilled,
-        };
-        let inner = match entry {
-            None => TenantInner {
-                session: Session::new(self.opts.session.clone()),
-                history: Vec::new(),
-                queue: VecDeque::new(),
-                replaying: 0,
-                dispatched: false,
-                acked: 0,
-                applied: 0,
-                base: None,
-                suspect: false,
             },
-            Some(entry) => {
-                self.rehydrations.fetch_add(1, Ordering::Relaxed);
-                let restored = entry.snapshot.as_deref().and_then(|bytes| {
-                    let start = Instant::now();
-                    let session =
-                        Session::restore_with(&mut &*bytes, self.opts.session.clone()).ok()?;
-                    self.restore_us
-                        .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
-                    Some(session)
-                });
-                match restored {
-                    Some(session) => {
-                        // Snapshot restore: the session already holds everything the
-                        // history would replay; the history rides along as the fallback
-                        // for the tenant's *next* eviction.  With durability the spill
-                        // file stays — it is the durable base the pruned journal counts
-                        // on; without, the next eviction/close rewrites it anyway.
-                        self.snapshot_rehydrations.fetch_add(1, Ordering::Relaxed);
-                        if self.journal.is_none() {
-                            let _ = self.remove_spill(key);
-                        }
-                        // A restart restore has no history reaching back to empty, so
-                        // the snapshot becomes the rebuild base.
-                        let base = if from_spill {
-                            entry.snapshot.map(Arc::new)
-                        } else {
-                            entry.base
-                        };
-                        TenantInner {
-                            session,
-                            history: entry.history,
-                            queue: VecDeque::new(),
-                            replaying: 0,
-                            dispatched: false,
-                            acked: entry.acked,
-                            applied: entry.applied,
-                            base,
-                            suspect: false,
-                        }
-                    }
-                    None if from_spill => {
-                        // The spill framing was intact but the embedded snapshot failed
-                        // integrity: quarantine it and start fresh at sequence zero, so
-                        // an un-pruned journal replays the full log over the fresh
-                        // session (the best recovery still available).
-                        self.quarantine_spill(key);
-                        self.replay_rehydrations.fetch_add(1, Ordering::Relaxed);
-                        TenantInner {
-                            session: Session::new(self.opts.session.clone()),
-                            history: Vec::new(),
-                            queue: VecDeque::new(),
-                            replaying: 0,
-                            dispatched: false,
-                            acked: 0,
-                            applied: 0,
-                            base: None,
-                            suspect: false,
-                        }
-                    }
-                    None => {
-                        // Corrupt in-memory archive snapshot: restore the rebuild base
-                        // (if any) and replay the archived history over it through the
-                        // worker path.
-                        self.replay_rehydrations.fetch_add(1, Ordering::Relaxed);
-                        let _ = self.remove_spill(key);
-                        let session = entry
-                            .base
-                            .as_deref()
-                            .and_then(|bytes| {
-                                Session::restore_with(
-                                    &mut bytes.as_slice(),
-                                    self.opts.session.clone(),
-                                )
-                                .ok()
-                            })
-                            .unwrap_or_else(|| Session::new(self.opts.session.clone()));
-                        let replaying = entry.history.len();
-                        TenantInner {
-                            session,
-                            history: Vec::new(),
-                            queue: entry.history.into(),
-                            replaying,
-                            dispatched: false,
-                            acked: entry.acked,
-                            applied: entry.applied - replaying as u64,
-                            base: entry.base,
-                            suspect: false,
-                        }
-                    }
-                }
-            }
         };
-        let queued = inner.queue.len();
+        // A tenant whose spill was quarantined starts at sequence zero, so an un-pruned
+        // journal replays its whole log over the empty session.
+        let inner =
+            restored.unwrap_or_else(|| TenantInner::new(Session::new(self.opts.session.clone())));
         let tenant = Arc::new(Tenant {
             key: key.clone(),
             inner: Mutex::new(inner),
         });
-        if queued > 0 {
-            self.queued_statements.fetch_add(queued, Ordering::Relaxed);
-        }
-        {
-            let mut inner = self.lock_tenant(&tenant);
-            self.mark_dispatched(&tenant, &mut inner);
-        }
         shard.tenants.insert(
             key.clone(),
             Resident {
@@ -929,8 +784,25 @@ impl SessionPool {
         tenant
     }
 
-    /// Evicts the least-recently-used tenant of a shard: applies its pending statements,
-    /// archives its history, drops its session.  Called with the shard lock held.
+    /// Restores a tenant from its base snapshot with the given watermarks; `None` when the
+    /// snapshot fails its integrity checks.
+    fn restore(&self, base: Arc<Vec<u8>>, applied: u64, spilled: u64) -> Option<TenantInner> {
+        let start = Instant::now();
+        let session =
+            Session::restore_with(&mut base.as_slice(), self.opts.session.clone()).ok()?;
+        self.restore_us
+            .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
+        self.rehydrations.fetch_add(1, Ordering::Relaxed);
+        Some(TenantInner {
+            base: Some(base),
+            applied,
+            spilled,
+            ..TenantInner::new(session)
+        })
+    }
+
+    /// Evicts the least-recently-used tenant of a shard: spills it and archives its base,
+    /// dropping its session.  Called with the shard lock held.
     fn evict_lru(&self, shard: &mut Shard) {
         let Some(victim_key) = shard
             .tenants
@@ -942,44 +814,51 @@ impl SessionPool {
         };
         let resident = shard.tenants.remove(&victim_key).expect("victim resident");
         let mut inner = self.lock_tenant(&resident.tenant);
-        // Apply the backlog so the archived state covers everything accepted so far.
         // This runs under the shard lock — eviction is rare and the backlog small, and it
         // must be atomic with removal or a late worker would apply to an orphaned session.
-        self.apply_supervised(&resident.tenant, &mut inner);
-        // Persist the full mining state: rehydration deserializes this in milliseconds
-        // instead of re-mining the history.  The raw history is archived alongside as the
-        // integrity fallback.
-        let start = Instant::now();
-        let snapshot = inner.session.persist_to_vec().ok();
-        self.persist_us
-            .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
-        let history = std::mem::take(&mut inner.history);
-        let base = inner.base.take();
-        let acked = inner.acked;
-        let applied = inner.applied;
-        drop(inner);
-        match &snapshot {
-            Some(bytes) => {
-                self.snapshot_archives.fetch_add(1, Ordering::Relaxed);
-                self.snapshot_bytes
-                    .fetch_add(bytes.len(), Ordering::Relaxed);
-                self.write_spill(&victim_key, bytes, applied);
-            }
-            None => {
-                self.replay_archives.fetch_add(1, Ordering::Relaxed);
-            }
+        // The spill step leaves the base current even when its write fails, so the archive
+        // holds the whole tenant; one that never applied a statement has nothing to keep.
+        self.spill(&resident.tenant, &mut inner);
+        if let Some(snapshot) = inner.base.take() {
+            shard.archive.insert(
+                victim_key,
+                ArchiveEntry {
+                    snapshot,
+                    applied: inner.applied,
+                    spilled: inner.spilled,
+                },
+            );
         }
-        shard.archive.insert(
-            victim_key,
-            ArchiveEntry {
-                snapshot,
-                base,
-                history,
-                acked,
-                applied,
-            },
-        );
         self.evictions.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The one spill step behind eviction, checkpoints and `close`.  Applies the tenant's
+    /// queue; then, unless its `applied` watermark equals its last durable spill, persists
+    /// the session as its new base (clearing the tail) and writes that base to its spill
+    /// file.  A failed write leaves the tenant dirty, so the next checkpoint retries it.
+    /// Returns whether the tenant's state is durably spilled.
+    fn spill(&self, tenant: &Tenant, inner: &mut TenantInner) -> bool {
+        self.apply_supervised(tenant, inner);
+        if inner.spilled == inner.applied {
+            return true;
+        }
+        if inner.base.is_none() || !inner.tail.is_empty() {
+            let start = Instant::now();
+            let bytes = inner
+                .session
+                .persist_to_vec()
+                .expect("persisting a session into memory cannot fail");
+            self.persist_us
+                .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
+            inner.base = Some(Arc::new(bytes));
+            inner.tail.clear();
+        }
+        let base = inner.base.as_deref().expect("the base is current");
+        let written = self.write_spill(&tenant.key, base, inner.applied);
+        if written {
+            inner.spilled = inner.applied;
+        }
+        written
     }
 
     /// The spill file for a tenant, when spilling is enabled.  Named by the key's hash;
@@ -1090,14 +969,6 @@ impl SessionPool {
         self.spill_quarantines.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Removes this tenant's spill file (after rehydration consumed it).
-    fn remove_spill(&self, key: &TenantId) -> std::io::Result<()> {
-        match self.spill_path(key) {
-            Some(path) => std::fs::remove_file(path),
-            None => Ok(()),
-        }
-    }
-
     /// Adds the tenant to the dispatch queue if it is not already there.  Called with the
     /// tenant lock held.
     fn mark_dispatched(&self, tenant: &Arc<Tenant>, inner: &mut TenantInner) {
@@ -1163,7 +1034,7 @@ impl SessionPool {
 
     /// Locks a tenant, recovering a poisoned lock by flagging the tenant `suspect`: its
     /// session may be mid-mutation, so the next supervised apply rebuilds it from
-    /// durable state (base snapshot + history) before trusting it again.
+    /// durable state (base snapshot + tail) before trusting it again.
     fn lock_tenant<'a>(&self, tenant: &'a Tenant) -> MutexGuard<'a, TenantInner> {
         tenant.inner.lock().unwrap_or_else(|poisoned| {
             self.lock_poison_recoveries.fetch_add(1, Ordering::Relaxed);
@@ -1180,30 +1051,28 @@ impl SessionPool {
             .and_then(|j| j.options().faults.as_ref())
     }
 
-    /// Applies every queued statement to the session, recording it into the history.
-    /// Called with the tenant lock held (and, on the worker path, never the shard lock —
-    /// mining is the slow part, and membership must stay available while it runs).
+    /// Applies every queued statement to the session, appending it to the tail.  Called
+    /// with the tenant lock held (and, on the worker path, never the shard lock — mining
+    /// is the slow part, and membership must stay available while it runs).
     ///
     /// The backlog goes through [`Session::push_stream_tagged`] — the trace-scale ingest
-    /// path — so a large drain (an eviction replay of a long history, a burst behind a
-    /// slow worker) mines in bounded chunks and repeated statements hit the session's
-    /// parse cache instead of re-parsing; streaming is fold-identical to per-fragment
-    /// pushes (property-tested), so rehydration stays byte-identical.
+    /// path — so a large drain (a recovered journal tail, a burst behind a slow worker)
+    /// mines in bounded chunks and repeated statements hit the session's parse cache
+    /// instead of re-parsing; streaming is fold-identical to per-fragment pushes
+    /// (property-tested), so recovery stays byte-identical.
     fn apply_pending(&self, inner: &mut TenantInner) -> usize {
         let applied = inner.queue.len();
         if applied == 0 {
             return 0;
         }
-        inner.replaying = inner.replaying.saturating_sub(applied);
-        let start = inner.history.len();
-        inner.history.reserve(applied);
-        inner.history.extend(inner.queue.drain(..));
+        let start = inner.tail.len();
+        inner.tail.extend(inner.queue.drain(..));
         inner.applied += applied as u64;
         #[cfg(any(test, feature = "faults"))]
         let plan = self.fault_plan();
         inner
             .session
-            .push_stream_tagged(inner.history[start..].iter().map(|(d, t)| {
+            .push_stream_tagged(inner.tail[start..].iter().map(|(d, t)| {
                 #[cfg(any(test, feature = "faults"))]
                 if let Some(plan) = plan {
                     plan.check_statement(t);
@@ -1234,42 +1103,35 @@ impl SessionPool {
             let message = panic_message(payload.as_ref());
             self.rebuild_tenant(tenant, inner, &message);
         }
-        // Either way the queue was drained into the history (the drain precedes the
-        // mining), so `pending` statements left the queue.
+        // Either way the queue was drained into the tail (the drain precedes the mining),
+        // so `pending` statements left the queue.
         self.queued_statements.fetch_sub(pending, Ordering::Relaxed);
         pending
     }
 
     /// Rebuilds a tenant's session from durable state: restore the base snapshot (or
-    /// start fresh), then replay the history with each statement individually supervised
-    /// — statements that panic even in isolation are quarantined (dropped from the
-    /// history, counted, sampled) and the rebuild restarts without them, so one
-    /// poisonous statement cannot wedge the tenant forever.
+    /// start fresh), then replay the tail with each statement individually supervised —
+    /// statements that panic even in isolation are quarantined (dropped from the tail,
+    /// counted, sampled) and the rebuild restarts without them, so one poisonous
+    /// statement cannot wedge the tenant forever.
     fn rebuild_tenant(&self, tenant: &Tenant, inner: &mut TenantInner, reason: &str) {
         self.session_rebuilds.fetch_add(1, Ordering::Relaxed);
-        // Fold any still-queued statements into the history so the rebuild covers them
+        // Fold any still-queued statements into the tail so the rebuild covers them
         // (apply_pending drains before mining, so this is normally a no-op).
-        let drained = inner.queue.len();
-        if drained > 0 {
-            inner.replaying = 0;
-            inner.applied += drained as u64;
-            inner.history.reserve(drained);
-            while let Some(item) = inner.queue.pop_front() {
-                inner.history.push(item);
-            }
-        }
+        inner.applied += inner.queue.len() as u64;
+        inner.tail.extend(inner.queue.drain(..));
         let opts = self.opts.session.clone();
         let base = inner.base.clone();
-        let history = std::mem::take(&mut inner.history);
+        let tail = std::mem::take(&mut inner.tail);
         #[cfg(any(test, feature = "faults"))]
         let plan = self.fault_plan().cloned();
         let outcome = Session::rebuild_quarantining(
             || match &base {
                 Some(bytes) => Session::restore_with(&mut bytes.as_slice(), opts.clone())
-                    .unwrap_or_else(|_| Session::new(opts.clone())),
+                    .expect("a base restores: this pool restored or persisted it"),
                 None => Session::new(opts.clone()),
             },
-            &history,
+            &tail,
             |session, dialect, text| {
                 #[cfg(any(test, feature = "faults"))]
                 if let Some(plan) = &plan {
@@ -1280,7 +1142,7 @@ impl SessionPool {
         );
         inner.session = outcome.session;
         if outcome.quarantined.is_empty() {
-            inner.history = history;
+            inner.tail = tail;
             // The rebuild replayed cleanly (a transient panic, or a poisoned lock whose
             // damage never reached the session) — sample why it ran anyway.
             let mut samples = lock_or_recover(&self.quarantine_samples);
@@ -1298,7 +1160,7 @@ impl SessionPool {
                 if samples.len() >= GAUGE_ERROR_SAMPLES {
                     break;
                 }
-                let (dialect, text) = &history[*index];
+                let (dialect, text) = &tail[*index];
                 let text: String = text.chars().take(120).collect();
                 samples.push(format!(
                     "{}/{} [{}] {:?}: {message}",
@@ -1309,7 +1171,7 @@ impl SessionPool {
                 ));
             }
             drop(samples);
-            inner.history = history
+            inner.tail = tail
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| !outcome.quarantined.iter().any(|(q, _)| q == i))
@@ -1338,11 +1200,11 @@ impl SessionPool {
             let mut guard = self.lock_shard(&self.shards[self.shard_of(&key)]);
             let tenant = self.resident(&mut guard, &key);
             let mut inner = self.lock_tenant(&tenant);
-            // The snapshot covers sequences below `applied`; the journal tail must
-            // continue contiguously from there.  A gap means a lost or pruned segment —
-            // replaying past it would silently mis-state the session, so the remainder
-            // is dropped (and counted).
-            let mut expected = inner.applied.max(inner.acked);
+            // The base covers sequences below `applied`; the journal tail must continue
+            // contiguously from there.  A gap means a lost or pruned segment — replaying
+            // past it would silently mis-state the session, so the remainder is dropped
+            // (and counted).
+            let mut expected = inner.next_seq();
             let mut pushed = 0usize;
             let mut dropped = 0u64;
             for statement in tail {
@@ -1356,11 +1218,9 @@ impl SessionPool {
                 inner
                     .queue
                     .push_back((self.dialect_by_name(&statement.dialect), statement.text));
-                inner.replaying += 1;
                 pushed += 1;
                 expected += 1;
             }
-            inner.acked = expected;
             drop(guard);
             self.queued_statements.fetch_add(pushed, Ordering::Relaxed);
             self.recovered_statements
@@ -1377,7 +1237,7 @@ impl SessionPool {
     /// Maps a journal dialect name back to a registered dialect; unknown names (a
     /// registry that shrank between processes) fall back to the unrecognized dialect,
     /// which parses nothing but counts and samples — the statement is preserved in the
-    /// history rather than silently dropped.
+    /// tail rather than silently dropped.
     fn dialect_by_name(&self, name: &str) -> pi_ast::Dialect {
         self.known_dialects
             .iter()
@@ -1386,11 +1246,12 @@ impl SessionPool {
             .unwrap_or(crate::wire::UNRECOGNIZED_DIALECT)
     }
 
-    /// Runs a checkpoint: seal the journal's active segments, persist every tenant's
-    /// spill snapshot (with its applied watermark), and — only if *every* tenant is
-    /// durably covered — prune the sealed segments.  Incomplete checkpoints leave the
-    /// journal intact: recovery replays more than strictly necessary, never less.
-    /// Returns whether the full checkpoint (including the prune) completed.
+    /// Runs a checkpoint: seal the journal's active segments, run the spill step on every
+    /// tenant (resident or archived) that changed since its last durable spill, and — only
+    /// if *every* tenant is then durably covered — prune the sealed segments.  Incomplete
+    /// checkpoints leave the journal intact: recovery replays more than strictly
+    /// necessary, never less.  Returns whether the full checkpoint (including the prune)
+    /// completed.
     pub fn checkpoint(&self) -> bool {
         let Some(journal) = &self.journal else {
             return false;
@@ -1407,45 +1268,23 @@ impl SessionPool {
         }
         let mut all_durable = true;
         for shard in &self.shards {
-            let (tenants, archived) = {
-                let guard = self.lock_shard(shard);
-                let tenants: Vec<Arc<Tenant>> = guard
-                    .tenants
-                    .values()
-                    .map(|r| Arc::clone(&r.tenant))
-                    .collect();
-                // Archived tenants already spilled at eviction; re-spill only the ones
-                // whose eviction-time write failed.
-                let archived: Vec<(TenantId, Option<Vec<u8>>, u64)> = guard
-                    .archive
-                    .iter()
-                    .filter(|(key, _)| !self.has_spill(key))
-                    .map(|(key, entry)| (key.clone(), entry.snapshot.clone(), entry.applied))
-                    .collect();
-                (tenants, archived)
-            };
-            for (key, snapshot, applied) in archived {
-                match snapshot {
-                    Some(bytes) if self.write_spill(&key, &bytes, applied) => {}
-                    _ => all_durable = false,
+            let tenants = {
+                let mut guard = self.lock_shard(shard);
+                // Archived tenants spilled at eviction; retry the ones whose write failed.
+                for (key, entry) in &mut guard.archive {
+                    if entry.spilled != entry.applied {
+                        if self.write_spill(key, &entry.snapshot, entry.applied) {
+                            entry.spilled = entry.applied;
+                        } else {
+                            all_durable = false;
+                        }
+                    }
                 }
-            }
+                residents(&guard)
+            };
             for tenant in tenants {
                 let mut inner = self.lock_tenant(&tenant);
-                self.apply_supervised(&tenant, &mut inner);
-                if inner.applied == 0 && inner.base.is_none() {
-                    continue;
-                }
-                let start = Instant::now();
-                let snapshot = inner.session.persist_to_vec().ok();
-                self.persist_us
-                    .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
-                let applied = inner.applied;
-                drop(inner);
-                match snapshot {
-                    Some(bytes) if self.write_spill(&tenant.key, &bytes, applied) => {}
-                    _ => all_durable = false,
-                }
+                all_durable &= self.spill(&tenant, &mut inner);
             }
         }
         if all_durable {
@@ -1670,8 +1509,7 @@ mod tests {
             .unwrap();
         pool.flush("cyd", "t1");
         let evicted = pool.gauge();
-        assert!(evicted.snapshot_archives >= 1, "eviction must persist");
-        assert_eq!(evicted.replay_archives, 0);
+        assert!(evicted.archived >= 1, "eviction must persist");
         assert!(evicted.snapshot_bytes > 0, "archive holds snapshot bytes");
         assert!(evicted.persist_ms >= 0.0);
         // The return trip deserializes the snapshot — no replay.
@@ -1680,8 +1518,7 @@ mod tests {
         assert_eq!(after.graph, before.graph);
         assert_eq!(after.interface.describe(), before.interface.describe());
         let rehydrated = pool.gauge();
-        assert!(rehydrated.snapshot_rehydrations >= 1);
-        assert_eq!(rehydrated.replay_rehydrations, 0);
+        assert!(rehydrated.rehydrations >= 1);
         // The consumed snapshot left the archive; its bytes are no longer held.
         assert!(rehydrated.snapshot_bytes < evicted.snapshot_bytes || evicted.snapshot_bytes == 0);
         pool.close();
@@ -1720,7 +1557,7 @@ mod tests {
         assert_eq!(after.version, before.version);
         assert_eq!(after.graph, before.graph);
         assert_eq!(after.interface.describe(), before.interface.describe());
-        assert!(second.gauge().snapshot_rehydrations >= 1);
+        assert!(second.gauge().rehydrations >= 1);
         // …and keeps ingesting from where it left off.
         second
             .enqueue_tagged("ada", "t1", [(Dialect::SQL, sql(9).as_str())])
@@ -1770,11 +1607,11 @@ mod tests {
             std::fs::write(&path, bytes).unwrap();
         }
         let second = SessionPool::with_spill(opts, Some(dir.clone()));
-        // Restore fails integrity; with no archived history the pool treats the tenant as
-        // new — a fresh, empty session (replay-kind rehydration).
+        // Restore fails integrity; the spill is quarantined and the pool treats the tenant
+        // as new — a fresh, empty session.
         let snap = second.snapshot("ada", "t1").expect("spill file exists");
         assert_eq!(snap.version, 0);
-        assert!(second.gauge().replay_rehydrations >= 1);
+        assert!(second.gauge().spill_quarantines >= 1);
         second.close();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2116,5 +1953,144 @@ mod tests {
         assert!(plain.is_ready());
         assert_eq!(plain.readiness_blocker(), None);
         plain.close();
+    }
+
+    /// Enqueues each text as its own single-statement batch.
+    fn push(pool: &SessionPool, user: &str, texts: &[String]) {
+        for text in texts {
+            pool.enqueue_tagged(user, "t1", [(Dialect::SQL, text.as_str())])
+                .unwrap();
+        }
+    }
+
+    /// A resident tenant, for tests that inspect or hold its state.
+    fn tenant(pool: &SessionPool, user: &str) -> Arc<Tenant> {
+        let key: TenantId = (user.to_string(), "t1".to_string());
+        let guard = pool.lock_shard(&pool.shards[pool.shard_of(&key)]);
+        Arc::clone(&guard.tenants[&key].tenant)
+    }
+
+    /// Whether the tenant has a base, and the length of its tail.
+    fn base_and_tail(pool: &SessionPool, user: &str) -> (bool, usize) {
+        let tenant = tenant(pool, user);
+        let inner = pool.lock_tenant(&tenant);
+        (inner.base.is_some(), inner.tail.len())
+    }
+
+    #[test]
+    fn failed_eviction_spill_is_retried_before_the_journal_is_pruned() {
+        let dir = scratch("stale-spill");
+        let mut durability = DurabilityOptions::new(&dir);
+        let plan = FaultPlan::new().with_io_error(FaultOp::SpillWrite, 2);
+        durability.faults = Some(Arc::new(plan));
+        let first = durable_pool(1, durability);
+        first.wait_ready();
+        let script: Vec<String> = (0..5).map(sql).collect();
+        push(&first, "ada", &script[..3]);
+        assert!(first.checkpoint(), "the first spill write lands");
+        push(&first, "ada", &script[3..]);
+        // Capacity one: bob's first statement evicts ada, and her spill write (the second)
+        // fails, leaving only the spill of her first three statements on disk.  The next
+        // checkpoint prunes the journal, so it must first re-spill ada.
+        push(&first, "bob", &[sql(9)]);
+        first.checkpoint();
+        first.simulate_crash().unwrap();
+        drop(first);
+        let second = durable_pool(1, DurabilityOptions::new(&dir));
+        second.wait_ready();
+        assert_same(&second.snapshot("ada", "t1").unwrap(), &replay_sql(&script));
+        second.close();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Persists ada's first three statements by `persist`, then sends two more around a
+    /// statement that panics the miner: the rebuild restores the persisted base and
+    /// replays the tail without the offender.
+    fn quarantine_rebuilds_from_the_base(tag: &str, capacity: usize, persist: fn(&SessionPool)) {
+        let dir = scratch(tag);
+        let mut durability = DurabilityOptions::new(&dir);
+        durability.faults = Some(Arc::new(FaultPlan::new().with_panic_marker("POISON")));
+        let pool = durable_pool(capacity, durability);
+        pool.wait_ready();
+        let good: Vec<String> = (0..5).map(sql).collect();
+        push(&pool, "ada", &good[..3]);
+        persist(&pool);
+        assert_eq!(
+            base_and_tail(&pool, "ada"),
+            (true, 0),
+            "persisting clears the tail"
+        );
+        let poison = "SELECT POISON FROM t".to_string();
+        push(&pool, "ada", &[good[3].clone(), poison, good[4].clone()]);
+        assert_same(&pool.snapshot("ada", "t1").unwrap(), &replay_sql(&good));
+        assert_eq!(pool.gauge().quarantined_statements, 1);
+        assert_eq!(base_and_tail(&pool, "ada"), (true, 2));
+        pool.close();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn quarantine_after_a_checkpoint_rebuilds_from_its_snapshot() {
+        quarantine_rebuilds_from_the_base("quarantine-checkpoint", 4, |pool| {
+            assert!(pool.checkpoint());
+        });
+    }
+
+    #[test]
+    fn quarantine_after_eviction_rebuilds_from_the_archived_snapshot() {
+        quarantine_rebuilds_from_the_base("quarantine-evicted", 1, |pool| {
+            // Capacity one: bob evicts ada, and ada's return evicts bob.
+            push(pool, "bob", &[sql(9)]);
+            assert_eq!(pool.snapshot("ada", "t1").unwrap().version, 3);
+            assert!(pool.gauge().rehydrations >= 1);
+        });
+    }
+
+    #[test]
+    fn checkpoints_and_close_spill_only_changed_tenants() {
+        let dir = scratch("dirty-only");
+        let plan = Arc::new(FaultPlan::new());
+        let mut durability = DurabilityOptions::new(&dir);
+        durability.faults = Some(Arc::clone(&plan));
+        let pool = durable_pool(8, durability);
+        pool.wait_ready();
+        let users = ["ada", "bob", "cyd", "dee", "eve"];
+        for (i, user) in users.iter().enumerate() {
+            push(&pool, user, &[sql(i)]);
+        }
+        assert!(pool.checkpoint());
+        assert_eq!(plan.hit_count(FaultOp::SpillWrite), 5);
+        for user in &users[..2] {
+            push(&pool, user, &[sql(7)]);
+        }
+        assert!(pool.checkpoint());
+        assert_eq!(plan.hit_count(FaultOp::SpillWrite), 7, "2 tenants changed");
+        pool.close();
+        assert_eq!(plan.hit_count(FaultOp::SpillWrite), 7, "none changed");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn gauge_does_not_block_a_shard_behind_a_busy_tenant() {
+        let pool = pool(4, 1, 64);
+        push(&pool, "ada", &[sql(1)]);
+        let ada = tenant(&pool, "ada");
+        // Holding ada's lock stands in for a long apply.
+        let busy = pool.lock_tenant(&ada);
+        let pool = &pool;
+        std::thread::scope(|scope| {
+            let gauge = scope.spawn(move || pool.gauge());
+            // No hook inside `gauge` can signal that it waits on ada; give it time to.
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            let (sent, received) = std::sync::mpsc::channel();
+            scope.spawn(move || {
+                sent.send(pool.enqueue_tagged("bob", "t1", [(Dialect::SQL, sql(2))]))
+            });
+            let enqueued = received.recv_timeout(std::time::Duration::from_secs(2));
+            drop(busy);
+            assert_eq!(enqueued, Ok(Ok(1)), "bob's enqueue waited on the gauge");
+            gauge.join().unwrap();
+        });
+        pool.close();
     }
 }

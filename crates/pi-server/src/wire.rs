@@ -17,9 +17,9 @@ use std::sync::Arc;
 /// One decoded ingest item: a tenant identity plus the tagged query texts it carries.
 ///
 /// Statement text is held as `Arc<str>` from the moment it leaves the JSON decoder: the
-/// pool's queue, the tenant history and an eviction replay all share the same allocation,
-/// so a statement's bytes are copied out of the request body exactly once however many
-/// times it is queued, archived and replayed.
+/// pool's queue and the tenant's tail (the statements applied since its last snapshot)
+/// share the same allocation, so a statement's bytes are copied out of the request body
+/// once however many times it is queued and replayed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogItem {
     /// The tenant's user id.

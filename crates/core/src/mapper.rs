@@ -13,13 +13,22 @@
 //!    whose record set becomes empty are dropped.  We additionally guard every contraction
 //!    with an explicit log-coverage check so the `g = 1` constraint of the problem statement
 //!    can never be violated by the greedy choice.
+//!
+//! **Cost of a merge pass.**  One ancestor step reads the records of the ancestor and of
+//! its descendants a constant number of times: once to mark the shared queries `V` in a
+//! per-query array, once to split each record list into overlap and kept records (exact
+//! complements), once per rebuilt widget, and once per record of every compared pair the
+//! overlap touches, where a candidate interface is checked through a path → widget map.
+//! A pass therefore costs time linear in `Σ` over ancestors of the records they and
+//! their descendants hold — each record is touched once per widget path above it — plus
+//! the logarithmic factors of domain deduplication and of the pair-run lookup.
 
 use crate::interface::Interface;
 use pi_ast::{Dialect, Node, NodeKind, Path};
 use pi_diff::{DiffId, DiffStore};
 use pi_graph::InteractionGraph;
 use pi_widgets::{Domain, Widget, WidgetLibrary};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{HashMap, HashSet};
 
 /// Knobs controlling the mapper (exposed for the ablation experiments).
 #[derive(Debug, Clone, Copy)]
@@ -81,9 +90,9 @@ impl InteractionMapper {
 
         let mut widgets = self.initialize(graph, dialects);
         if self.options.enable_merging {
-            let pairs = PairIndex::build(graph.store());
+            let mut index = MergeIndex::build(graph, &widgets);
             for _ in 0..self.options.max_merge_passes {
-                if !self.merge_pass(&mut widgets, graph.store(), &pairs, dialects) {
+                if !self.merge_pass(&mut widgets, graph.store(), &mut index, dialects) {
                     break;
                 }
             }
@@ -130,7 +139,7 @@ impl InteractionMapper {
         &self,
         widgets: &mut [Widget],
         store: &DiffStore,
-        pairs: &PairIndex,
+        index: &mut MergeIndex,
         dialects: &[Dialect],
     ) -> bool {
         let mut improved = false;
@@ -162,84 +171,69 @@ impl InteractionMapper {
                 continue;
             }
 
-            // Vertices incident to the two widget groups' diffs, and their intersection V.
-            let vertices_of = |ids: &[DiffId]| -> BTreeSet<usize> {
-                ids.iter()
-                    .flat_map(|id| {
-                        let r = store.get(*id);
-                        [r.q1, r.q2]
-                    })
-                    .collect()
-            };
-            let va = vertices_of(&widgets[a_idx].init_diffs);
-            let vd: BTreeSet<usize> = descendant_idxs
-                .iter()
-                .flat_map(|&j| vertices_of(&widgets[j].init_diffs))
-                .collect();
-            let v: BTreeSet<usize> = va.intersection(&vd).copied().collect();
-            if v.is_empty() {
+            // V: the queries incident to both the ancestor's and the descendants' records.
+            let descendant_diffs = descendant_idxs.iter().map(|&j| &widgets[j].init_diffs);
+            if !index
+                .queries
+                .mark_shared(store, &widgets[a_idx].init_diffs, descendant_diffs)
+            {
                 continue;
             }
-            let in_v = |id: &DiffId| {
-                let r = store.get(*id);
-                v.contains(&r.q1) && v.contains(&r.q2)
-            };
+            let queries = &index.queries;
+            let in_v = |id: &DiffId| queries.in_v(store, *id);
 
-            // ga / gd: overlapping records whose incident queries both lie in V.
-            let ga: Vec<DiffId> = widgets[a_idx]
-                .init_diffs
+            // The overlap (records whose incident queries both lie in V) on either side, and
+            // the compared pairs it touches: only those pairs need re-checking.
+            let mut affected: Vec<usize> = Vec::new();
+            let mut overlap = |ids: &[DiffId]| {
+                let mut any = false;
+                for id in ids.iter().filter(|id| in_v(id)) {
+                    index.runs.queue(*id, queries.stamp, &mut affected);
+                    any = true;
+                }
+                any
+            };
+            let ancestor_overlaps = overlap(&widgets[a_idx].init_diffs);
+            let overlapping: Vec<usize> = descendant_idxs
                 .iter()
                 .copied()
-                .filter(in_v)
+                .filter(|&j| overlap(&widgets[j].init_diffs))
                 .collect();
-            let gd: BTreeMap<usize, Vec<DiffId>> = descendant_idxs
-                .iter()
-                .map(|&j| {
-                    (
-                        j,
-                        widgets[j].init_diffs.iter().copied().filter(in_v).collect(),
-                    )
-                })
-                .collect();
-            if ga.is_empty() && gd.values().all(Vec::is_empty) {
+            if affected.is_empty() {
                 continue;
             }
 
+            // Each candidate keeps the complement of its side's overlap.  A side without
+            // overlap would be rebuilt into itself (same ids, same widget, a cost change of
+            // exactly 0.0), so it is neither rebuilt nor summed.
+            let kept = |ids: &[DiffId]| -> Vec<DiffId> {
+                ids.iter().copied().filter(|id| !in_v(id)).collect()
+            };
             // Candidate A: remove the overlap from the ancestor.
-            let ancestor_kept: Vec<DiffId> = widgets[a_idx]
-                .init_diffs
-                .iter()
-                .copied()
-                .filter(|id| !ga.contains(id))
-                .collect();
-            let new_ancestor = self.repick(&a_path, ancestor_kept, store, dialects);
-            let sa = widgets[a_idx].cost - new_ancestor.as_ref().map(|w| w.cost).unwrap_or(0.0);
+            let (new_ancestor, sa) = if ancestor_overlaps {
+                let ancestor = &widgets[a_idx];
+                let newer = self.repick(&a_path, kept(&ancestor.init_diffs), store, dialects);
+                let sa = ancestor.cost - newer.as_ref().map(|w| w.cost).unwrap_or(0.0);
+                (newer, sa)
+            } else {
+                (None, 0.0)
+            };
 
-            // Candidate B: remove the overlap from every descendant.
-            let mut new_descendants: BTreeMap<usize, Option<Widget>> = BTreeMap::new();
+            // Candidate B: remove the overlap from every descendant, summed in index order.
+            let mut new_descendants: Vec<(usize, Option<Widget>)> =
+                Vec::with_capacity(overlapping.len());
             let mut sd = 0.0;
-            for &j in &descendant_idxs {
-                let removed = &gd[&j];
-                let kept: Vec<DiffId> = widgets[j]
-                    .init_diffs
-                    .iter()
-                    .copied()
-                    .filter(|id| !removed.contains(id))
-                    .collect();
-                let replacement = self.repick(&widgets[j].path, kept, store, dialects);
-                sd += widgets[j].cost - replacement.as_ref().map(|w| w.cost).unwrap_or(0.0);
-                new_descendants.insert(j, replacement);
+            for &j in &overlapping {
+                let descendant = &widgets[j];
+                let replacement = self.repick(
+                    &descendant.path,
+                    kept(&descendant.init_diffs),
+                    store,
+                    dialects,
+                );
+                sd += descendant.cost - replacement.as_ref().map(|w| w.cost).unwrap_or(0.0);
+                new_descendants.push((j, replacement));
             }
-
-            // Affected pairs: only queries touched by the removed records need re-checking.
-            let affected_pairs: BTreeSet<(usize, usize)> = ga
-                .iter()
-                .chain(gd.values().flatten())
-                .map(|id| {
-                    let r = store.get(*id);
-                    (r.q1, r.q2)
-                })
-                .collect();
 
             // Prefer the larger cost reduction; on a tie keep the fine-grained descendants
             // (removing from the ancestor), which also preserves generalisation.
@@ -254,42 +248,43 @@ impl InteractionMapper {
                 if reduction <= 0.0 {
                     continue;
                 }
-                // Build the hypothetical widget set.
-                let mut candidate: Vec<Widget> = Vec::with_capacity(widgets.len());
-                for (idx, w) in widgets.iter().enumerate() {
+                // The hypothetical widget set, seen through the path index: one widget per
+                // path, the candidate's replacement where it has one.
+                let candidate_at = |path: &Path| -> Option<&Widget> {
+                    let idx = *index.by_path.get(path)?;
                     if apply_ancestor_shrink && idx == a_idx {
-                        if let Some(newer) = &new_ancestor {
-                            candidate.push(newer.clone());
-                        }
-                    } else if !apply_ancestor_shrink && descendant_idxs.contains(&idx) {
-                        if let Some(Some(newer)) = new_descendants.get(&idx) {
-                            candidate.push(newer.clone());
-                        }
-                    } else if !w.domain.is_empty() {
-                        candidate.push(w.clone());
+                        return new_ancestor.as_ref();
                     }
-                }
-                if affected_pairs
+                    if !apply_ancestor_shrink {
+                        if let Ok(k) = new_descendants.binary_search_by_key(&idx, |(j, _)| *j) {
+                            return new_descendants[k].1.as_ref();
+                        }
+                    }
+                    let widget = &widgets[idx];
+                    (!widget.domain.is_empty()).then_some(widget)
+                };
+                if !affected
                     .iter()
-                    .all(|pair| pairs.pair_expressible(*pair, &candidate, store))
+                    .all(|&run| index.runs.expressible(run, store, candidate_at))
                 {
-                    // Commit.
-                    if apply_ancestor_shrink {
-                        match &new_ancestor {
-                            Some(newer) => widgets[a_idx] = newer.clone(),
-                            None => widgets[a_idx] = empty_widget(&widgets[a_idx]),
-                        }
-                    } else {
-                        for &j in &descendant_idxs {
-                            match new_descendants.get(&j) {
-                                Some(Some(newer)) => widgets[j] = newer.clone(),
-                                _ => widgets[j] = empty_widget(&widgets[j]),
-                            }
-                        }
-                    }
-                    improved = true;
-                    break;
+                    continue;
                 }
+                // Commit.
+                if apply_ancestor_shrink {
+                    widgets[a_idx] = match new_ancestor {
+                        Some(newer) => newer,
+                        None => empty_widget(&widgets[a_idx]),
+                    };
+                } else {
+                    for (j, replacement) in new_descendants {
+                        widgets[j] = match replacement {
+                            Some(newer) => newer,
+                            None => empty_widget(&widgets[j]),
+                        };
+                    }
+                }
+                improved = true;
+                break;
             }
         }
         improved
@@ -307,44 +302,138 @@ fn dialect_of(dialects: &[Dialect]) -> impl Fn(usize) -> Dialect + '_ {
     move |q| dialects.get(q).copied().unwrap_or_default()
 }
 
-/// Per-pair view of the diff store, used to verify that a merge never makes a compared query
-/// pair inexpressible.
-struct PairIndex {
-    pairs: BTreeMap<(usize, usize), Vec<DiffId>>,
+/// Lookup structures built once per mapping and shared by every merge pass.
+struct MergeIndex {
+    runs: PairRuns,
+    queries: QueryMarks,
+    /// The widget at each path.  Initialisation makes one widget per path partition and
+    /// merging replaces widgets in place at their own path, so the map never goes stale.
+    by_path: HashMap<Path, usize>,
 }
 
-impl PairIndex {
-    fn build(store: &DiffStore) -> Self {
-        let mut pairs: BTreeMap<(usize, usize), Vec<DiffId>> = BTreeMap::new();
-        for (id, record) in store.iter() {
-            pairs.entry((record.q1, record.q2)).or_default().push(id);
+impl MergeIndex {
+    fn build(graph: &InteractionGraph, widgets: &[Widget]) -> Self {
+        let by_path: HashMap<Path, usize> = widgets
+            .iter()
+            .enumerate()
+            .map(|(idx, w)| (w.path.clone(), idx))
+            .collect();
+        debug_assert_eq!(by_path.len(), widgets.len(), "widget paths are unique");
+        MergeIndex {
+            runs: PairRuns::build(graph.store()),
+            queries: QueryMarks {
+                marks: vec![0; graph.queries().len()],
+                stamp: 0,
+            },
+            by_path,
         }
-        PairIndex { pairs }
+    }
+}
+
+/// The shared-query set `V` of one ancestor step, as per-query stamps.  Every step takes
+/// two fresh stamps (`stamp - 1`: incident to an ancestor record; `stamp`: also to a
+/// descendant record, so in `V`); stamps only grow, so marks are never cleared.
+struct QueryMarks {
+    marks: Vec<u64>,
+    stamp: u64,
+}
+
+impl QueryMarks {
+    /// Marks `V` = queries(ancestor) ∩ queries(descendants); false when `V` is empty.
+    fn mark_shared<'a>(
+        &mut self,
+        store: &DiffStore,
+        ancestor: &[DiffId],
+        descendants: impl Iterator<Item = &'a Vec<DiffId>>,
+    ) -> bool {
+        self.stamp += 2;
+        let seen = self.stamp - 1;
+        for id in ancestor {
+            let r = store.get(*id);
+            self.marks[r.q1] = seen;
+            self.marks[r.q2] = seen;
+        }
+        let mut any = false;
+        for id in descendants.flatten() {
+            let r = store.get(*id);
+            for q in [r.q1, r.q2] {
+                if self.marks[q] == seen {
+                    self.marks[q] = self.stamp;
+                    any = true;
+                }
+            }
+        }
+        any
+    }
+
+    /// Whether both queries of a record lie in the current `V`.
+    fn in_v(&self, store: &DiffStore, id: DiffId) -> bool {
+        let r = store.get(id);
+        self.marks[r.q1] == self.stamp && self.marks[r.q2] == self.stamp
+    }
+}
+
+/// Every compared pair's records as one run of ids, used to verify that a merge never makes
+/// a compared query pair inexpressible.  The graph builder appends each pair's records
+/// together, leaves first, so run `k` is `starts[k]..starts[k + 1]`.
+struct PairRuns {
+    starts: Vec<usize>,
+    /// Per run: the stamp of the last ancestor step that queued it for re-checking.
+    queued: Vec<u64>,
+}
+
+impl PairRuns {
+    fn build(store: &DiffStore) -> Self {
+        let mut starts = Vec::new();
+        let mut seen: HashSet<(usize, usize)> = HashSet::new();
+        let mut current = None;
+        for (id, record) in store.iter() {
+            let pair = (record.q1, record.q2);
+            if current != Some(pair) {
+                assert!(
+                    seen.insert(pair),
+                    "the records of pair {pair:?} are not one contiguous run"
+                );
+                starts.push(id.0);
+                current = Some(pair);
+            }
+        }
+        starts.push(store.len());
+        let queued = vec![0; starts.len() - 1];
+        PairRuns { starts, queued }
+    }
+
+    /// Queues the run holding record `id` for re-checking, once per `stamp`.
+    fn queue(&mut self, id: DiffId, stamp: u64, affected: &mut Vec<usize>) {
+        let run = self.run_of(id);
+        if self.queued[run] != stamp {
+            self.queued[run] = stamp;
+            affected.push(run);
+        }
+    }
+
+    /// The run holding record `id`.
+    fn run_of(&self, id: DiffId) -> usize {
+        self.starts.partition_point(|&start| start <= id.0) - 1
     }
 
     /// A pair stays expressible when every one of its leaf-diff paths is covered: either the
     /// leaf record itself is expressed by a widget, or an ancestor record of the pair whose
     /// path is a prefix of the leaf path is expressed by a widget (replacing the larger region
-    /// also realises the leaf change).
-    fn pair_expressible(
+    /// also realises the leaf change).  `widget_at` is the candidate interface's widget at a
+    /// path.
+    fn expressible<'w>(
         &self,
-        pair: (usize, usize),
-        widgets: &[Widget],
+        run: usize,
         store: &DiffStore,
+        widget_at: impl Fn(&Path) -> Option<&'w Widget>,
     ) -> bool {
-        let Some(ids) = self.pairs.get(&pair) else {
-            return true;
-        };
-        let expressed_paths: Vec<&Path> = ids
-            .iter()
-            .filter(|id| {
-                let record = store.get(**id);
-                widgets.iter().any(|w| w.expresses(record))
-            })
-            .map(|id| &store.get(*id).path)
+        let records = || (self.starts[run]..self.starts[run + 1]).map(|id| store.get(DiffId(id)));
+        let expressed_paths: Vec<&Path> = records()
+            .filter(|r| widget_at(&r.path).is_some_and(|w| w.expresses(r)))
+            .map(|r| &r.path)
             .collect();
-        ids.iter()
-            .map(|id| store.get(*id))
+        records()
             .filter(|r| r.is_leaf)
             .all(|leaf| expressed_paths.iter().any(|p| p.is_prefix_of(&leaf.path)))
     }

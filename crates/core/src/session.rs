@@ -587,8 +587,11 @@ impl Session {
     /// *distinct* query shape), per-class bookkeeping, the per-row class id (4 bytes) and
     /// dialect tag (1 byte), the parse cache (fragment text + handles; its trees are the
     /// arena's, not double-counted) and the bounded error sample.  For a repetitive trace
-    /// the estimate is dominated by the `d` distinct shapes and grows only ~5 bytes per
-    /// additional duplicate row — the property the trace-scale smoke test asserts.
+    /// this log storage is dominated by the `d` distinct shapes and grows only ~5 bytes per
+    /// additional duplicate row (its class id and dialect tag).  The whole estimate grows
+    /// faster: the mined state below adds 32 bytes per record of every pair the window
+    /// admits for that row (about 8 records a row at `sliding(2)` on a 256-shape trace),
+    /// and the trace-scale smoke test bounds that growth as a constant per row.
     ///
     /// Mined state is counted too: the `DiffStore`'s record rows (whose shared change
     /// payloads alias the arena and are not double-counted) and the alignment memo's

@@ -185,6 +185,16 @@ fn segment_path(dir: &Path, shard: usize, epoch: u64) -> PathBuf {
     dir.join(format!("shard{shard:03}-{epoch:010}.wal"))
 }
 
+/// Fsyncs a directory, making the entries created or renamed in it durable: a file's own
+/// fsync covers its bytes, not the name that reaches them.  A no-op off Unix, where a
+/// directory cannot be opened as a file.
+pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
+    if cfg!(unix) {
+        File::open(dir)?.sync_all()?;
+    }
+    Ok(())
+}
+
 /// Parses `(shard, epoch)` out of a segment file name.
 fn parse_segment_name(name: &str) -> Option<(usize, u64)> {
     let rest = name.strip_prefix("shard")?.strip_suffix(".wal")?;
@@ -384,6 +394,11 @@ impl Journal {
                 .append(true)
                 .open(&path)
                 .map_err(|e| self.fail(e))?;
+            if self.opts.fsync {
+                // The commit's `sync_data` makes the records durable, but only this makes
+                // the new segment's name durable.
+                sync_dir(&self.opts.dir).map_err(|e| self.fail(e))?;
+            }
             st.path = Some(path);
             st.file = Some(file);
         }

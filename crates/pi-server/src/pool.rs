@@ -44,7 +44,7 @@
 //! watermark equals its last durable spill: a checkpoint writes only the tenants that
 //! changed, and a tenant whose spill write failed stays dirty until a retry lands.
 
-use crate::journal::{DurabilityOptions, Journal, JournalStats, RecoveredLog};
+use crate::journal::{sync_dir, DurabilityOptions, Journal, JournalStats, RecoveredLog};
 use crate::wire::LogItem;
 use pi_core::{GeneratedInterface, PiOptions, Session};
 use std::collections::{HashMap, VecDeque};
@@ -698,8 +698,7 @@ impl SessionPool {
         if let Some(handle) = recovery {
             let _ = handle.join();
         }
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.dispatch_cv.notify_all();
+        self.signal_shutdown();
         let handles = std::mem::take(&mut *lock_or_recover(&self.workers));
         for handle in handles {
             let _ = handle.join();
@@ -881,9 +880,9 @@ impl SessionPool {
     /// Best-effort spill write:
     /// `PISPILL2 [applied u64][user_len][user][thread_len][thread][session snapshot]`,
     /// via a temp file + rename so readers never observe a half-written spill.  With
-    /// durability on, the temp file is fsynced before the rename — checkpoint prunes
-    /// count on the spill surviving a crash.  Returns whether the spill is durably (or,
-    /// without a journal, at least atomically) in place.
+    /// durability on, the temp file is fsynced before the rename and the directory after
+    /// it — checkpoint prunes count on the spill surviving a crash.  Returns whether the
+    /// spill is durably (or, without a journal, at least atomically) in place.
     fn write_spill(&self, key: &TenantId, snapshot: &[u8], applied: u64) -> bool {
         let Some(path) = self.spill_path(key) else {
             return false;
@@ -911,7 +910,13 @@ impl SessionPool {
                 file.sync_all()?;
             }
             drop(file);
-            std::fs::rename(&tmp, &path)
+            std::fs::rename(&tmp, &path)?;
+            if self.journal.is_some() {
+                if let Some(dir) = path.parent() {
+                    sync_dir(dir)?;
+                }
+            }
+            Ok(())
         })();
         written.is_ok()
     }
@@ -977,6 +982,15 @@ impl SessionPool {
             lock_or_recover(&self.dispatch).push_back(tenant.key.clone());
             self.dispatch_cv.notify_one();
         }
+    }
+
+    /// Tells the workers to exit.  A worker holds the dispatch lock from its shutdown
+    /// check until its condvar wait releases it, so setting the flag under that lock
+    /// keeps the wake-up from landing between the two and leaving the worker asleep.
+    fn signal_shutdown(&self) {
+        let _dispatch = lock_or_recover(&self.dispatch);
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.dispatch_cv.notify_all();
     }
 
     fn worker_loop(&self) {
@@ -1341,8 +1355,7 @@ impl SessionPool {
     /// pool over the same directory to exercise recovery.
     #[cfg(any(test, feature = "faults"))]
     pub fn simulate_crash(&self) -> std::io::Result<()> {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.dispatch_cv.notify_all();
+        self.signal_shutdown();
         let recovery = lock_or_recover(&self.recovery_thread).take();
         if let Some(handle) = recovery {
             let _ = handle.join();
@@ -1362,8 +1375,7 @@ impl Drop for SessionPool {
     fn drop(&mut self) {
         // Workers hold an Arc each, so by the time the last Arc drops they have exited;
         // this path matters only for pools closed without `close()` — make it safe anyway.
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.dispatch_cv.notify_all();
+        self.signal_shutdown();
     }
 }
 

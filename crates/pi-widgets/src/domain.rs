@@ -203,30 +203,6 @@ impl Domain {
         }
         labels
     }
-
-    /// Merges another domain into this one (members keep their dialect tags).
-    pub fn merge(&mut self, other: &Domain) {
-        for (node, dialect) in other.tagged_subtrees() {
-            self.insert_tagged(node.clone(), dialect);
-        }
-        if other.includes_absent {
-            self.includes_absent = true;
-        }
-    }
-
-    /// Returns a copy of this domain without the subtrees that appear in `other`.
-    /// Used by the merging heuristic when overlapping diffs are re-assigned exclusively to the
-    /// ancestor or the descendant widgets (Algorithm 3).
-    pub fn without(&self, other: &Domain) -> Domain {
-        let mut out = Domain::new();
-        for (node, dialect) in self.tagged_subtrees() {
-            if !other.contains_exact(node) {
-                out.insert_tagged(node.clone(), dialect);
-            }
-        }
-        out.includes_absent = self.includes_absent && !other.includes_absent;
-        out
-    }
 }
 
 #[cfg(test)]
@@ -284,17 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_without_are_inverses_on_disjoint_domains() {
-        let mut a = Domain::from_subtrees(vec![Node::string("x"), Node::string("y")]);
-        let b = Domain::from_subtrees(vec![Node::string("z")]);
-        a.merge(&b);
-        assert_eq!(a.size(), 3);
-        let removed = a.without(&b);
-        assert_eq!(removed.size(), 2);
-        assert!(!removed.contains_exact(&Node::string("z")));
-    }
-
-    #[test]
     fn empty_domain_reports_itself() {
         let d = Domain::new();
         assert!(d.is_empty());
@@ -319,16 +284,6 @@ mod tests {
                 ("2".to_string(), Dialect::FRAMES)
             ]
         );
-        // merge and without carry tags along with their members.
-        let mut m = Domain::new();
-        m.insert_tagged(Node::int(3), Dialect::FRAMES);
-        m.merge(&d);
-        assert_eq!(
-            m.dialects(),
-            &[Dialect::FRAMES, Dialect::SQL, Dialect::FRAMES]
-        );
-        let rest = m.without(&Domain::from_subtrees(vec![Node::int(1)]));
-        assert_eq!(rest.dialects(), &[Dialect::FRAMES, Dialect::FRAMES]);
         // Untagged construction defaults to the founding dialect.
         assert_eq!(
             Domain::from_subtrees(vec![Node::int(9)]).dialects(),

@@ -53,6 +53,57 @@ fn arb_path() -> impl Strategy<Value = Path> {
     prop::collection::vec(0usize..6, 0..6).prop_map(Path::from_steps)
 }
 
+/// The store layout the mapper's pair index relies on: every edge's records are one
+/// contiguous run of ids that starts at `edge.diffs[0]`, holds the edge's leaves first
+/// (exactly `edge.diffs`) and then its ancestors, and carries the edge's `(from, to)` on
+/// every record; the runs come in edge order and cover the whole store, and no
+/// `(from, to)` pair repeats.
+fn assert_one_run_per_pair(graph: &precision_interfaces::graph::InteractionGraph, what: &str) {
+    use precision_interfaces::diff::DiffId;
+    let store = graph.store();
+    let edges = graph.edges();
+    let mut pairs = std::collections::HashSet::new();
+    let mut next = 0;
+    for (k, edge) in edges.iter().enumerate() {
+        assert!(
+            pairs.insert((edge.from, edge.to)),
+            "{what}: pair {k} repeats"
+        );
+        assert!(!edge.diffs.is_empty(), "{what}: edge {k} has no leaves");
+        assert_eq!(
+            edge.diffs[0].0, next,
+            "{what}: run {k} does not start where run {k} - 1 ends"
+        );
+        let end = edges.get(k + 1).map_or(store.len(), |e| e.diffs[0].0);
+        assert!(
+            end >= next + edge.diffs.len(),
+            "{what}: runs {k} and {k} + 1 overlap"
+        );
+        for id in next..end {
+            let record = store.get(DiffId(id));
+            assert_eq!(
+                (record.q1, record.q2),
+                (edge.from, edge.to),
+                "{what}: record {id} of run {k}"
+            );
+            let leaf_slot = id - next < edge.diffs.len();
+            assert_eq!(
+                record.is_leaf, leaf_slot,
+                "{what}: record {id} of run {k}: leaves first"
+            );
+            if leaf_slot {
+                assert_eq!(
+                    edge.diffs[id - next],
+                    DiffId(id),
+                    "{what}: leaf {id} of run {k}"
+                );
+            }
+        }
+        next = end;
+    }
+    assert_eq!(next, store.len(), "{what}: the runs do not cover the store");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -499,6 +550,61 @@ proptest! {
                     prop_assert_eq!(&snap.graph, &batch.graph);
                     prop_assert_eq!(snap.interface.widgets(), batch.interface.widgets());
                     prop_assert_eq!(snap.interface.describe(), batch.interface.describe());
+                }
+            }
+        }
+    }
+
+    // ------------------------------------------------------------ store layout
+
+    /// Every mining path writes each compared pair's records as one contiguous run (see
+    /// `assert_one_run_per_pair`): batch builds, streamed pushes with interleaved
+    /// snapshots, memo on and off, 1 and 4 workers (4 under a perturbed steal schedule),
+    /// and a `persist → restore → hydrate` round trip.
+    #[test]
+    fn every_pair_is_one_contiguous_run_of_records(
+        base in prop::collection::vec(arb_query(), 2..8),
+        dups in prop::collection::vec((0usize..64, 0usize..64), 1..6),
+        seed in 0u64..u64::MAX,
+        snap_every in 1usize..4,
+    ) {
+        use precision_interfaces::graph::WindowStrategy;
+        let mut queries = base;
+        for &(src, pos) in &dups {
+            let entry = queries[src % queries.len()].clone();
+            queries.insert(pos % (queries.len() + 1), entry);
+        }
+        for window in [WindowStrategy::AllPairs, WindowStrategy::sliding(3)] {
+            for memoize in [true, false] {
+                for threads in [1, 4] {
+                    let options = PiOptions {
+                        window,
+                        memoize,
+                        threads,
+                        steal_seed: (threads > 1).then_some(seed),
+                        ..Default::default()
+                    };
+                    let what = format!("{window:?} memoize={memoize} threads={threads}");
+                    let batch = PrecisionInterfaces::new(options.clone()).mine(queries.clone());
+                    assert_one_run_per_pair(&batch, &format!("batch {what}"));
+
+                    let mut session = Session::new(options.clone());
+                    for (k, q) in queries.iter().enumerate() {
+                        session.push(q.clone());
+                        if (k + 1) % snap_every == 0 {
+                            let _ = session.snapshot();
+                        }
+                    }
+                    let streamed = session.graph();
+                    assert_one_run_per_pair(&streamed, &format!("streamed {what}"));
+
+                    let bytes = session.persist_to_vec().expect("persist");
+                    let mut restored = Session::restore_with(&mut bytes.as_slice(), options)
+                        .expect("restore");
+                    restored.hydrate();
+                    let hydrated = restored.graph();
+                    assert_one_run_per_pair(&hydrated, &format!("restored {what}"));
+                    prop_assert_eq!(&hydrated, &streamed);
                 }
             }
         }

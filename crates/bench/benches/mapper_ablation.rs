@@ -1,5 +1,5 @@
-//! Ablation benches for the design choices listed in DESIGN.md: widget merging on/off and
-//! parallel vs serial interaction mining.
+//! Ablation benches for two design choices: widget merging on/off (Algorithm 3 of the
+//! paper) and parallel vs serial interaction mining.
 
 use bench::{client_log, interleaved_log};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

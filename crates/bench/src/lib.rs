@@ -2,8 +2,9 @@
 //!
 //! The benchmarks mirror the runtime evaluation of the paper (Appendix B): Figure 11 varies
 //! the sliding-window size and LCA pruning on per-client logs, Figure 12 scales the log size
-//! with the optimised configuration, and two extra benches quantify the design choices called
-//! out in DESIGN.md (merging on/off, and the per-stage micro costs).
+//! with the optimised configuration, and two extra benches quantify design choices of this
+//! implementation (merging on/off in `mapper_ablation`, and the per-stage micro costs in
+//! `micro`).
 
 use pi_ast::Node;
 use pi_workloads::{mix, sdss};

@@ -53,6 +53,7 @@ pub mod session;
 pub use frontends::standard_frontends;
 pub use interface::Interface;
 pub use mapper::{InteractionMapper, MapperOptions};
+pub use pi_graph::InteractionGraph;
 pub use pipeline::{GeneratedInterface, PiOptions, PrecisionInterfaces, StageTimings};
 pub use session::{RebuildOutcome, Session, SNAPSHOT_VERSION};
 

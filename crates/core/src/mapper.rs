@@ -14,20 +14,28 @@
 //!    with an explicit log-coverage check so the `g = 1` constraint of the problem statement
 //!    can never be violated by the greedy choice.
 //!
-//! **Cost of a merge pass.**  One ancestor step reads the records of the ancestor and of
-//! its descendants a constant number of times: once to mark the shared queries `V` in a
-//! per-query array, once to split each record list into overlap and kept records (exact
-//! complements), once per rebuilt widget, and once per record of every compared pair the
-//! overlap touches, where a candidate interface is checked through a path → widget map.
-//! A pass therefore costs time linear in `Σ` over ancestors of the records they and
-//! their descendants hold — each record is touched once per widget path above it — plus
-//! the logarithmic factors of domain deduplication and of the pair-run lookup.
+//! **Cost of a mapping.**  A mapping first lays the diff store out as flat per-record
+//! columns: a path id (the distinct paths interned once and ranked in `Path` order), a
+//! member id for each of the record's two subtree sides (the distinct subtrees interned once
+//! by [`NodeId`]), and its compared pair's run id.  That pass hashes each record's path and
+//! sides once; everything after it works on ids.  The path partition is a counting sort on
+//! the path column.  A domain is built by deduplicating on the member-id column against
+//! per-member stamps, so it hashes and clones a `Node` only for a new member.  Widgets live
+//! in one slot per path id: an ancestor's descendants are the path ids of its subtree range,
+//! and a prefix test is two integer comparisons.  One ancestor step of Algorithm 3 reads the
+//! records of the ancestor and of its descendants a constant number of times: once to mark
+//! the shared queries `V` in a per-query array, once to split each record list into overlap
+//! and kept records (exact complements), once per rebuilt widget, and once per record of
+//! every compared pair the overlap touches.  A pass therefore costs time linear in `Σ` over
+//! ancestors of the records they and their descendants hold — each record is touched once
+//! per widget path above it.
 
 use crate::interface::Interface;
-use pi_ast::{Dialect, Node, NodeKind, Path};
+use pi_ast::{Dialect, Node, NodeId, NodeKind, Path};
 use pi_diff::{DiffId, DiffStore};
 use pi_graph::InteractionGraph;
 use pi_widgets::{Domain, Widget, WidgetLibrary};
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 
 /// Knobs controlling the mapper (exposed for the ablation experiments).
@@ -53,6 +61,14 @@ impl Default for MapperOptions {
 pub struct InteractionMapper {
     library: WidgetLibrary,
     options: MapperOptions,
+}
+
+/// What one mapping produced.
+pub(crate) struct Mapping {
+    pub(crate) interface: Interface,
+    /// The number of distinct record paths: Algorithm 1's partition count, which is
+    /// [`GraphStats::distinct_paths`](pi_graph::GraphStats::distinct_paths).
+    pub(crate) distinct_paths: usize,
 }
 
 impl InteractionMapper {
@@ -82,105 +98,128 @@ impl InteractionMapper {
     /// domains and the initial query, so the interface remembers which front-end every
     /// rendered fragment originated in.
     pub fn map_tagged(&self, graph: &InteractionGraph, dialects: &[Dialect]) -> Interface {
-        let initial_query = graph
-            .initial_query()
+        self.map_store(
+            graph.store(),
+            graph.queries().len(),
+            graph.initial_query(),
+            dialects,
+        )
+        .interface
+    }
+
+    /// The mapping itself, over the diff records of a log of `log_len` queries whose first
+    /// query is `initial_query`.  Only the records are read, never the edges, so a session
+    /// maps its accumulator's store in place instead of freezing a graph first.
+    pub(crate) fn map_store(
+        &self,
+        store: &DiffStore,
+        log_len: usize,
+        initial_query: Option<&Node>,
+        dialects: &[Dialect],
+    ) -> Mapping {
+        let initial_query = initial_query
             .cloned()
             .unwrap_or_else(|| Node::new(NodeKind::Select));
         let initial_dialect = dialects.first().copied().unwrap_or_default();
 
-        let mut widgets = self.initialize(graph, dialects);
+        let columns = Columns::build(store, dialects);
+        let mut seen = MemberMarks {
+            marks: vec![0; columns.members],
+            stamp: 0,
+        };
+        let mut widgets = self.initialize(&columns, &mut seen);
         if self.options.enable_merging {
-            let mut index = MergeIndex::build(graph, &widgets);
+            let mut queries = QueryMarks {
+                marks: vec![0; log_len],
+                stamp: 0,
+            };
+            let mut queued = vec![0; columns.runs()];
             for _ in 0..self.options.max_merge_passes {
-                if !self.merge_pass(&mut widgets, graph.store(), &mut index, dialects) {
+                let improved =
+                    self.merge_pass(&mut widgets, &columns, &mut queries, &mut queued, &mut seen);
+                if !improved {
                     break;
                 }
             }
         }
-        widgets.retain(|w| !w.domain.is_empty());
-        Interface::new(initial_query, widgets).with_initial_dialect(initial_dialect)
-    }
-
-    /// Algorithm 1: one widget per path partition, instantiated by `pickWidget`.
-    fn initialize(&self, graph: &InteractionGraph, dialects: &[Dialect]) -> Vec<Widget> {
-        let mut widgets = Vec::new();
-        for (path, ids) in graph.store().partition_by_path() {
-            let domain = Domain::from_diffs_tagged(
-                ids.iter().map(|id| graph.store().get(*id)),
-                dialect_of(dialects),
-            );
-            if let Some(widget) = self.library.pick(path, domain, ids) {
-                widgets.push(widget);
-            }
+        let widgets = widgets.into_iter().flatten().collect();
+        Mapping {
+            interface: Interface::new(initial_query, widgets).with_initial_dialect(initial_dialect),
+            distinct_paths: columns.paths.len(),
         }
-        widgets
     }
 
-    /// Rebuilds a widget from a reduced set of initialising diffs (Algorithm 2 re-applied
-    /// after a merge decision).  Returns `None` when no diffs remain.
+    /// Algorithm 1: one widget per path partition, instantiated by `pickWidget`.  Slot `p`
+    /// holds the widget at path id `p`, or `None` when no widget type accepts its domain.
+    fn initialize(&self, columns: &Columns<'_>, seen: &mut MemberMarks) -> Vec<Option<Widget>> {
+        columns
+            .partition()
+            .into_iter()
+            .zip(&columns.paths)
+            .map(|(ids, path)| {
+                let domain = columns.domain(&ids, seen);
+                self.library.pick(path.clone(), domain, ids)
+            })
+            .collect()
+    }
+
+    /// Rebuilds the widget at path id `path` from a reduced set of initialising diffs
+    /// (Algorithm 2 re-applied after a merge decision).  Returns `None` when no diffs remain.
     fn repick(
         &self,
-        path: &Path,
+        path: usize,
         ids: Vec<DiffId>,
-        store: &DiffStore,
-        dialects: &[Dialect],
+        columns: &Columns<'_>,
+        seen: &mut MemberMarks,
     ) -> Option<Widget> {
         if ids.is_empty() {
             return None;
         }
-        let domain =
-            Domain::from_diffs_tagged(ids.iter().map(|id| store.get(*id)), dialect_of(dialects));
-        self.library.pick(path.clone(), domain, ids)
+        let domain = columns.domain(&ids, seen);
+        self.library.pick(columns.paths[path].clone(), domain, ids)
     }
 
     /// One sweep of Algorithm 3 over every ancestor widget, deepest first.  Returns whether
     /// the total interface cost decreased.
     fn merge_pass(
         &self,
-        widgets: &mut [Widget],
-        store: &DiffStore,
-        index: &mut MergeIndex,
-        dialects: &[Dialect],
+        widgets: &mut [Option<Widget>],
+        columns: &Columns<'_>,
+        queries: &mut QueryMarks,
+        queued: &mut [u64],
+        seen: &mut MemberMarks,
     ) -> bool {
         let mut improved = false;
 
         // Deepest ancestors first: this collapses widget chains bottom-up so that the cost of
         // intermediate redundant widgets does not distort the ancestor/descendant comparison.
-        let mut order: Vec<usize> = (0..widgets.len()).collect();
-        order.sort_by(|&a, &b| {
-            widgets[b]
-                .path
-                .depth()
-                .cmp(&widgets[a].path.depth())
-                .then_with(|| widgets[a].path.cmp(&widgets[b].path))
-        });
+        // Path ids rank paths in `Path` order, so ties break by path.
+        let mut order: Vec<usize> = (0..widgets.len())
+            .filter(|&p| widgets[p].is_some())
+            .collect();
+        order.sort_by_key(|&p| (Reverse(columns.paths[p].depth()), p));
 
-        for a_idx in order {
-            if widgets[a_idx].domain.is_empty() {
+        for a in order {
+            let Some(ancestor) = &widgets[a] else {
                 continue;
-            }
-            let a_path = widgets[a_idx].path.clone();
-            let descendant_idxs: Vec<usize> = (0..widgets.len())
-                .filter(|&j| {
-                    j != a_idx
-                        && !widgets[j].domain.is_empty()
-                        && a_path.is_strict_prefix_of(&widgets[j].path)
-                })
+            };
+            // The paths that strictly extend `a`'s are exactly the path ids after it in its
+            // subtree range.
+            let descendant_ids: Vec<usize> = (a + 1..columns.subtree_end[a])
+                .filter(|&j| widgets[j].is_some())
                 .collect();
-            if descendant_idxs.is_empty() {
+            if descendant_ids.is_empty() {
                 continue;
             }
+            let widget_at = |j: usize| widgets[j].as_ref().expect("a listed slot holds a widget");
 
             // V: the queries incident to both the ancestor's and the descendants' records.
-            let descendant_diffs = descendant_idxs.iter().map(|&j| &widgets[j].init_diffs);
-            if !index
-                .queries
-                .mark_shared(store, &widgets[a_idx].init_diffs, descendant_diffs)
-            {
+            let descendant_diffs = descendant_ids.iter().map(|&j| &widget_at(j).init_diffs);
+            if !queries.mark_shared(&columns.queries, &ancestor.init_diffs, descendant_diffs) {
                 continue;
             }
-            let queries = &index.queries;
-            let in_v = |id: &DiffId| queries.in_v(store, *id);
+            let queries = &*queries;
+            let in_v = |id: &DiffId| queries.in_v(&columns.queries, *id);
 
             // The overlap (records whose incident queries both lie in V) on either side, and
             // the compared pairs it touches: only those pairs need re-checking.
@@ -188,16 +227,19 @@ impl InteractionMapper {
             let mut overlap = |ids: &[DiffId]| {
                 let mut any = false;
                 for id in ids.iter().filter(|id| in_v(id)) {
-                    index.runs.queue(*id, queries.stamp, &mut affected);
+                    let run = columns.run[id.0] as usize;
+                    if queued[run] != queries.stamp {
+                        queued[run] = queries.stamp;
+                        affected.push(run);
+                    }
                     any = true;
                 }
                 any
             };
-            let ancestor_overlaps = overlap(&widgets[a_idx].init_diffs);
-            let overlapping: Vec<usize> = descendant_idxs
-                .iter()
-                .copied()
-                .filter(|&j| overlap(&widgets[j].init_diffs))
+            let ancestor_overlaps = overlap(&ancestor.init_diffs);
+            let overlapping: Vec<usize> = descendant_ids
+                .into_iter()
+                .filter(|&j| overlap(&widget_at(j).init_diffs))
                 .collect();
             if affected.is_empty() {
                 continue;
@@ -211,26 +253,20 @@ impl InteractionMapper {
             };
             // Candidate A: remove the overlap from the ancestor.
             let (new_ancestor, sa) = if ancestor_overlaps {
-                let ancestor = &widgets[a_idx];
-                let newer = self.repick(&a_path, kept(&ancestor.init_diffs), store, dialects);
+                let newer = self.repick(a, kept(&ancestor.init_diffs), columns, seen);
                 let sa = ancestor.cost - newer.as_ref().map(|w| w.cost).unwrap_or(0.0);
                 (newer, sa)
             } else {
                 (None, 0.0)
             };
 
-            // Candidate B: remove the overlap from every descendant, summed in index order.
+            // Candidate B: remove the overlap from every descendant, summed in path order.
             let mut new_descendants: Vec<(usize, Option<Widget>)> =
                 Vec::with_capacity(overlapping.len());
             let mut sd = 0.0;
-            for &j in &overlapping {
-                let descendant = &widgets[j];
-                let replacement = self.repick(
-                    &descendant.path,
-                    kept(&descendant.init_diffs),
-                    store,
-                    dialects,
-                );
+            for j in overlapping {
+                let descendant = widget_at(j);
+                let replacement = self.repick(j, kept(&descendant.init_diffs), columns, seen);
                 sd += descendant.cost - replacement.as_ref().map(|w| w.cost).unwrap_or(0.0);
                 new_descendants.push((j, replacement));
             }
@@ -248,39 +284,31 @@ impl InteractionMapper {
                 if reduction <= 0.0 {
                     continue;
                 }
-                // The hypothetical widget set, seen through the path index: one widget per
-                // path, the candidate's replacement where it has one.
-                let candidate_at = |path: &Path| -> Option<&Widget> {
-                    let idx = *index.by_path.get(path)?;
-                    if apply_ancestor_shrink && idx == a_idx {
+                // The hypothetical widget set, by path id: the candidate's replacement where
+                // it has one.
+                let candidate_at = |p: usize| -> Option<&Widget> {
+                    if apply_ancestor_shrink && p == a {
                         return new_ancestor.as_ref();
                     }
                     if !apply_ancestor_shrink {
-                        if let Ok(k) = new_descendants.binary_search_by_key(&idx, |(j, _)| *j) {
+                        if let Ok(k) = new_descendants.binary_search_by_key(&p, |(j, _)| *j) {
                             return new_descendants[k].1.as_ref();
                         }
                     }
-                    let widget = &widgets[idx];
-                    (!widget.domain.is_empty()).then_some(widget)
+                    widgets[p].as_ref()
                 };
                 if !affected
                     .iter()
-                    .all(|&run| index.runs.expressible(run, store, candidate_at))
+                    .all(|&run| columns.expressible(run, candidate_at))
                 {
                     continue;
                 }
                 // Commit.
                 if apply_ancestor_shrink {
-                    widgets[a_idx] = match new_ancestor {
-                        Some(newer) => newer,
-                        None => empty_widget(&widgets[a_idx]),
-                    };
+                    widgets[a] = new_ancestor;
                 } else {
                     for (j, replacement) in new_descendants {
-                        widgets[j] = match replacement {
-                            Some(newer) => newer,
-                            None => empty_widget(&widgets[j]),
-                        };
+                        widgets[j] = replacement;
                     }
                 }
                 improved = true;
@@ -291,48 +319,227 @@ impl InteractionMapper {
     }
 }
 
-/// A placeholder for a widget whose record set became empty (filtered out at the end).
-fn empty_widget(old: &Widget) -> Widget {
-    Widget::new(old.ty, old.path.clone(), Domain::new(), Vec::new(), 0.0)
+/// The diff store laid out as flat per-record columns, built once per mapping; record `r`
+/// of the store is row `r` of every per-record column.
+struct Columns<'a> {
+    store: &'a DiffStore,
+    /// Per-query dialect tags, parallel to the log (missing entries default).
+    dialects: &'a [Dialect],
+    /// The distinct record paths in `Path` order; a path id indexes this table.
+    paths: Vec<Path>,
+    /// Per path id `p`: the end of its subtree range.  The ids `p..subtree_end[p]` are
+    /// exactly the table's paths that have `paths[p]` as a prefix, since `Path` order keeps
+    /// every extension of a path right after it.
+    subtree_end: Vec<usize>,
+    /// Per record: its path id.
+    path: Vec<u32>,
+    /// The number of distinct subtrees on either side of any record: member ids are
+    /// `0..members`, one per distinct [`NodeId`].
+    members: usize,
+    /// Per record: the member ids of its `before` and `after` subtrees, [`ABSENT`] for a
+    /// missing side.
+    sides: Vec<[u32; 2]>,
+    /// Per record: the log indices of its two queries, `q1` and `q2`.
+    queries: Vec<[u32; 2]>,
+    /// Per record: the run of its compared pair.
+    run: Vec<u32>,
+    /// Run `k` is the records `run_starts[k]..run_starts[k + 1]`.
+    run_starts: Vec<usize>,
 }
 
-/// Per-query dialect lookup over a (possibly empty) tag vector: queries the log never
-/// tagged fall back to the default dialect.
-fn dialect_of(dialects: &[Dialect]) -> impl Fn(usize) -> Dialect + '_ {
-    move |q| dialects.get(q).copied().unwrap_or_default()
-}
+impl<'a> Columns<'a> {
+    /// One pass over the store, then a sort of the distinct paths.
+    ///
+    /// The graph builder appends each compared pair's records together, leaves first, so a
+    /// pair's records are one run of ids; the build asserts it, because the merge check
+    /// reads a pair as its run.
+    fn build(store: &'a DiffStore, dialects: &'a [Dialect]) -> Self {
+        // Path, run and member ids are stored as `u32`: the first two cannot exceed the
+        // record count, and member ids stay below twice that, so below `ABSENT`.
+        assert!(
+            store.len() < 1 << 31,
+            "a mapping handles fewer than 2^31 records"
+        );
+        let mut interned: HashMap<&Path, u32> = HashMap::new();
+        let mut member_of: HashMap<NodeId, u32> = HashMap::new();
+        let mut member = |side: &Option<Node>| match side {
+            Some(node) => {
+                let fresh = member_of.len() as u32;
+                *member_of.entry(node.id()).or_insert(fresh)
+            }
+            None => ABSENT,
+        };
+        let mut path = Vec::with_capacity(store.len());
+        let mut sides = Vec::with_capacity(store.len());
+        let mut queries = Vec::with_capacity(store.len());
+        let query = |q: usize| u32::try_from(q).expect("a log holds fewer than 2^32 queries");
+        let mut run = Vec::with_capacity(store.len());
+        let mut run_starts = Vec::new();
+        let mut pairs: HashSet<(usize, usize)> = HashSet::new();
+        let mut current = None;
+        for (id, record) in store.iter() {
+            let fresh = interned.len() as u32;
+            path.push(*interned.entry(&record.path).or_insert(fresh));
+            sides.push([member(&record.before), member(&record.after)]);
+            queries.push([query(record.q1), query(record.q2)]);
+            let pair = (record.q1, record.q2);
+            if current != Some(pair) {
+                assert!(
+                    pairs.insert(pair),
+                    "the records of pair {pair:?} are not one contiguous run"
+                );
+                run_starts.push(id.0);
+                current = Some(pair);
+            }
+            run.push((run_starts.len() - 1) as u32);
+        }
+        run_starts.push(store.len());
 
-/// Lookup structures built once per mapping and shared by every merge pass.
-struct MergeIndex {
-    runs: PairRuns,
-    queries: QueryMarks,
-    /// The widget at each path.  Initialisation makes one widget per path partition and
-    /// merging replaces widgets in place at their own path, so the map never goes stale.
-    by_path: HashMap<Path, usize>,
-}
+        // Rank the interned paths in `Path` order and renumber the column by rank.
+        let mut ranked: Vec<(&Path, u32)> = interned.into_iter().collect();
+        ranked.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let mut rank_of = vec![0u32; ranked.len()];
+        for (rank, (_, first_seen)) in ranked.iter().enumerate() {
+            rank_of[*first_seen as usize] = rank as u32;
+        }
+        for p in &mut path {
+            *p = rank_of[*p as usize];
+        }
+        let paths: Vec<Path> = ranked.into_iter().map(|(p, _)| p.clone()).collect();
 
-impl MergeIndex {
-    fn build(graph: &InteractionGraph, widgets: &[Widget]) -> Self {
-        let by_path: HashMap<Path, usize> = widgets
-            .iter()
-            .enumerate()
-            .map(|(idx, w)| (w.path.clone(), idx))
-            .collect();
-        debug_assert_eq!(by_path.len(), widgets.len(), "widget paths are unique");
-        MergeIndex {
-            runs: PairRuns::build(graph.store()),
-            queries: QueryMarks {
-                marks: vec![0; graph.queries().len()],
-                stamp: 0,
-            },
-            by_path,
+        // Subtree ranges: a path's range closes at the first later path it is not a prefix
+        // of.  `open` is the chain of paths whose ranges are still open, each a prefix of
+        // the next.
+        let mut subtree_end = vec![paths.len(); paths.len()];
+        let mut open: Vec<usize> = Vec::new();
+        for (p, current) in paths.iter().enumerate() {
+            while let Some(&top) = open.last() {
+                if paths[top].is_prefix_of(current) {
+                    break;
+                }
+                subtree_end[top] = p;
+                open.pop();
+            }
+            open.push(p);
+        }
+
+        Columns {
+            store,
+            dialects,
+            paths,
+            subtree_end,
+            path,
+            members: member_of.len(),
+            sides,
+            queries,
+            run,
+            run_starts,
         }
     }
+
+    /// The number of compared-pair runs.
+    fn runs(&self) -> usize {
+        self.run_starts.len() - 1
+    }
+
+    /// Algorithm 1, line 3: the partition `W_p` of the records by path, one group per path
+    /// id, each in id order — a counting sort on the path column.
+    fn partition(&self) -> Vec<Vec<DiffId>> {
+        let mut counts = vec![0usize; self.paths.len()];
+        for &p in &self.path {
+            counts[p as usize] += 1;
+        }
+        let mut groups: Vec<Vec<DiffId>> = counts.into_iter().map(Vec::with_capacity).collect();
+        for (r, &p) in self.path.iter().enumerate() {
+            groups[p as usize].push(DiffId(r));
+        }
+        groups
+    }
+
+    /// The domain of a set of records: both sides of each record in id order, deduplicated
+    /// on the member-id column, so that only a new member's `Node` is cloned and hashed into
+    /// the domain.  Members keep
+    /// their first-seen order and the dialect of the query they were first seen in (`q1`
+    /// for a `before` side, `q2` for an `after` side), exactly as
+    /// [`Domain::from_diffs_tagged`] builds them.
+    fn domain(&self, ids: &[DiffId], seen: &mut MemberMarks) -> Domain {
+        seen.stamp += 1;
+        let mut domain = Domain::new();
+        for &id in ids {
+            for (side, member) in self.sides[id.0].into_iter().enumerate() {
+                if member == ABSENT {
+                    domain.set_includes_absent(true);
+                    continue;
+                }
+                let mark = &mut seen.marks[member as usize];
+                if *mark == seen.stamp {
+                    continue;
+                }
+                *mark = seen.stamp;
+                let record = self.store.get(id);
+                let (query, node) = match side {
+                    0 => (record.q1, &record.before),
+                    _ => (record.q2, &record.after),
+                };
+                let node = node.clone().expect("a member id names a present side");
+                domain.insert_tagged(node, self.dialect(query));
+            }
+        }
+        domain
+    }
+
+    /// The dialect of log query `q`; queries the log never tagged get the default.
+    fn dialect(&self, q: usize) -> Dialect {
+        self.dialects.get(q).copied().unwrap_or_default()
+    }
+
+    /// Whether the path with id `ancestor` is a (non-strict) prefix of the path with id `p`.
+    fn is_prefix(&self, ancestor: usize, p: usize) -> bool {
+        ancestor <= p && p < self.subtree_end[ancestor]
+    }
+
+    /// A compared pair stays expressible when every one of its leaf-diff paths is covered:
+    /// either the leaf record itself is expressed by a widget, or an ancestor record of the
+    /// pair whose path is a prefix of the leaf path is expressed by a widget (replacing the
+    /// larger region also realises the leaf change).  `widget_at` is the candidate
+    /// interface's widget at a path id; a widget expresses a record at its own path when it
+    /// can place the record's `after` side (§4.3).
+    fn expressible<'w>(&self, run: usize, widget_at: impl Fn(usize) -> Option<&'w Widget>) -> bool {
+        let records = self.run_starts[run]..self.run_starts[run + 1];
+        let expressed: Vec<usize> = records
+            .clone()
+            .map(|r| (r, self.path[r] as usize))
+            .filter(|&(r, p)| {
+                widget_at(p).is_some_and(|w| {
+                    debug_assert!(w.path == self.paths[p], "slot {p} holds its path's widget");
+                    w.can_express_subtree(self.store.get(DiffId(r)).after.as_ref())
+                })
+            })
+            .map(|(_, p)| p)
+            .collect();
+        records
+            .filter(|&r| self.store.get(DiffId(r)).is_leaf)
+            .all(|r| {
+                let leaf = self.path[r] as usize;
+                expressed.iter().any(|&p| self.is_prefix(p, leaf))
+            })
+    }
+}
+
+/// The member id of an absent record side.
+const ABSENT: u32 = u32::MAX;
+
+/// The members one domain build has seen, as per-member stamps: every build takes a fresh
+/// stamp, so marks are never cleared.
+struct MemberMarks {
+    marks: Vec<u64>,
+    stamp: u64,
 }
 
 /// The shared-query set `V` of one ancestor step, as per-query stamps.  Every step takes
 /// two fresh stamps (`stamp - 1`: incident to an ancestor record; `stamp`: also to a
-/// descendant record, so in `V`); stamps only grow, so marks are never cleared.
+/// descendant record, so in `V`); stamps only grow, so marks are never cleared.  The same
+/// stamp marks each compared-pair run the step queued for re-checking.
 struct QueryMarks {
     marks: Vec<u64>,
     stamp: u64,
@@ -342,23 +549,23 @@ impl QueryMarks {
     /// Marks `V` = queries(ancestor) ∩ queries(descendants); false when `V` is empty.
     fn mark_shared<'a>(
         &mut self,
-        store: &DiffStore,
+        queries: &[[u32; 2]],
         ancestor: &[DiffId],
         descendants: impl Iterator<Item = &'a Vec<DiffId>>,
     ) -> bool {
         self.stamp += 2;
         let seen = self.stamp - 1;
         for id in ancestor {
-            let r = store.get(*id);
-            self.marks[r.q1] = seen;
-            self.marks[r.q2] = seen;
+            for q in queries[id.0] {
+                self.marks[q as usize] = seen;
+            }
         }
         let mut any = false;
         for id in descendants.flatten() {
-            let r = store.get(*id);
-            for q in [r.q1, r.q2] {
-                if self.marks[q] == seen {
-                    self.marks[q] = self.stamp;
+            for q in queries[id.0] {
+                let mark = &mut self.marks[q as usize];
+                if *mark == seen {
+                    *mark = self.stamp;
                     any = true;
                 }
             }
@@ -367,75 +574,9 @@ impl QueryMarks {
     }
 
     /// Whether both queries of a record lie in the current `V`.
-    fn in_v(&self, store: &DiffStore, id: DiffId) -> bool {
-        let r = store.get(id);
-        self.marks[r.q1] == self.stamp && self.marks[r.q2] == self.stamp
-    }
-}
-
-/// Every compared pair's records as one run of ids, used to verify that a merge never makes
-/// a compared query pair inexpressible.  The graph builder appends each pair's records
-/// together, leaves first, so run `k` is `starts[k]..starts[k + 1]`.
-struct PairRuns {
-    starts: Vec<usize>,
-    /// Per run: the stamp of the last ancestor step that queued it for re-checking.
-    queued: Vec<u64>,
-}
-
-impl PairRuns {
-    fn build(store: &DiffStore) -> Self {
-        let mut starts = Vec::new();
-        let mut seen: HashSet<(usize, usize)> = HashSet::new();
-        let mut current = None;
-        for (id, record) in store.iter() {
-            let pair = (record.q1, record.q2);
-            if current != Some(pair) {
-                assert!(
-                    seen.insert(pair),
-                    "the records of pair {pair:?} are not one contiguous run"
-                );
-                starts.push(id.0);
-                current = Some(pair);
-            }
-        }
-        starts.push(store.len());
-        let queued = vec![0; starts.len() - 1];
-        PairRuns { starts, queued }
-    }
-
-    /// Queues the run holding record `id` for re-checking, once per `stamp`.
-    fn queue(&mut self, id: DiffId, stamp: u64, affected: &mut Vec<usize>) {
-        let run = self.run_of(id);
-        if self.queued[run] != stamp {
-            self.queued[run] = stamp;
-            affected.push(run);
-        }
-    }
-
-    /// The run holding record `id`.
-    fn run_of(&self, id: DiffId) -> usize {
-        self.starts.partition_point(|&start| start <= id.0) - 1
-    }
-
-    /// A pair stays expressible when every one of its leaf-diff paths is covered: either the
-    /// leaf record itself is expressed by a widget, or an ancestor record of the pair whose
-    /// path is a prefix of the leaf path is expressed by a widget (replacing the larger region
-    /// also realises the leaf change).  `widget_at` is the candidate interface's widget at a
-    /// path.
-    fn expressible<'w>(
-        &self,
-        run: usize,
-        store: &DiffStore,
-        widget_at: impl Fn(&Path) -> Option<&'w Widget>,
-    ) -> bool {
-        let records = || (self.starts[run]..self.starts[run + 1]).map(|id| store.get(DiffId(id)));
-        let expressed_paths: Vec<&Path> = records()
-            .filter(|r| widget_at(&r.path).is_some_and(|w| w.expresses(r)))
-            .map(|r| &r.path)
-            .collect();
-        records()
-            .filter(|r| r.is_leaf)
-            .all(|leaf| expressed_paths.iter().any(|p| p.is_prefix_of(&leaf.path)))
+    fn in_v(&self, queries: &[[u32; 2]], id: DiffId) -> bool {
+        let [q1, q2] = queries[id.0];
+        self.marks[q1 as usize] == self.stamp && self.marks[q2 as usize] == self.stamp
     }
 }
 
@@ -443,7 +584,9 @@ impl PairRuns {
 mod tests {
     use super::*;
     use pi_ast::Frontend as _;
+    use pi_diff::{extract_diffs, AncestorPolicy};
     use pi_graph::{GraphBuilder, WindowStrategy};
+    use std::collections::BTreeSet;
 
     fn parse(sql: &str) -> Result<pi_ast::Node, pi_ast::FrontendError> {
         pi_sql::SqlFrontend.parse_one(sql)
@@ -562,6 +705,108 @@ mod tests {
             .map(&g);
         assert!(merged.cost() <= unmerged.cost());
         assert!(merged.widgets().len() <= unmerged.widgets().len());
+    }
+
+    #[test]
+    fn partition_puts_every_record_in_its_path_group() {
+        let a = parse("SELECT sales FROM t WHERE cty = 'USA'").unwrap();
+        let b = parse("SELECT costs FROM t WHERE cty = 'EUR'").unwrap();
+        let c = parse("SELECT costs FROM t WHERE cty = 'CHN'").unwrap();
+        let mut store = DiffStore::new();
+        store.extend(extract_diffs(&a, &b, 0, 1, AncestorPolicy::Full));
+        store.extend(extract_diffs(&b, &c, 1, 2, AncestorPolicy::Full));
+        let columns = Columns::build(&store, &[]);
+        let groups = columns.partition();
+        assert_eq!(groups.len(), store.distinct_paths());
+        // Path ids rank the paths in `Path` order.
+        assert!(columns.paths.windows(2).all(|w| w[0] < w[1]));
+        // Every record lands in exactly one group, its own path's, in id order.
+        let mut hits = vec![0; store.len()];
+        for (p, ids) in groups.iter().enumerate() {
+            assert!(ids.windows(2).all(|w| w[0] < w[1]));
+            for id in ids {
+                hits[id.0] += 1;
+                assert_eq!(store.get(*id).path, columns.paths[p]);
+            }
+        }
+        assert!(hits.iter().all(|&n| n == 1));
+        // The predicate literal path appears in both query pairs, so its group has records
+        // from both.
+        let literal = columns
+            .paths
+            .iter()
+            .position(|p| p.to_string() == "2/0/1")
+            .expect("literal path group");
+        let qs: BTreeSet<usize> = groups[literal].iter().map(|id| store.get(*id).q1).collect();
+        assert_eq!(qs.len(), 2);
+        // Subtree ranges agree with the prefix relation on every pair of paths.
+        for (a, pa) in columns.paths.iter().enumerate() {
+            for (b, pb) in columns.paths.iter().enumerate() {
+                assert_eq!(columns.is_prefix(a, b), pa.is_prefix_of(pb), "{pa} vs {pb}");
+            }
+        }
+    }
+
+    #[test]
+    fn rebuilt_domains_take_order_and_tags_from_the_kept_records() {
+        // Merging shrinks the widget at `y`'s literal to the record of pair (2, 3).  That
+        // kept record meets 'CHN' through q2, a frames query; the full partition met it
+        // first through q1, an SQL query.  The rebuilt domain follows the kept record.
+        let log = [
+            (
+                Dialect::SQL,
+                "SELECT a FROM t WHERE (x = 'BRA' AND y = 'USA') AND z = 'CHN'",
+            ),
+            (
+                Dialect::SQL,
+                "SELECT a FROM t WHERE (x = 'CHN' AND y = 'CHN') AND z = 'EUR'",
+            ),
+            (
+                Dialect::FRAMES,
+                "SELECT a FROM t WHERE (x = 'EUR' AND y = 'CHN') AND z = 'EUR'",
+            ),
+            (
+                Dialect::SQL,
+                "SELECT a FROM t WHERE (x = 'EUR' AND y = 'EUR') AND z = 'EUR'",
+            ),
+        ];
+        let dialects: Vec<Dialect> = log.iter().map(|(d, _)| *d).collect();
+        let queries: Vec<&str> = log.iter().map(|(_, q)| *q).collect();
+        let g = graph(&queries, WindowStrategy::Sliding(2));
+        let iface = InteractionMapper::new(WidgetLibrary::standard()).map_tagged(&g, &dialects);
+        let y: Path = "2/0/0/1/1".parse().unwrap();
+        let widget = iface
+            .widgets()
+            .iter()
+            .find(|w| w.path == y)
+            .expect("a widget at y's literal");
+        let tags = |domain: &Domain| -> Vec<(String, Dialect)> {
+            domain
+                .tagged_subtrees()
+                .map(|(n, d)| (n.label(), d))
+                .collect()
+        };
+        let tag_of = |q: usize| dialects[q];
+        let full = g.store().iter().map(|(_, r)| r).filter(|r| r.path == y);
+        assert_eq!(
+            tags(&Domain::from_diffs_tagged(full, tag_of)),
+            [
+                ("USA", Dialect::SQL),
+                ("CHN", Dialect::SQL),
+                ("EUR", Dialect::SQL)
+            ]
+            .map(|(l, d)| (l.to_string(), d))
+        );
+        assert_eq!(widget.init_diffs.len(), 1, "the widget was rebuilt");
+        assert_eq!(
+            tags(&widget.domain),
+            [("CHN", Dialect::FRAMES), ("EUR", Dialect::SQL)].map(|(l, d)| (l.to_string(), d))
+        );
+        let kept = widget.init_diffs.iter().map(|id| g.store().get(*id));
+        assert_eq!(
+            tags(&widget.domain),
+            tags(&Domain::from_diffs_tagged(kept, tag_of))
+        );
     }
 
     #[test]

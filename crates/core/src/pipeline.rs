@@ -128,19 +128,21 @@ impl std::error::Error for PipelineError {}
 /// The output of a pipeline run: the interface plus everything the experiments report.
 ///
 /// Versioned: `version` is the number of queries the producing [`Session`] had ingested at
-/// snapshot time, and snapshots with equal versions have identical graphs, stats and
-/// interfaces (only the bookkeeping differs: `skipped` counts unparseable statements, which
-/// don't bump the version, and `timings` keep accumulating).  A batch build of `n` queries
-/// is the snapshot at version `n`.
+/// snapshot time, and snapshots with equal versions have identical stats and interfaces
+/// (only the bookkeeping differs: `skipped` counts unparseable statements, which don't bump
+/// the version, and `timings` keep accumulating).  A batch build of `n` queries is the
+/// snapshot at version `n`.
+///
+/// The mined graph itself is not part of the result: the mapper reads the session's
+/// records in place.  Callers that want the graph ask for it with [`Session::graph`] or
+/// [`PrecisionInterfaces::mine`].
 #[derive(Debug, Clone)]
 pub struct GeneratedInterface {
     /// The generated interactive interface.
     pub interface: Interface,
-    /// The parsed queries that were used (unparseable log entries are dropped and counted),
-    /// shared with the interaction graph rather than cloned out of it.
+    /// The parsed queries that were used (unparseable log entries are dropped and counted).
+    /// Shared: every snapshot of one session version holds the same allocation.
     pub queries: QueryLog,
-    /// The mined interaction graph the interface was mapped from (shares `queries`).
-    pub graph: InteractionGraph,
     /// The dialect each query arrived in, parallel to `queries`.  Batch entry points tag
     /// every query with the front-end they parsed with; mixed-front-end sessions carry one
     /// tag per push.
@@ -214,8 +216,8 @@ impl PrecisionInterfaces {
     /// [`Session`] — batch and streaming deliberately share one code path.  The wrapper
     /// stays cheap: owned `Vec<Node>` logs *move* into the session
     /// ([`IntoQueryLog::into_query_vec`]) and the consuming [`Session::into_snapshot`]
-    /// moves the graph back out, so the only copy is for `Arc`'d inputs whose caller keeps
-    /// sharing the nodes.
+    /// maps the session's records in place and moves the interface out, so the only copy
+    /// is for `Arc`'d inputs whose caller keeps sharing the nodes.
     pub fn from_queries(&self, queries: impl IntoQueryLog) -> GeneratedInterface {
         let mut session = self.session();
         session.push_all(queries.into_query_vec());
@@ -238,21 +240,14 @@ impl PrecisionInterfaces {
     /// Widget options get default dialect tags; use
     /// [`InteractionMapper::map_tagged`] directly when per-query dialects matter.
     pub fn map(&self, graph: &InteractionGraph) -> Interface {
-        map_graph(&self.options, graph, &[])
+        mapper(&self.options).map(graph)
     }
 }
 
-/// Maps a mined graph to an interface under the given options — the single mapping entry
-/// point shared by batch runs and session snapshots.  `dialects` carries the per-query
-/// front-end tags (parallel to the graph's log; missing entries default).
-pub(crate) fn map_graph(
-    options: &PiOptions,
-    graph: &InteractionGraph,
-    dialects: &[Dialect],
-) -> Interface {
-    InteractionMapper::new(options.library.clone())
-        .with_options(options.mapper)
-        .map_tagged(graph, dialects)
+/// The mapper these options configure — the one construction shared by batch runs and
+/// session snapshots.
+pub(crate) fn mapper(options: &PiOptions) -> InteractionMapper {
+    InteractionMapper::new(options.library.clone()).with_options(options.mapper)
 }
 
 #[cfg(test)]
@@ -276,9 +271,11 @@ mod tests {
         assert_eq!(out.skipped, 0);
         assert_eq!(out.version, 3);
         assert!(out.graph_stats.edges >= 2);
-        // The result carries the mined graph itself, sharing the query log.
-        assert_eq!(out.graph.stats(), out.graph_stats);
-        assert!(std::sync::Arc::ptr_eq(out.graph.queries(), &out.queries));
+        // The stats are those of the graph mined from the same queries.
+        assert_eq!(
+            PrecisionInterfaces::default().mine(&out.queries).stats(),
+            out.graph_stats
+        );
         assert!(out.timings.total_ms() >= 0.0);
         assert!(out.timings.to_string().contains("total"));
     }
@@ -323,7 +320,11 @@ mod tests {
             .unwrap();
         assert_eq!(via_alias.version, via_generic.version);
         assert_eq!(via_alias.skipped, via_generic.skipped);
-        assert_eq!(via_alias.graph, via_generic.graph);
+        let pipeline = PrecisionInterfaces::default();
+        assert_eq!(
+            pipeline.mine(&via_alias.queries),
+            pipeline.mine(&via_generic.queries)
+        );
         assert_eq!(via_alias.dialects, via_generic.dialects);
         assert_eq!(via_alias.dialects, vec![Dialect::SQL; 2]);
         assert_eq!(
@@ -354,7 +355,11 @@ mod tests {
         let sql = PrecisionInterfaces::default()
             .from_sql_log(sql_log)
             .unwrap();
-        assert_eq!(generated.graph, sql.graph);
+        let pipeline = PrecisionInterfaces::default();
+        assert_eq!(
+            pipeline.mine(&generated.queries),
+            pipeline.mine(&sql.queries)
+        );
         assert_eq!(generated.interface.describe(), sql.interface.describe());
     }
 

@@ -43,7 +43,9 @@ use crate::interface::Interface;
 use crate::pipeline::{GeneratedInterface, PiOptions, StageTimings};
 use pi_ast::codec;
 use pi_ast::{CodecError, Dialect, ErrorSample, FrontendError, Frontends, Node};
-use pi_graph::{GraphAccumulator, GraphBuilder, GraphStats, InteractionGraph, WindowStrategy};
+use pi_graph::{
+    GraphAccumulator, GraphBuilder, GraphStats, InteractionGraph, QueryLog, WindowStrategy,
+};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -58,11 +60,12 @@ const SNAPSHOT_MAGIC: &[u8; 6] = b"PISNAP";
 /// forgot to.  Snapshots from other versions fail restore with [`CodecError::Version`].
 pub const SNAPSHOT_VERSION: u32 = 1;
 
-/// A memoised snapshot, reused until the next push invalidates it.
+/// A memoised snapshot, reused until the next push invalidates it: the mapped interface,
+/// its graph stats and the materialised query log — never a copy of the graph.
 #[derive(Debug, Clone)]
 struct CachedSnapshot {
     version: u64,
-    graph: InteractionGraph,
+    queries: QueryLog,
     stats: GraphStats,
     interface: Interface,
 }
@@ -601,7 +604,8 @@ impl Session {
     /// grows only with *distinct shape pairs* — duplicate-heavy streams keep it flat.
     ///
     /// Deliberately excluded: the edge list (observable via [`Session::graph_stats`]) and
-    /// any cached snapshot (dropped/refreshed per version).  The figure is an estimate from
+    /// the cached snapshot, refreshed per version, which holds the mapped interface, its
+    /// stats and the shared query log but no copy of the graph.  The figure is an estimate from
     /// documented per-node constants, not an allocator measurement, so it is stable across
     /// platforms and suitable for assertions and gauges.
     pub fn memory_footprint(&self) -> usize {
@@ -688,78 +692,83 @@ impl Session {
     ///
     /// Lazy: the interaction mapper only re-runs when queries were pushed since the last
     /// snapshot; repeated snapshots at the same version are served from cache.  The result
-    /// is versioned ([`GeneratedInterface::version`]) and **batch-identical**: its graph,
-    /// stats and interface are exactly what
+    /// is versioned ([`GeneratedInterface::version`]) and **batch-identical**: its stats
+    /// and interface are exactly what
     /// [`PrecisionInterfaces::from_queries`](crate::PrecisionInterfaces::from_queries)
-    /// would produce for the same query prefix.  Only the timings differ — a session
-    /// reports its *accumulated* per-stage cost across all pushes and re-maps.
+    /// would produce for the same query prefix, and [`Session::graph`] at the same version
+    /// is the graph a batch build mines.  Only the timings differ — a session reports its
+    /// *accumulated* per-stage cost across all pushes and re-maps.
     ///
-    /// Cost: pushes are `O(w)`, but a *refreshed* snapshot is not — it clones the log into
-    /// a shared allocation (`O(n)` node clones; diff subtrees stay `Arc`-shared) and re-runs
-    /// the mapper.  Snapshot at the cadence the interface refreshes, not per append; the
-    /// `session_refresh_sliding16` bench tracks this cost honestly.
+    /// Cost: pushes are `O(w)`, but a *refreshed* snapshot is not — it runs the mapper
+    /// over the session's records in place (no graph copy) and materialises the log into a
+    /// shared allocation, `O(n)` refcount bumps.  A cache hit clones the interface and
+    /// shares the log.  Snapshot at the cadence the interface refreshes, not per append;
+    /// the `session_refresh_sliding16` bench tracks this cost.
     pub fn snapshot(&mut self) -> GeneratedInterface {
-        let version = self.version();
         let dialects = self.dialects();
-        let stale = !matches!(&self.cache, Some(c) if c.version == version);
-        if stale {
-            self.ensure_hydrated();
-            let graph = self.acc.to_graph();
-            let start = Instant::now();
-            let interface = crate::pipeline::map_graph(&self.options, &graph, &dialects);
-            self.mapping_ms += start.elapsed().as_secs_f64() * 1e3;
-            self.cache = Some(CachedSnapshot {
-                version,
-                stats: graph.stats(),
-                graph,
-                interface,
-            });
-        }
+        self.refresh(&dialects);
         let cached = self.cache.as_ref().expect("snapshot cache just refreshed");
         GeneratedInterface {
             interface: cached.interface.clone(),
-            queries: cached.graph.queries().clone(),
-            graph: cached.graph.clone(),
+            queries: QueryLog::clone(&cached.queries),
             dialects,
             skipped: self.skipped,
             graph_stats: cached.stats,
             timings: self.timings(),
-            version,
+            version: cached.version,
         }
     }
 
     /// Consumes the session, producing its final snapshot without retaining a cache.
     ///
-    /// Identical output to [`Session::snapshot`], but the accumulated log, store and edges
-    /// are *moved* into the result instead of cloned — no `O(n)` node copies, no store
-    /// clone.  This is what the one-shot batch entry points use: ingest everything, then
-    /// take the single snapshot for free.
+    /// Identical output to [`Session::snapshot`], at the cost of one mapping plus `O(n)`
+    /// refcount bumps for the log; the interface is moved out instead of cloned.  This is
+    /// what the one-shot batch entry points use: ingest everything, then take the single
+    /// snapshot.
     pub fn into_snapshot(mut self) -> GeneratedInterface {
-        self.ensure_hydrated();
-        let version = self.version();
         let dialects = self.dialects();
-        // A fresh cache already holds the mapped interface and frozen graph — move them out.
-        let (graph, stats, interface) = match self.cache.take() {
-            Some(c) if c.version == version => (c.graph, c.stats, c.interface),
-            _ => {
-                let graph = std::mem::take(&mut self.acc).into_graph();
-                let start = Instant::now();
-                let interface = crate::pipeline::map_graph(&self.options, &graph, &dialects);
-                self.mapping_ms += start.elapsed().as_secs_f64() * 1e3;
-                let stats = graph.stats();
-                (graph, stats, interface)
-            }
-        };
+        self.refresh(&dialects);
+        let cached = self.cache.take().expect("snapshot cache just refreshed");
         GeneratedInterface {
-            interface,
-            queries: graph.queries().clone(),
-            graph,
+            interface: cached.interface,
+            queries: cached.queries,
             dialects,
             skipped: self.skipped,
-            graph_stats: stats,
+            graph_stats: cached.stats,
             timings: self.timings(),
-            version,
+            version: cached.version,
         }
+    }
+
+    /// Maps the accumulator into the snapshot cache unless the cache already holds the
+    /// current version.  The mapper reads the accumulator's store in place, and the stats
+    /// come from counts at hand: the distinct-path count is the mapper's path table.
+    fn refresh(&mut self, dialects: &[Dialect]) {
+        let version = self.version();
+        if matches!(&self.cache, Some(c) if c.version == version) {
+            return;
+        }
+        self.ensure_hydrated();
+        let acc = &self.acc;
+        let start = Instant::now();
+        let mapping = crate::pipeline::mapper(&self.options).map_store(
+            acc.store(),
+            acc.len(),
+            (!acc.is_empty()).then(|| acc.query(0)),
+            dialects,
+        );
+        self.mapping_ms += start.elapsed().as_secs_f64() * 1e3;
+        self.cache = Some(CachedSnapshot {
+            version,
+            queries: acc.query_log(),
+            stats: GraphStats {
+                queries: acc.len(),
+                edges: acc.edges().len(),
+                diff_records: acc.store().len(),
+                distinct_paths: mapping.distinct_paths,
+            },
+            interface: mapping.interface,
+        });
     }
 
     /// The per-stage wall-clock cost accumulated so far (parse across all `push_sql` calls,
@@ -1044,10 +1053,27 @@ mod tests {
             .collect()
     }
 
-    fn assert_batch_identical(snap: &GeneratedInterface, batch: &GeneratedInterface) {
+    /// A snapshot and the graph its session held when it was taken.
+    type Mined = (GeneratedInterface, InteractionGraph);
+
+    fn snapped(session: &mut Session) -> Mined {
+        (session.snapshot(), session.graph())
+    }
+
+    /// The one-shot batch run over `queries`, and the graph a batch build mines from them.
+    fn batch(options: &PiOptions, queries: Vec<Node>) -> Mined {
+        let pipeline = PrecisionInterfaces::new(options.clone());
+        (
+            pipeline.from_queries(queries.clone()),
+            pipeline.mine(queries),
+        )
+    }
+
+    fn assert_batch_identical((snap, snap_graph): &Mined, (batch, batch_graph): &Mined) {
         assert_eq!(snap.version, batch.version);
         assert_eq!(snap.graph_stats, batch.graph_stats);
-        assert_eq!(snap.graph, batch.graph);
+        assert_eq!(snap.graph_stats, snap_graph.stats());
+        assert_eq!(snap_graph, batch_graph);
         assert_eq!(snap.interface.widgets(), batch.interface.widgets());
         assert_eq!(snap.interface.describe(), batch.interface.describe());
     }
@@ -1063,10 +1089,8 @@ mod tests {
             let mut session = Session::new(options.clone());
             for (k, q) in queries.iter().enumerate() {
                 assert_eq!(session.push(q.clone()), k);
-                let snap = session.snapshot();
-                let batch =
-                    PrecisionInterfaces::new(options.clone()).from_queries(queries[..=k].to_vec());
-                assert_batch_identical(&snap, &batch);
+                let snap = snapped(&mut session);
+                assert_batch_identical(&snap, &batch(&options, queries[..=k].to_vec()));
             }
         }
     }
@@ -1091,8 +1115,7 @@ mod tests {
         par.push_all(queries.clone());
         ser.push_all(queries.clone());
         assert_eq!(par.graph(), ser.graph());
-        let batch = PrecisionInterfaces::new(parallel_options).from_queries(queries);
-        assert_batch_identical(&par.snapshot(), &batch);
+        assert_batch_identical(&snapped(&mut par), &batch(&parallel_options, queries));
     }
 
     #[test]
@@ -1131,7 +1154,7 @@ mod tests {
         }
         let mut rebuilt = outcome.session;
         assert_eq!(rebuilt.len(), clean.len());
-        assert_batch_identical(&rebuilt.snapshot(), &clean.snapshot());
+        assert_batch_identical(&snapped(&mut rebuilt), &snapped(&mut clean));
 
         // A fully clean history quarantines nothing.
         let clean_history = [(Dialect::SQL, "SELECT a FROM t")];
@@ -1153,7 +1176,11 @@ mod tests {
         let mut consumed = Session::new(PiOptions::default());
         kept.push_all(queries.clone());
         consumed.push_all(queries);
-        assert_batch_identical(&kept.snapshot(), &consumed.into_snapshot());
+        let consumed_graph = consumed.graph();
+        assert_batch_identical(
+            &snapped(&mut kept),
+            &(consumed.into_snapshot(), consumed_graph),
+        );
     }
 
     #[test]
@@ -1164,6 +1191,8 @@ mod tests {
         let second = session.snapshot();
         assert_eq!(first.version, second.version);
         assert_eq!(first.interface.describe(), second.interface.describe());
+        // A cache hit shares the materialised log instead of rebuilding it.
+        assert!(std::sync::Arc::ptr_eq(&first.queries, &second.queries));
         session.push(log(1).pop().unwrap());
         assert_eq!(session.snapshot().version, first.version + 1);
     }
@@ -1198,12 +1227,12 @@ mod tests {
             ..PiOptions::default()
         });
         session.push_all(log(6));
-        let early = session.snapshot();
+        let (_, early) = snapped(&mut session);
         session.push_all(log(6));
-        let late = session.snapshot();
+        let (_, late) = snapped(&mut session);
         // The early snapshot's store is a prefix of the late one's: same ids, same records.
-        assert!(early.graph.store().len() <= late.graph.store().len());
-        for ((ia, ra), (ib, rb)) in early.graph.store().iter().zip(late.graph.store().iter()) {
+        assert!(early.store().len() <= late.store().len());
+        for ((ia, ra), (ib, rb)) in early.store().iter().zip(late.store().iter()) {
             assert_eq!(ia, ib);
             assert_eq!(ra, rb);
         }
@@ -1228,13 +1257,13 @@ mod tests {
         assert_eq!(via_alias.skipped(), via_generic.skipped());
         assert_eq!(via_alias.dialects(), via_generic.dialects());
         assert_eq!(via_alias.dialects(), &[Dialect::SQL, Dialect::SQL]);
-        assert_batch_identical(&via_alias.snapshot(), &via_generic.snapshot());
+        assert_batch_identical(&snapped(&mut via_alias), &snapped(&mut via_generic));
         // push_text uses the default dialect, which the standard registry sets to SQL.
         let mut via_default = Session::new(PiOptions::default());
         for fragment in fragments {
             via_default.push_text(fragment);
         }
-        assert_batch_identical(&via_alias.snapshot(), &via_default.snapshot());
+        assert_batch_identical(&snapped(&mut via_alias), &snapped(&mut via_default));
     }
 
     #[test]
@@ -1266,8 +1295,8 @@ mod tests {
             }
         }
         // Mining is dialect-blind: the graph equals an all-SQL build of the same trees.
-        let all_sql = PrecisionInterfaces::default().from_queries(snap.queries.clone());
-        assert_eq!(snap.graph, all_sql.graph);
+        let all_sql = PrecisionInterfaces::default().mine(&snap.queries);
+        assert_eq!(session.graph(), all_sql);
     }
 
     #[test]
@@ -1336,7 +1365,7 @@ mod tests {
         for line in &lines {
             pushed.push_sql(line);
         }
-        assert_batch_identical(&streamed.snapshot(), &pushed.snapshot());
+        assert_batch_identical(&snapped(&mut streamed), &snapped(&mut pushed));
         assert_eq!(streamed.dialects(), pushed.dialects());
     }
 

@@ -5,8 +5,6 @@
 //! those ids by path, so a simple append-only arena with by-id lookup is all that is needed.
 
 use crate::record::DiffRecord;
-use pi_ast::Path;
-use std::collections::BTreeMap;
 
 /// Identifier of a diff record inside a [`DiffStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -116,26 +114,16 @@ impl DiffStore {
         self.records.len() * RECORD_FOOTPRINT_ESTIMATE
     }
 
-    /// Number of distinct paths across all records — the partition count of
-    /// [`DiffStore::partition_by_path`] without materialising the partition.  Stats gauges
-    /// poll this at trace scale (tens of millions of records), so it hashes path
-    /// *references* instead of cloning every path into a map.
+    /// Number of distinct paths across all records — the mapper's partition count
+    /// (Algorithm 1, line 3) without partitioning.  Stats gauges poll this at trace scale
+    /// (tens of millions of records), so it hashes path *references* instead of cloning
+    /// every path into a map.
     pub fn distinct_paths(&self) -> usize {
         self.records
             .iter()
             .map(|r| &r.path)
             .collect::<std::collections::HashSet<_>>()
             .len()
-    }
-
-    /// Groups record ids by path — the partition `W_p` used by the mapper's initialisation
-    /// (Algorithm 1, line 3).
-    pub fn partition_by_path(&self) -> BTreeMap<Path, Vec<DiffId>> {
-        let mut out: BTreeMap<Path, Vec<DiffId>> = BTreeMap::new();
-        for (id, record) in self.iter() {
-            out.entry(record.path.clone()).or_default().push(id);
-        }
-        out
     }
 
     /// All record ids whose record is a leaf diff.
@@ -174,24 +162,6 @@ mod tests {
         for (id, record) in store.iter() {
             assert_eq!(store.get(id), record);
         }
-    }
-
-    #[test]
-    fn partition_groups_by_path() {
-        let store = populated_store();
-        let partition = store.partition_by_path();
-        let total: usize = partition.values().map(Vec::len).sum();
-        assert_eq!(total, store.len());
-        // The predicate literal path appears in both query pairs, so its partition has
-        // records from both.
-        let lit_partition = partition
-            .iter()
-            .find(|(p, _)| p.to_string() == "2/0/1")
-            .map(|(_, ids)| ids.clone())
-            .expect("literal path partition");
-        let qs: std::collections::BTreeSet<usize> =
-            lit_partition.iter().map(|id| store.get(*id).q1).collect();
-        assert_eq!(qs.len(), 2);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! Each function in [`figures`] regenerates one table or figure from the paper's evaluation
 //! (§7 and the appendices) using the synthetic stand-in workloads from `pi-workloads`, and
 //! returns an [`ExperimentReport`] — a set of plain-text lines containing the measured series
-//! next to the shape the paper reports.  The `experiments` binary prints them
-//! (`experiments --exp fig6a`, `experiments --exp all`), and `EXPERIMENTS.md` records the
-//! paper-vs-measured comparison.
+//! next to the shape the paper reports, so the printed report is itself the paper-vs-measured
+//! comparison.  The `experiments` binary prints them (`experiments --exp fig6a`,
+//! `experiments --exp all`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

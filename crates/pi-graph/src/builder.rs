@@ -189,10 +189,9 @@ impl WindowStrategy {
 /// (property-tested).
 ///
 /// Grown one query at a time with [`GraphBuilder::extend`]; frozen into an
-/// [`InteractionGraph`] with [`GraphAccumulator::to_graph`] (non-destructive, for streaming
-/// snapshots) or [`GraphAccumulator::into_graph`] (consuming, for one-shot builds).  Because
-/// the store is append-only, every `DiffId` handed out while extending stays valid — and
-/// identical — across all later snapshots.
+/// [`InteractionGraph`] with [`GraphAccumulator::to_graph`].  Because the store is
+/// append-only, every `DiffId` handed out while extending stays valid — and identical —
+/// across all later snapshots.
 #[derive(Debug, Clone, Default)]
 pub struct GraphAccumulator {
     /// Row storage: distinct-tree arena + per-row class ids.  Always maintained (with the
@@ -275,31 +274,20 @@ impl GraphAccumulator {
         self.dedup.footprint_bytes()
     }
 
-    /// The full row-indexed query log, materialised from the arena: one representative
-    /// refcount bump per row.
-    fn materialised_log(&self) -> Vec<Node> {
+    /// The full row-indexed query log, materialised from the arena into a fresh shared
+    /// allocation: one representative refcount bump per row, never a tree copy.
+    pub fn query_log(&self) -> QueryLog {
         (0..self.dedup.len())
             .map(|idx| self.query(idx).clone())
             .collect()
     }
 
     /// Freezes the current state into an [`InteractionGraph`] without consuming the
-    /// accumulator: the row-indexed log is materialised from the arena into a fresh shared
-    /// allocation (a refcount bump per row, never a tree copy), the store and edges are
-    /// cloned as-is (record subtrees are `Arc`-shared, so this copies pointers, not trees).
+    /// accumulator: the row-indexed log is materialised as in
+    /// [`GraphAccumulator::query_log`], the store and edges are cloned as-is (record
+    /// subtrees are `Arc`-shared, so this copies pointers, not trees).
     pub fn to_graph(&self) -> InteractionGraph {
-        InteractionGraph::from_parts(
-            self.materialised_log(),
-            self.store.clone(),
-            self.edges.clone(),
-        )
-    }
-
-    /// Consumes the accumulator, moving its store and edges into an [`InteractionGraph`]
-    /// (the row-indexed log is materialised from the arena, as in
-    /// [`GraphAccumulator::to_graph`]).
-    pub fn into_graph(self) -> InteractionGraph {
-        InteractionGraph::from_parts(self.materialised_log(), self.store, self.edges)
+        InteractionGraph::from_parts(self.query_log(), self.store.clone(), self.edges.clone())
     }
 }
 

@@ -166,7 +166,7 @@ impl InteractionGraph {
             queries: self.queries.len(),
             edges: self.edges.len(),
             diff_records: self.store.len(),
-            distinct_paths: self.store.partition_by_path().len(),
+            distinct_paths: self.store.distinct_paths(),
         }
     }
 

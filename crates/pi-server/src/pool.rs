@@ -46,7 +46,7 @@
 
 use crate::journal::{sync_dir, DurabilityOptions, Journal, JournalStats, RecoveredLog};
 use crate::wire::LogItem;
-use pi_core::{GeneratedInterface, PiOptions, Session};
+use pi_core::{GeneratedInterface, InteractionGraph, PiOptions, Session};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -334,6 +334,10 @@ pub struct SessionPool {
     persist_us: AtomicU64,
     restore_us: AtomicU64,
     last_recovery_us: AtomicU64,
+    /// Numbers spill temp files, so that concurrent writers of one tenant's spill (an
+    /// orphaned incarnation a checkpoint still holds, and the re-admitted tenant) never
+    /// share a temp file.
+    spill_writes: AtomicU64,
 }
 
 /// Recovers a poisoned lock on pool-global state (dispatch queue, worker list, sample
@@ -368,6 +372,34 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Magic prefix of the versioned spill file format (`applied` watermark + key + snapshot).
 const SPILL_MAGIC: &[u8; 8] = b"PISPILL2";
+
+/// Suffix of a spill write in flight (`tenant-<hash>.pisnap.<write>.tmp`).
+const SPILL_TEMP_SUFFIX: &str = ".tmp";
+
+/// A spill image written to its own temp file, not yet renamed into place.
+struct StagedSpill {
+    tmp: PathBuf,
+    path: PathBuf,
+}
+
+/// Removes the temp files of spill writes a previous process left unfinished.  A temp
+/// file is only ever a write in flight, and no write outlives the pool that started it,
+/// so at open every one of them is garbage.
+fn remove_spill_temps(dir: &std::path::Path) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if name.starts_with("tenant-")
+            && name.contains(".pisnap.")
+            && name.ends_with(SPILL_TEMP_SUFFIX)
+        {
+            let _ = std::fs::remove_file(entry.path());
+        }
+    }
+}
 
 /// What reading a tenant's spill file yielded.
 enum SpillRead {
@@ -411,6 +443,7 @@ impl SessionPool {
         let spill_dir = spill_dir.or_else(|| opts.durability.as_ref().map(|d| d.dir.clone()));
         if let Some(dir) = &spill_dir {
             let _ = std::fs::create_dir_all(dir);
+            remove_spill_temps(dir);
         }
         let shards = opts.shards.max(1);
         let workers = opts.workers.max(1);
@@ -454,6 +487,7 @@ impl SessionPool {
             persist_us: AtomicU64::new(0),
             restore_us: AtomicU64::new(0),
             last_recovery_us: AtomicU64::new(0),
+            spill_writes: AtomicU64::new(0),
             default_dialect,
             known_dialects,
             spill_dir,
@@ -603,6 +637,26 @@ impl SessionPool {
     /// before the snapshot, so a client that ingested and immediately fetched sees its own
     /// queries.  An evicted tenant rehydrates transparently from its snapshot first.
     pub fn snapshot(&self, user_id: &str, thread_id: &str) -> Option<GeneratedInterface> {
+        self.read(user_id, thread_id, Session::snapshot)
+    }
+
+    /// The tenant's mined interaction graph, read as [`SessionPool::snapshot`] reads (its
+    /// queue applied first, an evicted tenant rehydrated), or `None` for a tenant the pool
+    /// has never seen.  A full copy of the tenant's records and edges, for tests and
+    /// diagnostics; serving reads go through [`SessionPool::snapshot`].
+    pub fn graph(&self, user_id: &str, thread_id: &str) -> Option<InteractionGraph> {
+        self.read(user_id, thread_id, Session::graph)
+    }
+
+    /// The read path shared by [`SessionPool::snapshot`] and [`SessionPool::graph`]:
+    /// resolves a known tenant (rehydrating it if evicted), applies its queue, then runs
+    /// `read` on its session.
+    fn read<T>(
+        &self,
+        user_id: &str,
+        thread_id: &str,
+        read: impl FnOnce(&mut Session) -> T,
+    ) -> Option<T> {
         let key: TenantId = (user_id.to_string(), thread_id.to_string());
         let mut guard = self.lock_shard(&self.shards[self.shard_of(&key)]);
         let known = guard.tenants.contains_key(&key)
@@ -615,7 +669,7 @@ impl SessionPool {
         drop(guard);
         let mut inner = self.lock_tenant(&tenant);
         self.apply_supervised(&tenant, &mut inner);
-        Some(inner.session.snapshot())
+        Some(read(&mut inner.session))
     }
 
     /// Applies every queued statement for one tenant without snapshotting.  Used by tests
@@ -879,10 +933,11 @@ impl SessionPool {
 
     /// Best-effort spill write:
     /// `PISPILL2 [applied u64][user_len][user][thread_len][thread][session snapshot]`,
-    /// via a temp file + rename so readers never observe a half-written spill.  With
-    /// durability on, the temp file is fsynced before the rename and the directory after
-    /// it — checkpoint prunes count on the spill surviving a crash.  Returns whether the
-    /// spill is durably (or, without a journal, at least atomically) in place.
+    /// staged in a temp file of its own and renamed into place, so readers never observe a
+    /// half-written spill.  With durability on, the temp file is fsynced before the rename
+    /// and the directory after it — checkpoint prunes count on the spill surviving a crash.
+    /// Returns whether the spill is durably (or, without a journal, at least atomically) in
+    /// place.
     fn write_spill(&self, key: &TenantId, snapshot: &[u8], applied: u64) -> bool {
         let Some(path) = self.spill_path(key) else {
             return false;
@@ -893,6 +948,20 @@ impl SessionPool {
                 return false;
             }
         }
+        self.stage_spill(path, key, snapshot, applied)
+            .and_then(|staged| self.publish_spill(staged))
+            .is_ok()
+    }
+
+    /// The first step of a spill write to `path`: the full spill image, written to a temp
+    /// file whose name no other write shares (`path` plus a pool-wide write number).
+    fn stage_spill(
+        &self,
+        path: PathBuf,
+        key: &TenantId,
+        snapshot: &[u8],
+        applied: u64,
+    ) -> std::io::Result<StagedSpill> {
         let mut buf =
             Vec::with_capacity(SPILL_MAGIC.len() + 16 + key.0.len() + key.1.len() + snapshot.len());
         buf.extend_from_slice(SPILL_MAGIC);
@@ -902,23 +971,37 @@ impl SessionPool {
             buf.extend_from_slice(part.as_bytes());
         }
         buf.extend_from_slice(snapshot);
-        let tmp = path.with_extension("pisnap.tmp");
+        let write = self.spill_writes.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_extension(format!("pisnap.{write}{SPILL_TEMP_SUFFIX}"));
         let written = (|| -> std::io::Result<()> {
             let mut file = std::fs::File::create(&tmp)?;
             file.write_all(&buf)?;
             if self.journal.is_some() {
                 file.sync_all()?;
             }
-            drop(file);
-            std::fs::rename(&tmp, &path)?;
-            if self.journal.is_some() {
-                if let Some(dir) = path.parent() {
-                    sync_dir(dir)?;
-                }
-            }
             Ok(())
         })();
-        written.is_ok()
+        match written {
+            Ok(()) => Ok(StagedSpill { tmp, path }),
+            Err(err) => {
+                let _ = std::fs::remove_file(&tmp);
+                Err(err)
+            }
+        }
+    }
+
+    /// The second step of a spill write: renames the staged temp file over the spill file.
+    fn publish_spill(&self, staged: StagedSpill) -> std::io::Result<()> {
+        if let Err(err) = std::fs::rename(&staged.tmp, &staged.path) {
+            let _ = std::fs::remove_file(&staged.tmp);
+            return Err(err);
+        }
+        if self.journal.is_some() {
+            if let Some(dir) = staged.path.parent() {
+                sync_dir(dir)?;
+            }
+        }
+        Ok(())
     }
 
     /// Reads this tenant's spill file; see [`SpillRead`] for the outcomes.  A key
@@ -1478,6 +1561,7 @@ mod tests {
                 .unwrap();
         }
         let before = pool.snapshot("ada", "t1").unwrap();
+        let before_graph = pool.graph("ada", "t1").unwrap();
         // Bring in two more tenants; ada/t1 becomes LRU and is evicted.
         pool.enqueue_tagged("bob", "t1", [(Dialect::SQL, sql(0).as_str())])
             .unwrap();
@@ -1490,7 +1574,7 @@ mod tests {
         let after = pool.snapshot("ada", "t1").unwrap();
         assert!(pool.gauge().rehydrations >= 1);
         assert_eq!(after.version, before.version);
-        assert_eq!(after.graph, before.graph);
+        assert_eq!(pool.graph("ada", "t1").unwrap(), before_graph);
         assert_eq!(after.graph_stats, before.graph_stats);
         assert_eq!(after.dialects, before.dialects);
         assert_eq!(after.skipped, before.skipped);
@@ -1513,6 +1597,7 @@ mod tests {
                 .unwrap();
         }
         let before = pool.snapshot("ada", "t1").unwrap();
+        let before_graph = pool.graph("ada", "t1").unwrap();
         // Force ada/t1 out of its seat.
         pool.enqueue_tagged("bob", "t1", [(Dialect::SQL, sql(0).as_str())])
             .unwrap();
@@ -1527,13 +1612,66 @@ mod tests {
         // The return trip deserializes the snapshot — no replay.
         let after = pool.snapshot("ada", "t1").unwrap();
         assert_eq!(after.version, before.version);
-        assert_eq!(after.graph, before.graph);
+        assert_eq!(pool.graph("ada", "t1").unwrap(), before_graph);
         assert_eq!(after.interface.describe(), before.interface.describe());
         let rehydrated = pool.gauge();
         assert!(rehydrated.rehydrations >= 1);
         // The consumed snapshot left the archive; its bytes are no longer held.
         assert!(rehydrated.snapshot_bytes < evicted.snapshot_bytes || evicted.snapshot_bytes == 0);
         pool.close();
+    }
+
+    #[test]
+    fn interleaved_spill_writers_keep_the_spill_intact() {
+        let dir = std::env::temp_dir().join(format!(
+            "pi-pool-spill-interleave-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = PoolOptions {
+            capacity: 4,
+            shards: 1,
+            queue_depth: 64,
+            workers: 1,
+            ..PoolOptions::default()
+        };
+        let pool = SessionPool::with_spill(opts.clone(), Some(dir.clone()));
+        let key: TenantId = ("ada".to_string(), "t1".to_string());
+        let path = pool.spill_path(&key).expect("the pool spills");
+        let read = |pool: &SessionPool| match pool.read_spill(&key) {
+            SpillRead::Loaded { applied, snapshot } => (applied, snapshot),
+            _ => panic!("the spill reads back intact"),
+        };
+        // Two incarnations of one tenant spill at once: an orphan a checkpoint still holds
+        // and the re-admitted tenant.  Both stage their images before either renames.
+        let orphan = pool
+            .stage_spill(path.clone(), &key, b"orphaned incarnation", 3)
+            .unwrap();
+        let current = pool
+            .stage_spill(path.clone(), &key, b"re-admitted tenant", 5)
+            .unwrap();
+        pool.publish_spill(orphan).unwrap();
+        assert_eq!(read(&pool), (3, b"orphaned incarnation".to_vec()));
+        pool.publish_spill(current).unwrap();
+        assert_eq!(read(&pool), (5, b"re-admitted tenant".to_vec()));
+        pool.close();
+        drop(pool);
+
+        // Temp files of writes a killed process left unfinished, in this and the older
+        // shared-name form, are gone once a pool reopens the directory.
+        let stale = [
+            path.with_extension("pisnap.7.tmp"),
+            path.with_extension("pisnap.tmp"),
+        ];
+        for tmp in &stale {
+            std::fs::write(tmp, b"torn spill").unwrap();
+        }
+        let reopened = SessionPool::with_spill(opts, Some(dir.clone()));
+        assert!(stale.iter().all(|tmp| !tmp.exists()));
+        assert_eq!(read(&reopened), (5, b"re-admitted tenant".to_vec()));
+        reopened.close();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1559,6 +1697,7 @@ mod tests {
                 .unwrap();
         }
         let before = first.snapshot("ada", "t1").unwrap();
+        let before_graph = first.graph("ada", "t1").unwrap();
         first.close();
         drop(first);
         // Second lifetime over the same directory: the tenant's full state is back.
@@ -1567,7 +1706,7 @@ mod tests {
             .snapshot("ada", "t1")
             .expect("spilled tenant is known after restart");
         assert_eq!(after.version, before.version);
-        assert_eq!(after.graph, before.graph);
+        assert_eq!(second.graph("ada", "t1").unwrap(), before_graph);
         assert_eq!(after.interface.describe(), before.interface.describe());
         assert!(second.gauge().rehydrations >= 1);
         // …and keeps ingesting from where it left off.
@@ -1747,19 +1886,20 @@ mod tests {
         )
     }
 
-    fn replay_sql(statements: &[String]) -> pi_core::GeneratedInterface {
-        let mut session = Session::new(PiOptions::default());
+    /// Asserts that the pool's tenant `ada/t1` (read through the pool, so its queue is
+    /// applied first) equals a solo session fed `statements`: same snapshot, same graph.
+    fn assert_same(pool: &SessionPool, statements: &[String]) {
+        let pooled = pool.snapshot("ada", "t1").expect("the tenant is known");
+        let mut solo = Session::new(PiOptions::default());
         for text in statements {
-            session.push_text_as(Dialect::SQL, text);
+            solo.push_text_as(Dialect::SQL, text);
         }
-        session.snapshot()
-    }
-
-    fn assert_same(pooled: &pi_core::GeneratedInterface, solo: &pi_core::GeneratedInterface) {
-        assert_eq!(pooled.version, solo.version, "version");
-        assert_eq!(pooled.skipped, solo.skipped, "skipped");
-        assert_eq!(pooled.graph, solo.graph, "graph");
-        assert_eq!(pooled.interface.describe(), solo.interface.describe());
+        let replayed = solo.snapshot();
+        assert_eq!(pooled.version, replayed.version, "version");
+        assert_eq!(pooled.skipped, replayed.skipped, "skipped");
+        let pooled_graph = pool.graph("ada", "t1").expect("the tenant is known");
+        assert_eq!(pooled_graph, solo.graph(), "graph");
+        assert_eq!(pooled.interface.describe(), replayed.interface.describe());
     }
 
     #[test]
@@ -1785,10 +1925,7 @@ mod tests {
         drop(first);
         let second = durable_pool(4, DurabilityOptions::new(&dir));
         second.wait_ready();
-        let after = second
-            .snapshot("ada", "t1")
-            .expect("journaled tenant is known after a kill");
-        assert_same(&after, &replay_sql(&script));
+        assert_same(&second, &script);
         let gauge = second.gauge();
         assert!(!gauge.recovering);
         assert!(gauge.recovered_tenants >= 1);
@@ -1818,8 +1955,7 @@ mod tests {
         second.wait_ready();
         // Everything was checkpointed, so recovery restores the spill and replays nothing.
         assert_eq!(second.gauge().recovered_statements, 0);
-        let after = second.snapshot("ada", "t1").unwrap();
-        assert_same(&after, &replay_sql(&script));
+        assert_same(&second, &script);
         second.close();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1843,8 +1979,7 @@ mod tests {
         .unwrap();
         // The snapshot's inline apply panics on the marker; the supervisor catches it,
         // rebuilds the session and quarantines only the offender.
-        let snap = pool.snapshot("ada", "t1").unwrap();
-        assert_same(&snap, &replay_sql(&[sql(1), sql(2)]));
+        assert_same(&pool, &[sql(1), sql(2)]);
         let gauge = pool.gauge();
         assert!(gauge.worker_panics >= 1);
         assert!(gauge.session_rebuilds >= 1);
@@ -1860,8 +1995,7 @@ mod tests {
         // Later ingest keeps working on the rebuilt session.
         pool.enqueue_tagged("ada", "t1", [(Dialect::SQL, sql(3).as_str())])
             .unwrap();
-        let snap = pool.snapshot("ada", "t1").unwrap();
-        assert_same(&snap, &replay_sql(&[sql(1), sql(2), sql(3)]));
+        assert_same(&pool, &[sql(1), sql(2), sql(3)]);
         pool.close();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1900,8 +2034,7 @@ mod tests {
         second.wait_ready();
         // The corrupt snapshot was quarantined aside and the un-pruned journal replayed
         // the tenant's full history instead.
-        let after = second.snapshot("ada", "t1").unwrap();
-        assert_same(&after, &replay_sql(&script));
+        assert_same(&second, &script);
         let gauge = second.gauge();
         assert!(gauge.spill_quarantines >= 1);
         assert!(
@@ -2010,7 +2143,7 @@ mod tests {
         drop(first);
         let second = durable_pool(1, DurabilityOptions::new(&dir));
         second.wait_ready();
-        assert_same(&second.snapshot("ada", "t1").unwrap(), &replay_sql(&script));
+        assert_same(&second, &script);
         second.close();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2034,7 +2167,7 @@ mod tests {
         );
         let poison = "SELECT POISON FROM t".to_string();
         push(&pool, "ada", &[good[3].clone(), poison, good[4].clone()]);
-        assert_same(&pool.snapshot("ada", "t1").unwrap(), &replay_sql(&good));
+        assert_same(&pool, &good);
         assert_eq!(pool.gauge().quarantined_statements, 1);
         assert_eq!(base_and_tail(&pool, "ada"), (true, 2));
         pool.close();

@@ -2,7 +2,7 @@
 
 use pi_ast::{Dialect, Node, NodeId, PrimitiveType};
 use pi_diff::DiffRecord;
-use std::collections::BTreeSet;
+use std::collections::HashSet;
 
 /// The domain `w.d` of a widget: the subtrees the widget can substitute at its path, plus
 /// metadata the widget rules and cost functions need (primitive type, numeric range,
@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 pub struct Domain {
     subtrees: Vec<Node>,
     dialects: Vec<Dialect>,
-    ids: BTreeSet<NodeId>,
+    ids: HashSet<NodeId>,
     prim: PrimitiveType,
     includes_absent: bool,
     numeric_range: Option<(f64, f64)>,
@@ -38,7 +38,7 @@ impl Default for Domain {
         Domain {
             subtrees: Vec::new(),
             dialects: Vec::new(),
-            ids: BTreeSet::new(),
+            ids: HashSet::new(),
             prim: PrimitiveType::Num,
             includes_absent: false,
             numeric_range: None,

@@ -25,6 +25,7 @@
 
 use precision_interfaces::ast::Dialect;
 use precision_interfaces::core::{GeneratedInterface, PiOptions, Session};
+use precision_interfaces::graph::InteractionGraph;
 use precision_interfaces::server::faults::{FaultOp, FaultPlan};
 use precision_interfaces::server::{DurabilityOptions, EnqueueError, PoolOptions, SessionPool};
 use precision_interfaces::workloads::frames::repetitive_mixed_walk;
@@ -43,18 +44,28 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-fn replay(statements: &[(Dialect, String)]) -> GeneratedInterface {
+/// A tenant's snapshot together with its mined graph.
+type Mined = (GeneratedInterface, InteractionGraph);
+
+/// The tenant `user/t0` as the pool serves it: its snapshot, then its graph.
+fn read(pool: &SessionPool, user: &str) -> Option<Mined> {
+    let snapshot = pool.snapshot(user, "t0")?;
+    let graph = pool.graph(user, "t0").expect("the tenant was just read");
+    Some((snapshot, graph))
+}
+
+fn replay(statements: &[(Dialect, String)]) -> Mined {
     let mut session = Session::new(PiOptions::default());
     for (dialect, text) in statements {
         session.push_text_as(*dialect, text);
     }
-    session.snapshot()
+    (session.snapshot(), session.graph())
 }
 
-fn same(pooled: &GeneratedInterface, solo: &GeneratedInterface) -> bool {
+fn same((pooled, pooled_graph): &Mined, (solo, solo_graph): &Mined) -> bool {
     pooled.version == solo.version
         && pooled.skipped == solo.skipped
-        && pooled.graph == solo.graph
+        && pooled_graph == solo_graph
         && pooled.interface.describe() == solo.interface.describe()
 }
 
@@ -62,7 +73,7 @@ fn same(pooled: &GeneratedInterface, solo: &GeneratedInterface) -> bool {
 /// the recovered snapshot exactly — i.e. recovery reproduced a clean prefix of the
 /// tenant's stream at least `lo` (the acked count) long.
 fn matching_prefix(
-    pooled: &GeneratedInterface,
+    pooled: &Mined,
     stream: &[(Dialect, String)],
     lo: usize,
     hi: usize,
@@ -144,7 +155,7 @@ proptest! {
         prop_assert!(!recovered.is_recovering());
         for (t, stream) in streams.iter().enumerate() {
             let user = format!("user-{t}");
-            match recovered.snapshot(&user, "t0") {
+            match read(&recovered, &user) {
                 Some(pooled) => {
                     let matched = matching_prefix(&pooled, stream, acked[t], attempted[t]);
                     prop_assert!(
@@ -204,7 +215,7 @@ fn torn_journal_tails_are_discarded_never_replayed() {
     assert!(smeared >= 1, "the journal left segments behind");
     let recovered = SessionPool::with_spill(durable_opts(&dir, None), None);
     recovered.wait_ready();
-    let pooled = recovered.snapshot("ada", "t0").unwrap();
+    let pooled = read(&recovered, "ada").unwrap();
     let solo = replay(&stream);
     assert!(
         same(&pooled, &solo),
@@ -240,7 +251,7 @@ fn poisoned_statements_are_quarantined_across_restarts() {
     }
     // The snapshot's inline apply hits the marker; the supervisor quarantines it and the
     // interface reflects only the healthy statements.
-    let snap = pool.snapshot("ada", "t0").unwrap();
+    let snap = read(&pool, "ada").unwrap();
     assert!(same(&snap, &replay(&good)));
     let gauge = pool.gauge();
     assert!(gauge.worker_panics >= 1);
@@ -252,7 +263,7 @@ fn poisoned_statements_are_quarantined_across_restarts() {
     // panic fires again inside the supervised recovery path, and the quarantine repeats.
     let recovered = SessionPool::with_spill(durable_opts(&dir, marker_plan()), None);
     recovered.wait_ready();
-    let snap = recovered.snapshot("ada", "t0").unwrap();
+    let snap = read(&recovered, "ada").unwrap();
     assert!(
         same(&snap, &replay(&good)),
         "recovered state must carry every healthy statement and no poison"
@@ -297,7 +308,7 @@ fn journal_fsync_failure_never_acks_then_restart_recovers_the_acked_prefix() {
 
     let recovered = SessionPool::with_spill(durable_opts(&dir, None), None);
     recovered.wait_ready();
-    let pooled = recovered.snapshot("ada", "t0").unwrap();
+    let pooled = read(&recovered, "ada").unwrap();
     // Group commit may have made the failing batch itself durable before the fsync error
     // surfaced; anything beyond acked+1 would be an invented statement.
     assert!(

@@ -4,6 +4,7 @@
 use precision_interfaces::core::precision::{query_is_schema_valid, SchemaMap};
 use precision_interfaces::core::recall::{holdout_recall, split_log};
 use precision_interfaces::core::PiOptions;
+use precision_interfaces::graph::InteractionGraph;
 use precision_interfaces::prelude::*;
 use precision_interfaces::workloads::{frames as frames_logs, mix, olap, sdss};
 
@@ -13,6 +14,17 @@ fn parse(sql: &str) -> Result<Node, FrontendError> {
 
 fn render_sql(query: &Node) -> String {
     SqlFrontend.render(query)
+}
+
+/// [`PrecisionInterfaces::from_queries`] over `queries`, with the graph its session mined.
+fn generate(
+    pipeline: &PrecisionInterfaces,
+    queries: Vec<Node>,
+) -> (GeneratedInterface, InteractionGraph) {
+    let mut session = pipeline.session();
+    session.push_all(queries);
+    let graph = session.graph();
+    (session.into_snapshot(), graph)
 }
 
 fn catalog_schema(catalog: &Catalog) -> SchemaMap {
@@ -228,8 +240,11 @@ fn mixed_dialect_log_mines_end_to_end_into_one_dialect_aware_interface() {
 
     // Mining is dialect-blind: the graph — and the widget set itself — equals the
     // pure-SQL walk's (same trees; domain equality ignores presentation tags).
-    let sql_only = PrecisionInterfaces::default().from_queries(olap::random_walk(5, 64).queries);
-    assert_eq!(snapshot.graph, sql_only.graph);
+    let (sql_only, sql_graph) = generate(
+        &PrecisionInterfaces::default(),
+        olap::random_walk(5, 64).queries,
+    );
+    assert_eq!(session.graph(), sql_graph);
     assert_eq!(snapshot.interface.widgets(), sql_only.interface.widgets());
     assert_eq!(snapshot.interface.describe(), sql_only.interface.describe());
 
@@ -284,13 +299,13 @@ fn mining_is_identical_under_shared_and_fresh_subtrees() {
         mix::interleave(&sdss::client_logs(4, 16), 1).queries,
     ];
     for queries in logs {
-        let shared = PrecisionInterfaces::default().from_queries(queries.clone());
+        let (shared, shared_graph) = generate(&PrecisionInterfaces::default(), queries.clone());
         let fresh: Vec<Node> = queries
             .iter()
             .map(|q| parse(&render_sql(q)).expect("workload queries round-trip"))
             .collect();
-        let rebuilt = PrecisionInterfaces::default().from_queries(fresh);
-        assert_eq!(shared.graph, rebuilt.graph);
+        let (rebuilt, rebuilt_graph) = generate(&PrecisionInterfaces::default(), fresh);
+        assert_eq!(shared_graph, rebuilt_graph);
         assert_eq!(shared.graph_stats, rebuilt.graph_stats);
         assert_eq!(shared.interface.widgets(), rebuilt.interface.widgets());
         assert_eq!(shared.interface.describe(), rebuilt.interface.describe());
@@ -317,18 +332,22 @@ fn dedup_memoized_mining_collapses_work_on_repetitive_logs_without_changing_outp
         // Byte-identical graphs: same edges, same records at the same DiffId offsets.
         assert_eq!(memoized, unmemoized);
         // And the full pipeline (widgets included) agrees too.
-        let on = PrecisionInterfaces::new(PiOptions {
-            window,
-            ..PiOptions::default()
-        })
-        .from_queries(log.queries.clone());
-        let off = PrecisionInterfaces::new(PiOptions {
-            window,
-            memoize: false,
-            ..PiOptions::default()
-        })
-        .from_queries(log.queries.clone());
-        assert_eq!(on.graph, off.graph);
+        let (on, on_graph) = generate(
+            &PrecisionInterfaces::new(PiOptions {
+                window,
+                ..PiOptions::default()
+            }),
+            log.queries.clone(),
+        );
+        let (off, off_graph) = generate(
+            &PrecisionInterfaces::new(PiOptions {
+                window,
+                memoize: false,
+                ..PiOptions::default()
+            }),
+            log.queries.clone(),
+        );
+        assert_eq!(on_graph, off_graph);
         assert_eq!(on.interface.widgets(), off.interface.widgets());
         assert_eq!(on.interface.describe(), off.interface.describe());
     }
@@ -357,7 +376,7 @@ fn scratch_mutations_on_cow_copies_never_perturb_mining() {
     // Mine a log, then torture every query with mutations applied to COW copies (the
     // enumerate_closure access pattern), then mine again: results must be identical.
     let queries = olap::random_walk(5, 96).queries;
-    let baseline = PrecisionInterfaces::default().from_queries(queries.clone());
+    let (baseline, baseline_graph) = generate(&PrecisionInterfaces::default(), queries.clone());
     for q in &queries {
         let deepest = q
             .preorder()
@@ -373,8 +392,8 @@ fn scratch_mutations_on_cow_copies_never_perturb_mining() {
             copy.remove_at(&deepest).expect("valid path");
         }
     }
-    let again = PrecisionInterfaces::default().from_queries(queries);
-    assert_eq!(baseline.graph, again.graph);
+    let (again, again_graph) = generate(&PrecisionInterfaces::default(), queries);
+    assert_eq!(baseline_graph, again_graph);
     assert_eq!(baseline.graph_stats, again.graph_stats);
     assert_eq!(baseline.interface.describe(), again.interface.describe());
 }

@@ -3,6 +3,7 @@
 use pi_ast::builder::SelectBuilder;
 use pi_ast::{Node, Path};
 use pi_diff::{extract_diffs, AncestorPolicy, ChangeKind};
+use precision_interfaces::graph::InteractionGraph;
 use precision_interfaces::prelude::*;
 use proptest::prelude::*;
 
@@ -12,6 +13,56 @@ fn parse(sql: &str) -> Result<Node, FrontendError> {
 
 fn render_sql(query: &Node) -> String {
     SqlFrontend.render(query)
+}
+
+/// [`PrecisionInterfaces::from_queries`] over `queries`, with the graph its session mined.
+fn generate(options: &PiOptions, queries: Vec<Node>) -> (GeneratedInterface, InteractionGraph) {
+    let mut session = Session::new(options.clone());
+    session.push_all(queries);
+    let graph = session.graph();
+    (session.into_snapshot(), graph)
+}
+
+/// Asserts that `session`'s snapshot is what mapping a frozen copy of its graph gives: the
+/// interface `map_tagged` makes of `session.graph()` (option dialect tags included) and the
+/// graph's stats.
+fn assert_snapshot_maps_its_graph(session: &mut Session, what: &str) {
+    use precision_interfaces::core::InteractionMapper;
+    let snap = session.snapshot();
+    let graph = session.graph();
+    let options = session.options();
+    let mapped = InteractionMapper::new(options.library.clone())
+        .with_options(options.mapper)
+        .map_tagged(&graph, &session.dialects());
+    assert_eq!(snap.graph_stats, graph.stats(), "{what}: stats");
+    assert_eq!(
+        snap.interface.widgets(),
+        mapped.widgets(),
+        "{what}: widgets"
+    );
+    let tags = |interface: &Interface| -> Vec<Vec<Dialect>> {
+        interface
+            .widgets()
+            .iter()
+            .map(|w| w.domain.dialects().to_vec())
+            .collect()
+    };
+    assert_eq!(
+        tags(&snap.interface),
+        tags(&mapped),
+        "{what}: option dialects"
+    );
+    assert_eq!(
+        snap.interface.initial_query(),
+        mapped.initial_query(),
+        "{what}"
+    );
+    assert_eq!(
+        snap.interface.initial_dialect(),
+        mapped.initial_dialect(),
+        "{what}"
+    );
+    assert_eq!(snap.interface.describe(), mapped.describe(), "{what}");
 }
 
 // ---------------------------------------------------------------- generators
@@ -322,13 +373,12 @@ proptest! {
                     continue;
                 }
                 let snap = session.snapshot();
-                let batch = PrecisionInterfaces::new(options.clone())
-                    .from_queries(queries[..=k].to_vec());
+                let (batch, batch_graph) = generate(&options, queries[..=k].to_vec());
                 prop_assert_eq!(snap.version, batch.version);
                 prop_assert_eq!(snap.graph_stats, batch.graph_stats);
                 // Structural graph equality: same query content, same diff records in the
                 // same id order, same edge list.
-                prop_assert_eq!(&snap.graph, &batch.graph);
+                prop_assert_eq!(&session.graph(), &batch_graph);
                 prop_assert_eq!(snap.interface.widgets(), batch.interface.widgets());
                 prop_assert_eq!(snap.interface.describe(), batch.interface.describe());
             }
@@ -368,7 +418,7 @@ proptest! {
             prop_assert_eq!(snap.skipped, batch.skipped);
             prop_assert_eq!(snap.version, batch.version);
             prop_assert_eq!(snap.graph_stats, batch.graph_stats);
-            prop_assert_eq!(&snap.graph, &batch.graph);
+            prop_assert_eq!(&session.graph(), &PrecisionInterfaces::default().mine(&batch.queries));
             prop_assert_eq!(snap.interface.widgets(), batch.interface.widgets());
             prop_assert_eq!(snap.interface.describe(), batch.interface.describe());
         }
@@ -411,19 +461,20 @@ proptest! {
                 (*dialect, q.clone())
             }));
             let s = streamed.snapshot();
+            let streamed_graph = streamed.graph();
+            prop_assert_eq!(&streamed_graph, &batch.graph());
             let b = batch.into_snapshot();
             prop_assert_eq!(s.version, b.version);
             prop_assert_eq!(&s.dialects, &b.dialects);
             prop_assert_eq!(s.graph_stats, b.graph_stats);
-            prop_assert_eq!(&s.graph, &b.graph);
             prop_assert_eq!(s.interface.widgets(), b.interface.widgets());
             prop_assert_eq!(s.interface.initial_dialect(), b.interface.initial_dialect());
             prop_assert_eq!(s.interface.describe(), b.interface.describe());
             // And mining stays dialect-blind: an untagged build of the same trees has the
             // identical graph.
-            let untagged = PrecisionInterfaces::new(options)
-                .from_queries(entries.iter().map(|(q, _)| q.clone()).collect::<Vec<_>>());
-            prop_assert_eq!(&s.graph, &untagged.graph);
+            let (_, untagged_graph) =
+                generate(&options, entries.iter().map(|(q, _)| q.clone()).collect());
+            prop_assert_eq!(&streamed_graph, &untagged_graph);
         }
     }
 
@@ -463,10 +514,10 @@ proptest! {
             let memo_on = PiOptions { window, memoize: true, ..Default::default() };
             let memo_off = PiOptions { window, memoize: false, ..Default::default() };
             // Batch builds.
-            let on = PrecisionInterfaces::new(memo_on.clone()).from_queries(queries.clone());
-            let off = PrecisionInterfaces::new(memo_off.clone()).from_queries(queries.clone());
+            let (on, on_graph) = generate(&memo_on, queries.clone());
+            let (off, off_graph) = generate(&memo_off, queries.clone());
             prop_assert_eq!(on.graph_stats, off.graph_stats);
-            prop_assert_eq!(&on.graph, &off.graph);
+            prop_assert_eq!(&on_graph, &off_graph);
             prop_assert_eq!(on.interface.widgets(), off.interface.widgets());
             prop_assert_eq!(on.interface.describe(), off.interface.describe());
             // Streaming sessions with interleaved snapshots: the memo persists across
@@ -484,12 +535,12 @@ proptest! {
                 prop_assert_eq!(a.version, b.version);
                 prop_assert_eq!(&a.dialects, &b.dialects);
                 prop_assert_eq!(a.graph_stats, b.graph_stats);
-                prop_assert_eq!(&a.graph, &b.graph);
+                prop_assert_eq!(&s_on.graph(), &s_off.graph());
                 prop_assert_eq!(a.interface.widgets(), b.interface.widgets());
                 prop_assert_eq!(a.interface.describe(), b.interface.describe());
             }
             // The streamed memo-on graph equals the memo-off batch build outright.
-            prop_assert_eq!(&s_on.graph(), &off.graph);
+            prop_assert_eq!(&s_on.graph(), &off_graph);
         }
     }
 
@@ -528,10 +579,10 @@ proptest! {
                     steal_seed: Some(seed),
                     ..Default::default()
                 };
-                let reference = PrecisionInterfaces::new(serial.clone()).from_queries(queries.clone());
-                let forced = PrecisionInterfaces::new(stolen.clone()).from_queries(queries.clone());
+                let (reference, reference_graph) = generate(&serial, queries.clone());
+                let (forced, forced_graph) = generate(&stolen, queries.clone());
                 prop_assert_eq!(forced.graph_stats, reference.graph_stats);
-                prop_assert_eq!(&forced.graph, &reference.graph);
+                prop_assert_eq!(&forced_graph, &reference_graph);
                 prop_assert_eq!(forced.interface.widgets(), reference.interface.widgets());
                 prop_assert_eq!(forced.interface.describe(), reference.interface.describe());
                 // Interleaved streaming under the perturbed schedule: every prefix the
@@ -544,10 +595,9 @@ proptest! {
                         continue;
                     }
                     let snap = session.snapshot();
-                    let batch = PrecisionInterfaces::new(serial.clone())
-                        .from_queries(queries[..=k].to_vec());
+                    let (batch, batch_graph) = generate(&serial, queries[..=k].to_vec());
                     prop_assert_eq!(snap.version, batch.version);
-                    prop_assert_eq!(&snap.graph, &batch.graph);
+                    prop_assert_eq!(&session.graph(), &batch_graph);
                     prop_assert_eq!(snap.interface.widgets(), batch.interface.widgets());
                     prop_assert_eq!(snap.interface.describe(), batch.interface.describe());
                 }
@@ -606,6 +656,64 @@ proptest! {
                     assert_one_run_per_pair(&hydrated, &format!("restored {what}"));
                     prop_assert_eq!(&hydrated, &streamed);
                 }
+            }
+        }
+    }
+
+    /// A snapshot maps the session's records in place, without freezing a graph: at every
+    /// version a streamed session snapshots at, its interface equals `map_tagged` over
+    /// `session.graph()` and its stats equal that graph's — memo on and off, 1 and 4
+    /// workers (4 under a perturbed steal schedule), and after `persist → restore`, both
+    /// before and after the restored session ingests more.
+    #[test]
+    fn snapshots_equal_mapping_the_session_graph(
+        base in prop::collection::vec((arb_query(), prop::bool::ANY), 2..8),
+        dups in prop::collection::vec((0usize..64, 0usize..64), 1..6),
+        seed in 0u64..u64::MAX,
+        snap_every in 1usize..4,
+    ) {
+        use precision_interfaces::graph::WindowStrategy;
+        let mut log: Vec<(Dialect, Node)> = base
+            .iter()
+            .map(|(q, frames)| {
+                (if *frames { Dialect::FRAMES } else { Dialect::SQL }, q.clone())
+            })
+            .collect();
+        for &(src, pos) in &dups {
+            let entry = log[src % log.len()].clone();
+            log.insert(pos % (log.len() + 1), entry);
+        }
+        let (head, tail) = log.split_at(log.len() / 2 + 1);
+        for memoize in [true, false] {
+            for threads in [1, 4] {
+                let options = PiOptions {
+                    window: WindowStrategy::sliding(3),
+                    memoize,
+                    threads,
+                    steal_seed: (threads > 1).then_some(seed),
+                    ..Default::default()
+                };
+                let what = format!("memoize={memoize} threads={threads}");
+                let mut session = Session::new(options.clone());
+                for (k, (dialect, q)) in head.iter().enumerate() {
+                    session.push_tagged(*dialect, q.clone());
+                    if (k + 1) % snap_every == 0 {
+                        assert_snapshot_maps_its_graph(&mut session, &format!("streamed {what}"));
+                    }
+                }
+                assert_snapshot_maps_its_graph(&mut session, &format!("streamed {what}"));
+
+                let bytes = session.persist_to_vec().expect("persist");
+                let mut restored =
+                    Session::restore_with(&mut bytes.as_slice(), options).expect("restore");
+                assert_snapshot_maps_its_graph(&mut restored, &format!("restored {what}"));
+                for (k, (dialect, q)) in tail.iter().enumerate() {
+                    restored.push_tagged(*dialect, q.clone());
+                    if (k + 1) % snap_every == 0 {
+                        assert_snapshot_maps_its_graph(&mut restored, &format!("restored {what}"));
+                    }
+                }
+                assert_snapshot_maps_its_graph(&mut restored, &format!("restored {what}"));
             }
         }
     }

@@ -12,6 +12,7 @@
 //! determinism property.
 
 use precision_interfaces::core::{GeneratedInterface, PiOptions, Session};
+use precision_interfaces::graph::InteractionGraph;
 use precision_interfaces::server::{DurabilityOptions, EnqueueError, PoolOptions, SessionPool};
 use precision_interfaces::workloads::frames::repetitive_mixed_walk;
 use proptest::prelude::*;
@@ -20,20 +21,32 @@ use std::sync::Arc;
 const TENANTS: usize = 4;
 
 /// The single-threaded ground truth: one fresh session fed the tenant's statements in
-/// order, snapshotted once at the end.
-fn replay(statements: &[(precision_interfaces::ast::Dialect, String)]) -> GeneratedInterface {
+/// order, snapshotted once at the end, and the graph it mined.
+fn replay(
+    statements: &[(precision_interfaces::ast::Dialect, String)],
+) -> (GeneratedInterface, InteractionGraph) {
     let mut session = Session::new(PiOptions::default());
     for (dialect, text) in statements {
         session.push_text_as(*dialect, text);
     }
-    session.snapshot()
+    (session.snapshot(), session.graph())
 }
 
-fn assert_identical(tenant: usize, pooled: &GeneratedInterface, solo: &GeneratedInterface) {
+/// Compares tenant `tenant`'s pooled snapshot, and its graph read back from the pool, with
+/// the solo replay.
+fn assert_identical(
+    tenant: usize,
+    pool: &SessionPool,
+    pooled: &GeneratedInterface,
+    (solo, solo_graph): &(GeneratedInterface, InteractionGraph),
+) {
     assert_eq!(pooled.version, solo.version, "tenant {tenant}: version");
     assert_eq!(pooled.skipped, solo.skipped, "tenant {tenant}: skipped");
     assert_eq!(pooled.dialects, solo.dialects, "tenant {tenant}: dialects");
-    assert_eq!(pooled.graph, solo.graph, "tenant {tenant}: graph");
+    let pooled_graph = pool
+        .graph(&format!("user-{tenant}"), "t0")
+        .expect("the tenant was just read");
+    assert_eq!(&pooled_graph, solo_graph, "tenant {tenant}: graph");
     assert_eq!(
         pooled.graph_stats, solo.graph_stats,
         "tenant {tenant}: graph stats"
@@ -111,7 +124,7 @@ proptest! {
                 .snapshot(&format!("user-{t}"), "t0")
                 .expect("every tenant pushed at least one statement");
             let solo = replay(stream);
-            assert_identical(t, &pooled, &solo);
+            assert_identical(t, &pool, &pooled, &solo);
         }
 
         // The adversarial shape really did exercise the archive: four tenants cannot have
@@ -157,7 +170,7 @@ fn eviction_and_rehydration_are_invisible_in_snapshots() {
         let pooled = pool
             .snapshot(&format!("user-{t}"), "t0")
             .expect("resident or archived");
-        assert_identical(t, &pooled, &replay(stream));
+        assert_identical(t, &pool, &pooled, &replay(stream));
     }
     let gauge = pool.gauge();
     assert!(gauge.evictions >= 1);
@@ -236,7 +249,7 @@ fn graceful_shutdown_under_load_loses_no_acked_statement() {
         let pooled = reopened
             .snapshot(&format!("user-{t}"), "t0")
             .expect("acked tenants survive the restart");
-        assert_identical(t, &pooled, &replay(&stream[..acked[t]]));
+        assert_identical(t, &reopened, &pooled, &replay(&stream[..acked[t]]));
     }
     reopened.close();
     let _ = std::fs::remove_dir_all(&dir);

@@ -10,6 +10,11 @@
 //!   anchored with a longest-common-subsequence pass over structural hashes, and whatever sits
 //!   between anchors is paired positionally and recursed into (or reported as an insertion /
 //!   deletion when one side runs out).
+//!
+//! One alignment allocates one [`Scratch`] and every recursion level reuses it: the current
+//! path is pushed and popped in place (and copied only into an emitted change), the anchors
+//! of every open level share one stack, and the hash and LCS buffers are refilled per level.
+//! So a level allocates nothing once the buffers have grown to the widest child list.
 
 use pi_ast::{Node, Path};
 
@@ -39,9 +44,9 @@ impl LeafChange {
 
 /// Computes the minimal changed subtrees that transform `a` into `b`.
 pub fn leaf_changes(a: &Node, b: &Node) -> Vec<LeafChange> {
-    let mut out = Vec::new();
-    diff_nodes(a, b, &Path::root(), &mut out);
-    out
+    let mut scratch = Scratch::default();
+    scratch.diff_nodes(a, b);
+    scratch.out
 }
 
 /// Convenience alias of [`leaf_changes`], named after its role in the pipeline.
@@ -49,131 +54,154 @@ pub fn diff_trees(a: &Node, b: &Node) -> Vec<LeafChange> {
     leaf_changes(a, b)
 }
 
-fn diff_nodes(a: &Node, b: &Node, path: &Path, out: &mut Vec<LeafChange>) {
-    // O(1) equal-subtree short-circuit on the memoized structural hash — this, not the deep
-    // `==`, is what makes pairwise alignment cheap on mostly-identical log queries.
-    if a.same_tree(b) {
-        return;
-    }
-    if !a.same_label(b) {
-        out.push(LeafChange {
-            path: path.clone(),
-            before: Some(a.clone()),
-            after: Some(b.clone()),
-        });
-        return;
-    }
-    align_children(a, b, path, out);
+/// The working state of one alignment, shared by every recursion level.
+#[derive(Default)]
+struct Scratch {
+    /// Location of the node pair being aligned.
+    path: Path,
+    /// LCS anchors of every open level, innermost on top; a level truncates back to its
+    /// base before it returns.
+    anchors: Vec<(usize, usize)>,
+    /// Structural hashes of the untrimmed middles of the current level's child lists.
+    ah: Vec<u64>,
+    bh: Vec<u64>,
+    /// The current level's LCS table.
+    dp: Vec<u32>,
+    out: Vec<LeafChange>,
 }
 
-/// Aligns the child lists of two same-labelled nodes and recurses.
-fn align_children(a: &Node, b: &Node, path: &Path, out: &mut Vec<LeafChange>) {
-    let ac = a.children();
-    let bc = b.children();
-    let (n, m) = (ac.len(), bc.len());
-
-    // Anchor exactly-equal subtrees with an LCS over structural hashes.  Child lists of log
-    // queries overwhelmingly agree at both ends (one clause changed in the middle), so trim
-    // the common prefix and suffix first: greedily matching equal ends always yields *a*
-    // maximal LCS, and trimming shrinks the quadratic DP to the changed middle (often
-    // empty).  When sibling hashes repeat, this is a different — equally optimal —
-    // tie-break than the untrimmed DP walk would pick: end-anchored matches keep changes
-    // local (one in-place replacement rather than a delete/insert pair straddling the
-    // duplicate), which is at worst neutral for the record count.
-    let mut prefix = 0usize;
-    while prefix < n && prefix < m && ac[prefix].same_tree(&bc[prefix]) {
-        prefix += 1;
+impl Scratch {
+    fn diff_nodes(&mut self, a: &Node, b: &Node) {
+        // O(1) equal-subtree short-circuit on the memoized structural hash — this, not the
+        // deep `==`, is what makes pairwise alignment cheap on mostly-identical log queries.
+        if a.same_tree(b) {
+            return;
+        }
+        if !a.same_label(b) {
+            self.emit(Some(a), Some(b));
+            return;
+        }
+        self.align_children(a, b);
     }
-    let mut suffix = 0usize;
-    while suffix < n - prefix
-        && suffix < m - prefix
-        && ac[n - 1 - suffix].same_tree(&bc[m - 1 - suffix])
-    {
-        suffix += 1;
-    }
-    let ah: Vec<u64> = ac[prefix..n - suffix]
-        .iter()
-        .map(Node::structural_hash)
-        .collect();
-    let bh: Vec<u64> = bc[prefix..m - suffix]
-        .iter()
-        .map(Node::structural_hash)
-        .collect();
-    let mut anchors: Vec<(usize, usize)> = (0..prefix).map(|k| (k, k)).collect();
-    anchors.extend(
-        lcs_pairs(&ah, &bh)
-            .into_iter()
-            .map(|(i, j)| (i + prefix, j + prefix)),
-    );
-    anchors.extend((0..suffix).map(|k| (n - suffix + k, m - suffix + k)));
 
-    let mut ai = 0usize;
-    let mut bi = 0usize;
-    for &(anchor_a, anchor_b) in anchors.iter().chain(std::iter::once(&(ac.len(), bc.len()))) {
-        // Everything between the previous anchor and this one is a "gap" of unmatched children.
-        let gap_a = &ac[ai..anchor_a];
-        let gap_b = &bc[bi..anchor_b];
+    /// Records a change at the current path; the emitted path is rebuilt from the steps so
+    /// it is stored inline whenever it fits.
+    fn emit(&mut self, before: Option<&Node>, after: Option<&Node>) {
+        self.out.push(LeafChange {
+            path: Path::from(self.path.steps()),
+            before: before.cloned(),
+            after: after.cloned(),
+        });
+    }
+
+    /// Aligns the child lists of two same-labelled nodes and recurses.
+    fn align_children(&mut self, a: &Node, b: &Node) {
+        let ac = a.children();
+        let bc = b.children();
+        let (n, m) = (ac.len(), bc.len());
+
+        // Anchor exactly-equal subtrees with an LCS over structural hashes.  Child lists of
+        // log queries overwhelmingly agree at both ends (one clause changed in the middle),
+        // so trim the common prefix and suffix first: greedily matching equal ends always
+        // yields *a* maximal LCS, and trimming shrinks the quadratic DP to the changed
+        // middle (often empty).  When sibling hashes repeat, this is a different — equally
+        // optimal — tie-break than the untrimmed DP walk would pick: end-anchored matches
+        // keep changes local (one in-place replacement rather than a delete/insert pair
+        // straddling the duplicate), which is at worst neutral for the record count.
+        let mut prefix = 0usize;
+        while prefix < n && prefix < m && ac[prefix].same_tree(&bc[prefix]) {
+            prefix += 1;
+        }
+        let mut suffix = 0usize;
+        while suffix < n - prefix
+            && suffix < m - prefix
+            && ac[n - 1 - suffix].same_tree(&bc[m - 1 - suffix])
+        {
+            suffix += 1;
+        }
+        // The trimmed ends are anchors too, but the gaps between consecutive end anchors are
+        // empty, so they are walked rather than stored: the walk starts just past the prefix
+        // and ends at the first suffix anchor, `(n - suffix, m - suffix)` — the `(n, m)`
+        // sentinel when there is no suffix.
+        let base = self.anchors.len();
+        self.lcs_anchors(&ac[prefix..n - suffix], &bc[prefix..m - suffix], prefix);
+        let (mut ai, mut bi) = (prefix, prefix);
+        for k in base..=self.anchors.len() {
+            let (anchor_a, anchor_b) = self
+                .anchors
+                .get(k)
+                .copied()
+                .unwrap_or((n - suffix, m - suffix));
+            self.gap(&ac[ai..anchor_a], &bc[bi..anchor_b], ai);
+            ai = anchor_a + 1;
+            bi = anchor_b + 1;
+        }
+        self.anchors.truncate(base);
+    }
+
+    /// Everything between two anchors: unmatched children, paired positionally from
+    /// source index `at`, then the leftovers of the longer side.
+    fn gap(&mut self, gap_a: &[Node], gap_b: &[Node], at: usize) {
         let paired = gap_a.len().min(gap_b.len());
         for k in 0..paired {
-            diff_nodes(&gap_a[k], &gap_b[k], &path.child(ai + k), out);
+            self.path.push(at + k);
+            self.diff_nodes(&gap_a[k], &gap_b[k]);
+            self.path.pop();
         }
-        // Source has extra children: deletions.
+        // Source has extra children: deletions.  Target has extra children: insertions,
+        // whose path records where they would be inserted, in source coordinates.  At most
+        // one of the two loops runs.
         for (k, extra) in gap_a.iter().enumerate().skip(paired) {
-            out.push(LeafChange {
-                path: path.child(ai + k),
-                before: Some(extra.clone()),
-                after: None,
-            });
+            self.path.push(at + k);
+            self.emit(Some(extra), None);
+            self.path.pop();
         }
-        // Target has extra children: insertions.  Their path records where they would be
-        // inserted, expressed in source coordinates.
         for (k, extra) in gap_b.iter().enumerate().skip(paired) {
-            out.push(LeafChange {
-                path: path.child(ai + k),
-                before: None,
-                after: Some(extra.clone()),
-            });
+            self.path.push(at + k);
+            self.emit(None, Some(extra));
+            self.path.pop();
         }
-        ai = anchor_a + 1;
-        bi = anchor_b + 1;
     }
-}
 
-/// Longest common subsequence over two hash sequences, returned as index pairs.
-fn lcs_pairs(a: &[u64], b: &[u64]) -> Vec<(usize, usize)> {
-    let n = a.len();
-    let m = b.len();
-    if n == 0 || m == 0 {
-        return Vec::new();
-    }
-    // dp[i·w + j] = LCS length of a[i..], b[j..], in one flat row-major buffer (one
-    // allocation instead of a Vec per row, and sequential index arithmetic the optimiser
-    // can keep in registers).
-    let w = m + 1;
-    let mut dp = vec![0u32; (n + 1) * w];
-    for i in (0..n).rev() {
-        for j in (0..m).rev() {
-            dp[i * w + j] = if a[i] == b[j] {
-                dp[(i + 1) * w + j + 1] + 1
+    /// Pushes the longest common subsequence of two child lists (compared by structural
+    /// hash) onto the anchor stack as index pairs shifted by `offset`.
+    fn lcs_anchors(&mut self, a: &[Node], b: &[Node], offset: usize) {
+        let (n, m) = (a.len(), b.len());
+        if n == 0 || m == 0 {
+            return;
+        }
+        self.ah.clear();
+        self.ah.extend(a.iter().map(Node::structural_hash));
+        self.bh.clear();
+        self.bh.extend(b.iter().map(Node::structural_hash));
+        let (ah, bh) = (&self.ah, &self.bh);
+        // dp[i·w + j] = LCS length of a[i..], b[j..], in one flat row-major buffer.
+        let w = m + 1;
+        let dp = &mut self.dp;
+        dp.clear();
+        dp.resize((n + 1) * w, 0);
+        for i in (0..n).rev() {
+            for j in (0..m).rev() {
+                dp[i * w + j] = if ah[i] == bh[j] {
+                    dp[(i + 1) * w + j + 1] + 1
+                } else {
+                    dp[(i + 1) * w + j].max(dp[i * w + j + 1])
+                };
+            }
+        }
+        let (mut i, mut j) = (0, 0);
+        while i < n && j < m {
+            if ah[i] == bh[j] {
+                self.anchors.push((i + offset, j + offset));
+                i += 1;
+                j += 1;
+            } else if dp[(i + 1) * w + j] >= dp[i * w + j + 1] {
+                i += 1;
             } else {
-                dp[(i + 1) * w + j].max(dp[i * w + j + 1])
-            };
+                j += 1;
+            }
         }
     }
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < n && j < m {
-        if a[i] == b[j] {
-            out.push((i, j));
-            i += 1;
-            j += 1;
-        } else if dp[(i + 1) * w + j] >= dp[i * w + j + 1] {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -263,6 +291,20 @@ mod tests {
         assert!(!changes.is_empty() && changes.len() <= 2, "{changes:#?}");
     }
 
+    /// The LCS anchors of two lists of columns named by the given numbers (equal numbers,
+    /// equal hashes), read back off a fresh scratch.
+    fn lcs_pairs(a: &[u64], b: &[u64]) -> Vec<(usize, usize)> {
+        let cols = |names: &[u64]| {
+            names
+                .iter()
+                .map(|n| col(&n.to_string()))
+                .collect::<Vec<_>>()
+        };
+        let mut scratch = Scratch::default();
+        scratch.lcs_anchors(&cols(a), &cols(b), 0);
+        scratch.anchors
+    }
+
     #[test]
     fn lcs_matches_longest_anchor_sequence() {
         assert_eq!(
@@ -272,6 +314,122 @@ mod tests {
         assert_eq!(lcs_pairs(&[1, 9, 3], &[1, 3]), vec![(0, 0), (2, 1)]);
         assert_eq!(lcs_pairs(&[], &[1]), vec![]);
         assert_eq!(lcs_pairs(&[5, 1, 2], &[1, 2, 5]).len(), 2);
+    }
+
+    /// A same-labelled interior node over `children`: aligning two of these recurses into
+    /// their child lists.
+    fn list<const N: usize>(children: [Node; N]) -> Node {
+        Node::new(NodeKind::Project).with_children(children)
+    }
+
+    fn col(name: &str) -> Node {
+        Node::column(name)
+    }
+
+    /// `path kind before>after`, one line per change in emission order.
+    fn show(a: &Node, b: &Node) -> Vec<String> {
+        let side = |n: &Option<Node>| n.as_ref().map_or("-".to_string(), Node::label);
+        leaf_changes(a, b)
+            .iter()
+            .map(|c| format!("{} {}>{}", c.path, side(&c.before), side(&c.after)))
+            .collect()
+    }
+
+    #[test]
+    fn an_insertion_takes_the_next_anchors_source_index() {
+        // No end trims (both ends differ), so the LCS anchors `x` and `z`; `y` lands between
+        // them at source index 2 — the index of the anchor that follows it.
+        let a = list([list([col("c")]), col("x"), col("z"), list([col("e")])]);
+        let b = list([
+            list([col("d")]),
+            col("x"),
+            col("y"),
+            col("z"),
+            list([col("f")]),
+        ]);
+        assert_eq!(show(&a, &b), ["0/0 c>d", "2 ->y", "3/0 e>f"]);
+        assert_eq!(show(&b, &a), ["0/0 d>c", "2 y>-", "4/0 f>e"]);
+    }
+
+    #[test]
+    fn repeated_sibling_hashes_follow_the_lcs_tie_break() {
+        let (x, y) = (col("x"), col("y"));
+        let a = list([x.clone(), y.clone(), x.clone()]);
+        let b = list([y.clone(), x.clone(), y.clone()]);
+        assert_eq!(show(&a, &b), ["0 x>-", "3 ->y"]);
+        assert_eq!(show(&b, &a), ["0 y>-", "3 ->x"]);
+        // A trimmed prefix in front of a repeated middle.
+        let a = list([x.clone(), x.clone(), y.clone()]);
+        let b = list([x.clone(), y.clone(), x.clone()]);
+        assert_eq!(show(&a, &b), ["1 x>-", "3 ->x"]);
+        // Equal-length middles of repeated shapes pair positionally between anchors.
+        let a = list([col("p"), x.clone(), y.clone(), x.clone(), col("q")]);
+        let b = list([col("r"), y.clone(), x.clone(), y.clone(), col("s")]);
+        assert_eq!(show(&a, &b), ["0 p>r", "1 x>-", "4 q>y", "5 ->s"]);
+    }
+
+    #[test]
+    fn prefix_only_and_suffix_only_trims() {
+        let (x, y) = (col("x"), col("y"));
+        let prefix_only = (
+            list([x.clone(), y.clone(), col("p")]),
+            list([x.clone(), y.clone(), col("q")]),
+        );
+        assert_eq!(show(&prefix_only.0, &prefix_only.1), ["2 p>q"]);
+        let suffix_only = (
+            list([col("p"), x.clone(), y.clone()]),
+            list([col("q"), x.clone(), y.clone()]),
+        );
+        assert_eq!(show(&suffix_only.0, &suffix_only.1), ["0 p>q"]);
+        // Suffix trim with a longer source middle: pair, then delete the leftover.
+        let a = list([col("p"), col("r"), x.clone()]);
+        let b = list([col("q"), x.clone()]);
+        assert_eq!(show(&a, &b), ["0 p>q", "1 r>-"]);
+        assert_eq!(show(&b, &a), ["0 q>p", "1 ->r"]);
+    }
+
+    #[test]
+    fn an_empty_middle_on_one_side_is_a_pure_insertion_or_deletion() {
+        let (x, y, z) = (col("x"), col("y"), col("z"));
+        let three = list([x.clone(), y.clone(), z.clone()]);
+        let two = list([x.clone(), z.clone()]);
+        assert_eq!(show(&three, &two), ["1 y>-"]);
+        assert_eq!(show(&two, &three), ["1 ->y"]);
+        // Both trims meet: the whole source list is prefix and the target only appends.
+        let short = list([x.clone(), y.clone()]);
+        let long = list([x.clone(), y.clone(), z.clone(), x.clone()]);
+        assert_eq!(show(&short, &long), ["2 ->z", "3 ->x"]);
+        assert_eq!(show(&long, &short), ["2 z>-", "3 x>-"]);
+    }
+
+    #[test]
+    fn changes_nested_under_trimmed_ends_keep_their_offsets() {
+        let inner = |leaf: &str| list([col("k"), col("k2"), col(leaf), col("t")]);
+        let a = list([col("s"), col("s2"), inner("p"), col("u")]);
+        let b = list([col("s"), col("s2"), inner("q"), col("u")]);
+        assert_eq!(show(&a, &b), ["2/2 p>q"]);
+        // Two changed children under one trimmed prefix: emitted in sibling order.
+        let a = list([col("s"), inner("p"), inner("r"), col("u")]);
+        let b = list([col("s"), inner("q"), inner("w"), col("u")]);
+        assert_eq!(show(&a, &b), ["1/2 p>q", "2/2 r>w"]);
+    }
+
+    #[test]
+    fn changes_deeper_than_the_inline_path_capacity() {
+        // Ten nested levels, each with a trimmed sibling in front: the changes sit at depth
+        // 11, past `Path`'s eight inline steps.
+        fn deep(levels: usize, bottom: Node) -> Node {
+            (0..levels).fold(bottom, |inner, _| list([col("s"), inner]))
+        }
+        let a = deep(10, list([col("k"), col("p")]));
+        let b = deep(10, list([col("k"), col("q"), col("n")]));
+        let changes = leaf_changes(&a, &b);
+        assert!(changes.iter().all(|c| c.path.depth() == 11));
+        assert_eq!(
+            show(&a, &b),
+            ["1/1/1/1/1/1/1/1/1/1/1 p>q", "1/1/1/1/1/1/1/1/1/1/2 ->n"]
+        );
+        assert_eq!(a.get(&changes[0].path).unwrap().label(), "p");
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::align::{leaf_changes, LeafChange};
 use pi_ast::{Node, Path, PrimitiveType, ReplaceError};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// How the ancestor closure of leaf diffs is materialised.
@@ -226,7 +225,8 @@ impl TreeChange {
 }
 
 /// Builds the index-free change list between two trees, expanding (and optionally pruning)
-/// ancestors — everything [`build_records`] computes except the log endpoints.
+/// ancestors — everything [`build_records`] computes except the log endpoints.  Leaf changes
+/// come first, in matcher order, then ancestors in [`Path`] order.
 pub fn build_changes(a: &Node, b: &Node, policy: AncestorPolicy) -> Vec<TreeChange> {
     let leaves = leaf_changes(a, b);
     if leaves.is_empty() {
@@ -235,39 +235,31 @@ pub fn build_changes(a: &Node, b: &Node, policy: AncestorPolicy) -> Vec<TreeChan
 
     let ancestor_paths = ancestor_paths(&leaves, policy);
 
-    let mut out: Vec<TreeChange> = leaves
-        .into_iter()
-        .map(
-            |LeafChange {
-                 path,
-                 before,
-                 after,
-             }| TreeChange {
-                path,
-                before,
-                after,
-                is_leaf: true,
-            },
-        )
-        .collect();
+    let mut out: Vec<TreeChange> = Vec::with_capacity(leaves.len() + ancestor_paths.len());
+    out.extend(leaves.into_iter().map(
+        |LeafChange {
+             path,
+             before,
+             after,
+         }| TreeChange {
+            path,
+            before,
+            after,
+            is_leaf: true,
+        },
+    ));
 
     for path in ancestor_paths {
-        // Skip ancestors that coincide with an existing leaf record (a root-level replacement
-        // already *is* the whole-tree transformation).
-        if out.iter().any(|d| d.is_leaf && d.path == path) {
-            continue;
-        }
-        let (before, after) = (a.get(&path), b.get(&path));
         // Both sides must exist: an ancestor of a change always exists in the source tree, and
         // in the target tree unless sibling shifts moved it; such rare cases are simply skipped.
-        if let (Some(before), Some(after)) = (before, after) {
+        if let (Some(before), Some(after)) = (a.get(&path), b.get(&path)) {
             if before.same_tree(after) {
                 continue;
             }
             out.push(TreeChange {
-                path: path.clone(),
                 before: Some(before.clone()),
                 after: Some(after.clone()),
+                path,
                 is_leaf: false,
             });
         }
@@ -289,43 +281,38 @@ pub fn build_records(
         .collect()
 }
 
-/// Computes the set of ancestor paths to materialise for a set of leaf changes.
-fn ancestor_paths(leaves: &[LeafChange], policy: AncestorPolicy) -> BTreeSet<Path> {
-    let leaf_paths: Vec<&Path> = leaves.iter().map(|l| &l.path).collect();
-    let mut out = BTreeSet::new();
-    match policy {
-        AncestorPolicy::Full => {
-            for path in &leaf_paths {
-                let mut cur = (*path).clone();
-                while let Some(parent) = cur.parent() {
-                    out.insert(parent.clone());
-                    cur = parent;
-                }
-            }
-        }
-        AncestorPolicy::LcaPruned => {
-            // The whole-query transformation is always a viable interaction (Figure 4).
-            out.insert(Path::root());
-            // Keep paths that are the least common ancestor of at least two leaf diffs.
-            for i in 0..leaf_paths.len() {
-                for j in (i + 1)..leaf_paths.len() {
-                    let lca = leaf_paths[i].common_prefix(leaf_paths[j]);
-                    // The LCA of a path with itself (duplicate paths) adds nothing useful.
-                    if &lca != leaf_paths[i] && &lca != leaf_paths[j] {
-                        out.insert(lca);
-                    } else if leaf_paths[i] == leaf_paths[j] {
-                        continue;
-                    } else {
-                        out.insert(lca);
-                    }
-                }
-            }
-        }
-    }
-    // Leaf paths themselves are emitted as leaf records, not ancestors.
-    for p in leaf_paths {
-        out.remove(p);
-    }
+/// Computes the ancestor paths to materialise for a set of leaf changes, in [`Path`] order,
+/// without the leaf paths themselves (those are emitted as leaf records, so a root-level
+/// replacement already *is* the whole-tree transformation).
+///
+/// `LcaPruned` keeps the root — the whole-query transformation is always a viable
+/// interaction (Figure 4) — and the least common ancestor of every pair of leaf paths.
+/// Sorted, adjacent pairs alone give every pair's: in `Path` (lexicographic) order, the
+/// common prefix of `p[i]` and `p[j]` (`i < j`) is the shortest of the adjacent pairs'
+/// common prefixes between them, and that one is also a prefix of `p[i]` — so each pairwise
+/// LCA is some adjacent pair's, in `O(k log k)` for `k` leaves instead of `O(k²)`.
+/// Duplicate leaf paths add nothing (a path's LCA with itself is a leaf path) and are
+/// dropped first.  `Full` keeps every proper ancestor of every leaf path.
+fn ancestor_paths(leaves: &[LeafChange], policy: AncestorPolicy) -> Vec<Path> {
+    let mut leaf_paths: Vec<&Path> = leaves.iter().map(|l| &l.path).collect();
+    leaf_paths.sort_unstable();
+    leaf_paths.dedup();
+    let mut out: Vec<Path> = match policy {
+        AncestorPolicy::Full => leaf_paths
+            .iter()
+            .flat_map(|path| (0..path.depth()).map(|depth| Path::from(&path.steps()[..depth])))
+            .collect(),
+        AncestorPolicy::LcaPruned => std::iter::once(Path::root())
+            .chain(
+                leaf_paths
+                    .windows(2)
+                    .map(|pair| pair[0].common_prefix(pair[1])),
+            )
+            .collect(),
+    };
+    out.sort_unstable();
+    out.dedup();
+    out.retain(|path| leaf_paths.binary_search(&path).is_err());
     out
 }
 
@@ -393,6 +380,84 @@ mod tests {
         assert!(records.iter().any(|r| !r.is_leaf && r.path.is_root()));
         let full = build_records(&a, &b, 0, 1, AncestorPolicy::Full);
         assert!(full.len() > records.len());
+    }
+
+    #[test]
+    fn ancestor_paths_equal_the_pairwise_definition() {
+        use std::collections::BTreeSet;
+        // A fixed LCG keeps the generated sets reproducible.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % bound
+        };
+        let mut heap_deep = 0;
+        for _ in 0..3_000 {
+            let mut paths: Vec<Path> = Vec::new();
+            for _ in 0..1 + next(8) {
+                let earlier = (!paths.is_empty()).then(|| paths[next(paths.len())].clone());
+                let path = match (next(4), earlier) {
+                    // A duplicate of an earlier leaf path.
+                    (0, Some(earlier)) => earlier,
+                    // An ancestor or a descendant of an earlier leaf path.
+                    (1, Some(earlier)) if next(2) == 0 => {
+                        Path::from(&earlier.steps()[..next(earlier.depth() + 1)])
+                    }
+                    (1, Some(mut earlier)) => {
+                        for _ in 0..1 + next(4) {
+                            earlier.push(next(3));
+                        }
+                        earlier
+                    }
+                    // A fresh path, up to 12 steps: past `Path`'s 8 inline steps.
+                    _ => Path::from_steps((0..next(13)).map(|_| next(3))),
+                };
+                heap_deep += usize::from(path.depth() > 8);
+                paths.push(path);
+            }
+            let leaves: Vec<LeafChange> = paths
+                .iter()
+                .map(|path| LeafChange {
+                    path: path.clone(),
+                    before: None,
+                    after: Some(Node::int(0)),
+                })
+                .collect();
+            // §6.2 as written: the root plus every pair's least common ancestor; Full: every
+            // proper ancestor.  Leaf paths are leaf records, never ancestors.
+            let mut pairwise = BTreeSet::from([Path::root()]);
+            let mut proper = BTreeSet::new();
+            for (i, path) in paths.iter().enumerate() {
+                for other in &paths[i + 1..] {
+                    pairwise.insert(path.common_prefix(other));
+                }
+                let mut cur = path.clone();
+                while let Some(parent) = cur.parent() {
+                    proper.insert(parent.clone());
+                    cur = parent;
+                }
+            }
+            for path in &paths {
+                pairwise.remove(path);
+                proper.remove(path);
+            }
+            assert_eq!(
+                ancestor_paths(&leaves, AncestorPolicy::LcaPruned),
+                pairwise.into_iter().collect::<Vec<_>>(),
+                "{paths:?}"
+            );
+            assert_eq!(
+                ancestor_paths(&leaves, AncestorPolicy::Full),
+                proper.into_iter().collect::<Vec<_>>(),
+                "{paths:?}"
+            );
+        }
+        assert!(
+            heap_deep > 100,
+            "{heap_deep} heap-depth leaf paths generated"
+        );
     }
 
     #[test]

@@ -8,16 +8,22 @@
 //! appends queries one at a time produces a graph byte-identical to a one-shot build of the
 //! same prefix — the invariant `pi-core`'s `Session` is built on.
 //!
-//! Parallel mining is cost-modelled and work-stealing: a batch's pairs are packed into
-//! blocks of comparable *estimated alignment cost* ([`pi_diff::align_cost_model`] over
-//! cached node counts) and executed by the [`steal`](crate::steal) scheduler, whose
-//! determinism contract — block order, not steal order, defines the output — keeps every
-//! parallel build byte-identical to the serial fold.  The fan-out only engages when the
-//! estimated work would amortise the thread-scope overhead (`PARALLEL_MIN_COST`), so small
-//! batches and latency-sensitive single-query extends never pay for threads they cannot
-//! use.
+//! With memoization on (the default), each distinct ordered pair of shape classes is aligned
+//! once, the first time the memo meets it, and every log pair of those classes streams the
+//! memoized change list into the store.  The unmemoized builder aligns every log pair and
+//! stays as the reference the memoized one is tested against.
+//!
+//! Parallel mining is cost-modelled and work-stealing: work items are packed into blocks of
+//! comparable *estimated alignment cost* ([`pi_diff::align_cost_model`] over cached node
+//! counts) and executed by the [`steal`](crate::steal) scheduler, whose determinism
+//! contract — block order, not steal order, defines the output — keeps every parallel build
+//! byte-identical to the serial fold.  The memoized builder fans out a batch's missing
+//! distinct class pairs and then appends serially; the unmemoized one fans out the log
+//! pairs themselves.  The fan-out only engages when the estimated work would amortise the
+//! thread-scope overhead (`PARALLEL_MIN_COST`), so small batches and latency-sensitive
+//! single-query extends never pay for threads they cannot use.
 
-use crate::dedup::{DedupTable, DiffMemo};
+use crate::dedup::{pair_key, DedupTable, DiffMemo, PairKeyHasher};
 use crate::graph::{Edge, GraphStats, InteractionGraph, IntoQueryLog, QueryLog};
 use crate::steal;
 use pi_ast::Node;
@@ -26,6 +32,7 @@ use pi_diff::{
     DiffStore, TreeChange,
 };
 use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -51,14 +58,6 @@ const MIN_BLOCK_COST: u64 = 16_000;
 /// triangular AllPairs tail (late rows have more predecessors than early ones) without
 /// flooding the deques with tiny blocks.
 const BLOCKS_PER_WORKER: u64 = 8;
-
-/// Estimated cost of re-wrapping one memoized change into a store record: a refcount bump
-/// plus a 4-word write — tens of nanoseconds, i.e. a few dozen cost units.
-const MEMO_WRAP_COST_PER_RECORD: u64 = 32;
-
-/// Fixed per-pair overhead of the memoized fast path (two class lookups, one memo probe,
-/// edge bookkeeping).
-const MEMO_PAIR_BASE_COST: u64 = 16;
 
 /// Width, in distinct-class ids, of the square tiles the memo pre-alignment pass iterates:
 /// pairs are sorted so one tile touches at most `2 · CLASS_TILE` representatives, keeping
@@ -546,17 +545,15 @@ impl GraphBuilder {
     }
 
     /// The duplicate-collapsing mining path shared by batch builds and incremental extends:
-    /// ingest the rows into the memo's dedup table, then walk the log pairs in append
-    /// order.  Identical-shape pairs short-circuit before the memo is even consulted;
-    /// *recurring* pairs (a duplicated shape on either side) are aligned once and their
-    /// memoized change lists streamed straight into the store per occurrence; pairs of two
-    /// singleton shapes — which cannot recur — are aligned directly, exactly like a
-    /// memo-off build, so fully-distinct logs pay only the dedup bookkeeping.
+    /// walk the log pairs in append order; identical-shape pairs short-circuit before the
+    /// memo is even consulted, and every other pair streams its class pair's memoized change
+    /// list straight into the store, aligning the class representatives the first time the
+    /// memo meets that ordered pair.
     ///
-    /// When multiple workers are available and the batch is large, the missing recurring
-    /// alignments are pre-computed in cache-conscious tiles over the distinct-pair space
-    /// and the per-pair record construction rides the same cost-blocked work-stealing
-    /// fan-out as the unmemoized path.
+    /// When multiple workers are available, the batch's missing distinct pairs are first
+    /// aligned together ([`GraphBuilder::align_missing_pairs`]), on the work-stealing
+    /// scheduler when their estimated cost crosses the parallel gate; the append loop then
+    /// only hits the memo.
     ///
     /// Every path is the same fold over the same append order, so the resulting store and
     /// edge list are byte-identical to the unmemoized builder's — alignment is purely
@@ -574,92 +571,20 @@ impl GraphBuilder {
         let policy = self.policy;
         let threads = self.effective_threads();
         if (threads > 1 && rows.len() > 1) || self.steal_seed.is_some() {
-            // Pre-align the distinct ordered pairs this batch will admit to the memo but
-            // the memo lacks, in first-demand order.  The admission scan mirrors the
-            // serial loop's, so the same pairs end up memoized.  It also totals the cost
-            // of the alignments that will *stay* direct (un-admitted pairs): that — not
-            // the memo-hit volume — is what decides whether per-pair record construction
-            // fans out below.
-            let mut queued: HashSet<(u32, u32)> = HashSet::new();
+            // The distinct ordered pairs this batch meets but the memo lacks, in
+            // first-demand order.
+            let mut queued: HashSet<u64, BuildHasherDefault<PairKeyHasher>> = HashSet::default();
             let mut needed: Vec<(u32, u32)> = Vec::new();
-            let mut direct_cost: u64 = 0;
             for j in rows.clone() {
                 let cb = dedup.class_of(j);
                 for i in self.window.prev_pairs(j) {
                     let ca = dedup.class_of(i);
-                    if ca == cb || memo.get(ca, cb).is_some() || queued.contains(&(ca, cb)) {
-                        continue;
-                    }
-                    if memo.admit(dedup, ca, cb) {
-                        queued.insert((ca, cb));
+                    if ca != cb && memo.get(ca, cb).is_none() && queued.insert(pair_key(ca, cb)) {
                         needed.push((ca, cb));
-                    } else {
-                        direct_cost = direct_cost.saturating_add(align_cost_model(
-                            dedup.tree_size(ca),
-                            dedup.tree_size(cb),
-                        ));
                     }
                 }
             }
             self.align_missing_pairs(dedup, memo, needed, threads);
-            // Per-pair record construction on the (now complete) memo: memoized pairs
-            // re-wrap their change lists, singleton pairs align directly — the same
-            // records the serial loop below would produce, in the same append order.
-            // Fanning out is only worth it when the *direct* alignments left over carry
-            // real work: memo hits are bandwidth-bound Arc-clone appends, and a streaming
-            // chunk of mostly-hits is faster folded serially than scattered across
-            // workers and gathered back (the wrap cost still shapes block sizes so mixed
-            // blocks stay balanced).
-            let memo_view: &DiffMemo = memo;
-            let mined = if direct_cost >= PARALLEL_MIN_COST || self.steal_seed.is_some() {
-                self.mine_pair_blocks(
-                    threads,
-                    rows.clone(),
-                    |i, j| {
-                        let (ca, cb) = (dedup.class_of(i), dedup.class_of(j));
-                        if ca == cb {
-                            return 1;
-                        }
-                        match memo_view.get(ca, cb) {
-                            Some(entry) => {
-                                MEMO_PAIR_BASE_COST
-                                    + MEMO_WRAP_COST_PER_RECORD * entry.changes().len() as u64
-                            }
-                            None => align_cost_model(dedup.tree_size(ca), dedup.tree_size(cb)),
-                        }
-                    },
-                    |i, j| {
-                        let (ca, cb) = (dedup.class_of(i), dedup.class_of(j));
-                        if ca == cb {
-                            return Vec::new();
-                        }
-                        match memo_view.get(ca, cb) {
-                            Some(entry) => entry
-                                .changes()
-                                .iter()
-                                .map(|change| {
-                                    DiffRecord::from_shared(i, j, std::sync::Arc::clone(change))
-                                })
-                                .collect(),
-                            None => extract_diffs(
-                                dedup.representative(ca),
-                                dedup.representative(cb),
-                                i,
-                                j,
-                                policy,
-                            ),
-                        }
-                    },
-                )
-            } else {
-                None
-            };
-            if let Some(results) = mined {
-                for (i, j, records) in results {
-                    append_pair(store, edges, i, j, records);
-                }
-                return;
-            }
         }
         for j in rows {
             let cb = dedup.class_of(j);
@@ -670,31 +595,15 @@ impl GraphBuilder {
                     // unmemoized `extract_diffs` of the pair would conclude the hard way.
                     continue;
                 }
-                if let Some(entry) = memo.get(ca, cb) {
-                    append_memoized(store, edges, i, j, entry);
-                } else if memo.admit(dedup, ca, cb) {
-                    let entry = memo.changes(dedup, ca, cb, policy);
-                    append_memoized(store, edges, i, j, &entry);
-                } else {
-                    memo.count_direct_alignment();
-                    let records = extract_diffs(
-                        dedup.representative(ca),
-                        dedup.representative(cb),
-                        i,
-                        j,
-                        policy,
-                    );
-                    append_pair(store, edges, i, j, records);
-                }
+                append_memoized(store, edges, i, j, memo.changes(dedup, ca, cb, policy));
             }
         }
     }
 
-    /// Ensures every pair in `needed` — the distinct ordered class pairs the admission
-    /// scan accepted but the memo lacks — is memoized before per-pair record construction
-    /// runs.  Small sets are aligned inline (the old code paid a full thread scope even
-    /// for one missing pair); sets whose estimated cost crosses the parallel gate fan out
-    /// through [`GraphBuilder::align_pairs_parallel`].
+    /// Ensures every pair in `needed` — the distinct ordered class pairs a batch meets but
+    /// the memo lacks — is memoized before the append loop runs.  Small sets are aligned
+    /// inline, without a thread scope; sets whose estimated cost crosses the parallel gate
+    /// fan out through [`GraphBuilder::align_pairs_parallel`].
     fn align_missing_pairs(
         &self,
         dedup: &DedupTable,
@@ -827,12 +736,11 @@ fn available_cores() -> usize {
         .unwrap_or(1)
 }
 
-/// Streams a memoized pair entry straight into the store: the entry is pre-partitioned
-/// (leaves first), so the leaf ids are exactly the next `leaf_count` appended ids — the
-/// same byte-level layout [`append_pair`] produces with its per-pair partition, without
-/// the per-pair partition.  Hash-collision entries (distinct classes, zero changes — the
-/// equality the aligner, like the memo-off path, infers from equal hashes) contribute
-/// nothing, matching `append_pair`'s empty-records early return.
+/// Streams a memoized pair entry straight into the store: the entry puts its leaves first,
+/// so the leaf ids are exactly the next `leaf_count` appended ids — the same byte-level
+/// layout [`append_pair`] produces.  Hash-collision entries (distinct classes, zero
+/// changes — the equality the aligner, like the memo-off path, infers from equal hashes)
+/// contribute nothing, matching `append_pair`'s empty-records early return.
 fn append_memoized(
     store: &mut DiffStore,
     edges: &mut Vec<Edge>,
@@ -855,9 +763,10 @@ fn append_memoized(
 }
 
 /// Appends one compared pair's records to the growing store and edge list: leaf records
-/// first (their ids label the edge), then ancestors; identical pairs contribute nothing.
-/// This fold step is shared by batch builds and incremental extends — it *is* the byte-level
-/// layout of the graph, so both paths produce identical stores.
+/// first (their ids label the edge), then ancestors — the order [`extract_diffs`] emits
+/// them in; identical pairs contribute nothing.  This fold step is shared by batch builds
+/// and incremental extends — it *is* the byte-level layout of the graph, so both paths
+/// produce identical stores.
 fn append_pair(
     store: &mut DiffStore,
     edges: &mut Vec<Edge>,
@@ -868,14 +777,19 @@ fn append_pair(
     if records.is_empty() {
         return;
     }
-    let (leaves, ancestors): (Vec<DiffRecord>, Vec<DiffRecord>) =
-        records.into_iter().partition(|r| r.is_leaf);
-    let leaf_ids = store.extend(leaves);
-    store.extend(ancestors);
+    let leaf_count = records.iter().take_while(|r| r.is_leaf).count();
+    debug_assert!(
+        records[leaf_count..].iter().all(|r| !r.is_leaf),
+        "extract_diffs emits leaves first"
+    );
+    let first = store.next_id().0;
+    for record in records {
+        store.push(record);
+    }
     edges.push(Edge {
         from: i,
         to: j,
-        diffs: leaf_ids,
+        diffs: (first..first + leaf_count).map(DiffId).collect(),
     });
 }
 
@@ -1104,16 +1018,20 @@ mod tests {
             builder.clone().memoize(false).extend(&mut plain, q.clone());
         }
         assert_eq!(memoized.to_graph(), plain.to_graph());
-        // 4 distinct shapes seen across all pushes: each ordered shape pair is fully
-        // aligned at most three times (singleton era, one seen-once sighting, the memoized
-        // computation) — so at most 3·4·3 alignments ever ran, although 24·23/2 log pairs
-        // were enumerated.
+        // Each distinct ordered class pair the log meets is aligned exactly once, although
+        // 24·23/2 log pairs were enumerated.
+        let classes: Vec<u32> = (0..log.len())
+            .map(|row| memoized.dedup().class_of(row))
+            .collect();
+        let met: HashSet<(u32, u32)> = WindowStrategy::AllPairs
+            .pairs(log.len())
+            .map(|(i, j)| (classes[i], classes[j]))
+            .filter(|(ca, cb)| ca != cb)
+            .collect();
         assert_eq!(memoized.distinct(), 4);
-        assert!(
-            memoized.memo().alignments() <= 3 * 4 * 3,
-            "{}",
-            memoized.memo().alignments()
-        );
+        assert_eq!(met.len(), 4 * 3);
+        assert_eq!(memoized.memo().alignments(), met.len());
+        assert_eq!(memoized.memo().memoized_pairs(), met.len());
         // The arena-backed row storage is maintained with the memo off too (it *is* the
         // accumulator's query log), but the unmemoized accumulator never memoized a pair.
         assert_eq!(plain.distinct(), 4);

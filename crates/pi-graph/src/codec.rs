@@ -11,16 +11,19 @@
 //!   same first-come class ids and rebuilds every derived cache (hash buckets, counts,
 //!   cached tree sizes, arena totals) — any divergence from the stored ids is reported as
 //!   corruption rather than accepted.
-//! * **Memo** — memoized pairs and the seen-once admission set, sorted by packed pair key
-//!   so identical state always serializes to identical bytes.  A restored memo is warm:
-//!   the first post-restore push aligns only genuinely new pairs.
+//! * **Memo** — memoized pairs sorted by packed pair key, so identical state always
+//!   serializes to identical bytes, then a seen-once key count that is always written as 0
+//!   (older writers stored keys of a since-retired admission set there; readers skip
+//!   them).  A restored memo is warm: the first post-restore push aligns only genuinely
+//!   new pairs.
 //! * **Pair table** — the [`pi_diff::DiffStore`] and edge list are *not* serialized record
 //!   by record.  By construction every compared pair appends one contiguous run (leaf
 //!   records first, ancestors after) and one edge labelled with exactly that run's leaf
 //!   ids, in the same order — the runs tile the store.  So each mined pair costs only its
 //!   endpoints (delta-encoded) plus either a one-byte "replay the memo entry for this
-//!   class pair" marker or, for runs whose payloads are not the memoized list (seen-once
-//!   pairs, memo-off sessions), an explicit change-table index list.  A 100k-line session
+//!   class pair" marker or, for runs whose payloads are not the memoized list (memo-off
+//!   sessions, and pairs older snapshots aligned without memoizing), an explicit
+//!   change-table index list.  A 100k-line session
 //!   whose naïve record dump is >100 MB encodes in a few MB this way.
 //!
 //! Restore splits in two phases: [`read_accumulator_deferred`] decodes and validates the
@@ -79,7 +82,7 @@ pub fn write_accumulator<W: Write>(w: &mut W, acc: &GraphAccumulator) -> Result<
     // Value-keyed memo lookup for run encoding: a run whose change-index sequence equals
     // its class pair's memoized entry encodes as a one-byte replay marker.  Matching by
     // interned *indices* (not `Arc` pointers) keeps the encoding stable across restores —
-    // a seen-once run rebuilt from the shared table compares equal to the memo entry it
+    // an explicit run rebuilt from the shared table compares equal to a memo entry it
     // value-matches, exactly as the original did.
     let memo_by_key: HashMap<u64, (&[u32], usize)> = memo_entries
         .iter()
@@ -117,12 +120,9 @@ pub fn write_accumulator<W: Write>(w: &mut W, acc: &GraphAccumulator) -> Result<
             put_varint(w, u64::from(*idx))?;
         }
     }
-    let mut seen_once: Vec<u64> = acc.memo.seen_once_iter().collect();
-    seen_once.sort_unstable();
-    put_varint(w, seen_once.len() as u64)?;
-    for key in seen_once {
-        put_u64(w, key)?;
-    }
+    // The retired seen-once admission set: always empty now, kept so the layout (and
+    // `SNAPSHOT_VERSION`) stays put.
+    put_varint(w, 0)?;
 
     // Pair table blob, length-prefixed.
     put_varint(w, pair_blob.len() as u64)?;
@@ -521,12 +521,11 @@ pub fn read_accumulator_deferred(
         }
         pairs.push((key, PairChanges::from_shared_parts(shared, leaf_count)));
     }
+    // Older writers stored a seen-once admission set here; its keys no longer mean
+    // anything, so they are skipped.
     let seen_once_count = cur.count()?;
-    let mut seen_once = Vec::with_capacity(seen_once_count.min(1 << 16));
-    for _ in 0..seen_once_count {
-        seen_once.push(cur.u64_le()?);
-    }
-    let memo = DiffMemo::from_parts(policy, alignments, pairs, seen_once);
+    cur.take(seen_once_count * 8)?;
+    let memo = DiffMemo::from_parts(policy, alignments, pairs);
 
     // Pair table: keep the blob compact and read only its leading counts here.  The full
     // per-run scan is deferred to [`hydrate_pairs`] — at the session layer the blob

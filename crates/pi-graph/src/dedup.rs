@@ -6,15 +6,15 @@
 //! accounts for most of a log (the paper's SDSS/SQLShare samples, the Archive Query Log
 //! study) — yet pairwise alignment depends only on tree *structure*.  So the builder
 //! collapses the log to its distinct shapes at ingest ([`DedupTable`]) and runs the
-//! expensive ordered-tree alignment once per *recurring* distinct ordered pair
-//! ([`DiffMemo`]), re-wrapping the memoized index-free change list into concrete `(i, j)`
-//! records per log pair.  Both layers are invisible in the output: graphs, stores,
-//! `DiffId` offsets and edges are byte-identical with the memo on or off — only the work
-//! to produce them changes.
+//! expensive ordered-tree alignment once per distinct ordered pair ([`DiffMemo`]),
+//! re-wrapping the memoized index-free change list into concrete `(i, j)` records per log
+//! pair.  Both layers are invisible in the output: graphs, stores, `DiffId` offsets and
+//! edges are byte-identical with the memo on or off — only the work to produce them
+//! changes.
 
 use pi_ast::Node;
 use pi_diff::{extract_changes, AncestorPolicy, TreeChange};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -211,11 +211,10 @@ fn measured_size(query: &Node) -> u32 {
     u32::try_from(query.size()).unwrap_or(u32::MAX)
 }
 
-/// A memoized alignment: the index-free change list of one ordered distinct pair, stored
-/// *pre-partitioned* — leaf changes first, ancestors after, each side in extraction order.
-/// That is exactly the stable partition the graph's append step applies per pair, so the
-/// builder can stream a memoized entry straight into the diff store (leaf ids are the first
-/// `leaf_count` appended ids) without re-partitioning per log pair.
+/// A memoized alignment: the index-free change list of one ordered distinct pair, in
+/// [`extract_changes`] order — leaf changes first, ancestors after.  That is the graph's
+/// per-pair record layout, so the builder streams an entry straight into the diff store
+/// (leaf ids are the first `leaf_count` appended ids).
 ///
 /// Each change is individually `Arc`-allocated so a log pair's [`pi_diff::DiffRecord`]s
 /// can *share* the payloads (`DiffRecord::from_shared`): stamping a memoized pair into the
@@ -236,14 +235,15 @@ impl PairChanges {
         }
     }
 
+    /// Shares an [`extract_changes`] list, which already puts its leaves first.
     pub(crate) fn from_changes(changes: Vec<TreeChange>) -> Self {
-        let (leaves, ancestors): (Vec<TreeChange>, Vec<TreeChange>) =
-            changes.into_iter().partition(|c| c.is_leaf);
-        let leaf_count = leaves.len();
-        let shared: Vec<Arc<TreeChange>> =
-            leaves.into_iter().chain(ancestors).map(Arc::new).collect();
+        let leaf_count = changes.iter().take_while(|c| c.is_leaf).count();
+        debug_assert!(
+            changes[leaf_count..].iter().all(|c| !c.is_leaf),
+            "extract_changes emits leaves first"
+        );
         PairChanges {
-            changes: shared.into(),
+            changes: changes.into_iter().map(Arc::new).collect(),
             leaf_count,
         }
     }
@@ -252,7 +252,7 @@ impl PairChanges {
         self.changes.is_empty()
     }
 
-    /// Leaves first, ancestors after (both in extraction order).
+    /// Leaves first, ancestors after.
     pub(crate) fn changes(&self) -> &[Arc<TreeChange>] {
         &self.changes
     }
@@ -289,10 +289,10 @@ pub(crate) fn pair_key(ca: u32, cb: u32) -> u64 {
     (u64::from(ca) << 32) | u64::from(cb)
 }
 
-/// The alignment memo: the index-free change list per *recurring* distinct ordered pair of
-/// tree shapes already aligned.  The class vocabulary itself lives in the accumulator's
-/// [`DedupTable`] — the memo holds only derived alignments, so the admission and lookup
-/// methods borrow the table per call instead of owning a second copy of the log's shapes.
+/// The alignment memo: the index-free change list per distinct ordered pair of tree shapes
+/// already aligned.  The class vocabulary itself lives in the accumulator's [`DedupTable`]
+/// — the memo holds only derived alignments, so the lookup methods borrow the table per call
+/// instead of owning a second copy of the log's shapes.
 ///
 /// Keys are **ordered** `(source class, target class)` pairs, not unordered sets: the
 /// aligner's LCS tie-breaking is direction-sensitive (and change paths are expressed in
@@ -302,21 +302,9 @@ pub(crate) fn pair_key(ca: u32, cb: u32) -> u64 {
 /// and keeps the guarantee unconditional; the alignment budget is still `O(d²)`, not
 /// `O(n²)`.
 ///
-/// Admission is tiered by demonstrated repetition, because a memo entry only ever pays off
-/// if its pair is looked up again:
-///
-/// * both shapes duplicated → memoize on first encounter (a duplicate-heavy log ingested
-///   as a batch collapses straight to `O(d²)` alignments);
-/// * exactly one shape duplicated → align directly on the first sighting and memoize on
-///   the second (a seen-once set), so a mostly-distinct walk never builds entries its
-///   window will not revisit;
-/// * both shapes singletons → always align directly, exactly like a memo-off build (the
-///   pair cannot have occurred before), keeping fully-distinct adversarial logs at
-///   memo-off speed.
-///
-/// Each ordered distinct pair is therefore fully aligned at most three times (singleton
-/// era, one seen-once sighting, the memoized computation) — still `O(d²)` total — and hit
-/// from the memo ever after.
+/// Every distinct ordered pair is memoized the first time it is met, so it is aligned once
+/// per memo lifetime and hit from the memo ever after.  An entry adds only its pointer slice
+/// and its map slot: the change payloads are the `Arc`s the store's records share.
 ///
 /// Entries are computed under one [`AncestorPolicy`]; mining with a different policy
 /// discards them (they would describe different ancestor closures).
@@ -326,9 +314,6 @@ pub(crate) fn pair_key(ca: u32, cb: u32) -> u64 {
 #[derive(Debug, Clone, Default)]
 pub struct DiffMemo {
     pairs: HashMap<u64, PairChanges, BuildHasherDefault<PairKeyHasher>>,
-    /// Ordered pairs sighted exactly once with one duplicated side — the candidates that
-    /// graduate into `pairs` on their next sighting.
-    seen_once: HashSet<u64, BuildHasherDefault<PairKeyHasher>>,
     policy: Option<AncestorPolicy>,
     alignments: usize,
 }
@@ -344,12 +329,10 @@ impl DiffMemo {
         self.pairs.len()
     }
 
-    /// Number of full alignments (`extract_changes` / `extract_diffs` runs) performed
-    /// through the memoized mining path — the work term duplicate collapsing bounds by
-    /// `O(d²)` (at most three per distinct ordered pair; see the admission tiers above)
-    /// regardless of how many log pairs were enumerated.  (Alignments run inside parallel
-    /// fan-out workers for non-memoized pairs are not tracked; the serial path and the
-    /// parallel pre-computation are.)
+    /// Number of full alignments (`extract_changes` runs) performed through the memoized
+    /// mining path — exactly one per distinct ordered pair met (a pair of one shape needs
+    /// none), the work term duplicate collapsing bounds by `O(d²)` however many log pairs
+    /// were enumerated.
     pub fn alignments(&self) -> usize {
         self.alignments
     }
@@ -358,27 +341,8 @@ impl DiffMemo {
     pub(crate) fn set_policy(&mut self, policy: AncestorPolicy) {
         if self.policy != Some(policy) {
             self.pairs.clear();
-            self.seen_once.clear();
             self.policy = Some(policy);
         }
-    }
-
-    /// Decides whether a pair *missing from the memo* should be memoized now (`true`) or
-    /// aligned directly this once (`false`) — the tiered admission policy described on
-    /// [`DiffMemo`].  Stateful: a one-duplicated-side pair is recorded on its first
-    /// sighting and admitted on its second.  `dedup` is the accumulator's class table the
-    /// pair's ids come from.
-    pub(crate) fn admit(&mut self, dedup: &DedupTable, ca: u32, cb: u32) -> bool {
-        let (na, nb) = (dedup.count(ca), dedup.count(cb));
-        if na > 1 && nb > 1 {
-            return true;
-        }
-        if na == 1 && nb == 1 {
-            // Two singleton shapes: this is the pair's first possible occurrence, and a
-            // second would require a duplicate (which bumps a count) — skip the set.
-            return false;
-        }
-        !self.seen_once.insert(pair_key(ca, cb))
     }
 
     /// The memoized entry for the ordered pair `(ca, cb)`, if present.
@@ -394,19 +358,17 @@ impl DiffMemo {
         ca: u32,
         cb: u32,
         policy: AncestorPolicy,
-    ) -> PairChanges {
+    ) -> &PairChanges {
         debug_assert_eq!(self.policy, Some(policy), "set_policy before changes");
-        if let Some(changes) = self.pairs.get(&pair_key(ca, cb)) {
-            return changes.clone();
-        }
-        let computed = PairChanges::from_changes(extract_changes(
-            dedup.representative(ca),
-            dedup.representative(cb),
-            policy,
-        ));
-        self.alignments += 1;
-        self.pairs.insert(pair_key(ca, cb), computed.clone());
-        computed
+        let alignments = &mut self.alignments;
+        self.pairs.entry(pair_key(ca, cb)).or_insert_with(|| {
+            *alignments += 1;
+            PairChanges::from_changes(extract_changes(
+                dedup.representative(ca),
+                dedup.representative(cb),
+                policy,
+            ))
+        })
     }
 
     /// Inserts an externally computed alignment (the parallel pre-computation path).
@@ -414,12 +376,6 @@ impl DiffMemo {
         self.alignments += 1;
         self.pairs
             .insert(pair_key(ca, cb), PairChanges::from_changes(changes));
-    }
-
-    /// Counts a direct (unmemoized) alignment so [`DiffMemo::alignments`] reflects the
-    /// serial mining path's full work term.
-    pub(crate) fn count_direct_alignment(&mut self) {
-        self.alignments += 1;
     }
 
     /// The pinned ancestor policy, if any (snapshot codec).
@@ -433,44 +389,32 @@ impl DiffMemo {
         self.pairs.iter().map(|(k, v)| (*k, v))
     }
 
-    /// Iterates the seen-once pair keys in arbitrary order.
-    pub(crate) fn seen_once_iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.seen_once.iter().copied()
-    }
-
-    /// Rebuilds a memo from persisted parts — pinned policy, lifetime alignment count,
-    /// memoized pairs and the seen-once admission set.  The snapshot codec's restore path:
-    /// a restored memo is *warm*, so the first post-restore push aligns only genuinely new
-    /// pairs.
+    /// Rebuilds a memo from persisted parts — pinned policy, lifetime alignment count and
+    /// memoized pairs.  The snapshot codec's restore path: a restored memo is *warm*, so the
+    /// first post-restore push aligns only genuinely new pairs.
     pub(crate) fn from_parts(
         policy: Option<AncestorPolicy>,
         alignments: usize,
         pairs: impl IntoIterator<Item = (u64, PairChanges)>,
-        seen_once: impl IntoIterator<Item = u64>,
     ) -> Self {
         DiffMemo {
             pairs: pairs.into_iter().collect(),
-            seen_once: seen_once.into_iter().collect(),
             policy,
             alignments,
         }
     }
 
     /// Estimated heap bytes the memo retains: a fixed overhead per memoized pair (table
-    /// slot, key, entry headers) plus the shared-payload pointers of each change list, and
-    /// the seen-once admission set.  Payload subtrees alias the distinct-tree arena and are
-    /// excluded here.  O(pairs) — the memo is bounded by distinct ordered pairs, not rows.
+    /// slot, key, entry headers) plus the shared-payload pointers of each change list.
+    /// Payload subtrees alias the distinct-tree arena and are excluded here.  O(pairs) —
+    /// the memo is bounded by distinct ordered pairs, not rows.
     pub fn footprint_bytes(&self) -> usize {
         /// Table slot + packed key + `PairChanges` headers + `Arc` control block.
         const PAIR_OVERHEAD_ESTIMATE: usize = 64;
         /// One shared-payload `Arc` pointer plus its amortised change-header share.
         const CHANGE_PTR_ESTIMATE: usize = 16;
-        /// One seen-once key in its set slot.
-        const SEEN_ONCE_ESTIMATE: usize = 16;
         let change_ptrs: usize = self.pairs.values().map(|p| p.changes().len()).sum();
-        self.pairs.len() * PAIR_OVERHEAD_ESTIMATE
-            + change_ptrs * CHANGE_PTR_ESTIMATE
-            + self.seen_once.len() * SEEN_ONCE_ESTIMATE
+        self.pairs.len() * PAIR_OVERHEAD_ESTIMATE + change_ptrs * CHANGE_PTR_ESTIMATE
     }
 }
 
@@ -589,18 +533,16 @@ mod tests {
                 if ca == cb {
                     continue;
                 }
-                // Both shapes appear twice in the ingested log: immediate admission.
-                assert!(memo.admit(&dedup, ca, cb));
                 let entry = memo.changes(&dedup, ca, cb, policy);
-                // The memoized entry is the stable leaf/ancestor partition of the direct
-                // extraction — exactly what the graph's append step would produce.
+                // The memoized entry is the direct extraction, leaves first — exactly what
+                // the graph's append step would produce.
                 let records: Vec<_> = entry.changes().iter().map(|c| c.to_record(i, j)).collect();
                 let direct = pi_diff::extract_diffs(&queries[i], &queries[j], i, j, policy);
-                let (leaves, ancestors): (Vec<_>, Vec<_>) =
-                    direct.into_iter().partition(|r| r.is_leaf);
-                assert_eq!(entry.leaf_count(), leaves.len());
-                let expected: Vec<_> = leaves.into_iter().chain(ancestors).collect();
-                assert_eq!(records, expected);
+                assert_eq!(records, direct);
+                assert_eq!(
+                    entry.leaf_count(),
+                    direct.iter().filter(|r| r.is_leaf).count()
+                );
                 assert!(!entry.is_empty());
             }
         }
@@ -608,34 +550,6 @@ mod tests {
         // ever aligned.
         assert_eq!(memo.alignments(), 2);
         assert_eq!(memo.memoized_pairs(), 2);
-    }
-
-    #[test]
-    fn admission_is_tiered_by_demonstrated_repetition() {
-        let queries = vec![
-            parse("SELECT a FROM t WHERE x = 1"),
-            parse("SELECT a FROM t WHERE x = 2"),
-            parse("SELECT a FROM t WHERE x = 1"),
-        ];
-        // Two singleton shapes: never admitted (the pair cannot have occurred before).
-        let mut two = DedupTable::new();
-        two.ingest(&queries[0]);
-        two.ingest(&queries[1]);
-        let mut singletons = DiffMemo::new();
-        assert!(!singletons.admit(&two, 0, 1));
-        assert!(!singletons.admit(&two, 0, 1));
-        // One duplicated side: first sighting aligns directly, second admits.
-        let mut dedup = DedupTable::new();
-        for query in &queries {
-            dedup.ingest(query);
-        }
-        let mut memo = DiffMemo::new();
-        let (dup, single) = (dedup.class_of(0), dedup.class_of(1));
-        assert!(!memo.admit(&dedup, dup, single));
-        assert!(memo.admit(&dedup, dup, single));
-        // The reverse ordered pair tracks its own sightings.
-        assert!(!memo.admit(&dedup, single, dup));
-        assert!(memo.admit(&dedup, single, dup));
     }
 
     #[test]
@@ -651,7 +565,9 @@ mod tests {
         }
         let mut memo = DiffMemo::new();
         memo.set_policy(AncestorPolicy::LcaPruned);
-        let pruned = memo.changes(&dedup, 0, 1, AncestorPolicy::LcaPruned);
+        let pruned = memo
+            .changes(&dedup, 0, 1, AncestorPolicy::LcaPruned)
+            .clone();
         memo.set_policy(AncestorPolicy::Full);
         assert_eq!(memo.memoized_pairs(), 0);
         let full = memo.changes(&dedup, 0, 1, AncestorPolicy::Full);

@@ -167,8 +167,36 @@ fn golden_statements() -> Vec<(Dialect, &'static str)> {
     ]
 }
 
+fn fixture(name: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
+}
+
 fn golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/session_v1.pisnap")
+    fixture("session_v1.pisnap")
+}
+
+/// A fresh session mined from [`golden_statements`].
+fn golden_session() -> Session {
+    let mut session = Session::new(PiOptions::default());
+    for (dialect, text) in golden_statements() {
+        session.push_text_as(dialect, text);
+    }
+    session
+}
+
+/// A restored golden snapshot equals a fresh mine of the same statements.
+fn assert_equals_a_fresh_mine(restored: &mut Session) {
+    let mut fresh = golden_session();
+    assert_eq!(restored.version(), fresh.version());
+    assert_eq!(restored.skipped(), fresh.skipped());
+    assert_eq!(restored.dialects(), fresh.dialects());
+    assert_eq!(restored.graph(), fresh.graph());
+    assert_eq!(
+        restored.snapshot().interface.describe(),
+        fresh.snapshot().interface.describe()
+    );
 }
 
 /// Wire-format compatibility: the checked-in version-1 snapshot must keep restoring, and
@@ -179,12 +207,8 @@ fn golden_path() -> std::path::PathBuf {
 fn golden_snapshot_keeps_restoring() {
     let path = golden_path();
     if std::env::var_os("PI_REGEN_GOLDEN").is_some() {
-        let mut session = Session::new(PiOptions::default());
-        for (dialect, text) in golden_statements() {
-            session.push_text_as(dialect, text);
-        }
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, session.persist_to_vec().unwrap()).unwrap();
+        std::fs::write(&path, golden_session().persist_to_vec().unwrap()).unwrap();
     }
     let bytes = std::fs::read(&path).expect(
         "golden fixture missing — generate it with PI_REGEN_GOLDEN=1 cargo test --test persistence",
@@ -197,17 +221,24 @@ fn golden_snapshot_keeps_restoring() {
     // into the timings section.)
     assert_eq!(restored.persist_to_vec().unwrap(), bytes);
 
-    // The restored state equals a fresh mine of the same statements.
-    let mut fresh = Session::new(PiOptions::default());
-    for (dialect, text) in golden_statements() {
-        fresh.push_text_as(dialect, text);
-    }
-    assert_eq!(restored.version(), fresh.version());
-    assert_eq!(restored.skipped(), fresh.skipped());
-    assert_eq!(restored.dialects(), fresh.dialects());
-    assert_eq!(restored.graph(), fresh.graph());
-    assert_eq!(
-        restored.snapshot().interface.describe(),
-        fresh.snapshot().interface.describe()
-    );
+    assert_equals_a_fresh_mine(&mut restored);
+}
+
+/// A version-1 snapshot written while the memo still admitted pairs in tiers: its memo
+/// section carries two seen-once keys and lacks the entries of pairs it aligned without
+/// memoizing (their runs are explicit).  It must keep restoring to what mining the same
+/// statements produces today, and its first re-persist — which drops the keys — must be a
+/// fixed point of persist ∘ restore.
+#[test]
+fn snapshots_with_seen_once_keys_keep_restoring() {
+    let bytes = std::fs::read(fixture("session_v1_seen_once.pisnap")).expect("fixture");
+    let mut restored = Session::restore(&mut bytes.as_slice())
+        .expect("a v1 snapshot with seen-once keys must restore");
+    let repersisted = restored.persist_to_vec().unwrap();
+    assert_ne!(repersisted, bytes, "the seen-once keys are not re-written");
+    let mut again = Session::restore(&mut repersisted.as_slice()).expect("re-restore");
+    assert_eq!(again.persist_to_vec().unwrap(), repersisted);
+
+    assert_equals_a_fresh_mine(&mut restored);
+    assert_equals_a_fresh_mine(&mut again);
 }

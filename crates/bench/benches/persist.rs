@@ -8,13 +8,13 @@
 //!   pays without persistence);
 //! * **persist**: `Session::persist` into a `Vec` (what eviction pays);
 //! * **restore**: `Session::restore` from those bytes (what rehydration pays) — the
-//!   checksum verify plus distinct-scale decode, asserted ≥ 50× faster than the cold
-//!   re-mine at full trace length.  Both sides of the ratio are the *minimum* over
+//!   checksum verify, the distinct-scale decode and the validated decode of one row per
+//!   mined pair, asserted ≥ 50× faster than the cold re-mine at full trace length.  Both sides of the ratio are the *minimum* over
 //!   repetitions: the CI box is shared, and preemption only ever inflates a wall-clock
 //!   sample, so min-of-N estimates what each stage actually costs;
-//! * **hydrate**: the first post-restore graph access, which scan-validates the pair
-//!   table and expands it into the live store and edge list (lazy; reported separately
-//!   so the restore figure stays honest about what is deferred);
+//! * **hydrate**: `Session::hydrate` after restore — a no-op now that restore decodes
+//!   the pair table into its live layout, still timed so the figure shows nothing is
+//!   deferred to the first graph access;
 //! * **size**: the snapshot against the *equivalent fully-deduped payload* — every
 //!   distinct tree, string and change list serialized once (measured by persisting a
 //!   session holding exactly one occurrence of each shape) plus the irreducible per-row
@@ -114,8 +114,7 @@ fn main() {
     let (persist_ns, persist_min_ns, persist_max_ns) = timed(&persist_samples);
 
     // Restore, several times (each is milliseconds); keep the last for the identity
-    // checks.  Restore decodes all distinct-scale state and checksums the frame; the
-    // store materializes on first graph access, timed separately below.
+    // checks.  Restore checksums the frame and decodes the whole pair table.
     let restore_reps = 9;
     let mut restore_samples = Vec::new();
     let mut restored = Session::restore_with(&mut bytes.as_slice(), options()).expect("restore");
@@ -126,8 +125,7 @@ fn main() {
     }
     let (restore_ns, restore_min_ns, restore_max_ns) = timed(&restore_samples);
 
-    // Hydrate: expanding the validated pair table into the live store and edge list (what
-    // the first post-restore graph access pays implicitly).
+    // Hydrate: nothing is left to expand after restore; timed to show it.
     let hydrate_start = Instant::now();
     restored.hydrate();
     let hydrate_ns = hydrate_start.elapsed().as_nanos() as f64;

@@ -14,11 +14,12 @@
 //!    with an explicit log-coverage check so the `g = 1` constraint of the problem statement
 //!    can never be violated by the greedy choice.
 //!
-//! **Cost of a mapping.**  A mapping first lays the diff store out as flat per-record
+//! **Cost of a mapping.**  A mapping first lays the pair table out as flat per-record
 //! columns: a path id (the distinct paths interned once and ranked in `Path` order), a
 //! member id for each of the record's two subtree sides (the distinct subtrees interned once
-//! by [`NodeId`]), and its compared pair's run id.  That pass hashes each record's path and
-//! sides once; everything after it works on ids.  The path partition is a counting sort on
+//! by [`NodeId`]), its compared pair's run id and its change.  Paths and sides are hashed
+//! once per change of the store's change table, not once per record; each run then copies
+//! its list's ids into the record columns.  Everything after that works on ids.  The path partition is a counting sort on
 //! the path column.  A domain is built by deduplicating on the member-id column against
 //! per-member stamps, so it hashes and clones a `Node` only for a new member.  Widgets live
 //! in one slot per path id: an ancestor's descendants are the path ids of its subtree range,
@@ -31,12 +32,12 @@
 //! per widget path above it.
 
 use crate::interface::Interface;
-use pi_ast::{Dialect, Node, NodeId, NodeKind, Path};
-use pi_diff::{DiffId, DiffStore};
+use pi_ast::{Dialect, IntBuildHasher, Node, NodeId, NodeKind, Path};
+use pi_diff::{DiffId, DiffStore, TreeChange};
 use pi_graph::InteractionGraph;
 use pi_widgets::{Domain, Widget, WidgetLibrary};
 use std::cmp::Reverse;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Knobs controlling the mapper (exposed for the ablation experiments).
 #[derive(Debug, Clone, Copy)]
@@ -107,9 +108,9 @@ impl InteractionMapper {
         .interface
     }
 
-    /// The mapping itself, over the diff records of a log of `log_len` queries whose first
-    /// query is `initial_query`.  Only the records are read, never the edges, so a session
-    /// maps its accumulator's store in place instead of freezing a graph first.
+    /// The mapping itself, over the pair table of a log of `log_len` queries whose first
+    /// query is `initial_query`.  A session maps its accumulator's store in place instead
+    /// of freezing a graph first.
     pub(crate) fn map_store(
         &self,
         store: &DiffStore,
@@ -319,7 +320,7 @@ impl InteractionMapper {
     }
 }
 
-/// The diff store laid out as flat per-record columns, built once per mapping; record `r`
+/// The pair table laid out as flat per-record columns, built once per mapping; record `r`
 /// of the store is row `r` of every per-record column.
 struct Columns<'a> {
     store: &'a DiffStore,
@@ -343,16 +344,20 @@ struct Columns<'a> {
     queries: Vec<[u32; 2]>,
     /// Per record: the run of its compared pair.
     run: Vec<u32>,
-    /// Run `k` is the records `run_starts[k]..run_starts[k + 1]`.
-    run_starts: Vec<usize>,
+    /// Per record: its change in the store's change table.
+    change: Vec<u32>,
 }
 
+/// A change-table entry no run has reached yet.
+const UNSEEN: u32 = u32::MAX;
+
 impl<'a> Columns<'a> {
-    /// One pass over the store, then a sort of the distinct paths.
+    /// One pass over the distinct changes the runs use, a sort of the distinct paths, then
+    /// one copy pass over the runs.
     ///
-    /// The graph builder appends each compared pair's records together, leaves first, so a
-    /// pair's records are one run of ids; the build asserts it, because the merge check
-    /// reads a pair as its run.
+    /// The merge check reads a compared pair as its run, so the build asserts that run rows
+    /// strictly increase in `(to, from)` — the builder's append order, which also means no
+    /// pair has two runs.
     fn build(store: &'a DiffStore, dialects: &'a [Dialect]) -> Self {
         // Path, run and member ids are stored as `u32`: the first two cannot exceed the
         // record count, and member ids stay below twice that, so below `ABSENT`.
@@ -360,8 +365,13 @@ impl<'a> Columns<'a> {
             store.len() < 1 << 31,
             "a mapping handles fewer than 2^31 records"
         );
-        let mut interned: HashMap<&Path, u32> = HashMap::new();
-        let mut member_of: HashMap<NodeId, u32> = HashMap::new();
+        // Per change of the table: its path id and side member ids, assigned the first time
+        // a run's list reaches it, so ids are first-seen in record order.
+        let table = store.changes();
+        let mut path_of = vec![UNSEEN; table.len()];
+        let mut sides_of = vec![[ABSENT; 2]; table.len()];
+        let mut interned: HashMap<&Path, u32, IntBuildHasher> = HashMap::default();
+        let mut member_of: HashMap<NodeId, u32, IntBuildHasher> = HashMap::default();
         let mut member = |side: &Option<Node>| match side {
             Some(node) => {
                 let fresh = member_of.len() as u32;
@@ -369,43 +379,56 @@ impl<'a> Columns<'a> {
             }
             None => ABSENT,
         };
-        let mut path = Vec::with_capacity(store.len());
-        let mut sides = Vec::with_capacity(store.len());
-        let mut queries = Vec::with_capacity(store.len());
-        let query = |q: usize| u32::try_from(q).expect("a log holds fewer than 2^32 queries");
-        let mut run = Vec::with_capacity(store.len());
-        let mut run_starts = Vec::new();
-        let mut pairs: HashSet<(usize, usize)> = HashSet::new();
-        let mut current = None;
-        for (id, record) in store.iter() {
-            let fresh = interned.len() as u32;
-            path.push(*interned.entry(&record.path).or_insert(fresh));
-            sides.push([member(&record.before), member(&record.after)]);
-            queries.push([query(record.q1), query(record.q2)]);
-            let pair = (record.q1, record.q2);
-            if current != Some(pair) {
-                assert!(
-                    pairs.insert(pair),
-                    "the records of pair {pair:?} are not one contiguous run"
-                );
-                run_starts.push(id.0);
-                current = Some(pair);
+        let mut listed = vec![false; store.list_count()];
+        let mut previous = None;
+        for run in store.runs() {
+            assert!(
+                previous < Some((run.to, run.from)),
+                "run ({}, {}) is not after its predecessor in append order",
+                run.from,
+                run.to
+            );
+            previous = Some((run.to, run.from));
+            if std::mem::replace(&mut listed[run.list as usize], true) {
+                continue;
             }
-            run.push((run_starts.len() - 1) as u32);
+            for &c in store.list(run.list) {
+                let c = c as usize;
+                if path_of[c] == UNSEEN {
+                    let change = &table[c];
+                    let fresh = interned.len() as u32;
+                    path_of[c] = *interned.entry(&change.path).or_insert(fresh);
+                    sides_of[c] = [member(&change.before), member(&change.after)];
+                }
+            }
         }
-        run_starts.push(store.len());
 
-        // Rank the interned paths in `Path` order and renumber the column by rank.
+        // Rank the interned paths in `Path` order and renumber by rank.
         let mut ranked: Vec<(&Path, u32)> = interned.into_iter().collect();
         ranked.sort_unstable_by(|a, b| a.0.cmp(b.0));
         let mut rank_of = vec![0u32; ranked.len()];
         for (rank, (_, first_seen)) in ranked.iter().enumerate() {
             rank_of[*first_seen as usize] = rank as u32;
         }
-        for p in &mut path {
+        for p in path_of.iter_mut().filter(|p| **p != UNSEEN) {
             *p = rank_of[*p as usize];
         }
         let paths: Vec<Path> = ranked.into_iter().map(|(p, _)| p.clone()).collect();
+
+        // The record columns: each run copies its list's ids.
+        let mut path = Vec::with_capacity(store.len());
+        let mut sides = Vec::with_capacity(store.len());
+        let mut queries = Vec::with_capacity(store.len());
+        let mut run = Vec::with_capacity(store.len());
+        let mut change = Vec::with_capacity(store.len());
+        for (k, row) in store.runs().iter().enumerate() {
+            let list = store.list(row.list);
+            path.extend(list.iter().map(|&c| path_of[c as usize]));
+            sides.extend(list.iter().map(|&c| sides_of[c as usize]));
+            queries.extend(std::iter::repeat([row.from, row.to]).take(list.len()));
+            run.extend(std::iter::repeat(k as u32).take(list.len()));
+            change.extend_from_slice(list);
+        }
 
         // Subtree ranges: a path's range closes at the first later path it is not a prefix
         // of.  `open` is the chain of paths whose ranges are still open, each a prefix of
@@ -433,13 +456,24 @@ impl<'a> Columns<'a> {
             sides,
             queries,
             run,
-            run_starts,
+            change,
         }
+    }
+
+    /// The change record `r` reads.
+    fn change(&self, r: usize) -> &'a TreeChange {
+        &self.store.changes()[self.change[r] as usize]
+    }
+
+    /// The records of run `k`.
+    fn run_records(&self, k: usize) -> std::ops::Range<usize> {
+        let run = self.store.runs()[k];
+        run.first as usize..run.first as usize + self.store.list_len(run.list)
     }
 
     /// The number of compared-pair runs.
     fn runs(&self) -> usize {
-        self.run_starts.len() - 1
+        self.store.runs().len()
     }
 
     /// Algorithm 1, line 3: the partition `W_p` of the records by path, one group per path
@@ -476,12 +510,13 @@ impl<'a> Columns<'a> {
                     continue;
                 }
                 *mark = seen.stamp;
-                let record = self.store.get(id);
-                let (query, node) = match side {
-                    0 => (record.q1, &record.before),
-                    _ => (record.q2, &record.after),
+                let change = self.change(id.0);
+                let node = match side {
+                    0 => &change.before,
+                    _ => &change.after,
                 };
                 let node = node.clone().expect("a member id names a present side");
+                let query = self.queries[id.0][side] as usize;
                 domain.insert_tagged(node, self.dialect(query));
             }
         }
@@ -505,24 +540,22 @@ impl<'a> Columns<'a> {
     /// interface's widget at a path id; a widget expresses a record at its own path when it
     /// can place the record's `after` side (§4.3).
     fn expressible<'w>(&self, run: usize, widget_at: impl Fn(usize) -> Option<&'w Widget>) -> bool {
-        let records = self.run_starts[run]..self.run_starts[run + 1];
+        let records = self.run_records(run);
         let expressed: Vec<usize> = records
             .clone()
             .map(|r| (r, self.path[r] as usize))
             .filter(|&(r, p)| {
                 widget_at(p).is_some_and(|w| {
                     debug_assert!(w.path == self.paths[p], "slot {p} holds its path's widget");
-                    w.can_express_subtree(self.store.get(DiffId(r)).after.as_ref())
+                    w.can_express_subtree(self.change(r).after.as_ref())
                 })
             })
             .map(|(_, p)| p)
             .collect();
-        records
-            .filter(|&r| self.store.get(DiffId(r)).is_leaf)
-            .all(|r| {
-                let leaf = self.path[r] as usize;
-                expressed.iter().any(|&p| self.is_prefix(p, leaf))
-            })
+        records.filter(|&r| self.change(r).is_leaf).all(|r| {
+            let leaf = self.path[r] as usize;
+            expressed.iter().any(|&p| self.is_prefix(p, leaf))
+        })
     }
 }
 
@@ -584,7 +617,7 @@ impl QueryMarks {
 mod tests {
     use super::*;
     use pi_ast::Frontend as _;
-    use pi_diff::{extract_diffs, AncestorPolicy};
+    use pi_diff::{extract_changes, AncestorPolicy};
     use pi_graph::{GraphBuilder, WindowStrategy};
     use std::collections::BTreeSet;
 
@@ -713,8 +746,10 @@ mod tests {
         let b = parse("SELECT costs FROM t WHERE cty = 'EUR'").unwrap();
         let c = parse("SELECT costs FROM t WHERE cty = 'CHN'").unwrap();
         let mut store = DiffStore::new();
-        store.extend(extract_diffs(&a, &b, 0, 1, AncestorPolicy::Full));
-        store.extend(extract_diffs(&b, &c, 1, 2, AncestorPolicy::Full));
+        for (i, (x, y)) in [(&a, &b), (&b, &c)].into_iter().enumerate() {
+            let list = store.push_list(extract_changes(x, y, AncestorPolicy::Full));
+            store.push_run(i, i + 1, list);
+        }
         let columns = Columns::build(&store, &[]);
         let groups = columns.partition();
         assert_eq!(groups.len(), store.distinct_paths());

@@ -5,8 +5,8 @@
 //! the sliding-window optimisation (§6.1) means an appended query only ever pairs with its
 //! `w` predecessors.  A `Session` exploits exactly that: [`Session::push`] runs only the new
 //! alignments the window admits (`O(w)` for a sliding window, independent of how long the
-//! log already is), appending their records to the session's [`pi_diff::DiffStore`] at
-//! stable `DiffId` offsets, while [`Session::snapshot`] lazily re-runs the interaction
+//! log already is), appending their runs to the session's [`pi_diff::DiffStore`] at stable
+//! `DiffId` offsets, while [`Session::snapshot`] lazily re-runs the interaction
 //! mapper and returns a versioned [`GeneratedInterface`].
 //!
 //! The load-bearing invariant — property-tested in `tests/properties.rs` and relied on by
@@ -187,7 +187,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// invisible in snapshots (byte-identical graphs with [`PiOptions::memoize`] on or off).
 ///
 /// Cloning a session forks it: both halves share the diff subtrees accumulated so far
-/// (records are `Arc`-shared) but evolve independently from the clone point.
+/// (changes hold shared subtree handles) but evolve independently from the clone point.
 ///
 /// Sessions are `Send` (asserted by a compile-time test): a multi-tenant host like
 /// `pi-server`'s `SessionPool` can move each tenant's session behind its own lock and
@@ -200,10 +200,6 @@ pub struct Session {
     default_dialect: Dialect,
     builder: GraphBuilder,
     acc: GraphAccumulator,
-    /// A restored-but-not-yet-expanded pair table ([`Session::restore`] defers store and
-    /// edge materialization; any graph access or push hydrates it first).  `None` for
-    /// live sessions.
-    latent: Option<pi_graph::codec::LatentPairs>,
     /// Distinct dialects seen so far, in first-push order (a handful of entries).
     dialect_table: Vec<Dialect>,
     /// Per-row dialect tag: one byte indexing [`Session::dialect_table`], instead of a
@@ -243,7 +239,6 @@ impl Session {
             default_dialect,
             builder,
             acc: GraphAccumulator::new(),
-            latent: None,
             dialect_table: Vec::new(),
             dialect_tags: Vec::new(),
             skipped: 0,
@@ -318,7 +313,6 @@ impl Session {
     /// originating in `dialect` (presentation metadata — mining never looks at it).
     /// Returns the query's log index.
     pub fn push_tagged(&mut self, dialect: Dialect, query: Node) -> usize {
-        self.ensure_hydrated();
         let tag = self.tag_for(dialect);
         let start = Instant::now();
         let index = self.builder.extend(&mut self.acc, query);
@@ -333,7 +327,6 @@ impl Session {
     /// Uniform tags keep the batch fast path: the iterator flows straight into the graph
     /// builder (no per-item tag pairing) and the tag vector extends by count.
     pub fn push_all<I: IntoIterator<Item = Node>>(&mut self, queries: I) -> usize {
-        self.ensure_hydrated();
         let tag = self.tag_for(self.default_dialect);
         let start = Instant::now();
         let appended = self.builder.extend_batch(&mut self.acc, queries);
@@ -354,7 +347,6 @@ impl Session {
         &mut self,
         queries: I,
     ) -> usize {
-        self.ensure_hydrated();
         let (tags, nodes): (Vec<Dialect>, Vec<Node>) = queries.into_iter().unzip();
         let tags: Vec<u8> = tags.into_iter().map(|d| self.tag_for(d)).collect();
         let start = Instant::now();
@@ -481,11 +473,12 @@ impl Session {
     ///
     /// The accumulator's distinct-tree arena keeps one retained tree per distinct shape,
     /// so the query log itself grows with the number of *distinct* statements `d` plus
-    /// ~5 bytes per row.  Mined state does not stay that small: every admitted pair
-    /// appends its records to the `DiffStore`, which [`Session::memory_footprint`] prices
-    /// at 32 bytes per record, so session memory grows with the mined records — with
-    /// trace volume and window width, not only with `d`.  The graph, snapshots and
-    /// widgets are byte-identical to pushing the same statements one at a time.
+    /// ~5 bytes per row.  Mined state grows per row too, but by a constant: every admitted
+    /// pair whose shapes were already aligned appends one 16-byte run row to the
+    /// `DiffStore`, however many changes the pair carries, while change lists grow only
+    /// with distinct shape pairs ([`Session::memory_footprint`] prices both).  The graph,
+    /// snapshots and widgets are byte-identical to pushing the same statements one at a
+    /// time.
     pub fn push_stream_tagged<I, S>(&mut self, lines: I) -> usize
     where
         I: IntoIterator<Item = (Dialect, S)>,
@@ -534,7 +527,6 @@ impl Session {
         if chunk.is_empty() {
             return 0;
         }
-        self.ensure_hydrated();
         let start = Instant::now();
         let appended = self.builder.extend_batch(&mut self.acc, chunk.drain(..));
         self.mining_ms += start.elapsed().as_secs_f64() * 1e3;
@@ -591,32 +583,27 @@ impl Session {
     /// dialect tag (1 byte), the parse cache (fragment text + handles; its trees are the
     /// arena's, not double-counted) and the bounded error sample.  For a repetitive trace
     /// this log storage is dominated by the `d` distinct shapes and grows only ~5 bytes per
-    /// additional duplicate row (its class id and dialect tag).  The whole estimate grows
-    /// faster: the mined state below adds 32 bytes per record of every pair the window
-    /// admits for that row (about 8 records a row at `sliding(2)` on a 256-shape trace),
-    /// and the trace-scale smoke test bounds that growth as a constant per row.
+    /// additional duplicate row (its class id and dialect tag).  The whole estimate grows a
+    /// little faster: the mined state below adds one 16-byte run row per pair the window
+    /// admits for that row, whatever the pair's change count.
     ///
-    /// Mined state is counted too: the `DiffStore`'s record rows (whose shared change
-    /// payloads alias the arena and are not double-counted) and the alignment memo's
-    /// per-pair bookkeeping — the two structures a persisted snapshot must carry, so this
-    /// figure is also the right capacity gauge for eviction-to-snapshot hosts.  Record rows
-    /// grow with mining volume (each admitted pair appends its records), while the memo
-    /// grows only with *distinct shape pairs* — duplicate-heavy streams keep it flat.
+    /// Mined state is counted as stored: the `DiffStore`'s run rows, change-list rows and
+    /// list items, its change table (whose subtrees alias the arena and are not
+    /// double-counted), and the alignment memo's map from class pairs to lists — the
+    /// structures a persisted snapshot carries, so this figure is also the right capacity
+    /// gauge for eviction-to-snapshot hosts.  Run rows grow with mining volume, while the
+    /// lists, changes and memo grow only with *distinct shape pairs* on the memoized path —
+    /// duplicate-heavy streams keep them flat.  That is `O(distinct + runs)`; the edges are
+    /// the run rows, so they are counted once.
     ///
-    /// Deliberately excluded: the edge list (observable via [`Session::graph_stats`]) and
-    /// the cached snapshot, refreshed per version, which holds the mapped interface, its
-    /// stats and the shared query log but no copy of the graph.  The figure is an estimate from
-    /// documented per-node constants, not an allocator measurement, so it is stable across
-    /// platforms and suitable for assertions and gauges.
+    /// Deliberately excluded: the cached snapshot, refreshed per version, which holds the
+    /// mapped interface, its stats and the shared query log but no copy of the graph.  The
+    /// figure is an estimate from documented row sizes and per-node constants, not an
+    /// allocator measurement, so it is stable across platforms and suitable for
+    /// assertions and gauges.
     pub fn memory_footprint(&self) -> usize {
-        // While a restored pair table is still latent, its compact bytes stand in for the
-        // store it will expand into (the memo and arena are already live).
-        let store_bytes = match &self.latent {
-            Some(latent) => latent.byte_len(),
-            None => self.acc.store().footprint_bytes(),
-        };
         self.acc.log_footprint_bytes()
-            + store_bytes
+            + self.acc.store().footprint_bytes()
             + self.acc.memo().footprint_bytes()
             + self.dialect_tags.len()
             + self.dialect_table.len() * std::mem::size_of::<Dialect>()
@@ -648,43 +635,22 @@ impl Session {
         self.acc.query(idx)
     }
 
-    /// Eagerly expands a restored session's latent pair table into the live store and
-    /// edge list (a no-op on live sessions).
+    /// Does nothing: a restored session holds its pair table in the live layout already.
     ///
-    /// Restore defers this expansion — and the pair table's full validation scan — so
-    /// rehydrating a pooled tenant costs distinct-state-scale milliseconds; it otherwise
-    /// runs implicitly on the first graph access, push or re-persist.  Hosts that want the
-    /// cost paid at a restore boundary rather than on the first request call this.
-    pub fn hydrate(&mut self) {
-        self.ensure_hydrated();
-    }
+    /// Kept for hosts that mark a restore boundary with it.  [`Session::restore`] decodes
+    /// and validates the whole pair table, so there is nothing left to expand on first
+    /// access.
+    pub fn hydrate(&mut self) {}
 
-    fn ensure_hydrated(&mut self) {
-        if let Some(latent) = self.latent.take() {
-            // Deliberately not folded into `mining_ms`: hydration replays already-mined
-            // state, and the persisted timings must stay byte-stable across
-            // persist ∘ restore ∘ persist.
-            //
-            // The expansion scan can only fail on bytes the checksummed frame accepted —
-            // i.e. an encoder bug, not storage corruption — so a panic (not a mangled
-            // graph) is the right failure mode here.
-            pi_graph::codec::hydrate_pairs(&mut self.acc, latent)
-                .expect("checksummed pair table failed its hydration scan");
-        }
-    }
-
-    /// Summary statistics of the graph mined so far (cheap; does not run the mapper —
-    /// though the first call on a freshly restored session expands its latent pair table).
+    /// Summary statistics of the graph mined so far (cheap; does not run the mapper).
     pub fn graph_stats(&mut self) -> GraphStats {
-        self.ensure_hydrated();
         self.acc.stats()
     }
 
-    /// A frozen copy of the interaction graph mined so far (cheap relative to mining:
-    /// record subtrees are `Arc`-shared, only the log's nodes are cloned into the shared
-    /// allocation).
+    /// A frozen copy of the interaction graph mined so far (cheap relative to mining: the
+    /// pair table's rows are copied and its subtrees shared, and the log's nodes are
+    /// shared into one allocation).
     pub fn graph(&mut self) -> InteractionGraph {
-        self.ensure_hydrated();
         self.acc.to_graph()
     }
 
@@ -748,7 +714,6 @@ impl Session {
         if matches!(&self.cache, Some(c) if c.version == version) {
             return;
         }
-        self.ensure_hydrated();
         let acc = &self.acc;
         let start = Instant::now();
         let mapping = crate::pipeline::mapper(&self.options).map_store(
@@ -763,7 +728,7 @@ impl Session {
             queries: acc.query_log(),
             stats: GraphStats {
                 queries: acc.len(),
-                edges: acc.edges().len(),
+                edges: acc.store().runs().len(),
                 diff_records: acc.store().len(),
                 distinct_paths: mapping.distinct_paths,
             },
@@ -784,8 +749,8 @@ impl Session {
     /// Writes the session's full mining state as a compact, versioned binary snapshot.
     ///
     /// The snapshot captures everything [`Session::restore`] needs to continue the stream
-    /// exactly where this session stands: the mined accumulator (distinct-tree arena, diff
-    /// store, edges and the warm alignment memo), the per-row dialect tags, the skip/error
+    /// exactly where this session stands: the mined accumulator (distinct-tree arena, the
+    /// pair table's changes, lists and runs, and the warm alignment memo), the per-row dialect tags, the skip/error
     /// bookkeeping, accumulated stage timings and the option scalars that shape mining
     /// (window, policy, parallelism, memoization).  Shared subtrees and interned strings
     /// serialize once — payloads are deduplicated by structural identity, so snapshot size
@@ -801,11 +766,11 @@ impl Session {
     /// cache (a performance artifact that repopulates within one streamed chunk) and any
     /// cached snapshot (recomputed on the first [`Session::snapshot`] after restore).
     ///
-    /// Takes `&mut self` only to expand a still-latent pair table first (a session that
-    /// was restored and never touched): the run encoder walks the live store.  Persisting
-    /// a restored session — before or after hydration — reproduces the original bytes.
+    /// The writer reads the pair table as it is stored: it numbers each change of the table
+    /// once and writes one row per run.  Persisting a restored session reproduces the
+    /// original bytes.  Persisting does not change the session; the `&mut self` receiver
+    /// (like [`Session::graph`]'s) only keeps the signature hosts already call.
     pub fn persist<W: std::io::Write>(&mut self, w: &mut W) -> Result<(), CodecError> {
-        self.ensure_hydrated();
         w.write_all(SNAPSHOT_MAGIC).map_err(CodecError::Io)?;
         codec::put_u32(w, SNAPSHOT_VERSION)?;
         let mut cw = codec::ChecksumWriter::new(w);
@@ -838,13 +803,16 @@ impl Session {
     /// The restored session is **byte-identical** to the persisted one where it counts:
     /// same graph, same `DiffId`s, same versions, same snapshot output — and its alignment
     /// memo is warm, so the next push only aligns genuinely new shape pairs.  Restoring is
-    /// a deserialization pass over *distinct* state: milliseconds for a trace that took
-    /// seconds to mine (the `persist` bench pins the ratio).  The mined pair table is
-    /// checksum-verified here but scanned and expanded lazily — the first graph access,
-    /// push or re-persist materializes the store and edge list from the compact runs.
+    /// a deserialization pass over *distinct* state plus one small row per run:
+    /// milliseconds for a trace that took seconds to mine.  The pair table is decoded into
+    /// the live layout and validated here, run by run, so nothing is left for a first
+    /// access to expand.
     ///
     /// Any corruption — truncation, bit flips, a foreign file — fails with a clean
-    /// [`CodecError`]; a snapshot written by a different format version fails with
+    /// [`CodecError`]: the checksum rejects storage damage, and the decoder rejects
+    /// whatever passes it but is not a pair table the miner could have written (endpoints
+    /// out of range or order, replays of absent memo entries, dangling change indices, a
+    /// wrong record count).  A snapshot written by a different format version fails with
     /// [`CodecError::Version`] rather than being misread.
     pub fn restore_with<R: std::io::Read>(
         r: &mut R,
@@ -1012,7 +980,7 @@ impl Session {
         let mining_ms = codec::take_f64(r)?;
         let mapping_ms = codec::take_f64(r)?;
 
-        let (acc, latent) = pi_graph::codec::read_accumulator_deferred(r)?;
+        let acc = pi_graph::codec::read_accumulator(r)?;
         if dialect_tags.len() != acc.len() {
             return Err(codec::corrupt(format!(
                 "{} dialect tags for {} log rows",
@@ -1031,7 +999,6 @@ impl Session {
         session.mining_ms = mining_ms;
         session.mapping_ms = mapping_ms;
         session.acc = acc;
-        session.latent = Some(latent);
         Ok(session)
     }
 }
@@ -1423,6 +1390,100 @@ mod tests {
             grown - warm - mined_growth <= 6 * 9000,
             "footprint grew {warm} -> {grown} ({mined_growth} of it mined records) for duplicate-only rows"
         );
+    }
+
+    #[test]
+    fn memo_hits_grow_the_footprint_by_one_run_row_whatever_the_pair_carries() {
+        // Two shape pairs: one differs in one literal, the other in ten.  Once both ordered
+        // class pairs are aligned, every further row is a memo hit and may add only its
+        // bookkeeping and one run row — the same constant for both, which is the
+        // O(distinct + runs) bound on mined state.
+        let wide = |v: i64| {
+            let terms: Vec<String> = (0..10).map(|k| format!("c{k} = {v}")).collect();
+            parse(&format!("SELECT a FROM t WHERE {}", terms.join(" AND ")))
+        };
+        let pairs = [
+            [
+                parse("SELECT a FROM t WHERE x = 1"),
+                parse("SELECT a FROM t WHERE x = 2"),
+            ],
+            [wide(1), wide(2)],
+        ];
+        const ROWS: usize = 1000;
+        let mut per_row = Vec::new();
+        for pair in &pairs {
+            let mut session = Session::new(PiOptions {
+                window: WindowStrategy::sliding(2),
+                ..PiOptions::default()
+            });
+            for k in 0..3 {
+                session.push(pair[k % 2].clone());
+            }
+            let changes = session.acc.store().len() / session.acc.store().runs().len();
+            let warm = session.memory_footprint();
+            for k in 3..3 + ROWS {
+                session.push(pair[k % 2].clone());
+            }
+            assert_eq!(
+                session.acc.memo().alignments(),
+                2,
+                "only the warm-up aligned"
+            );
+            let grown = session.memory_footprint() - warm;
+            assert_eq!(grown % ROWS, 0, "{grown} bytes over {ROWS} rows");
+            per_row.push((changes, grown / ROWS));
+        }
+        assert_eq!(per_row[0].0, 2);
+        assert!(per_row[1].0 >= 20, "{per_row:?}");
+        assert_eq!(per_row[0].1, per_row[1].1, "{per_row:?}");
+    }
+
+    #[test]
+    fn resealed_mining_section_flips_restore_cleanly_or_fail() {
+        // The checksum is a lane sum, not a MAC: bytes changed and re-sealed reach the
+        // decoder.  Each flip of the mining section must then either fail restore or give a
+        // session that maps and persists without panicking.
+        for memoize in [true, false] {
+            let mut session = Session::new(PiOptions {
+                memoize,
+                ..PiOptions::default()
+            });
+            session.push_sql("SELECT a FROM t WHERE x = 1");
+            session.push_sql("SELECT b FROM t WHERE x = 2");
+            session.push_sql("SELECT a FROM t WHERE x = 3");
+            let bytes = session.persist_to_vec().unwrap();
+            let mut mining = Vec::new();
+            pi_graph::codec::write_accumulator(&mut mining, &session.acc).unwrap();
+            let header = SNAPSHOT_MAGIC.len() + 4;
+            let end = bytes.len() - 8;
+            let section = end - mining.len()..end;
+            assert_eq!(&bytes[section.clone()], mining.as_slice());
+            let (mut restored_ok, mut rejected) = (0, 0);
+            for i in section {
+                // Every single-bit flip, a run tag turned into 7, and a full inversion.
+                for mask in (0..8).map(|bit| 1u8 << bit).chain([0x07, 0xff]) {
+                    let mut bad = bytes.clone();
+                    bad[i] ^= mask;
+                    let sum = codec::checksum(&bad[header..end]);
+                    bad[end..].copy_from_slice(&sum.to_le_bytes());
+                    match Session::restore(&mut bad.as_slice()) {
+                        Ok(mut restored) => {
+                            restored_ok += 1;
+                            let _ = restored.graph();
+                            let _ = restored.snapshot();
+                            restored
+                                .persist_to_vec()
+                                .expect("a restored session persists");
+                        }
+                        Err(_) => rejected += 1,
+                    }
+                }
+            }
+            assert!(
+                restored_ok > 0 && rejected > 0,
+                "{restored_ok} / {rejected}"
+            );
+        }
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //! restored trees hash and compare identically to the originals regardless of interning
 //! order.
 
+use crate::hash::IntBuildHasher;
 use crate::kind::NodeKind;
 use crate::node::Node;
 use crate::path::Path;
@@ -617,13 +618,18 @@ pub fn take_attr_value<R: Read>(r: &mut R) -> Result<AttrValue, CodecError> {
 /// [`write_to`]: NodeTableBuilder::write_to
 #[derive(Debug, Default)]
 pub struct NodeTableBuilder {
-    /// Structural hash → indices of entries carrying that hash (one except under a real
-    /// 64-bit collision; membership is decided by full equality, mirroring the dedup
-    /// table's collision contract).
-    by_hash: HashMap<u64, Vec<u32>>,
-    /// Distinct subtrees in emission order, each with the table indices of its children.
-    entries: Vec<(Node, Vec<u32>)>,
+    /// Structural hash → the newest entry carrying that hash.  Each entry links to the
+    /// previous one with the same hash, so a chain has one link except under a real 64-bit
+    /// collision; membership is decided by full equality, mirroring the dedup table's
+    /// collision contract.
+    by_hash: HashMap<u64, u32, IntBuildHasher>,
+    /// Distinct subtrees in emission order, each with the table indices of its children
+    /// and the previous entry of its hash chain ([`NO_ENTRY`] ends a chain).
+    entries: Vec<(Node, Vec<u32>, u32)>,
 }
+
+/// The end of a [`NodeTableBuilder`] hash chain.
+const NO_ENTRY: u32 = u32::MAX;
 
 impl NodeTableBuilder {
     /// An empty table.
@@ -642,11 +648,15 @@ impl NodeTableBuilder {
     }
 
     fn lookup(&self, node: &Node) -> Option<u32> {
-        let indices = self.by_hash.get(&node.structural_hash())?;
-        indices.iter().copied().find(|&i| {
-            let seen = &self.entries[i as usize].0;
-            seen.ptr_eq(node) || seen == node
-        })
+        let mut idx = *self.by_hash.get(&node.structural_hash())?;
+        while idx != NO_ENTRY {
+            let (seen, _, previous) = &self.entries[idx as usize];
+            if seen.ptr_eq(node) || seen == node {
+                return Some(idx);
+            }
+            idx = *previous;
+        }
+        None
     }
 
     /// Interns a tree (and, recursively, every distinct subtree of it), returning its table
@@ -657,11 +667,11 @@ impl NodeTableBuilder {
         }
         let children: Vec<u32> = node.children().iter().map(|c| self.intern(c)).collect();
         let idx = u32::try_from(self.entries.len()).expect("fewer than 2^32 distinct subtrees");
-        self.by_hash
-            .entry(node.structural_hash())
-            .or_default()
-            .push(idx);
-        self.entries.push((node.clone(), children));
+        let previous = self
+            .by_hash
+            .insert(node.structural_hash(), idx)
+            .unwrap_or(NO_ENTRY);
+        self.entries.push((node.clone(), children, previous));
         idx
     }
 
@@ -670,7 +680,7 @@ impl NodeTableBuilder {
     /// the reader re-verifies.
     pub fn write_to<W: Write>(&self, w: &mut W) -> Result<(), CodecError> {
         put_varint(w, self.entries.len() as u64)?;
-        for (node, children) in &self.entries {
+        for (node, children, _) in &self.entries {
             put_kind(w, node.kind_ref())?;
             put_varint(w, node.attrs().len() as u64)?;
             for (key, value) in node.attrs() {

@@ -55,9 +55,11 @@ mod value;
 pub mod builder;
 pub mod codec;
 pub mod frontend;
+pub mod hash;
 
 pub use codec::CodecError;
 pub use frontend::{Dialect, ErrorSample, Frontend, FrontendError, Frontends};
+pub use hash::{IntBuildHasher, IntHasher};
 pub use intern::Sym;
 pub use istr::{ArenaStats, IStr};
 pub use kind::{CollectionKind, NodeKind, PrimitiveType};

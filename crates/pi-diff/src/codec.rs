@@ -1,34 +1,25 @@
-//! Snapshot codec for the diff layer: change payloads and the [`DiffStore`].
+//! Snapshot codec for the diff layer: the change table.
 //!
-//! A mined session's diff state is dominated by *shared* [`TreeChange`] payloads — the
-//! memoized mining path stamps one `Arc`-allocated change list onto every log pair it
-//! recurs in.  The codec preserves that sharing on disk and on restore:
+//! A mined session's diff state is a table of index-free [`TreeChange`] payloads that change
+//! lists refer to by index (see [`crate::DiffStore`]).  The codec writes each distinct change
+//! once:
 //!
-//! * [`ChangeTableBuilder`] collects the distinct change payloads referenced by a snapshot
-//!   into one table, deduplicating first by `Arc` pointer identity (the common case: a
-//!   payload shared between a store record and a memo entry is interned once for free) and
-//!   then by content, so even a memo-off build — which allocates a fresh payload per log
-//!   pair — snapshots each distinct change once.
-//! * [`read_change_table`] rebuilds the payloads as shared `Arc`s against an
-//!   already-restored node table, so every [`DiffRecord`] and memo entry restored from the
-//!   snapshot aliases one allocation per distinct change.
-//! * [`write_diff_store`] / [`read_diff_store`] serialize the record arena itself as
-//!   `(q1, q2, change-index)` triples — ids are positional, so `DiffId` offsets restore
-//!   byte-identically by construction.
+//! * [`ChangeTableBuilder`] collects the changes a snapshot references into one table,
+//!   deduplicated by content — the node-table indices of both sides, the leaf flag and the
+//!   path — so equal changes aligned from different representatives, or stored once per
+//!   pair by a memo-off build, snapshot as one entry.
+//! * [`read_change_table`] rebuilds the payloads against an already-restored node table, so
+//!   every list restored from the snapshot indexes one table entry per distinct change.
 
-use crate::record::{DiffRecord, TreeChange};
-use crate::store::DiffStore;
+use crate::record::TreeChange;
 use pi_ast::codec::{
     corrupt, put_path, put_u8, put_varint, take_count, take_path, take_u8, take_varint, CodecError,
     NodeTableBuilder,
 };
-use pi_ast::Node;
+use pi_ast::{IntBuildHasher, Node};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::io::{Read, Write};
-use std::sync::Arc;
-
-/// Content key of a change payload after node interning: `(before, after, is_leaf, path)`.
-type ChangeKey = (Option<u32>, Option<u32>, bool, Vec<usize>);
 
 /// Builds the deduplicated table of distinct [`TreeChange`] payloads referenced by a
 /// snapshot.
@@ -38,17 +29,24 @@ type ChangeKey = (Option<u32>, Option<u32>, bool, Vec<usize>);
 /// is written once with [`ChangeTableBuilder::write_to`] and sections refer to changes by
 /// `u32` index.
 #[derive(Debug, Default)]
-pub struct ChangeTableBuilder {
-    /// `Arc` pointer → index: free dedup for payloads that are physically shared.
-    by_ptr: HashMap<*const TreeChange, u32>,
-    /// Content → index: collapses structurally identical payloads that were allocated
-    /// separately (the memo-off mining path).
-    by_content: HashMap<ChangeKey, u32>,
-    /// Distinct payloads with their interned node indices, in emission order.
-    entries: Vec<(Arc<TreeChange>, Option<u32>, Option<u32>)>,
+pub struct ChangeTableBuilder<'a> {
+    /// Content hash → the newest entry with that hash; entries chain to older ones with
+    /// the same hash, and membership is decided by comparing the content.
+    by_content: HashMap<u64, u32, IntBuildHasher>,
+    /// Distinct payloads in emission order, with their interned node indices and the
+    /// previous entry of their hash chain (`u32::MAX` ends a chain).
+    entries: Vec<ChangeEntry<'a>>,
 }
 
-impl ChangeTableBuilder {
+#[derive(Debug)]
+struct ChangeEntry<'a> {
+    change: &'a TreeChange,
+    before: Option<u32>,
+    after: Option<u32>,
+    previous: u32,
+}
+
+impl<'a> ChangeTableBuilder<'a> {
     /// An empty table.
     pub fn new() -> Self {
         Self::default()
@@ -65,23 +63,33 @@ impl ChangeTableBuilder {
     }
 
     /// Interns a change payload (and its subtrees, into `nodes`), returning its table
-    /// index.  Idempotent by pointer and by content.
-    pub fn intern(&mut self, change: &Arc<TreeChange>, nodes: &mut NodeTableBuilder) -> u32 {
-        let ptr = Arc::as_ptr(change);
-        if let Some(&idx) = self.by_ptr.get(&ptr) {
-            return idx;
-        }
+    /// index.  Idempotent by content.
+    pub fn intern(&mut self, change: &'a TreeChange, nodes: &mut NodeTableBuilder) -> u32 {
         let before = change.before.as_ref().map(|n| nodes.intern(n));
         let after = change.after.as_ref().map(|n| nodes.intern(n));
-        let key: ChangeKey = (before, after, change.is_leaf, change.path.steps().to_vec());
-        if let Some(&idx) = self.by_content.get(&key) {
-            self.by_ptr.insert(ptr, idx);
-            return idx;
+        let mut hasher = IntBuildHasher::default().build_hasher();
+        (before, after, change.is_leaf).hash(&mut hasher);
+        change.path.hash(&mut hasher);
+        let key = hasher.finish();
+        let head = self.by_content.get(&key).copied().unwrap_or(u32::MAX);
+        let mut idx = head;
+        while idx != u32::MAX {
+            let entry = &self.entries[idx as usize];
+            if (entry.before, entry.after, entry.change.is_leaf) == (before, after, change.is_leaf)
+                && entry.change.path == change.path
+            {
+                return idx;
+            }
+            idx = entry.previous;
         }
         let idx = u32::try_from(self.entries.len()).expect("fewer than 2^32 distinct changes");
-        self.by_ptr.insert(ptr, idx);
         self.by_content.insert(key, idx);
-        self.entries.push((change.clone(), before, after));
+        self.entries.push(ChangeEntry {
+            change,
+            before,
+            after,
+            previous: head,
+        });
         idx
     }
 
@@ -89,17 +97,17 @@ impl ChangeTableBuilder {
     /// byte and the optional `before`/`after` node-table indices.
     pub fn write_to<W: Write>(&self, w: &mut W) -> Result<(), CodecError> {
         put_varint(w, self.entries.len() as u64)?;
-        for (change, before, after) in &self.entries {
-            put_path(w, &change.path)?;
-            let flags = u8::from(before.is_some())
-                | (u8::from(after.is_some()) << 1)
-                | (u8::from(change.is_leaf) << 2);
+        for entry in &self.entries {
+            put_path(w, &entry.change.path)?;
+            let flags = u8::from(entry.before.is_some())
+                | (u8::from(entry.after.is_some()) << 1)
+                | (u8::from(entry.change.is_leaf) << 2);
             put_u8(w, flags)?;
-            if let Some(idx) = before {
-                put_varint(w, u64::from(*idx))?;
+            if let Some(idx) = entry.before {
+                put_varint(w, u64::from(idx))?;
             }
-            if let Some(idx) = after {
-                put_varint(w, u64::from(*idx))?;
+            if let Some(idx) = entry.after {
+                put_varint(w, u64::from(idx))?;
             }
         }
         Ok(())
@@ -107,11 +115,12 @@ impl ChangeTableBuilder {
 }
 
 /// Reads a change table written by [`ChangeTableBuilder::write_to`], resolving node
-/// indices against an already-restored node table.
+/// indices against an already-restored node table.  A change with neither side is
+/// corruption: every change replaces, adds or removes a subtree.
 pub fn read_change_table<R: Read>(
     r: &mut R,
     nodes: &[Node],
-) -> Result<Vec<Arc<TreeChange>>, CodecError> {
+) -> Result<Vec<TreeChange>, CodecError> {
     let count = take_count(r)?;
     let mut changes = Vec::with_capacity(count.min(1 << 16));
     let node_at = |idx: u64| -> Result<Node, CodecError> {
@@ -123,7 +132,7 @@ pub fn read_change_table<R: Read>(
     for _ in 0..count {
         let path = take_path(r)?;
         let flags = take_u8(r)?;
-        if flags & !0b111 != 0 {
+        if flags & !0b111 != 0 || flags & 0b011 == 0 {
             return Err(corrupt(format!("invalid change flag byte {flags:#x}")));
         }
         let before = if flags & 0b001 != 0 {
@@ -136,52 +145,14 @@ pub fn read_change_table<R: Read>(
         } else {
             None
         };
-        changes.push(Arc::new(TreeChange {
+        changes.push(TreeChange {
             path,
             before,
             after,
             is_leaf: flags & 0b100 != 0,
-        }));
+        });
     }
     Ok(changes)
-}
-
-/// Writes a [`DiffStore`] as `(q1, q2, change-index)` triples in id order.  Every payload
-/// must already be interned in `changes` (the caller's pre-pass guarantees it; interning
-/// again here is an idempotent lookup).
-pub fn write_diff_store<W: Write>(
-    w: &mut W,
-    store: &DiffStore,
-    changes: &mut ChangeTableBuilder,
-    nodes: &mut NodeTableBuilder,
-) -> Result<(), CodecError> {
-    put_varint(w, store.len() as u64)?;
-    for (_, record) in store.iter() {
-        put_varint(w, record.q1 as u64)?;
-        put_varint(w, record.q2 as u64)?;
-        put_varint(w, u64::from(changes.intern(record.change(), nodes)))?;
-    }
-    Ok(())
-}
-
-/// Reads a [`DiffStore`] written by [`write_diff_store`], re-sharing change payloads from
-/// the restored change table — `DiffId`s are positional, so offsets restore exactly.
-pub fn read_diff_store<R: Read>(
-    r: &mut R,
-    changes: &[Arc<TreeChange>],
-) -> Result<DiffStore, CodecError> {
-    let count = take_count(r)?;
-    let mut store = DiffStore::new();
-    for _ in 0..count {
-        let q1 = take_varint(r)? as usize;
-        let q2 = take_varint(r)? as usize;
-        let idx = take_varint(r)? as usize;
-        let change = changes
-            .get(idx)
-            .ok_or_else(|| corrupt(format!("record references missing change {idx}")))?;
-        store.push(DiffRecord::from_shared(q1, q2, change.clone()));
-    }
-    Ok(store)
 }
 
 #[cfg(test)]
@@ -195,88 +166,71 @@ mod tests {
         pi_sql::SqlFrontend.parse_one(sql).unwrap()
     }
 
-    fn sample_store() -> DiffStore {
+    /// Two alignments' changes, then the first alignment again (equal content, separate
+    /// values).
+    fn sample_lists() -> [Vec<TreeChange>; 3] {
         let a = parse("SELECT sales FROM t WHERE cty = 'USA'");
         let b = parse("SELECT costs FROM t WHERE cty = 'EUR'");
         let c = parse("SELECT costs FROM t WHERE cty = 'CHN'");
-        let mut store = DiffStore::new();
-        store.extend(crate::extract_diffs(
-            &a,
-            &b,
-            0,
-            1,
-            AncestorPolicy::LcaPruned,
-        ));
-        store.extend(crate::extract_diffs(
-            &b,
-            &c,
-            1,
-            2,
-            AncestorPolicy::LcaPruned,
-        ));
-        // Duplicate pair at new endpoints: separately-allocated but structurally identical
-        // payloads, exercising the content-dedup tier.
-        store.extend(crate::extract_diffs(
-            &a,
-            &b,
-            3,
-            4,
-            AncestorPolicy::LcaPruned,
-        ));
-        store
+        let policy = AncestorPolicy::LcaPruned;
+        [
+            crate::extract_changes(&a, &b, policy),
+            crate::extract_changes(&b, &c, policy),
+            crate::extract_changes(&a, &b, policy),
+        ]
     }
 
     #[test]
-    fn store_round_trips_and_dedups_repeated_changes() {
-        let store = sample_store();
+    fn change_table_round_trips_and_dedups_equal_changes() {
+        let lists = sample_lists();
         let mut nodes = NodeTableBuilder::new();
-        let mut changes = ChangeTableBuilder::new();
-        for (_, record) in store.iter() {
-            changes.intern(record.change(), &mut nodes);
-        }
-        // The (a, b) pair appears twice with fresh allocations; content dedup must fold it.
-        assert!(changes.len() < store.len());
-
-        let mut node_buf = Vec::new();
-        nodes.write_to(&mut node_buf).unwrap();
-        let mut change_buf = Vec::new();
-        changes.write_to(&mut change_buf).unwrap();
-        let mut store_buf = Vec::new();
-        write_diff_store(&mut store_buf, &store, &mut changes, &mut nodes).unwrap();
-
-        let restored_nodes = read_node_table(&mut node_buf.as_slice()).unwrap();
-        let restored_changes =
-            read_change_table(&mut change_buf.as_slice(), &restored_nodes).unwrap();
-        let restored = read_diff_store(&mut store_buf.as_slice(), &restored_changes).unwrap();
-        assert_eq!(restored, store);
-        // Restored records share payloads: the duplicate pair aliases one allocation.
-        let first = restored.get(crate::DiffId(0));
-        let dup = restored
+        let mut table = ChangeTableBuilder::new();
+        let indices: Vec<Vec<u32>> = lists
             .iter()
-            .find(|(id, r)| id.0 > 0 && r.q1 == 3 && r.change() == first.change())
-            .map(|(_, r)| r);
-        if let Some(dup) = dup {
-            assert!(Arc::ptr_eq(first.change(), dup.change()));
+            .map(|list| list.iter().map(|c| table.intern(c, &mut nodes)).collect())
+            .collect();
+        // The repeated alignment folds onto the first one's entries.
+        assert_eq!(indices[2], indices[0]);
+        assert_eq!(table.len(), lists[0].len() + lists[1].len());
+
+        let mut node_buf = Vec::new();
+        nodes.write_to(&mut node_buf).unwrap();
+        let mut change_buf = Vec::new();
+        table.write_to(&mut change_buf).unwrap();
+        let restored_nodes = read_node_table(&mut node_buf.as_slice()).unwrap();
+        let restored = read_change_table(&mut change_buf.as_slice(), &restored_nodes).unwrap();
+        assert_eq!(restored.len(), table.len());
+        for (list, idxs) in lists.iter().zip(&indices) {
+            for (change, &idx) in list.iter().zip(idxs) {
+                assert_eq!(&restored[idx as usize], change);
+            }
         }
     }
 
     #[test]
-    fn corrupt_change_indices_err_cleanly() {
-        let store = sample_store();
+    fn corrupt_change_tables_err_cleanly() {
+        let lists = sample_lists();
         let mut nodes = NodeTableBuilder::new();
-        let mut changes = ChangeTableBuilder::new();
-        let mut store_buf = Vec::new();
-        write_diff_store(&mut store_buf, &store, &mut changes, &mut nodes).unwrap();
-        // An empty change table makes every record's change index dangle.
-        assert!(read_diff_store(&mut store_buf.as_slice(), &[]).is_err());
-        // Truncations fail cleanly at every prefix length.
+        let mut table = ChangeTableBuilder::new();
+        for change in lists.iter().flatten() {
+            table.intern(change, &mut nodes);
+        }
         let mut node_buf = Vec::new();
         nodes.write_to(&mut node_buf).unwrap();
         let restored_nodes = read_node_table(&mut node_buf.as_slice()).unwrap();
         let mut change_buf = Vec::new();
-        changes.write_to(&mut change_buf).unwrap();
+        table.write_to(&mut change_buf).unwrap();
+        // Without the node table every side index dangles.
+        assert!(read_change_table(&mut change_buf.as_slice(), &[]).is_err());
+        // Truncations fail cleanly at every prefix length.
         for len in 0..change_buf.len() {
             assert!(read_change_table(&mut change_buf[..len].as_ref(), &restored_nodes).is_err());
         }
+        // A change with neither side is refused.
+        let mut sideless = Vec::new();
+        put_varint(&mut sideless, 1).unwrap();
+        put_path(&mut sideless, &pi_ast::Path::root()).unwrap();
+        put_u8(&mut sideless, 0b100).unwrap();
+        assert!(read_change_table(&mut sideless.as_slice(), &restored_nodes).is_err());
     }
 }

@@ -28,8 +28,10 @@ mod record;
 mod store;
 
 pub use align::{diff_trees, leaf_changes, LeafChange};
-pub use record::{apply_leaf_changes, AncestorPolicy, ChangeKind, DiffRecord, TreeChange};
-pub use store::{DiffId, DiffStore};
+pub use record::{
+    apply_leaf_changes, AncestorPolicy, ChangeKind, DiffRecord, RecordRef, TreeChange,
+};
+pub use store::{DiffId, DiffStore, Run};
 
 use pi_ast::Node;
 
@@ -53,7 +55,7 @@ pub fn extract_diffs(
 ///
 /// This is the memoizable unit of pair mining — alignment depends only on tree structure, so
 /// one change list serves every log pair whose members are structurally identical to
-/// `(a, b)`.  The invariant the memoized graph builder relies on (and property tests pin):
+/// `(a, b)`: a [`DiffStore`] holds the list once and a run row per such pair.  The invariant the memoized graph builder relies on (and property tests pin):
 /// for all `i`, `j`,
 /// `extract_changes(a, b, p).iter().map(|c| c.to_record(i, j)) == extract_diffs(a, b, i, j, p)`.
 pub fn extract_changes(a: &Node, b: &Node, policy: AncestorPolicy) -> Vec<TreeChange> {

@@ -2,7 +2,6 @@
 
 use crate::align::{leaf_changes, LeafChange};
 use pi_ast::{Node, Path, PrimitiveType, ReplaceError};
-use std::sync::Arc;
 
 /// How the ancestor closure of leaf diffs is materialised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -28,22 +27,23 @@ pub enum ChangeKind {
     Deletion,
 }
 
-/// One row of the `diffs` table: `d = (q1, q2, p, t1, t2, type)` (paper Table 1).
+/// One row of the `diffs` table: `d = (q1, q2, p, t1, t2, type)` (paper Table 1), owning
+/// its `(p, t1, t2)` payload — what [`extract_diffs`](crate::extract_diffs) returns for one
+/// pair.  The payload is reachable through `Deref`: `record.path`, `record.before`,
+/// `record.after`, `record.is_leaf` and the [`TreeChange`] methods all read it.  Subtree
+/// sides alias the queries they came from ([`Node`] is a copy-on-write handle), so nothing
+/// here deep-copies a tree.
 ///
-/// The `(p, t1, t2)` payload lives in a shared [`TreeChange`] (`Arc`-allocated), reachable
-/// through `Deref` — `record.path`, `record.before`, `record.after` and `record.is_leaf`
-/// all read the shared payload.  Duplicate-collapsed mining mints one payload per distinct
-/// tree pair and stamps it with `(q1, q2)` per log pair, so a record is 4 words and its
-/// clone is a single refcount bump; subtree sides in turn alias the queries they came from
-/// ([`Node`] is a copy-on-write handle), so nothing here ever deep-copies a tree.
+/// A [`DiffStore`](crate::DiffStore) does not hold records: it holds each change once and
+/// hands out [`RecordRef`] views.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiffRecord {
     /// Index of the source query in the log.
     pub q1: usize,
     /// Index of the target query in the log.
     pub q2: usize,
-    /// The index-free transformation, shared across every log pair it recurs in.
-    change: Arc<TreeChange>,
+    /// The index-free transformation.
+    change: TreeChange,
 }
 
 impl std::ops::Deref for DiffRecord {
@@ -55,26 +55,57 @@ impl std::ops::Deref for DiffRecord {
 }
 
 impl DiffRecord {
-    /// Builds a record from an owned change (the payload is `Arc`-allocated here).
+    /// Builds a record from its log endpoints and its change.
     pub fn new(q1: usize, q2: usize, change: TreeChange) -> Self {
-        DiffRecord {
-            q1,
-            q2,
-            change: Arc::new(change),
-        }
-    }
-
-    /// Builds a record sharing an already-allocated change payload — the memoized mining
-    /// path, where one alignment's changes are stamped with many `(q1, q2)` endpoints.
-    pub fn from_shared(q1: usize, q2: usize, change: Arc<TreeChange>) -> Self {
         DiffRecord { q1, q2, change }
     }
 
-    /// The shared index-free change payload.
-    pub fn change(&self) -> &Arc<TreeChange> {
+    /// The index-free change payload.
+    pub fn change(&self) -> &TreeChange {
         &self.change
     }
-    /// Whether the record replaces, adds, or removes a subtree.
+}
+
+/// A `diffs` table row read from a [`DiffStore`](crate::DiffStore): the log endpoints of
+/// the record's compared pair and the change the pair's list shares with every other pair
+/// that uses the list.  Derefs to the [`TreeChange`] like [`DiffRecord`] does.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RecordRef<'a> {
+    /// Index of the source query in the log.
+    pub q1: usize,
+    /// Index of the target query in the log.
+    pub q2: usize,
+    change: &'a TreeChange,
+}
+
+impl<'a> RecordRef<'a> {
+    /// A view of one record: endpoints plus the change it shares.
+    pub(crate) fn new(q1: usize, q2: usize, change: &'a TreeChange) -> Self {
+        RecordRef { q1, q2, change }
+    }
+
+    /// The shared change payload, borrowed from the store.
+    pub fn change(&self) -> &'a TreeChange {
+        self.change
+    }
+}
+
+impl std::ops::Deref for RecordRef<'_> {
+    type Target = TreeChange;
+
+    fn deref(&self) -> &TreeChange {
+        self.change
+    }
+}
+
+impl<'a> From<&'a DiffRecord> for RecordRef<'a> {
+    fn from(record: &'a DiffRecord) -> Self {
+        RecordRef::new(record.q1, record.q2, &record.change)
+    }
+}
+
+impl TreeChange {
+    /// Whether the change replaces, adds, or removes a subtree.
     pub fn change_kind(&self) -> ChangeKind {
         match (&self.before, &self.after) {
             (Some(_), Some(_)) => ChangeKind::Replacement,
@@ -128,7 +159,7 @@ impl DiffRecord {
         }
     }
 
-    /// The subtrees this record contributes to a widget domain (both sides when present).
+    /// The subtrees this change contributes to a widget domain (both sides when present).
     pub fn domain_subtrees(&self) -> Vec<&Node> {
         self.before.iter().chain(self.after.iter()).collect()
     }
@@ -200,9 +231,9 @@ pub fn apply_leaf_changes(base: &Node, records: &[DiffRecord]) -> Result<Node, R
 ///
 /// Alignment is purely structural — two structurally identical tree pairs produce identical
 /// change lists wherever they sit in the log — so this is the unit worth memoizing per
-/// distinct tree pair.  [`TreeChange::to_record`] re-wraps a memoized change into a
-/// [`DiffRecord`] for a concrete `(q1, q2)` pair: a cheap per-occurrence step (a path clone
-/// plus subtree refcount bumps), against the expensive once-per-distinct-pair alignment.
+/// distinct tree pair.  A [`DiffStore`](crate::DiffStore) keeps one change list per
+/// alignment and lets every compared pair of the same shapes point at it;
+/// [`TreeChange::to_record`] attaches endpoints to a copy of a change.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TreeChange {
     /// Path of the transformed subtree (source-tree coordinates).
@@ -217,8 +248,7 @@ pub struct TreeChange {
 
 impl TreeChange {
     /// Attaches log endpoints, producing the [`DiffRecord`] row for one concrete query pair
-    /// (clones the change into a fresh shared payload; use [`DiffRecord::from_shared`]
-    /// when the payload is already `Arc`-allocated).
+    /// (clones the change: a path copy plus subtree refcount bumps).
     pub fn to_record(&self, q1: usize, q2: usize) -> DiffRecord {
         DiffRecord::new(q1, q2, self.clone())
     }
@@ -340,9 +370,9 @@ mod tests {
         assert_eq!(add.change_kind(), ChangeKind::Addition);
         let del = DiffRecord::new(0, 1, change(Some(n), None));
         assert_eq!(del.change_kind(), ChangeKind::Deletion);
-        // Records sharing one payload are equal to records owning an identical one.
-        let shared = DiffRecord::from_shared(0, 1, std::sync::Arc::clone(repl.change()));
-        assert_eq!(shared, repl);
+        // A view of a record reads the same endpoints and change.
+        let view = RecordRef::from(&repl);
+        assert_eq!((view.q1, view.q2, view.change()), (0, 1, repl.change()));
     }
 
     #[test]

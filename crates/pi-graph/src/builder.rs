@@ -9,9 +9,10 @@
 //! same prefix — the invariant `pi-core`'s `Session` is built on.
 //!
 //! With memoization on (the default), each distinct ordered pair of shape classes is aligned
-//! once, the first time the memo meets it, and every log pair of those classes streams the
-//! memoized change list into the store.  The unmemoized builder aligns every log pair and
-//! stays as the reference the memoized one is tested against.
+//! once, the first time the memo meets it, into one change list of the store, and every log
+//! pair of those classes appends one run row pointing at that list.  The unmemoized builder
+//! aligns every log pair into a list of its own and stays as the reference the memoized
+//! one is tested against.
 //!
 //! Parallel mining is cost-modelled and work-stealing: work items are packed into blocks of
 //! comparable *estimated alignment cost* ([`pi_diff::align_cost_model`] over cached node
@@ -23,16 +24,12 @@
 //! thread-scope overhead (`PARALLEL_MIN_COST`), so small batches and latency-sensitive
 //! single-query extends never pay for threads they cannot use.
 
-use crate::dedup::{pair_key, DedupTable, DiffMemo, PairKeyHasher};
-use crate::graph::{Edge, GraphStats, InteractionGraph, IntoQueryLog, QueryLog};
+use crate::dedup::{pair_key, DedupTable, DiffMemo};
+use crate::graph::{edges_of_store, Edge, GraphStats, InteractionGraph, IntoQueryLog, QueryLog};
 use crate::steal;
-use pi_ast::Node;
-use pi_diff::{
-    align_cost_model, extract_changes, extract_diffs, AncestorPolicy, DiffId, DiffRecord,
-    DiffStore, TreeChange,
-};
+use pi_ast::{IntBuildHasher, Node};
+use pi_diff::{align_cost_model, extract_changes, AncestorPolicy, DiffStore, TreeChange};
 use std::collections::HashSet;
-use std::hash::BuildHasherDefault;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -178,11 +175,12 @@ impl WindowStrategy {
 
 /// The growable state behind an incremental graph build: the log ingested so far —
 /// **arena-backed**: one retained [`Node`] per *distinct* tree shape plus a 4-byte class id
-/// per row — the append-only [`DiffStore`], and the edges discovered per appended query.
+/// per row — the append-only pair table ([`DiffStore`]) whose run rows are the edges, and
+/// the alignment memo that maps class pairs to the table's change lists.
 ///
 /// Duplicate queries resolve to their distinct-tree id at ingest and the duplicate tree is
 /// dropped, so a million-query log of `d` distinct shapes retains `d` trees, not a million.
-/// Row indices are unchanged everywhere else: the store and edges keep indexing by log row,
+/// Row indices are unchanged everywhere else: the store's runs keep indexing by log row,
 /// and [`GraphAccumulator::to_graph`] materialises the full row-indexed [`QueryLog`] (one
 /// refcount bump per row) so frozen graphs are byte-identical to pre-arena builds
 /// (property-tested).
@@ -197,7 +195,6 @@ pub struct GraphAccumulator {
     /// memo on *or* off) — this is the accumulator's query log, not an optimisation.
     pub(crate) dedup: DedupTable,
     pub(crate) store: DiffStore,
-    pub(crate) edges: Vec<Edge>,
     /// The duplicate-collapsing alignment memo, persisted across extends so a streaming
     /// session pays one alignment per distinct ordered tree pair over its whole lifetime.
     /// Never observable in the graph: snapshots are byte-identical with or without it.
@@ -236,14 +233,14 @@ impl GraphAccumulator {
         &self.dedup
     }
 
-    /// The diff records accumulated so far.
+    /// The pair table accumulated so far: change table, change lists and run rows.
     pub fn store(&self) -> &DiffStore {
         &self.store
     }
 
-    /// The edges accumulated so far.
-    pub fn edges(&self) -> &[Edge] {
-        &self.edges
+    /// The edges accumulated so far, one per run row of the store.
+    pub fn edges(&self) -> impl ExactSizeIterator<Item = Edge> + '_ {
+        edges_of_store(&self.store)
     }
 
     /// The duplicate-collapsing alignment memo accumulated so far (empty when every extend
@@ -257,7 +254,7 @@ impl GraphAccumulator {
     pub fn stats(&self) -> GraphStats {
         GraphStats {
             queries: self.dedup.len(),
-            edges: self.edges.len(),
+            edges: self.store.runs().len(),
             diff_records: self.store.len(),
             distinct_paths: self.store.distinct_paths(),
         }
@@ -266,7 +263,7 @@ impl GraphAccumulator {
     /// Estimated heap bytes of the accumulated *query-log storage*: the distinct-tree arena
     /// plus the per-row class ids ([`DedupTable::footprint_bytes`]).  Grows with the number
     /// of distinct shapes `d` plus 4 bytes per row — not with retained trees per row.
-    /// Mined artifacts (store, edges, memo) are intentionally excluded; they are sized by
+    /// Mined artifacts (store and memo) are intentionally excluded; they are sized by
     /// the window strategy, not by log storage, and are reported separately by
     /// `pi-core`'s session breakdown.
     pub fn log_footprint_bytes(&self) -> usize {
@@ -283,10 +280,10 @@ impl GraphAccumulator {
 
     /// Freezes the current state into an [`InteractionGraph`] without consuming the
     /// accumulator: the row-indexed log is materialised as in
-    /// [`GraphAccumulator::query_log`], the store and edges are cloned as-is (record
-    /// subtrees are `Arc`-shared, so this copies pointers, not trees).
+    /// [`GraphAccumulator::query_log`], and the store is cloned as-is (change subtrees are
+    /// shared handles, so this copies rows and pointers, not trees).
     pub fn to_graph(&self) -> InteractionGraph {
-        InteractionGraph::from_parts(self.query_log(), self.store.clone(), self.edges.clone())
+        InteractionGraph::from_parts(self.query_log(), self.store.clone())
     }
 }
 
@@ -407,9 +404,9 @@ impl GraphBuilder {
     }
 
     /// Appends one query to an incrementally built graph, running only the new alignments
-    /// the window strategy admits ([`WindowStrategy::prev_pairs`]) and appending their
-    /// records to the accumulator's store at stable `DiffId` offsets.  Returns the appended
-    /// query's log index.
+    /// the window strategy admits ([`WindowStrategy::prev_pairs`]) and appending their runs
+    /// to the accumulator's store at stable `DiffId` offsets.  Returns the appended query's
+    /// log index.
     ///
     /// Folding `extend` over a log yields the same accumulator state as a one-shot
     /// [`GraphBuilder::build`] of that log — same edges, same records, same ids, in the same
@@ -439,14 +436,9 @@ impl GraphBuilder {
         }
         let end = acc.dedup.len();
         if self.memoize {
-            // Split borrows: the memo/store/edges grow while the dedup table is read.
-            let GraphAccumulator {
-                dedup,
-                store,
-                edges,
-                memo,
-            } = acc;
-            self.mine_rows_memoized(dedup, start..end, memo, store, edges);
+            // Split borrows: the memo and store grow while the dedup table is read.
+            let GraphAccumulator { dedup, store, memo } = acc;
+            self.mine_rows_memoized(dedup, start..end, memo, store);
             return start..end;
         }
         let threads = self.effective_threads();
@@ -465,26 +457,24 @@ impl GraphBuilder {
                     )
                 },
                 |i, j| {
-                    extract_diffs(
+                    extract_changes(
                         dedup.representative(dedup.class_of(i)),
                         dedup.representative(dedup.class_of(j)),
-                        i,
-                        j,
                         policy,
                     )
                 },
             );
             if let Some(results) = mined {
-                for (i, j, records) in results {
-                    append_pair(&mut acc.store, &mut acc.edges, i, j, records);
+                for (i, j, changes) in results {
+                    append_pair(&mut acc.store, i, j, changes);
                 }
                 return start..end;
             }
         }
         for j in start..end {
             for i in self.window.prev_pairs(j) {
-                let records = extract_diffs(acc.query(i), acc.query(j), i, j, self.policy);
-                append_pair(&mut acc.store, &mut acc.edges, i, j, records);
+                let changes = extract_changes(acc.query(i), acc.query(j), self.policy);
+                append_pair(&mut acc.store, i, j, changes);
             }
         }
         start..end
@@ -501,7 +491,6 @@ impl GraphBuilder {
         let queries: QueryLog = queries.into_query_log();
         let n = queries.len();
         let mut store = DiffStore::new();
-        let mut edges = Vec::new();
         if self.memoize {
             // A one-shot build shares (or takes over) the input log Arc, so the arena is
             // only a mining-side view: a local dedup table over the log's rows.
@@ -510,8 +499,8 @@ impl GraphBuilder {
                 dedup.ingest(query);
             }
             let mut memo = DiffMemo::new();
-            self.mine_rows_memoized(&dedup, 0..n, &mut memo, &mut store, &mut edges);
-            return InteractionGraph::from_parts(queries, store, edges);
+            self.mine_rows_memoized(&dedup, 0..n, &mut memo, &mut store);
+            return InteractionGraph::from_parts(queries, store);
         }
         let threads = self.effective_threads();
         let mut mined = None;
@@ -523,40 +512,40 @@ impl GraphBuilder {
                 threads,
                 0..n,
                 |i, j| align_cost_model(sizes[i], sizes[j]),
-                |i, j| extract_diffs(&log[i], &log[j], i, j, policy),
+                |i, j| extract_changes(&log[i], &log[j], policy),
             );
         }
         match mined {
             Some(results) => {
-                for (i, j, records) in results {
-                    append_pair(&mut store, &mut edges, i, j, records);
+                for (i, j, changes) in results {
+                    append_pair(&mut store, i, j, changes);
                 }
             }
             None => {
                 for j in 0..n {
                     for i in self.window.prev_pairs(j) {
-                        let records = extract_diffs(&queries[i], &queries[j], i, j, self.policy);
-                        append_pair(&mut store, &mut edges, i, j, records);
+                        let changes = extract_changes(&queries[i], &queries[j], self.policy);
+                        append_pair(&mut store, i, j, changes);
                     }
                 }
             }
         }
-        InteractionGraph::from_parts(queries, store, edges)
+        InteractionGraph::from_parts(queries, store)
     }
 
     /// The duplicate-collapsing mining path shared by batch builds and incremental extends:
     /// walk the log pairs in append order; identical-shape pairs short-circuit before the
-    /// memo is even consulted, and every other pair streams its class pair's memoized change
-    /// list straight into the store, aligning the class representatives the first time the
-    /// memo meets that ordered pair.
+    /// memo is even consulted, and every other pair appends one run row pointing at its
+    /// class pair's memoized change list, aligning the class representatives into a new
+    /// list the first time the memo meets that ordered pair.
     ///
     /// When multiple workers are available, the batch's missing distinct pairs are first
     /// aligned together ([`GraphBuilder::align_missing_pairs`]), on the work-stealing
     /// scheduler when their estimated cost crosses the parallel gate; the append loop then
     /// only hits the memo.
     ///
-    /// Every path is the same fold over the same append order, so the resulting store and
-    /// edge list are byte-identical to the unmemoized builder's — alignment is purely
+    /// Every path is the same fold over the same append order, so the resulting runs and
+    /// records are byte-identical to the unmemoized builder's — alignment is purely
     /// structural, and every query is structurally identical to its class representative.
     fn mine_rows_memoized(
         &self,
@@ -564,7 +553,6 @@ impl GraphBuilder {
         rows: Range<usize>,
         memo: &mut DiffMemo,
         store: &mut DiffStore,
-        edges: &mut Vec<Edge>,
     ) {
         memo.set_policy(self.policy);
         debug_assert!(dedup.len() >= rows.end, "rows ingested before mining");
@@ -573,7 +561,7 @@ impl GraphBuilder {
         if (threads > 1 && rows.len() > 1) || self.steal_seed.is_some() {
             // The distinct ordered pairs this batch meets but the memo lacks, in
             // first-demand order.
-            let mut queued: HashSet<u64, BuildHasherDefault<PairKeyHasher>> = HashSet::default();
+            let mut queued: HashSet<u64, IntBuildHasher> = HashSet::default();
             let mut needed: Vec<(u32, u32)> = Vec::new();
             for j in rows.clone() {
                 let cb = dedup.class_of(j);
@@ -584,7 +572,7 @@ impl GraphBuilder {
                     }
                 }
             }
-            self.align_missing_pairs(dedup, memo, needed, threads);
+            self.align_missing_pairs(dedup, memo, store, needed, threads);
         }
         for j in rows {
             let cb = dedup.class_of(j);
@@ -595,19 +583,21 @@ impl GraphBuilder {
                     // unmemoized `extract_diffs` of the pair would conclude the hard way.
                     continue;
                 }
-                append_memoized(store, edges, i, j, memo.changes(dedup, ca, cb, policy));
+                let list = memo.list(dedup, store, ca, cb, policy);
+                store.push_run(i, j, list);
             }
         }
     }
 
     /// Ensures every pair in `needed` — the distinct ordered class pairs a batch meets but
-    /// the memo lacks — is memoized before the append loop runs.  Small sets are aligned
-    /// inline, without a thread scope; sets whose estimated cost crosses the parallel gate
-    /// fan out through [`GraphBuilder::align_pairs_parallel`].
+    /// the memo lacks — is memoized, its list in `store`, before the append loop runs.
+    /// Small sets are aligned inline, without a thread scope; sets whose estimated cost
+    /// crosses the parallel gate fan out through [`GraphBuilder::align_pairs_parallel`].
     fn align_missing_pairs(
         &self,
         dedup: &DedupTable,
         memo: &mut DiffMemo,
+        store: &mut DiffStore,
         needed: Vec<(u32, u32)>,
         threads: usize,
     ) {
@@ -620,16 +610,11 @@ impl GraphBuilder {
             .sum();
         if threads > 1 && (total >= PARALLEL_MIN_COST || self.steal_seed.is_some()) {
             for ((ca, cb), changes) in self.align_pairs_parallel(dedup, needed, threads) {
-                memo.insert(ca, cb, changes);
+                memo.insert(ca, cb, store.push_list(changes));
             }
         } else {
             for (ca, cb) in needed {
-                let changes = extract_changes(
-                    dedup.representative(ca),
-                    dedup.representative(cb),
-                    self.policy,
-                );
-                memo.insert(ca, cb, changes);
+                memo.list(dedup, store, ca, cb, self.policy);
             }
         }
     }
@@ -680,7 +665,7 @@ impl GraphBuilder {
 
     /// Enumerates the append-order pairs of `rows`, estimates their total alignment cost,
     /// and — when that cost crosses the parallel gate (or the test hook forces it) — mines
-    /// them on the work-stealing scheduler, returning the per-pair records **in append
+    /// them on the work-stealing scheduler, returning the per-pair change lists **in append
     /// order**: blocks are contiguous runs of the serial enumeration sized by estimated
     /// cost, and [`steal::run_blocks`] merges results in block order regardless of steal
     /// interleaving, so the output is identical to the serial loop's.
@@ -694,11 +679,11 @@ impl GraphBuilder {
         threads: usize,
         rows: Range<usize>,
         pair_cost: C,
-        pair_records: F,
-    ) -> Option<Vec<(usize, usize, Vec<DiffRecord>)>>
+        pair_changes: F,
+    ) -> Option<Vec<(usize, usize, Vec<TreeChange>)>>
     where
         C: Fn(usize, usize) -> u64,
-        F: Fn(usize, usize) -> Vec<DiffRecord> + Sync,
+        F: Fn(usize, usize) -> Vec<TreeChange> + Sync,
     {
         let mut pairs: Vec<(usize, usize)> = Vec::new();
         let mut total: u64 = 0;
@@ -720,7 +705,7 @@ impl GraphBuilder {
             |_, block: &Vec<(usize, usize)>| {
                 block
                     .iter()
-                    .map(|&(i, j)| (i, j, pair_records(i, j)))
+                    .map(|&(i, j)| (i, j, pair_changes(i, j)))
                     .collect::<Vec<_>>()
             },
         );
@@ -736,61 +721,14 @@ fn available_cores() -> usize {
         .unwrap_or(1)
 }
 
-/// Streams a memoized pair entry straight into the store: the entry puts its leaves first,
-/// so the leaf ids are exactly the next `leaf_count` appended ids — the same byte-level
-/// layout [`append_pair`] produces.  Hash-collision entries (distinct classes, zero
-/// changes — the equality the aligner, like the memo-off path, infers from equal hashes)
-/// contribute nothing, matching `append_pair`'s empty-records early return.
-fn append_memoized(
-    store: &mut DiffStore,
-    edges: &mut Vec<Edge>,
-    i: usize,
-    j: usize,
-    entry: &crate::dedup::PairChanges,
-) {
-    if entry.is_empty() {
-        return;
+/// Appends one compared pair's freshly aligned changes as a list of its own and a run
+/// pointing at it — the unmemoized fold step, shared by batch builds and incremental
+/// extends.  Identical pairs contribute nothing.
+fn append_pair(store: &mut DiffStore, i: usize, j: usize, changes: Vec<TreeChange>) {
+    if !changes.is_empty() {
+        let list = store.push_list(changes);
+        store.push_run(i, j, list);
     }
-    let first = store.next_id().0;
-    for change in entry.changes() {
-        store.push(DiffRecord::from_shared(i, j, std::sync::Arc::clone(change)));
-    }
-    edges.push(Edge {
-        from: i,
-        to: j,
-        diffs: (first..first + entry.leaf_count()).map(DiffId).collect(),
-    });
-}
-
-/// Appends one compared pair's records to the growing store and edge list: leaf records
-/// first (their ids label the edge), then ancestors — the order [`extract_diffs`] emits
-/// them in; identical pairs contribute nothing.  This fold step is shared by batch builds
-/// and incremental extends — it *is* the byte-level layout of the graph, so both paths
-/// produce identical stores.
-fn append_pair(
-    store: &mut DiffStore,
-    edges: &mut Vec<Edge>,
-    i: usize,
-    j: usize,
-    records: Vec<DiffRecord>,
-) {
-    if records.is_empty() {
-        return;
-    }
-    let leaf_count = records.iter().take_while(|r| r.is_leaf).count();
-    debug_assert!(
-        records[leaf_count..].iter().all(|r| !r.is_leaf),
-        "extract_diffs emits leaves first"
-    );
-    let first = store.next_id().0;
-    for record in records {
-        store.push(record);
-    }
-    edges.push(Edge {
-        from: i,
-        to: j,
-        diffs: (first..first + leaf_count).map(DiffId).collect(),
-    });
 }
 
 #[cfg(test)]
@@ -931,7 +869,7 @@ mod tests {
             .build(&log);
         assert_eq!(a.edges().len(), b.edges().len());
         assert_eq!(a.store().len(), b.store().len());
-        for (ea, eb) in a.edges().iter().zip(b.edges().iter()) {
+        for (ea, eb) in a.edges().zip(b.edges()) {
             assert_eq!((ea.from, ea.to), (eb.from, eb.to));
         }
     }
@@ -1171,8 +1109,8 @@ mod tests {
             .policy(AncestorPolicy::Full)
             .build(log);
         assert_eq!(g.edges().len(), 1);
-        for id in &g.edges()[0].diffs {
-            assert!(g.store().get(*id).is_leaf);
+        for id in g.edges().next().unwrap().diffs() {
+            assert!(g.store().get(id).is_leaf);
         }
         // Ancestor records are still in the store for the mapper to consider.
         assert!(g.store().iter().any(|(_, r)| !r.is_leaf));

@@ -1,9 +1,9 @@
-//! Snapshot codec for the mining layer: dedup arena, alignment memo and the mined pair
-//! table, round-tripped as one [`GraphAccumulator`] section.
+//! Snapshot codec for the mining layer: dedup arena, alignment memo and the pair table,
+//! round-tripped as one [`GraphAccumulator`] section.
 //!
-//! The wire layout leans on the workspace's mining invariants instead of re-encoding
-//! derived state, so snapshot size scales with *distinct* state plus a few bytes per mined
-//! pair — never with raw record volume:
+//! The wire layout is the accumulator's own: a change table, change lists and run rows, so
+//! snapshot size scales with *distinct* state plus a few bytes per mined pair — never with
+//! raw record volume:
 //!
 //! * **Dedup arena** — class representatives are written as node-table references in
 //!   class-id order, followed by the per-row class ids.  Restore *re-ingests* each row's
@@ -11,88 +11,152 @@
 //!   same first-come class ids and rebuilds every derived cache (hash buckets, counts,
 //!   cached tree sizes, arena totals) — any divergence from the stored ids is reported as
 //!   corruption rather than accepted.
-//! * **Memo** — memoized pairs sorted by packed pair key, so identical state always
-//!   serializes to identical bytes, then a seen-once key count that is always written as 0
-//!   (older writers stored keys of a since-retired admission set there; readers skip
-//!   them).  A restored memo is warm: the first post-restore push aligns only genuinely
-//!   new pairs.
-//! * **Pair table** — the [`pi_diff::DiffStore`] and edge list are *not* serialized record
-//!   by record.  By construction every compared pair appends one contiguous run (leaf
-//!   records first, ancestors after) and one edge labelled with exactly that run's leaf
-//!   ids, in the same order — the runs tile the store.  So each mined pair costs only its
-//!   endpoints (delta-encoded) plus either a one-byte "replay the memo entry for this
-//!   class pair" marker or, for runs whose payloads are not the memoized list (memo-off
-//!   sessions, and pairs older snapshots aligned without memoizing), an explicit
-//!   change-table index list.  A 100k-line session
-//!   whose naïve record dump is >100 MB encodes in a few MB this way.
+//! * **Change table** — every change a memo list or an explicit run uses, once per
+//!   distinct content, numbered in the order the memo lists (by key) and then the explicit
+//!   runs first use them.
+//! * **Memo** — memoized pairs sorted by packed pair key, each with its list of change
+//!   indices, so identical state always serializes to identical bytes; then a seen-once key
+//!   count that is always written as 0 (older writers stored keys of a since-retired
+//!   admission set there; readers skip them).  A restored memo is warm: the first
+//!   post-restore push aligns only genuinely new pairs.
+//! * **Run rows** — one per compared pair, in append order: the endpoints (delta-encoded)
+//!   plus either a one-byte "replay the memo entry for this class pair" marker or an
+//!   explicit change-index list.  A run replays exactly when its change indices and leaf
+//!   count equal its class pair's memo entry; the rest (memo-off sessions, and pairs
+//!   aligned without memoizing) are explicit.  A 100k-line session whose naïve record dump
+//!   is >100 MB encodes in a few MB this way.
 //!
-//! Restore splits in two phases: [`read_accumulator_deferred`] decodes and validates the
-//! distinct-scale sections (tables, dedup, memo) and returns the pair table as compact
-//! [`LatentPairs`] bytes — only its leading counts are checked, since the run scan is the
-//! dominant decode cost and the session layer's checksummed frame already rejects storage
-//! corruption before this codec runs; [`hydrate_pairs`] performs the full
-//! bounds-and-membership scan and expands the runs into the store and edge list when the
-//! graph is actually needed.  [`read_accumulator`] chains both for callers that want the
-//! eager (and eagerly validated) behaviour.
+//! Restore decodes everything eagerly into the same layout: each distinct change once,
+//! one list per memo entry and per explicit run.  It validates the run rows as it goes —
+//! endpoints in range, append order, replays naming a present non-empty entry, indices
+//! naming present changes, and the declared record count — so a malformed table is a
+//! [`CodecError`], never a panic later.
 
 use crate::builder::GraphAccumulator;
-use crate::dedup::{pair_key, DedupTable, DiffMemo, PairChanges};
-use crate::graph::Edge;
+use crate::dedup::{DedupTable, DiffMemo};
 use pi_ast::codec::{
     corrupt, put_u64, put_u8, put_varint, put_zigzag, read_node_table, CodecError, NodeTableBuilder,
 };
 use pi_diff::codec::{read_change_table, ChangeTableBuilder};
-use pi_diff::{AncestorPolicy, DiffId, DiffRecord, TreeChange};
+use pi_diff::{AncestorPolicy, DiffStore};
 use std::collections::HashMap;
 use std::io::Write;
-use std::sync::Arc;
+use std::ops::Range;
 
 /// A run's payload source: replay the memo entry for the pair's classes, or an explicit
 /// change-index list.
 const RUN_MEMOIZED: u8 = 0;
 const RUN_EXPLICIT: u8 = 1;
 
+/// Marks a store change or list the writer has not numbered yet.
+const UNSET: u32 = u32::MAX;
+
+/// The snapshot's change indices of the store's lists, assigned the first time the writer
+/// meets a list: each store change is interned once, so the interner sees every distinct
+/// change of the table, not every record.
+struct SnapshotLists<'a> {
+    store: &'a DiffStore,
+    changes: ChangeTableBuilder<'a>,
+    /// Per store change: its snapshot index, or [`UNSET`].
+    slot: Vec<u32>,
+    /// Per store list: the range of `indices` holding its snapshot indices, once met.
+    lists: Vec<Option<Range<usize>>>,
+    indices: Vec<u32>,
+}
+
+impl<'a> SnapshotLists<'a> {
+    fn new(store: &'a DiffStore) -> Self {
+        SnapshotLists {
+            store,
+            changes: ChangeTableBuilder::new(),
+            slot: vec![UNSET; store.changes().len()],
+            lists: vec![None; store.list_count()],
+            indices: Vec::new(),
+        }
+    }
+
+    /// Where `indices` holds list `list`'s snapshot change indices, interning the list's
+    /// changes on first sight.
+    fn range(&mut self, list: u32, nodes: &mut NodeTableBuilder) -> Range<usize> {
+        if let Some(range) = &self.lists[list as usize] {
+            return range.clone();
+        }
+        let start = self.indices.len();
+        for &c in self.store.list(list) {
+            let slot = &mut self.slot[c as usize];
+            if *slot == UNSET {
+                *slot = self
+                    .changes
+                    .intern(&self.store.changes()[c as usize], nodes);
+            }
+            self.indices.push(*slot);
+        }
+        self.lists[list as usize] = Some(start..self.indices.len());
+        start..self.indices.len()
+    }
+
+    /// List `list`'s snapshot change indices.
+    fn of(&mut self, list: u32, nodes: &mut NodeTableBuilder) -> &[u32] {
+        let range = self.range(list, nodes);
+        &self.indices[range]
+    }
+}
+
 /// Writes the full mining state of an accumulator: node table, change table, dedup rows,
-/// the alignment memo and the pair table.  Identical state writes identical bytes
+/// the alignment memo and the run rows.  Identical state writes identical bytes
 /// (hash-map-ordered sections are sorted first, and run encoding is value-based, so a
 /// restored accumulator re-persists to the same stream).
 pub fn write_accumulator<W: Write>(w: &mut W, acc: &GraphAccumulator) -> Result<(), CodecError> {
-    let mut nodes = NodeTableBuilder::new();
-    let mut changes = ChangeTableBuilder::new();
-
-    // Pre-pass: intern every tree and change payload so both tables are complete before
-    // any section that references them is written.
+    let store = &acc.store;
     let dedup = &acc.dedup;
+    let mut nodes = NodeTableBuilder::new();
+    let mut lists = SnapshotLists::new(store);
+
+    // Number every tree and change before the sections that reference them: class
+    // representatives, then the memo's lists by key, then the explicit runs' lists.
     let class_nodes: Vec<u32> = (0..dedup.distinct())
         .map(|class| nodes.intern(dedup.representative(class as u32)))
         .collect();
-    let mut memo_pairs: Vec<(u64, &PairChanges)> = acc.memo.pairs_iter().collect();
-    memo_pairs.sort_unstable_by_key(|(key, _)| *key);
-    let memo_entries: Vec<(u64, Vec<u32>, usize)> = memo_pairs
-        .into_iter()
-        .map(|(key, entry)| {
-            let idxs = entry
-                .changes()
-                .iter()
-                .map(|c| changes.intern(c, &mut nodes))
-                .collect();
-            (key, idxs, entry.leaf_count())
-        })
-        .collect();
-    // Value-keyed memo lookup for run encoding: a run whose change-index sequence equals
-    // its class pair's memoized entry encodes as a one-byte replay marker.  Matching by
-    // interned *indices* (not `Arc` pointers) keeps the encoding stable across restores —
-    // an explicit run rebuilt from the shared table compares equal to a memo entry it
-    // value-matches, exactly as the original did.
-    let memo_by_key: HashMap<u64, (&[u32], usize)> = memo_entries
-        .iter()
-        .map(|(key, idxs, leaf)| (*key, (idxs.as_slice(), *leaf)))
-        .collect();
-    let pair_blob = encode_pair_table(acc, &mut changes, &mut nodes, &memo_by_key)?;
+    let mut memo_pairs: Vec<(u64, u32)> = acc.memo.pairs_iter().collect();
+    memo_pairs.sort_unstable_by_key(|&(key, _)| key);
+    for &(_, list) in &memo_pairs {
+        lists.range(list, &mut nodes);
+    }
+    let mut runs = Vec::new();
+    put_varint(&mut runs, store.runs().len() as u64)?;
+    put_varint(&mut runs, store.len() as u64)?;
+    let mut prev_to = 0i64;
+    for run in store.runs() {
+        let (from, to) = (run.from as usize, run.to as usize);
+        put_zigzag(&mut runs, to as i64 - prev_to)?;
+        prev_to = to as i64;
+        put_varint(&mut runs, (to - from) as u64)?;
+        let leaves = store.list_leaves(run.list);
+        let replay = match acc.memo.get(dedup.class_of(from), dedup.class_of(to)) {
+            Some(memo) if memo == run.list => true,
+            Some(memo) if store.list_leaves(memo) == leaves => {
+                let own = lists.range(run.list, &mut nodes);
+                let entry = lists.range(memo, &mut nodes);
+                lists.indices[own] == lists.indices[entry]
+            }
+            _ => false,
+        };
+        if replay {
+            put_u8(&mut runs, RUN_MEMOIZED)?;
+        } else {
+            put_u8(&mut runs, RUN_EXPLICIT)?;
+            put_varint(&mut runs, leaves as u64)?;
+            let indices = lists.of(run.list, &mut nodes);
+            put_varint(&mut runs, indices.len() as u64)?;
+            for &idx in indices {
+                put_varint(&mut runs, u64::from(idx))?;
+            }
+        }
+    }
 
     // Shared tables.
     nodes.write_to(w)?;
-    changes.write_to(w)?;
+    lists.changes.write_to(w)?;
 
     // Dedup: class representatives in id order, then per-row class ids.
     put_varint(w, dedup.distinct() as u64)?;
@@ -104,137 +168,35 @@ pub fn write_accumulator<W: Write>(w: &mut W, acc: &GraphAccumulator) -> Result<
         put_varint(w, u64::from(dedup.class_of(row)))?;
     }
 
-    // Memo (before the pair table: replay markers resolve against it on read).
+    // Memo (before the runs: replay markers resolve against it on read).
     match acc.memo.pinned_policy() {
         None => put_u8(w, 0)?,
         Some(AncestorPolicy::Full) => put_u8(w, 1)?,
         Some(AncestorPolicy::LcaPruned) => put_u8(w, 2)?,
     }
     put_varint(w, acc.memo.alignments() as u64)?;
-    put_varint(w, memo_entries.len() as u64)?;
-    for (key, idxs, leaf_count) in &memo_entries {
-        put_u64(w, *key)?;
-        put_varint(w, *leaf_count as u64)?;
-        put_varint(w, idxs.len() as u64)?;
-        for idx in idxs {
-            put_varint(w, u64::from(*idx))?;
+    put_varint(w, memo_pairs.len() as u64)?;
+    for &(key, list) in &memo_pairs {
+        put_u64(w, key)?;
+        put_varint(w, store.list_leaves(list) as u64)?;
+        let indices = lists.of(list, &mut nodes);
+        put_varint(w, indices.len() as u64)?;
+        for &idx in indices {
+            put_varint(w, u64::from(idx))?;
         }
     }
     // The retired seen-once admission set: always empty now, kept so the layout (and
     // `SNAPSHOT_VERSION`) stays put.
     put_varint(w, 0)?;
 
-    // Pair table blob, length-prefixed.
-    put_varint(w, pair_blob.len() as u64)?;
-    w.write_all(&pair_blob).map_err(CodecError::Io)?;
+    // Run rows, length-prefixed.
+    put_varint(w, runs.len() as u64)?;
+    w.write_all(&runs).map_err(CodecError::Io)?;
     Ok(())
 }
 
-/// Encodes the store + edge list as the run-per-pair table described in the module docs.
-fn encode_pair_table(
-    acc: &GraphAccumulator,
-    changes: &mut ChangeTableBuilder,
-    nodes: &mut NodeTableBuilder,
-    memo_by_key: &HashMap<u64, (&[u32], usize)>,
-) -> Result<Vec<u8>, CodecError> {
-    let store = &acc.store;
-    let mut blob = Vec::new();
-    put_varint(&mut blob, acc.edges.len() as u64)?;
-    put_varint(&mut blob, store.len() as u64)?;
-
-    let mut base = 0usize; // next unclaimed record id — runs must tile the store
-    let mut prev_to = 0i64;
-    let mut run_idxs: Vec<u32> = Vec::new();
-    for (k, edge) in acc.edges.iter().enumerate() {
-        let leaf_count = edge.diffs.len();
-        let contiguous = !edge.diffs.is_empty()
-            && edge.diffs[0].0 == base
-            && edge.diffs.windows(2).all(|p| p[1].0 == p[0].0 + 1);
-        if !contiguous {
-            return Err(corrupt(format!(
-                "edge {k} labels are not the next contiguous leaf run (snapshot encoding \
-                 relies on the builder's append order)"
-            )));
-        }
-        // The run extends past the leaves to the next edge's first leaf (or store end).
-        let next_base = acc.edges.get(k + 1).map_or(store.len(), |next| {
-            next.diffs.first().map_or(store.len(), |d| d.0)
-        });
-        if next_base < base + leaf_count || next_base > store.len() {
-            return Err(corrupt(format!("edge {k} run overlaps its neighbour")));
-        }
-        run_idxs.clear();
-        for id in base..next_base {
-            let record = store.get(DiffId(id));
-            if record.q1 != edge.from || record.q2 != edge.to {
-                return Err(corrupt(format!(
-                    "record {id} endpoints disagree with its edge (snapshot encoding \
-                     relies on per-pair record runs)"
-                )));
-            }
-            run_idxs.push(changes.intern(record.change(), nodes));
-        }
-
-        put_zigzag(&mut blob, edge.to as i64 - prev_to)?;
-        prev_to = edge.to as i64;
-        put_varint(&mut blob, (edge.to - edge.from) as u64)?;
-        let key = pair_key(acc.dedup.class_of(edge.from), acc.dedup.class_of(edge.to));
-        match memo_by_key.get(&key) {
-            Some((idxs, leaf)) if *idxs == run_idxs.as_slice() && *leaf == leaf_count => {
-                put_u8(&mut blob, RUN_MEMOIZED)?;
-            }
-            _ => {
-                put_u8(&mut blob, RUN_EXPLICIT)?;
-                put_varint(&mut blob, leaf_count as u64)?;
-                put_varint(&mut blob, run_idxs.len() as u64)?;
-                for idx in &run_idxs {
-                    put_varint(&mut blob, u64::from(*idx))?;
-                }
-            }
-        }
-        base = next_base;
-    }
-    if base != store.len() {
-        return Err(corrupt(format!(
-            "{} records beyond the last edge's run",
-            store.len() - base
-        )));
-    }
-    Ok(blob)
-}
-
-/// The still-unmaterialized pair table of a snapshot: compact run bytes plus the shared
-/// change payloads they reference.  Produced by [`read_accumulator_deferred`] (which
-/// checks only the leading counts), consumed — and fully validated — by
-/// [`hydrate_pairs`]; [`LatentPairs::byte_len`] stands in for the store's memory
-/// footprint while the session stays latent.
-#[derive(Debug, Clone)]
-pub struct LatentPairs {
-    bytes: Vec<u8>,
-    payloads: Vec<Arc<TreeChange>>,
-    edges: usize,
-    records: usize,
-}
-
-impl LatentPairs {
-    /// Number of mined pairs (edges) the table will expand to.
-    pub fn edge_count(&self) -> usize {
-        self.edges
-    }
-
-    /// Number of diff records the table will expand to.
-    pub fn record_count(&self) -> usize {
-        self.records
-    }
-
-    /// Bytes held latent (run bytes plus shared-payload pointers).
-    pub fn byte_len(&self) -> usize {
-        self.bytes.len() + self.payloads.len() * std::mem::size_of::<Arc<TreeChange>>()
-    }
-}
-
-/// A minimal cursor over the in-memory pair blob: the per-byte `io::Read` plumbing is too
-/// slow for millions of tiny varints, and the blob is already length-framed.
+/// A minimal cursor over an in-memory section: the per-byte `io::Read` plumbing is too
+/// slow for millions of tiny varints, and restore always hands us an in-memory frame.
 struct Cur<'a> {
     b: &'a [u8],
     pos: usize,
@@ -267,6 +229,13 @@ impl<'a> Cur<'a> {
             return Err(corrupt(format!("count {v} exceeds sanity bound")));
         }
         Ok(v as usize)
+    }
+
+    /// A varint table index, which must fit a `u32`.
+    #[inline]
+    fn index(&mut self) -> Result<u32, CodecError> {
+        let v = self.varint()?;
+        u32::try_from(v).map_err(|_| corrupt(format!("index {v} overflows u32")))
     }
 
     /// The next `n` raw bytes.
@@ -305,156 +274,89 @@ impl<'a> Cur<'a> {
         Ok((v >> 1) as i64 ^ -((v & 1) as i64))
     }
 
-    fn done(&self) -> bool {
-        self.pos == self.b.len()
-    }
-}
-
-/// One decoded run header; `Explicit` carries `(leaf_count, change indices)`.
-enum RunPayload {
-    Memoized,
-    Explicit(usize, std::ops::Range<usize>),
-}
-
-/// Per-class-pair record counts for the scan's memoized-run resolution.
-///
-/// The scan resolves one memo entry per run, and runs outnumber distinct class pairs by
-/// orders of magnitude on repetitive logs — a 100k-line Zipf trace replays ~1.4M runs over
-/// a few thousand distinct pairs.  A `DiffMemo::get` hash probe per run is the single
-/// largest cost of a deferred restore, so for small class counts the totals are spread
-/// into a dense `classes × classes` matrix (a multiply and an array index per run); larger
-/// class counts fall back to one prebuilt key → total map.
-enum MemoTotals {
-    /// `totals[ca * distinct + cb]` = the entry's change count (0 = absent or empty).
-    Dense(Vec<u32>, usize),
-    Sparse(HashMap<u64, u32>),
-}
-
-/// Class counts up to this bound get the dense matrix (≤ 4 MiB of `u32` totals).
-const DENSE_CLASS_LIMIT: usize = 1024;
-
-impl MemoTotals {
-    fn build(memo: &DiffMemo, distinct: usize) -> Self {
-        if distinct <= DENSE_CLASS_LIMIT {
-            let mut totals = vec![0u32; distinct * distinct];
-            for (key, entry) in memo.pairs_iter() {
-                let (ca, cb) = ((key >> 32) as usize, key as u32 as usize);
-                if ca < distinct && cb < distinct && !entry.is_empty() {
-                    totals[ca * distinct + cb] = entry.changes().len() as u32;
-                }
-            }
-            MemoTotals::Dense(totals, distinct)
-        } else {
-            MemoTotals::Sparse(
-                memo.pairs_iter()
-                    .filter(|(_, entry)| !entry.is_empty())
-                    .map(|(key, entry)| (key, entry.changes().len() as u32))
-                    .collect(),
-            )
+    /// `n` change indices into `out` (cleared first).
+    fn indices(&mut self, n: usize, out: &mut Vec<u32>) -> Result<(), CodecError> {
+        out.clear();
+        for _ in 0..n {
+            out.push(self.index()?);
         }
-    }
-
-    /// The non-empty entry's change count for `(ca, cb)`, or `None` if absent/empty.
-    #[inline]
-    fn get(&self, ca: u32, cb: u32) -> Option<usize> {
-        let total = match self {
-            MemoTotals::Dense(totals, distinct) => totals[ca as usize * distinct + cb as usize],
-            MemoTotals::Sparse(map) => map.get(&pair_key(ca, cb)).copied().unwrap_or(0),
-        };
-        (total > 0).then_some(total as usize)
+        Ok(())
     }
 }
 
-/// Walks every run in the blob, invoking `sink` with `(from, to, payload)`; shared
-/// validation for the scan and hydration passes.  `explicit_idx` collects explicit runs'
-/// change indices (flat, range-addressed) so hydration avoids per-run allocation.
-fn walk_pair_table(
+/// Decodes the run rows into `store`, validating each against the rows, the memo and the
+/// change table (see the module docs).
+fn read_runs(
     blob: &[u8],
-    rows: usize,
-    classes: &[u32],
+    dedup: &DedupTable,
     memo: &DiffMemo,
-    payload_count: usize,
-    explicit_idx: &mut Vec<u32>,
-    mut sink: impl FnMut(usize, usize, RunPayload),
-) -> Result<(usize, usize), CodecError> {
-    let distinct = classes.iter().copied().max().map_or(0, |c| c as usize + 1);
-    let memo_totals = MemoTotals::build(memo, distinct);
+    store: &mut DiffStore,
+) -> Result<(), CodecError> {
     let mut cur = Cur { b: blob, pos: 0 };
-    let edges = cur.varint()? as usize;
-    let declared_records = cur.varint()? as usize;
-    let mut records = 0usize;
+    let runs = cur.count()?;
+    let declared = cur.count()?;
+    let mut indices = Vec::new();
     let mut prev_to = 0i64;
-    for k in 0..edges {
-        let to = prev_to + cur.zigzag()?;
+    let mut prev = None;
+    for k in 0..runs {
+        let to = prev_to
+            .checked_add(cur.zigzag()?)
+            .filter(|&to| to >= 0 && (to as u64) < dedup.len() as u64)
+            .ok_or_else(|| corrupt(format!("run {k} endpoints out of range")))?;
         prev_to = to;
-        let offset = cur.varint()? as i64;
-        let from = to - offset;
-        if to < 0 || to as usize >= rows || offset < 1 || from < 0 {
+        let offset = cur.varint()?;
+        if offset == 0 || offset > to as u64 {
             return Err(corrupt(format!("run {k} endpoints out of range")));
         }
-        let (from, to) = (from as usize, to as usize);
-        match cur.u8()? {
-            RUN_MEMOIZED => {
-                let total = memo_totals.get(classes[from], classes[to]).ok_or_else(|| {
-                    corrupt(format!("run {k} replays an absent or empty memo entry"))
-                })?;
-                records += total;
-                sink(from, to, RunPayload::Memoized);
-            }
+        let (from, to) = ((to as u64 - offset) as usize, to as usize);
+        if prev >= Some((to, from)) {
+            return Err(corrupt(format!("run {k} is out of append order")));
+        }
+        prev = Some((to, from));
+        let list = match cur.u8()? {
+            RUN_MEMOIZED => memo
+                .get(dedup.class_of(from), dedup.class_of(to))
+                .filter(|&list| store.list_len(list) > 0)
+                .ok_or_else(|| corrupt(format!("run {k} replays an absent or empty memo entry")))?,
             RUN_EXPLICIT => {
-                let leaf_count = cur.varint()? as usize;
-                let total = cur.varint()? as usize;
-                if total == 0 || leaf_count > total || total > declared_records {
+                let leaves = cur.count()?;
+                let total = cur.count()?;
+                if total == 0 || total > declared {
                     return Err(corrupt(format!("run {k} has an impossible record count")));
                 }
-                let start = explicit_idx.len();
-                for _ in 0..total {
-                    let idx = cur.varint()? as usize;
-                    if idx >= payload_count {
-                        return Err(corrupt(format!("run {k} references missing change {idx}")));
-                    }
-                    explicit_idx.push(idx as u32);
-                }
-                records += total;
-                sink(
-                    from,
-                    to,
-                    RunPayload::Explicit(leaf_count, start..explicit_idx.len()),
-                );
+                cur.indices(total, &mut indices)?;
+                store
+                    .push_shared_list(&indices, leaves)
+                    .ok_or_else(|| corrupt(format!("run {k} has a malformed change list")))?
             }
             other => return Err(corrupt(format!("invalid run tag {other}"))),
-        }
-        if records > declared_records {
+        };
+        store.push_run(from, to, list);
+        if store.len() > declared {
             return Err(corrupt("pair table exceeds its declared record count"));
         }
     }
-    if records != declared_records {
+    if store.len() != declared {
         return Err(corrupt(format!(
-            "pair table declares {declared_records} records, runs produce {records}"
+            "pair table declares {declared} records, runs produce {}",
+            store.len()
         )));
     }
-    if !cur.done() {
+    if cur.pos != blob.len() {
         return Err(corrupt("trailing bytes after the pair table"));
     }
-    Ok((edges, records))
+    Ok(())
 }
 
-/// Reads mining state written by [`write_accumulator`], deferring pair-table expansion:
-/// the returned accumulator carries the rebuilt dedup arena and warm memo but an *empty*
-/// store and edge list, and the pair table rides alongside as [`LatentPairs`].  Callers
-/// must [`hydrate_pairs`] before touching the graph; until then the accumulator is only
-/// good for dedup/memo queries, and semantic errors inside the run blob surface from
-/// hydration rather than here (the session layer's checksum already guarantees the bytes
-/// are the ones that were written).
-pub fn read_accumulator_deferred(
-    r: &mut &[u8],
-) -> Result<(GraphAccumulator, LatentPairs), CodecError> {
+/// Reads mining state written by [`write_accumulator`] into an accumulator with the same
+/// graph, ids, memo and dedup arena, holding each distinct change once.
+pub fn read_accumulator(r: &mut &[u8]) -> Result<GraphAccumulator, CodecError> {
     let nodes = read_node_table(r)?;
-    let change_payloads = read_change_table(r, &nodes)?;
+    let mut store = DiffStore::with_changes(read_change_table(r, &nodes)?);
 
     // Everything below the tables is fixed-stride scalars at row/pair volume — hundreds
     // of thousands of tiny varints — so decode through the slice cursor rather than
-    // per-item `io::Read` calls (restore always hands us an in-memory frame).
+    // per-item `io::Read` calls.
     let mut cur = Cur { b: r, pos: 0 };
 
     // Dedup: re-ingest each row's representative; first-come ids must match the stored
@@ -490,7 +392,7 @@ pub fn read_accumulator_deferred(
         )));
     }
 
-    // Memo.
+    // Memo: one shared list per entry, keys strictly increasing as written.
     let policy = match cur.u8()? {
         0 => None,
         1 => Some(AncestorPolicy::Full),
@@ -499,27 +401,22 @@ pub fn read_accumulator_deferred(
     };
     let alignments = cur.count()?;
     let pair_count = cur.count()?;
-    let mut pairs = Vec::with_capacity(pair_count.min(1 << 16));
+    let mut pairs = HashMap::with_capacity_and_hasher(pair_count.min(1 << 16), Default::default());
+    let mut indices = Vec::new();
+    let mut prev_key = None;
     for _ in 0..pair_count {
         let key = cur.u64_le()?;
-        let leaf_count = cur.count()?;
-        let change_count = cur.count()?;
-        if leaf_count > change_count {
-            return Err(corrupt(format!(
-                "memo pair {key:#x} claims {leaf_count} leaves of {change_count} changes"
-            )));
+        if prev_key >= Some(key) {
+            return Err(corrupt(format!("memo pair {key:#x} is out of key order")));
         }
-        let mut shared = Vec::with_capacity(change_count.min(1 << 12));
-        for _ in 0..change_count {
-            let idx = cur.varint()? as usize;
-            shared.push(
-                change_payloads
-                    .get(idx)
-                    .ok_or_else(|| corrupt(format!("memo references missing change {idx}")))?
-                    .clone(),
-            );
-        }
-        pairs.push((key, PairChanges::from_shared_parts(shared, leaf_count)));
+        prev_key = Some(key);
+        let leaves = cur.count()?;
+        let total = cur.count()?;
+        cur.indices(total, &mut indices)?;
+        let list = store
+            .push_shared_list(&indices, leaves)
+            .ok_or_else(|| corrupt(format!("memo pair {key:#x} has a malformed change list")))?;
+        pairs.insert(key, list);
     }
     // Older writers stored a seen-once admission set here; its keys no longer mean
     // anything, so they are skipped.
@@ -527,109 +424,10 @@ pub fn read_accumulator_deferred(
     cur.take(seen_once_count * 8)?;
     let memo = DiffMemo::from_parts(policy, alignments, pairs);
 
-    // Pair table: keep the blob compact and read only its leading counts here.  The full
-    // per-run scan is deferred to [`hydrate_pairs`] — at the session layer the blob
-    // arrives inside a checksummed frame, so storage corruption is already rejected
-    // before this point and the scan would only re-pay the table's dominant decode cost
-    // on the restore path.  The counts are bounded like every other section count so a
-    // hand-crafted header can't provoke an oversized allocation.
     let blob_len = cur.count()?;
-    let blob = cur.take(blob_len)?.to_vec();
+    read_runs(cur.take(blob_len)?, &dedup, &memo, &mut store)?;
     *r = &cur.b[cur.pos..];
-    let mut head = Cur { b: &blob, pos: 0 };
-    let edges = head.varint()?;
-    let records = head.varint()?;
-    const MAX_PAIR_COUNT: u64 = 1 << 28;
-    if edges > MAX_PAIR_COUNT || records > MAX_PAIR_COUNT {
-        return Err(corrupt(format!(
-            "pair table declares an implausible size ({edges} edges, {records} records)"
-        )));
-    }
-    let (edges, records) = (edges as usize, records as usize);
-
-    let acc = GraphAccumulator {
-        dedup,
-        store: pi_diff::DiffStore::new(),
-        edges: Vec::new(),
-        memo,
-    };
-    Ok((
-        acc,
-        LatentPairs {
-            bytes: blob,
-            payloads: change_payloads,
-            edges,
-            records,
-        },
-    ))
-}
-
-/// Validates and expands a latent pair table into the accumulator's store and edge list,
-/// restoring every `DiffId` at its original offset.  This is where the full
-/// bounds-and-membership scan of the run blob happens.  The accumulator must be the one
-/// returned by the same [`read_accumulator_deferred`] call (its memo and class ids
-/// resolve the replay markers); pairing it with anything else is reported as corruption.
-pub fn hydrate_pairs(acc: &mut GraphAccumulator, pairs: LatentPairs) -> Result<(), CodecError> {
-    let classes: Vec<u32> = (0..acc.dedup.len())
-        .map(|row| acc.dedup.class_of(row))
-        .collect();
-    let mut store = pi_diff::DiffStore::with_capacity(pairs.records);
-    let mut edges = Vec::with_capacity(pairs.edges);
-    let mut explicit_idx = Vec::new();
-    // Two-pass over explicit runs is avoided by collecting sink closures' work directly;
-    // the closure cannot borrow `store` and the index scratch at once, so runs land in a
-    // staging list first.
-    let mut staged: Vec<(usize, usize, RunPayload)> = Vec::with_capacity(pairs.edges);
-    walk_pair_table(
-        &pairs.bytes,
-        acc.dedup.len(),
-        &classes,
-        &acc.memo,
-        pairs.payloads.len(),
-        &mut explicit_idx,
-        |from, to, payload| staged.push((from, to, payload)),
-    )?;
-    for (from, to, payload) in staged {
-        let first = store.len();
-        let leaf_count = match payload {
-            RunPayload::Memoized => {
-                let entry = acc
-                    .memo
-                    .get(classes[from], classes[to])
-                    .expect("validated by walk_pair_table");
-                for change in entry.changes() {
-                    store.push(DiffRecord::from_shared(from, to, Arc::clone(change)));
-                }
-                entry.leaf_count()
-            }
-            RunPayload::Explicit(leaf_count, range) => {
-                for idx in &explicit_idx[range] {
-                    store.push(DiffRecord::from_shared(
-                        from,
-                        to,
-                        Arc::clone(&pairs.payloads[*idx as usize]),
-                    ));
-                }
-                leaf_count
-            }
-        };
-        edges.push(Edge {
-            from,
-            to,
-            diffs: (first..first + leaf_count).map(DiffId).collect(),
-        });
-    }
-    acc.store = store;
-    acc.edges = edges;
-    Ok(())
-}
-
-/// Reads mining state written by [`write_accumulator`] and materializes it fully — the
-/// deferred read followed by immediate hydration.
-pub fn read_accumulator(r: &mut &[u8]) -> Result<GraphAccumulator, CodecError> {
-    let (mut acc, pairs) = read_accumulator_deferred(r)?;
-    hydrate_pairs(&mut acc, pairs)?;
-    Ok(acc)
+    Ok(GraphAccumulator { dedup, store, memo })
 }
 
 #[cfg(test)]
@@ -693,20 +491,74 @@ mod tests {
     }
 
     #[test]
-    fn deferred_read_hydrates_to_the_eager_result() {
-        let acc = mined_accumulator(true);
+    fn restored_tables_hold_each_distinct_change_once() {
+        for memoize in [true, false] {
+            let acc = mined_accumulator(memoize);
+            let mut buf = Vec::new();
+            write_accumulator(&mut buf, &acc).unwrap();
+            let restored = read_accumulator(&mut buf.as_slice()).unwrap();
+            let table = restored.store().changes();
+            for (i, change) in table.iter().enumerate() {
+                assert!(!table[..i].contains(change), "change {i} is stored twice");
+            }
+            assert!(table.len() < acc.store().changes().len() || !memoize);
+            assert!(table.len() < acc.store().len());
+            // One list per memo entry, and one per run that does not replay its entry.
+            assert!(
+                restored.store().list_count() <= acc.memo().memoized_pairs() + acc.edges().len()
+            );
+        }
+    }
+
+    #[test]
+    fn runs_replay_their_memo_entry_by_value() {
+        // A prefix mined without the memo gives every pair its own list; the memoized
+        // suffix then aligns the same class pairs into memo lists.  The prefix runs equal
+        // their pair's entry by value, so they are written as replays, and the restored
+        // table needs no list beyond the memo's.
+        let log: Vec<Node> = (0..12)
+            .map(|i| parse(&format!("SELECT a FROM t WHERE x = {}", i % 3)))
+            .collect();
+        let builder = GraphBuilder::new().window(crate::WindowStrategy::sliding(3));
+        let mut acc = GraphAccumulator::new();
+        builder
+            .clone()
+            .memoize(false)
+            .extend_batch(&mut acc, log[..6].to_vec());
+        builder.extend_batch(&mut acc, log[6..].to_vec());
+        assert!(acc.store().list_count() > acc.memo().memoized_pairs());
         let mut buf = Vec::new();
         write_accumulator(&mut buf, &acc).unwrap();
-        let (mut deferred, pairs) = read_accumulator_deferred(&mut buf.as_slice()).unwrap();
-        // Latent: dedup and memo are live, the graph is not materialized yet.
-        assert_eq!(deferred.dedup().distinct(), acc.dedup().distinct());
-        assert_eq!(deferred.store().len(), 0);
-        assert_eq!(pairs.edge_count(), acc.edges.len());
-        assert_eq!(pairs.record_count(), acc.store.len());
-        assert!(pairs.byte_len() > 0);
-        hydrate_pairs(&mut deferred, pairs).unwrap();
-        assert_eq!(deferred.to_graph(), acc.to_graph());
-        assert_eq!(deferred.stats(), acc.stats());
+        let restored = read_accumulator(&mut buf.as_slice()).unwrap();
+        assert_eq!(restored.to_graph(), acc.to_graph());
+        assert_eq!(
+            restored.store().list_count(),
+            restored.memo().memoized_pairs()
+        );
+    }
+
+    #[test]
+    fn restore_rejects_malformed_run_rows() {
+        // Two shapes, memo on: one run, which replays its memo entry, so the stream's last
+        // byte is that run's tag.
+        let mut acc = GraphAccumulator::new();
+        GraphBuilder::new().extend_batch(
+            &mut acc,
+            [
+                parse("SELECT a FROM t WHERE x = 1"),
+                parse("SELECT a FROM t WHERE x = 2"),
+            ],
+        );
+        let mut buf = Vec::new();
+        write_accumulator(&mut buf, &acc).unwrap();
+        assert_eq!(buf.last(), Some(&RUN_MEMOIZED));
+        let mut bad = buf.clone();
+        *bad.last_mut().unwrap() = 7;
+        assert!(read_accumulator(&mut bad.as_slice()).is_err());
+        // An explicit tag there leaves the run's list truncated.
+        *bad.last_mut().unwrap() = RUN_EXPLICIT;
+        assert!(read_accumulator(&mut bad.as_slice()).is_err());
+        assert!(read_accumulator(&mut buf.as_slice()).is_ok());
     }
 
     #[test]
@@ -745,15 +597,15 @@ mod tests {
             assert!(read_accumulator(&mut buf[..len].as_ref()).is_err());
         }
         // Bit flips must never panic: either a clean Err, or a structurally valid
-        // accumulator (an in-range endpoint or memo-key flip is indistinguishable at this
-        // layer).  Detecting *any* flipped byte is the session envelope's job — the whole
-        // payload rides inside a checksummed frame, so pi-core's restore rejects these
-        // streams before this reader ever runs.
+        // accumulator that writes again (an in-range endpoint or memo-key flip is
+        // indistinguishable at this layer).  Detecting *any* flipped byte is the session
+        // envelope's job — the whole payload rides inside a checksummed frame.
         for i in 0..buf.len() {
             let mut bad = buf.clone();
             bad[i] ^= 0x2a;
             if let Ok(restored) = read_accumulator(&mut bad.as_slice()) {
                 let _ = restored.to_graph();
+                write_accumulator(&mut Vec::new(), &restored).unwrap();
             }
         }
     }

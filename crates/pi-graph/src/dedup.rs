@@ -6,17 +6,15 @@
 //! accounts for most of a log (the paper's SDSS/SQLShare samples, the Archive Query Log
 //! study) — yet pairwise alignment depends only on tree *structure*.  So the builder
 //! collapses the log to its distinct shapes at ingest ([`DedupTable`]) and runs the
-//! expensive ordered-tree alignment once per distinct ordered pair ([`DiffMemo`]),
-//! re-wrapping the memoized index-free change list into concrete `(i, j)` records per log
-//! pair.  Both layers are invisible in the output: graphs, stores, `DiffId` offsets and
-//! edges are byte-identical with the memo on or off — only the work to produce them
-//! changes.
+//! expensive ordered-tree alignment once per distinct ordered pair ([`DiffMemo`]): the
+//! memoized change list lives once in the [`DiffStore`](pi_diff::DiffStore), and every log
+//! pair of those shapes adds one run row pointing at it.  Both layers are invisible in the
+//! output: graphs, records, `DiffId` offsets and edges are byte-identical with the memo on
+//! or off — only the work to produce them changes.
 
-use pi_ast::Node;
-use pi_diff::{extract_changes, AncestorPolicy, TreeChange};
+use pi_ast::{IntBuildHasher, Node};
+use pi_diff::{extract_changes, AncestorPolicy, DiffStore};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
 
 /// A structural deduplication table over an append-only query log.
 ///
@@ -51,9 +49,9 @@ pub struct DedupTable {
     sizes: Vec<u32>,
     /// Structural hash → ids of the classes whose representatives carry that hash.  The
     /// bucket has one entry except under a 64-bit collision.  Keyed by the memoized
-    /// structural hash — already well-mixed — through a single splitmix round instead of
+    /// structural hash — already well-mixed — through the integer hasher instead of
     /// SipHash: ingest sits on the per-query hot path.
-    by_hash: HashMap<u64, Bucket, BuildHasherDefault<PairKeyHasher>>,
+    by_hash: HashMap<u64, Bucket, IntBuildHasher>,
     /// Distinct-tree id per ingested query, in log order.
     class_of: Vec<u32>,
     /// Running Σ of `sizes` — total nodes retained across all class representatives, so the
@@ -211,88 +209,15 @@ fn measured_size(query: &Node) -> u32 {
     u32::try_from(query.size()).unwrap_or(u32::MAX)
 }
 
-/// A memoized alignment: the index-free change list of one ordered distinct pair, in
-/// [`extract_changes`] order — leaf changes first, ancestors after.  That is the graph's
-/// per-pair record layout, so the builder streams an entry straight into the diff store
-/// (leaf ids are the first `leaf_count` appended ids).
-///
-/// Each change is individually `Arc`-allocated so a log pair's [`pi_diff::DiffRecord`]s
-/// can *share* the payloads (`DiffRecord::from_shared`): stamping a memoized pair into the
-/// store costs one refcount bump and a 4-word write per record.
-#[derive(Debug, Clone)]
-pub(crate) struct PairChanges {
-    changes: Arc<[Arc<TreeChange>]>,
-    leaf_count: usize,
-}
-
-impl PairChanges {
-    /// Rebuilds an entry from persisted parts: already-shared payloads in stored order
-    /// (leaves first) and the leaf count.  The snapshot codec's restore path.
-    pub(crate) fn from_shared_parts(changes: Vec<Arc<TreeChange>>, leaf_count: usize) -> Self {
-        PairChanges {
-            changes: changes.into(),
-            leaf_count,
-        }
-    }
-
-    /// Shares an [`extract_changes`] list, which already puts its leaves first.
-    pub(crate) fn from_changes(changes: Vec<TreeChange>) -> Self {
-        let leaf_count = changes.iter().take_while(|c| c.is_leaf).count();
-        debug_assert!(
-            changes[leaf_count..].iter().all(|c| !c.is_leaf),
-            "extract_changes emits leaves first"
-        );
-        PairChanges {
-            changes: changes.into_iter().map(Arc::new).collect(),
-            leaf_count,
-        }
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.changes.is_empty()
-    }
-
-    /// Leaves first, ancestors after.
-    pub(crate) fn changes(&self) -> &[Arc<TreeChange>] {
-        &self.changes
-    }
-
-    pub(crate) fn leaf_count(&self) -> usize {
-        self.leaf_count
-    }
-}
-
-/// A fast, deterministic hasher for the `(u32, u32)` class-pair keys (packed into one
-/// `u64`): a single splitmix64 round instead of SipHash, since the hot loop performs one
-/// memo probe per enumerated log pair.
-#[derive(Default)]
-pub(crate) struct PairKeyHasher(u64);
-
-impl Hasher for PairKeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("pair keys hash through write_u64");
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        self.0 = z ^ (z >> 31);
-    }
-}
-
+/// The memo key of the ordered class pair `(ca, cb)`.
 pub(crate) fn pair_key(ca: u32, cb: u32) -> u64 {
     (u64::from(ca) << 32) | u64::from(cb)
 }
 
-/// The alignment memo: the index-free change list per distinct ordered pair of tree shapes
-/// already aligned.  The class vocabulary itself lives in the accumulator's [`DedupTable`]
-/// — the memo holds only derived alignments, so the lookup methods borrow the table per call
-/// instead of owning a second copy of the log's shapes.
+/// The alignment memo: for each distinct ordered pair of tree shapes already aligned, the
+/// id of its change list in the accumulator's [`DiffStore`].  The class vocabulary lives in
+/// the accumulator's [`DedupTable`] and the lists in its store, so the lookup methods borrow
+/// them per call; the memo itself is a map from packed class pairs to list ids.
 ///
 /// Keys are **ordered** `(source class, target class)` pairs, not unordered sets: the
 /// aligner's LCS tie-breaking is direction-sensitive (and change paths are expressed in
@@ -303,17 +228,15 @@ pub(crate) fn pair_key(ca: u32, cb: u32) -> u64 {
 /// `O(n²)`.
 ///
 /// Every distinct ordered pair is memoized the first time it is met, so it is aligned once
-/// per memo lifetime and hit from the memo ever after.  An entry adds only its pointer slice
-/// and its map slot: the change payloads are the `Arc`s the store's records share.
+/// per memo lifetime and hit from the memo ever after: a hit appends one run row to the
+/// store, however many changes the list holds.
 ///
 /// Entries are computed under one [`AncestorPolicy`]; mining with a different policy
-/// discards them (they would describe different ancestor closures).
-///
-/// Cloning a memo is cheap: representatives and change lists are `Arc`-shared, so a forked
-/// streaming session keeps the alignments mined so far without copying a tree.
+/// forgets them (they describe different ancestor closures).  Their lists stay in the store
+/// for the runs that already use them.
 #[derive(Debug, Clone, Default)]
 pub struct DiffMemo {
-    pairs: HashMap<u64, PairChanges, BuildHasherDefault<PairKeyHasher>>,
+    pairs: HashMap<u64, u32, IntBuildHasher>,
     policy: Option<AncestorPolicy>,
     alignments: usize,
 }
@@ -337,7 +260,7 @@ impl DiffMemo {
         self.alignments
     }
 
-    /// Pins the ancestor policy, discarding memoized pairs computed under a different one.
+    /// Pins the ancestor policy, forgetting memoized pairs computed under a different one.
     pub(crate) fn set_policy(&mut self, policy: AncestorPolicy) {
         if self.policy != Some(policy) {
             self.pairs.clear();
@@ -345,25 +268,27 @@ impl DiffMemo {
         }
     }
 
-    /// The memoized entry for the ordered pair `(ca, cb)`, if present.
-    pub(crate) fn get(&self, ca: u32, cb: u32) -> Option<&PairChanges> {
-        self.pairs.get(&pair_key(ca, cb))
+    /// The list id memoized for the ordered pair `(ca, cb)`, if present.
+    pub(crate) fn get(&self, ca: u32, cb: u32) -> Option<u32> {
+        self.pairs.get(&pair_key(ca, cb)).copied()
     }
 
-    /// The memoized entry for the ordered pair `(ca, cb)`, aligning the class
-    /// representatives on a miss.  Callers must have pinned the policy via `set_policy`.
-    pub(crate) fn changes(
+    /// The list id memoized for the ordered pair `(ca, cb)`, aligning the class
+    /// representatives into a new list of `store` on a miss.  Callers must have pinned the
+    /// policy via `set_policy`.
+    pub(crate) fn list(
         &mut self,
         dedup: &DedupTable,
+        store: &mut DiffStore,
         ca: u32,
         cb: u32,
         policy: AncestorPolicy,
-    ) -> &PairChanges {
-        debug_assert_eq!(self.policy, Some(policy), "set_policy before changes");
+    ) -> u32 {
+        debug_assert_eq!(self.policy, Some(policy), "set_policy before list");
         let alignments = &mut self.alignments;
-        self.pairs.entry(pair_key(ca, cb)).or_insert_with(|| {
+        *self.pairs.entry(pair_key(ca, cb)).or_insert_with(|| {
             *alignments += 1;
-            PairChanges::from_changes(extract_changes(
+            store.push_list(extract_changes(
                 dedup.representative(ca),
                 dedup.representative(cb),
                 policy,
@@ -371,11 +296,11 @@ impl DiffMemo {
         })
     }
 
-    /// Inserts an externally computed alignment (the parallel pre-computation path).
-    pub(crate) fn insert(&mut self, ca: u32, cb: u32, changes: Vec<TreeChange>) {
+    /// Records an alignment whose list the caller pushed (the parallel pre-computation
+    /// path).
+    pub(crate) fn insert(&mut self, ca: u32, cb: u32, list: u32) {
         self.alignments += 1;
-        self.pairs
-            .insert(pair_key(ca, cb), PairChanges::from_changes(changes));
+        self.pairs.insert(pair_key(ca, cb), list);
     }
 
     /// The pinned ancestor policy, if any (snapshot codec).
@@ -383,10 +308,10 @@ impl DiffMemo {
         self.policy
     }
 
-    /// Iterates the memoized `(pair key, entry)` pairs in arbitrary order (snapshot codec
+    /// Iterates the memoized `(pair key, list id)` pairs in arbitrary order (snapshot codec
     /// sorts by key before writing).
-    pub(crate) fn pairs_iter(&self) -> impl Iterator<Item = (u64, &PairChanges)> {
-        self.pairs.iter().map(|(k, v)| (*k, v))
+    pub(crate) fn pairs_iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.pairs.iter().map(|(k, v)| (*k, *v))
     }
 
     /// Rebuilds a memo from persisted parts — pinned policy, lifetime alignment count and
@@ -395,26 +320,23 @@ impl DiffMemo {
     pub(crate) fn from_parts(
         policy: Option<AncestorPolicy>,
         alignments: usize,
-        pairs: impl IntoIterator<Item = (u64, PairChanges)>,
+        pairs: HashMap<u64, u32, IntBuildHasher>,
     ) -> Self {
         DiffMemo {
-            pairs: pairs.into_iter().collect(),
+            pairs,
             policy,
             alignments,
         }
     }
 
-    /// Estimated heap bytes the memo retains: a fixed overhead per memoized pair (table
-    /// slot, key, entry headers) plus the shared-payload pointers of each change list.
-    /// Payload subtrees alias the distinct-tree arena and are excluded here.  O(pairs) —
-    /// the memo is bounded by distinct ordered pairs, not rows.
+    /// Estimated heap bytes the memo retains: one map slot per memoized pair (the packed
+    /// key and the list id, plus the table's control byte and load-factor slack).  The
+    /// lists themselves are the store's.  O(1).
     pub fn footprint_bytes(&self) -> usize {
-        /// Table slot + packed key + `PairChanges` headers + `Arc` control block.
-        const PAIR_OVERHEAD_ESTIMATE: usize = 64;
-        /// One shared-payload `Arc` pointer plus its amortised change-header share.
-        const CHANGE_PTR_ESTIMATE: usize = 16;
-        let change_ptrs: usize = self.pairs.values().map(|p| p.changes().len()).sum();
-        self.pairs.len() * PAIR_OVERHEAD_ESTIMATE + change_ptrs * CHANGE_PTR_ESTIMATE
+        /// A 16-byte `(u64, u32)` slot, its control byte, and spare slots at the table's
+        /// maximum 7/8 load.
+        const PAIR_FOOTPRINT_ESTIMATE: usize = 20;
+        self.pairs.len() * PAIR_FOOTPRINT_ESTIMATE
     }
 }
 
@@ -524,6 +446,7 @@ mod tests {
             dedup.ingest(query);
         }
         let mut memo = DiffMemo::new();
+        let mut store = DiffStore::new();
         let policy = AncestorPolicy::LcaPruned;
         memo.set_policy(policy);
         assert_eq!(dedup.distinct(), 2);
@@ -533,23 +456,27 @@ mod tests {
                 if ca == cb {
                     continue;
                 }
-                let entry = memo.changes(&dedup, ca, cb, policy);
-                // The memoized entry is the direct extraction, leaves first — exactly what
-                // the graph's append step would produce.
-                let records: Vec<_> = entry.changes().iter().map(|c| c.to_record(i, j)).collect();
+                let list = memo.list(&dedup, &mut store, ca, cb, policy);
+                // The memoized list is the direct extraction, leaves first — exactly what
+                // the graph's run of the pair reads.
+                let records: Vec<_> = store
+                    .list_changes(list)
+                    .map(|c| c.to_record(i, j))
+                    .collect();
                 let direct = pi_diff::extract_diffs(&queries[i], &queries[j], i, j, policy);
                 assert_eq!(records, direct);
                 assert_eq!(
-                    entry.leaf_count(),
+                    store.list_leaves(list),
                     direct.iter().filter(|r| r.is_leaf).count()
                 );
-                assert!(!entry.is_empty());
+                assert!(store.list_len(list) > 0);
             }
         }
         // Four differing log pairs, but only the two recurring ordered distinct pairs were
-        // ever aligned.
+        // ever aligned, into one list each.
         assert_eq!(memo.alignments(), 2);
         assert_eq!(memo.memoized_pairs(), 2);
+        assert_eq!(store.list_count(), 2);
     }
 
     #[test]
@@ -564,13 +491,13 @@ mod tests {
             dedup.ingest(query);
         }
         let mut memo = DiffMemo::new();
+        let mut store = DiffStore::new();
         memo.set_policy(AncestorPolicy::LcaPruned);
-        let pruned = memo
-            .changes(&dedup, 0, 1, AncestorPolicy::LcaPruned)
-            .clone();
+        let pruned = memo.list(&dedup, &mut store, 0, 1, AncestorPolicy::LcaPruned);
         memo.set_policy(AncestorPolicy::Full);
         assert_eq!(memo.memoized_pairs(), 0);
-        let full = memo.changes(&dedup, 0, 1, AncestorPolicy::Full);
-        assert!(full.changes().len() > pruned.changes().len());
+        let full = memo.list(&dedup, &mut store, 0, 1, AncestorPolicy::Full);
+        assert_ne!(full, pruned);
+        assert!(store.list_len(full) > store.list_len(pruned));
     }
 }

@@ -1,7 +1,7 @@
 //! The interaction graph data structure.
 
 use pi_ast::Node;
-use pi_diff::{DiffId, DiffStore};
+use pi_diff::{DiffId, DiffStore, Run};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -89,14 +89,42 @@ impl<const N: usize> IntoQueryLog for &[Node; N] {
 
 /// A labelled edge of the interaction graph: the interaction `t_k` (a set of leaf diffs)
 /// transforms query `from` into query `to`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// An edge is its compared pair's run in the [`DiffStore`]: the run's leaf records come
+/// first, so the label is the record ids `first..first + leaves`, and the run's ancestor
+/// records follow them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Edge {
     /// Index of the source query in the log.
     pub from: usize,
     /// Index of the target query in the log.
     pub to: usize,
+    /// The id of the run's first record, its first leaf.
+    pub first: DiffId,
+    /// The number of leaf records making up the interaction.
+    pub leaves: usize,
+}
+
+impl Edge {
+    /// The edge of one run row of `store`.
+    pub(crate) fn of_run(store: &DiffStore, run: &Run) -> Self {
+        Edge {
+            from: run.from as usize,
+            to: run.to as usize,
+            first: DiffId(run.first as usize),
+            leaves: store.list_leaves(run.list),
+        }
+    }
+
     /// The leaf diff records making up the interaction.
-    pub diffs: Vec<DiffId>,
+    pub fn diffs(&self) -> impl ExactSizeIterator<Item = DiffId> {
+        (self.first.0..self.first.0 + self.leaves).map(DiffId)
+    }
+}
+
+/// The edges of `store`, one per run row, in append order.
+pub(crate) fn edges_of_store(store: &DiffStore) -> impl ExactSizeIterator<Item = Edge> + '_ {
+    store.runs().iter().map(move |run| Edge::of_run(store, run))
 }
 
 /// Summary statistics about a graph, reported by the runtime experiments (Figures 11/12).
@@ -113,35 +141,32 @@ pub struct GraphStats {
 }
 
 /// The interaction graph: queries as vertices, interactions as labelled edges, plus the
-/// shared arena of diff records the edges refer to.
+/// pair table of diff records the edges refer to — each edge is one run of the table.
 ///
 /// The internals are kept behind accessors so that construction — batch or incremental —
 /// stays the exclusive business of `GraphBuilder` / `GraphAccumulator`: a graph in hand is
 /// always a consistent snapshot (every edge's `DiffId`s resolve in the store, every vertex
 /// index resolves in the log).
 ///
-/// Equality is *structural* over all three parts (query content, record-by-record store
-/// contents in order, edge list in order) — exactly the "byte-identical graphs" contract
-/// the determinism tests (parallel == serial, streaming == batch) assert.
+/// Equality is *structural* over both parts (query content, and the store's runs and
+/// records by content, in order) — exactly the "byte-identical graphs" contract the
+/// determinism tests (parallel == serial, streaming == batch) assert.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct InteractionGraph {
     /// The input queries, in log order, shared (not cloned) with whoever built the graph.
     pub(crate) queries: QueryLog,
-    /// The arena of diff records (leaf and ancestor) discovered while diffing pairs.
+    /// The pair table: the diff records (leaf and ancestor) and the runs that are the edges.
     pub(crate) store: DiffStore,
-    /// The labelled edges.
-    pub(crate) edges: Vec<Edge>,
 }
 
 impl InteractionGraph {
     /// Assembles a graph from pre-built parts (the escape hatch for tests and external
-    /// builders, e.g. merging per-shard mining results).  The parts are trusted to be
-    /// consistent: edge endpoints must index into `queries` and edge diff ids into `store`.
-    pub fn from_parts(queries: impl IntoQueryLog, store: DiffStore, edges: Vec<Edge>) -> Self {
+    /// builders).  The parts are trusted to be consistent: run endpoints must index into
+    /// `queries`.
+    pub fn from_parts(queries: impl IntoQueryLog, store: DiffStore) -> Self {
         InteractionGraph {
             queries: queries.into_query_log(),
             store,
-            edges,
         }
     }
 
@@ -150,30 +175,29 @@ impl InteractionGraph {
         &self.queries
     }
 
-    /// The arena of diff records (leaf and ancestor) discovered while diffing pairs.
+    /// The pair table of diff records (leaf and ancestor) discovered while diffing pairs.
     pub fn store(&self) -> &DiffStore {
         &self.store
     }
 
     /// The labelled edges, in the order they were discovered (append order).
-    pub fn edges(&self) -> &[Edge] {
-        &self.edges
+    pub fn edges(&self) -> impl ExactSizeIterator<Item = Edge> + '_ {
+        edges_of_store(&self.store)
     }
 
     /// Summary statistics.
     pub fn stats(&self) -> GraphStats {
         GraphStats {
             queries: self.queries.len(),
-            edges: self.edges.len(),
+            edges: self.store.runs().len(),
             diff_records: self.store.len(),
             distinct_paths: self.store.distinct_paths(),
         }
     }
 
     /// Edges incident to a query.
-    pub fn edges_of(&self, query: usize) -> impl Iterator<Item = &Edge> {
-        self.edges
-            .iter()
+    pub fn edges_of(&self, query: usize) -> impl Iterator<Item = Edge> + '_ {
+        self.edges()
             .filter(move |e| e.from == query || e.to == query)
     }
 
@@ -184,7 +208,7 @@ impl InteractionGraph {
         if self.queries.is_empty() {
             return true;
         }
-        if self.edges.is_empty() {
+        if self.store.runs().is_empty() {
             return self.queries.len() <= 1
                 || self
                     .queries
@@ -192,7 +216,7 @@ impl InteractionGraph {
                     .all(|q| q.structural_hash() == self.queries[0].structural_hash());
         }
         let mut adjacent: Vec<Vec<usize>> = vec![Vec::new(); self.queries.len()];
-        for e in &self.edges {
+        for e in self.edges() {
             adjacent[e.from].push(e.to);
             adjacent[e.to].push(e.from);
         }
@@ -230,7 +254,7 @@ impl InteractionGraph {
 mod tests {
     use super::*;
     use pi_ast::Frontend as _;
-    use pi_diff::{extract_diffs, AncestorPolicy};
+    use pi_diff::{extract_changes, AncestorPolicy};
 
     fn parse(sql: &str) -> Result<pi_ast::Node, pi_ast::FrontendError> {
         pi_sql::SqlFrontend.parse_one(sql)
@@ -241,24 +265,12 @@ mod tests {
         let q1 = parse("SELECT a FROM t WHERE x = 2").unwrap();
         let q2 = parse("SELECT b FROM t WHERE x = 2").unwrap();
         let mut store = DiffStore::new();
-        let mut edges = Vec::new();
+        let qs = [&q0, &q1, &q2];
         for (i, j) in [(0usize, 1usize), (1, 2)] {
-            let qs = [&q0, &q1, &q2];
-            let records = extract_diffs(qs[i], qs[j], i, j, AncestorPolicy::LcaPruned);
-            let leaf_only: Vec<_> = records.iter().filter(|r| r.is_leaf).cloned().collect();
-            let ids = store.extend(leaf_only);
-            edges.push(Edge {
-                from: i,
-                to: j,
-                diffs: ids,
-            });
-            store.extend(records.into_iter().filter(|r| !r.is_leaf));
+            let list = store.push_list(extract_changes(qs[i], qs[j], AncestorPolicy::LcaPruned));
+            store.push_run(i, j, list);
         }
-        InteractionGraph {
-            queries: vec![q0, q1, q2].into(),
-            store,
-            edges,
-        }
+        InteractionGraph::from_parts(vec![q0, q1, q2], store)
     }
 
     #[test]
@@ -269,6 +281,11 @@ mod tests {
         assert_eq!(s.edges, 2);
         assert!(s.diff_records >= 2);
         assert!(s.distinct_paths >= 2);
+        // Each edge is labelled with its run's leading leaf records.
+        for edge in g.edges() {
+            assert!(edge.leaves > 0);
+            assert!(edge.diffs().all(|id| g.store().get(id).is_leaf));
+        }
     }
 
     #[test]

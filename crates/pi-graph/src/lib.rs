@@ -17,8 +17,8 @@
 //! distinct query shapes dominates most logs): at ingest every query is collapsed to a
 //! distinct-tree id ([`DedupTable`]), and the expensive alignment runs once per distinct
 //! ordered pair of shapes ([`DiffMemo`]) — `O(d²)` alignments for `d` distinct shapes
-//! instead of `O(n²)` under `AllPairs` — while a cheap per-pair step re-wraps the memoized
-//! change lists into records carrying the original log indices.  Memoization is on by
+//! instead of `O(n²)` under `AllPairs` — and every log pair adds one run row pointing at its
+//! shapes' memoized change list in the pair table ([`pi_diff::DiffStore`]).  Memoization is on by
 //! default and *invisible*: graphs are byte-identical with it on or off
 //! ([`GraphBuilder::memoize`] exists for A/B measurement).
 //!
@@ -116,9 +116,9 @@ mod tests {
             .build(&log);
         assert_eq!(serial.edges().len(), parallel.edges().len());
         assert_eq!(serial.store().len(), parallel.store().len());
-        for (a, b) in serial.edges().iter().zip(parallel.edges().iter()) {
+        for (a, b) in serial.edges().zip(parallel.edges()) {
             assert_eq!((a.from, a.to), (b.from, b.to));
-            assert_eq!(a.diffs.len(), b.diffs.len());
+            assert_eq!(a.leaves, b.leaves);
         }
     }
 

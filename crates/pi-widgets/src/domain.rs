@@ -1,7 +1,7 @@
 //! Widget domains: the set of subtrees a widget can put at its path.
 
 use pi_ast::{Dialect, Node, NodeId, PrimitiveType};
-use pi_diff::DiffRecord;
+use pi_diff::RecordRef;
 use std::collections::HashSet;
 
 /// The domain `w.d` of a widget: the subtrees the widget can substitute at its path, plus
@@ -56,8 +56,13 @@ impl Domain {
     /// initialisation of §4.3): both sides of every record are collected, deduplicated by
     /// structural identity, and typed by the join of the member types.  Every member is
     /// tagged with the default dialect; use [`Domain::from_diffs_tagged`] when the
-    /// per-query dialects of the log are known.
-    pub fn from_diffs<'a, I: IntoIterator<Item = &'a DiffRecord>>(records: I) -> Self {
+    /// per-query dialects of the log are known.  Records may be owned
+    /// [`DiffRecord`](pi_diff::DiffRecord)s (by reference) or store views.
+    pub fn from_diffs<'a, I>(records: I) -> Self
+    where
+        I: IntoIterator,
+        I::Item: Into<RecordRef<'a>>,
+    {
         Self::from_diffs_tagged(records, |_| Dialect::default())
     }
 
@@ -68,11 +73,13 @@ impl Domain {
     /// well-defined because records arrive in deterministic store order.
     pub fn from_diffs_tagged<'a, I, F>(records: I, tag_of: F) -> Self
     where
-        I: IntoIterator<Item = &'a DiffRecord>,
+        I: IntoIterator,
+        I::Item: Into<RecordRef<'a>>,
         F: Fn(usize) -> Dialect,
     {
         let mut domain = Domain::new();
         for record in records {
+            let record: RecordRef<'a> = record.into();
             match &record.before {
                 Some(node) => domain.insert_tagged(node.clone(), tag_of(record.q1)),
                 None => domain.includes_absent = true,

@@ -3,7 +3,7 @@
 use crate::domain::Domain;
 use crate::types::WidgetType;
 use pi_ast::{Node, Path, PrimitiveType};
-use pi_diff::{DiffId, DiffRecord};
+use pi_diff::{DiffId, TreeChange};
 
 /// A widget instance `w`: a widget type instantiated at a path `w.p` with a domain `w.d`
 /// initialised from a subset `w.D` of the diffs table (§4.3).
@@ -70,8 +70,9 @@ impl Widget {
     }
 
     /// The expressiveness check of §4.3: widget `w` expresses diff `d` iff their paths match
-    /// and the target subtree `t2` is within the widget's domain.
-    pub fn expresses(&self, diff: &DiffRecord) -> bool {
+    /// and the target subtree `t2` is within the widget's domain.  Records pass as their
+    /// change (`&record` derefs to it).
+    pub fn expresses(&self, diff: &TreeChange) -> bool {
         self.path == diff.path && self.can_express_subtree(diff.after.as_ref())
     }
 

@@ -6,10 +6,10 @@
 //!
 //! The mining window is kept minimal (`sliding(2)`) so the test is about the *ingest*
 //! path — chunked extends, the parse cache, skip-and-count, arena-backed log storage —
-//! and stays fast in debug builds.  `memory_footprint()` covers mined state too (diff
-//! records and the alignment memo): the memo is flat once the shape pool is warm, and
-//! record rows are a bounded few dozen bytes per admitted pair, so streaming the second
-//! half of the trace may not double the halfway footprint — superlinear retention
+//! and stays fast in debug builds.  `memory_footprint()` covers mined state too (the pair
+//! table and the alignment memo): change lists and the memo grow only with new shape
+//! pairs, and each admitted pair adds one 16-byte run row, so streaming the second half
+//! of the trace may not double the halfway footprint — superlinear retention
 //! (per-duplicate trees, an unbounded memo) would blow straight through that bound.
 
 use precision_interfaces::graph::WindowStrategy;
@@ -54,9 +54,9 @@ fn streaming_a_hundred_thousand_line_trace_keeps_the_footprint_bounded() {
         footprint <= 2 * warm_footprint,
         "footprint doubled across the stream: {warm_footprint} -> {footprint} bytes"
     );
-    // And an absolute sanity bound: the arena, parse cache and memo land around a couple
-    // MiB, and ~8 mined records/row at ~32 bytes add ~25 MiB across the full trace; a
-    // retained per-query tree (~30 nodes × 128 bytes × 10⁵ rows) would blow far past this.
+    // And an absolute sanity bound: the whole estimate lands around 15 MiB (arena, parse
+    // cache, memo, change lists, and a run row per admitted pair); a retained per-query
+    // tree (~30 nodes × 128 bytes × 10⁵ rows) would blow far past this.
     assert!(
         footprint < 48 << 20,
         "footprint {footprint} bytes is not trace-scale bounded"

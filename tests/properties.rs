@@ -105,14 +105,14 @@ fn arb_path() -> impl Strategy<Value = Path> {
 }
 
 /// The store layout the mapper's pair index relies on: every edge's records are one
-/// contiguous run of ids that starts at `edge.diffs[0]`, holds the edge's leaves first
-/// (exactly `edge.diffs`) and then its ancestors, and carries the edge's `(from, to)` on
+/// contiguous run of ids that starts at `edge.first`, holds the edge's leaves first
+/// (exactly `edge.diffs()`) and then its ancestors, and carries the edge's `(from, to)` on
 /// every record; the runs come in edge order and cover the whole store, and no
 /// `(from, to)` pair repeats.
 fn assert_one_run_per_pair(graph: &precision_interfaces::graph::InteractionGraph, what: &str) {
     use precision_interfaces::diff::DiffId;
     let store = graph.store();
-    let edges = graph.edges();
+    let edges: Vec<_> = graph.edges().collect();
     let mut pairs = std::collections::HashSet::new();
     let mut next = 0;
     for (k, edge) in edges.iter().enumerate() {
@@ -120,15 +120,19 @@ fn assert_one_run_per_pair(graph: &precision_interfaces::graph::InteractionGraph
             pairs.insert((edge.from, edge.to)),
             "{what}: pair {k} repeats"
         );
-        assert!(!edge.diffs.is_empty(), "{what}: edge {k} has no leaves");
+        assert!(edge.leaves > 0, "{what}: edge {k} has no leaves");
         assert_eq!(
-            edge.diffs[0].0, next,
+            edge.first.0, next,
             "{what}: run {k} does not start where run {k} - 1 ends"
         );
-        let end = edges.get(k + 1).map_or(store.len(), |e| e.diffs[0].0);
+        let end = edges.get(k + 1).map_or(store.len(), |e| e.first.0);
         assert!(
-            end >= next + edge.diffs.len(),
+            end >= next + edge.leaves,
             "{what}: runs {k} and {k} + 1 overlap"
+        );
+        assert!(
+            edge.diffs().eq((next..next + edge.leaves).map(DiffId)),
+            "{what}: the leaves of run {k}"
         );
         for id in next..end {
             let record = store.get(DiffId(id));
@@ -137,18 +141,11 @@ fn assert_one_run_per_pair(graph: &precision_interfaces::graph::InteractionGraph
                 (edge.from, edge.to),
                 "{what}: record {id} of run {k}"
             );
-            let leaf_slot = id - next < edge.diffs.len();
+            let leaf_slot = id - next < edge.leaves;
             assert_eq!(
                 record.is_leaf, leaf_slot,
                 "{what}: record {id} of run {k}: leaves first"
             );
-            if leaf_slot {
-                assert_eq!(
-                    edge.diffs[id - next],
-                    DiffId(id),
-                    "{what}: leaf {id} of run {k}"
-                );
-            }
         }
         next = end;
     }

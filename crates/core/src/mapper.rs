@@ -17,25 +17,30 @@
 //! **Cost of a mapping.**  A mapping first lays the pair table out as flat per-record
 //! columns: a path id (the distinct paths interned once and ranked in `Path` order), a
 //! member id for each of the record's two subtree sides (the distinct subtrees interned once
-//! by [`NodeId`]), its compared pair's run id and its change.  Paths and sides are hashed
-//! once per change of the store's change table, not once per record; each run then copies
-//! its list's ids into the record columns.  Everything after that works on ids.  The path partition is a counting sort on
-//! the path column.  A domain is built by deduplicating on the member-id column against
-//! per-member stamps, so it hashes and clones a `Node` only for a new member.  Widgets live
-//! in one slot per path id: an ancestor's descendants are the path ids of its subtree range,
-//! and a prefix test is two integer comparisons.  One ancestor step of Algorithm 3 reads the
-//! records of the ancestor and of its descendants a constant number of times: once to mark
-//! the shared queries `V` in a per-query array, once to split each record list into overlap
-//! and kept records (exact complements), once per rebuilt widget, and once per record of
-//! every compared pair the overlap touches.  A pass therefore costs time linear in `Σ` over
-//! ancestors of the records they and their descendants hold — each record is touched once
-//! per widget path above it.
+//! by [`NodeId`]), its change list and its compared pair's queries.  Paths and sides are
+//! hashed once per change of the store's change table, not once per record, and the intern
+//! pass records each new member's primitive type and numeric value; each run then copies its
+//! list's ids into the record columns.  Everything after that works on ids, and no `Node` is
+//! read again until the mapper returns.  The path partition is a counting sort on the path
+//! column.  A widget under construction is a slot: its type, cost and records, and its
+//! domain as a shape (the sorted member ids, deduplicated against per-member stamps, and
+//! the size, type join, absent flag and numeric range the widget rules and cost functions
+//! read), one slot per path id.  An ancestor's descendants are the path ids of its subtree
+//! range, and a prefix test is two integer comparisons.  One ancestor step of Algorithm 3
+//! reads the records of the ancestor and of its descendants a constant number of times: once
+//! to mark the shared queries `V` in a per-query array, once to split each record list into
+//! overlap and kept records (exact complements), and once per rebuilt slot; the coverage
+//! check then reads each change list the overlap touches once, whatever the number of runs
+//! that share it.  A pass therefore costs time linear in `Σ` over ancestors of the records
+//! they and their descendants hold — each record is touched once per widget path above it.
+//! Only the slots left after the last pass become [`Widget`]s, each with its [`Domain`]
+//! built once from its own records.
 
 use crate::interface::Interface;
 use pi_ast::{Dialect, IntBuildHasher, Node, NodeId, NodeKind, Path};
-use pi_diff::{DiffId, DiffStore, TreeChange};
+use pi_diff::{DiffId, DiffStore};
 use pi_graph::InteractionGraph;
-use pi_widgets::{Domain, Widget, WidgetLibrary};
+use pi_widgets::{Domain, DomainShape, MemberFacts, Widget, WidgetLibrary, WidgetType};
 use std::cmp::Reverse;
 use std::collections::HashMap;
 
@@ -124,123 +129,106 @@ impl InteractionMapper {
         let initial_dialect = dialects.first().copied().unwrap_or_default();
 
         let columns = Columns::build(store, dialects);
-        let mut seen = MemberMarks {
-            marks: vec![0; columns.members],
-            stamp: 0,
-        };
-        let mut widgets = self.initialize(&columns, &mut seen);
-        if self.options.enable_merging {
-            let mut queries = QueryMarks {
-                marks: vec![0; log_len],
-                stamp: 0,
-            };
-            let mut queued = vec![0; columns.runs()];
-            for _ in 0..self.options.max_merge_passes {
-                let improved =
-                    self.merge_pass(&mut widgets, &columns, &mut queries, &mut queued, &mut seen);
-                if !improved {
-                    break;
-                }
-            }
-        }
-        let widgets = widgets.into_iter().flatten().collect();
+        let mut scratch = Scratch::new(&columns, log_len);
+        let slots = self.slots(&columns, &mut scratch);
+        let widgets = slots
+            .into_iter()
+            .enumerate()
+            .filter_map(|(p, slot)| {
+                let slot = slot?;
+                let domain = columns.domain(&slot.ids, &mut scratch.seen);
+                let path = columns.paths[p].clone();
+                Some(Widget::new(slot.ty, path, domain, slot.ids, slot.cost))
+            })
+            .collect();
         Mapping {
             interface: Interface::new(initial_query, widgets).with_initial_dialect(initial_dialect),
             distinct_paths: columns.paths.len(),
         }
     }
 
-    /// Algorithm 1: one widget per path partition, instantiated by `pickWidget`.  Slot `p`
-    /// holds the widget at path id `p`, or `None` when no widget type accepts its domain.
-    fn initialize(&self, columns: &Columns<'_>, seen: &mut MemberMarks) -> Vec<Option<Widget>> {
-        columns
+    /// Algorithms 1–3 on ids: the slots left at each path id once merging ends.
+    fn slots(&self, columns: &Columns<'_>, scratch: &mut Scratch) -> Vec<Option<Slot>> {
+        // Algorithm 1: one widget per path partition, instantiated by `pickWidget`.  A slot
+        // is `None` when no widget type accepts its path's domain.
+        let mut slots: Vec<Option<Slot>> = columns
             .partition()
             .into_iter()
-            .zip(&columns.paths)
-            .map(|(ids, path)| {
-                let domain = columns.domain(&ids, seen);
-                self.library.pick(path.clone(), domain, ids)
-            })
-            .collect()
-    }
-
-    /// Rebuilds the widget at path id `path` from a reduced set of initialising diffs
-    /// (Algorithm 2 re-applied after a merge decision).  Returns `None` when no diffs remain.
-    fn repick(
-        &self,
-        path: usize,
-        ids: Vec<DiffId>,
-        columns: &Columns<'_>,
-        seen: &mut MemberMarks,
-    ) -> Option<Widget> {
-        if ids.is_empty() {
-            return None;
+            .map(|ids| columns.slot(&self.library, ids, &mut scratch.seen))
+            .collect();
+        if self.options.enable_merging {
+            for _ in 0..self.options.max_merge_passes {
+                if !self.merge_pass(&mut slots, columns, scratch) {
+                    break;
+                }
+            }
         }
-        let domain = columns.domain(&ids, seen);
-        self.library.pick(columns.paths[path].clone(), domain, ids)
+        slots
     }
 
     /// One sweep of Algorithm 3 over every ancestor widget, deepest first.  Returns whether
     /// the total interface cost decreased.
     fn merge_pass(
         &self,
-        widgets: &mut [Option<Widget>],
+        slots: &mut [Option<Slot>],
         columns: &Columns<'_>,
-        queries: &mut QueryMarks,
-        queued: &mut [u64],
-        seen: &mut MemberMarks,
+        scratch: &mut Scratch,
     ) -> bool {
+        let Scratch {
+            seen,
+            queries,
+            queued,
+            expressed,
+        } = scratch;
         let mut improved = false;
 
         // Deepest ancestors first: this collapses widget chains bottom-up so that the cost of
         // intermediate redundant widgets does not distort the ancestor/descendant comparison.
         // Path ids rank paths in `Path` order, so ties break by path.
-        let mut order: Vec<usize> = (0..widgets.len())
-            .filter(|&p| widgets[p].is_some())
-            .collect();
+        let mut order: Vec<usize> = (0..slots.len()).filter(|&p| slots[p].is_some()).collect();
         order.sort_by_key(|&p| (Reverse(columns.paths[p].depth()), p));
 
         for a in order {
-            let Some(ancestor) = &widgets[a] else {
+            let Some(ancestor) = &slots[a] else {
                 continue;
             };
             // The paths that strictly extend `a`'s are exactly the path ids after it in its
             // subtree range.
             let descendant_ids: Vec<usize> = (a + 1..columns.subtree_end[a])
-                .filter(|&j| widgets[j].is_some())
+                .filter(|&j| slots[j].is_some())
                 .collect();
             if descendant_ids.is_empty() {
                 continue;
             }
-            let widget_at = |j: usize| widgets[j].as_ref().expect("a listed slot holds a widget");
+            let slot_at = |j: usize| slots[j].as_ref().expect("a listed path id holds a slot");
 
             // V: the queries incident to both the ancestor's and the descendants' records.
-            let descendant_diffs = descendant_ids.iter().map(|&j| &widget_at(j).init_diffs);
-            if !queries.mark_shared(&columns.queries, &ancestor.init_diffs, descendant_diffs) {
+            let descendant_diffs = descendant_ids.iter().map(|&j| &slot_at(j).ids);
+            if !queries.mark_shared(&columns.queries, &ancestor.ids, descendant_diffs) {
                 continue;
             }
             let queries = &*queries;
             let in_v = |id: &DiffId| queries.in_v(&columns.queries, *id);
 
             // The overlap (records whose incident queries both lie in V) on either side, and
-            // the compared pairs it touches: only those pairs need re-checking.
-            let mut affected: Vec<usize> = Vec::new();
+            // the change lists it touches: only those need re-checking, each once.
+            let mut affected: Vec<u32> = Vec::new();
             let mut overlap = |ids: &[DiffId]| {
                 let mut any = false;
                 for id in ids.iter().filter(|id| in_v(id)) {
-                    let run = columns.run[id.0] as usize;
-                    if queued[run] != queries.stamp {
-                        queued[run] = queries.stamp;
-                        affected.push(run);
+                    let list = columns.list[id.0];
+                    if queued[list as usize] != queries.stamp {
+                        queued[list as usize] = queries.stamp;
+                        affected.push(list);
                     }
                     any = true;
                 }
                 any
             };
-            let ancestor_overlaps = overlap(&ancestor.init_diffs);
+            let ancestor_overlaps = overlap(&ancestor.ids);
             let overlapping: Vec<usize> = descendant_ids
                 .into_iter()
-                .filter(|&j| overlap(&widget_at(j).init_diffs))
+                .filter(|&j| overlap(&slot_at(j).ids))
                 .collect();
             if affected.is_empty() {
                 continue;
@@ -252,23 +240,26 @@ impl InteractionMapper {
             let kept = |ids: &[DiffId]| -> Vec<DiffId> {
                 ids.iter().copied().filter(|id| !in_v(id)).collect()
             };
+            let rebuilt = |ids: &[DiffId], seen: &mut MemberMarks| {
+                columns.slot(&self.library, kept(ids), seen)
+            };
             // Candidate A: remove the overlap from the ancestor.
             let (new_ancestor, sa) = if ancestor_overlaps {
-                let newer = self.repick(a, kept(&ancestor.init_diffs), columns, seen);
-                let sa = ancestor.cost - newer.as_ref().map(|w| w.cost).unwrap_or(0.0);
+                let newer = rebuilt(&ancestor.ids, seen);
+                let sa = ancestor.cost - newer.as_ref().map(|s| s.cost).unwrap_or(0.0);
                 (newer, sa)
             } else {
                 (None, 0.0)
             };
 
             // Candidate B: remove the overlap from every descendant, summed in path order.
-            let mut new_descendants: Vec<(usize, Option<Widget>)> =
+            let mut new_descendants: Vec<(usize, Option<Slot>)> =
                 Vec::with_capacity(overlapping.len());
             let mut sd = 0.0;
             for j in overlapping {
-                let descendant = widget_at(j);
-                let replacement = self.repick(j, kept(&descendant.init_diffs), columns, seen);
-                sd += descendant.cost - replacement.as_ref().map(|w| w.cost).unwrap_or(0.0);
+                let descendant = slot_at(j);
+                let replacement = rebuilt(&descendant.ids, seen);
+                sd += descendant.cost - replacement.as_ref().map(|s| s.cost).unwrap_or(0.0);
                 new_descendants.push((j, replacement));
             }
 
@@ -285,9 +276,9 @@ impl InteractionMapper {
                 if reduction <= 0.0 {
                     continue;
                 }
-                // The hypothetical widget set, by path id: the candidate's replacement where
-                // it has one.
-                let candidate_at = |p: usize| -> Option<&Widget> {
+                // The hypothetical slot set, by path id: the candidate's replacement where it
+                // has one.
+                let candidate_at = |p: usize| -> Option<&Slot> {
                     if apply_ancestor_shrink && p == a {
                         return new_ancestor.as_ref();
                     }
@@ -296,20 +287,20 @@ impl InteractionMapper {
                             return new_descendants[k].1.as_ref();
                         }
                     }
-                    widgets[p].as_ref()
+                    slots[p].as_ref()
                 };
                 if !affected
                     .iter()
-                    .all(|&run| columns.expressible(run, candidate_at))
+                    .all(|&list| columns.covers(list, candidate_at, expressed))
                 {
                     continue;
                 }
                 // Commit.
                 if apply_ancestor_shrink {
-                    widgets[a] = new_ancestor;
+                    slots[a] = new_ancestor;
                 } else {
                     for (j, replacement) in new_descendants {
-                        widgets[j] = replacement;
+                        slots[j] = replacement;
                     }
                 }
                 improved = true;
@@ -317,6 +308,29 @@ impl InteractionMapper {
             }
         }
         improved
+    }
+}
+
+/// A widget under construction: its type and cost, its records `w.D`, and its domain as a
+/// shape over member ids.  The slots left when merging ends become [`Widget`]s.
+struct Slot {
+    ty: WidgetType,
+    cost: f64,
+    /// The initialising records, in id order.
+    ids: Vec<DiffId>,
+    /// The domain's member ids, sorted.
+    members: Vec<u32>,
+    shape: DomainShape,
+}
+
+impl Slot {
+    /// The expressibility rule of §4.3 on ids: whether the widget can place the subtree
+    /// with member id `member` ([`ABSENT`] for absence) at its path.
+    fn can_place(&self, member: u32, facts: &[MemberFacts]) -> bool {
+        let candidate = (member != ABSENT).then(|| facts[member as usize]);
+        self.ty.can_place(&self.shape, candidate, || {
+            self.members.binary_search(&member).is_ok()
+        })
     }
 }
 
@@ -332,20 +346,24 @@ struct Columns<'a> {
     /// exactly the table's paths that have `paths[p]` as a prefix, since `Path` order keeps
     /// every extension of a path right after it.
     subtree_end: Vec<usize>,
+    /// Per member id: the subtree, one per distinct [`NodeId`] on either side of any record.
+    nodes: Vec<&'a Node>,
+    /// Per member id: what the widget rules read of its subtree.
+    facts: Vec<MemberFacts>,
+    /// Per change of the store's change table: its path id ([`UNSEEN`] for a change no run
+    /// reaches).
+    change_path: Vec<u32>,
+    /// Per change of the table: the member id of its `after` side, [`ABSENT`] when missing.
+    change_after: Vec<u32>,
     /// Per record: its path id.
     path: Vec<u32>,
-    /// The number of distinct subtrees on either side of any record: member ids are
-    /// `0..members`, one per distinct [`NodeId`].
-    members: usize,
     /// Per record: the member ids of its `before` and `after` subtrees, [`ABSENT`] for a
     /// missing side.
     sides: Vec<[u32; 2]>,
     /// Per record: the log indices of its two queries, `q1` and `q2`.
     queries: Vec<[u32; 2]>,
-    /// Per record: the run of its compared pair.
-    run: Vec<u32>,
-    /// Per record: its change in the store's change table.
-    change: Vec<u32>,
+    /// Per record: the change list its run reads.
+    list: Vec<u32>,
 }
 
 /// A change-table entry no run has reached yet.
@@ -355,28 +373,32 @@ impl<'a> Columns<'a> {
     /// One pass over the distinct changes the runs use, a sort of the distinct paths, then
     /// one copy pass over the runs.
     ///
-    /// The merge check reads a compared pair as its run, so the build asserts that run rows
-    /// strictly increase in `(to, from)` — the builder's append order, which also means no
-    /// pair has two runs.
+    /// The merge check reads a compared pair as its change list, so the build asserts that
+    /// run rows strictly increase in `(to, from)` — the builder's append order, which also
+    /// means no pair has two runs.
     fn build(store: &'a DiffStore, dialects: &'a [Dialect]) -> Self {
-        // Path, run and member ids are stored as `u32`: the first two cannot exceed the
+        // Path, list and member ids are stored as `u32`: the first two cannot exceed the
         // record count, and member ids stay below twice that, so below `ABSENT`.
         assert!(
             store.len() < 1 << 31,
             "a mapping handles fewer than 2^31 records"
         );
         // Per change of the table: its path id and side member ids, assigned the first time
-        // a run's list reaches it, so ids are first-seen in record order.
+        // a run's list reaches it, so ids are first-seen in record order.  A new member's
+        // facts are read here, the one time the mapping reaches its `Node` before it ends.
         let table = store.changes();
-        let mut path_of = vec![UNSEEN; table.len()];
+        let mut change_path = vec![UNSEEN; table.len()];
         let mut sides_of = vec![[ABSENT; 2]; table.len()];
         let mut interned: HashMap<&Path, u32, IntBuildHasher> = HashMap::default();
         let mut member_of: HashMap<NodeId, u32, IntBuildHasher> = HashMap::default();
-        let mut member = |side: &Option<Node>| match side {
-            Some(node) => {
-                let fresh = member_of.len() as u32;
-                *member_of.entry(node.id()).or_insert(fresh)
-            }
+        let mut nodes = Vec::new();
+        let mut facts = Vec::new();
+        let mut member = |side: &'a Option<Node>| match side {
+            Some(node) => *member_of.entry(node.id()).or_insert_with(|| {
+                nodes.push(node);
+                facts.push(MemberFacts::of(node));
+                (nodes.len() - 1) as u32
+            }),
             None => ABSENT,
         };
         let mut listed = vec![false; store.list_count()];
@@ -394,10 +416,10 @@ impl<'a> Columns<'a> {
             }
             for &c in store.list(run.list) {
                 let c = c as usize;
-                if path_of[c] == UNSEEN {
+                if change_path[c] == UNSEEN {
                     let change = &table[c];
                     let fresh = interned.len() as u32;
-                    path_of[c] = *interned.entry(&change.path).or_insert(fresh);
+                    change_path[c] = *interned.entry(&change.path).or_insert(fresh);
                     sides_of[c] = [member(&change.before), member(&change.after)];
                 }
             }
@@ -410,7 +432,7 @@ impl<'a> Columns<'a> {
         for (rank, (_, first_seen)) in ranked.iter().enumerate() {
             rank_of[*first_seen as usize] = rank as u32;
         }
-        for p in path_of.iter_mut().filter(|p| **p != UNSEEN) {
+        for p in change_path.iter_mut().filter(|p| **p != UNSEEN) {
             *p = rank_of[*p as usize];
         }
         let paths: Vec<Path> = ranked.into_iter().map(|(p, _)| p.clone()).collect();
@@ -419,15 +441,13 @@ impl<'a> Columns<'a> {
         let mut path = Vec::with_capacity(store.len());
         let mut sides = Vec::with_capacity(store.len());
         let mut queries = Vec::with_capacity(store.len());
-        let mut run = Vec::with_capacity(store.len());
-        let mut change = Vec::with_capacity(store.len());
-        for (k, row) in store.runs().iter().enumerate() {
-            let list = store.list(row.list);
-            path.extend(list.iter().map(|&c| path_of[c as usize]));
-            sides.extend(list.iter().map(|&c| sides_of[c as usize]));
-            queries.extend(std::iter::repeat([row.from, row.to]).take(list.len()));
-            run.extend(std::iter::repeat(k as u32).take(list.len()));
-            change.extend_from_slice(list);
+        let mut list = Vec::with_capacity(store.len());
+        for row in store.runs() {
+            let changes = store.list(row.list);
+            path.extend(changes.iter().map(|&c| change_path[c as usize]));
+            sides.extend(changes.iter().map(|&c| sides_of[c as usize]));
+            queries.extend(std::iter::repeat([row.from, row.to]).take(changes.len()));
+            list.extend(std::iter::repeat(row.list).take(changes.len()));
         }
 
         // Subtree ranges: a path's range closes at the first later path it is not a prefix
@@ -451,29 +471,15 @@ impl<'a> Columns<'a> {
             dialects,
             paths,
             subtree_end,
+            nodes,
+            facts,
+            change_path,
+            change_after: sides_of.into_iter().map(|[_, after]| after).collect(),
             path,
-            members: member_of.len(),
             sides,
             queries,
-            run,
-            change,
+            list,
         }
-    }
-
-    /// The change record `r` reads.
-    fn change(&self, r: usize) -> &'a TreeChange {
-        &self.store.changes()[self.change[r] as usize]
-    }
-
-    /// The records of run `k`.
-    fn run_records(&self, k: usize) -> std::ops::Range<usize> {
-        let run = self.store.runs()[k];
-        run.first as usize..run.first as usize + self.store.list_len(run.list)
-    }
-
-    /// The number of compared-pair runs.
-    fn runs(&self) -> usize {
-        self.store.runs().len()
     }
 
     /// Algorithm 1, line 3: the partition `W_p` of the records by path, one group per path
@@ -490,11 +496,45 @@ impl<'a> Columns<'a> {
         groups
     }
 
+    /// Algorithm 2 (`pickWidget`) on ids: the slot over a set of records, or `None` when
+    /// no type in `library` accepts its domain (in particular when `ids` is empty).  The
+    /// domain's shape takes both sides of each record in id order, deduplicated on the
+    /// member-id column, exactly as [`Columns::domain`] would insert them, so the slot
+    /// picks the type and cost [`WidgetLibrary::pick`] picks for the built domain.
+    fn slot(
+        &self,
+        library: &WidgetLibrary,
+        ids: Vec<DiffId>,
+        seen: &mut MemberMarks,
+    ) -> Option<Slot> {
+        seen.stamp += 1;
+        let mut shape = DomainShape::default();
+        let mut members = Vec::new();
+        for id in &ids {
+            for member in self.sides[id.0] {
+                if member == ABSENT {
+                    shape.set_includes_absent(true);
+                } else if seen.first_sight(member) {
+                    shape.add_member(self.facts[member as usize]);
+                    members.push(member);
+                }
+            }
+        }
+        let (ty, cost) = library.choose(&shape)?;
+        members.sort_unstable();
+        Some(Slot {
+            ty,
+            cost,
+            ids,
+            members,
+            shape,
+        })
+    }
+
     /// The domain of a set of records: both sides of each record in id order, deduplicated
     /// on the member-id column, so that only a new member's `Node` is cloned and hashed into
-    /// the domain.  Members keep
-    /// their first-seen order and the dialect of the query they were first seen in (`q1`
-    /// for a `before` side, `q2` for an `after` side), exactly as
+    /// the domain.  Members keep their first-seen order and the dialect of the query they
+    /// were first seen in (`q1` for a `before` side, `q2` for an `after` side), exactly as
     /// [`Domain::from_diffs_tagged`] builds them.
     fn domain(&self, ids: &[DiffId], seen: &mut MemberMarks) -> Domain {
         seen.stamp += 1;
@@ -503,21 +543,11 @@ impl<'a> Columns<'a> {
             for (side, member) in self.sides[id.0].into_iter().enumerate() {
                 if member == ABSENT {
                     domain.set_includes_absent(true);
-                    continue;
+                } else if seen.first_sight(member) {
+                    let query = self.queries[id.0][side] as usize;
+                    let node = self.nodes[member as usize].clone();
+                    domain.insert_tagged(node, self.dialect(query));
                 }
-                let mark = &mut seen.marks[member as usize];
-                if *mark == seen.stamp {
-                    continue;
-                }
-                *mark = seen.stamp;
-                let change = self.change(id.0);
-                let node = match side {
-                    0 => &change.before,
-                    _ => &change.after,
-                };
-                let node = node.clone().expect("a member id names a present side");
-                let query = self.queries[id.0][side] as usize;
-                domain.insert_tagged(node, self.dialect(query));
             }
         }
         domain
@@ -536,31 +566,65 @@ impl<'a> Columns<'a> {
     /// A compared pair stays expressible when every one of its leaf-diff paths is covered:
     /// either the leaf record itself is expressed by a widget, or an ancestor record of the
     /// pair whose path is a prefix of the leaf path is expressed by a widget (replacing the
-    /// larger region also realises the leaf change).  `widget_at` is the candidate
-    /// interface's widget at a path id; a widget expresses a record at its own path when it
-    /// can place the record's `after` side (§4.3).
-    fn expressible<'w>(&self, run: usize, widget_at: impl Fn(usize) -> Option<&'w Widget>) -> bool {
-        let records = self.run_records(run);
-        let expressed: Vec<usize> = records
-            .clone()
-            .map(|r| (r, self.path[r] as usize))
-            .filter(|&(r, p)| {
-                widget_at(p).is_some_and(|w| {
-                    debug_assert!(w.path == self.paths[p], "slot {p} holds its path's widget");
-                    w.can_express_subtree(self.change(r).after.as_ref())
-                })
-            })
-            .map(|(_, p)| p)
-            .collect();
-        records.filter(|&r| self.change(r).is_leaf).all(|r| {
-            let leaf = self.path[r] as usize;
-            expressed.iter().any(|&p| self.is_prefix(p, leaf))
+    /// larger region also realises the leaf change).  A widget expresses a record at its own
+    /// path when it can place the record's `after` side (§4.3).
+    ///
+    /// That depends only on the pair's changes — their paths, `after` sides and leaf flags
+    /// — so it is checked once per change `list`, for every run that reads it; the leaves
+    /// are the list's first [`DiffStore::list_leaves`] changes.  `slot_at` is the candidate
+    /// interface's slot at a path id; `expressed` is scratch space for the path ids of the
+    /// expressed changes.
+    fn covers<'s>(
+        &self,
+        list: u32,
+        slot_at: impl Fn(usize) -> Option<&'s Slot>,
+        expressed: &mut Vec<u32>,
+    ) -> bool {
+        let changes = self.store.list(list);
+        expressed.clear();
+        for &c in changes {
+            let p = self.change_path[c as usize];
+            let after = self.change_after[c as usize];
+            if slot_at(p as usize).is_some_and(|slot| slot.can_place(after, &self.facts)) {
+                expressed.push(p);
+            }
+        }
+        changes[..self.store.list_leaves(list)].iter().all(|&c| {
+            let leaf = self.change_path[c as usize] as usize;
+            expressed.iter().any(|&p| self.is_prefix(p as usize, leaf))
         })
     }
 }
 
 /// The member id of an absent record side.
 const ABSENT: u32 = u32::MAX;
+
+/// The reusable state of one mapping's merge passes and domain builds.
+struct Scratch {
+    seen: MemberMarks,
+    queries: QueryMarks,
+    /// Per change list: the stamp of the ancestor step that last queued it for re-checking.
+    queued: Vec<u64>,
+    /// The path ids of one change list's expressed changes, while its coverage is checked.
+    expressed: Vec<u32>,
+}
+
+impl Scratch {
+    fn new(columns: &Columns<'_>, log_len: usize) -> Self {
+        Scratch {
+            seen: MemberMarks {
+                marks: vec![0; columns.facts.len()],
+                stamp: 0,
+            },
+            queries: QueryMarks {
+                marks: vec![0; log_len],
+                stamp: 0,
+            },
+            queued: vec![0; columns.store.list_count()],
+            expressed: Vec::new(),
+        }
+    }
+}
 
 /// The members one domain build has seen, as per-member stamps: every build takes a fresh
 /// stamp, so marks are never cleared.
@@ -569,10 +633,22 @@ struct MemberMarks {
     stamp: u64,
 }
 
+impl MemberMarks {
+    /// Whether the current build meets `member` for the first time (and marks it seen).
+    fn first_sight(&mut self, member: u32) -> bool {
+        let mark = &mut self.marks[member as usize];
+        if *mark == self.stamp {
+            return false;
+        }
+        *mark = self.stamp;
+        true
+    }
+}
+
 /// The shared-query set `V` of one ancestor step, as per-query stamps.  Every step takes
 /// two fresh stamps (`stamp - 1`: incident to an ancestor record; `stamp`: also to a
 /// descendant record, so in `V`); stamps only grow, so marks are never cleared.  The same
-/// stamp marks each compared-pair run the step queued for re-checking.
+/// stamp marks each change list the step queued for re-checking.
 struct QueryMarks {
     marks: Vec<u64>,
     stamp: u64,
@@ -841,6 +917,160 @@ mod tests {
         assert_eq!(
             tags(&widget.domain),
             tags(&Domain::from_diffs_tagged(kept, tag_of))
+        );
+    }
+
+    /// Logs whose mappings hold each kind of widget the id route decides on its own:
+    /// sliders (and numeric members outside a slider's domain but inside its range), text
+    /// boxes, presence toggles and checkboxes (absent sides), and tree-valued radio
+    /// buttons, checkbox lists and drag-and-drops.
+    fn widget_family_logs() -> Vec<(WindowStrategy, Vec<String>)> {
+        let sliders = [(1, 42), (100, 7), (35, 42), (1, 7), (100, 63), (35, 7)]
+            .map(|(x, y)| format!("SELECT a FROM t WHERE x = {x} AND y = {y}"));
+        let textbox = (0..48).map(|i| format!("SELECT a FROM t WHERE name = 's{i}'"));
+        let presence = [
+            "SELECT g FROM t",
+            "SELECT g FROM t WHERE x = 'a'",
+            "SELECT g FROM t",
+            "SELECT g FROM t WHERE x = 'a'",
+        ];
+        let options_or_none = [
+            "SELECT g FROM t",
+            "SELECT TOP 1 g FROM t",
+            "SELECT g FROM t",
+            "SELECT g FROM t WHERE x = 'a'",
+            "SELECT TOP 1 g FROM t",
+            "SELECT g FROM t WHERE x = 'b'",
+        ];
+        let radio = [
+            "SELECT avg(a)",
+            "SELECT count(b)",
+            "SELECT count(c)",
+            "SELECT avg(d)",
+        ];
+        let trees = |n: usize| {
+            (0..n)
+                .map(|i| format!("SELECT c{i} FROM t{} WHERE x = {i}", i % 3))
+                .collect()
+        };
+        let owned = |log: &[&str]| log.iter().map(|q| q.to_string()).collect();
+        vec![
+            (WindowStrategy::Sliding(2), sliders.to_vec()),
+            (WindowStrategy::Sliding(2), textbox.collect()),
+            (WindowStrategy::Sliding(2), owned(&presence)),
+            (WindowStrategy::AllPairs, owned(&options_or_none)),
+            (WindowStrategy::AllPairs, owned(&radio)),
+            // Whole queries at the root: a checkbox list, and a drag-and-drop for more
+            // options than a checkbox list takes (merging off keeps the root widget).
+            (WindowStrategy::Sliding(2), trees(20)),
+            (WindowStrategy::Sliding(2), trees(45)),
+        ]
+    }
+
+    #[test]
+    fn the_id_route_agrees_with_the_node_route() {
+        // For every widget a mapping returns: its slot (the id route) places exactly the
+        // subtrees the widget places — every change of the store at its path, every member
+        // of the store at any path, and absence — and the widget is what `pick` instantiates
+        // from its built domain.  Under several libraries, with merging on and off.
+        let libraries = [
+            WidgetLibrary::standard(),
+            WidgetLibrary::restricted([
+                WidgetType::Textbox,
+                WidgetType::Slider,
+                WidgetType::Dropdown,
+            ]),
+            WidgetLibrary::standard()
+                .with_cost(WidgetType::Textbox, pi_widgets::CostFunction::constant(1.0)),
+            WidgetLibrary::standard().with_cost(
+                WidgetType::Checkbox,
+                pi_widgets::CostFunction::constant(1.0),
+            ),
+        ];
+        let mut types = BTreeSet::new();
+        let mut extrapolated = 0;
+        for (window, log) in widget_family_logs() {
+            let queries: Vec<&str> = log.iter().map(String::as_str).collect();
+            let g = graph(&queries, window);
+            let store = g.store();
+            for library in &libraries {
+                for enable_merging in [true, false] {
+                    let mapper =
+                        InteractionMapper::new(library.clone()).with_options(MapperOptions {
+                            enable_merging,
+                            ..MapperOptions::default()
+                        });
+                    let iface = mapper.map(&g);
+                    let columns = Columns::build(store, &[]);
+                    let mut scratch = Scratch::new(&columns, g.queries().len());
+                    let slots = mapper.slots(&columns, &mut scratch);
+                    assert_eq!(slots.iter().flatten().count(), iface.widgets().len());
+                    for widget in iface.widgets() {
+                        let p = columns.paths.binary_search(&widget.path).unwrap();
+                        let slot = slots[p].as_ref().expect("a widget's path holds a slot");
+                        assert_eq!(
+                            *widget,
+                            library
+                                .pick(
+                                    widget.path.clone(),
+                                    widget.domain.clone(),
+                                    widget.init_diffs.clone()
+                                )
+                                .expect("a returned widget's domain is accepted"),
+                        );
+                        assert_eq!((slot.ty, slot.cost), (widget.ty, widget.cost));
+                        types.insert((widget.ty, widget.domain.includes_absent()));
+                        let place = |member: u32| slot.can_place(member, &columns.facts);
+                        for (c, change) in store.changes().iter().enumerate() {
+                            if change.path == widget.path {
+                                assert_eq!(
+                                    place(columns.change_after[c]),
+                                    widget.can_express_subtree(change.after.as_ref()),
+                                    "{} placing {:?}",
+                                    widget.describe(),
+                                    change.after
+                                );
+                            }
+                        }
+                        for (m, node) in columns.nodes.iter().enumerate() {
+                            let by_node = widget.can_express_subtree(Some(node));
+                            assert_eq!(
+                                place(m as u32),
+                                by_node,
+                                "{} placing {node}",
+                                widget.describe()
+                            );
+                            if by_node
+                                && !widget.domain.contains_exact(node)
+                                && widget.ty == WidgetType::Slider
+                            {
+                                extrapolated += 1;
+                            }
+                        }
+                        assert_eq!(place(ABSENT), widget.can_express_subtree(None));
+                    }
+                }
+            }
+        }
+        // Each kind of widget, and whether its domain has the absent option.
+        for kind in [
+            (WidgetType::Slider, false),
+            (WidgetType::Textbox, false),
+            (WidgetType::ToggleButton, true),
+            (WidgetType::Checkbox, true),
+            (WidgetType::RadioButton, false),
+            (WidgetType::RadioButton, true),
+            (WidgetType::CheckboxList, false),
+            (WidgetType::DragAndDrop, false),
+        ] {
+            assert!(
+                types.contains(&kind),
+                "no log mapped to {kind:?}: {types:?}"
+            );
+        }
+        assert!(
+            extrapolated > 0,
+            "no slider placed a value by extrapolation"
         );
     }
 

@@ -643,14 +643,14 @@ impl Session {
     pub fn hydrate(&mut self) {}
 
     /// Summary statistics of the graph mined so far (cheap; does not run the mapper).
-    pub fn graph_stats(&mut self) -> GraphStats {
+    pub fn graph_stats(&self) -> GraphStats {
         self.acc.stats()
     }
 
     /// A frozen copy of the interaction graph mined so far (cheap relative to mining: the
     /// pair table's rows are copied and its subtrees shared, and the log's nodes are
     /// shared into one allocation).
-    pub fn graph(&mut self) -> InteractionGraph {
+    pub fn graph(&self) -> InteractionGraph {
         self.acc.to_graph()
     }
 
@@ -768,9 +768,8 @@ impl Session {
     ///
     /// The writer reads the pair table as it is stored: it numbers each change of the table
     /// once and writes one row per run.  Persisting a restored session reproduces the
-    /// original bytes.  Persisting does not change the session; the `&mut self` receiver
-    /// (like [`Session::graph`]'s) only keeps the signature hosts already call.
-    pub fn persist<W: std::io::Write>(&mut self, w: &mut W) -> Result<(), CodecError> {
+    /// original bytes.
+    pub fn persist<W: std::io::Write>(&self, w: &mut W) -> Result<(), CodecError> {
         w.write_all(SNAPSHOT_MAGIC).map_err(CodecError::Io)?;
         codec::put_u32(w, SNAPSHOT_VERSION)?;
         let mut cw = codec::ChecksumWriter::new(w);
@@ -781,7 +780,7 @@ impl Session {
 
     /// [`Session::persist`] into a fresh buffer — the archival convenience used by
     /// eviction-to-snapshot hosts.
-    pub fn persist_to_vec(&mut self) -> Result<Vec<u8>, CodecError> {
+    pub fn persist_to_vec(&self) -> Result<Vec<u8>, CodecError> {
         let mut buf = Vec::new();
         self.persist(&mut buf)?;
         Ok(buf)

@@ -645,7 +645,7 @@ impl SessionPool {
     /// has never seen.  A full copy of the tenant's records and edges, for tests and
     /// diagnostics; serving reads go through [`SessionPool::snapshot`].
     pub fn graph(&self, user_id: &str, thread_id: &str) -> Option<InteractionGraph> {
-        self.read(user_id, thread_id, Session::graph)
+        self.read(user_id, thread_id, |session| session.graph())
     }
 
     /// The read path shared by [`SessionPool::snapshot`] and [`SessionPool::graph`]:

@@ -86,7 +86,7 @@ impl EditorLayout {
         let Some(w) = interface.widgets_mut().get_mut(widget) else {
             return false;
         };
-        if !new_type.accepts(&w.domain) {
+        if !new_type.accepts(w.domain.shape()) {
             return false;
         }
         w.cost = new_type.default_cost().eval(w.domain.size());

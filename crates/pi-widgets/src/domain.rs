@@ -4,45 +4,142 @@ use pi_ast::{Dialect, Node, NodeId, PrimitiveType};
 use pi_diff::RecordRef;
 use std::collections::HashSet;
 
+/// What the widget rules read of one subtree: its primitive type and, for a numeric
+/// literal, its value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MemberFacts {
+    /// The subtree's [`Node::primitive_type`].
+    pub prim: PrimitiveType,
+    /// The subtree's [`Node::numeric_value`].
+    pub value: Option<f64>,
+}
+
+impl MemberFacts {
+    /// The facts of one subtree.
+    pub fn of(node: &Node) -> Self {
+        MemberFacts {
+            prim: node.primitive_type(),
+            value: node.numeric_value(),
+        }
+    }
+}
+
+/// The shape of a domain: everything the widget rules ([`WidgetType::accepts`],
+/// [`WidgetType::can_place`]) and cost functions read of it — the number of explicit
+/// members, their primitive type, their numeric range, and whether "no subtree at all" is
+/// one of the options.  It depends on the members' [`MemberFacts`] only, so it can be
+/// built without the subtrees themselves.
+///
+/// [`WidgetType::accepts`]: crate::WidgetType::accepts
+/// [`WidgetType::can_place`]: crate::WidgetType::can_place
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DomainShape {
+    members: usize,
+    prim: PrimitiveType,
+    includes_absent: bool,
+    numeric_range: Option<(f64, f64)>,
+}
+
+impl Default for DomainShape {
+    fn default() -> Self {
+        DomainShape {
+            members: 0,
+            prim: PrimitiveType::Num,
+            includes_absent: false,
+            numeric_range: None,
+        }
+    }
+}
+
+impl DomainShape {
+    /// Counts one more (distinct) explicit member: the primitive type joins over the
+    /// members and the numeric range spans their numeric values.
+    pub fn add_member(&mut self, facts: MemberFacts) {
+        self.prim = if self.members == 0 {
+            facts.prim
+        } else {
+            self.prim.join(facts.prim)
+        };
+        if let Some(v) = facts.value {
+            self.numeric_range = Some(match self.numeric_range {
+                Some((lo, hi)) => (lo.min(v), hi.max(v)),
+                None => (v, v),
+            });
+        }
+        self.members += 1;
+    }
+
+    /// Marks "absent" (no subtree at the path) as one of the selectable options.
+    pub fn set_includes_absent(&mut self, value: bool) {
+        self.includes_absent = value;
+    }
+
+    /// Number of explicit members.
+    pub fn members(&self) -> usize {
+        self.members
+    }
+
+    /// Number of selectable options (explicit members, plus one for "absent" when allowed).
+    pub fn size(&self) -> usize {
+        self.members + usize::from(self.includes_absent)
+    }
+
+    /// True when the domain has no options at all.
+    pub fn is_empty(&self) -> bool {
+        self.size() == 0
+    }
+
+    /// The join of all member types (paper: a rule will "enforce that the elements in a
+    /// domain d are all of a particular type").
+    pub fn primitive(&self) -> PrimitiveType {
+        self.prim
+    }
+
+    /// True when one of the options is "no subtree at this path".
+    pub fn includes_absent(&self) -> bool {
+        self.includes_absent
+    }
+
+    /// The numeric range spanned by the members, if all of them are numeric.
+    pub fn numeric_range(&self) -> Option<(f64, f64)> {
+        if self.prim == PrimitiveType::Num {
+            self.numeric_range
+        } else {
+            None
+        }
+    }
+
+    /// Whether `value` lies within [`DomainShape::numeric_range`]: the values a slider
+    /// extrapolates its domain to (Example 4.3).
+    pub fn spans(&self, value: f64) -> bool {
+        self.numeric_range()
+            .is_some_and(|(lo, hi)| value >= lo && value <= hi)
+    }
+}
+
 /// The domain `w.d` of a widget: the subtrees the widget can substitute at its path, plus
-/// metadata the widget rules and cost functions need (primitive type, numeric range,
-/// whether "no subtree at all" is one of the options).
+/// its [`DomainShape`], the metadata the widget rules and cost functions need.
 ///
 /// Each subtree carries the [`Dialect`] of the query it was first observed in, so a
 /// mixed-log interface can render every option in its originating language.  The tag is
 /// presentation metadata only — deduplication, typing, widget rules and domain
 /// *equality* never look at it: two domains mining the same subtrees from differently
 /// spelled logs compare equal.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Domain {
     subtrees: Vec<Node>,
     dialects: Vec<Dialect>,
     ids: HashSet<NodeId>,
-    prim: PrimitiveType,
-    includes_absent: bool,
-    numeric_range: Option<(f64, f64)>,
+    shape: DomainShape,
 }
 
 impl PartialEq for Domain {
     /// Structural equality: member subtrees (in first-seen order) and the "absent"
     /// option.  Dialect tags are deliberately excluded (presentation metadata), and the
-    /// remaining fields (`ids`, `prim`, `numeric_range`) are deterministic functions of
-    /// the members.
+    /// remaining fields (`ids`, the rest of the shape) are deterministic functions of the
+    /// members.
     fn eq(&self, other: &Self) -> bool {
-        self.subtrees == other.subtrees && self.includes_absent == other.includes_absent
-    }
-}
-
-impl Default for Domain {
-    fn default() -> Self {
-        Domain {
-            subtrees: Vec::new(),
-            dialects: Vec::new(),
-            ids: HashSet::new(),
-            prim: PrimitiveType::Num,
-            includes_absent: false,
-            numeric_range: None,
-        }
+        self.subtrees == other.subtrees && self.shape.includes_absent == other.shape.includes_absent
     }
 }
 
@@ -82,11 +179,11 @@ impl Domain {
             let record: RecordRef<'a> = record.into();
             match &record.before {
                 Some(node) => domain.insert_tagged(node.clone(), tag_of(record.q1)),
-                None => domain.includes_absent = true,
+                None => domain.set_includes_absent(true),
             }
             match &record.after {
                 Some(node) => domain.insert_tagged(node.clone(), tag_of(record.q2)),
-                None => domain.includes_absent = true,
+                None => domain.set_includes_absent(true),
             }
         }
         domain
@@ -116,25 +213,19 @@ impl Domain {
         if !self.ids.insert(id) {
             return;
         }
-        // Update the primitive type (join over all members) and numeric range.
-        self.prim = if self.subtrees.is_empty() {
-            node.primitive_type()
-        } else {
-            self.prim.join(node.primitive_type())
-        };
-        if let Some(v) = node.numeric_value() {
-            self.numeric_range = Some(match self.numeric_range {
-                Some((lo, hi)) => (lo.min(v), hi.max(v)),
-                None => (v, v),
-            });
-        }
+        self.shape.add_member(MemberFacts::of(&node));
         self.subtrees.push(node);
         self.dialects.push(dialect);
     }
 
     /// Marks "absent" (no subtree at the path) as one of the selectable options.
     pub fn set_includes_absent(&mut self, value: bool) {
-        self.includes_absent = value;
+        self.shape.set_includes_absent(value);
+    }
+
+    /// What the widget rules and cost functions read of this domain.
+    pub fn shape(&self) -> &DomainShape {
+        &self.shape
     }
 
     /// The explicit subtrees of the domain, in first-seen order.
@@ -154,34 +245,19 @@ impl Domain {
 
     /// Number of selectable options (explicit subtrees, plus one for "absent" when allowed).
     pub fn size(&self) -> usize {
-        self.subtrees.len() + usize::from(self.includes_absent)
-    }
-
-    /// True when the domain has no options at all.
-    pub fn is_empty(&self) -> bool {
-        self.size() == 0
-    }
-
-    /// The primitive type of the domain: the join of all member types (paper: a rule will
-    /// "enforce that the elements in a domain d are all of a particular type").
-    pub fn primitive(&self) -> PrimitiveType {
-        self.prim
+        self.shape.size()
     }
 
     /// True when one of the options is "no subtree at this path" (came from an
     /// addition/deletion diff).
     pub fn includes_absent(&self) -> bool {
-        self.includes_absent
+        self.shape.includes_absent()
     }
 
     /// The numeric range spanned by the domain's numeric literals, if all values are numeric.
     /// Sliders extrapolate their domain to this full range (Example 4.3).
     pub fn numeric_range(&self) -> Option<(f64, f64)> {
-        if self.prim == PrimitiveType::Num {
-            self.numeric_range
-        } else {
-            None
-        }
+        self.shape.numeric_range()
     }
 
     /// Exact membership: is this subtree one of the explicit options?
@@ -189,23 +265,10 @@ impl Domain {
         self.ids.contains(&node.id())
     }
 
-    /// Membership with numeric-range extrapolation: numeric literals within the domain's range
-    /// are considered expressible even if they were never observed (the slider semantics of
-    /// Example 4.3).
-    pub fn contains_extrapolated(&self, node: &Node) -> bool {
-        if self.contains_exact(node) {
-            return true;
-        }
-        match (self.numeric_range(), node.numeric_value()) {
-            (Some((lo, hi)), Some(v)) => v >= lo && v <= hi,
-            _ => false,
-        }
-    }
-
     /// Human-readable option labels, used by the interface editor and the HTML compiler.
     pub fn option_labels(&self) -> Vec<String> {
         let mut labels: Vec<String> = self.subtrees.iter().map(|n| n.label()).collect();
-        if self.includes_absent {
+        if self.includes_absent() {
             labels.push("(none)".to_string());
         }
         labels
@@ -230,7 +293,7 @@ mod tests {
             Node::string("USA"),
         ]);
         assert_eq!(d.size(), 2);
-        assert_eq!(d.primitive(), PrimitiveType::Str);
+        assert_eq!(d.shape().primitive(), PrimitiveType::Str);
         assert!(d.contains_exact(&Node::string("EUR")));
         assert!(!d.contains_exact(&Node::string("CHN")));
     }
@@ -240,19 +303,22 @@ mod tests {
         // Example 4.3: a slider initialised with {1, 5, 100} extrapolates to [1, 100].
         let d = Domain::from_subtrees(vec![Node::int(1), Node::int(5), Node::int(100)]);
         assert_eq!(d.numeric_range(), Some((1.0, 100.0)));
-        assert!(d.contains_extrapolated(&Node::int(42)));
-        assert!(d.contains_extrapolated(&Node::float(99.5)));
-        assert!(!d.contains_extrapolated(&Node::int(101)));
+        assert!(d.shape().spans(42.0));
+        assert!(d.shape().spans(99.5));
+        assert!(!d.shape().spans(101.0));
         assert!(!d.contains_exact(&Node::int(42)));
+        // A domain that is not purely numeric spans nothing.
+        let mixed = Domain::from_subtrees(vec![Node::int(1), Node::string("x")]);
+        assert!(!mixed.shape().spans(1.0));
     }
 
     #[test]
     fn mixed_type_domains_join_to_str_or_tree() {
         let d = Domain::from_subtrees(vec![Node::int(1), Node::string("x")]);
-        assert_eq!(d.primitive(), PrimitiveType::Str);
+        assert_eq!(d.shape().primitive(), PrimitiveType::Str);
         assert_eq!(d.numeric_range(), None);
         let d = Domain::from_subtrees(vec![Node::int(1), parse("SELECT a FROM t").unwrap()]);
-        assert_eq!(d.primitive(), PrimitiveType::Tree);
+        assert_eq!(d.shape().primitive(), PrimitiveType::Tree);
     }
 
     #[test]
@@ -269,7 +335,7 @@ mod tests {
     #[test]
     fn empty_domain_reports_itself() {
         let d = Domain::new();
-        assert!(d.is_empty());
+        assert!(d.shape().is_empty());
         assert_eq!(d.size(), 0);
         assert_eq!(d.option_labels().len(), 0);
     }

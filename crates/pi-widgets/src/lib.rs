@@ -9,7 +9,9 @@
 //! This crate provides:
 //!
 //! * the nine HTML widget types of the paper's prototype ([`WidgetType`]),
-//! * their rules ([`WidgetType::accepts`]) over [`Domain`]s,
+//! * their rules over a domain's [`DomainShape`]: which domains a type accepts
+//!   ([`WidgetType::accepts`]) and which subtrees a widget can place
+//!   ([`WidgetType::can_place`]),
 //! * polynomial cost functions `c(n) = a0 + a1·n + a2·n²` ([`CostFunction`]), including the
 //!   published constants for drop-downs and text boxes (Example 4.4),
 //! * least-squares fitting of cost parameters from interaction timing traces ([`fit`]),
@@ -29,7 +31,7 @@ mod types;
 mod widget;
 
 pub use cost::CostFunction;
-pub use domain::Domain;
+pub use domain::{Domain, DomainShape, MemberFacts};
 pub use library::WidgetLibrary;
 pub use types::WidgetType;
 pub use widget::Widget;

@@ -1,12 +1,13 @@
 //! The widget library: types plus cost functions, and the `pickWidget` primitive.
 
 use crate::cost::CostFunction;
-use crate::domain::Domain;
+use crate::domain::{Domain, DomainShape};
 use crate::fit::{fit_cost, TracePoint};
 use crate::types::WidgetType;
 use crate::widget::Widget;
 use pi_ast::Path;
 use pi_diff::DiffId;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// A library `L` of widget types with their cost functions.
@@ -71,24 +72,46 @@ impl WidgetLibrary {
         self.costs.keys().copied()
     }
 
-    /// The types whose rules accept the given domain, cheapest first.
-    pub fn valid_types(&self, domain: &Domain) -> Vec<(WidgetType, f64)> {
-        let mut out: Vec<(WidgetType, f64)> = self
-            .costs
-            .iter()
-            .filter(|(ty, _)| ty.accepts(domain))
-            .map(|(ty, cost)| (*ty, cost.eval(domain.size())))
-            .collect();
-        out.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
+    /// The types whose rules accept a domain of this shape, with their costs, cheapest
+    /// first (ties by type).
+    pub fn valid_types(&self, shape: &DomainShape) -> Vec<(WidgetType, f64)> {
+        let mut out: Vec<(WidgetType, f64)> = self.priced(shape).collect();
+        out.sort_by(by_cost);
         out
     }
 
-    /// Algorithm 2 (`pickWidget`): instantiate the lowest-cost widget type that accepts the
-    /// domain.  Returns `None` when the domain is empty or no type in the library accepts it.
+    /// Algorithm 2's choice: the first of [`WidgetLibrary::valid_types`] — the lowest-cost
+    /// type whose rule accepts a domain of this shape, and its cost.  `None` when the
+    /// domain is empty or no type in the library accepts it.
+    pub fn choose(&self, shape: &DomainShape) -> Option<(WidgetType, f64)> {
+        self.priced(shape).min_by(by_cost)
+    }
+
+    /// Algorithm 2 (`pickWidget`): instantiate the type [`WidgetLibrary::choose`] picks from
+    /// the domain's shape.  Returns `None` when the domain is empty or no type in the
+    /// library accepts it.
     pub fn pick(&self, path: Path, domain: Domain, init_diffs: Vec<DiffId>) -> Option<Widget> {
-        let (ty, cost) = self.valid_types(&domain).into_iter().next()?;
+        let (ty, cost) = self.choose(domain.shape())?;
         Some(Widget::new(ty, path, domain, init_diffs, cost))
     }
+
+    /// The library's types that accept a domain of this shape, priced at its size.
+    fn priced<'a>(
+        &'a self,
+        shape: &'a DomainShape,
+    ) -> impl Iterator<Item = (WidgetType, f64)> + 'a {
+        self.costs
+            .iter()
+            .filter(|(ty, _)| ty.accepts(shape))
+            .map(|(ty, cost)| (*ty, cost.eval(shape.size())))
+    }
+}
+
+/// Cheaper first; equal costs by type, so the order is total.
+fn by_cost(a: &(WidgetType, f64), b: &(WidgetType, f64)) -> Ordering {
+    a.1.partial_cmp(&b.1)
+        .expect("a widget cost is a number")
+        .then(a.0.cmp(&b.0))
 }
 
 #[cfg(test)]
@@ -208,7 +231,7 @@ mod tests {
     fn valid_types_are_sorted_by_cost() {
         let lib = WidgetLibrary::standard();
         let domain = Domain::from_subtrees(vec![Node::int(1), Node::int(2)]);
-        let types = lib.valid_types(&domain);
+        let types = lib.valid_types(domain.shape());
         assert!(!types.is_empty());
         for pair in types.windows(2) {
             assert!(pair[0].1 <= pair[1].1);

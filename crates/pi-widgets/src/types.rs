@@ -10,7 +10,7 @@
 //! buttons win tiny tree domains, decomposition wins once option lists grow).
 
 use crate::cost::CostFunction;
-use crate::domain::Domain;
+use crate::domain::{DomainShape, MemberFacts};
 use pi_ast::PrimitiveType;
 use std::fmt;
 
@@ -53,12 +53,14 @@ impl WidgetType {
         ]
     }
 
-    /// The rule `r_WT(w.d)`: can a widget of this type express the given domain?
+    /// The rule `r_WT(w.d)`: can a widget of this type express a domain of this shape?
     ///
     /// Rules are purely syntactic, based on the primitive type of the domain members, the
     /// domain size, and whether "absent" is one of the options — exactly the information the
-    /// paper's rules consume.
-    pub fn accepts(&self, domain: &Domain) -> bool {
+    /// paper's rules consume, and all of it in the [`DomainShape`], so the mapper can pick
+    /// widgets before it builds their [`Domain`](crate::Domain)s.  A built domain hands its
+    /// shape over with [`Domain::shape`](crate::Domain::shape).
+    pub fn accepts(&self, domain: &DomainShape) -> bool {
         if domain.is_empty() {
             return false;
         }
@@ -72,7 +74,7 @@ impl WidgetType {
             // A toggle needs at most two states.
             WidgetType::ToggleButton => domain.size() <= 2,
             // A single checkbox toggles presence of exactly one subtree.
-            WidgetType::Checkbox => domain.includes_absent() && domain.subtrees().len() == 1,
+            WidgetType::Checkbox => domain.includes_absent() && domain.members() == 1,
             // Radio buttons enumerate options of any type, but become unusable when long.
             WidgetType::RadioButton => domain.size() <= 12,
             // Drop-downs enumerate string-ish options (numerics cast to strings).
@@ -85,9 +87,7 @@ impl WidgetType {
             }
             // A range slider additionally needs at least two observed endpoints.
             WidgetType::RangeSlider => {
-                prim == PrimitiveType::Num
-                    && !domain.includes_absent()
-                    && domain.subtrees().len() >= 2
+                prim == PrimitiveType::Num && !domain.includes_absent() && domain.members() >= 2
             }
             // Checkbox lists enumerate options of any type, including absence, but like every
             // enumeration control they stop making sense beyond a few dozen options.
@@ -96,6 +96,33 @@ impl WidgetType {
             // domain too large for *any* enumeration widget simply gets no widget: a selector
             // over hundreds of whole queries is not an interface, it is the log itself.
             WidgetType::DragAndDrop => domain.size() <= 60,
+        }
+    }
+
+    /// The expressibility rule of §4.3: can a widget of this type, over a domain of shape
+    /// `domain`, place `candidate` at its path?  `candidate` is `None` for absence (no
+    /// subtree at the path), else the subtree's facts; `is_member` answers whether the
+    /// subtree is one of the domain's explicit members and is asked only when the rule
+    /// needs it.
+    ///
+    /// Absence needs the "absent" option.  Enumerating widgets (drop-down, radio, …) place
+    /// only their members; sliders also place any numeric literal within the members'
+    /// range (Example 4.3); text boxes place any literal castable to a string.
+    pub fn can_place(
+        &self,
+        domain: &DomainShape,
+        candidate: Option<MemberFacts>,
+        is_member: impl FnOnce() -> bool,
+    ) -> bool {
+        let Some(facts) = candidate else {
+            return domain.includes_absent();
+        };
+        match self {
+            WidgetType::Slider | WidgetType::RangeSlider => {
+                is_member() || facts.value.is_some_and(|v| domain.spans(v))
+            }
+            WidgetType::Textbox => facts.prim.castable_to(PrimitiveType::Str) || is_member(),
+            _ => is_member(),
         }
     }
 
@@ -143,6 +170,7 @@ impl fmt::Display for WidgetType {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Domain;
     use pi_ast::Frontend as _;
     use pi_ast::Node;
 
@@ -150,18 +178,19 @@ mod tests {
         pi_sql::SqlFrontend.parse_one(sql)
     }
 
-    fn numeric_domain() -> Domain {
-        Domain::from_subtrees(vec![Node::int(1), Node::int(5), Node::int(100)])
+    fn numeric_domain() -> DomainShape {
+        *Domain::from_subtrees(vec![Node::int(1), Node::int(5), Node::int(100)]).shape()
     }
 
-    fn string_domain(n: usize) -> Domain {
-        Domain::from_subtrees((0..n).map(|i| Node::string(&format!("opt{i}"))))
+    fn string_domain(n: usize) -> DomainShape {
+        *Domain::from_subtrees((0..n).map(|i| Node::string(&format!("opt{i}")))).shape()
     }
 
-    fn tree_domain(n: usize) -> Domain {
-        Domain::from_subtrees(
+    fn tree_domain(n: usize) -> DomainShape {
+        *Domain::from_subtrees(
             (0..n).map(|i| parse(&format!("SELECT a FROM t WHERE x = {i}")).unwrap()),
         )
+        .shape()
     }
 
     #[test]
@@ -188,8 +217,8 @@ mod tests {
         assert!(!WidgetType::ToggleButton.accepts(&string_domain(3)));
         let mut presence = Domain::from_subtrees(vec![parse("SELECT 1").unwrap()]);
         presence.set_includes_absent(true);
-        assert!(WidgetType::ToggleButton.accepts(&presence));
-        assert!(WidgetType::Checkbox.accepts(&presence));
+        assert!(WidgetType::ToggleButton.accepts(presence.shape()));
+        assert!(WidgetType::Checkbox.accepts(presence.shape()));
     }
 
     #[test]
@@ -227,7 +256,9 @@ mod tests {
             );
         }
         // ... except the empty domain, which nothing accepts.
-        assert!(WidgetType::all().iter().all(|t| !t.accepts(&Domain::new())));
+        assert!(WidgetType::all()
+            .iter()
+            .all(|t| !t.accepts(Domain::new().shape())));
     }
 
     #[test]

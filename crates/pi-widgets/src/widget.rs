@@ -1,8 +1,8 @@
 //! Widget instances: a widget type bound to a path and a domain.
 
-use crate::domain::Domain;
+use crate::domain::{Domain, MemberFacts};
 use crate::types::WidgetType;
-use pi_ast::{Node, Path, PrimitiveType};
+use pi_ast::{Node, Path};
 use pi_diff::{DiffId, TreeChange};
 
 /// A widget instance `w`: a widget type instantiated at a path `w.p` with a domain `w.d`
@@ -48,25 +48,18 @@ impl Widget {
         self
     }
 
-    /// Whether this widget can place the given subtree (or absence, for `None`) at its path.
+    /// Whether this widget can place the given subtree (or absence, for `None`) at its path:
+    /// [`WidgetType::can_place`] over the domain's shape, with membership looked up in the
+    /// domain.
     ///
     /// Enumerating widgets (drop-down, radio, …) only express the exact subtrees in their
     /// domain; sliders extrapolate to the observed numeric range (Example 4.3); text boxes can
     /// express *any* literal value of a compatible primitive type.
     pub fn can_express_subtree(&self, subtree: Option<&Node>) -> bool {
-        match subtree {
-            None => self.domain.includes_absent(),
-            Some(node) => match self.ty {
-                WidgetType::Slider | WidgetType::RangeSlider => {
-                    self.domain.contains_extrapolated(node)
-                }
-                WidgetType::Textbox => {
-                    node.primitive_type().castable_to(PrimitiveType::Str)
-                        || self.domain.contains_exact(node)
-                }
-                _ => self.domain.contains_exact(node),
-            },
-        }
+        self.ty
+            .can_place(self.domain.shape(), subtree.map(MemberFacts::of), || {
+                subtree.is_some_and(|node| self.domain.contains_exact(node))
+            })
     }
 
     /// The expressiveness check of §4.3: widget `w` expresses diff `d` iff their paths match

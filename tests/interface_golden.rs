@@ -45,6 +45,29 @@ fn mine_trace(lines: usize, shapes: usize, seed: u64, window: usize) -> Interfac
     session.into_snapshot().interface
 }
 
+/// A `zipf_trace` (1% garbage) streamed in 64-line batches at `sliding(2)`, persisted
+/// after all but the last 64 lines, restored with the same options, then the last 64
+/// lines pushed and one snapshot taken — the life of a `crash_restart` tenant: a
+/// deduplicated store whose memo lists are shared by many runs, read back from its
+/// snapshot and extended.
+fn mine_restored_trace(lines: usize, shapes: usize, seed: u64) -> Interface {
+    let trace: Vec<(Dialect, String)> = zipf_trace(lines, shapes, 0.01, seed).collect();
+    let options = PiOptions {
+        window: WindowStrategy::sliding(2),
+        ..PiOptions::default()
+    };
+    let (head, tail) = trace.split_at(lines - 64);
+    let mut session = Session::new(options.clone());
+    for batch in head.chunks(64) {
+        session.push_stream_tagged(batch.iter().map(|(d, s)| (*d, s.as_str())));
+    }
+    let bytes = session.persist_to_vec().expect("a session persists");
+    let mut restored =
+        Session::restore_with(&mut bytes.as_slice(), options).expect("its snapshot restores");
+    restored.push_stream_tagged(tail.iter().map(|(d, s)| (*d, s.as_str())));
+    restored.into_snapshot().interface
+}
+
 /// The fixture section of one mined interface.
 fn section(name: &str, interface: &Interface) -> String {
     let layout = EditorLayout::new(interface, 2);
@@ -80,6 +103,10 @@ fn mined_fixture() -> String {
         (
             "zipf_trace(4096 lines, 256 shapes, seed 13), sliding(2)",
             mine_trace(4096, 256, 13, 2),
+        ),
+        (
+            "zipf_trace(2048 lines, 256 shapes, seed 17), sliding(2), persisted after 1984, restored, 64 more",
+            mine_restored_trace(2048, 256, 17),
         ),
     ];
     sections

@@ -106,7 +106,7 @@ proptest! {
     /// envelope checksum rejects flips, framing rejects truncation, and nothing panics.
     #[test]
     fn corrupted_snapshots_err_cleanly(seed in 0u64..256, len in 2usize..10) {
-        let mut original = mined_session(seed, len, true, false, false);
+        let original = mined_session(seed, len, true, false, false);
         let bytes = original.persist_to_vec().expect("persist");
 
         // Truncation at every prefix length.

@@ -9,7 +9,7 @@
 //! root so successive PRs can track the trajectory.
 
 use criterion::{criterion_group, Criterion};
-use pi_ast::Frontend as _;
+use pi_ast::{Dialect, Frontend as _};
 use pi_core::{PiOptions, PrecisionInterfaces, Session};
 use pi_frames::FramesFrontend;
 use pi_graph::{GraphBuilder, IntoQueryLog, QueryLog, WindowStrategy};
@@ -170,10 +170,12 @@ fn bench_mining_throughput(c: &mut Criterion) {
             window: WindowStrategy::sliding(16),
             ..PiOptions::default()
         });
-        session.push_all(queries.iter().cloned());
+        for query in queries.iter() {
+            session.push_tagged(Dialect::SQL, query.clone());
+        }
         let mut next = 0usize;
         b.iter(|| {
-            let idx = session.push(queries[next % LOG_SIZE].clone());
+            let idx = session.push_tagged(Dialect::SQL, queries[next % LOG_SIZE].clone());
             next += 1;
             idx
         });
@@ -188,10 +190,12 @@ fn bench_mining_throughput(c: &mut Criterion) {
             window: WindowStrategy::sliding(16),
             ..PiOptions::default()
         });
-        session.push_all(queries.iter().cloned());
+        for query in queries.iter() {
+            session.push_tagged(Dialect::SQL, query.clone());
+        }
         let mut next = 0usize;
         b.iter(|| {
-            session.push(queries[next % LOG_SIZE].clone());
+            session.push_tagged(Dialect::SQL, queries[next % LOG_SIZE].clone());
             next += 1;
             session.snapshot().version
         });
@@ -406,7 +410,9 @@ fn assert_determinism_contracts(queries: &QueryLog) {
         window: WindowStrategy::sliding(16),
         ..PiOptions::default()
     });
-    session.push_all(queries.iter().cloned());
+    for query in queries.iter() {
+        session.push_tagged(Dialect::SQL, query.clone());
+    }
     let streamed = session.graph();
     assert_eq!(serial, parallel);
     assert_eq!(serial, streamed);

@@ -161,11 +161,10 @@ fn main() {
     let distinct_bytes = {
         let mut distinct = Session::new(options());
         let mut seen = std::collections::HashSet::new();
-        for (dialect, text) in pi_workloads::trace::zipf_trace(lines, SHAPES, GARBAGE_RATE, SEED) {
-            if seen.insert(text.clone()) {
-                distinct.push_text_as(dialect, &text);
-            }
-        }
+        distinct.push_stream_tagged(
+            pi_workloads::trace::zipf_trace(lines, SHAPES, GARBAGE_RATE, SEED)
+                .filter(|(_, text)| seen.insert(text.clone())),
+        );
         distinct.persist_to_vec().expect("persist distinct").len()
     };
     let row_floor: usize = (0..live.len())

@@ -9,9 +9,9 @@ use pi_ast::Frontends;
 /// The bundled front-ends: SQL (`pi-sql`, the default) and the method-chain dataframe
 /// dialect (`pi-frames`).
 ///
-/// The default front-end — the first registered — handles untagged text
-/// ([`Session::push_text`](crate::Session::push_text)) and is the rendering fallback for
-/// unknown dialects.
+/// The default front-end — the first registered — names a session's default dialect
+/// ([`Session::default_dialect`](crate::Session::default_dialect)) and is the rendering
+/// fallback for unknown dialects.
 pub fn standard_frontends() -> Frontends {
     Frontends::new()
         .with(pi_sql::SqlFrontend)

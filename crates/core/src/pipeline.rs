@@ -24,9 +24,10 @@ pub struct PiOptions {
     pub window: WindowStrategy,
     /// Ancestor materialisation policy (LCA pruning, §6.2).
     pub policy: AncestorPolicy,
-    /// Parallelise pairwise diffing across cores.
+    /// Align each batch's missing distinct shape pairs across cores — mining's one
+    /// fan-out, which only the memoized builder has (see [`PiOptions::memoize`]).
     pub parallel: bool,
-    /// Worker-thread override for parallel mining (default `0` = automatic).
+    /// Worker-thread override for that fan-out (default `0` = automatic).
     ///
     /// `0` resolves to the `PI_THREADS` environment variable if set to a positive integer,
     /// else to every available core when [`PiOptions::parallel`] is on, else serial.  An
@@ -43,7 +44,9 @@ pub struct PiOptions {
     pub steal_seed: Option<u64>,
     /// Collapse duplicate queries and memoize pairwise alignments per distinct tree pair
     /// (on by default; beyond the paper's optimisations).  The mined graph is
-    /// byte-identical either way — this knob exists for A/B measurement of the memo.
+    /// byte-identical either way — this knob exists for A/B measurement of the memo.  Off,
+    /// mining runs the serial unmemoized reference builder, which `parallel`, `threads` and
+    /// `steal_seed` do not steer.
     pub memoize: bool,
     /// The widget type library (and cost functions) available to the mapper.
     pub library: WidgetLibrary,
@@ -152,7 +155,7 @@ pub struct GeneratedInterface {
     /// Interaction-graph statistics (edge and record counts).
     pub graph_stats: GraphStats,
     /// Per-stage timings.  For a streaming session every stage *accumulates* — parse over
-    /// all `push_sql` calls, mining over all pushes, mapping over all snapshot refreshes —
+    /// all streamed text, mining over all appends, mapping over all snapshot refreshes —
     /// so this is the only field of a snapshot that is not batch-identical.
     pub timings: StageTimings,
     /// The number of queries ingested when this snapshot was taken.
@@ -185,7 +188,9 @@ impl PrecisionInterfaces {
     }
 
     /// Runs the pipeline over a textual query log (statements separated by semicolons) in
-    /// the given dialect, parsed by the matching front-end of the standard registry.
+    /// the given dialect, parsed by the matching front-end of the standard registry.  The
+    /// log goes through [`Session::push_stream_tagged`], the one text route every session
+    /// ingests by.
     ///
     /// Unparseable statements are skipped (and counted in
     /// [`GeneratedInterface::skipped`]) rather than aborting the run — real query logs contain
@@ -196,7 +201,7 @@ impl PrecisionInterfaces {
         log: &str,
     ) -> Result<GeneratedInterface, PipelineError> {
         let mut session = self.session();
-        session.push_text_as(dialect, log);
+        session.push_stream_tagged([(dialect, log)]);
         if session.is_empty() {
             return Err(PipelineError::EmptyLog);
         }
@@ -212,15 +217,15 @@ impl PrecisionInterfaces {
         self.from_text(Dialect::SQL, log)
     }
 
-    /// Runs the pipeline over an already-parsed query log by streaming it through a
-    /// [`Session`] — batch and streaming deliberately share one code path.  The wrapper
+    /// Runs the pipeline over an already-parsed query log by appending it to a [`Session`]
+    /// as one batch — batch and streaming deliberately share one code path.  The wrapper
     /// stays cheap: owned `Vec<Node>` logs *move* into the session
     /// ([`IntoQueryLog::into_query_vec`]) and the consuming [`Session::into_snapshot`]
     /// maps the session's records in place and moves the interface out, so the only copy
     /// is for `Arc`'d inputs whose caller keeps sharing the nodes.
     pub fn from_queries(&self, queries: impl IntoQueryLog) -> GeneratedInterface {
         let mut session = self.session();
-        session.push_all(queries.into_query_vec());
+        session.push_batch(queries.into_query_vec());
         session.into_snapshot()
     }
 

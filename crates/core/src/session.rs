@@ -3,22 +3,27 @@
 //!
 //! The paper's interaction graph is defined over a log that grows as the analyst works, and
 //! the sliding-window optimisation (§6.1) means an appended query only ever pairs with its
-//! `w` predecessors.  A `Session` exploits exactly that: [`Session::push`] runs only the new
-//! alignments the window admits (`O(w)` for a sliding window, independent of how long the
-//! log already is), appending their runs to the session's [`pi_diff::DiffStore`] at stable
-//! `DiffId` offsets, while [`Session::snapshot`] lazily re-runs the interaction
+//! `w` predecessors.  A `Session` exploits exactly that: an append runs only the new
+//! alignments the window admits (`O(w)` a query for a sliding window, independent of how
+//! long the log already is), appending their runs to the session's [`pi_diff::DiffStore`]
+//! at stable `DiffId` offsets, while [`Session::snapshot`] lazily re-runs the interaction
 //! mapper and returns a versioned [`GeneratedInterface`].
+//!
+//! A session has two ways in: [`Session::push_tagged`] appends one parsed query, and
+//! [`Session::push_stream_tagged`] parses and appends text of any length and dialect.  Both
+//! hand their queries to one private append, the only place a session calls
+//! [`GraphBuilder::extend_batch`].
 //!
 //! The load-bearing invariant — property-tested in `tests/properties.rs` and relied on by
 //! the one-shot [`PrecisionInterfaces`](crate::PrecisionInterfaces) entry points, which are
-//! thin wrappers over a `Session` — is **batch identity**: a snapshot after `n` pushes is
+//! thin wrappers over a `Session` — is **batch identity**: a snapshot after `n` appends is
 //! identical (same graph edges, same diff records in the same order, same widgets, same
 //! rendered interface) to a batch build of those same `n` queries.
 //!
-//! Sessions are front-end pluggable: [`Session::push_text_as`] routes text through any
-//! front-end of the session's [`Frontends`] registry, and every query carries its
-//! originating [`Dialect`] into the snapshot.  Here the same analysis streams in through
-//! *both* bundled front-ends — SQL and the dataframe dialect — and mines into one
+//! Sessions are front-end pluggable: [`Session::push_stream_tagged`] parses each line with
+//! the front-end its dialect names in the session's [`Frontends`] registry, and every query
+//! carries its originating [`Dialect`] into the snapshot.  Here the same analysis streams in
+//! through *both* bundled front-ends — SQL and the dataframe dialect — and mines into one
 //! interface because both parsers target one tree model:
 //!
 //! ```
@@ -26,14 +31,16 @@
 //! use pi_core::{PiOptions, Session};
 //!
 //! let mut session = Session::new(PiOptions::default());
-//! session.push_sql("SELECT a FROM t WHERE x = 1");
-//! session.push_text_as(Dialect::FRAMES, "t.filter(x == 2).select(a)");
+//! session.push_stream_tagged([
+//!     (Dialect::SQL, "SELECT a FROM t WHERE x = 1"),
+//!     (Dialect::FRAMES, "t.filter(x == 2).select(a)"),
+//! ]);
 //! let v2 = session.snapshot();
 //! assert_eq!(v2.version, 2);
 //! assert_eq!(v2.dialects, vec![Dialect::SQL, Dialect::FRAMES]);
 //! assert_eq!(v2.interface.widgets().len(), 1);
 //!
-//! session.push_text_as(Dialect::FRAMES, "t.filter(x == 9).select(a)");
+//! session.push_stream_tagged([(Dialect::FRAMES, "t.filter(x == 9).select(a)")]);
 //! let v3 = session.snapshot();
 //! assert_eq!(v3.version, 3);
 //! assert!(v3.interface.expressiveness(&v3.queries) >= 1.0);
@@ -47,6 +54,7 @@ use pi_graph::{
     GraphAccumulator, GraphBuilder, GraphStats, InteractionGraph, QueryLog, WindowStrategy,
 };
 use std::collections::HashMap;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Leading bytes of every session snapshot — a cheap "is this even ours?" gate before any
@@ -72,8 +80,8 @@ struct CachedSnapshot {
 
 /// How many parsed queries a streaming push buffers before handing them to the graph
 /// builder in one `extend_batch` call.  Large enough to amortise per-batch overhead and let
-/// parallel mining fan out; small enough that a streaming session never materialises more
-/// than a sliver of the trace.
+/// the memo's pre-alignment fan out; small enough that a streaming session never
+/// materialises more than a sliver of the trace.
 const STREAM_CHUNK: usize = 1024;
 
 /// Estimated footprint cap for the parse cache; reaching it clears the cache (generational
@@ -173,8 +181,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// A stateful, append-only ingestion session over one analysis's query stream.
 ///
-/// Sessions are **front-end pluggable**: text arrives through [`Session::push_text`] (the
-/// default front-end) or [`Session::push_text_as`] (any registered dialect), every query
+/// Sessions are **front-end pluggable**: text arrives through
+/// [`Session::push_stream_tagged`] in any registered dialect, every query
 /// carries the [`Dialect`] it arrived in, and the tags thread through the mined widget
 /// domains into the snapshot so the UI can render each closure query in its originating
 /// language.  Mining itself is dialect-blind — the front-ends target one tree model, so a
@@ -251,7 +259,8 @@ impl Session {
         }
     }
 
-    /// The table index for `dialect`, minting a new slot on first sight.
+    /// The table index for `dialect`, minting a new slot on first sight.  Called only for
+    /// a query about to be appended, so every table entry is carried by a row.
     fn tag_for(&mut self, dialect: Dialect) -> u8 {
         match self.dialect_table.iter().position(|d| *d == dialect) {
             Some(i) => i as u8,
@@ -266,8 +275,10 @@ impl Session {
         }
     }
 
-    /// Changes which dialect handles untagged pushes (builder style).  The dialect should
-    /// name a registered front-end for [`Session::push_text`] to parse anything.
+    /// Changes the session's default dialect (builder style): the tag a one-shot
+    /// [`PrecisionInterfaces::from_queries`](crate::PrecisionInterfaces::from_queries) batch
+    /// gives its queries, and the dialect hosts parse untagged text in.  It should name a
+    /// registered front-end.
     pub fn with_default_dialect(mut self, dialect: Dialect) -> Self {
         self.default_dialect = dialect;
         self
@@ -283,7 +294,7 @@ impl Session {
         &self.frontends
     }
 
-    /// The dialect untagged pushes are attributed to.
+    /// The session's default dialect: see [`Session::with_default_dialect`].
     pub fn default_dialect(&self) -> Dialect {
         self.default_dialect
     }
@@ -301,12 +312,6 @@ impl Session {
             .collect()
     }
 
-    /// Appends one parsed query tagged with the default dialect; see
-    /// [`Session::push_tagged`].
-    pub fn push(&mut self, query: Node) -> usize {
-        self.push_tagged(self.default_dialect, query)
-    }
-
     /// Appends one parsed query, incrementally extending the interaction graph: only the
     /// `(i, n)` alignments the window strategy admits are run, so for a sliding window of
     /// `w` this is `O(w)` work however long the log already is.  The query is tagged as
@@ -314,79 +319,33 @@ impl Session {
     /// Returns the query's log index.
     pub fn push_tagged(&mut self, dialect: Dialect, query: Node) -> usize {
         let tag = self.tag_for(dialect);
-        let start = Instant::now();
-        let index = self.builder.extend(&mut self.acc, query);
-        self.mining_ms += start.elapsed().as_secs_f64() * 1e3;
-        self.dialect_tags.push(tag);
-        index
+        self.append([query], [tag]).start
     }
 
-    /// Appends every query of an iterator with the default dialect tag; see
-    /// [`Session::push_all_tagged`].
-    ///
-    /// Uniform tags keep the batch fast path: the iterator flows straight into the graph
-    /// builder (no per-item tag pairing) and the tag vector extends by count.
-    pub fn push_all<I: IntoIterator<Item = Node>>(&mut self, queries: I) -> usize {
-        let tag = self.tag_for(self.default_dialect);
+    /// Appends parsed queries as one batch, each tagged with the default dialect: the
+    /// one-shot [`PrecisionInterfaces::from_queries`](crate::PrecisionInterfaces::from_queries)
+    /// mines its whole log through this in one `extend_batch`.
+    pub(crate) fn push_batch(&mut self, queries: Vec<Node>) {
+        if queries.is_empty() {
+            return;
+        }
+        let tags = std::iter::repeat(self.tag_for(self.default_dialect)).take(queries.len());
+        self.append(queries, tags);
+    }
+
+    /// Mines `queries` into the graph with one [`GraphBuilder::extend_batch`] and records
+    /// their dialect tags, one per query: the only place a session's log grows.
+    fn append(
+        &mut self,
+        queries: impl IntoIterator<Item = Node>,
+        tags: impl IntoIterator<Item = u8>,
+    ) -> Range<usize> {
         let start = Instant::now();
         let appended = self.builder.extend_batch(&mut self.acc, queries);
         self.mining_ms += start.elapsed().as_secs_f64() * 1e3;
-        self.dialect_tags
-            .resize(self.dialect_tags.len() + appended.len(), tag);
-        appended.len()
-    }
-
-    /// Appends every `(dialect, query)` pair of an iterator, returning how many were
-    /// appended.
-    ///
-    /// Unlike per-query [`Session::push`], a bulk append with enough new alignments fans
-    /// them out across cores when the session's options ask for parallel mining — so the
-    /// one-shot batch entry points, which are wrappers over this, keep their multi-core
-    /// path.  The resulting graph is byte-identical either way.
-    pub fn push_all_tagged<I: IntoIterator<Item = (Dialect, Node)>>(
-        &mut self,
-        queries: I,
-    ) -> usize {
-        let (tags, nodes): (Vec<Dialect>, Vec<Node>) = queries.into_iter().unzip();
-        let tags: Vec<u8> = tags.into_iter().map(|d| self.tag_for(d)).collect();
-        let start = Instant::now();
-        let appended = self.builder.extend_batch(&mut self.acc, nodes);
-        self.mining_ms += start.elapsed().as_secs_f64() * 1e3;
-        debug_assert_eq!(appended.len(), tags.len());
         self.dialect_tags.extend(tags);
-        appended.len()
-    }
-
-    /// Parses a fragment of text (one or more `;`-separated statements) with the default
-    /// front-end and appends every statement that parses; see [`Session::push_text_as`].
-    pub fn push_text(&mut self, text: &str) -> Vec<usize> {
-        self.push_text_as(self.default_dialect, text)
-    }
-
-    /// Parses a fragment of text with the front-end registered for `dialect` and appends
-    /// every statement that parses, returning the appended log indices.
-    ///
-    /// Unparseable statements are skipped and counted in [`Session::skipped`] rather than
-    /// aborting the stream — live query logs contain typos and statements in unsupported
-    /// dialects, and one of them must not wedge the session.  A dialect with no registered
-    /// front-end skips the whole fragment (counted once).
-    pub fn push_text_as(&mut self, dialect: Dialect, text: &str) -> Vec<usize> {
-        let Some(frontend) = self.frontends.get(dialect).cloned() else {
-            self.skipped += 1;
-            self.errors.offer_with(|| {
-                FrontendError::new(dialect, "no front-end registered for this dialect")
-            });
-            return Vec::new();
-        };
-        let start = Instant::now();
-        let mut parsed = Vec::new();
-        let skipped = frontend.parse_statements_lossy(text, &mut parsed, &mut self.errors);
-        self.parse_ms += start.elapsed().as_secs_f64() * 1e3;
-        self.skipped += skipped;
-        parsed
-            .into_iter()
-            .map(|query| self.push_tagged(dialect, query))
-            .collect()
+        debug_assert_eq!(self.dialect_tags.len(), self.acc.len());
+        appended
     }
 
     /// Rebuilds a session by replaying a statement history over a fresh base, quarantining
@@ -394,7 +353,7 @@ impl Session {
     ///
     /// This is the supervisor's recovery primitive: when a worker panics mid-mining, the
     /// accumulator it was extending may be half-mutated, so the only safe state to return
-    /// to is *base + replay of the surviving history*.  A panic mid-`push` can likewise
+    /// to is *base + replay of the surviving history*.  A panic mid-push can likewise
     /// leave the partially rebuilt session inconsistent, so rather than skipping the bad
     /// statement and continuing in place, the rebuild **restarts from a fresh base** with
     /// the offender excluded — `base` is a factory, called once per attempt.  The loop
@@ -402,13 +361,13 @@ impl Session {
     /// one more statement).
     ///
     /// `push` applies one statement to the session (the plain form is
-    /// `|s, d, t| { s.push_text_as(d, t); }`); callers with fault-injection or
+    /// `|s, d, t| { s.push_stream_tagged([(d, t)]); }`); callers with fault-injection or
     /// instrumentation hooks interpose here, and any panic it raises — organic or
     /// injected — is caught.  Returns the rebuilt session plus `(index, panic message)`
     /// for each quarantined statement, in quarantine order.
     ///
-    /// Replaying one statement at a time is byte-identical to the streaming ingest path
-    /// (the `push_stream_tagged` equivalence property), so a rebuilt session with nothing
+    /// Streaming a history one statement per call is byte-identical to streaming it in one
+    /// call (chunking is invisible, property-tested), so a rebuilt session with nothing
     /// quarantined matches the session it replaces exactly.
     pub fn rebuild_quarantining<S, B, P>(
         base: B,
@@ -443,33 +402,24 @@ impl Session {
         }
     }
 
-    /// Streams text fragments tagged with the default dialect; see
-    /// [`Session::push_stream_tagged`].
-    pub fn push_stream<I>(&mut self, lines: I) -> usize
-    where
-        I: IntoIterator,
-        I::Item: AsRef<str>,
-    {
-        let dialect = self.default_dialect;
-        self.push_stream_tagged(lines.into_iter().map(move |line| (dialect, line)))
-    }
-
-    /// Streams an arbitrarily long sequence of `(dialect, text)` fragments through the
-    /// session in bounded memory, returning how many statements were appended.
-    ///
-    /// This is the trace-scale ingest path.  Three things distinguish it from looping over
-    /// [`Session::push_text_as`]:
+    /// Streams a sequence of `(dialect, text)` fragments of any length through the session
+    /// in bounded memory, returning how many statements were appended.  This is a session's
+    /// one text entry point, from a single statement to a trace of millions of lines:
     ///
     /// * **the trace is never materialised** — fragments are parsed as they arrive and
     ///   buffered in fixed-size chunks (1024 parsed queries), each handed to the graph
-    ///   builder in one batch (which also lets parallel mining fan out when the options ask
-    ///   for it); peak transient state is one chunk, however long the stream;
+    ///   builder in one batch (which also lets the memo's pre-alignment fan out when the
+    ///   options ask for it); peak transient state is one chunk, however long the stream;
     /// * **repeated text parses once** — a collision-safe cache maps `(dialect, text)` to
     ///   its parsed statements, so the duplicate-heavy steady state of a real query log
     ///   costs a hash lookup and a refcount bump per repeat instead of a full parse;
     /// * **garbage is skip-and-count** — malformed statements increment
     ///   [`Session::skipped`] and feed the bounded [`Session::parse_errors`] sample without
-    ///   allocating per failure, and never abort the stream.
+    ///   allocating per failure, and never abort the stream.  A fragment whose dialect has
+    ///   no registered front-end is skipped whole and counted once.
+    ///
+    /// A dialect enters the session's dialect table only when one of its statements is
+    /// appended, so skipped lines leave no trace in the table or in a persisted snapshot.
     ///
     /// The accumulator's distinct-tree arena keeps one retained tree per distinct shape,
     /// so the query log itself grows with the number of *distinct* statements `d` plus
@@ -477,8 +427,8 @@ impl Session {
     /// pair whose shapes were already aligned appends one 16-byte run row to the
     /// `DiffStore`, however many changes the pair carries, while change lists grow only
     /// with distinct shape pairs ([`Session::memory_footprint`] prices both).  The graph,
-    /// snapshots and widgets are byte-identical to pushing the same statements one at a
-    /// time.
+    /// snapshots and widgets are byte-identical to pushing the parsed statements one at a
+    /// time through [`Session::push_tagged`] (property-tested).
     pub fn push_stream_tagged<I, S>(&mut self, lines: I) -> usize
     where
         I: IntoIterator<Item = (Dialect, S)>,
@@ -490,10 +440,8 @@ impl Session {
         let mut scratch: Vec<Node> = Vec::new();
         for (dialect, line) in lines {
             let text = line.as_ref();
-            let tag = self.tag_for(dialect);
             if let Some(statements) = self.parse_cache.get(dialect, text) {
                 chunk.extend(statements.iter().cloned());
-                chunk_tags.resize(chunk.len(), tag);
             } else {
                 let Some(frontend) = self.frontends.get(dialect).cloned() else {
                     self.skipped += 1;
@@ -512,36 +460,19 @@ impl Session {
                     self.parse_cache.insert(dialect, text, scratch.clone());
                 }
                 chunk.append(&mut scratch);
+            }
+            if chunk.len() > chunk_tags.len() {
+                let tag = self.tag_for(dialect);
                 chunk_tags.resize(chunk.len(), tag);
             }
             if chunk.len() >= STREAM_CHUNK {
-                appended += self.flush_chunk(&mut chunk, &mut chunk_tags);
+                appended += self.append(chunk.drain(..), chunk_tags.drain(..)).len();
             }
         }
-        appended += self.flush_chunk(&mut chunk, &mut chunk_tags);
-        appended
-    }
-
-    /// Hands one buffered chunk of parsed queries to the graph builder.
-    fn flush_chunk(&mut self, chunk: &mut Vec<Node>, tags: &mut Vec<u8>) -> usize {
-        if chunk.is_empty() {
-            return 0;
+        if !chunk.is_empty() {
+            appended += self.append(chunk, chunk_tags).len();
         }
-        let start = Instant::now();
-        let appended = self.builder.extend_batch(&mut self.acc, chunk.drain(..));
-        self.mining_ms += start.elapsed().as_secs_f64() * 1e3;
-        debug_assert_eq!(appended.len(), tags.len());
-        self.dialect_tags.append(tags);
-        appended.len()
-    }
-
-    /// Parses a fragment of SQL text and appends every statement that parses.
-    ///
-    /// A SQL-dialect convenience kept for the workspace's founding front-end: exactly
-    /// `push_text_as(Dialect::SQL, sql)`, with no behaviour of its own (pinned by a unit
-    /// test).  Prefer [`Session::push_text_as`] when the dialect is a parameter.
-    pub fn push_sql(&mut self, sql: &str) -> Vec<usize> {
-        self.push_text_as(Dialect::SQL, sql)
+        appended
     }
 
     /// Number of queries ingested so far.
@@ -558,9 +489,8 @@ impl Session {
         self.acc.is_empty()
     }
 
-    /// Number of unparseable (or unregistered-dialect) statements skipped so far by the
-    /// text entry points — [`Session::push_text`], [`Session::push_text_as`] and the
-    /// [`Session::push_sql`] alias.
+    /// Number of unparseable statements [`Session::push_stream_tagged`] skipped so far; a
+    /// fragment in a dialect with no registered front-end counts once.
     ///
     /// Cheap (a field read, no snapshot), so health endpoints can report parse-garbage
     /// rates per poll without re-deriving them from [`GeneratedInterface::skipped`].
@@ -736,8 +666,8 @@ impl Session {
         });
     }
 
-    /// The per-stage wall-clock cost accumulated so far (parse across all `push_sql` calls,
-    /// mining across all pushes, mapping across all snapshot refreshes).
+    /// The per-stage wall-clock cost accumulated so far (parse across all streamed text,
+    /// mining across all appends, mapping across all snapshot refreshes).
     pub fn timings(&self) -> StageTimings {
         StageTimings {
             parse_ms: self.parse_ms,
@@ -1054,7 +984,7 @@ mod tests {
             let queries = log(9);
             let mut session = Session::new(options.clone());
             for (k, q) in queries.iter().enumerate() {
-                assert_eq!(session.push(q.clone()), k);
+                assert_eq!(session.push_tagged(Dialect::SQL, q.clone()), k);
                 let snap = snapped(&mut session);
                 assert_batch_identical(&snap, &batch(&options, queries[..=k].to_vec()));
             }
@@ -1063,9 +993,9 @@ mod tests {
 
     #[test]
     fn parallel_sessions_match_serial_and_the_batch_path() {
-        // push_all under parallel options must match serial sessions and one-shot builds —
-        // and the batch wrappers must keep honouring `parallel` (it routes through
-        // extend_batch, not the per-query path).
+        // A batch append under parallel options must match serial sessions and one-shot
+        // builds — and the batch wrappers must keep honouring `parallel` (they reach
+        // extend_batch with the whole log, not one query at a time).
         let queries = log(48);
         let parallel_options = PiOptions {
             window: WindowStrategy::AllPairs,
@@ -1078,8 +1008,8 @@ mod tests {
         };
         let mut par = Session::new(parallel_options.clone());
         let mut ser = Session::new(serial_options);
-        par.push_all(queries.clone());
-        ser.push_all(queries.clone());
+        par.push_batch(queries.clone());
+        ser.push_batch(queries.clone());
         assert_eq!(par.graph(), ser.graph());
         assert_batch_identical(&snapped(&mut par), &batch(&parallel_options, queries));
     }
@@ -1103,7 +1033,7 @@ mod tests {
                 if text.contains("poison") {
                     panic!("injected miner panic: {text}");
                 }
-                session.push_text_as(dialect, text);
+                session.push_stream_tagged([(dialect, text)]);
             },
         );
         std::panic::set_hook(prev);
@@ -1115,7 +1045,7 @@ mod tests {
         let mut clean = Session::new(PiOptions::default());
         for (i, (dialect, text)) in statements.iter().enumerate() {
             if !indices.contains(&i) {
-                clean.push_text_as(*dialect, text);
+                clean.push_stream_tagged([(*dialect, text)]);
             }
         }
         let mut rebuilt = outcome.session;
@@ -1128,7 +1058,7 @@ mod tests {
             || Session::new(PiOptions::default()),
             &clean_history,
             |session, dialect, text| {
-                session.push_text_as(dialect, text);
+                session.push_stream_tagged([(dialect, text)]);
             },
         );
         assert!(outcome.quarantined.is_empty());
@@ -1140,8 +1070,8 @@ mod tests {
         let queries = log(7);
         let mut kept = Session::new(PiOptions::default());
         let mut consumed = Session::new(PiOptions::default());
-        kept.push_all(queries.clone());
-        consumed.push_all(queries);
+        kept.push_batch(queries.clone());
+        consumed.push_batch(queries);
         let consumed_graph = consumed.graph();
         assert_batch_identical(
             &snapped(&mut kept),
@@ -1152,23 +1082,27 @@ mod tests {
     #[test]
     fn snapshots_are_cached_until_the_next_push() {
         let mut session = Session::new(PiOptions::default());
-        session.push_all(log(4));
+        session.push_batch(log(4));
         let first = session.snapshot();
         let second = session.snapshot();
         assert_eq!(first.version, second.version);
         assert_eq!(first.interface.describe(), second.interface.describe());
         // A cache hit shares the materialised log instead of rebuilding it.
         assert!(std::sync::Arc::ptr_eq(&first.queries, &second.queries));
-        session.push(log(1).pop().unwrap());
+        session.push_tagged(Dialect::SQL, log(1).pop().unwrap());
         assert_eq!(session.snapshot().version, first.version + 1);
     }
 
     #[test]
-    fn push_sql_skips_garbage_and_keeps_streaming() {
+    fn text_pushes_skip_garbage_and_keep_streaming() {
         let mut session = Session::new(PiOptions::default());
-        let a = session.push_sql("SELECT a FROM t WHERE x = 1; THIS IS NOT SQL;");
-        let b = session.push_sql("ALSO NOT SQL; SELECT a FROM t WHERE x = 2;");
-        assert_eq!((a, b), (vec![0], vec![1]));
+        let a = session.push_stream_tagged([(
+            Dialect::SQL,
+            "SELECT a FROM t WHERE x = 1; THIS IS NOT SQL;",
+        )]);
+        let b = session
+            .push_stream_tagged([(Dialect::SQL, "ALSO NOT SQL; SELECT a FROM t WHERE x = 2;")]);
+        assert_eq!((a, b), (1, 1));
         assert_eq!(session.skipped(), 2);
         assert_eq!(session.version(), 2);
         let snap = session.snapshot();
@@ -1192,9 +1126,9 @@ mod tests {
             window: WindowStrategy::sliding(4),
             ..PiOptions::default()
         });
-        session.push_all(log(6));
+        session.push_batch(log(6));
         let (_, early) = snapped(&mut session);
-        session.push_all(log(6));
+        session.push_batch(log(6));
         let (_, late) = snapped(&mut session);
         // The early snapshot's store is a prefix of the late one's: same ids, same records.
         assert!(early.store().len() <= late.store().len());
@@ -1205,42 +1139,16 @@ mod tests {
     }
 
     #[test]
-    fn push_sql_is_a_pinned_alias_of_push_text_as_sql() {
-        // Deprecation hygiene: the SQL convenience must stay byte-identical to the generic
-        // path — same indices, same skip count, same dialect tags, same snapshot.
-        let fragments = [
-            "SELECT a FROM t WHERE x = 1; GARBAGE;",
-            "SELECT a FROM t WHERE x = 2",
-        ];
-        let mut via_alias = Session::new(PiOptions::default());
-        let mut via_generic = Session::new(PiOptions::default());
-        for fragment in fragments {
-            assert_eq!(
-                via_alias.push_sql(fragment),
-                via_generic.push_text_as(Dialect::SQL, fragment)
-            );
-        }
-        assert_eq!(via_alias.skipped(), via_generic.skipped());
-        assert_eq!(via_alias.dialects(), via_generic.dialects());
-        assert_eq!(via_alias.dialects(), &[Dialect::SQL, Dialect::SQL]);
-        assert_batch_identical(&snapped(&mut via_alias), &snapped(&mut via_generic));
-        // push_text uses the default dialect, which the standard registry sets to SQL.
-        let mut via_default = Session::new(PiOptions::default());
-        for fragment in fragments {
-            via_default.push_text(fragment);
-        }
-        assert_batch_identical(&snapped(&mut via_alias), &snapped(&mut via_default));
-    }
-
-    #[test]
     fn mixed_dialect_streams_mine_into_one_interface() {
         // The same analysis alternates between SQL and the dataframe dialect; the session
         // tags each query and mines them into ONE widget because the trees are identical.
         let mut session = Session::new(PiOptions::default());
-        session.push_sql("SELECT a FROM t WHERE x = 1");
-        session.push_text_as(Dialect::FRAMES, "t.filter(x == 2).select(a)");
-        session.push_sql("SELECT a FROM t WHERE x = 3");
-        session.push_text_as(Dialect::FRAMES, "t.filter(x == 9).select(a)");
+        session.push_stream_tagged([
+            (Dialect::SQL, "SELECT a FROM t WHERE x = 1"),
+            (Dialect::FRAMES, "t.filter(x == 2).select(a)"),
+            (Dialect::SQL, "SELECT a FROM t WHERE x = 3"),
+            (Dialect::FRAMES, "t.filter(x == 9).select(a)"),
+        ]);
         let snap = session.snapshot();
         assert_eq!(snap.version, 4);
         assert_eq!(
@@ -1268,32 +1176,36 @@ mod tests {
     #[test]
     fn unregistered_dialects_skip_and_count() {
         let mut session = Session::new(PiOptions::default());
-        let indices = session.push_text_as(Dialect::new("sparql"), "SELECT ?s WHERE { }");
-        assert!(indices.is_empty());
+        let appended =
+            session.push_stream_tagged([(Dialect::new("sparql"), "SELECT ?s WHERE { }")]);
+        assert_eq!(appended, 0);
         assert_eq!(session.skipped(), 1);
         assert_eq!(session.version(), 0);
         // The session keeps streaming afterwards.
-        session.push_text("SELECT a FROM t WHERE x = 1");
+        session.push_stream_tagged([(Dialect::SQL, "SELECT a FROM t WHERE x = 1")]);
         assert_eq!(session.version(), 1);
     }
 
     #[test]
     fn custom_registries_change_the_default_frontend() {
         use pi_ast::Frontends;
-        // A frames-first session: untagged text parses as the dataframe dialect.
+        // A frames-first session: its default dialect is the dataframe one.
         let registry = Frontends::new().with(pi_frames::FramesFrontend);
         let mut session = Session::with_frontends(PiOptions::default(), registry);
-        assert_eq!(session.default_dialect(), Dialect::FRAMES);
-        session.push_text("t.filter(x == 1)");
-        session.push_text("t.filter(x == 2)");
+        let frames = session.default_dialect();
+        assert_eq!(frames, Dialect::FRAMES);
+        session.push_stream_tagged([(frames, "t.filter(x == 1)"), (frames, "t.filter(x == 2)")]);
         assert_eq!(session.dialects(), &[Dialect::FRAMES, Dialect::FRAMES]);
-        // SQL is not registered in this session: push_sql skips.
-        assert!(session.push_sql("SELECT a FROM t").is_empty());
+        // SQL is not registered in this session: SQL text skips.
+        assert_eq!(
+            session.push_stream_tagged([(Dialect::SQL, "SELECT a FROM t")]),
+            0
+        );
         assert_eq!(session.skipped(), 1);
         let snap = session.snapshot();
         assert_eq!(snap.interface.initial_dialect(), Dialect::FRAMES);
         assert_eq!(snap.interface.widgets().len(), 1);
-        // with_default_dialect re-routes untagged pushes.
+        // with_default_dialect changes the default of a standard session too.
         let rerouted = Session::new(PiOptions::default()).with_default_dialect(Dialect::FRAMES);
         assert_eq!(rerouted.default_dialect(), Dialect::FRAMES);
     }
@@ -1309,7 +1221,7 @@ mod tests {
         // len()/skipped() are the no-snapshot accessors /stats-style gauges poll.
         let mut session = Session::new(PiOptions::default());
         assert_eq!((session.len(), session.skipped()), (0, 0));
-        session.push_sql("SELECT a FROM t WHERE x = 1; NOT SQL;");
+        session.push_stream_tagged([(Dialect::SQL, "SELECT a FROM t WHERE x = 1; NOT SQL;")]);
         assert_eq!((session.len(), session.skipped()), (1, 1));
         assert_eq!(session.len() as u64, session.version());
     }
@@ -1317,7 +1229,7 @@ mod tests {
     #[test]
     fn push_stream_matches_per_fragment_pushes() {
         // Chunked, cache-served streaming must be invisible: same graph, same widgets,
-        // same dialect tags as pushing each fragment through push_sql.
+        // same dialect tags as streaming each fragment in a call of its own.
         let lines: Vec<String> = (0..300)
             .map(|i| format!("SELECT a FROM t WHERE x = {}", i % 7))
             .collect();
@@ -1327,9 +1239,12 @@ mod tests {
         };
         let mut streamed = Session::new(options.clone());
         let mut pushed = Session::new(options);
-        assert_eq!(streamed.push_stream(&lines), 300);
+        assert_eq!(
+            streamed.push_stream_tagged(lines.iter().map(|line| (Dialect::SQL, line))),
+            300
+        );
         for line in &lines {
-            pushed.push_sql(line);
+            pushed.push_stream_tagged([(Dialect::SQL, line)]);
         }
         assert_batch_identical(&snapped(&mut streamed), &snapped(&mut pushed));
         assert_eq!(streamed.dialects(), pushed.dialects());
@@ -1354,6 +1269,8 @@ mod tests {
             session.dialects(),
             vec![Dialect::SQL, Dialect::FRAMES, Dialect::SQL]
         );
+        // The skipped sparql line leaves no entry in the table a snapshot persists.
+        assert_eq!(session.dialect_table, [Dialect::SQL, Dialect::FRAMES]);
     }
 
     #[test]
@@ -1370,12 +1287,13 @@ mod tests {
             window: WindowStrategy::sliding(4),
             ..PiOptions::default()
         });
-        session.push_stream(shapes.iter().cycle().take(1000));
+        let sql = |line| (Dialect::SQL, line);
+        session.push_stream_tagged(shapes.iter().cycle().take(1000).map(sql));
         let warm = session.memory_footprint();
         let warm_store = session.acc.store().footprint_bytes();
         let warm_memo = session.acc.memo().footprint_bytes();
         assert_eq!(session.distinct(), 8);
-        session.push_stream(shapes.iter().cycle().take(9000));
+        session.push_stream_tagged(shapes.iter().cycle().take(9000).map(sql));
         assert_eq!(session.len(), 10_000);
         assert_eq!(session.distinct(), 8);
         let grown = session.memory_footprint();
@@ -1416,12 +1334,12 @@ mod tests {
                 ..PiOptions::default()
             });
             for k in 0..3 {
-                session.push(pair[k % 2].clone());
+                session.push_tagged(Dialect::SQL, pair[k % 2].clone());
             }
             let changes = session.acc.store().len() / session.acc.store().runs().len();
             let warm = session.memory_footprint();
             for k in 3..3 + ROWS {
-                session.push(pair[k % 2].clone());
+                session.push_tagged(Dialect::SQL, pair[k % 2].clone());
             }
             assert_eq!(
                 session.acc.memo().alignments(),
@@ -1447,9 +1365,11 @@ mod tests {
                 memoize,
                 ..PiOptions::default()
             });
-            session.push_sql("SELECT a FROM t WHERE x = 1");
-            session.push_sql("SELECT b FROM t WHERE x = 2");
-            session.push_sql("SELECT a FROM t WHERE x = 3");
+            session.push_stream_tagged([
+                (Dialect::SQL, "SELECT a FROM t WHERE x = 1"),
+                (Dialect::SQL, "SELECT b FROM t WHERE x = 2"),
+                (Dialect::SQL, "SELECT a FROM t WHERE x = 3"),
+            ]);
             let bytes = session.persist_to_vec().unwrap();
             let mut mining = Vec::new();
             pi_graph::codec::write_accumulator(&mut mining, &session.acc).unwrap();
@@ -1488,7 +1408,10 @@ mod tests {
     #[test]
     fn timings_accumulate_across_pushes() {
         let mut session = Session::new(PiOptions::default());
-        session.push_sql("SELECT a FROM t WHERE x = 1; SELECT a FROM t WHERE x = 2;");
+        session.push_stream_tagged([(
+            Dialect::SQL,
+            "SELECT a FROM t WHERE x = 1; SELECT a FROM t WHERE x = 2;",
+        )]);
         let snap = session.snapshot();
         assert!(snap.timings.parse_ms >= 0.0);
         assert!(snap.timings.mining_ms >= 0.0);

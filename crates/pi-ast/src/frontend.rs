@@ -12,7 +12,7 @@
 //!   which front-end each query arrived through and the UI can render every closure query
 //!   in its originating language.
 //! * [`Frontends`] — a small registry of front-ends keyed by dialect, used by sessions to
-//!   route `push_text` calls and by the HTML/JSON compiler to pick a renderer per subtree.
+//!   parse each streamed line and by the HTML/JSON compiler to pick a renderer per subtree.
 //!
 //! Nothing outside a front-end crate should call a concrete parser/renderer directly; the
 //! workspace-level isolation test (`tests/frontend_isolation.rs`) enforces this for

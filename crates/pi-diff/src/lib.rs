@@ -77,15 +77,6 @@ pub fn align_cost_model(a_nodes: usize, b_nodes: usize) -> u64 {
     (a_nodes as u64).saturating_mul(b_nodes as u64)
 }
 
-/// [`align_cost_model`] with the node counts measured on the spot.
-///
-/// [`Node::size`] walks each tree (`O(n)` per call), so hot paths should count nodes once,
-/// cache them, and call [`align_cost_model`] directly — this wrapper exists for one-off
-/// estimates.
-pub fn estimated_align_cost(a: &Node, b: &Node) -> u64 {
-    align_cost_model(a.size(), b.size())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,28 +1,28 @@
-//! Graph construction: pair enumeration strategies and (optionally parallel) pairwise diffing.
+//! Graph construction: pair enumeration strategies and pairwise diffing.
 //!
 //! Construction is defined *incrementally*: appending query `j` to a log compares it against
 //! the predecessors the [`WindowStrategy`] admits (its `j - 1` predecessors for
 //! [`WindowStrategy::AllPairs`], the previous `w - 1` for a sliding window), and appends the
-//! resulting diff records and edge to the growing graph.  A batch [`GraphBuilder::build`] is
-//! exactly the fold of [`GraphBuilder::extend`] over the log, so a streaming session that
-//! appends queries one at a time produces a graph byte-identical to a one-shot build of the
-//! same prefix — the invariant `pi-core`'s `Session` is built on.
+//! resulting diff records and edge to the growing graph.  [`GraphBuilder::extend_batch`] is
+//! the one mining step: a batch [`GraphBuilder::build`] is one `extend_batch` over the whole
+//! log, and folding it over any split of the log gives the same graph, so a streaming
+//! session that appends queries one at a time produces a graph byte-identical to a one-shot
+//! build of the same prefix — the invariant `pi-core`'s `Session` is built on.
 //!
 //! With memoization on (the default), each distinct ordered pair of shape classes is aligned
 //! once, the first time the memo meets it, into one change list of the store, and every log
 //! pair of those classes appends one run row pointing at that list.  The unmemoized builder
-//! aligns every log pair into a list of its own and stays as the reference the memoized
-//! one is tested against.
+//! aligns every log pair, serially, into a list of its own and stays as the reference the
+//! memoized one is tested against.
 //!
-//! Parallel mining is cost-modelled and work-stealing: work items are packed into blocks of
-//! comparable *estimated alignment cost* ([`pi_diff::align_cost_model`] over cached node
-//! counts) and executed by the [`steal`](crate::steal) scheduler, whose determinism
+//! Mining has one fan-out: the memoized builder aligns a batch's missing distinct class
+//! pairs on the work-stealing [`steal`](crate::steal) scheduler, then appends serially.
+//! The pairs are packed into blocks of comparable *estimated alignment cost*
+//! ([`pi_diff::align_cost_model`] over cached node counts), and the scheduler's determinism
 //! contract — block order, not steal order, defines the output — keeps every parallel build
-//! byte-identical to the serial fold.  The memoized builder fans out a batch's missing
-//! distinct class pairs and then appends serially; the unmemoized one fans out the log
-//! pairs themselves.  The fan-out only engages when the estimated work would amortise the
-//! thread-scope overhead (`PARALLEL_MIN_COST`), so small batches and latency-sensitive
-//! single-query extends never pay for threads they cannot use.
+//! byte-identical to the serial fold.  The fan-out only engages when the estimated work
+//! would amortise the thread-scope overhead (`PARALLEL_MIN_COST`), so small batches and
+//! latency-sensitive single-query extends never pay for threads they cannot use.
 
 use crate::dedup::{pair_key, DedupTable, DiffMemo};
 use crate::graph::{edges_of_store, Edge, GraphStats, InteractionGraph, IntoQueryLog, QueryLog};
@@ -329,20 +329,22 @@ impl GraphBuilder {
         self
     }
 
-    /// Enables or disables multi-threaded pairwise diffing.
+    /// Enables or disables mining's one fan-out: the memoized builder aligning a batch's
+    /// missing distinct shape pairs across cores.
     ///
-    /// When enabled, batches whose estimated alignment work crosses the cost-model gate are
-    /// packed into cost-sized blocks and mined by the work-stealing scheduler; smaller
-    /// batches — and any build on a single-core host — fall back to the serial path, so
-    /// `parallel(true)` is never slower than serial on work too small to share.  The built
-    /// graph is byte-identical either way.  See [`GraphBuilder::threads`] for explicit
-    /// worker counts.
+    /// When enabled, a batch whose missing pairs' estimated alignment work crosses the
+    /// cost-model gate has them packed into cost-sized blocks and aligned by the
+    /// work-stealing scheduler; smaller batches — and any build on a single-core host — stay
+    /// serial, so `parallel(true)` is never slower than serial on work too small to share.
+    /// The unmemoized builder always runs serially.  The built graph is byte-identical
+    /// either way.  See [`GraphBuilder::threads`] for explicit worker counts.
     pub fn parallel(mut self, parallel: bool) -> Self {
         self.parallel = parallel;
         self
     }
 
-    /// Overrides the number of mining workers (default `0` = automatic).
+    /// Overrides the number of workers the memoized builder's pre-alignment fans out to
+    /// (default `0` = automatic).
     ///
     /// `0` resolves automatically: the `PI_THREADS` environment variable if set to a
     /// positive integer, else every available core when [`GraphBuilder::parallel`] is on,
@@ -361,8 +363,8 @@ impl GraphBuilder {
 
     /// Test-only hook: seeds a deterministic perturbation of the work-stealing schedule
     /// *and* bypasses the cost-model gate, so tests can drive logs of any size through the
-    /// scheduler and exercise steal interleavings (scattered block deals, rotated victim
-    /// scans) a natural run would rarely produce.
+    /// memoized builder's pre-alignment and exercise steal interleavings (scattered block
+    /// deals, rotated victim scans) a natural run would rarely produce.
     ///
     /// The scheduler's determinism contract — results are merged in *block* order, never
     /// steal order — means the output must not change: every seed, and `None` (the
@@ -397,7 +399,9 @@ impl GraphBuilder {
     /// (`O(n²)` under [`WindowStrategy::AllPairs`]); identical-shape pairs short-circuit to
     /// zero work.  The produced graph is **byte-identical** either way — same edges, same
     /// records, same `DiffId` offsets (property-tested) — so this knob exists purely for
-    /// A/B measurement of the memo itself.
+    /// A/B measurement of the memo itself.  Off, the builder is the serial reference the
+    /// memo is tested against: [`GraphBuilder::parallel`], [`GraphBuilder::threads`] and
+    /// [`GraphBuilder::steal_seed`] steer nothing.
     pub fn memoize(mut self, memoize: bool) -> Self {
         self.memoize = memoize;
         self
@@ -418,9 +422,10 @@ impl GraphBuilder {
     /// Appends many queries at once, returning the range of their log indices.
     ///
     /// Equivalent to (and byte-identical with) calling [`GraphBuilder::extend`] per query,
-    /// but when the builder is parallel and the batch brings enough new alignments, they are
-    /// fanned out across cores — this is how the one-shot pipeline entry points keep their
-    /// multi-core mining while being wrappers over a streaming session.
+    /// but a memoized builder with parallel options aligns the batch's missing distinct
+    /// shape pairs across cores when they bring enough work — this is how the one-shot
+    /// pipeline entry points keep their multi-core mining while being wrappers over a
+    /// streaming session.  The unmemoized builder mines the batch serially.
     pub fn extend_batch(
         &self,
         acc: &mut GraphAccumulator,
@@ -441,36 +446,6 @@ impl GraphBuilder {
             self.mine_rows_memoized(dedup, start..end, memo, store);
             return start..end;
         }
-        let threads = self.effective_threads();
-        if (threads > 1 && end - start > 1) || self.steal_seed.is_some() {
-            let dedup = &acc.dedup;
-            let policy = self.policy;
-            let mined = self.mine_pair_blocks(
-                threads,
-                start..end,
-                // Node counts come from the dedup table's per-class cache — two array loads
-                // per pair, no `Node::size` walks over the window's predecessors.
-                |i, j| {
-                    align_cost_model(
-                        dedup.tree_size(dedup.class_of(i)),
-                        dedup.tree_size(dedup.class_of(j)),
-                    )
-                },
-                |i, j| {
-                    extract_changes(
-                        dedup.representative(dedup.class_of(i)),
-                        dedup.representative(dedup.class_of(j)),
-                        policy,
-                    )
-                },
-            );
-            if let Some(results) = mined {
-                for (i, j, changes) in results {
-                    append_pair(&mut acc.store, i, j, changes);
-                }
-                return start..end;
-            }
-        }
         for j in start..end {
             for i in self.window.prev_pairs(j) {
                 let changes = extract_changes(acc.query(i), acc.query(j), self.policy);
@@ -480,57 +455,17 @@ impl GraphBuilder {
         start..end
     }
 
-    /// Builds the interaction graph for a log of parsed queries.
+    /// Builds the interaction graph for a log of parsed queries: one
+    /// [`GraphBuilder::extend_batch`] of the whole log into a fresh accumulator.
     ///
-    /// The log is taken as (or converted into) a [`QueryLog`], so graphs built from an
-    /// existing `Arc`'d log share it instead of cloning every query.  The result is
-    /// identical to folding [`GraphBuilder::extend`] over the log — pairs are diffed in
-    /// append order — the parallel path only computes the alignments concurrently before
-    /// assembling them in that same order.
+    /// The log is taken as (or converted into) a [`QueryLog`], and the returned graph
+    /// shares it instead of cloning every query; the accumulator's arena is only a
+    /// mining-side view of the log's rows.
     pub fn build(&self, queries: impl IntoQueryLog) -> InteractionGraph {
         let queries: QueryLog = queries.into_query_log();
-        let n = queries.len();
-        let mut store = DiffStore::new();
-        if self.memoize {
-            // A one-shot build shares (or takes over) the input log Arc, so the arena is
-            // only a mining-side view: a local dedup table over the log's rows.
-            let mut dedup = DedupTable::new();
-            for query in queries.iter() {
-                dedup.ingest(query);
-            }
-            let mut memo = DiffMemo::new();
-            self.mine_rows_memoized(&dedup, 0..n, &mut memo, &mut store);
-            return InteractionGraph::from_parts(queries, store);
-        }
-        let threads = self.effective_threads();
-        let mut mined = None;
-        if (threads > 1 && n > 1) || self.steal_seed.is_some() {
-            let policy = self.policy;
-            let log = &queries;
-            let sizes: Vec<usize> = log.iter().map(Node::size).collect();
-            mined = self.mine_pair_blocks(
-                threads,
-                0..n,
-                |i, j| align_cost_model(sizes[i], sizes[j]),
-                |i, j| extract_changes(&log[i], &log[j], policy),
-            );
-        }
-        match mined {
-            Some(results) => {
-                for (i, j, changes) in results {
-                    append_pair(&mut store, i, j, changes);
-                }
-            }
-            None => {
-                for j in 0..n {
-                    for i in self.window.prev_pairs(j) {
-                        let changes = extract_changes(&queries[i], &queries[j], self.policy);
-                        append_pair(&mut store, i, j, changes);
-                    }
-                }
-            }
-        }
-        InteractionGraph::from_parts(queries, store)
+        let mut acc = GraphAccumulator::new();
+        self.extend_batch(&mut acc, queries.iter().cloned());
+        InteractionGraph::from_parts(queries, acc.store)
     }
 
     /// The duplicate-collapsing mining path shared by batch builds and incremental extends:
@@ -662,55 +597,6 @@ impl GraphBuilder {
         .flatten()
         .collect()
     }
-
-    /// Enumerates the append-order pairs of `rows`, estimates their total alignment cost,
-    /// and — when that cost crosses the parallel gate (or the test hook forces it) — mines
-    /// them on the work-stealing scheduler, returning the per-pair change lists **in append
-    /// order**: blocks are contiguous runs of the serial enumeration sized by estimated
-    /// cost, and [`steal::run_blocks`] merges results in block order regardless of steal
-    /// interleaving, so the output is identical to the serial loop's.
-    ///
-    /// Returns `None` when the estimated work is too small to amortise the fan-out,
-    /// leaving the caller on the serial path — this cost gate replaces the old row-count
-    /// (`new_pairs > 32`) threshold, which charged tiny-tree sliding windows a full
-    /// thread scope for microseconds of alignment.
-    fn mine_pair_blocks<C, F>(
-        &self,
-        threads: usize,
-        rows: Range<usize>,
-        pair_cost: C,
-        pair_changes: F,
-    ) -> Option<Vec<(usize, usize, Vec<TreeChange>)>>
-    where
-        C: Fn(usize, usize) -> u64,
-        F: Fn(usize, usize) -> Vec<TreeChange> + Sync,
-    {
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        let mut total: u64 = 0;
-        for j in rows {
-            for i in self.window.prev_pairs(j) {
-                total = total.saturating_add(pair_cost(i, j).max(1));
-                pairs.push((i, j));
-            }
-        }
-        if pairs.is_empty() || (total < PARALLEL_MIN_COST && self.steal_seed.is_none()) {
-            return None;
-        }
-        let target = (total / (threads as u64 * BLOCKS_PER_WORKER)).max(MIN_BLOCK_COST);
-        let blocks = steal::pack_by_cost(pairs, |&(i, j)| pair_cost(i, j), target);
-        let results = steal::run_blocks(
-            threads,
-            self.steal_seed,
-            blocks,
-            |_, block: &Vec<(usize, usize)>| {
-                block
-                    .iter()
-                    .map(|&(i, j)| (i, j, pair_changes(i, j)))
-                    .collect::<Vec<_>>()
-            },
-        );
-        Some(results.into_iter().flatten().collect())
-    }
 }
 
 /// The number of cores the builder may use; 1 (forcing the serial path) when the platform
@@ -722,8 +608,7 @@ fn available_cores() -> usize {
 }
 
 /// Appends one compared pair's freshly aligned changes as a list of its own and a run
-/// pointing at it — the unmemoized fold step, shared by batch builds and incremental
-/// extends.  Identical pairs contribute nothing.
+/// pointing at it — the unmemoized fold step.  Identical pairs contribute nothing.
 fn append_pair(store: &mut DiffStore, i: usize, j: usize, changes: Vec<TreeChange>) {
     if !changes.is_empty() {
         let list = store.push_list(changes);

@@ -22,24 +22,25 @@
 //! default and *invisible*: graphs are byte-identical with it on or off
 //! ([`GraphBuilder::memoize`] exists for A/B measurement).
 //!
-//! Pairwise diffing is embarrassingly parallel; the builder fans it out over a deque-based
-//! **work-stealing scheduler**: a batch's pairs are packed into blocks of comparable
-//! *estimated alignment cost* (cached node counts through `pi_diff::align_cost_model`, so
-//! the triangular `AllPairs` load balances by work, not row count), each worker owns a
-//! local deque of blocks and steals from a victim's when dry, and every block writes its
-//! result into a slot indexed by the deterministic global block order.  **Block order, not
-//! steal order, defines the output** — the merged graph is byte-identical to the serial
-//! fold for every worker count and every steal interleaving (property-tested under seeded
-//! schedule perturbation).  The fan-out engages only when the estimated work would
-//! amortise the thread overhead, so small batches and single-query extends stay serial;
-//! worker counts resolve from [`GraphBuilder::threads`], the `PI_THREADS` environment
-//! variable, or the available cores, in that order.
+//! Aligning distinct shape pairs is embarrassingly parallel; the memoized builder fans a
+//! batch's missing pairs out over a deque-based **work-stealing scheduler** — mining's one
+//! fan-out.  The pairs are packed into blocks of comparable *estimated alignment cost*
+//! (cached node counts through `pi_diff::align_cost_model`, so the load balances by work,
+//! not pair count), each worker owns a local deque of blocks and steals from a victim's when
+//! dry, and every block writes its result into a slot indexed by the deterministic global
+//! block order.  **Block order, not steal order, defines the output** — the merged graph is
+//! byte-identical to the serial fold for every worker count and every steal interleaving
+//! (property-tested under seeded schedule perturbation).  The fan-out engages only when the
+//! estimated work would amortise the thread overhead, so small batches and single-query
+//! extends stay serial; worker counts resolve from [`GraphBuilder::threads`], the
+//! `PI_THREADS` environment variable, or the available cores, in that order.  The
+//! unmemoized reference builder always mines serially.
 //!
-//! Construction is *incremental at heart*: [`GraphBuilder::extend`] appends one query to a
-//! [`GraphAccumulator`], diffing it only against the predecessors the window strategy admits,
-//! and [`GraphBuilder::build`] is defined as the fold of that step over the whole log.  A
-//! streaming session therefore produces graphs byte-identical to batch builds of the same
-//! prefix — the invariant `pi-core::Session` relies on.
+//! Construction is *incremental at heart*: [`GraphBuilder::extend_batch`] appends queries to
+//! a [`GraphAccumulator`], diffing each only against the predecessors the window strategy
+//! admits, and [`GraphBuilder::build`] is one such step over the whole log.  A streaming
+//! session therefore produces graphs byte-identical to batch builds of the same prefix —
+//! the invariant `pi-core::Session` relies on.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -1,7 +1,8 @@
 //! A deque-based work-stealing scheduler for cost-sized mining blocks.
 //!
-//! The builder's parallel paths cut their pair workload into *blocks* — contiguous runs of
-//! the serial enumeration order, sized by estimated alignment cost — and execute them here.
+//! The memoized builder's pre-alignment cuts a batch's missing distinct shape pairs into
+//! *blocks* — contiguous runs of its sorted pair order, sized by estimated alignment cost —
+//! and executes them here.
 //! Each worker owns a local deque of block indices: it pops work from the front of its own
 //! deque (preserving locality with the initial contiguous deal) and, when dry, steals from
 //! the *back* of a victim's deque, so a worker stuck on one oversized block sheds the rest

@@ -1152,11 +1152,12 @@ impl SessionPool {
     /// with the tenant lock held (and, on the worker path, never the shard lock — mining
     /// is the slow part, and membership must stay available while it runs).
     ///
-    /// The backlog goes through [`Session::push_stream_tagged`] — the trace-scale ingest
-    /// path — so a large drain (a recovered journal tail, a burst behind a slow worker)
-    /// mines in bounded chunks and repeated statements hit the session's parse cache
-    /// instead of re-parsing; streaming is fold-identical to per-fragment pushes
-    /// (property-tested), so recovery stays byte-identical.
+    /// The backlog goes through [`Session::push_stream_tagged`] in one call — a session's
+    /// one text route — so a large drain (a recovered journal tail, a burst behind a slow
+    /// worker) mines in bounded chunks and repeated statements hit the session's parse
+    /// cache instead of re-parsing.  Streaming a backlog in one call is byte-identical to
+    /// streaming it one statement per call, as `rebuild_tenant` does
+    /// (property-tested), so a rebuild reproduces the live session exactly.
     fn apply_pending(&self, inner: &mut TenantInner) -> usize {
         let applied = inner.queue.len();
         if applied == 0 {
@@ -1207,10 +1208,10 @@ impl SessionPool {
     }
 
     /// Rebuilds a tenant's session from durable state: restore the base snapshot (or
-    /// start fresh), then replay the tail with each statement individually supervised —
-    /// statements that panic even in isolation are quarantined (dropped from the tail,
-    /// counted, sampled) and the rebuild restarts without them, so one poisonous
-    /// statement cannot wedge the tenant forever.
+    /// start fresh), then replay the tail through [`Session::push_stream_tagged`] one
+    /// statement per call, each individually supervised — statements that panic even in
+    /// isolation are quarantined (dropped from the tail, counted, sampled) and the rebuild
+    /// restarts without them, so one poisonous statement cannot wedge the tenant forever.
     fn rebuild_tenant(&self, tenant: &Tenant, inner: &mut TenantInner, reason: &str) {
         self.session_rebuilds.fetch_add(1, Ordering::Relaxed);
         // Fold any still-queued statements into the tail so the rebuild covers them
@@ -1234,7 +1235,7 @@ impl SessionPool {
                 if let Some(plan) = &plan {
                     plan.check_statement(text);
                 }
-                session.push_text_as(dialect, text);
+                session.push_stream_tagged([(dialect, text)]);
             },
         );
         inner.session = outcome.session;
@@ -1892,7 +1893,7 @@ mod tests {
         let pooled = pool.snapshot("ada", "t1").expect("the tenant is known");
         let mut solo = Session::new(PiOptions::default());
         for text in statements {
-            solo.push_text_as(Dialect::SQL, text);
+            solo.push_stream_tagged([(Dialect::SQL, text)]);
         }
         let replayed = solo.snapshot();
         assert_eq!(pooled.version, replayed.version, "version");

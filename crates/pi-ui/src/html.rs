@@ -341,10 +341,12 @@ mod tests {
         // contribute tree-valued options that must render as SQL, the frames queries
         // options that must render as method chains.
         let mut session = Session::new(PiOptions::default());
-        session.push_sql("SELECT * FROM T");
-        session.push_text_as(Dialect::FRAMES, "(T.filter(b > 10).select(a)).select(*)");
-        session.push_sql("SELECT * FROM (SELECT a FROM T WHERE b > 20)");
-        session.push_text_as(Dialect::FRAMES, "(T.filter(b > 30).select(a)).select(*)");
+        session.push_stream_tagged([
+            (Dialect::SQL, "SELECT * FROM T"),
+            (Dialect::FRAMES, "(T.filter(b > 10).select(a)).select(*)"),
+            (Dialect::SQL, "SELECT * FROM (SELECT a FROM T WHERE b > 20)"),
+            (Dialect::FRAMES, "(T.filter(b > 30).select(a)).select(*)"),
+        ]);
         let snap = session.snapshot();
         assert_eq!(snap.dialects.len(), 4);
 

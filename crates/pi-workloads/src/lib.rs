@@ -165,8 +165,8 @@ impl QueryLog {
         self.queries.is_empty()
     }
 
-    /// The queries paired with their dialect tags, in log order — the shape a
-    /// mixed-front-end session ingests (`push_all_tagged`).
+    /// The queries paired with their dialect tags, in log order — what a mixed-front-end
+    /// session ingests one `push_tagged` at a time.
     pub fn tagged_queries(&self) -> impl Iterator<Item = (Dialect, Node)> + '_ {
         self.dialects
             .iter()

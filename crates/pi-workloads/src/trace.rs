@@ -2,9 +2,9 @@
 //!
 //! The in-memory [`QueryLog`](crate::QueryLog) generators materialise text and parsed trees
 //! for the whole log, which is exactly what a trace-scale ingest benchmark must *not* do —
-//! the point of `Session::push_stream` is bounded memory however long the stream.  This
-//! module generates a realistic million-line stream as an iterator: state held is the pool
-//! of distinct query shapes (`O(shapes)`), each `next()` renders one line, and nothing
+//! the point of `Session::push_stream_tagged` is bounded memory however long the stream.
+//! This module generates a realistic million-line stream as an iterator: state held is the
+//! pool of distinct query shapes (`O(shapes)`), each `next()` renders one line, and nothing
 //! retains the emitted prefix.
 //!
 //! The stream's shape mirrors what the trace studies report for real query logs:

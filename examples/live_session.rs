@@ -1,9 +1,10 @@
 //! Streaming ingestion: feed an analyst's queries into a [`Session`] one at a time, as they
 //! would arrive from a live connection, and refresh the interface after each append.
 //!
-//! Each `push_sql` runs only the new tree alignments the sliding window admits (`O(w)` per
-//! query, however long the session gets), and each `snapshot()` is byte-identical to a
-//! batch build of the same prefix — the interface simply *refines* as evidence accumulates.
+//! Each `push_stream_tagged` call runs only the new tree alignments the sliding window
+//! admits (`O(w)` per query, however long the session gets), and each `snapshot()` is
+//! byte-identical to a batch build of the same prefix — the interface simply *refines* as
+//! evidence accumulates.
 //!
 //! ```sh
 //! cargo run --example live_session
@@ -26,16 +27,12 @@ fn main() {
 
     let mut session = Session::new(PiOptions::default());
     for sql in stream {
-        let appended = session.push_sql(sql);
+        let appended = session.push_stream_tagged([(Dialect::SQL, sql)]);
         let snapshot = session.snapshot();
         println!(
             "v{} | {:>7} | {} queries, {} skipped, {} edges, {} widgets",
             snapshot.version,
-            if appended.is_empty() {
-                "skipped"
-            } else {
-                "ingested"
-            },
+            if appended == 0 { "skipped" } else { "ingested" },
             snapshot.queries.len(),
             snapshot.skipped,
             snapshot.graph_stats.edges,

@@ -44,9 +44,7 @@ fn main() {
     ];
 
     let mut session = Session::new(PiOptions::default());
-    for (dialect, text) in stream {
-        session.push_text_as(dialect, text);
-    }
+    session.push_stream_tagged(stream);
     let snapshot = session.snapshot();
     println!(
         "mined {} queries ({} skipped) from {} dialects into one interface:\n{}",

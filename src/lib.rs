@@ -39,27 +39,31 @@
 //! ## Streaming
 //!
 //! Query logs grow as the analyst works, so the batch entry point above is itself a thin
-//! wrapper over a stateful [`Session`](core::Session): feed queries one at a time with
-//! `push` / `push_text` — each append runs only the `O(w)` new alignments the sliding window
-//! admits — and take versioned snapshots whenever the interface should refresh.  Snapshots
-//! are byte-identical to batch builds of the same prefix (see `examples/live_session.rs`).
+//! wrapper over a stateful [`Session`](core::Session).  A session has two ways in:
+//! [`push_tagged`](core::Session::push_tagged) appends one parsed query and
+//! [`push_stream_tagged`](core::Session::push_stream_tagged) parses and appends text of any
+//! length and dialect.  Each append runs only the `O(w)` new alignments the sliding window
+//! admits, and versioned snapshots can be taken whenever the interface should refresh.
+//! Snapshots are byte-identical to batch builds of the same prefix (see
+//! `examples/live_session.rs`).
 //!
 //! ```
 //! use precision_interfaces::prelude::*;
 //!
 //! let mut session = Session::new(PiOptions::default());
 //! for month in [9, 8, 3] {
-//!     session.push_sql(&format!(
+//!     let sql = format!(
 //!         "SELECT COUNT(Delay), DestState FROM ontime WHERE Month = {month} GROUP BY DestState"
-//!     ));
+//!     );
+//!     session.push_stream_tagged([(Dialect::SQL, sql)]);
 //! }
 //! let snapshot = session.snapshot();
 //! assert_eq!(snapshot.version, 3);
 //! assert_eq!(snapshot.interface.widgets().len(), 1);
 //! ```
 //!
-//! For trace-scale logs (10⁵–10⁶ lines), [`Session::push_stream`](core::Session::push_stream)
-//! and [`push_stream_tagged`](core::Session::push_stream_tagged) ingest any
+//! The same call scales to trace-scale logs (10⁵–10⁶ lines):
+//! [`push_stream_tagged`](core::Session::push_stream_tagged) ingests any
 //! `(Dialect, &str)` iterator without materialising the log: lines parse in fixed-size
 //! chunks through a per-session parse cache (a repeated statement is a hash probe, not a
 //! re-parse), unparseable lines are skipped, counted and sampled
@@ -98,27 +102,33 @@
 //! use precision_interfaces::prelude::*;
 //!
 //! let mut session = Session::new(PiOptions::default());
-//! session.push_sql("SELECT COUNT(Delay), DestState FROM ontime WHERE Month = 9 GROUP BY DestState");
-//! session.push_text_as(
-//!     Dialect::FRAMES,
-//!     "ontime.filter(Month == 3).groupby(DestState).agg(COUNT(Delay))",
-//! );
+//! session.push_stream_tagged([
+//!     (
+//!         Dialect::SQL,
+//!         "SELECT COUNT(Delay), DestState FROM ontime WHERE Month = 9 GROUP BY DestState",
+//!     ),
+//!     (
+//!         Dialect::FRAMES,
+//!         "ontime.filter(Month == 3).groupby(DestState).agg(COUNT(Delay))",
+//!     ),
+//! ]);
 //! let snapshot = session.snapshot();
 //! assert_eq!(snapshot.dialects, vec![Dialect::SQL, Dialect::FRAMES]);
 //! assert_eq!(snapshot.interface.widgets().len(), 1); // one shared month widget
 //! assert!(snapshot.interface.expressiveness(&snapshot.queries) >= 1.0);
 //! ```
 //!
-//! A session over a *non-SQL default* front-end is one constructor away — untagged
-//! `push_text` then parses the dataframe dialect:
+//! A session over a *non-SQL default* front-end is one constructor away — its default
+//! dialect is then the dataframe one:
 //!
 //! ```
 //! use precision_interfaces::prelude::*;
 //!
 //! let registry = Frontends::new().with(FramesFrontend).with(SqlFrontend);
 //! let mut session = Session::with_frontends(PiOptions::default(), registry);
-//! assert_eq!(session.default_dialect(), Dialect::FRAMES);
-//! session.push_text("t.filter(x == 1).select(a); t.filter(x == 2).select(a)");
+//! let frames = session.default_dialect();
+//! assert_eq!(frames, Dialect::FRAMES);
+//! session.push_stream_tagged([(frames, "t.filter(x == 1).select(a); t.filter(x == 2).select(a)")]);
 //! assert_eq!(session.snapshot().interface.initial_dialect(), Dialect::FRAMES);
 //! ```
 

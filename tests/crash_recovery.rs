@@ -57,7 +57,7 @@ fn read(pool: &SessionPool, user: &str) -> Option<Mined> {
 fn replay(statements: &[(Dialect, String)]) -> Mined {
     let mut session = Session::new(PiOptions::default());
     for (dialect, text) in statements {
-        session.push_text_as(*dialect, text);
+        session.push_stream_tagged([(*dialect, text)]);
     }
     (session.snapshot(), session.graph())
 }

@@ -16,15 +16,14 @@ fn render_sql(query: &Node) -> String {
     SqlFrontend.render(query)
 }
 
-/// [`PrecisionInterfaces::from_queries`] over `queries`, with the graph its session mined.
+/// [`PrecisionInterfaces::from_queries`] over `queries`, with the graph
+/// [`PrecisionInterfaces::mine`] builds from them.
 fn generate(
     pipeline: &PrecisionInterfaces,
     queries: Vec<Node>,
 ) -> (GeneratedInterface, InteractionGraph) {
-    let mut session = pipeline.session();
-    session.push_all(queries);
-    let graph = session.graph();
-    (session.into_snapshot(), graph)
+    let graph = pipeline.mine(&queries);
+    (pipeline.from_queries(queries), graph)
 }
 
 fn catalog_schema(catalog: &Catalog) -> SchemaMap {
@@ -180,7 +179,7 @@ fn streaming_session_tracks_the_batch_pipeline_and_compiles_to_html() {
     let mut session = Session::new(PiOptions::default());
     let mut refreshes = 0;
     for (k, query) in log.queries.iter().enumerate() {
-        assert_eq!(session.push(query.clone()), k);
+        assert_eq!(session.push_tagged(Dialect::SQL, query.clone()), k);
         if (k + 1) % 20 == 0 {
             let snapshot = session.snapshot();
             assert_eq!(snapshot.version, k as u64 + 1);
@@ -233,7 +232,9 @@ fn mixed_dialect_log_mines_end_to_end_into_one_dialect_aware_interface() {
     assert!(mixed.dialects.contains(&Dialect::FRAMES));
 
     let mut session = Session::new(PiOptions::default());
-    session.push_all_tagged(mixed.tagged_queries());
+    for (dialect, query) in mixed.tagged_queries() {
+        session.push_tagged(dialect, query);
+    }
     let snapshot = session.snapshot();
     assert_eq!(snapshot.version as usize, mixed.len());
     assert_eq!(snapshot.dialects, mixed.dialects);

@@ -28,7 +28,9 @@ fn fnv1a(text: &str) -> u64 {
 /// snapshot.
 fn mine_log(log: &QueryLog) -> Interface {
     let mut session = Session::new(PiOptions::default());
-    session.push_all_tagged(log.tagged_queries());
+    for (dialect, query) in log.tagged_queries() {
+        session.push_tagged(dialect, query);
+    }
     session.into_snapshot().interface
 }
 

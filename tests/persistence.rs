@@ -96,8 +96,8 @@ proptest! {
         // persisting identically, so the restored memo really is warm and in sync.
         let suffix = repetitive_mixed_walk(seed ^ 0xdead_beef, 6, 4);
         for (dialect, text) in suffix.dialects.iter().zip(suffix.text.iter()) {
-            original.push_text_as(*dialect, text);
-            restored.push_text_as(*dialect, text);
+            original.push_stream_tagged([(*dialect, text)]);
+            restored.push_stream_tagged([(*dialect, text)]);
         }
         assert_restored_identical(&mut original, &mut restored);
     }
@@ -136,7 +136,10 @@ fn foreign_and_wrong_version_snapshots_are_rejected() {
     // A valid snapshot whose version stamp is from the future must fail with the
     // dedicated Version error, not a misread.
     let mut session = Session::new(PiOptions::default());
-    session.push_sql("SELECT a FROM t WHERE x = 1; SELECT a FROM t WHERE x = 2;");
+    session.push_stream_tagged([(
+        Dialect::SQL,
+        "SELECT a FROM t WHERE x = 1; SELECT a FROM t WHERE x = 2;",
+    )]);
     let mut bytes = session.persist_to_vec().unwrap();
     let version_at = b"PISNAP".len();
     bytes[version_at..version_at + 4].copy_from_slice(&(SNAPSHOT_VERSION + 1).to_le_bytes());
@@ -180,9 +183,7 @@ fn golden_path() -> std::path::PathBuf {
 /// A fresh session mined from [`golden_statements`].
 fn golden_session() -> Session {
     let mut session = Session::new(PiOptions::default());
-    for (dialect, text) in golden_statements() {
-        session.push_text_as(dialect, text);
-    }
+    session.push_stream_tagged(golden_statements());
     session
 }
 

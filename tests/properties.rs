@@ -1,7 +1,7 @@
 //! Property-based tests over the core data structures and invariants.
 
 use pi_ast::builder::SelectBuilder;
-use pi_ast::{Node, Path};
+use pi_ast::{ErrorSample, Node, Path};
 use pi_diff::{extract_diffs, AncestorPolicy, ChangeKind};
 use precision_interfaces::graph::InteractionGraph;
 use precision_interfaces::prelude::*;
@@ -15,12 +15,13 @@ fn render_sql(query: &Node) -> String {
     SqlFrontend.render(query)
 }
 
-/// [`PrecisionInterfaces::from_queries`] over `queries`, with the graph its session mined.
+/// [`PrecisionInterfaces::from_queries`] over `queries`, with the graph
+/// [`PrecisionInterfaces::mine`] builds from them: both mine the whole log as one
+/// multi-row batch.
 fn generate(options: &PiOptions, queries: Vec<Node>) -> (GeneratedInterface, InteractionGraph) {
-    let mut session = Session::new(options.clone());
-    session.push_all(queries);
-    let graph = session.graph();
-    (session.into_snapshot(), graph)
+    let pipeline = PrecisionInterfaces::new(options.clone());
+    let graph = pipeline.mine(&queries);
+    (pipeline.from_queries(queries), graph)
 }
 
 /// Asserts that `session`'s snapshot is what mapping a frozen copy of its graph gives: the
@@ -344,7 +345,8 @@ proptest! {
     /// The streaming invariant: a `Session` snapshot after `n` pushes is identical to a
     /// batch build of the same `n`-query prefix — same edge list, same diff store (length,
     /// ids and record order), same widget set, same rendered interface — under `AllPairs`
-    /// and several sliding windows, for arbitrary interleavings of `push` and `snapshot`.
+    /// and several sliding windows, for arbitrary interleavings of `push_tagged` and
+    /// `snapshot`.
     #[test]
     fn session_snapshots_are_identical_to_batch_builds(
         queries in prop::collection::vec(arb_query(), 1..12),
@@ -363,7 +365,7 @@ proptest! {
             };
             let mut session = precision_interfaces::core::Session::new(options.clone());
             for (k, q) in queries.iter().enumerate() {
-                prop_assert_eq!(session.push(q.clone()), k);
+                prop_assert_eq!(session.push_tagged(Dialect::SQL, q.clone()), k);
                 // Interleave snapshots with pushes: every prefix the pattern lands on must
                 // match the batch build of exactly that prefix.
                 if (k + 1) % snap_every != 0 && k + 1 != queries.len() {
@@ -382,11 +384,11 @@ proptest! {
         }
     }
 
-    /// Streaming SQL text through `push_sql` — including unparseable statements — matches
-    /// the one-shot `from_sql_log` of the concatenated log: same skip count, same version,
-    /// same graph, same interface.
+    /// Streaming SQL text one statement at a time — including unparseable statements —
+    /// matches the one-shot `from_sql_log` of the concatenated log: same skip count, same
+    /// version, same graph, same interface.
     #[test]
-    fn session_push_sql_matches_batch_from_sql_log(
+    fn session_sql_text_matches_batch_from_sql_log(
         statements in prop::collection::vec((arb_query(), prop::bool::ANY), 1..10),
     ) {
         let rendered: Vec<String> = statements
@@ -403,7 +405,7 @@ proptest! {
 
         let mut session = precision_interfaces::core::Session::new(Default::default());
         for statement in &rendered {
-            session.push_sql(statement);
+            session.push_stream_tagged([(Dialect::SQL, statement)]);
         }
         let batch = PrecisionInterfaces::default().from_sql_log(&text);
 
@@ -423,9 +425,9 @@ proptest! {
 
     /// Mixed-dialect streaming equals mixed-dialect batch: pushing an interleaved SQL +
     /// frames log one *text statement* at a time (each through its own front-end, with
-    /// snapshots interleaved) is identical to one bulk tagged append — same graph, same
-    /// dialect tags, same widgets (including per-option dialect tags), same rendered
-    /// interface — under `AllPairs` and sliding windows.
+    /// snapshots interleaved) is identical to one bulk tagged append of the whole log —
+    /// same graph, same dialect tags, same widgets (including per-option dialect tags),
+    /// same rendered interface — under `AllPairs` and sliding windows.
     #[test]
     fn mixed_dialect_session_matches_batch(
         entries in prop::collection::vec((arb_query(), prop::bool::ANY), 1..10),
@@ -447,16 +449,15 @@ proptest! {
             // Streaming: one statement at a time, through the per-dialect text path.
             let mut streamed = Session::new(options.clone());
             for (k, (dialect, text)) in tagged.iter().enumerate() {
-                prop_assert_eq!(streamed.push_text_as(*dialect, text), vec![k]);
+                prop_assert_eq!(streamed.push_stream_tagged([(*dialect, text)]), 1);
+                prop_assert_eq!(streamed.len(), k + 1);
                 if (k + 1) % snap_every == 0 {
                     let _ = streamed.snapshot();
                 }
             }
-            // Batch: one bulk tagged append of the pre-parsed trees.
+            // Batch: one bulk tagged append of the whole log.
             let mut batch = Session::new(options.clone());
-            batch.push_all_tagged(entries.iter().zip(&tagged).map(|((q, _), (dialect, _))| {
-                (*dialect, q.clone())
-            }));
+            batch.push_stream_tagged(tagged.iter().map(|(dialect, text)| (*dialect, text)));
             let s = streamed.snapshot();
             let streamed_graph = streamed.graph();
             prop_assert_eq!(&streamed_graph, &batch.graph());
@@ -546,7 +547,7 @@ proptest! {
     /// The work-stealing scheduler is invisible: for forced worker counts up to 8 and any
     /// steal-order seed (injected through the test-only `steal_seed` hook, which also
     /// bypasses the cost gate so tiny logs exercise real multi-worker schedules), batch
-    /// builds and interleaved `push`/`snapshot` sessions — memo on and off — produce
+    /// builds and interleaved `push_tagged`/`snapshot` sessions — memo on and off — produce
     /// outputs byte-identical to the single-threaded build: same graph (same `DiffStore`
     /// ids and record order), same widgets, same rendered `describe()`.  Block order, not
     /// steal order, defines the output.
@@ -587,7 +588,7 @@ proptest! {
                 // exactly that prefix.
                 let mut session = Session::new(stolen);
                 for (k, q) in queries.iter().enumerate() {
-                    prop_assert_eq!(session.push(q.clone()), k);
+                    prop_assert_eq!(session.push_tagged(Dialect::SQL, q.clone()), k);
                     if (k + 1) % snap_every != 0 && k + 1 != queries.len() {
                         continue;
                     }
@@ -637,7 +638,7 @@ proptest! {
 
                     let mut session = Session::new(options.clone());
                     for (k, q) in queries.iter().enumerate() {
-                        session.push(q.clone());
+                        session.push_tagged(Dialect::SQL, q.clone());
                         if (k + 1) % snap_every == 0 {
                             let _ = session.snapshot();
                         }
@@ -719,9 +720,11 @@ proptest! {
 
     /// The trace-scale streaming path (`push_stream_tagged`: chunked batch extends, the
     /// parse cache, lossy error sampling) is invisible: streaming a mixed-dialect line
-    /// soup with duplicates and garbage leaves the session byte-identical to per-fragment
-    /// `push_text_as` pushes of the same lines — same appended/skip counts, same distinct
-    /// trees, same graph, same interface — across worker counts and memo on/off.
+    /// soup with duplicates and garbage leaves the session byte-identical to a cache-free
+    /// reference — each line parsed by its front-end's `parse_statements_lossy`, its trees
+    /// appended one `push_tagged` at a time, its skips counted here — with the same
+    /// appended/skip counts, same distinct trees, same graph, same interface, across
+    /// worker counts and memo on/off.
     #[test]
     fn streamed_text_ingest_is_identical_to_per_fragment_pushes(
         base in prop::collection::vec((arb_query(), prop::bool::ANY), 2..8),
@@ -760,12 +763,26 @@ proptest! {
         let appended = streamed.push_stream_tagged(lines.iter().map(|(d, t)| (*d, t.as_str())));
         let mut stepped = Session::new(opts);
         let mut stepped_appended = 0usize;
+        let mut stepped_skipped = 0usize;
+        let mut stepped_errors = ErrorSample::new(ErrorSample::DEFAULT_CAPACITY);
+        let frontends = stepped.frontends().clone();
         for (dialect, text) in &lines {
-            stepped_appended += stepped.push_text_as(*dialect, text).len();
+            let Some(frontend) = frontends.get(*dialect) else {
+                stepped_skipped += 1;
+                stepped_errors.offer_with(|| FrontendError::new(*dialect, "unregistered"));
+                continue;
+            };
+            let mut trees = Vec::new();
+            stepped_skipped +=
+                frontend.parse_statements_lossy(text, &mut trees, &mut stepped_errors);
+            for tree in trees {
+                stepped.push_tagged(*dialect, tree);
+                stepped_appended += 1;
+            }
         }
         prop_assert_eq!(appended, stepped_appended);
-        prop_assert_eq!(streamed.skipped(), stepped.skipped());
-        prop_assert_eq!(streamed.parse_errors().seen(), stepped.parse_errors().seen());
+        prop_assert_eq!(streamed.skipped(), stepped_skipped);
+        prop_assert_eq!(streamed.parse_errors().seen(), stepped_errors.seen());
         prop_assert_eq!(streamed.distinct(), stepped.distinct());
         prop_assert_eq!(&streamed.graph(), &stepped.graph());
         let a = streamed.snapshot();

@@ -27,7 +27,7 @@ fn replay(
 ) -> (GeneratedInterface, InteractionGraph) {
     let mut session = Session::new(PiOptions::default());
     for (dialect, text) in statements {
-        session.push_text_as(*dialect, text);
+        session.push_stream_tagged([(*dialect, text)]);
     }
     (session.snapshot(), session.graph())
 }

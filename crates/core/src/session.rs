@@ -91,12 +91,12 @@ const PARSE_CACHE_MAX_BYTES: usize = 16 << 20;
 /// A hash-keyed, collision-safe cache of parsed text fragments.
 ///
 /// Query logs are overwhelmingly repetitive — the same statement text arrives thousands of
-/// times — and parsing is the streaming bottleneck (~8µs per SQL statement vs ~100ns for a
-/// dedup hash lookup).  The cache maps `(dialect, fragment text)` to the parsed statements,
-/// keyed by a 64-bit hash but verified by exact text + dialect comparison (a colliding
-/// fragment can never serve another's trees).  Cache hits clone the cached trees, which is
-/// a refcount bump per statement; the dedup arena then recognises the duplicate shape and
-/// drops the clone, so a cached hit allocates nothing.
+/// times — and a parse costs far more than a lookup (~5µs for a 110-byte SQL statement vs
+/// ~100ns for a dedup hash lookup).  The cache maps `(dialect, fragment text)` to the
+/// parsed statements, keyed by a 64-bit hash but verified by exact text + dialect
+/// comparison (a colliding fragment can never serve another's trees).  Cache hits clone the
+/// cached trees, which is a refcount bump per statement; the dedup arena then recognises
+/// the duplicate shape and drops the clone, so a cached hit allocates nothing.
 ///
 /// Only fragments that parse *cleanly* are cached: a fragment with garbage statements is
 /// re-parsed on every occurrence so its failures keep counting (each occurrence of a bad
@@ -275,15 +275,6 @@ impl Session {
         }
     }
 
-    /// Changes the session's default dialect (builder style): the tag a one-shot
-    /// [`PrecisionInterfaces::from_queries`](crate::PrecisionInterfaces::from_queries) batch
-    /// gives its queries, and the dialect hosts parse untagged text in.  It should name a
-    /// registered front-end.
-    pub fn with_default_dialect(mut self, dialect: Dialect) -> Self {
-        self.default_dialect = dialect;
-        self
-    }
-
     /// The options this session runs with.
     pub fn options(&self) -> &PiOptions {
         &self.options
@@ -294,7 +285,10 @@ impl Session {
         &self.frontends
     }
 
-    /// The session's default dialect: see [`Session::with_default_dialect`].
+    /// The session's default dialect: the first front-end of its registry (SQL for
+    /// [`Session::new`] and for an empty registry).  It is the tag a one-shot
+    /// [`PrecisionInterfaces::from_queries`](crate::PrecisionInterfaces::from_queries) batch
+    /// gives its queries, and the dialect hosts parse untagged text in.
     pub fn default_dialect(&self) -> Dialect {
         self.default_dialect
     }
@@ -1205,9 +1199,51 @@ mod tests {
         let snap = session.snapshot();
         assert_eq!(snap.interface.initial_dialect(), Dialect::FRAMES);
         assert_eq!(snap.interface.widgets().len(), 1);
-        // with_default_dialect changes the default of a standard session too.
-        let rerouted = Session::new(PiOptions::default()).with_default_dialect(Dialect::FRAMES);
-        assert_eq!(rerouted.default_dialect(), Dialect::FRAMES);
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_skipped_and_the_bound_mines() {
+        // On a 2 MiB stack, a spawned worker's default: one statement nested too deep used
+        // to overflow it and abort the process.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let depth = pi_ast::MAX_NESTING;
+                let sql = |nots: usize, x: i64| {
+                    format!("SELECT a FROM t WHERE {}x = {x}", "NOT ".repeat(nots))
+                };
+                let frames = |parens: usize, x: i64| {
+                    let (open, close) = ("(".repeat(parens - 1), ")".repeat(parens - 1));
+                    format!("t.filter({open}x == {x}{close})")
+                };
+                let lines = [
+                    (Dialect::SQL, sql(depth, 1)),
+                    (Dialect::SQL, sql(100_000, 1)),
+                    (Dialect::SQL, sql(depth, 2)),
+                    (Dialect::FRAMES, frames(depth, 3)),
+                    (Dialect::FRAMES, frames(100_000, 3)),
+                    (Dialect::FRAMES, frames(depth, 4)),
+                ];
+                let mut session = Session::new(PiOptions::default());
+                assert_eq!(
+                    session.push_stream_tagged(lines.iter().map(|(d, t)| (*d, t))),
+                    4
+                );
+                assert_eq!(session.skipped(), 2);
+                let snapshot = session.snapshot();
+                assert!(!snapshot.interface.widgets().is_empty());
+                let bytes = session.persist_to_vec().expect("the session persists");
+                let mut restored =
+                    Session::restore_with(&mut bytes.as_slice(), PiOptions::default())
+                        .expect("its snapshot restores");
+                assert_eq!(
+                    restored.snapshot().interface.describe(),
+                    snapshot.interface.describe()
+                );
+            })
+            .expect("spawn a session thread")
+            .join()
+            .expect("the session never panics");
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! These helpers build well-formed trees without going through SQL text and the parser, which
 //! keeps generators fast and makes the intent explicit.
 
+use crate::intern::Sym;
 use crate::kind::NodeKind;
 use crate::node::Node;
+use crate::value::AttrValue;
 
 /// Builder for SELECT statements.
 ///
@@ -49,18 +51,17 @@ impl SelectBuilder {
 
     /// Adds a plain projection expression.
     pub fn project(mut self, expr: Node) -> Self {
-        self.projections
-            .push(Node::new(NodeKind::ProjClause).with_child(expr));
+        self.projections.push(wrap(NodeKind::ProjClause, expr));
         self
     }
 
     /// Adds an aliased projection expression.
     pub fn project_as(mut self, expr: Node, alias: &str) -> Self {
-        self.projections.push(
-            Node::new(NodeKind::ProjClause)
-                .with_attr("alias", alias)
-                .with_child(expr),
-        );
+        self.projections.push(Node::from_parts(
+            NodeKind::ProjClause,
+            &[(Sym::ALIAS, alias.into())],
+            vec![expr],
+        ));
         self
     }
 
@@ -82,26 +83,27 @@ impl SelectBuilder {
 
     /// Adds an aliased base table to the FROM clause.
     pub fn from_table_as(mut self, name: &str, alias: &str) -> Self {
-        self.relations
-            .push(Node::table(name).with_attr("alias", alias));
+        self.relations.push(Node::from_parts(
+            NodeKind::TableRef,
+            &[(Sym::NAME, name.into()), (Sym::ALIAS, alias.into())],
+            Vec::new(),
+        ));
         self
     }
 
     /// Adds a derived table (subquery) to the FROM clause.
     pub fn from_subquery(mut self, subquery: Node) -> Self {
-        self.relations
-            .push(Node::new(NodeKind::SubqueryRef).with_child(subquery));
+        self.relations.push(wrap(NodeKind::SubqueryRef, subquery));
         self
     }
 
     /// Adds an aliased table-valued function call to the FROM clause.
     pub fn from_table_func(mut self, name: &str, args: Vec<Node>, alias: &str) -> Self {
-        self.relations.push(
-            Node::new(NodeKind::TableFunc)
-                .with_attr("name", name)
-                .with_attr("alias", alias)
-                .with_children(args),
-        );
+        self.relations.push(Node::from_parts(
+            NodeKind::TableFunc,
+            &[(Sym::NAME, name.into()), (Sym::ALIAS, alias.into())],
+            args,
+        ));
         self
     }
 
@@ -113,8 +115,7 @@ impl SelectBuilder {
 
     /// Adds a grouping expression.
     pub fn group_by(mut self, expr: Node) -> Self {
-        self.groupings
-            .push(Node::new(NodeKind::GroupClause).with_child(expr));
+        self.groupings.push(wrap(NodeKind::GroupClause, expr));
         self
     }
 
@@ -140,56 +141,43 @@ impl SelectBuilder {
     /// queries built with the same clauses always produce identical trees (important for the
     /// purely syntactic diffing downstream).
     pub fn build(self) -> Node {
-        let mut root = Node::new(NodeKind::Select);
-        if self.distinct {
-            root.set_attr("distinct", true);
-        }
-        let mut project = Node::new(NodeKind::Project);
-        if self.projections.is_empty() {
-            project.push_child(Node::new(NodeKind::ProjClause).with_child(Node::star()));
+        let mut clauses = Vec::with_capacity(7);
+        let projections = if self.projections.is_empty() {
+            vec![wrap(NodeKind::ProjClause, Node::star())]
         } else {
-            for p in self.projections {
-                project.push_child(p);
-            }
-        }
-        root.push_child(project);
-
-        let mut from = Node::new(NodeKind::From);
-        for r in self.relations {
-            from.push_child(r);
-        }
-        root.push_child(from);
-
+            self.projections
+        };
+        clauses.push(Node::from_parts(NodeKind::Project, &[], projections));
+        clauses.push(Node::from_parts(NodeKind::From, &[], self.relations));
         if !self.predicates.is_empty() {
-            root.push_child(
-                Node::new(NodeKind::Where).with_child(Self::conjunction(self.predicates)),
-            );
+            clauses.push(wrap(NodeKind::Where, Self::conjunction(self.predicates)));
         }
         if !self.groupings.is_empty() {
-            let mut gb = Node::new(NodeKind::GroupBy);
-            for g in self.groupings {
-                gb.push_child(g);
-            }
-            root.push_child(gb);
+            clauses.push(Node::from_parts(NodeKind::GroupBy, &[], self.groupings));
         }
         if !self.having.is_empty() {
-            root.push_child(Node::new(NodeKind::Having).with_child(Self::conjunction(self.having)));
+            clauses.push(wrap(NodeKind::Having, Self::conjunction(self.having)));
         }
         if !self.orderings.is_empty() {
-            let mut ob = Node::new(NodeKind::OrderBy);
-            for (expr, asc) in self.orderings {
-                ob.push_child(
-                    Node::new(NodeKind::OrderClause)
-                        .with_attr("dir", if asc { "asc" } else { "desc" })
-                        .with_child(expr),
-                );
-            }
-            root.push_child(ob);
+            let orderings = self
+                .orderings
+                .into_iter()
+                .map(|(expr, asc)| {
+                    let dir = if asc { "asc" } else { "desc" };
+                    Node::from_parts(NodeKind::OrderClause, &[(Sym::DIR, dir.into())], vec![expr])
+                })
+                .collect();
+            clauses.push(Node::from_parts(NodeKind::OrderBy, &[], orderings));
         }
         if let Some(limit) = self.limit {
-            root.push_child(Node::new(NodeKind::Limit).with_child(limit));
+            clauses.push(wrap(NodeKind::Limit, limit));
         }
-        root
+        let attrs: &[(Sym, AttrValue)] = if self.distinct {
+            &[(Sym::DISTINCT, AttrValue::Bool(true))]
+        } else {
+            &[]
+        };
+        Node::from_parts(NodeKind::Select, attrs, clauses)
     }
 
     // ------------------------------------------------------------------ expression helpers
@@ -201,25 +189,27 @@ impl SelectBuilder {
 
     /// `left <op> right`.
     pub fn binop(op: &str, left: Node, right: Node) -> Node {
-        Node::new(NodeKind::BiExpr)
-            .with_attr("op", op)
-            .with_child(left)
-            .with_child(right)
+        Node::from_parts(NodeKind::BiExpr, &[(Sym::OP, op.into())], vec![left, right])
     }
 
     /// An aggregate call such as `SUM(price)`.  The function name becomes a [`NodeKind::FuncName`]
     /// child so that name-only changes diff as small string leaves.
     pub fn agg(func: &str, arg: Node) -> Node {
-        Node::new(NodeKind::AggCall)
-            .with_child(Node::new(NodeKind::FuncName).with_attr("name", func.to_uppercase()))
-            .with_child(arg)
+        let name = Node::from_parts(
+            NodeKind::FuncName,
+            &[(Sym::NAME, func.to_uppercase().into())],
+            Vec::new(),
+        );
+        Node::from_parts(NodeKind::AggCall, &[], vec![name, arg])
     }
 
     /// A scalar function call.
     pub fn func(name: &str, args: Vec<Node>) -> Node {
-        Node::new(NodeKind::FuncCall)
-            .with_child(Node::new(NodeKind::FuncName).with_attr("name", name))
-            .with_children(args)
+        let name = Node::from_parts(NodeKind::FuncName, &[(Sym::NAME, name.into())], Vec::new());
+        let mut children = Vec::with_capacity(args.len() + 1);
+        children.push(name);
+        children.extend(args);
+        Node::from_parts(NodeKind::FuncCall, &[], children)
     }
 
     /// Folds a list of predicates into a left-deep AND tree.
@@ -231,6 +221,11 @@ impl SelectBuilder {
         }
         acc
     }
+}
+
+/// A node of `kind` with the single child `child` and no attributes.
+fn wrap(kind: NodeKind, child: Node) -> Node {
+    Node::from_parts(kind, &[], vec![child])
 }
 
 #[cfg(test)]

@@ -26,6 +26,7 @@
 //! order.
 
 use crate::hash::IntBuildHasher;
+use crate::intern::Sym;
 use crate::kind::NodeKind;
 use crate::node::Node;
 use crate::path::Path;
@@ -703,14 +704,17 @@ impl NodeTableBuilder {
 pub fn read_node_table<R: Read>(r: &mut R) -> Result<Vec<Node>, CodecError> {
     let count = take_count(r)?;
     let mut nodes: Vec<Node> = Vec::with_capacity(count.min(1 << 16));
+    let mut attrs = Vec::new();
     for i in 0..count {
         let kind = take_kind(r)?;
-        let mut node = Node::new(kind);
         let attr_count = take_count(r)?;
+        attrs.clear();
         for _ in 0..attr_count {
-            let key = take_str(r)?;
-            let value = take_attr_value(r)?;
-            node = node.with_attr(&key, value);
+            let key = Sym::intern(&take_str(r)?);
+            if attrs.iter().any(|(k, _)| *k == key) {
+                return Err(corrupt(format!("node {i} repeats attribute {key}")));
+            }
+            attrs.push((key, take_attr_value(r)?));
         }
         let child_count = take_count(r)?;
         let mut children = Vec::with_capacity(child_count.min(64));
@@ -723,7 +727,7 @@ pub fn read_node_table<R: Read>(r: &mut R) -> Result<Vec<Node>, CodecError> {
             }
             children.push(nodes[child].clone());
         }
-        node = node.with_children(children);
+        let node = Node::from_parts(kind, &attrs, children);
         let stored_hash = take_u64(r)?;
         if node.structural_hash() != stored_hash {
             return Err(corrupt(format!(
@@ -853,6 +857,23 @@ mod tests {
         for len in 0..buf.len() {
             assert!(read_node_table(&mut buf[..len].as_ref()).is_err());
         }
+    }
+
+    #[test]
+    fn a_repeated_attribute_key_is_corrupt() {
+        let node = Node::column("a");
+        let mut buf = Vec::new();
+        put_varint(&mut buf, 1).unwrap();
+        put_kind(&mut buf, node.kind_ref()).unwrap();
+        put_varint(&mut buf, 2).unwrap();
+        for _ in 0..2 {
+            put_str(&mut buf, "name").unwrap();
+            put_attr_value(&mut buf, &AttrValue::from("a")).unwrap();
+        }
+        put_varint(&mut buf, 0).unwrap();
+        put_u64(&mut buf, node.structural_hash()).unwrap();
+        let err = read_node_table(&mut buf.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("repeats attribute name"), "{err}");
     }
 
     #[test]

@@ -62,6 +62,16 @@ impl fmt::Display for Dialect {
     }
 }
 
+/// The deepest nesting a front-end parses.
+///
+/// Each parenthesis that opens a nested expression, subquery or argument list, each
+/// `CASE`, and each prefix operator (`NOT`, `~`, unary `-` and `+`) is one level; a
+/// statement nested deeper is a parse error at the token that crosses the bound.  The
+/// parsers recurse once per level, so without the bound one hostile statement (ten thousand
+/// `(`) would overflow a worker thread's stack and abort the process, not just fail to
+/// parse.  Generated workloads nest at most a handful of levels.
+pub const MAX_NESTING: usize = 128;
+
 /// A parse failure reported by a front-end, normalised across languages.
 ///
 /// Concrete front-ends keep their own rich error types; this is the lowest common

@@ -8,29 +8,37 @@
 //!
 //! Design points:
 //!
-//! * The table is split into [`SHARD_COUNT`] independently `RwLock`ed shards keyed by the
-//!   string's FNV-1a hash, so the `PI_THREADS` worker pool (and the server's session pool)
-//!   can intern concurrently without funnelling through one lock.  Reads take a shard read
-//!   lock; only first-sight insertion takes the write lock (double-checked).
+//! * The table is split into [`SHARD_COUNT`] independently `RwLock`ed shards, so the
+//!   `PI_THREADS` worker pool (and the server's session pool) can intern concurrently
+//!   without funnelling through one lock.  Reads take a shard read lock; only first-sight
+//!   insertion takes the write lock (double-checked).
+//! * A string is hashed once per intern, with a per-process keyed hash (literals arrive
+//!   from outside the program, so their hashes must not be predictable): the top bits
+//!   pick the shard and the whole hash keys the shard's table.
 //! * Interned strings are leaked (`Box::leak`), so [`IStr::as_str`] is a field read and the
 //!   handle is `Copy`.  The arena therefore grows with the number of *distinct* strings ever
 //!   interned and never shrinks — by construction the right trade for trace ingest, where
 //!   the distinct population is bounded by the schema/literal vocabulary while the log is
 //!   not.  [`IStr::arena_stats`] reports the live size for memory accounting.
-//! * Equality is a pointer compare: the arena guarantees one leaked allocation per distinct
-//!   string, so two handles are equal iff their `&'static str`s alias.  [`Hash`] and [`Ord`]
-//!   go through the string *content*, which keeps structural hashes and orderings
+//! * A grammar's fixed spellings (operators, directions, aggregate names) need no arena:
+//!   [`IStr::from_static`] wraps a `&'static str` without a lookup, so a parser attaches
+//!   `op: "AND"` without hashing or locking.
+//! * Equality, [`Hash`] and [`Ord`] go through the string *content* (equality first tries
+//!   the pointer: the arena holds one allocation per distinct string, so two interned
+//!   handles of one string alias).  Content semantics keep structural hashes and orderings
 //!   independent of interning order — exactly the property `Sym::hash64` pins for names.
 
-use std::collections::HashSet;
+use std::collections::hash_map::{Entry, RandomState};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{OnceLock, RwLock};
 
-use crate::intern::str_hash64;
+use crate::hash::IntBuildHasher;
 
-/// Number of independently locked arena shards (a power of two so shard selection is a mask).
+/// Number of independently locked arena shards (a power of two: the shard is the hash's
+/// top bits).
 const SHARD_COUNT: usize = 16;
 
 /// Live size of the intern arena; see [`IStr::arena_stats`].
@@ -45,9 +53,49 @@ pub struct ArenaStats {
 static STRINGS: AtomicUsize = AtomicUsize::new(0);
 static BYTES: AtomicUsize = AtomicUsize::new(0);
 
-fn shards() -> &'static [RwLock<HashSet<&'static str>>; SHARD_COUNT] {
-    static SHARDS: OnceLock<[RwLock<HashSet<&'static str>>; SHARD_COUNT]> = OnceLock::new();
-    SHARDS.get_or_init(|| std::array::from_fn(|_| RwLock::new(HashSet::new())))
+/// One arena shard: each interned string under its hash.
+#[derive(Default)]
+struct Shard {
+    by_hash: HashMap<u64, &'static str, IntBuildHasher>,
+    /// Strings whose hash an earlier, different string already holds in `by_hash` (a
+    /// 64-bit collision of the keyed hash; expected to stay empty).
+    collided: HashSet<&'static str>,
+}
+
+impl Shard {
+    fn get(&self, hash: u64, s: &str) -> Option<&'static str> {
+        match self.by_hash.get(&hash) {
+            Some(&text) if text == s => Some(text),
+            Some(_) => self.collided.get(s).copied(),
+            None => None,
+        }
+    }
+
+    fn insert(&mut self, hash: u64, text: &'static str) {
+        match self.by_hash.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(text);
+            }
+            Entry::Occupied(_) => {
+                self.collided.insert(text);
+            }
+        }
+    }
+}
+
+/// The arena's hash key, drawn once per process.
+fn hash_state() -> &'static RandomState {
+    static STATE: OnceLock<RandomState> = OnceLock::new();
+    STATE.get_or_init(RandomState::new)
+}
+
+/// The string's one hash and the shard it lives in.
+fn locate(s: &str) -> (u64, &'static RwLock<Shard>) {
+    static SHARDS: OnceLock<[RwLock<Shard>; SHARD_COUNT]> = OnceLock::new();
+    let shards = SHARDS.get_or_init(|| std::array::from_fn(|_| RwLock::default()));
+    let hash = hash_state().hash_one(s);
+    let shard = (hash >> (64 - SHARD_COUNT.trailing_zeros())) as usize;
+    (hash, &shards[shard])
 }
 
 /// An interned string value: a `Copy` handle into the process-wide literal arena.
@@ -62,37 +110,40 @@ pub struct IStr {
 impl IStr {
     /// Interns a string, returning its handle (inserting on first sight).
     pub fn intern(s: &str) -> IStr {
-        let shard = &shards()[(str_hash64(s) as usize) & (SHARD_COUNT - 1)];
-        if let Some(&text) = shard.read().expect("istr arena poisoned").get(s) {
+        Self::intern_with(s, |s| s.to_string())
+    }
+
+    /// Interns an owned string, reusing its allocation when it is the first sighting.
+    pub fn intern_owned(s: String) -> IStr {
+        Self::intern_with(s, |s| s)
+    }
+
+    /// Interns `s`, turning it into the leaked copy with `own` only on first sight.
+    fn intern_with<S: AsRef<str>>(s: S, own: impl FnOnce(S) -> String) -> IStr {
+        let (hash, shard) = locate(s.as_ref());
+        if let Some(text) = shard
+            .read()
+            .expect("istr arena poisoned")
+            .get(hash, s.as_ref())
+        {
             return IStr { text };
         }
         let mut table = shard.write().expect("istr arena poisoned");
         // Re-check under the write lock: another thread may have inserted meanwhile.
-        if let Some(&text) = table.get(s) {
+        if let Some(text) = table.get(hash, s.as_ref()) {
             return IStr { text };
         }
-        let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
-        table.insert(leaked);
+        let leaked: &'static str = Box::leak(own(s).into_boxed_str());
+        table.insert(hash, leaked);
         STRINGS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(leaked.len(), Ordering::Relaxed);
         IStr { text: leaked }
     }
 
-    /// Interns an owned string, reusing its allocation when it is the first sighting.
-    pub fn intern_owned(s: String) -> IStr {
-        let shard = &shards()[(str_hash64(&s) as usize) & (SHARD_COUNT - 1)];
-        if let Some(&text) = shard.read().expect("istr arena poisoned").get(s.as_str()) {
-            return IStr { text };
-        }
-        let mut table = shard.write().expect("istr arena poisoned");
-        if let Some(&text) = table.get(s.as_str()) {
-            return IStr { text };
-        }
-        let leaked: &'static str = Box::leak(s.into_boxed_str());
-        table.insert(leaked);
-        STRINGS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(leaked.len(), Ordering::Relaxed);
-        IStr { text: leaked }
+    /// Wraps a string that lives for the whole program, such as a grammar's operator
+    /// spelling, without touching the arena.
+    pub fn from_static(text: &'static str) -> IStr {
+        IStr { text }
     }
 
     /// The interned string (a field read, no lock).
@@ -112,8 +163,7 @@ impl IStr {
 
 impl PartialEq for IStr {
     fn eq(&self, other: &Self) -> bool {
-        // The arena holds one allocation per distinct string, so aliasing ⇔ equal content.
-        std::ptr::eq(self.text as *const str, other.text as *const str)
+        std::ptr::eq(self.text, other.text) || self.text == other.text
     }
 }
 
@@ -190,6 +240,15 @@ mod tests {
     }
 
     #[test]
+    fn static_handles_equal_interned_ones() {
+        let interned = IStr::intern("istr_static_probe");
+        let wrapped = IStr::from_static("istr_static_probe");
+        assert_eq!(interned, wrapped);
+        assert_eq!(interned.cmp(&wrapped), std::cmp::Ordering::Equal);
+        assert_ne!(IStr::from_static("istr_static_other"), interned);
+    }
+
+    #[test]
     fn hash_matches_str_content_hash() {
         use std::collections::hash_map::DefaultHasher;
         let h = |v: &dyn Fn(&mut DefaultHasher)| {
@@ -202,6 +261,17 @@ mod tests {
             h(&|s| interned.hash(s)),
             h(&|s| "istr_hash_probe".to_string().hash(s)),
         );
+    }
+
+    #[test]
+    fn colliding_hashes_keep_both_strings() {
+        let mut shard = Shard::default();
+        shard.insert(7, "istr_first");
+        shard.insert(7, "istr_second");
+        assert_eq!(shard.get(7, "istr_first"), Some("istr_first"));
+        assert_eq!(shard.get(7, "istr_second"), Some("istr_second"));
+        assert_eq!(shard.get(7, "istr_third"), None);
+        assert_eq!(shard.get(8, "istr_first"), None);
     }
 
     #[test]

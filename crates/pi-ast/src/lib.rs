@@ -58,7 +58,7 @@ pub mod frontend;
 pub mod hash;
 
 pub use codec::CodecError;
-pub use frontend::{Dialect, ErrorSample, Frontend, FrontendError, Frontends};
+pub use frontend::{Dialect, ErrorSample, Frontend, FrontendError, Frontends, MAX_NESTING};
 pub use hash::{IntBuildHasher, IntHasher};
 pub use intern::Sym;
 pub use istr::{ArenaStats, IStr};

@@ -13,11 +13,21 @@
 //!   are O(1) — pairwise tree alignment (the dominant cost in the paper's Figures 11/12)
 //!   compares subtrees by cached hash instead of deep traversal;
 //! * attribute names are **interned** ([`Sym`]), so the per-node key storage is a copyable
-//!   `u32` and label comparison never touches string bytes.
+//!   handle carrying its precomputed hash, and a key mismatch is one integer compare.
 //!
-//! To keep the memo sound, all mutation goes through methods that restore the hash invariant
-//! ([`Node::set_attr`], [`Node::push_child`], [`Node::replace_at`], [`Node::insert_at`],
-//! [`Node::remove_at`]); there is deliberately no public `&mut` access to the child list.
+//! # One constructor
+//!
+//! Every tree is built bottom-up through [`Node::from_parts`]: kind, attributes and the
+//! already-built children in one call, so each node is allocated once and hashed once.  The
+//! parsers, [`SelectBuilder`](crate::builder::SelectBuilder), the convenience constructors
+//! ([`Node::column`], [`Node::int`], …) and the snapshot node-table reader all build through
+//! it.  A node with at most one attribute stores it inline; only longer lists take a shared
+//! allocation of their own.
+//!
+//! The mutators exist for copy-on-write edits of built trees.  To keep the memo sound, all
+//! mutation goes through methods that restore the hash invariant ([`Node::set_attr`],
+//! [`Node::push_child`], [`Node::replace_at`], [`Node::insert_at`], [`Node::remove_at`]);
+//! there is deliberately no public `&mut` access to the child list.
 //!
 //! # Copy-on-write subtrees
 //!
@@ -37,7 +47,7 @@ use crate::path::Path;
 use crate::value::AttrValue;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A stable identity for a subtree, derived from its structural hash.
 ///
@@ -87,12 +97,12 @@ pub struct Node(Arc<NodeInner>);
 
 /// The payload of one node.  Children are stored inline (`Vec<Node>` is a vector of
 /// handles), so un-sharing one tree level is a single allocation plus one refcount bump per
-/// child; the attribute list is `Arc`-shared separately so spine copies never re-clone
-/// attribute strings.
+/// child; attribute values are interned handles, so copying the attribute list never
+/// copies string bytes.
 #[derive(Debug)]
 struct NodeInner {
     kind: NodeKind,
-    attrs: Arc<Vec<(Sym, AttrValue)>>,
+    attrs: Attrs,
     children: Vec<Node>,
     /// Memoized hash of the node *label* (kind + attributes), the prefix state of `hash`.
     /// Lets a child-list change refresh `hash` without re-hashing attribute strings — the
@@ -108,7 +118,7 @@ impl Clone for NodeInner {
     fn clone(&self) -> Self {
         NodeInner {
             kind: self.kind.clone(),
-            attrs: Arc::clone(&self.attrs),
+            attrs: self.attrs.clone(),
             children: self.children.clone(),
             label_hash: self.label_hash,
             hash: self.hash,
@@ -126,16 +136,37 @@ impl NodeInner {
 
     /// Restores both memos after a label (attribute) change.
     fn refresh_label_and_hash(&mut self) {
-        self.label_hash = label_hash_of(&self.kind, &self.attrs);
+        self.label_hash = label_hash_of(&self.kind, self.attrs.as_slice());
         self.refresh_hash();
     }
 }
 
-/// The attribute list shared by every attribute-less node (leaves are common, so they should
-/// not pay an allocation for an empty attribute table).
-fn empty_attrs() -> Arc<Vec<(Sym, AttrValue)>> {
-    static EMPTY: OnceLock<Arc<Vec<(Sym, AttrValue)>>> = OnceLock::new();
-    EMPTY.get_or_init(Default::default).clone()
+/// A node's attribute list.  Most attributed nodes carry exactly one pair (a column's
+/// `name`, a literal's `value`, an operator's `op`), which is stored inline; an empty list
+/// allocates nothing, and only longer lists take a shared allocation.
+#[derive(Debug, Clone)]
+enum Attrs {
+    Empty,
+    One((Sym, AttrValue)),
+    Many(Arc<[(Sym, AttrValue)]>),
+}
+
+impl Attrs {
+    fn from_slice(attrs: &[(Sym, AttrValue)]) -> Attrs {
+        match attrs {
+            [] => Attrs::Empty,
+            [one] => Attrs::One(one.clone()),
+            many => Attrs::Many(many.into()),
+        }
+    }
+
+    fn as_slice(&self) -> &[(Sym, AttrValue)] {
+        match self {
+            Attrs::Empty => &[],
+            Attrs::One(pair) => std::slice::from_ref(pair),
+            Attrs::Many(list) => list,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------- hashing internals
@@ -207,16 +238,40 @@ fn children_hash(label_hash: u64, children: &[Node]) -> u64 {
 }
 
 impl Node {
-    /// Creates a node of the given kind with no attributes and no children.
-    pub fn new(kind: NodeKind) -> Self {
-        let label_hash = label_hash_of(&kind, &[]);
+    /// Builds a node from its kind, its attribute pairs and its already-built children:
+    /// one allocation for the node (none for an empty or one-pair attribute list), and the
+    /// label and structural hashes computed once.  The children are moved in.
+    ///
+    /// Attribute keys must be distinct; pairs keep the given order, which is part of the
+    /// node's identity.
+    pub fn from_parts(kind: NodeKind, attrs: &[(Sym, AttrValue)], children: Vec<Node>) -> Self {
+        debug_assert!(
+            attrs
+                .iter()
+                .enumerate()
+                .all(|(i, (key, _))| attrs[..i].iter().all(|(k, _)| k != key)),
+            "duplicate attribute key in {attrs:?}"
+        );
+        let attrs = Attrs::from_slice(attrs);
+        let label_hash = label_hash_of(&kind, attrs.as_slice());
+        let hash = children_hash(label_hash, &children);
         Node(Arc::new(NodeInner {
             kind,
-            attrs: empty_attrs(),
-            children: Vec::new(),
+            attrs,
+            children,
             label_hash,
-            hash: children_hash(label_hash, &[]),
+            hash,
         }))
+    }
+
+    /// Creates a node of the given kind with no attributes and no children.
+    pub fn new(kind: NodeKind) -> Self {
+        Node::from_parts(kind, &[], Vec::new())
+    }
+
+    /// A childless node with one attribute.
+    fn leaf(kind: NodeKind, key: Sym, value: AttrValue) -> Self {
+        Node::from_parts(kind, &[(key, value)], Vec::new())
     }
 
     /// Exclusive access to the payload, un-sharing it copy-on-write if aliased.  The copy is
@@ -231,39 +286,41 @@ impl Node {
 
     /// A column reference node.
     pub fn column(name: &str) -> Self {
-        Node::new(NodeKind::ColExpr).with_attr("name", name)
+        Node::leaf(NodeKind::ColExpr, Sym::NAME, name.into())
     }
 
     /// A column reference qualified by a table name (`t.col`).
     pub fn qualified_column(table: &str, name: &str) -> Self {
-        Node::new(NodeKind::ColExpr)
-            .with_attr("name", name)
-            .with_attr("table", table)
+        Node::from_parts(
+            NodeKind::ColExpr,
+            &[(Sym::NAME, name.into()), (Sym::TABLE, table.into())],
+            Vec::new(),
+        )
     }
 
     /// A string literal node.
     pub fn string(value: &str) -> Self {
-        Node::new(NodeKind::StrExpr).with_attr("value", value)
+        Node::leaf(NodeKind::StrExpr, Sym::VALUE, value.into())
     }
 
     /// An integer literal node.
     pub fn int(value: i64) -> Self {
-        Node::new(NodeKind::NumExpr).with_attr("value", AttrValue::Int(value))
+        Node::leaf(NodeKind::NumExpr, Sym::VALUE, AttrValue::Int(value))
     }
 
     /// A floating point literal node.
     pub fn float(value: f64) -> Self {
-        Node::new(NodeKind::NumExpr).with_attr("value", AttrValue::Float(value))
+        Node::leaf(NodeKind::NumExpr, Sym::VALUE, AttrValue::Float(value))
     }
 
     /// A hexadecimal literal node (`0x400`), as found throughout the SDSS log.
     pub fn hex(value: i64) -> Self {
-        Node::new(NodeKind::HexExpr).with_attr("value", AttrValue::Int(value))
+        Node::leaf(NodeKind::HexExpr, Sym::VALUE, AttrValue::Int(value))
     }
 
     /// A base table reference.
     pub fn table(name: &str) -> Self {
-        Node::new(NodeKind::TableRef).with_attr("name", name)
+        Node::leaf(NodeKind::TableRef, Sym::NAME, name.into())
     }
 
     /// The `*` projection.
@@ -298,12 +355,13 @@ impl Node {
         let key = Sym::intern(key);
         let value = value.into();
         let inner = self.inner_mut();
-        let attrs = Arc::make_mut(&mut inner.attrs);
+        let mut attrs = inner.attrs.as_slice().to_vec();
         if let Some(slot) = attrs.iter_mut().find(|(k, _)| *k == key) {
             slot.1 = value;
         } else {
             attrs.push((key, value));
         }
+        inner.attrs = Attrs::from_slice(&attrs);
         inner.refresh_label_and_hash();
     }
 
@@ -328,14 +386,15 @@ impl Node {
 
     /// The attribute/value pairs, in insertion order, with interned keys.
     pub fn attrs(&self) -> &[(Sym, AttrValue)] {
-        &self.0.attrs
+        self.0.attrs.as_slice()
     }
 
-    /// Looks up an attribute value by key.
+    /// Looks up an attribute value by key (a scan of the node's few keys; no interning).
     pub fn attr(&self, key: &str) -> Option<&AttrValue> {
-        // `lookup` (not `intern`) so probing with never-seen keys doesn't grow the table.
-        let key = Sym::lookup(key)?;
-        self.0.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+        self.attrs()
+            .iter()
+            .find(|(k, _)| k.as_str() == key)
+            .map(|(_, v)| v)
     }
 
     /// Looks up a string attribute by key.
@@ -425,9 +484,10 @@ impl Node {
     /// Exists so tests and debug assertions can validate the memo invariant; production code
     /// should always use [`Node::structural_hash`].
     pub fn recomputed_hash(&self) -> u64 {
+        let attrs = self.attrs();
         let mut h = mix(NODE_HASH_SEED, hash_of(&self.0.kind));
-        h = mix(h, self.0.attrs.len() as u64);
-        for (key, value) in self.0.attrs.iter() {
+        h = mix(h, attrs.len() as u64);
+        for (key, value) in attrs {
             h = mix(h, key.hash64());
             h = mix(h, hash_of(value));
         }
@@ -440,7 +500,7 @@ impl Node {
 
     /// True when two nodes agree on kind and attributes (children are ignored).
     pub fn same_label(&self, other: &Node) -> bool {
-        self.0.kind == other.0.kind && self.0.attrs == other.0.attrs
+        self.0.kind == other.0.kind && self.attrs() == other.attrs()
     }
 
     /// The primitive type of this subtree as seen by widget rules.
@@ -693,7 +753,7 @@ impl PartialEq for Node {
         Arc::ptr_eq(&self.0, &other.0)
             || (self.0.hash == other.0.hash
                 && self.0.kind == other.0.kind
-                && (Arc::ptr_eq(&self.0.attrs, &other.0.attrs) || self.0.attrs == other.0.attrs)
+                && self.attrs() == other.attrs()
                 && self.0.children == other.0.children)
     }
 }
@@ -709,9 +769,9 @@ impl Hash for Node {
 impl fmt::Display for Node {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0.kind.name())?;
-        if !self.0.attrs.is_empty() {
+        if !self.attrs().is_empty() {
             write!(f, "(")?;
-            for (i, (k, v)) in self.0.attrs.iter().enumerate() {
+            for (i, (k, v)) in self.attrs().iter().enumerate() {
                 if i > 0 {
                     write!(f, ", ")?;
                 }
@@ -997,6 +1057,51 @@ mod tests {
         assert_eq!(Node::int(42).label(), "42");
         assert_eq!(Node::hex(0x400).label(), "0x400");
         assert_eq!(Node::star().label(), "*");
+    }
+
+    #[test]
+    fn from_parts_builds_what_the_mutators_build() {
+        // Zero, one and three attributes: the empty, inline and shared layouts.
+        let built = Node::from_parts(
+            NodeKind::TableRef,
+            &[
+                (Sym::NAME, "t".into()),
+                (Sym::ALIAS, "x".into()),
+                (Sym::intern("schema"), "dbo".into()),
+            ],
+            vec![
+                Node::int(1),
+                Node::from_parts(NodeKind::Star, &[], Vec::new()),
+            ],
+        );
+        let mutated = Node::new(NodeKind::TableRef)
+            .with_attr("name", "t")
+            .with_attr("alias", "x")
+            .with_attr("schema", "dbo")
+            .with_child(Node::new(NodeKind::NumExpr).with_attr("value", 1i64))
+            .with_child(Node::star());
+        assert_eq!(built, mutated);
+        assert_eq!(built.structural_hash(), mutated.structural_hash());
+        assert_eq!(built.structural_hash(), built.recomputed_hash());
+        assert_eq!(built.attr_str("schema"), Some("dbo"));
+        // Attribute order is part of the label.
+        let swapped = Node::from_parts(
+            NodeKind::ColExpr,
+            &[(Sym::TABLE, "g".into()), (Sym::NAME, "a".into())],
+            Vec::new(),
+        );
+        assert_ne!(swapped, Node::qualified_column("g", "a"));
+        assert_ne!(
+            swapped.structural_hash(),
+            Node::qualified_column("g", "a").structural_hash()
+        );
+        // Overwriting and adding through the mutators moves between layouts soundly.
+        let mut grown = Node::column("a");
+        grown.set_attr("table", "g");
+        assert_eq!(grown, Node::qualified_column("g", "a"));
+        grown.set_attr("name", "b");
+        assert_eq!(grown, Node::qualified_column("g", "b"));
+        assert_eq!(grown.structural_hash(), grown.recomputed_hash());
     }
 
     #[test]

@@ -14,9 +14,9 @@ use std::fmt;
 /// values because the query text differs, which matters for a purely syntactic system.
 ///
 /// String payloads are interned ([`IStr`]): a trace that repeats the same literal in a
-/// million queries stores its bytes once, `clone()` is a 16-byte copy, and equality is a
-/// pointer compare — while hashing still reads the string *content*, so structural hashes
-/// are identical to the owned-`String` representation this replaced.
+/// million queries stores its bytes once, `clone()` is a 16-byte copy, and equality of two
+/// interned handles is a pointer compare — while hashing still reads the string *content*,
+/// so structural hashes are identical to the owned-`String` representation this replaced.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttrValue {
     /// A string value (identifiers, string literals, operators…), interned process-wide.

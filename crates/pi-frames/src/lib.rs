@@ -41,7 +41,7 @@ mod parser;
 mod render;
 
 pub use error::ParseError;
-pub use lexer::{tokenize, Token, TokenKind};
+pub use lexer::{tokenize, Op, Token, TokenKind};
 pub use parser::{parse, parse_log, Parser};
 pub use render::{render, render_compact};
 
@@ -82,7 +82,7 @@ impl Frontend for FramesFrontend {
         // Formats the failure message only when the sample will retain it; the steady
         // state on a garbage-heavy trace is a counter bump per bad line.
         let mut skipped = 0;
-        for result in parse_log(text) {
+        for result in parser::statements(text).map(parse) {
             match result {
                 Ok(node) => out.push(node),
                 Err(e) => {

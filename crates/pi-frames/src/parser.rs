@@ -10,10 +10,15 @@
 //! Method chains accumulate clause state and the tree is built in canonical clause order
 //! at the end, so `t.groupby(a).filter(x == 1)` and `t.filter(x == 1).groupby(a)` are the
 //! same query — method order is surface syntax, not structure.
+//!
+//! The parser reads borrowed tokens without cloning them and builds each node once,
+//! bottom-up, with [`Node::from_parts`].  Recursion is bounded by [`MAX_NESTING`]: a
+//! statement nested deeper fails to parse instead of overflowing the stack.
 
 use crate::error::ParseError;
-use crate::lexer::{tokenize, Token, TokenKind};
-use pi_ast::{Node, NodeKind};
+use crate::lexer::{tokenize, Op, Token, TokenKind};
+use pi_ast::{AttrValue, IStr, Node, NodeKind, Sym, MAX_NESTING};
+use std::borrow::Cow;
 
 /// Aggregate names canonicalised to upper case, mirroring the SQL parser's list.
 const AGGREGATES: &[&str] = &["COUNT", "SUM", "AVG", "MIN", "MAX", "STDDEV", "VARIANCE"];
@@ -30,11 +35,12 @@ pub fn parse(text: &str) -> Result<Node, ParseError> {
 /// Parses a log of `;`-separated frames statements, reporting per-statement outcomes
 /// (mirrors `pi_sql::parse_log`: one typo must not discard the rest of the log).
 pub fn parse_log(text: &str) -> Vec<Result<Node, ParseError>> {
-    text.split(';')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(parse)
-        .collect()
+    statements(text).map(parse).collect()
+}
+
+/// The statements of a log fragment: its `;`-separated pieces, trimmed, empty ones dropped.
+pub(crate) fn statements(text: &str) -> impl Iterator<Item = &str> {
+    text.split(';').map(str::trim).filter(|s| !s.is_empty())
 }
 
 /// Accumulated clause state of one method chain.
@@ -52,24 +58,30 @@ struct ChainState {
 
 /// The recursive-descent parser state.
 #[derive(Debug)]
-pub struct Parser {
-    tokens: Vec<Token>,
+pub struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
+    /// Nesting levels open at the current token; see [`MAX_NESTING`].
+    depth: usize,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     /// Creates a parser over a token stream.
-    pub fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0 }
+    pub fn new(tokens: Vec<Token<'a>>) -> Self {
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
     }
 
     // ------------------------------------------------------------------ token helpers
 
-    fn peek(&self) -> Option<&TokenKind> {
+    fn peek(&self) -> Option<&TokenKind<'a>> {
         self.tokens.get(self.pos).map(|t| &t.kind)
     }
 
-    fn peek_at(&self, n: usize) -> Option<&TokenKind> {
+    fn peek_at(&self, n: usize) -> Option<&TokenKind<'a>> {
         self.tokens.get(self.pos + n).map(|t| &t.kind)
     }
 
@@ -80,24 +92,24 @@ impl Parser {
             .unwrap_or_else(|| self.tokens.last().map(|t| t.offset + 1).unwrap_or(0))
     }
 
-    fn bump(&mut self) -> Option<TokenKind> {
-        let t = self.tokens.get(self.pos).map(|t| t.kind.clone());
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+    /// Moves past the current token (callers have peeked it).
+    fn advance(&mut self) {
+        self.pos += 1;
     }
 
-    fn eat_token(&mut self, kind: &TokenKind) -> bool {
-        if self.peek() == Some(kind) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+    fn at(&self, kind: &TokenKind<'_>) -> bool {
+        self.peek() == Some(kind)
     }
 
-    fn expect_token(&mut self, kind: TokenKind, what: &str) -> Result<(), ParseError> {
+    fn eat_token(&mut self, kind: &TokenKind<'_>) -> bool {
+        let at = self.at(kind);
+        if at {
+            self.advance();
+        }
+        at
+    }
+
+    fn expect_token(&mut self, kind: TokenKind<'_>, what: &str) -> Result<(), ParseError> {
         if self.eat_token(&kind) {
             Ok(())
         } else {
@@ -105,17 +117,8 @@ impl Parser {
         }
     }
 
-    fn at_op(&self, op: &str) -> bool {
-        matches!(self.peek(), Some(TokenKind::Op(o)) if o == op)
-    }
-
-    fn eat_op(&mut self, op: &str) -> bool {
-        if self.at_op(op) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+    fn eat_op(&mut self, op: Op) -> bool {
+        self.eat_token(&TokenKind::Op(op))
     }
 
     fn unexpected(&self, expected: &str) -> ParseError {
@@ -131,16 +134,50 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<String, ParseError> {
+    fn expect_ident(&mut self, what: &str) -> Result<&'a str, ParseError> {
         match self.peek() {
-            Some(TokenKind::Ident(_)) => {
-                let Some(TokenKind::Ident(s)) = self.bump() else {
-                    unreachable!()
-                };
-                Ok(s)
+            Some(&TokenKind::Ident(name)) => {
+                self.advance();
+                Ok(name)
             }
             _ => Err(self.unexpected(what)),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, failing at the current token past the bound.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(ParseError::new(
+                format!("nesting deeper than {MAX_NESTING} levels"),
+                self.offset(),
+            ));
+        }
+        self.depth += 1;
+        let result = parse(self);
+        self.depth -= 1;
+        result
+    }
+
+    /// Parses `( body )`, one nesting level deeper; `open` and `close` name the expected
+    /// parentheses in errors.
+    fn parenthesized<T>(
+        &mut self,
+        open: &str,
+        close: &str,
+        body: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if !self.at(&TokenKind::LParen) {
+            return Err(self.unexpected(open));
+        }
+        self.nested(|p| {
+            p.advance();
+            let inner = body(p)?;
+            p.expect_token(TokenKind::RParen, close)?;
+            Ok(inner)
+        })
     }
 
     /// Consumes optional trailing semicolons and verifies nothing else follows.
@@ -164,10 +201,8 @@ impl Parser {
         while self.eat_token(&TokenKind::Dot) {
             let offset = self.offset();
             let method = self.expect_ident("a method name")?;
-            self.expect_token(TokenKind::LParen, "`(` after the method name")?;
-            let args = self.parse_args()?;
-            self.expect_token(TokenKind::RParen, "`)`")?;
-            self.apply_method(&mut state, &method, args, offset)?;
+            let args = self.parenthesized("`(` after the method name", "`)`", Self::parse_args)?;
+            apply_method(&mut state, method, args, offset)?;
         }
         state.build(base)
     }
@@ -175,42 +210,38 @@ impl Parser {
     /// The chain's base relation: a (possibly dotted) table name, a table-valued function,
     /// or a parenthesised subquery chain.
     fn parse_base(&mut self) -> Result<Node, ParseError> {
-        if self.eat_token(&TokenKind::LParen) {
-            let sub = self.parse_statement()?;
-            self.expect_token(TokenKind::RParen, "`)` closing the subquery")?;
-            return Ok(Node::new(NodeKind::SubqueryRef).with_child(sub));
+        if self.at(&TokenKind::LParen) {
+            let sub =
+                self.parenthesized("`(`", "`)` closing the subquery", Self::parse_statement)?;
+            return Ok(wrap(NodeKind::SubqueryRef, sub));
         }
-        let mut name = self.expect_ident("a table name")?;
+        let mut name = Cow::Borrowed(self.expect_ident("a table name")?);
         // Dotted name parts continue the base only while the next segment is itself
         // followed by a dot or a call — `dbo.fGetNearbyObjEq(...)` is a base, but in
         // `t.filter(...)` the `.filter` belongs to the chain.
-        while self.peek() == Some(&TokenKind::Dot) {
-            match (self.peek_at(1), self.peek_at(2)) {
-                (Some(TokenKind::Ident(_)), Some(TokenKind::Dot))
-                | (Some(TokenKind::Ident(_)), Some(TokenKind::LParen)) => {
-                    let part_is_method = matches!(
-                        self.peek_at(1),
-                        Some(TokenKind::Ident(m)) if is_chain_method(m)
-                    ) && self.peek_at(2) == Some(&TokenKind::LParen);
-                    if part_is_method {
-                        break;
-                    }
-                    self.bump();
-                    let part = self.expect_ident("a name part")?;
+        while self.at(&TokenKind::Dot) {
+            let Some(&TokenKind::Ident(part)) = self.peek_at(1) else {
+                break;
+            };
+            match self.peek_at(2) {
+                Some(TokenKind::LParen) if is_chain_method(part) => break,
+                Some(TokenKind::Dot | TokenKind::LParen) => {
+                    self.pos += 2;
+                    let name = name.to_mut();
                     name.push('.');
-                    name.push_str(&part);
+                    name.push_str(part);
                 }
                 _ => break,
             }
         }
-        if self.peek() == Some(&TokenKind::LParen) {
+        if self.at(&TokenKind::LParen) {
             // Table-valued function base: dbo.fGetNearbyObjEq(5.8, 0.3, 2.0)
-            self.bump();
-            let args = self.parse_args()?;
-            self.expect_token(TokenKind::RParen, "`)`")?;
-            Ok(Node::new(NodeKind::TableFunc)
-                .with_attr("name", name.as_str())
-                .with_children(args))
+            let args = self.parenthesized("`(`", "`)`", Self::parse_args)?;
+            Ok(Node::from_parts(
+                NodeKind::TableFunc,
+                &[(Sym::NAME, AttrValue::from(&*name))],
+                args,
+            ))
         } else {
             Ok(Node::table(&name))
         }
@@ -219,7 +250,7 @@ impl Parser {
     /// Comma-separated expressions up to (not including) the closing `)`.
     fn parse_args(&mut self) -> Result<Vec<Node>, ParseError> {
         let mut args = Vec::new();
-        if self.peek() == Some(&TokenKind::RParen) {
+        if self.at(&TokenKind::RParen) {
             return Ok(args);
         }
         loop {
@@ -229,77 +260,6 @@ impl Parser {
             }
         }
         Ok(args)
-    }
-
-    fn apply_method(
-        &self,
-        state: &mut ChainState,
-        method: &str,
-        args: Vec<Node>,
-        offset: usize,
-    ) -> Result<(), ParseError> {
-        let arity_error = |what: &str| ParseError::new(format!("{method}() takes {what}"), offset);
-        match method {
-            "filter" => {
-                if args.is_empty() {
-                    return Err(arity_error("at least one predicate"));
-                }
-                state.filters.extend(args);
-            }
-            "select" => {
-                if args.is_empty() {
-                    return Err(arity_error("at least one projection"));
-                }
-                state.select.extend(args.into_iter().map(proj_clause));
-            }
-            "agg" => {
-                state
-                    .agg
-                    .get_or_insert_with(Vec::new)
-                    .extend(args.into_iter().map(proj_clause));
-            }
-            "groupby" => {
-                if args.is_empty() {
-                    return Err(arity_error("at least one grouping key"));
-                }
-                state.groupby.extend(args);
-            }
-            "having" => {
-                if args.is_empty() {
-                    return Err(arity_error("at least one predicate"));
-                }
-                state.having.extend(args);
-            }
-            "sort" => {
-                if args.is_empty() {
-                    return Err(arity_error("at least one sort key"));
-                }
-                state.sort.extend(args.into_iter().map(order_clause));
-            }
-            "limit" | "head" => {
-                let [expr] = <[Node; 1]>::try_from(args)
-                    .map_err(|_| arity_error("exactly one row count"))?;
-                let mut limit = Node::new(NodeKind::Limit);
-                if method == "head" {
-                    // head() is the TOP-style limit, matching `SELECT TOP n`.
-                    limit.set_attr("style", "top");
-                }
-                state.limit = Some(limit.with_child(expr));
-            }
-            "distinct" => {
-                if !args.is_empty() {
-                    return Err(arity_error("no arguments"));
-                }
-                state.distinct = true;
-            }
-            other => {
-                return Err(ParseError::new(
-                    format!("unknown method `{other}` (expected filter/select/groupby/agg/having/sort/limit/head/distinct)"),
-                    offset,
-                ))
-            }
-        }
-        Ok(())
     }
 
     // ------------------------------------------------------------------ expressions
@@ -313,7 +273,7 @@ impl Parser {
 
     fn parse_or(&mut self) -> Result<Node, ParseError> {
         let mut left = self.parse_and()?;
-        while self.eat_op("|") {
+        while self.eat_op(Op::Or) {
             let right = self.parse_and()?;
             left = binop("OR", left, right);
         }
@@ -322,7 +282,7 @@ impl Parser {
 
     fn parse_and(&mut self) -> Result<Node, ParseError> {
         let mut left = self.parse_not()?;
-        while self.eat_op("&") {
+        while self.eat_op(Op::And) {
             let right = self.parse_not()?;
             left = binop("AND", left, right);
         }
@@ -330,41 +290,36 @@ impl Parser {
     }
 
     fn parse_not(&mut self) -> Result<Node, ParseError> {
-        if self.eat_op("~") {
-            let inner = self.parse_not()?;
-            Ok(Node::new(NodeKind::UnExpr)
-                .with_attr("op", "NOT")
-                .with_child(inner))
-        } else {
-            self.parse_comparison()
+        if !self.at(&TokenKind::Op(Op::Not)) {
+            return self.parse_comparison();
         }
+        self.nested(|p| {
+            p.advance();
+            Ok(unary("NOT", p.parse_not()?))
+        })
     }
 
     fn parse_comparison(&mut self) -> Result<Node, ParseError> {
         let left = self.parse_additive()?;
-        if let Some(TokenKind::Op(op)) = self.peek() {
-            let op = op.clone();
-            if matches!(op.as_str(), "==" | "!=" | "<" | "<=" | ">" | ">=") {
-                self.bump();
-                let right = self.parse_additive()?;
-                // `==` is surface syntax for the SQL parser's `=`; `!=` stays `!=`.
-                let canonical = if op == "==" { "=" } else { op.as_str() };
-                return Ok(binop(canonical, left, right));
+        let op = match self.peek() {
+            // `==` is surface syntax for the SQL parser's `=`; `!=` stays `!=`.
+            Some(TokenKind::Op(Op::EqEq)) => "=",
+            Some(&TokenKind::Op(op @ (Op::NotEq | Op::Lt | Op::Le | Op::Gt | Op::Ge))) => {
+                op.as_str()
             }
-        }
-        Ok(left)
+            _ => return Ok(left),
+        };
+        self.advance();
+        let right = self.parse_additive()?;
+        Ok(binop(op, left, right))
     }
 
     fn parse_additive(&mut self) -> Result<Node, ParseError> {
         let mut left = self.parse_multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Some(TokenKind::Op(o)) if o == "+" || o == "-" => o.clone(),
-                _ => break,
-            };
-            self.bump();
+        while let Some(&TokenKind::Op(op @ (Op::Plus | Op::Minus))) = self.peek() {
+            self.advance();
             let right = self.parse_multiplicative()?;
-            left = binop(&op, left, right);
+            left = binop(op.as_str(), left, right);
         }
         Ok(left)
     }
@@ -373,120 +328,172 @@ impl Parser {
         let mut left = self.parse_unary()?;
         loop {
             let op = match self.peek() {
-                Some(TokenKind::Op(o)) if o == "/" || o == "%" => o.clone(),
-                Some(TokenKind::Star) => "*".to_string(),
+                Some(&TokenKind::Op(op @ (Op::Slash | Op::Percent))) => op.as_str(),
+                Some(TokenKind::Star) => "*",
                 _ => break,
             };
-            self.bump();
+            self.advance();
             let right = self.parse_unary()?;
-            left = binop(&op, left, right);
+            left = binop(op, left, right);
         }
         Ok(left)
     }
 
     fn parse_unary(&mut self) -> Result<Node, ParseError> {
-        if self.eat_op("-") {
-            let inner = self.parse_unary()?;
-            // Fold negation into numeric literals so `-5` is a single NumExpr, exactly as
+        match self.peek() {
+            // Negation folds into numeric literals so `-5` is a single NumExpr, exactly as
             // the SQL parser does.
-            if inner.kind() == NodeKind::NumExpr {
-                if let Some(v) = inner.attr("value") {
-                    return Ok(match v {
-                        pi_ast::AttrValue::Int(i) => Node::int(-i),
-                        pi_ast::AttrValue::Float(f) => Node::float(-f),
-                        _ => Node::new(NodeKind::UnExpr)
-                            .with_attr("op", "-")
-                            .with_child(inner),
-                    });
-                }
-            }
-            return Ok(Node::new(NodeKind::UnExpr)
-                .with_attr("op", "-")
-                .with_child(inner));
+            Some(TokenKind::Op(Op::Minus)) => self.nested(|p| {
+                p.advance();
+                Ok(negate(p.parse_unary()?))
+            }),
+            Some(TokenKind::Op(Op::Plus)) => self.nested(|p| {
+                p.advance();
+                p.parse_unary()
+            }),
+            _ => self.parse_primary(),
         }
-        if self.eat_op("+") {
-            return self.parse_unary();
-        }
-        self.parse_primary()
     }
 
     fn parse_primary(&mut self) -> Result<Node, ParseError> {
-        match self.peek().cloned() {
-            Some(TokenKind::Int(i)) => {
-                self.bump();
-                Ok(Node::int(i))
-            }
-            Some(TokenKind::Float(f)) => {
-                self.bump();
-                Ok(Node::float(f))
-            }
-            Some(TokenKind::Hex(h)) => {
-                self.bump();
-                Ok(Node::hex(h))
-            }
-            Some(TokenKind::Str(s)) => {
-                self.bump();
-                Ok(Node::string(&s))
-            }
-            Some(TokenKind::Star) => {
-                self.bump();
-                Ok(Node::star())
-            }
-            Some(TokenKind::LParen) => {
-                self.bump();
-                let inner = self.parse_expr()?;
-                self.expect_token(TokenKind::RParen, "`)`")?;
-                Ok(inner)
-            }
-            Some(TokenKind::Ident(_)) => self.parse_name_or_call(),
-            _ => Err(self.unexpected("an expression")),
-        }
+        let node = match self.peek() {
+            Some(&TokenKind::Int(i)) => Node::int(i),
+            Some(&TokenKind::Float(f)) => Node::float(f),
+            Some(&TokenKind::Hex(h)) => Node::hex(h),
+            Some(TokenKind::Str(s)) => Node::string(s),
+            Some(TokenKind::Star) => Node::star(),
+            Some(TokenKind::LParen) => return self.parenthesized("`(`", "`)`", Self::parse_expr),
+            Some(TokenKind::Ident(_)) => return self.parse_name_or_call(),
+            _ => return Err(self.unexpected("an expression")),
+        };
+        self.advance();
+        Ok(node)
     }
 
     fn parse_name_or_call(&mut self) -> Result<Node, ParseError> {
         let offset = self.offset();
-        let first = self.expect_ident("an identifier")?;
-
-        let mut parts = vec![first];
-        while self.peek() == Some(&TokenKind::Dot) {
+        // Everything before the last dotted part, joined with dots; and the last part.
+        let mut qualifier: Option<Cow<'a, str>> = None;
+        let mut last = self.expect_ident("an identifier")?;
+        while self.at(&TokenKind::Dot) {
             match self.peek_at(1) {
-                Some(TokenKind::Ident(_)) => {
-                    self.bump();
-                    parts.push(self.expect_ident("a name part")?);
+                Some(&TokenKind::Ident(part)) => {
+                    self.pos += 2;
+                    qualifier = Some(join(qualifier, last));
+                    last = part;
                 }
                 Some(TokenKind::Star) => {
                     // g.* — a table-qualified star projection.
-                    self.bump();
-                    self.bump();
-                    return Ok(Node::star().with_attr("table", parts.join(".").as_str()));
+                    self.pos += 2;
+                    return Ok(Node::from_parts(
+                        NodeKind::Star,
+                        &[(Sym::TABLE, AttrValue::from(&*join(qualifier, last)))],
+                        Vec::new(),
+                    ));
                 }
                 _ => break,
             }
         }
 
-        if self.peek() == Some(&TokenKind::LParen) {
-            self.bump();
-            let args = self.parse_args()?;
-            self.expect_token(TokenKind::RParen, "`)`")?;
-            return build_call(parts.join("."), args, offset);
+        if self.at(&TokenKind::LParen) {
+            let args = self.parenthesized("`(`", "`)`", Self::parse_args)?;
+            return build_call(&join(qualifier, last), args, offset);
         }
 
         // Bare identifier: python-ish literal keywords, else a column reference.
-        match parts.as_slice() {
-            [single] if single == "True" => {
-                Ok(Node::new(NodeKind::BoolExpr).with_attr("value", "true"))
+        Ok(match (qualifier, last) {
+            (None, "True") => bool_literal("true"),
+            (None, "False") => bool_literal("false"),
+            (None, "None") => Node::new(NodeKind::Null),
+            (None, name) => Node::column(name),
+            (Some(table), name) => Node::qualified_column(&table, name),
+        })
+    }
+}
+
+/// `qualifier.last`, or `last` alone; borrowed unless both parts are present.
+fn join<'a>(qualifier: Option<Cow<'a, str>>, last: &'a str) -> Cow<'a, str> {
+    match qualifier {
+        None => Cow::Borrowed(last),
+        Some(qualifier) => Cow::Owned(format!("{qualifier}.{last}")),
+    }
+}
+
+/// Moves `args` to the end of `dst` (a move, not a copy, when `dst` is still empty).
+fn append(dst: &mut Vec<Node>, mut args: Vec<Node>) {
+    if dst.is_empty() {
+        *dst = args;
+    } else {
+        dst.append(&mut args);
+    }
+}
+
+fn apply_method(
+    state: &mut ChainState,
+    method: &str,
+    args: Vec<Node>,
+    offset: usize,
+) -> Result<(), ParseError> {
+    let arity_error = |what: &str| ParseError::new(format!("{method}() takes {what}"), offset);
+    match method {
+        "filter" => {
+            if args.is_empty() {
+                return Err(arity_error("at least one predicate"));
             }
-            [single] if single == "False" => {
-                Ok(Node::new(NodeKind::BoolExpr).with_attr("value", "false"))
+            append(&mut state.filters, args);
+        }
+        "select" => {
+            if args.is_empty() {
+                return Err(arity_error("at least one projection"));
             }
-            [single] if single == "None" => Ok(Node::new(NodeKind::Null)),
-            [single] => Ok(Node::column(single)),
-            _ => {
-                let name = parts.pop().expect("at least two parts");
-                Ok(Node::qualified_column(&parts.join("."), &name))
+            append(&mut state.select, args.into_iter().map(proj_clause).collect());
+        }
+        "agg" => {
+            let clauses = args.into_iter().map(proj_clause).collect();
+            append(state.agg.get_or_insert_with(Vec::new), clauses);
+        }
+        "groupby" => {
+            if args.is_empty() {
+                return Err(arity_error("at least one grouping key"));
             }
+            append(&mut state.groupby, args);
+        }
+        "having" => {
+            if args.is_empty() {
+                return Err(arity_error("at least one predicate"));
+            }
+            append(&mut state.having, args);
+        }
+        "sort" => {
+            if args.is_empty() {
+                return Err(arity_error("at least one sort key"));
+            }
+            append(&mut state.sort, args.into_iter().map(order_clause).collect());
+        }
+        "limit" | "head" => {
+            let [expr] =
+                <[Node; 1]>::try_from(args).map_err(|_| arity_error("exactly one row count"))?;
+            state.limit = Some(if method == "head" {
+                // head() is the TOP-style limit, matching `SELECT TOP n`.
+                Node::from_parts(NodeKind::Limit, &[(Sym::STYLE, spelled("top"))], vec![expr])
+            } else {
+                wrap(NodeKind::Limit, expr)
+            });
+        }
+        "distinct" => {
+            if !args.is_empty() {
+                return Err(arity_error("no arguments"));
+            }
+            state.distinct = true;
+        }
+        other => {
+            return Err(ParseError::new(
+                format!("unknown method `{other}` (expected filter/select/groupby/agg/having/sort/limit/head/distinct)"),
+                offset,
+            ))
         }
     }
+    Ok(())
 }
 
 /// True for the identifiers that terminate a dotted base name because they start a chain.
@@ -497,25 +504,58 @@ fn is_chain_method(name: &str) -> bool {
     )
 }
 
-fn binop(op: &str, left: Node, right: Node) -> Node {
-    Node::new(NodeKind::BiExpr)
-        .with_attr("op", op)
-        .with_child(left)
-        .with_child(right)
+/// A node of `kind` with the single child `child` and no attributes.
+fn wrap(kind: NodeKind, child: Node) -> Node {
+    Node::from_parts(kind, &[], vec![child])
+}
+
+/// A grammar spelling as an attribute value (no interning: it lives in the binary).
+fn spelled(text: &'static str) -> AttrValue {
+    AttrValue::Str(IStr::from_static(text))
+}
+
+fn binop(op: &'static str, left: Node, right: Node) -> Node {
+    Node::from_parts(
+        NodeKind::BiExpr,
+        &[(Sym::OP, spelled(op))],
+        vec![left, right],
+    )
+}
+
+fn unary(op: &'static str, inner: Node) -> Node {
+    Node::from_parts(NodeKind::UnExpr, &[(Sym::OP, spelled(op))], vec![inner])
+}
+
+/// Unary minus, folded into a numeric literal so `-5` is a single NumExpr.
+fn negate(inner: Node) -> Node {
+    if inner.kind_ref() == &NodeKind::NumExpr {
+        match inner.attr("value") {
+            Some(AttrValue::Int(i)) => return Node::int(-i),
+            Some(AttrValue::Float(f)) => return Node::float(-f),
+            _ => {}
+        }
+    }
+    unary("-", inner)
+}
+
+fn bool_literal(value: &'static str) -> Node {
+    Node::from_parts(
+        NodeKind::BoolExpr,
+        &[(Sym::VALUE, spelled(value))],
+        Vec::new(),
+    )
 }
 
 /// Wraps a select()/agg() argument into a `ProjClause`, unwrapping `alias(expr, 'name')`.
 fn proj_clause(expr: Node) -> Node {
     if let Some((inner, alias)) = match_alias_call(&expr) {
-        return Node::new(NodeKind::ProjClause)
-            .with_attr("alias", alias.as_str())
-            .with_child(inner);
+        return Node::from_parts(NodeKind::ProjClause, &[(Sym::ALIAS, alias)], vec![inner]);
     }
-    Node::new(NodeKind::ProjClause).with_child(expr)
+    wrap(NodeKind::ProjClause, expr)
 }
 
 /// Recognises the `alias(expr, 'name')` pseudo-function inside select()/agg() arguments.
-fn match_alias_call(expr: &Node) -> Option<(Node, String)> {
+fn match_alias_call(expr: &Node) -> Option<(Node, AttrValue)> {
     if expr.kind_ref() != &NodeKind::FuncCall {
         return None;
     }
@@ -525,8 +565,8 @@ fn match_alias_call(expr: &Node) -> Option<(Node, String)> {
     if name.kind_ref() != &NodeKind::FuncName || name.attr_str("name") != Some("alias") {
         return None;
     }
-    let alias = alias.attr_str("value")?;
-    Some((inner.clone(), alias.to_string()))
+    let alias = alias.attr("value").filter(|v| v.as_str().is_some())?;
+    Some((inner.clone(), alias.clone()))
 }
 
 /// Wraps a sort() argument into an `OrderClause`, unwrapping `desc(expr)`.
@@ -534,23 +574,27 @@ fn order_clause(expr: Node) -> Node {
     if expr.kind_ref() == &NodeKind::FuncCall {
         if let [name, inner] = expr.children() {
             if name.kind_ref() == &NodeKind::FuncName && name.attr_str("name") == Some("desc") {
-                return Node::new(NodeKind::OrderClause)
-                    .with_attr("dir", "desc")
-                    .with_child(inner.clone());
+                return Node::from_parts(
+                    NodeKind::OrderClause,
+                    &[(Sym::DIR, spelled("desc"))],
+                    vec![inner.clone()],
+                );
             }
         }
     }
-    Node::new(NodeKind::OrderClause)
-        .with_attr("dir", "asc")
-        .with_child(expr)
+    Node::from_parts(
+        NodeKind::OrderClause,
+        &[(Sym::DIR, spelled("asc"))],
+        vec![expr],
+    )
 }
 
 /// Builds a call expression, giving the pseudo-functions (`isnull`, `isin`, `between`,
 /// `like`, `cast`, …) their SQL-compatible tree shapes and canonicalising aggregates the
 /// way the SQL parser does (`count(x)` → `AggCall[FuncName COUNT, x]`).
-fn build_call(name: String, mut args: Vec<Node>, offset: usize) -> Result<Node, ParseError> {
+fn build_call(name: &str, mut args: Vec<Node>, offset: usize) -> Result<Node, ParseError> {
     let arity_error = |what: &str| ParseError::new(format!("{name}() takes {what}"), offset);
-    match name.as_str() {
+    match name {
         "isnull" | "notnull" => {
             let [inner] = <[Node; 1]>::try_from(args).map_err(|_| arity_error("one argument"))?;
             let op = if name == "isnull" {
@@ -558,24 +602,22 @@ fn build_call(name: String, mut args: Vec<Node>, offset: usize) -> Result<Node, 
             } else {
                 "IS NOT NULL"
             };
-            Ok(Node::new(NodeKind::UnExpr)
-                .with_attr("op", op)
-                .with_child(inner))
+            Ok(unary(op, inner))
         }
         "isin" | "notin" => {
             if args.len() < 2 {
                 return Err(arity_error("an expression plus at least one member"));
             }
-            let rest = args.split_off(1);
+            let members = args.split_off(1);
             let left = args.pop().expect("one element left");
-            let list = Node::new(NodeKind::ExprList).with_children(rest);
+            let list = Node::from_parts(NodeKind::ExprList, &[], members);
             let op = if name == "isin" { "IN" } else { "NOT IN" };
             Ok(binop(op, left, list))
         }
         "between" => {
             let [expr, lo, hi] =
                 <[Node; 3]>::try_from(args).map_err(|_| arity_error("three arguments"))?;
-            let list = Node::new(NodeKind::ExprList).with_child(lo).with_child(hi);
+            let list = Node::from_parts(NodeKind::ExprList, &[], vec![lo, hi]);
             Ok(binop("BETWEEN", expr, list))
         }
         "like" => {
@@ -586,33 +628,47 @@ fn build_call(name: String, mut args: Vec<Node>, offset: usize) -> Result<Node, 
         "cast" => {
             let [expr, ty] =
                 <[Node; 2]>::try_from(args).map_err(|_| arity_error("two arguments"))?;
-            let Some(ty) = ty.attr_str("value").map(str::to_string) else {
+            let Some(ty) = ty.attr("value").filter(|v| v.as_str().is_some()) else {
                 return Err(arity_error("a string type name as its second argument"));
             };
-            Ok(Node::new(NodeKind::Cast)
-                .with_attr("ty", ty.as_str())
-                .with_child(expr))
+            Ok(Node::from_parts(
+                NodeKind::Cast,
+                &[(Sym::TY, ty.clone())],
+                vec![expr],
+            ))
         }
         _ => {
-            let upper = name.to_ascii_uppercase();
-            let (kind, canonical, distinct) = if AGGREGATES.contains(&upper.as_str()) {
-                (NodeKind::AggCall, upper, false)
-            } else if let Some(prefix) = upper.strip_suffix("_DISTINCT") {
-                if AGGREGATES.contains(&prefix) {
-                    // COUNT_DISTINCT(x) ≙ SQL COUNT(DISTINCT x).
-                    (NodeKind::AggCall, prefix.to_string(), true)
-                } else {
-                    (NodeKind::FuncCall, name, false)
-                }
-            } else {
-                (NodeKind::FuncCall, name, false)
+            let aggregate = |name: &str| {
+                AGGREGATES
+                    .iter()
+                    .copied()
+                    .find(|a| a.eq_ignore_ascii_case(name))
             };
-            let mut node = Node::new(kind)
-                .with_child(Node::new(NodeKind::FuncName).with_attr("name", canonical.as_str()));
-            if distinct {
-                node.set_attr("distinct", true);
-            }
-            Ok(node.with_children(args))
+            let distinct_of = name
+                .len()
+                .checked_sub("_DISTINCT".len())
+                .and_then(|cut| name.get(..cut).zip(name.get(cut..)))
+                .filter(|(_, suffix)| suffix.eq_ignore_ascii_case("_DISTINCT"))
+                .and_then(|(prefix, _)| aggregate(prefix));
+            let (kind, canonical, distinct) = if let Some(agg) = aggregate(name) {
+                (NodeKind::AggCall, spelled(agg), false)
+            } else if let Some(agg) = distinct_of {
+                // COUNT_DISTINCT(x) ≙ SQL COUNT(DISTINCT x).
+                (NodeKind::AggCall, spelled(agg), true)
+            } else {
+                (NodeKind::FuncCall, name.into(), false)
+            };
+            let func_name =
+                Node::from_parts(NodeKind::FuncName, &[(Sym::NAME, canonical)], Vec::new());
+            let mut children = Vec::with_capacity(args.len() + 1);
+            children.push(func_name);
+            children.append(&mut args);
+            let attrs: &[(Sym, AttrValue)] = if distinct {
+                &[(Sym::DISTINCT, AttrValue::Bool(true))]
+            } else {
+                &[]
+            };
+            Ok(Node::from_parts(kind, attrs, children))
         }
     }
 }
@@ -626,68 +682,57 @@ impl ChainState {
                 0,
             ));
         }
-        let mut root = Node::new(NodeKind::Select);
-        if self.distinct {
-            root.set_attr("distinct", true);
-        }
+        let mut clauses = Vec::with_capacity(4);
 
         // Projection: agg(...) projects the aggregates followed by the grouping keys (the
         // `SELECT COUNT(Delay), DestState … GROUP BY DestState` shape); select(...) projects
         // its arguments; a bare chain projects `*`.
-        let mut project = Node::new(NodeKind::Project);
-        match self.agg {
-            Some(aggs) => {
-                for clause in aggs {
-                    project.push_child(clause);
-                }
-                for key in &self.groupby {
-                    project.push_child(Node::new(NodeKind::ProjClause).with_child(key.clone()));
-                }
+        let projections = match self.agg {
+            Some(mut aggs) => {
+                aggs.extend(
+                    self.groupby
+                        .iter()
+                        .map(|key| wrap(NodeKind::ProjClause, key.clone())),
+                );
+                aggs
             }
-            None if !self.select.is_empty() => {
-                for clause in self.select {
-                    project.push_child(clause);
-                }
-            }
-            None => {
-                project.push_child(Node::new(NodeKind::ProjClause).with_child(Node::star()));
-            }
-        }
-        root.push_child(project);
-
-        root.push_child(Node::new(NodeKind::From).with_child(base));
+            None if !self.select.is_empty() => self.select,
+            None => vec![wrap(NodeKind::ProjClause, Node::star())],
+        };
+        clauses.push(Node::from_parts(NodeKind::Project, &[], projections));
+        clauses.push(wrap(NodeKind::From, base));
 
         if !self.filters.is_empty() {
-            let pred = conjoin(self.filters);
-            root.push_child(Node::new(NodeKind::Where).with_child(pred));
+            clauses.push(wrap(NodeKind::Where, conjoin(self.filters)));
         }
 
         if !self.groupby.is_empty() {
-            let mut gb = Node::new(NodeKind::GroupBy);
-            for key in self.groupby {
-                gb.push_child(Node::new(NodeKind::GroupClause).with_child(key));
-            }
-            root.push_child(gb);
+            let keys = self
+                .groupby
+                .into_iter()
+                .map(|key| wrap(NodeKind::GroupClause, key))
+                .collect();
+            clauses.push(Node::from_parts(NodeKind::GroupBy, &[], keys));
         }
 
         if !self.having.is_empty() {
-            let pred = conjoin(self.having);
-            root.push_child(Node::new(NodeKind::Having).with_child(pred));
+            clauses.push(wrap(NodeKind::Having, conjoin(self.having)));
         }
 
         if !self.sort.is_empty() {
-            let mut ob = Node::new(NodeKind::OrderBy);
-            for clause in self.sort {
-                ob.push_child(clause);
-            }
-            root.push_child(ob);
+            clauses.push(Node::from_parts(NodeKind::OrderBy, &[], self.sort));
         }
 
         if let Some(limit) = self.limit {
-            root.push_child(limit);
+            clauses.push(limit);
         }
 
-        Ok(root)
+        let attrs: &[(Sym, AttrValue)] = if self.distinct {
+            &[(Sym::DISTINCT, AttrValue::Bool(true))]
+        } else {
+            &[]
+        };
+        Ok(Node::from_parts(NodeKind::Select, attrs, clauses))
     }
 }
 
@@ -858,6 +903,39 @@ mod tests {
         assert!(parse("t.filter(x == )").is_err());
         assert!(parse("t.filter(x == 1) trailing").is_err());
         assert!(parse("").is_err());
+    }
+
+    /// Parses on a thread with a 2 MiB stack, the default of a spawned worker thread.
+    fn parse_on_small_stack(text: String) -> Result<Node, ParseError> {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&text))
+            .expect("spawn a parser thread")
+            .join()
+            .expect("parsing never panics")
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_a_stack_overflow() {
+        // The method call's own parentheses are the first level.
+        let parens =
+            |n: usize| format!("t.filter({}x == 1{})", "(".repeat(n - 1), ")".repeat(n - 1));
+        let tildes = |n: usize| format!("t.filter({}x)", "~".repeat(n - 1));
+        let minus = |n: usize| format!("t.select({}5)", "-".repeat(n - 1));
+        for deep in [parens as fn(usize) -> String, tildes, minus] {
+            let err = parse_on_small_stack(deep(100_000)).unwrap_err();
+            assert!(err.message().contains("nesting deeper than"), "{err}");
+            assert_eq!(err.offset(), 9 + (MAX_NESTING - 1), "{err}");
+            assert!(parse_on_small_stack(deep(MAX_NESTING + 1)).is_err());
+            assert!(parse_on_small_stack(deep(MAX_NESTING)).is_ok());
+        }
+        // Subquery bases and call arguments count too.
+        let bases = format!("{}t{}", "(".repeat(200), ")".repeat(200));
+        let calls = format!("t.select({}a{})", "f(".repeat(200), ")".repeat(200));
+        for deep in [bases, calls] {
+            let err = parse_on_small_stack(deep).unwrap_err();
+            assert!(err.message().contains("nesting deeper than"), "{err}");
+        }
     }
 
     #[test]

@@ -1962,6 +1962,45 @@ mod tests {
     }
 
     #[test]
+    fn a_statement_nested_too_deep_is_skipped_in_every_lifetime() {
+        // One 10 KB statement: parsing it once overflowed the worker's stack and aborted
+        // the process, and replaying it from the journal aborted every restart after it.
+        let deep = format!(
+            "SELECT a FROM t WHERE {}x = 1{}",
+            "(".repeat(5_000),
+            ")".repeat(5_000)
+        );
+        let script = vec![sql(1), sql(2), deep, sql(3), sql(4)];
+        let dir = scratch("nesting");
+        let first = durable_pool(4, DurabilityOptions::new(&dir));
+        first.wait_ready();
+        for text in &script {
+            first
+                .enqueue_tagged("ada", "t1", [(Dialect::SQL, text.as_str())])
+                .unwrap();
+        }
+        // Let the worker thread apply the queue, as it does in production.
+        for _ in 0..400 {
+            if first.gauge().queued == 0 {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        assert_same(&first, &script);
+        assert_eq!(first.snapshot("ada", "t1").unwrap().skipped, 1);
+        first.simulate_crash().unwrap();
+        drop(first);
+        // The journal replays the statement on the recovery thread, which skips it again.
+        let second = durable_pool(4, DurabilityOptions::new(&dir));
+        second.wait_ready();
+        assert!(second.gauge().recovered_statements >= 1);
+        assert_same(&second, &script);
+        assert_eq!(second.snapshot("ada", "t1").unwrap().skipped, 1);
+        second.close();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn poisoned_statement_is_quarantined_and_the_rest_survive() {
         let dir = scratch("quarantine");
         let mut durability = DurabilityOptions::new(&dir);

@@ -25,6 +25,8 @@ pub enum ParseErrorKind {
     },
     /// Extra input after a complete statement.
     TrailingInput(String),
+    /// The statement nests deeper than [`pi_ast::MAX_NESTING`] levels.
+    NestingTooDeep,
 }
 
 impl fmt::Display for ParseErrorKind {
@@ -40,6 +42,9 @@ impl fmt::Display for ParseErrorKind {
                 write!(f, "unexpected end of input, expected {expected}")
             }
             ParseErrorKind::TrailingInput(s) => write!(f, "trailing input starting at `{s}`"),
+            ParseErrorKind::NestingTooDeep => {
+                write!(f, "nesting deeper than {} levels", pi_ast::MAX_NESTING)
+            }
         }
     }
 }
@@ -100,6 +105,7 @@ mod tests {
                 expected: "FROM".into(),
             },
             ParseErrorKind::TrailingInput("GROUP".into()),
+            ParseErrorKind::NestingTooDeep,
         ];
         let msgs: std::collections::HashSet<String> = kinds.iter().map(|k| k.to_string()).collect();
         assert_eq!(msgs.len(), kinds.len());

@@ -4,151 +4,155 @@
 //! ad-hoc logs: identifiers (optionally quoted with `"` or `[]`), keywords, string literals in
 //! single quotes, integer / float / hexadecimal numbers, and the usual punctuation and
 //! comparison operators.  Comments (`-- …` and `/* … */`) are skipped.
+//!
+//! Tokens borrow from the source text: an identifier is a `&str` slice of it, a string
+//! literal is borrowed unless it holds a doubled quote, and operators and punctuation are
+//! enum variants.  Keywords are recognised case-insensitively in a stack buffer.  So
+//! tokenizing a statement allocates its token buffer and nothing else, unless a literal
+//! holds an escape or the input is malformed.
+//!
+//! The whole statement is tokenized before the parser starts, so a lexical error anywhere
+//! in a statement wins over an earlier syntax error (`SELECT FROM t ?` reports the `?`).
 
 use crate::error::{ParseError, ParseErrorKind};
+use std::borrow::Cow;
 
-/// SQL keywords recognised by the parser.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum Keyword {
-    Select,
-    Distinct,
-    Top,
-    From,
-    Where,
-    Group,
-    By,
-    Having,
-    Order,
-    Limit,
-    Asc,
-    Desc,
-    As,
-    And,
-    Or,
-    Not,
-    In,
-    Between,
-    Like,
-    Is,
-    Null,
-    True,
-    False,
-    Case,
-    When,
-    Then,
-    Else,
-    End,
-    Cast,
-    Join,
-    Inner,
-    Left,
-    Right,
-    Outer,
-    On,
-    Union,
-    All,
+/// Declares the keyword enum, its spellings, and the case-insensitive lookup.
+macro_rules! keywords {
+    ($($variant:ident = $text:literal,)*) => {
+        /// SQL keywords recognised by the parser.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[allow(missing_docs)]
+        pub enum Keyword {
+            $($variant,)*
+        }
+
+        impl Keyword {
+            /// Looks up a keyword from an identifier, case-insensitively and without
+            /// allocating.
+            pub fn from_ident(s: &str) -> Option<Keyword> {
+                let mut upper = [0u8; KEYWORD_MAX_LEN];
+                let upper = upper.get_mut(..s.len())?;
+                for (dst, src) in upper.iter_mut().zip(s.bytes()) {
+                    *dst = src.to_ascii_uppercase();
+                }
+                match std::str::from_utf8(upper) {
+                    $(Ok($text) => Some(Keyword::$variant),)*
+                    _ => None,
+                }
+            }
+
+            /// The canonical upper-case spelling of the keyword.
+            pub fn as_str(&self) -> &'static str {
+                match self {
+                    $(Keyword::$variant => $text,)*
+                }
+            }
+        }
+    };
 }
 
-impl Keyword {
-    /// Looks up a keyword from an identifier, case-insensitively.
-    pub fn from_ident(s: &str) -> Option<Keyword> {
-        let up = s.to_ascii_uppercase();
-        Some(match up.as_str() {
-            "SELECT" => Keyword::Select,
-            "DISTINCT" => Keyword::Distinct,
-            "TOP" => Keyword::Top,
-            "FROM" => Keyword::From,
-            "WHERE" => Keyword::Where,
-            "GROUP" => Keyword::Group,
-            "BY" => Keyword::By,
-            "HAVING" => Keyword::Having,
-            "ORDER" => Keyword::Order,
-            "LIMIT" => Keyword::Limit,
-            "ASC" => Keyword::Asc,
-            "DESC" => Keyword::Desc,
-            "AS" => Keyword::As,
-            "AND" => Keyword::And,
-            "OR" => Keyword::Or,
-            "NOT" => Keyword::Not,
-            "IN" => Keyword::In,
-            "BETWEEN" => Keyword::Between,
-            "LIKE" => Keyword::Like,
-            "IS" => Keyword::Is,
-            "NULL" => Keyword::Null,
-            "TRUE" => Keyword::True,
-            "FALSE" => Keyword::False,
-            "CASE" => Keyword::Case,
-            "WHEN" => Keyword::When,
-            "THEN" => Keyword::Then,
-            "ELSE" => Keyword::Else,
-            "END" => Keyword::End,
-            "CAST" => Keyword::Cast,
-            "JOIN" => Keyword::Join,
-            "INNER" => Keyword::Inner,
-            "LEFT" => Keyword::Left,
-            "RIGHT" => Keyword::Right,
-            "OUTER" => Keyword::Outer,
-            "ON" => Keyword::On,
-            "UNION" => Keyword::Union,
-            "ALL" => Keyword::All,
-            _ => return None,
-        })
-    }
+/// The longest keyword spelling (`DISTINCT`, `BETWEEN`).
+const KEYWORD_MAX_LEN: usize = 8;
 
-    /// The canonical upper-case spelling of the keyword.
-    pub fn as_str(&self) -> &'static str {
+keywords! {
+    Select = "SELECT",
+    Distinct = "DISTINCT",
+    Top = "TOP",
+    From = "FROM",
+    Where = "WHERE",
+    Group = "GROUP",
+    By = "BY",
+    Having = "HAVING",
+    Order = "ORDER",
+    Limit = "LIMIT",
+    Asc = "ASC",
+    Desc = "DESC",
+    As = "AS",
+    And = "AND",
+    Or = "OR",
+    Not = "NOT",
+    In = "IN",
+    Between = "BETWEEN",
+    Like = "LIKE",
+    Is = "IS",
+    Null = "NULL",
+    True = "TRUE",
+    False = "FALSE",
+    Case = "CASE",
+    When = "WHEN",
+    Then = "THEN",
+    Else = "ELSE",
+    End = "END",
+    Cast = "CAST",
+    Join = "JOIN",
+    Inner = "INNER",
+    Left = "LEFT",
+    Right = "RIGHT",
+    Outer = "OUTER",
+    On = "ON",
+    Union = "UNION",
+    All = "ALL",
+}
+
+/// An operator token.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Op {
+    /// `=`
+    Eq,
+    /// `<>`
+    LtGt,
+    /// `!=`
+    NotEq,
+    /// `<`
+    Lt,
+    /// `<=`
+    Le,
+    /// `>`
+    Gt,
+    /// `>=`
+    Ge,
+    /// `+`
+    Plus,
+    /// `-`
+    Minus,
+    /// `/`
+    Slash,
+    /// `%`
+    Percent,
+    /// `||`
+    Concat,
+}
+
+impl Op {
+    /// The operator's spelling, which is also its `op` attribute in the tree.
+    pub fn as_str(self) -> &'static str {
         match self {
-            Keyword::Select => "SELECT",
-            Keyword::Distinct => "DISTINCT",
-            Keyword::Top => "TOP",
-            Keyword::From => "FROM",
-            Keyword::Where => "WHERE",
-            Keyword::Group => "GROUP",
-            Keyword::By => "BY",
-            Keyword::Having => "HAVING",
-            Keyword::Order => "ORDER",
-            Keyword::Limit => "LIMIT",
-            Keyword::Asc => "ASC",
-            Keyword::Desc => "DESC",
-            Keyword::As => "AS",
-            Keyword::And => "AND",
-            Keyword::Or => "OR",
-            Keyword::Not => "NOT",
-            Keyword::In => "IN",
-            Keyword::Between => "BETWEEN",
-            Keyword::Like => "LIKE",
-            Keyword::Is => "IS",
-            Keyword::Null => "NULL",
-            Keyword::True => "TRUE",
-            Keyword::False => "FALSE",
-            Keyword::Case => "CASE",
-            Keyword::When => "WHEN",
-            Keyword::Then => "THEN",
-            Keyword::Else => "ELSE",
-            Keyword::End => "END",
-            Keyword::Cast => "CAST",
-            Keyword::Join => "JOIN",
-            Keyword::Inner => "INNER",
-            Keyword::Left => "LEFT",
-            Keyword::Right => "RIGHT",
-            Keyword::Outer => "OUTER",
-            Keyword::On => "ON",
-            Keyword::Union => "UNION",
-            Keyword::All => "ALL",
+            Op::Eq => "=",
+            Op::LtGt => "<>",
+            Op::NotEq => "!=",
+            Op::Lt => "<",
+            Op::Le => "<=",
+            Op::Gt => ">",
+            Op::Ge => ">=",
+            Op::Plus => "+",
+            Op::Minus => "-",
+            Op::Slash => "/",
+            Op::Percent => "%",
+            Op::Concat => "||",
         }
     }
 }
 
-/// The kind (and payload) of a token.
+/// The kind (and payload) of a token; text payloads borrow from the source.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub enum TokenKind<'a> {
     /// A recognised SQL keyword.
     Keyword(Keyword),
-    /// An identifier (table, column, function name).
-    Ident(String),
+    /// An identifier (table, column, function name); quotes or brackets stripped.
+    Ident(&'a str),
     /// A single-quoted string literal (quotes stripped, `''` unescaped).
-    String(String),
+    String(Cow<'a, str>),
     /// An integer literal.
     Int(i64),
     /// A floating point literal.
@@ -168,15 +172,15 @@ pub enum TokenKind {
     /// `*`
     Star,
     /// An operator: `=`, `<>`, `!=`, `<`, `<=`, `>`, `>=`, `+`, `-`, `/`, `%`, `||`.
-    Op(String),
+    Op(Op),
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// A compact rendering used in error messages.
     pub fn describe(&self) -> String {
         match self {
             TokenKind::Keyword(k) => k.as_str().to_string(),
-            TokenKind::Ident(s) => s.clone(),
+            TokenKind::Ident(s) => s.to_string(),
             TokenKind::String(s) => format!("'{s}'"),
             TokenKind::Int(i) => i.to_string(),
             TokenKind::Float(f) => f.to_string(),
@@ -187,16 +191,16 @@ impl TokenKind {
             TokenKind::Dot => ".".into(),
             TokenKind::Semicolon => ";".into(),
             TokenKind::Star => "*".into(),
-            TokenKind::Op(o) => o.clone(),
+            TokenKind::Op(o) => o.as_str().into(),
         }
     }
 }
 
 /// A token together with its byte offset in the source text.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub struct Token<'a> {
     /// The token kind and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Byte offset of the first character of the token.
     pub offset: usize,
 }
@@ -220,8 +224,11 @@ impl<'a> Lexer<'a> {
     }
 
     /// Tokenizes the whole input.
-    pub fn tokenize(mut self) -> Result<Vec<Token>, ParseError> {
-        let mut out = Vec::new();
+    pub fn tokenize(mut self) -> Result<Vec<Token<'a>>, ParseError> {
+        // Logged statements average about four bytes a token, so one buffer of this size
+        // holds most statements without growing; the cap keeps a long literal from
+        // reserving far more than its text.
+        let mut out = Vec::with_capacity((self.src.len() / 3 + 1).min(1024));
         while let Some(tok) = self.next_token()? {
             out.push(tok);
         }
@@ -234,12 +241,6 @@ impl<'a> Lexer<'a> {
 
     fn peek_at(&self, offset: usize) -> Option<u8> {
         self.bytes.get(self.pos + offset).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
     }
 
     fn skip_trivia(&mut self) {
@@ -271,87 +272,39 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn next_token(&mut self) -> Result<Option<Token>, ParseError> {
+    fn next_token(&mut self) -> Result<Option<Token<'a>>, ParseError> {
         self.skip_trivia();
         let start = self.pos;
         let Some(b) = self.peek() else {
             return Ok(None);
         };
-
-        let kind = match b {
-            b'(' => {
-                self.bump();
-                TokenKind::LParen
-            }
-            b')' => {
-                self.bump();
-                TokenKind::RParen
-            }
-            b',' => {
-                self.bump();
-                TokenKind::Comma
-            }
-            b';' => {
-                self.bump();
-                TokenKind::Semicolon
-            }
-            b'.' if !self.peek_at(1).map(|c| c.is_ascii_digit()).unwrap_or(false) => {
-                self.bump();
-                TokenKind::Dot
-            }
-            b'*' => {
-                self.bump();
-                TokenKind::Star
-            }
-            b'\'' => self.lex_string(start)?,
-            b'"' | b'[' => self.lex_quoted_ident(start)?,
-            b'0'..=b'9' | b'.' => self.lex_number(start)?,
-            b'=' => {
-                self.bump();
-                TokenKind::Op("=".into())
-            }
-            b'<' => {
-                self.bump();
-                match self.peek() {
-                    Some(b'=') => {
-                        self.bump();
-                        TokenKind::Op("<=".into())
-                    }
-                    Some(b'>') => {
-                        self.bump();
-                        TokenKind::Op("<>".into())
-                    }
-                    _ => TokenKind::Op("<".into()),
-                }
-            }
-            b'>' => {
-                self.bump();
-                if self.peek() == Some(b'=') {
-                    self.bump();
-                    TokenKind::Op(">=".into())
-                } else {
-                    TokenKind::Op(">".into())
-                }
-            }
-            b'!' => {
-                self.bump();
-                if self.peek() == Some(b'=') {
-                    self.bump();
-                    TokenKind::Op("!=".into())
-                } else {
-                    return Err(ParseError::new(ParseErrorKind::UnexpectedChar('!'), start));
-                }
-            }
-            b'|' if self.peek_at(1) == Some(b'|') => {
-                self.bump();
-                self.bump();
-                TokenKind::Op("||".into())
-            }
-            b'+' | b'-' | b'/' | b'%' => {
-                self.bump();
-                TokenKind::Op((b as char).to_string())
-            }
-            b'_' | b'a'..=b'z' | b'A'..=b'Z' => self.lex_ident(start),
+        let next = self.peek_at(1);
+        // Single-byte tokens and operators: (kind, width).
+        let (kind, width) = match b {
+            b'(' => (TokenKind::LParen, 1),
+            b')' => (TokenKind::RParen, 1),
+            b',' => (TokenKind::Comma, 1),
+            b';' => (TokenKind::Semicolon, 1),
+            b'.' if !next.is_some_and(|c| c.is_ascii_digit()) => (TokenKind::Dot, 1),
+            b'*' => (TokenKind::Star, 1),
+            b'=' => (TokenKind::Op(Op::Eq), 1),
+            b'<' => match next {
+                Some(b'=') => (TokenKind::Op(Op::Le), 2),
+                Some(b'>') => (TokenKind::Op(Op::LtGt), 2),
+                _ => (TokenKind::Op(Op::Lt), 1),
+            },
+            b'>' if next == Some(b'=') => (TokenKind::Op(Op::Ge), 2),
+            b'>' => (TokenKind::Op(Op::Gt), 1),
+            b'!' if next == Some(b'=') => (TokenKind::Op(Op::NotEq), 2),
+            b'|' if next == Some(b'|') => (TokenKind::Op(Op::Concat), 2),
+            b'+' => (TokenKind::Op(Op::Plus), 1),
+            b'-' => (TokenKind::Op(Op::Minus), 1),
+            b'/' => (TokenKind::Op(Op::Slash), 1),
+            b'%' => (TokenKind::Op(Op::Percent), 1),
+            b'\'' => (self.lex_string(start)?, 0),
+            b'"' | b'[' => (self.lex_quoted_ident(start)?, 0),
+            b'0'..=b'9' | b'.' => (self.lex_number(start)?, 0),
+            b'_' | b'a'..=b'z' | b'A'..=b'Z' => (self.lex_ident(start), 0),
             other => {
                 return Err(ParseError::new(
                     ParseErrorKind::UnexpectedChar(other as char),
@@ -359,14 +312,14 @@ impl<'a> Lexer<'a> {
                 ))
             }
         };
-
+        self.pos += width;
         Ok(Some(Token {
             kind,
             offset: start,
         }))
     }
 
-    fn lex_ident(&mut self, start: usize) -> TokenKind {
+    fn lex_ident(&mut self, start: usize) -> TokenKind<'a> {
         while let Some(b) = self.peek() {
             if b == b'_' || b.is_ascii_alphanumeric() {
                 self.pos += 1;
@@ -377,68 +330,67 @@ impl<'a> Lexer<'a> {
         let text = &self.src[start..self.pos];
         match Keyword::from_ident(text) {
             Some(kw) => TokenKind::Keyword(kw),
-            None => TokenKind::Ident(text.to_string()),
+            None => TokenKind::Ident(text),
         }
     }
 
-    fn lex_quoted_ident(&mut self, start: usize) -> Result<TokenKind, ParseError> {
-        let open = self.bump().expect("caller checked");
-        let close = if open == b'[' { b']' } else { open };
-        let ident_start = self.pos;
-        while let Some(b) = self.peek() {
-            if b == close {
-                let text = self.src[ident_start..self.pos].to_string();
-                self.pos += 1;
-                return Ok(TokenKind::Ident(text));
+    fn lex_quoted_ident(&mut self, start: usize) -> Result<TokenKind<'a>, ParseError> {
+        let close = if self.bytes[start] == b'[' {
+            b']'
+        } else {
+            b'"'
+        };
+        let ident_start = start + 1;
+        match self.bytes[ident_start..].iter().position(|&b| b == close) {
+            Some(len) => {
+                self.pos = ident_start + len + 1;
+                Ok(TokenKind::Ident(&self.src[ident_start..ident_start + len]))
             }
-            self.pos += 1;
+            None => Err(ParseError::new(ParseErrorKind::UnterminatedString, start)),
         }
-        Err(ParseError::new(ParseErrorKind::UnterminatedString, start))
     }
 
-    fn lex_string(&mut self, start: usize) -> Result<TokenKind, ParseError> {
-        self.bump(); // opening quote
-                     // Bytes are collected raw and decoded once at the end: string literals carry
-                     // arbitrary UTF-8, and pushing bytes cast to chars would mangle every multibyte
-                     // character.  The byte scan itself is boundary-safe — the quote byte 0x27 never
-                     // occurs inside a multibyte UTF-8 sequence.
-        let mut value = Vec::new();
+    fn lex_string(&mut self, start: usize) -> Result<TokenKind<'a>, ParseError> {
+        // The scan is byte-wise and the quote byte 0x27 never occurs inside a multibyte
+        // UTF-8 sequence, so every slice boundary below is a char boundary.
+        let body = start + 1;
+        let mut unescaped: Option<String> = None;
+        let mut segment = body;
         loop {
-            match self.bump() {
-                Some(b'\'') => {
-                    // doubled quote escapes a single quote
-                    if self.peek() == Some(b'\'') {
-                        self.bump();
-                        value.push(b'\'');
-                    } else {
-                        let value = String::from_utf8(value)
-                            .expect("literal bytes are a substring of valid UTF-8 input");
-                        return Ok(TokenKind::String(value));
-                    }
-                }
-                Some(b) => value.push(b),
-                None => return Err(ParseError::new(ParseErrorKind::UnterminatedString, start)),
+            let Some(len) = self.bytes[segment..].iter().position(|&b| b == b'\'') else {
+                return Err(ParseError::new(ParseErrorKind::UnterminatedString, start));
+            };
+            let quote = segment + len;
+            if self.bytes.get(quote + 1) == Some(&b'\'') {
+                // A doubled quote escapes a single quote: keep one, continue after both.
+                unescaped
+                    .get_or_insert_with(String::new)
+                    .push_str(&self.src[segment..=quote]);
+                segment = quote + 2;
+                continue;
             }
+            self.pos = quote + 1;
+            let value = match unescaped {
+                None => Cow::Borrowed(&self.src[body..quote]),
+                Some(mut value) => {
+                    value.push_str(&self.src[segment..quote]);
+                    Cow::Owned(value)
+                }
+            };
+            return Ok(TokenKind::String(value));
         }
     }
 
-    fn lex_number(&mut self, start: usize) -> Result<TokenKind, ParseError> {
+    fn lex_number(&mut self, start: usize) -> Result<TokenKind<'a>, ParseError> {
         // Hexadecimal: 0x.... (used for SDSS object ids)
         if self.peek() == Some(b'0')
             && matches!(self.peek_at(1), Some(b'x') | Some(b'X'))
-            && self
-                .peek_at(2)
-                .map(|c| c.is_ascii_hexdigit())
-                .unwrap_or(false)
+            && self.peek_at(2).is_some_and(|c| c.is_ascii_hexdigit())
         {
             self.pos += 2;
             let hstart = self.pos;
-            while let Some(b) = self.peek() {
-                if b.is_ascii_hexdigit() {
-                    self.pos += 1;
-                } else {
-                    break;
-                }
+            while self.peek().is_some_and(|b| b.is_ascii_hexdigit()) {
+                self.pos += 1;
             }
             let text = &self.src[hstart..self.pos];
             let value = i64::from_str_radix(text, 16)
@@ -466,14 +418,11 @@ impl<'a> Lexer<'a> {
             }
         }
         let text = &self.src[start..self.pos];
+        let bad = || ParseError::new(ParseErrorKind::BadNumber(text.to_string()), start);
         if saw_dot || saw_exp {
-            text.parse::<f64>()
-                .map(TokenKind::Float)
-                .map_err(|_| ParseError::new(ParseErrorKind::BadNumber(text.to_string()), start))
+            text.parse::<f64>().map(TokenKind::Float).map_err(|_| bad())
         } else {
-            text.parse::<i64>()
-                .map(TokenKind::Int)
-                .map_err(|_| ParseError::new(ParseErrorKind::BadNumber(text.to_string()), start))
+            text.parse::<i64>().map(TokenKind::Int).map_err(|_| bad())
         }
     }
 }
@@ -482,7 +431,7 @@ impl<'a> Lexer<'a> {
 mod tests {
     use super::*;
 
-    fn kinds(sql: &str) -> Vec<TokenKind> {
+    fn kinds(sql: &str) -> Vec<TokenKind<'_>> {
         Lexer::new(sql)
             .tokenize()
             .unwrap()
@@ -524,11 +473,11 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                TokenKind::Ident("ontime".into()),
+                TokenKind::Ident("ontime"),
                 TokenKind::Dot,
-                TokenKind::Ident("DestState".into()),
+                TokenKind::Ident("DestState"),
                 TokenKind::Comma,
-                TokenKind::Ident("g".into()),
+                TokenKind::Ident("g"),
             ]
         );
     }
@@ -562,10 +511,10 @@ mod tests {
     #[test]
     fn lexes_operators() {
         let toks = kinds("= <> != <= >= < > + - / %");
-        let ops: Vec<String> = toks
+        let ops: Vec<&str> = toks
             .into_iter()
             .map(|t| match t {
-                TokenKind::Op(o) => o,
+                TokenKind::Op(o) => o.as_str(),
                 other => panic!("not an op: {other:?}"),
             })
             .collect();
@@ -587,8 +536,8 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                TokenKind::Ident("Dest State".into()),
-                TokenKind::Ident("Delay Minutes".into()),
+                TokenKind::Ident("Dest State"),
+                TokenKind::Ident("Delay Minutes"),
             ]
         );
     }

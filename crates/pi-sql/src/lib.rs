@@ -34,7 +34,7 @@ mod parser;
 mod render;
 
 pub use error::{ParseError, ParseErrorKind};
-pub use lexer::{Keyword, Lexer, Token, TokenKind};
+pub use lexer::{Keyword, Lexer, Op, Token, TokenKind};
 pub use parser::{parse, parse_log, Parser};
 pub use render::{render, render_compact};
 
@@ -90,7 +90,7 @@ impl Frontend for SqlFrontend {
         // actually retain it — on a garbage-heavy trace the steady state is a counter bump
         // per bad line.
         let mut skipped = 0;
-        for result in parse_log(text) {
+        for result in parser::statements(text).map(parse) {
             match result {
                 Ok(node) => out.push(node),
                 Err(e) => {

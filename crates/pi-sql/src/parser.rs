@@ -4,10 +4,16 @@
 //! [`pi_ast::builder::SelectBuilder`], so query logs that are generated programmatically and
 //! logs that arrive as SQL text flow into the same downstream pipeline and diff cleanly against
 //! each other.
+//!
+//! The parser reads borrowed tokens without cloning them and builds each node once,
+//! bottom-up, with [`Node::from_parts`]: a clause's children are parsed first and moved into
+//! it.  Recursion is bounded by [`MAX_NESTING`]: a statement nested deeper fails with
+//! [`ParseErrorKind::NestingTooDeep`] instead of overflowing the stack.
 
 use crate::error::{ParseError, ParseErrorKind};
-use crate::lexer::{Keyword, Lexer, Token, TokenKind};
-use pi_ast::{Node, NodeKind};
+use crate::lexer::{Keyword, Lexer, Op, Token, TokenKind};
+use pi_ast::{AttrValue, IStr, Node, NodeKind, Sym, MAX_NESTING};
+use std::borrow::Cow;
 
 /// Parses a single SQL statement into an AST.
 pub fn parse(sql: &str) -> Result<Node, ParseError> {
@@ -24,35 +30,67 @@ pub fn parse(sql: &str) -> Result<Node, ParseError> {
 /// outcomes so that a single malformed query does not discard the rest of the log — real query
 /// logs routinely contain typos.
 pub fn parse_log(text: &str) -> Vec<Result<Node, ParseError>> {
-    text.split(';')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(parse)
-        .collect()
+    statements(text).map(parse).collect()
+}
+
+/// The statements of a log fragment: its `;`-separated pieces, trimmed, empty ones dropped.
+pub(crate) fn statements(text: &str) -> impl Iterator<Item = &str> {
+    text.split(';').map(str::trim).filter(|s| !s.is_empty())
 }
 
 /// The recursive-descent parser state.
 #[derive(Debug)]
-pub struct Parser {
-    tokens: Vec<Token>,
+pub struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
+    /// Nesting levels open at the current token; see [`MAX_NESTING`].
+    depth: usize,
 }
 
 const AGGREGATES: &[&str] = &["COUNT", "SUM", "AVG", "MIN", "MAX", "STDDEV", "VARIANCE"];
 
-impl Parser {
+/// A dotted name as written (`a`, `g.objID`, `dbo.f.g`): everything before the last part,
+/// joined with dots, and the last part.  Names of one or two parts borrow from the source.
+struct DottedName<'a> {
+    qualifier: Option<Cow<'a, str>>,
+    last: &'a str,
+}
+
+impl<'a> DottedName<'a> {
+    fn push(&mut self, part: &'a str) {
+        self.qualifier = Some(match self.qualifier.take() {
+            None => Cow::Borrowed(self.last),
+            Some(qualifier) => Cow::Owned(format!("{qualifier}.{}", self.last)),
+        });
+        self.last = part;
+    }
+
+    /// The whole name, parts joined with dots.
+    fn joined(&self) -> Cow<'a, str> {
+        match &self.qualifier {
+            None => Cow::Borrowed(self.last),
+            Some(qualifier) => Cow::Owned(format!("{qualifier}.{}", self.last)),
+        }
+    }
+}
+
+impl<'a> Parser<'a> {
     /// Creates a parser over a token stream.
-    pub fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0 }
+    pub fn new(tokens: Vec<Token<'a>>) -> Self {
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
     }
 
     // ------------------------------------------------------------------ token helpers
 
-    fn peek(&self) -> Option<&TokenKind> {
+    fn peek(&self) -> Option<&TokenKind<'a>> {
         self.tokens.get(self.pos).map(|t| &t.kind)
     }
 
-    fn peek_at(&self, n: usize) -> Option<&TokenKind> {
+    fn peek_at(&self, n: usize) -> Option<&TokenKind<'a>> {
         self.tokens.get(self.pos + n).map(|t| &t.kind)
     }
 
@@ -63,12 +101,13 @@ impl Parser {
             .unwrap_or_else(|| self.tokens.last().map(|t| t.offset + 1).unwrap_or(0))
     }
 
-    fn bump(&mut self) -> Option<TokenKind> {
-        let t = self.tokens.get(self.pos).map(|t| t.kind.clone());
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+    /// Moves past the current token (callers have peeked it).
+    fn advance(&mut self) {
+        self.pos += 1;
+    }
+
+    fn at(&self, kind: &TokenKind<'_>) -> bool {
+        self.peek() == Some(kind)
     }
 
     fn at_keyword(&self, kw: Keyword) -> bool {
@@ -76,12 +115,11 @@ impl Parser {
     }
 
     fn eat_keyword(&mut self, kw: Keyword) -> bool {
-        if self.at_keyword(kw) {
-            self.pos += 1;
-            true
-        } else {
-            false
+        let at = self.at_keyword(kw);
+        if at {
+            self.advance();
         }
+        at
     }
 
     fn expect_keyword(&mut self, kw: Keyword) -> Result<(), ParseError> {
@@ -92,16 +130,15 @@ impl Parser {
         }
     }
 
-    fn eat_token(&mut self, kind: &TokenKind) -> bool {
-        if self.peek() == Some(kind) {
-            self.pos += 1;
-            true
-        } else {
-            false
+    fn eat_token(&mut self, kind: &TokenKind<'_>) -> bool {
+        let at = self.at(kind);
+        if at {
+            self.advance();
         }
+        at
     }
 
-    fn expect_token(&mut self, kind: TokenKind, what: &str) -> Result<(), ParseError> {
+    fn expect_token(&mut self, kind: TokenKind<'_>, what: &str) -> Result<(), ParseError> {
         if self.eat_token(&kind) {
             Ok(())
         } else {
@@ -127,6 +164,53 @@ impl Parser {
         }
     }
 
+    /// Runs `parse` one nesting level deeper, failing at the current token past the bound.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(ParseError::new(
+                ParseErrorKind::NestingTooDeep,
+                self.offset(),
+            ));
+        }
+        self.depth += 1;
+        let result = parse(self);
+        self.depth -= 1;
+        result
+    }
+
+    /// Parses `( body )`, one nesting level deeper; the `(` must be next.
+    fn parenthesized<T>(
+        &mut self,
+        body: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if !self.at(&TokenKind::LParen) {
+            return Err(self.unexpected("("));
+        }
+        self.nested(|p| {
+            p.advance();
+            let inner = body(p)?;
+            p.expect_token(TokenKind::RParen, ")")?;
+            Ok(inner)
+        })
+    }
+
+    /// One or more `item`s separated by commas.
+    fn comma_list(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<Node, ParseError>,
+    ) -> Result<Vec<Node>, ParseError> {
+        let mut items = Vec::new();
+        loop {
+            items.push(item(self)?);
+            if !self.eat_token(&TokenKind::Comma) {
+                return Ok(items);
+            }
+        }
+    }
+
     /// Consumes an optional trailing semicolon and verifies nothing else follows.
     pub fn expect_end(&mut self) -> Result<(), ParseError> {
         while self.eat_token(&TokenKind::Semicolon) {}
@@ -148,126 +232,92 @@ impl Parser {
 
     fn parse_select(&mut self) -> Result<Node, ParseError> {
         self.expect_keyword(Keyword::Select)?;
-        let mut root = Node::new(NodeKind::Select);
-
-        if self.eat_keyword(Keyword::Distinct) {
-            root.set_attr("distinct", true);
-        }
+        let distinct = self.eat_keyword(Keyword::Distinct);
 
         // TOP n (SQL Server / SDSS style)
-        let mut top_limit: Option<Node> = None;
-        if self.eat_keyword(Keyword::Top) {
-            let expr = self.parse_expr()?;
-            top_limit = Some(
-                Node::new(NodeKind::Limit)
-                    .with_attr("style", "top")
-                    .with_child(expr),
-            );
-        }
+        let top = if self.eat_keyword(Keyword::Top) {
+            Some(self.parse_expr()?)
+        } else {
+            None
+        };
 
-        // projection list
-        let mut project = Node::new(NodeKind::Project);
-        loop {
-            project.push_child(self.parse_proj_clause()?);
-            if !self.eat_token(&TokenKind::Comma) {
-                break;
-            }
-        }
-        root.push_child(project);
+        let mut clauses = Vec::with_capacity(4);
+        let projections = self.comma_list(Self::parse_proj_clause)?;
+        clauses.push(Node::from_parts(NodeKind::Project, &[], projections));
 
-        // FROM
-        let mut from = Node::new(NodeKind::From);
-        if self.eat_keyword(Keyword::From) {
-            loop {
-                from.push_child(self.parse_relation()?);
-                if !self.eat_token(&TokenKind::Comma) {
-                    break;
-                }
-            }
-        }
-        root.push_child(from);
+        let relations = if self.eat_keyword(Keyword::From) {
+            self.comma_list(Self::parse_relation)?
+        } else {
+            Vec::new()
+        };
+        clauses.push(Node::from_parts(NodeKind::From, &[], relations));
 
-        // WHERE
         if self.eat_keyword(Keyword::Where) {
-            let pred = self.parse_expr()?;
-            root.push_child(Node::new(NodeKind::Where).with_child(pred));
+            clauses.push(wrap(NodeKind::Where, self.parse_expr()?));
         }
 
-        // GROUP BY
-        if self.at_keyword(Keyword::Group) {
-            self.bump();
+        if self.eat_keyword(Keyword::Group) {
             self.expect_keyword(Keyword::By)?;
-            let mut gb = Node::new(NodeKind::GroupBy);
-            loop {
-                let expr = self.parse_expr()?;
-                gb.push_child(Node::new(NodeKind::GroupClause).with_child(expr));
-                if !self.eat_token(&TokenKind::Comma) {
-                    break;
-                }
-            }
-            root.push_child(gb);
+            let keys = self.comma_list(|p| Ok(wrap(NodeKind::GroupClause, p.parse_expr()?)))?;
+            clauses.push(Node::from_parts(NodeKind::GroupBy, &[], keys));
         }
 
-        // HAVING
         if self.eat_keyword(Keyword::Having) {
-            let pred = self.parse_expr()?;
-            root.push_child(Node::new(NodeKind::Having).with_child(pred));
+            clauses.push(wrap(NodeKind::Having, self.parse_expr()?));
         }
 
-        // ORDER BY
-        if self.at_keyword(Keyword::Order) {
-            self.bump();
+        if self.eat_keyword(Keyword::Order) {
             self.expect_keyword(Keyword::By)?;
-            let mut ob = Node::new(NodeKind::OrderBy);
-            loop {
-                let expr = self.parse_expr()?;
-                let dir = if self.eat_keyword(Keyword::Desc) {
+            let keys = self.comma_list(|p| {
+                let expr = p.parse_expr()?;
+                let dir = if p.eat_keyword(Keyword::Desc) {
                     "desc"
                 } else {
-                    self.eat_keyword(Keyword::Asc);
+                    p.eat_keyword(Keyword::Asc);
                     "asc"
                 };
-                ob.push_child(
-                    Node::new(NodeKind::OrderClause)
-                        .with_attr("dir", dir)
-                        .with_child(expr),
-                );
-                if !self.eat_token(&TokenKind::Comma) {
-                    break;
-                }
-            }
-            root.push_child(ob);
+                Ok(Node::from_parts(
+                    NodeKind::OrderClause,
+                    &[(Sym::DIR, spelled(dir))],
+                    vec![expr],
+                ))
+            })?;
+            clauses.push(Node::from_parts(NodeKind::OrderBy, &[], keys));
         }
 
-        // LIMIT
         if self.eat_keyword(Keyword::Limit) {
-            let expr = self.parse_expr()?;
-            root.push_child(Node::new(NodeKind::Limit).with_child(expr));
-        } else if let Some(limit) = top_limit {
-            root.push_child(limit);
+            clauses.push(wrap(NodeKind::Limit, self.parse_expr()?));
+        } else if let Some(top) = top {
+            clauses.push(Node::from_parts(
+                NodeKind::Limit,
+                &[(Sym::STYLE, spelled("top"))],
+                vec![top],
+            ));
         }
 
-        Ok(root)
+        let attrs: &[(Sym, AttrValue)] = if distinct {
+            &[(Sym::DISTINCT, AttrValue::Bool(true))]
+        } else {
+            &[]
+        };
+        Ok(Node::from_parts(NodeKind::Select, attrs, clauses))
     }
 
     fn parse_proj_clause(&mut self) -> Result<Node, ParseError> {
         let expr = self.parse_expr()?;
-        let mut clause = Node::new(NodeKind::ProjClause);
-        if self.eat_keyword(Keyword::As) {
-            let alias = self.expect_ident("projection alias")?;
-            clause.set_attr("alias", alias);
-        }
-        clause.push_child(expr);
-        Ok(clause)
+        let alias = if self.eat_keyword(Keyword::As) {
+            Some(self.expect_ident("projection alias")?)
+        } else {
+            None
+        };
+        Ok(aliased(NodeKind::ProjClause, None, alias, vec![expr]))
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<String, ParseError> {
+    fn expect_ident(&mut self, what: &str) -> Result<&'a str, ParseError> {
         match self.peek() {
-            Some(TokenKind::Ident(_)) => {
-                let Some(TokenKind::Ident(s)) = self.bump() else {
-                    unreachable!()
-                };
-                Ok(s)
+            Some(&TokenKind::Ident(name)) => {
+                self.advance();
+                Ok(name)
             }
             _ => Err(self.unexpected(what)),
         }
@@ -279,15 +329,13 @@ impl Parser {
         let mut rel = self.parse_relation_primary()?;
         // explicit JOINs bind tighter than the comma list
         loop {
-            let join_type = if self.at_keyword(Keyword::Join) {
-                self.bump();
-                "inner".to_string()
+            let join_type = if self.eat_keyword(Keyword::Join) {
+                "inner"
             } else if self.at_keyword(Keyword::Inner)
                 && self.peek_at(1) == Some(&TokenKind::Keyword(Keyword::Join))
             {
-                self.bump();
-                self.bump();
-                "inner".to_string()
+                self.pos += 2;
+                "inner"
             } else if (self.at_keyword(Keyword::Left) || self.at_keyword(Keyword::Right))
                 && matches!(
                     self.peek_at(1),
@@ -300,93 +348,73 @@ impl Parser {
                 } else {
                     "right"
                 };
-                self.bump();
+                self.advance();
                 self.eat_keyword(Keyword::Outer);
                 self.expect_keyword(Keyword::Join)?;
-                side.to_string()
+                side
             } else {
                 break;
             };
             let right = self.parse_relation_primary()?;
             self.expect_keyword(Keyword::On)?;
             let on = self.parse_expr()?;
-            rel = Node::new(NodeKind::Join)
-                .with_attr("join_type", join_type.as_str())
-                .with_child(rel)
-                .with_child(right)
-                .with_child(on);
+            rel = Node::from_parts(
+                NodeKind::Join,
+                &[(Sym::JOIN_TYPE, spelled(join_type))],
+                vec![rel, right, on],
+            );
         }
         Ok(rel)
     }
 
     fn parse_relation_primary(&mut self) -> Result<Node, ParseError> {
-        if self.eat_token(&TokenKind::LParen) {
+        if self.at(&TokenKind::LParen) {
             // derived table
-            let sub = self.parse_select()?;
-            self.expect_token(TokenKind::RParen, ")")?;
-            let mut rel = Node::new(NodeKind::SubqueryRef).with_child(sub);
-            if let Some(alias) = self.parse_optional_alias()? {
-                rel.set_attr("alias", alias);
-            }
-            return Ok(rel);
+            let sub = self.parenthesized(Self::parse_select)?;
+            let alias = self.parse_optional_alias()?;
+            return Ok(aliased(NodeKind::SubqueryRef, None, alias, vec![sub]));
         }
 
         // dotted name: schema.table or schema.func(...)
         let name = self.parse_dotted_name()?;
-        if self.peek() == Some(&TokenKind::LParen) {
+        let name = AttrValue::from(&*name.joined());
+        if self.at(&TokenKind::LParen) {
             // table-valued function
-            self.bump();
-            let mut args = Vec::new();
-            if self.peek() != Some(&TokenKind::RParen) {
-                loop {
-                    args.push(self.parse_expr()?);
-                    if !self.eat_token(&TokenKind::Comma) {
-                        break;
-                    }
+            let args = self.parenthesized(|p| {
+                if p.at(&TokenKind::RParen) {
+                    Ok(Vec::new())
+                } else {
+                    p.comma_list(Self::parse_expr)
                 }
-            }
-            self.expect_token(TokenKind::RParen, ")")?;
-            let mut rel = Node::new(NodeKind::TableFunc)
-                .with_attr("name", name.as_str())
-                .with_children(args);
-            if let Some(alias) = self.parse_optional_alias()? {
-                rel.set_attr("alias", alias);
-            }
-            Ok(rel)
+            })?;
+            let alias = self.parse_optional_alias()?;
+            Ok(aliased(NodeKind::TableFunc, Some(name), alias, args))
         } else {
-            let mut rel = Node::table(&name);
-            if let Some(alias) = self.parse_optional_alias()? {
-                rel.set_attr("alias", alias);
-            }
-            Ok(rel)
+            let alias = self.parse_optional_alias()?;
+            Ok(aliased(NodeKind::TableRef, Some(name), alias, Vec::new()))
         }
     }
 
-    fn parse_optional_alias(&mut self) -> Result<Option<String>, ParseError> {
+    fn parse_optional_alias(&mut self) -> Result<Option<&'a str>, ParseError> {
         if self.eat_keyword(Keyword::As) {
             return self.expect_ident("alias").map(Some);
         }
-        if let Some(TokenKind::Ident(_)) = self.peek() {
-            let Some(TokenKind::Ident(s)) = self.bump() else {
-                unreachable!()
-            };
-            return Ok(Some(s));
+        if let Some(&TokenKind::Ident(alias)) = self.peek() {
+            self.advance();
+            return Ok(Some(alias));
         }
         Ok(None)
     }
 
-    fn parse_dotted_name(&mut self) -> Result<String, ParseError> {
-        let mut name = self.expect_ident("table name")?;
-        while self.peek() == Some(&TokenKind::Dot) {
-            // only continue if followed by an identifier
-            if let Some(TokenKind::Ident(_)) = self.peek_at(1) {
-                self.bump();
-                let part = self.expect_ident("name part")?;
-                name.push('.');
-                name.push_str(&part);
-            } else {
-                break;
-            }
+    fn parse_dotted_name(&mut self) -> Result<DottedName<'a>, ParseError> {
+        let mut name = DottedName {
+            qualifier: None,
+            last: self.expect_ident("table name")?,
+        };
+        // only continue if a dot is followed by an identifier
+        while self.at(&TokenKind::Dot) && matches!(self.peek_at(1), Some(TokenKind::Ident(_))) {
+            self.advance();
+            name.push(self.expect_ident("name part")?);
         }
         Ok(name)
     }
@@ -417,59 +445,47 @@ impl Parser {
     }
 
     fn parse_not(&mut self) -> Result<Node, ParseError> {
-        if self.eat_keyword(Keyword::Not) {
-            let inner = self.parse_not()?;
-            Ok(Node::new(NodeKind::UnExpr)
-                .with_attr("op", "NOT")
-                .with_child(inner))
-        } else {
-            self.parse_comparison()
+        if !self.at_keyword(Keyword::Not) {
+            return self.parse_comparison();
         }
+        self.nested(|p| {
+            p.advance();
+            Ok(unary("NOT", p.parse_not()?))
+        })
     }
 
     fn parse_comparison(&mut self) -> Result<Node, ParseError> {
         let left = self.parse_additive()?;
 
         // IS [NOT] NULL
-        if self.at_keyword(Keyword::Is) {
-            self.bump();
+        if self.eat_keyword(Keyword::Is) {
             let negated = self.eat_keyword(Keyword::Not);
             self.expect_keyword(Keyword::Null)?;
             let op = if negated { "IS NOT NULL" } else { "IS NULL" };
-            return Ok(Node::new(NodeKind::UnExpr)
-                .with_attr("op", op)
-                .with_child(left));
+            return Ok(unary(op, left));
         }
 
         // [NOT] IN / BETWEEN / LIKE
-        let negated = if self.at_keyword(Keyword::Not)
+        let negated = self.at_keyword(Keyword::Not)
             && matches!(
                 self.peek_at(1),
                 Some(TokenKind::Keyword(Keyword::In))
                     | Some(TokenKind::Keyword(Keyword::Between))
                     | Some(TokenKind::Keyword(Keyword::Like))
-            ) {
-            self.bump();
-            true
-        } else {
-            false
-        };
+            );
+        if negated {
+            self.advance();
+        }
 
         if self.eat_keyword(Keyword::In) {
-            self.expect_token(TokenKind::LParen, "(")?;
-            let mut list = Node::new(NodeKind::ExprList);
-            if self.at_keyword(Keyword::Select) {
-                let sub = self.parse_select()?;
-                list.push_child(Node::new(NodeKind::ScalarSubquery).with_child(sub));
-            } else {
-                loop {
-                    list.push_child(self.parse_expr()?);
-                    if !self.eat_token(&TokenKind::Comma) {
-                        break;
-                    }
+            let members = self.parenthesized(|p| {
+                if p.at_keyword(Keyword::Select) {
+                    Ok(vec![wrap(NodeKind::ScalarSubquery, p.parse_select()?)])
+                } else {
+                    p.comma_list(Self::parse_expr)
                 }
-            }
-            self.expect_token(TokenKind::RParen, ")")?;
+            })?;
+            let list = Node::from_parts(NodeKind::ExprList, &[], members);
             let op = if negated { "NOT IN" } else { "IN" };
             return Ok(binop(op, left, list));
         }
@@ -477,7 +493,7 @@ impl Parser {
             let lo = self.parse_additive()?;
             self.expect_keyword(Keyword::And)?;
             let hi = self.parse_additive()?;
-            let list = Node::new(NodeKind::ExprList).with_child(lo).with_child(hi);
+            let list = Node::from_parts(NodeKind::ExprList, &[], vec![lo, hi]);
             let op = if negated { "NOT BETWEEN" } else { "BETWEEN" };
             return Ok(binop(op, left, list));
         }
@@ -491,27 +507,23 @@ impl Parser {
         }
 
         // plain comparison operators
-        if let Some(TokenKind::Op(op)) = self.peek() {
-            let op = op.clone();
-            if matches!(op.as_str(), "=" | "<" | ">" | "<=" | ">=" | "<>" | "!=") {
-                self.bump();
-                let right = self.parse_additive()?;
-                return Ok(binop(&op, left, right));
-            }
+        if let Some(&TokenKind::Op(
+            op @ (Op::Eq | Op::Lt | Op::Gt | Op::Le | Op::Ge | Op::LtGt | Op::NotEq),
+        )) = self.peek()
+        {
+            self.advance();
+            let right = self.parse_additive()?;
+            return Ok(binop(op.as_str(), left, right));
         }
         Ok(left)
     }
 
     fn parse_additive(&mut self) -> Result<Node, ParseError> {
         let mut left = self.parse_multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Some(TokenKind::Op(o)) if o == "+" || o == "-" || o == "||" => o.clone(),
-                _ => break,
-            };
-            self.bump();
+        while let Some(&TokenKind::Op(op @ (Op::Plus | Op::Minus | Op::Concat))) = self.peek() {
+            self.advance();
             let right = self.parse_multiplicative()?;
-            left = binop(&op, left, right);
+            left = binop(op.as_str(), left, right);
         }
         Ok(left)
     }
@@ -520,217 +532,236 @@ impl Parser {
         let mut left = self.parse_unary()?;
         loop {
             let op = match self.peek() {
-                Some(TokenKind::Op(o)) if o == "/" || o == "%" => o.clone(),
-                Some(TokenKind::Star) => "*".to_string(),
+                Some(&TokenKind::Op(op @ (Op::Slash | Op::Percent))) => op.as_str(),
+                Some(TokenKind::Star) => "*",
                 _ => break,
             };
-            self.bump();
+            self.advance();
             let right = self.parse_unary()?;
-            left = binop(&op, left, right);
+            left = binop(op, left, right);
         }
         Ok(left)
     }
 
     fn parse_unary(&mut self) -> Result<Node, ParseError> {
-        if let Some(TokenKind::Op(o)) = self.peek() {
-            if o == "-" {
-                self.bump();
-                let inner = self.parse_unary()?;
-                // Fold negation into numeric literals so `-5` is a single NumExpr.
-                if inner.kind() == NodeKind::NumExpr {
-                    if let Some(v) = inner.attr("value") {
-                        return Ok(match v {
-                            pi_ast::AttrValue::Int(i) => Node::int(-i),
-                            pi_ast::AttrValue::Float(f) => Node::float(-f),
-                            _ => Node::new(NodeKind::UnExpr)
-                                .with_attr("op", "-")
-                                .with_child(inner),
-                        });
-                    }
-                }
-                return Ok(Node::new(NodeKind::UnExpr)
-                    .with_attr("op", "-")
-                    .with_child(inner));
-            }
-            if o == "+" {
-                self.bump();
-                return self.parse_unary();
-            }
+        match self.peek() {
+            Some(TokenKind::Op(Op::Minus)) => self.nested(|p| {
+                p.advance();
+                Ok(negate(p.parse_unary()?))
+            }),
+            Some(TokenKind::Op(Op::Plus)) => self.nested(|p| {
+                p.advance();
+                p.parse_unary()
+            }),
+            _ => self.parse_primary(),
         }
-        self.parse_primary()
     }
 
     fn parse_primary(&mut self) -> Result<Node, ParseError> {
-        match self.peek().cloned() {
-            Some(TokenKind::Int(i)) => {
-                self.bump();
-                Ok(Node::int(i))
-            }
-            Some(TokenKind::Float(f)) => {
-                self.bump();
-                Ok(Node::float(f))
-            }
-            Some(TokenKind::Hex(h)) => {
-                self.bump();
-                Ok(Node::hex(h))
-            }
-            Some(TokenKind::String(s)) => {
-                self.bump();
-                Ok(Node::string(&s))
-            }
-            Some(TokenKind::Star) => {
-                self.bump();
-                Ok(Node::star())
-            }
-            Some(TokenKind::Keyword(Keyword::Null)) => {
-                self.bump();
-                Ok(Node::new(NodeKind::Null))
-            }
-            Some(TokenKind::Keyword(Keyword::True)) => {
-                self.bump();
-                Ok(Node::new(NodeKind::BoolExpr).with_attr("value", "true"))
-            }
-            Some(TokenKind::Keyword(Keyword::False)) => {
-                self.bump();
-                Ok(Node::new(NodeKind::BoolExpr).with_attr("value", "false"))
-            }
-            Some(TokenKind::Keyword(Keyword::Cast)) => self.parse_cast(),
-            Some(TokenKind::Keyword(Keyword::Case)) => self.parse_case(),
+        let node = match self.peek() {
+            Some(&TokenKind::Int(i)) => Node::int(i),
+            Some(&TokenKind::Float(f)) => Node::float(f),
+            Some(&TokenKind::Hex(h)) => Node::hex(h),
+            Some(TokenKind::String(s)) => Node::string(s),
+            Some(TokenKind::Star) => Node::star(),
+            Some(TokenKind::Keyword(Keyword::Null)) => Node::new(NodeKind::Null),
+            Some(TokenKind::Keyword(Keyword::True)) => bool_literal("true"),
+            Some(TokenKind::Keyword(Keyword::False)) => bool_literal("false"),
+            Some(TokenKind::Keyword(Keyword::Cast)) => return self.parse_cast(),
+            Some(TokenKind::Keyword(Keyword::Case)) => return self.parse_case(),
             Some(TokenKind::LParen) => {
-                self.bump();
-                if self.at_keyword(Keyword::Select) {
-                    let sub = self.parse_select()?;
-                    self.expect_token(TokenKind::RParen, ")")?;
-                    Ok(Node::new(NodeKind::ScalarSubquery).with_child(sub))
-                } else {
-                    let inner = self.parse_expr()?;
-                    self.expect_token(TokenKind::RParen, ")")?;
-                    Ok(inner)
-                }
+                return self.parenthesized(|p| {
+                    if p.at_keyword(Keyword::Select) {
+                        Ok(wrap(NodeKind::ScalarSubquery, p.parse_select()?))
+                    } else {
+                        p.parse_expr()
+                    }
+                })
             }
-            Some(TokenKind::Ident(_)) => self.parse_name_or_call(),
-            _ => Err(self.unexpected("an expression")),
-        }
+            Some(TokenKind::Ident(_)) => return self.parse_name_or_call(),
+            _ => return Err(self.unexpected("an expression")),
+        };
+        self.advance();
+        Ok(node)
     }
 
     fn parse_cast(&mut self) -> Result<Node, ParseError> {
         self.expect_keyword(Keyword::Cast)?;
-        self.expect_token(TokenKind::LParen, "(")?;
-        let expr = self.parse_expr()?;
-        // The target type is optional in some of the ad-hoc student queries
-        // (`CAST(uniquecarrier)`); default to "varchar" in that case.
-        let ty = if self.eat_keyword(Keyword::As) {
-            self.parse_dotted_name()?
-        } else {
-            "varchar".to_string()
-        };
-        self.expect_token(TokenKind::RParen, ")")?;
-        Ok(Node::new(NodeKind::Cast)
-            .with_attr("ty", ty.as_str())
-            .with_child(expr))
+        let (expr, ty) = self.parenthesized(|p| {
+            let expr = p.parse_expr()?;
+            // The target type is optional in some of the ad-hoc student queries
+            // (`CAST(uniquecarrier)`); default to "varchar" in that case.
+            let ty = if p.eat_keyword(Keyword::As) {
+                p.parse_dotted_name()?.joined()
+            } else {
+                Cow::Borrowed("varchar")
+            };
+            Ok((expr, ty))
+        })?;
+        Ok(Node::from_parts(
+            NodeKind::Cast,
+            &[(Sym::TY, AttrValue::from(&*ty))],
+            vec![expr],
+        ))
     }
 
+    /// Parses `CASE … END`; the caller has peeked the `CASE`.
     fn parse_case(&mut self) -> Result<Node, ParseError> {
-        self.expect_keyword(Keyword::Case)?;
-        let mut node = Node::new(NodeKind::CaseExpr);
-        // simple form: CASE operand WHEN v THEN r ...
-        if !self.at_keyword(Keyword::When) {
-            node.set_attr("form", "simple");
-            let operand = self.parse_expr()?;
-            node.push_child(operand);
-        } else {
-            node.set_attr("form", "searched");
-        }
-        while self.eat_keyword(Keyword::When) {
-            let cond = self.parse_expr()?;
-            self.expect_keyword(Keyword::Then)?;
-            let result = self.parse_expr()?;
-            node.push_child(
-                Node::new(NodeKind::WhenArm)
-                    .with_child(cond)
-                    .with_child(result),
-            );
-        }
-        if self.eat_keyword(Keyword::Else) {
-            let result = self.parse_expr()?;
-            node.push_child(Node::new(NodeKind::ElseArm).with_child(result));
-        }
-        self.expect_keyword(Keyword::End)?;
-        Ok(node)
+        self.nested(|p| {
+            p.advance();
+            let mut arms = Vec::new();
+            // simple form: CASE operand WHEN v THEN r ...
+            let form = if p.at_keyword(Keyword::When) {
+                "searched"
+            } else {
+                arms.push(p.parse_expr()?);
+                "simple"
+            };
+            while p.eat_keyword(Keyword::When) {
+                let cond = p.parse_expr()?;
+                p.expect_keyword(Keyword::Then)?;
+                let result = p.parse_expr()?;
+                arms.push(Node::from_parts(NodeKind::WhenArm, &[], vec![cond, result]));
+            }
+            if p.eat_keyword(Keyword::Else) {
+                arms.push(wrap(NodeKind::ElseArm, p.parse_expr()?));
+            }
+            p.expect_keyword(Keyword::End)?;
+            Ok(Node::from_parts(
+                NodeKind::CaseExpr,
+                &[(Sym::FORM, spelled(form))],
+                arms,
+            ))
+        })
     }
 
     fn parse_name_or_call(&mut self) -> Result<Node, ParseError> {
-        let first = self.expect_ident("identifier")?;
+        let mut name = DottedName {
+            qualifier: None,
+            last: self.expect_ident("identifier")?,
+        };
 
         // qualified column or dotted function name
-        let mut parts = vec![first];
-        while self.peek() == Some(&TokenKind::Dot) {
+        while self.at(&TokenKind::Dot) {
             match self.peek_at(1) {
-                Some(TokenKind::Ident(_)) => {
-                    self.bump();
-                    parts.push(self.expect_ident("name part")?);
+                Some(&TokenKind::Ident(part)) => {
+                    self.pos += 2;
+                    name.push(part);
                 }
                 Some(TokenKind::Star) => {
                     // t.* projection
-                    self.bump();
-                    self.bump();
-                    return Ok(Node::star().with_attr("table", parts.join(".").as_str()));
+                    self.pos += 2;
+                    return Ok(Node::from_parts(
+                        NodeKind::Star,
+                        &[(Sym::TABLE, AttrValue::from(&*name.joined()))],
+                        Vec::new(),
+                    ));
                 }
                 _ => break,
             }
         }
 
-        if self.peek() == Some(&TokenKind::LParen) {
-            // function call
-            self.bump();
-            let name = parts.join(".");
-            let is_agg = AGGREGATES.contains(&name.to_ascii_uppercase().as_str());
+        if !self.at(&TokenKind::LParen) {
+            // column reference
+            return Ok(match &name.qualifier {
+                None => Node::column(name.last),
+                Some(table) => Node::qualified_column(table, name.last),
+            });
+        }
+
+        // function call
+        let aggregate = match name.qualifier {
+            None => AGGREGATES
+                .iter()
+                .find(|agg| agg.eq_ignore_ascii_case(name.last)),
+            Some(_) => None,
+        };
+        // The function name is modelled as a FuncName child (not an attribute) so that
+        // changing only the function name yields a small string-typed leaf diff.
+        let canonical = match aggregate {
+            Some(agg) => spelled(agg),
+            None => AttrValue::from(&*name.joined()),
+        };
+        let func_name = Node::from_parts(NodeKind::FuncName, &[(Sym::NAME, canonical)], Vec::new());
+        let (children, distinct) = self.parenthesized(|p| {
+            let mut children = vec![func_name];
             let mut distinct = false;
-            let mut args = Vec::new();
-            if self.peek() != Some(&TokenKind::RParen) {
-                if is_agg && self.eat_keyword(Keyword::Distinct) {
-                    distinct = true;
-                }
+            if !p.at(&TokenKind::RParen) {
+                distinct = aggregate.is_some() && p.eat_keyword(Keyword::Distinct);
                 loop {
-                    args.push(self.parse_expr()?);
-                    if !self.eat_token(&TokenKind::Comma) {
+                    children.push(p.parse_expr()?);
+                    if !p.eat_token(&TokenKind::Comma) {
                         break;
                     }
                 }
             }
-            self.expect_token(TokenKind::RParen, ")")?;
-            // The function name is modelled as a FuncName child (not an attribute) so that
-            // changing only the function name yields a small string-typed leaf diff.
-            let (kind, canonical_name) = if is_agg {
-                (NodeKind::AggCall, name.to_ascii_uppercase())
-            } else {
-                (NodeKind::FuncCall, name)
-            };
-            let mut node = Node::new(kind).with_child(
-                Node::new(NodeKind::FuncName).with_attr("name", canonical_name.as_str()),
-            );
-            if distinct {
-                node.set_attr("distinct", true);
-            }
-            Ok(node.with_children(args))
-        } else {
-            // column reference
-            match parts.len() {
-                1 => Ok(Node::column(&parts[0])),
-                _ => {
-                    let name = parts.pop().expect("at least two parts");
-                    Ok(Node::qualified_column(&parts.join("."), &name))
-                }
-            }
-        }
+            Ok((children, distinct))
+        })?;
+        let (kind, attrs): (_, &[(Sym, AttrValue)]) = match (aggregate, distinct) {
+            (Some(_), true) => (NodeKind::AggCall, &[(Sym::DISTINCT, AttrValue::Bool(true))]),
+            (Some(_), false) => (NodeKind::AggCall, &[]),
+            (None, _) => (NodeKind::FuncCall, &[]),
+        };
+        Ok(Node::from_parts(kind, attrs, children))
     }
 }
 
-fn binop(op: &str, left: Node, right: Node) -> Node {
-    Node::new(NodeKind::BiExpr)
-        .with_attr("op", op)
-        .with_child(left)
-        .with_child(right)
+/// A node of `kind` with the single child `child` and no attributes.
+fn wrap(kind: NodeKind, child: Node) -> Node {
+    Node::from_parts(kind, &[], vec![child])
+}
+
+/// A grammar spelling as an attribute value (no interning: it lives in the binary).
+fn spelled(text: &'static str) -> AttrValue {
+    AttrValue::Str(IStr::from_static(text))
+}
+
+fn binop(op: &'static str, left: Node, right: Node) -> Node {
+    Node::from_parts(
+        NodeKind::BiExpr,
+        &[(Sym::OP, spelled(op))],
+        vec![left, right],
+    )
+}
+
+fn unary(op: &'static str, inner: Node) -> Node {
+    Node::from_parts(NodeKind::UnExpr, &[(Sym::OP, spelled(op))], vec![inner])
+}
+
+/// Unary minus, folded into a numeric literal so `-5` is a single NumExpr.
+fn negate(inner: Node) -> Node {
+    if inner.kind_ref() == &NodeKind::NumExpr {
+        match inner.attr("value") {
+            Some(AttrValue::Int(i)) => return Node::int(-i),
+            Some(AttrValue::Float(f)) => return Node::float(-f),
+            _ => {}
+        }
+    }
+    unary("-", inner)
+}
+
+fn bool_literal(value: &'static str) -> Node {
+    Node::from_parts(
+        NodeKind::BoolExpr,
+        &[(Sym::VALUE, spelled(value))],
+        Vec::new(),
+    )
+}
+
+/// A node whose attributes are its `name`, then its `alias`, each when present.
+fn aliased(
+    kind: NodeKind,
+    name: Option<AttrValue>,
+    alias: Option<&str>,
+    children: Vec<Node>,
+) -> Node {
+    let name = name.map(|name| (Sym::NAME, name));
+    let alias = alias.map(|alias| (Sym::ALIAS, AttrValue::from(alias)));
+    match (name, alias) {
+        (None, None) => Node::from_parts(kind, &[], children),
+        (Some(one), None) | (None, Some(one)) => Node::from_parts(kind, &[one], children),
+        (Some(name), Some(alias)) => Node::from_parts(kind, &[name, alias], children),
+    }
 }
 
 #[cfg(test)]
@@ -962,6 +993,56 @@ mod tests {
         let cast = q.get(&"0/0/0".parse::<Path>().unwrap()).unwrap();
         assert_eq!(cast.kind(), NodeKind::Cast);
         assert_eq!(cast.attr_str("ty"), Some("varchar"));
+    }
+
+    /// Parses on a thread with a 2 MiB stack, the default of a spawned worker thread.
+    fn parse_on_small_stack(sql: String) -> Result<Node, ParseError> {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&sql))
+            .expect("spawn a parser thread")
+            .join()
+            .expect("parsing never panics")
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_a_stack_overflow() {
+        let parens = |n: usize| format!("SELECT {}a{} FROM t", "(".repeat(n), ")".repeat(n));
+        let nots = |n: usize| format!("SELECT a FROM t WHERE {}x = 1", "NOT ".repeat(n));
+        let minus = |n: usize| format!("SELECT {}5 FROM t", "- ".repeat(n));
+        for (deep, first_offset, step) in [
+            (parens as fn(usize) -> String, 7, 1),
+            (nots, 22, 4),
+            (minus, 7, 2),
+        ] {
+            let err = parse_on_small_stack(deep(100_000)).unwrap_err();
+            assert_eq!(err.kind, ParseErrorKind::NestingTooDeep);
+            assert_eq!(err.offset, first_offset + step * MAX_NESTING, "{err}");
+            assert!(parse_on_small_stack(deep(MAX_NESTING + 1)).is_err());
+            assert!(parse_on_small_stack(deep(MAX_NESTING)).is_ok());
+        }
+        // Every nesting construct counts: subqueries, argument lists, CASE and CAST.
+        let subqueries = format!(
+            "SELECT a FROM {}t{}",
+            "(SELECT a FROM ".repeat(200),
+            ")".repeat(200)
+        );
+        let calls = format!("SELECT {}a{} FROM t", "f(".repeat(200), ")".repeat(200));
+        let cases = format!(
+            "SELECT {}a{} FROM t",
+            "CASE WHEN ".repeat(200),
+            " THEN 1 END".repeat(200)
+        );
+        let casts = format!("SELECT {}a{} FROM t", "CAST(".repeat(200), ")".repeat(200));
+        let members = format!(
+            "SELECT a FROM t WHERE {}1{}",
+            "x IN (SELECT a FROM t WHERE ".repeat(200),
+            ")".repeat(200)
+        );
+        for deep in [subqueries, calls, cases, casts, members] {
+            let err = parse_on_small_stack(deep).unwrap_err();
+            assert_eq!(err.kind, ParseErrorKind::NestingTooDeep);
+        }
     }
 
     #[test]

@@ -871,8 +871,7 @@ impl Session {
             dialect_table.push(restore_dialect(codec::take_str(r)?));
         }
         let tag_count = codec::take_count(r)?;
-        let mut dialect_tags = vec![0u8; tag_count];
-        std::io::Read::read_exact(r, &mut dialect_tags).map_err(CodecError::Io)?;
+        let dialect_tags = codec::take_bytes(r, tag_count)?;
         if let Some(&bad) = dialect_tags
             .iter()
             .find(|&&t| usize::from(t) >= dialect_table.len())
@@ -892,7 +891,7 @@ impl Session {
                 "error sample holds {error_count} entries over a cap of {error_cap}"
             )));
         }
-        let mut error_entries = Vec::with_capacity(error_count);
+        let mut error_entries = Vec::with_capacity(error_count.min(64));
         for _ in 0..error_count {
             let dialect = restore_dialect(codec::take_str(r)?);
             let message = codec::take_str(r)?;

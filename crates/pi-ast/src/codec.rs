@@ -368,9 +368,22 @@ pub fn put_str<W: Write>(w: &mut W, s: &str) -> Result<(), CodecError> {
 /// Reads a length-prefixed UTF-8 string, validating the encoding.
 pub fn take_str<R: Read>(r: &mut R) -> Result<String, CodecError> {
     let len = take_count(r)?;
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
+    let buf = take_bytes(r, len)?;
     String::from_utf8(buf).map_err(|_| corrupt("string payload is not UTF-8"))
+}
+
+/// Reads exactly `len` bytes whose length the input declared.
+///
+/// The read goes through [`Read::take`] into a buffer that grows with the bytes actually
+/// read, from at most 1 KiB reserved up front, so a hostile length prefix costs what the
+/// input holds, not what it claims: a short input fails with `UnexpectedEof`.
+pub fn take_bytes<R: Read>(r: &mut R, len: usize) -> Result<Vec<u8>, CodecError> {
+    let mut buf = Vec::with_capacity(len.min(1 << 10));
+    r.take(len as u64).read_to_end(&mut buf)?;
+    if buf.len() < len {
+        return Err(CodecError::Io(io::ErrorKind::UnexpectedEof.into()));
+    }
+    Ok(buf)
 }
 
 // ------------------------------------------------------------------ journal records

@@ -11,11 +11,21 @@
 //!   between anchors is paired positionally and recursed into (or reported as an insertion /
 //!   deletion when one side runs out).
 //!
-//! One alignment allocates one [`Scratch`] and every recursion level reuses it: the current
-//! path is pushed and popped in place (and copied only into an emitted change), the anchors
-//! of every open level share one stack, and the hash and LCS buffers are refilled per level.
-//! So a level allocates nothing once the buffers have grown to the widest child list.
+//! All of an alignment's working state lives in one [`Scratch`], cleared and reused from one
+//! alignment to the next: the current path is pushed and popped in place (and copied only
+//! into an emitted change), the anchors of every open level share one stack, the hash and
+//! LCS buffers are refilled per level, and the ancestor closure refills its leaf-order and
+//! ancestor-path buffers per alignment.  The matcher writes each leaf change straight onto
+//! the end of the caller's change vector.  A [`DiffStore`] keeps one scratch per thread and
+//! hands its change table over as that vector ([`DiffStore::push_alignment`]), so once the
+//! buffers have grown to the widest child list an alignment allocates nothing but the paths
+//! deeper than [`Path`]'s inline steps.  [`leaf_changes`], [`crate::extract_changes`] and
+//! [`crate::extract_diffs`] run the same code on a fresh scratch.
+//!
+//! [`DiffStore`]: crate::DiffStore
+//! [`DiffStore::push_alignment`]: crate::DiffStore::push_alignment
 
+use crate::record::TreeChange;
 use pi_ast::{Node, Path};
 
 /// One minimal changed subtree between two trees.
@@ -42,11 +52,17 @@ impl LeafChange {
     }
 }
 
-/// Computes the minimal changed subtrees that transform `a` into `b`.
+/// Computes the minimal changed subtrees that transform `a` into `b`, in matcher order.
 pub fn leaf_changes(a: &Node, b: &Node) -> Vec<LeafChange> {
-    let mut scratch = Scratch::default();
-    scratch.diff_nodes(a, b);
-    scratch.out
+    let mut out = Vec::new();
+    Scratch::default().leaves_into(a, b, &mut out);
+    out.into_iter()
+        .map(|change| LeafChange {
+            path: change.path,
+            before: change.before,
+            after: change.after,
+        })
+        .collect()
 }
 
 /// Convenience alias of [`leaf_changes`], named after its role in the pipeline.
@@ -54,10 +70,12 @@ pub fn diff_trees(a: &Node, b: &Node) -> Vec<LeafChange> {
     leaf_changes(a, b)
 }
 
-/// The working state of one alignment, shared by every recursion level.
+/// The working state of an alignment and its ancestor closure, shared by every recursion
+/// level and reused from one alignment to the next.  Every buffer is refilled before it is
+/// read, so reuse cannot change a result.
 #[derive(Default)]
-struct Scratch {
-    /// Location of the node pair being aligned.
+pub(crate) struct Scratch {
+    /// Location of the node pair being aligned; the root between alignments.
     path: Path,
     /// LCS anchors of every open level, innermost on top; a level truncates back to its
     /// base before it returns.
@@ -67,35 +85,50 @@ struct Scratch {
     bh: Vec<u64>,
     /// The current level's LCS table.
     dp: Vec<u32>,
-    out: Vec<LeafChange>,
+    /// The closure's leaf changes, as indices into the alignment's leaves, sorted by path
+    /// with repeated paths dropped.
+    pub(crate) leaf_order: Vec<usize>,
+    /// The closure's ancestor paths, in [`Path`] order.
+    pub(crate) ancestors: Vec<Path>,
 }
 
 impl Scratch {
-    fn diff_nodes(&mut self, a: &Node, b: &Node) {
+    /// Appends the leaf changes that transform `a` into `b` to `out`, in matcher order,
+    /// each marked `is_leaf`.
+    pub(crate) fn leaves_into(&mut self, a: &Node, b: &Node, out: &mut Vec<TreeChange>) {
+        // Balanced pushes and pops leave both at their base; a panic that unwound out of an
+        // earlier alignment may not have.
+        self.anchors.clear();
+        while self.path.pop().is_some() {}
+        self.diff_nodes(a, b, out);
+    }
+
+    fn diff_nodes(&mut self, a: &Node, b: &Node, out: &mut Vec<TreeChange>) {
         // O(1) equal-subtree short-circuit on the memoized structural hash — this, not the
         // deep `==`, is what makes pairwise alignment cheap on mostly-identical log queries.
         if a.same_tree(b) {
             return;
         }
         if !a.same_label(b) {
-            self.emit(Some(a), Some(b));
+            self.emit(Some(a), Some(b), out);
             return;
         }
-        self.align_children(a, b);
+        self.align_children(a, b, out);
     }
 
-    /// Records a change at the current path; the emitted path is rebuilt from the steps so
-    /// it is stored inline whenever it fits.
-    fn emit(&mut self, before: Option<&Node>, after: Option<&Node>) {
-        self.out.push(LeafChange {
+    /// Records a leaf change at the current path; the emitted path is rebuilt from the steps
+    /// so it is stored inline whenever it fits.
+    fn emit(&self, before: Option<&Node>, after: Option<&Node>, out: &mut Vec<TreeChange>) {
+        out.push(TreeChange {
             path: Path::from(self.path.steps()),
             before: before.cloned(),
             after: after.cloned(),
+            is_leaf: true,
         });
     }
 
     /// Aligns the child lists of two same-labelled nodes and recurses.
-    fn align_children(&mut self, a: &Node, b: &Node) {
+    fn align_children(&mut self, a: &Node, b: &Node, out: &mut Vec<TreeChange>) {
         let ac = a.children();
         let bc = b.children();
         let (n, m) = (ac.len(), bc.len());
@@ -132,7 +165,7 @@ impl Scratch {
                 .get(k)
                 .copied()
                 .unwrap_or((n - suffix, m - suffix));
-            self.gap(&ac[ai..anchor_a], &bc[bi..anchor_b], ai);
+            self.gap(&ac[ai..anchor_a], &bc[bi..anchor_b], ai, out);
             ai = anchor_a + 1;
             bi = anchor_b + 1;
         }
@@ -141,11 +174,11 @@ impl Scratch {
 
     /// Everything between two anchors: unmatched children, paired positionally from
     /// source index `at`, then the leftovers of the longer side.
-    fn gap(&mut self, gap_a: &[Node], gap_b: &[Node], at: usize) {
+    fn gap(&mut self, gap_a: &[Node], gap_b: &[Node], at: usize, out: &mut Vec<TreeChange>) {
         let paired = gap_a.len().min(gap_b.len());
         for k in 0..paired {
             self.path.push(at + k);
-            self.diff_nodes(&gap_a[k], &gap_b[k]);
+            self.diff_nodes(&gap_a[k], &gap_b[k], out);
             self.path.pop();
         }
         // Source has extra children: deletions.  Target has extra children: insertions,
@@ -153,12 +186,12 @@ impl Scratch {
         // one of the two loops runs.
         for (k, extra) in gap_a.iter().enumerate().skip(paired) {
             self.path.push(at + k);
-            self.emit(Some(extra), None);
+            self.emit(Some(extra), None, out);
             self.path.pop();
         }
         for (k, extra) in gap_b.iter().enumerate().skip(paired) {
             self.path.push(at + k);
-            self.emit(None, Some(extra));
+            self.emit(None, Some(extra), out);
             self.path.pop();
         }
     }

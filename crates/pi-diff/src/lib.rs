@@ -55,7 +55,10 @@ pub fn extract_diffs(
 ///
 /// This is the memoizable unit of pair mining — alignment depends only on tree structure, so
 /// one change list serves every log pair whose members are structurally identical to
-/// `(a, b)`: a [`DiffStore`] holds the list once and a run row per such pair.  The invariant the memoized graph builder relies on (and property tests pin):
+/// `(a, b)`: a [`DiffStore`] holds the list once and a run row per such pair.  Mining builds
+/// that list with [`DiffStore::push_alignment`], which runs the same matcher and closure on a
+/// reused scratch and writes straight into the store; this function runs them on a fresh
+/// one.  The invariant the memoized graph builder relies on (and property tests pin):
 /// for all `i`, `j`,
 /// `extract_changes(a, b, p).iter().map(|c| c.to_record(i, j)) == extract_diffs(a, b, i, j, p)`.
 pub fn extract_changes(a: &Node, b: &Node, policy: AncestorPolicy) -> Vec<TreeChange> {

@@ -1,6 +1,8 @@
 //! The `diffs` table: records of subtree transformations between pairs of log queries.
 
-use crate::align::{leaf_changes, LeafChange};
+#[cfg(test)]
+use crate::align::LeafChange;
+use crate::align::Scratch;
 use pi_ast::{Node, Path, PrimitiveType, ReplaceError};
 
 /// How the ancestor closure of leaf diffs is materialised.
@@ -256,44 +258,12 @@ impl TreeChange {
 
 /// Builds the index-free change list between two trees, expanding (and optionally pruning)
 /// ancestors — everything [`build_records`] computes except the log endpoints.  Leaf changes
-/// come first, in matcher order, then ancestors in [`Path`] order.
+/// come first, in matcher order, then ancestors in [`Path`] order.  Runs on a fresh
+/// [`Scratch`]; a [`DiffStore`](crate::DiffStore) runs the same code on a reused one and
+/// writes the list straight into its change table.
 pub fn build_changes(a: &Node, b: &Node, policy: AncestorPolicy) -> Vec<TreeChange> {
-    let leaves = leaf_changes(a, b);
-    if leaves.is_empty() {
-        return Vec::new();
-    }
-
-    let ancestor_paths = ancestor_paths(&leaves, policy);
-
-    let mut out: Vec<TreeChange> = Vec::with_capacity(leaves.len() + ancestor_paths.len());
-    out.extend(leaves.into_iter().map(
-        |LeafChange {
-             path,
-             before,
-             after,
-         }| TreeChange {
-            path,
-            before,
-            after,
-            is_leaf: true,
-        },
-    ));
-
-    for path in ancestor_paths {
-        // Both sides must exist: an ancestor of a change always exists in the source tree, and
-        // in the target tree unless sibling shifts moved it; such rare cases are simply skipped.
-        if let (Some(before), Some(after)) = (a.get(&path), b.get(&path)) {
-            if before.same_tree(after) {
-                continue;
-            }
-            out.push(TreeChange {
-                before: Some(before.clone()),
-                after: Some(after.clone()),
-                path,
-                is_leaf: false,
-            });
-        }
-    }
+    let mut out = Vec::new();
+    Scratch::default().changes_into(a, b, policy, &mut out);
     out
 }
 
@@ -311,39 +281,100 @@ pub fn build_records(
         .collect()
 }
 
-/// Computes the ancestor paths to materialise for a set of leaf changes, in [`Path`] order,
-/// without the leaf paths themselves (those are emitted as leaf records, so a root-level
-/// replacement already *is* the whole-tree transformation).
-///
-/// `LcaPruned` keeps the root — the whole-query transformation is always a viable
-/// interaction (Figure 4) — and the least common ancestor of every pair of leaf paths.
-/// Sorted, adjacent pairs alone give every pair's: in `Path` (lexicographic) order, the
-/// common prefix of `p[i]` and `p[j]` (`i < j`) is the shortest of the adjacent pairs'
-/// common prefixes between them, and that one is also a prefix of `p[i]` — so each pairwise
-/// LCA is some adjacent pair's, in `O(k log k)` for `k` leaves instead of `O(k²)`.
-/// Duplicate leaf paths add nothing (a path's LCA with itself is a leaf path) and are
-/// dropped first.  `Full` keeps every proper ancestor of every leaf path.
+impl Scratch {
+    /// Aligns `a` with `b` and appends their change list to `out`: the leaf changes in
+    /// matcher order, then the ancestors `policy` keeps, in [`Path`] order.  Returns the
+    /// number of leaf changes.
+    pub(crate) fn changes_into(
+        &mut self,
+        a: &Node,
+        b: &Node,
+        policy: AncestorPolicy,
+        out: &mut Vec<TreeChange>,
+    ) -> usize {
+        let first = out.len();
+        self.leaves_into(a, b, out);
+        let leaves = out.len() - first;
+        if leaves == 0 {
+            return 0;
+        }
+        self.close(&out[first..], policy);
+        for path in self.ancestors.drain(..) {
+            // Both sides must exist: an ancestor of a change always exists in the source
+            // tree, and in the target tree unless sibling shifts moved it; such rare cases
+            // are simply skipped.
+            if let (Some(before), Some(after)) = (a.get(&path), b.get(&path)) {
+                if !before.same_tree(after) {
+                    out.push(TreeChange {
+                        before: Some(before.clone()),
+                        after: Some(after.clone()),
+                        path,
+                        is_leaf: false,
+                    });
+                }
+            }
+        }
+        leaves
+    }
+
+    /// Fills `self.ancestors` with the ancestor paths to materialise for a set of leaf
+    /// changes, in [`Path`] order, without the leaf paths themselves (those are emitted as
+    /// leaf records, so a root-level replacement already *is* the whole-tree
+    /// transformation).
+    ///
+    /// `LcaPruned` keeps the root — the whole-query transformation is always a viable
+    /// interaction (Figure 4) — and the least common ancestor of every pair of leaf paths.
+    /// Sorted, adjacent pairs alone give every pair's: in `Path` (lexicographic) order, the
+    /// common prefix of `p[i]` and `p[j]` (`i < j`) is the shortest of the adjacent pairs'
+    /// common prefixes between them, and that one is also a prefix of `p[i]` — so each
+    /// pairwise LCA is some adjacent pair's, in `O(k log k)` for `k` leaves instead of
+    /// `O(k²)`.  Duplicate leaf paths add nothing (a path's LCA with itself is a leaf path)
+    /// and are dropped first.  `Full` keeps every proper ancestor of every leaf path.
+    fn close(&mut self, leaves: &[TreeChange], policy: AncestorPolicy) {
+        let path = |i: usize| &leaves[i].path;
+        let (order, out) = (&mut self.leaf_order, &mut self.ancestors);
+        order.clear();
+        order.extend(0..leaves.len());
+        order.sort_unstable_by(|&x, &y| path(x).cmp(path(y)));
+        order.dedup_by(|x, y| path(*x) == path(*y));
+        out.clear();
+        match policy {
+            AncestorPolicy::Full => {
+                for &i in order.iter() {
+                    let steps = path(i).steps();
+                    out.extend((0..steps.len()).map(|depth| Path::from(&steps[..depth])));
+                }
+            }
+            AncestorPolicy::LcaPruned => {
+                out.push(Path::root());
+                out.extend(
+                    order
+                        .windows(2)
+                        .map(|pair| path(pair[0]).common_prefix(path(pair[1]))),
+                );
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out.retain(|ancestor| order.binary_search_by(|&i| path(i).cmp(ancestor)).is_err());
+    }
+}
+
+/// The ancestor closure of `leaves` on a fresh [`Scratch`].
+#[cfg(test)]
 fn ancestor_paths(leaves: &[LeafChange], policy: AncestorPolicy) -> Vec<Path> {
-    let mut leaf_paths: Vec<&Path> = leaves.iter().map(|l| &l.path).collect();
-    leaf_paths.sort_unstable();
-    leaf_paths.dedup();
-    let mut out: Vec<Path> = match policy {
-        AncestorPolicy::Full => leaf_paths
-            .iter()
-            .flat_map(|path| (0..path.depth()).map(|depth| Path::from(&path.steps()[..depth])))
-            .collect(),
-        AncestorPolicy::LcaPruned => std::iter::once(Path::root())
-            .chain(
-                leaf_paths
-                    .windows(2)
-                    .map(|pair| pair[0].common_prefix(pair[1])),
-            )
-            .collect(),
-    };
-    out.sort_unstable();
-    out.dedup();
-    out.retain(|path| leaf_paths.binary_search(&path).is_err());
-    out
+    let leaves: Vec<TreeChange> = leaves
+        .iter()
+        .map(|leaf| TreeChange {
+            path: leaf.path.clone(),
+            before: leaf.before.clone(),
+            after: leaf.after.clone(),
+            is_leaf: true,
+        })
+        .collect();
+    let mut scratch = Scratch::default();
+    scratch.close(&leaves, policy);
+    scratch.ancestors
 }
 
 #[cfg(test)]

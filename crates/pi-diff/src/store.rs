@@ -13,8 +13,14 @@
 //! `(from, to)`, and their [`DiffId`]s are `first..first + len`, where `first` is the sum of
 //! the earlier runs' list lengths.  Ids are therefore the ones a per-record arena would
 //! assign, while repeated pairs of the same shapes cost one run row each.
+//!
+//! Mining fills the change table through [`DiffStore::push_alignment`], which aligns a tree
+//! pair straight into it on this thread's reused aligner state.
 
-use crate::record::{RecordRef, TreeChange};
+use crate::align::Scratch;
+use crate::record::{AncestorPolicy, RecordRef, TreeChange};
+use pi_ast::Node;
+use std::cell::RefCell;
 
 /// Identifier of a diff record inside a [`DiffStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -73,6 +79,13 @@ fn column(value: usize) -> u32 {
     u32::try_from(value).expect("a diff store column holds fewer than 2^32 entries")
 }
 
+thread_local! {
+    /// This thread's aligner state, reused by every alignment it appends to any store.  It
+    /// is created on a thread's first alignment, so a new store or session allocates
+    /// nothing for it, and it is never persisted.
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
 impl DiffStore {
     /// Creates an empty store.
     pub fn new() -> Self {
@@ -88,16 +101,58 @@ impl DiffStore {
         }
     }
 
+    /// Aligns `a` with `b` under `policy` and appends their change list, returning its id:
+    /// the list [`crate::extract_changes`] returns for the pair, leaves first, with the same
+    /// paths.  The matcher and the ancestor closure write the changes straight onto the
+    /// change table, on this thread's reused aligner state, so once the table and the
+    /// aligner's buffers have grown an alignment allocates only for paths deeper than
+    /// [`pi_ast::Path`]'s inline steps.
+    pub fn push_alignment(&mut self, a: &Node, b: &Node, policy: AncestorPolicy) -> u32 {
+        let first = self.changes.len();
+        let leaves = SCRATCH.with(|scratch| {
+            scratch
+                .borrow_mut()
+                .changes_into(a, b, policy, &mut self.changes)
+        });
+        self.close_appended(first, leaves)
+    }
+
     /// Appends one alignment's changes to the change table as a new list and returns the
     /// list's id.  The changes come leaves first, as [`crate::extract_changes`] emits them.
     pub fn push_list(&mut self, changes: Vec<TreeChange>) -> u32 {
+        let first = self.changes.len();
         let leaves = changes.iter().take_while(|c| c.is_leaf).count();
+        self.changes.extend(changes);
+        self.close_appended(first, leaves)
+    }
+
+    /// Moves every change list of `other`, a store that holds lists but no runs, to the end
+    /// of this store in order, and returns the id its first list takes here: list `k` of
+    /// `other` becomes list `first + k`.
+    pub fn append_lists(&mut self, other: DiffStore) -> u32 {
         debug_assert!(
-            changes[leaves..].iter().all(|c| !c.is_leaf),
+            other.runs.is_empty(),
+            "only change lists move between stores"
+        );
+        let first = column(self.lists.len());
+        let (changes, items) = (self.changes.len(), self.items.len());
+        self.changes.extend(other.changes);
+        self.items
+            .extend(other.items.iter().map(|&c| column(changes + c as usize)));
+        self.lists.extend(other.lists.iter().map(|list| List {
+            start: column(items + list.start as usize),
+            ..*list
+        }));
+        first
+    }
+
+    /// Registers the changes appended to the table from index `first` on, the first
+    /// `leaves` of them leaf changes, as a new list.
+    fn close_appended(&mut self, first: usize, leaves: usize) -> u32 {
+        debug_assert!(
+            self.changes[first + leaves..].iter().all(|c| !c.is_leaf),
             "change lists put their leaves first"
         );
-        let first = self.changes.len();
-        self.changes.extend(changes);
         let indices = first..self.changes.len();
         self.items.extend(indices.map(column));
         self.close_list(leaves)
@@ -349,6 +404,79 @@ mod tests {
         let mut moved = restored.clone();
         moved.runs[1].to += 1;
         assert_ne!(moved, shared);
+    }
+
+    #[test]
+    fn aligning_on_reused_state_equals_aligning_on_fresh_state() {
+        use pi_ast::NodeKind;
+        let list = |children: Vec<Node>| Node::new(NodeKind::Project).with_children(children);
+        let col = |name: &str| Node::column(name);
+        let cols = |names: &[&str]| names.iter().map(|name| col(name)).collect::<Vec<_>>();
+        // Eleven nested levels, each behind a trimmed sibling: the changes sit at depth 11,
+        // past `Path`'s eight inline steps, so the reused path spills to the heap.
+        let deep = |bottom: Node| (0..10).fold(bottom, |inner, _| list(vec![col("s"), inner]));
+        // Both ends differ, so nothing is trimmed and the LCS table spans all 26 children,
+        // whose shapes repeat.
+        let wide = |ends: [&str; 2], middle: &[&str]| {
+            let mut children = vec![col(ends[0])];
+            for _ in 0..3 {
+                children.extend(cols(middle));
+            }
+            children.push(col(ends[1]));
+            list(children)
+        };
+        // A two-by-two LCS whose one anchor, `x`, is found only if the table's borders read
+        // zero: a table left over from a wider alignment would pair the lists positionally.
+        let anchored = (list(cols(&["p", "x"])), list(cols(&["x", "r"])));
+        let pairs = [
+            anchored.clone(),
+            (
+                deep(list(cols(&["k", "p"]))),
+                deep(list(cols(&["k", "q", "n"]))),
+            ),
+            (
+                wide(["p", "q"], &["a", "b", "c", "d", "e", "f", "g", "h"]),
+                wide(["r", "s"], &["b", "a", "c", "x", "e", "g", "f", "h"]),
+            ),
+            anchored,
+            (
+                parse("SELECT sales FROM t WHERE cty = 'USA'"),
+                parse("SELECT costs FROM t WHERE cty = 'EUR'"),
+            ),
+        ];
+        let mut store = DiffStore::new();
+        for policy in [AncestorPolicy::LcaPruned, AncestorPolicy::Full] {
+            for (a, b) in &pairs {
+                let list = store.push_alignment(a, b, policy);
+                let fresh = crate::extract_changes(a, b, policy);
+                let reused: Vec<TreeChange> = store.list_changes(list).cloned().collect();
+                // `Debug` shows each path's representation, inline or heap, as well as its
+                // steps, so this also pins where every path is stored.
+                assert_eq!(format!("{reused:?}"), format!("{fresh:?}"), "{policy:?}");
+                let leaves = fresh.iter().filter(|c| c.is_leaf).count();
+                assert_eq!(store.list_leaves(list), leaves);
+            }
+        }
+        assert!(store.changes().iter().any(|c| c.path.depth() > 8));
+        assert_eq!(store.list_count(), 2 * pairs.len());
+    }
+
+    #[test]
+    fn appended_lists_keep_their_changes_and_leaf_counts() {
+        let shared = populated_store();
+        let mut worker = DiffStore::new();
+        for list in 0..shared.list_count() as u32 {
+            worker.push_list(shared.list_changes(list).cloned().collect());
+        }
+        let mut store = populated_store();
+        let first = store.append_lists(worker);
+        assert_eq!(first as usize, shared.list_count());
+        for list in 0..shared.list_count() as u32 {
+            let moved = first + list;
+            assert!(store.list_changes(moved).eq(shared.list_changes(list)));
+            assert_eq!(store.list_leaves(moved), shared.list_leaves(list));
+        }
+        assert_eq!(store.changes().len(), 2 * shared.changes().len());
     }
 
     #[test]

@@ -544,8 +544,11 @@ impl GraphBuilder {
             .map(|&(ca, cb)| align_cost_model(dedup.tree_size(ca), dedup.tree_size(cb)))
             .sum();
         if threads > 1 && (total >= PARALLEL_MIN_COST || self.steal_seed.is_some()) {
-            for ((ca, cb), changes) in self.align_pairs_parallel(dedup, needed, threads) {
-                memo.insert(ca, cb, store.push_list(changes));
+            for (block, lists) in self.align_pairs_parallel(dedup, needed, threads) {
+                let first = store.append_lists(lists);
+                for (list, (ca, cb)) in (first..).zip(block) {
+                    memo.insert(ca, cb, list);
+                }
             }
         } else {
             for (ca, cb) in needed {
@@ -560,14 +563,17 @@ impl GraphBuilder {
     /// distinct-pair plane — one tile touches at most `2 · CLASS_TILE` representatives, so
     /// both trees of every alignment in flight stay hot in cache — then packed into blocks
     /// of comparable estimated cost, so the alignment load balances by work rather than by
-    /// pair count.  Every result is keyed by its class pair, so neither block order nor
-    /// steal order can affect the memo's contents.
+    /// pair count.  Each block aligns its pairs, in order, into a store of its own with
+    /// [`DiffStore::push_alignment`] (on the worker thread's reused aligner state) and
+    /// returns it beside its pairs; list `k` of a block's store is its `k`-th pair's.  Every
+    /// result is keyed by its class pair, so neither block order nor steal order can affect
+    /// the memo's contents.
     fn align_pairs_parallel(
         &self,
         dedup: &DedupTable,
         mut needed: Vec<(u32, u32)>,
         threads: usize,
-    ) -> Vec<((u32, u32), Vec<TreeChange>)> {
+    ) -> Vec<(Vec<(u32, u32)>, DiffStore)> {
         needed.sort_unstable_by_key(|&(ca, cb)| (ca / CLASS_TILE, cb / CLASS_TILE, ca, cb));
         let cost =
             |&(ca, cb): &(u32, u32)| align_cost_model(dedup.tree_size(ca), dedup.tree_size(cb));
@@ -580,22 +586,17 @@ impl GraphBuilder {
             self.steal_seed,
             blocks,
             |_, block: &Vec<(u32, u32)>| {
-                block
-                    .iter()
-                    .map(|&(ca, cb)| {
-                        let changes = extract_changes(
-                            dedup.representative(ca),
-                            dedup.representative(cb),
-                            policy,
-                        );
-                        ((ca, cb), changes)
-                    })
-                    .collect::<Vec<_>>()
+                let mut lists = DiffStore::new();
+                for &(ca, cb) in block {
+                    lists.push_alignment(
+                        dedup.representative(ca),
+                        dedup.representative(cb),
+                        policy,
+                    );
+                }
+                (block.clone(), lists)
             },
         )
-        .into_iter()
-        .flatten()
-        .collect()
     }
 }
 

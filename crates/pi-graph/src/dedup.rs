@@ -13,7 +13,7 @@
 //! or off — only the work to produce them changes.
 
 use pi_ast::{IntBuildHasher, Node};
-use pi_diff::{extract_changes, AncestorPolicy, DiffStore};
+use pi_diff::{AncestorPolicy, DiffStore};
 use std::collections::HashMap;
 
 /// A structural deduplication table over an append-only query log.
@@ -252,10 +252,10 @@ impl DiffMemo {
         self.pairs.len()
     }
 
-    /// Number of full alignments (`extract_changes` runs) performed through the memoized
-    /// mining path — exactly one per distinct ordered pair met (a pair of one shape needs
-    /// none), the work term duplicate collapsing bounds by `O(d²)` however many log pairs
-    /// were enumerated.
+    /// Number of full alignments (class representatives aligned into a change list)
+    /// performed through the memoized mining path — exactly one per distinct ordered pair
+    /// met (a pair of one shape needs none), the work term duplicate collapsing bounds by
+    /// `O(d²)` however many log pairs were enumerated.
     pub fn alignments(&self) -> usize {
         self.alignments
     }
@@ -273,9 +273,10 @@ impl DiffMemo {
         self.pairs.get(&pair_key(ca, cb)).copied()
     }
 
-    /// The list id memoized for the ordered pair `(ca, cb)`, aligning the class
-    /// representatives into a new list of `store` on a miss.  Callers must have pinned the
-    /// policy via `set_policy`.
+    /// The list id memoized for the ordered pair `(ca, cb)`.  On a miss the class
+    /// representatives are aligned straight into `store`'s change table as a new list
+    /// ([`DiffStore::push_alignment`]), so a miss moves no change through a temporary
+    /// vector.  Callers must have pinned the policy via `set_policy`.
     pub(crate) fn list(
         &mut self,
         dedup: &DedupTable,
@@ -288,15 +289,11 @@ impl DiffMemo {
         let alignments = &mut self.alignments;
         *self.pairs.entry(pair_key(ca, cb)).or_insert_with(|| {
             *alignments += 1;
-            store.push_list(extract_changes(
-                dedup.representative(ca),
-                dedup.representative(cb),
-                policy,
-            ))
+            store.push_alignment(dedup.representative(ca), dedup.representative(cb), policy)
         })
     }
 
-    /// Records an alignment whose list the caller pushed (the parallel pre-computation
+    /// Records an alignment whose list the caller appended (the parallel pre-alignment
     /// path).
     pub(crate) fn insert(&mut self, ca: u32, cb: u32, list: u32) {
         self.alignments += 1;

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pi_ast::Frontend as _;
-use pi_diff::{extract_diffs, AncestorPolicy};
+use pi_diff::{extract_changes, AncestorPolicy};
 use pi_engine::{exec, Catalog};
 use pi_sql::SqlFrontend;
 use pi_workloads::sdss;
@@ -51,10 +51,10 @@ fn bench_stages(c: &mut Criterion) {
         b.iter(|| pi_diff::leaf_changes(&log[0], &log[1]))
     });
     group.bench_function("diff_pair_lca", |b| {
-        b.iter(|| extract_diffs(&log[0], &log[1], 0, 1, AncestorPolicy::LcaPruned))
+        b.iter(|| extract_changes(&log[0], &log[1], AncestorPolicy::LcaPruned))
     });
     group.bench_function("diff_pair_full", |b| {
-        b.iter(|| extract_diffs(&log[0], &log[1], 0, 1, AncestorPolicy::Full))
+        b.iter(|| extract_changes(&log[0], &log[1], AncestorPolicy::Full))
     });
 
     let generated = pi_core::PrecisionInterfaces::default()

@@ -171,10 +171,6 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
         let mut durability = DurabilityOptions::new(&dir);
         durability.checkpoint_bytes = 16 * 1024 * 1024;
-        // No artificial commit window: with every client thread blocked on the same sync
-        // lock, the leader's fsync already covers everyone who appended while it slept in
-        // line (lock-convoy batching); a window would only add latency per sync here.
-        durability.group_window = std::time::Duration::ZERO;
         let pool =
             SessionPool::with_spill(pool_options(Some(durability.clone()), per_tenant), None);
         pool.wait_ready();

@@ -2,10 +2,9 @@
 //!
 //! The build environment has no access to crates.io, so this workspace ships the slice of the
 //! `rand` 0.8 API it actually uses: [`Rng::gen_range`] / [`Rng::gen_bool`] over the standard
-//! numeric types, [`SeedableRng::seed_from_u64`], a deterministic [`rngs::StdRng`]
-//! (xoshiro256++ seeded via splitmix64), and [`seq::SliceRandom::shuffle`].  All generators in
-//! this workspace are seeded explicitly, so determinism — not cryptographic quality — is the
-//! contract that matters.
+//! numeric types, [`SeedableRng::seed_from_u64`] and a deterministic [`rngs::StdRng`]
+//! (xoshiro256++ seeded via splitmix64).  All generators in this workspace are seeded
+//! explicitly, so determinism — not cryptographic quality — is the contract that matters.
 
 #![warn(missing_docs)]
 
@@ -176,53 +175,15 @@ pub mod rngs {
     }
 }
 
-/// Sequence helpers, mirroring `rand::seq`.
-pub mod seq {
-    use super::Rng;
-
-    /// Random slice operations.
-    pub trait SliceRandom {
-        /// The element type.
-        type Item;
-
-        /// Shuffles the slice in place (Fisher–Yates).
-        fn shuffle<R: Rng>(&mut self, rng: &mut R);
-
-        /// A uniformly random element, or `None` when empty.
-        fn choose<R: Rng>(&self, rng: &mut R) -> Option<&Self::Item>;
-    }
-
-    impl<T> SliceRandom for [T] {
-        type Item = T;
-
-        fn shuffle<R: Rng>(&mut self, rng: &mut R) {
-            for i in (1..self.len()).rev() {
-                let j = rng.gen_range(0..=i);
-                self.swap(i, j);
-            }
-        }
-
-        fn choose<R: Rng>(&self, rng: &mut R) -> Option<&T> {
-            if self.is_empty() {
-                None
-            } else {
-                Some(&self[rng.gen_range(0..self.len())])
-            }
-        }
-    }
-}
-
 /// Re-exports matching `rand::prelude`.
 pub mod prelude {
     pub use crate::rngs::StdRng;
-    pub use crate::seq::SliceRandom;
     pub use crate::{Rng, RngCore, SeedableRng};
 }
 
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;
-    use super::seq::SliceRandom;
     use super::{Rng, SeedableRng};
 
     #[test]
@@ -254,21 +215,5 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let hits = (0..10_000).filter(|_| rng.gen_bool(0.25)).count();
         assert!((2000..3000).contains(&hits), "{hits}");
-    }
-
-    #[test]
-    fn shuffle_permutes() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut v: Vec<i32> = (0..50).collect();
-        v.shuffle(&mut rng);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(
-            v, sorted,
-            "a 50-element shuffle virtually never fixes order"
-        );
-        assert!([1, 2, 3].choose(&mut rng).is_some());
-        assert!(Vec::<i32>::new().choose(&mut rng).is_none());
     }
 }

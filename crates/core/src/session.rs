@@ -754,7 +754,7 @@ impl Session {
             });
         }
         // Buffer the rest of the frame and verify the checksum in one pass over the
-        // slice — folding per `read` call through a `ChecksumReader` costs real
+        // slice — folding per `read` call through a checksumming reader costs real
         // milliseconds against the ms-scale restore budget — then parse the envelope
         // straight from the verified bytes.
         let mut frame = Vec::new();

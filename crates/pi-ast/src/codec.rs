@@ -9,10 +9,10 @@
 //!   integers for hashes and checksums, zigzag for signed values, length-prefixed UTF-8 for
 //!   strings.  Everything reads/writes through `std::io`, so snapshots stream to files and
 //!   sockets without intermediate buffers.
-//! * **Integrity** — [`ChecksumWriter`] / [`ChecksumReader`] fold every byte into an
-//!   FNV-1a checksum so a snapshot's producer can stamp a trailing sum and its consumer can
-//!   reject *any* corruption with a clean [`CodecError::Corrupt`] — never a panic, never a
-//!   silently wrong structure.
+//! * **Integrity** — [`ChecksumWriter`] folds every written byte into an FNV-1a checksum
+//!   so a snapshot's producer can stamp a trailing sum, and its consumer recomputes it with
+//!   [`checksum`] over the buffered frame to reject *any* corruption with a clean
+//!   [`CodecError::Corrupt`] — never a panic, never a silently wrong structure.
 //! * **Structural sharing** — [`NodeTableBuilder`] serializes a set of trees as one table
 //!   of *distinct* subtrees (children-first, deduplicated by structural identity), so a
 //!   snapshot's size scales with distinct state: a subtree shared by a thousand class
@@ -153,8 +153,8 @@ fn finalize_lanes(lanes: &[u64; LANES], len: usize) -> u64 {
 }
 
 /// One-shot checksum over a complete buffer — identical to streaming the same bytes
-/// through [`ChecksumWriter`]/[`ChecksumReader`].  Readers that buffer a whole frame
-/// verify it in one pass here instead of folding per `read` call.
+/// through [`ChecksumWriter`].  Readers buffer a whole frame and verify it in one pass
+/// here.
 pub fn checksum(bytes: &[u8]) -> u64 {
     let mut lanes = [FNV_OFFSET; LANES];
     let mut chunks = bytes.chunks_exact(LANES);
@@ -213,42 +213,6 @@ impl<W: Write> Write for ChecksumWriter<W> {
 
     fn flush(&mut self) -> io::Result<()> {
         self.inner.flush()
-    }
-}
-
-/// A [`Read`] adapter folding every consumed byte into the laned FNV frame checksum,
-/// mirroring [`ChecksumWriter`].
-#[derive(Debug)]
-pub struct ChecksumReader<R> {
-    inner: R,
-    sum: LanedFnv,
-}
-
-impl<R: Read> ChecksumReader<R> {
-    /// Wraps a reader with a fresh checksum.
-    pub fn new(inner: R) -> Self {
-        ChecksumReader {
-            inner,
-            sum: LanedFnv::new(),
-        }
-    }
-
-    /// The checksum over every byte read so far.
-    pub fn sum(&self) -> u64 {
-        self.sum.sum()
-    }
-
-    /// The underlying reader (e.g. to read the trailing checksum, outside the sum).
-    pub fn inner_mut(&mut self) -> &mut R {
-        &mut self.inner
-    }
-}
-
-impl<R: Read> Read for ChecksumReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.sum.fold(&buf[..n]);
-        Ok(n)
     }
 }
 
@@ -377,11 +341,11 @@ pub fn take_str<R: Read>(r: &mut R) -> Result<String, CodecError> {
 /// The read goes through [`Read::take`] into a buffer that grows with the bytes actually
 /// read, from at most 1 KiB reserved up front, so a hostile length prefix costs what the
 /// input holds, not what it claims: a short input fails with `UnexpectedEof`.
-pub fn take_bytes<R: Read>(r: &mut R, len: usize) -> Result<Vec<u8>, CodecError> {
+pub fn take_bytes<R: Read>(r: &mut R, len: usize) -> io::Result<Vec<u8>> {
     let mut buf = Vec::with_capacity(len.min(1 << 10));
     r.take(len as u64).read_to_end(&mut buf)?;
     if buf.len() < len {
-        return Err(CodecError::Io(io::ErrorKind::UnexpectedEof.into()));
+        return Err(io::ErrorKind::UnexpectedEof.into());
     }
     Ok(buf)
 }
@@ -951,22 +915,19 @@ mod tests {
     }
 
     #[test]
-    fn checksum_adapters_agree_and_detect_flips() {
-        let payload = b"snapshot payload bytes".to_vec();
+    fn streamed_and_one_shot_checksums_agree_and_detect_flips() {
+        let payload = b"snapshot payload bytes, folded across lane boundaries".to_vec();
         let mut sink = Vec::new();
         let mut cw = ChecksumWriter::new(&mut sink);
-        cw.write_all(&payload).unwrap();
+        // Two uneven writes: the streamed fold must not depend on where writes split.
+        cw.write_all(&payload[..11]).unwrap();
+        cw.write_all(&payload[11..]).unwrap();
         let written_sum = cw.sum();
-
-        let mut cr = ChecksumReader::new(payload.as_slice());
-        let mut out = Vec::new();
-        cr.read_to_end(&mut out).unwrap();
-        assert_eq!(cr.sum(), written_sum);
+        assert_eq!(checksum(&payload), written_sum);
+        assert_eq!(sink, payload);
 
         let mut flipped = payload.clone();
         flipped[3] ^= 1;
-        let mut cr2 = ChecksumReader::new(flipped.as_slice());
-        std::io::copy(&mut cr2, &mut std::io::sink()).unwrap();
-        assert_ne!(cr2.sum(), written_sum);
+        assert_ne!(checksum(&flipped), written_sum);
     }
 }

@@ -19,8 +19,8 @@
 //! the end of the caller's change vector.  A [`DiffStore`] keeps one scratch per thread and
 //! hands its change table over as that vector ([`DiffStore::push_alignment`]), so once the
 //! buffers have grown to the widest child list an alignment allocates nothing but the paths
-//! deeper than [`Path`]'s inline steps.  [`leaf_changes`], [`crate::extract_changes`] and
-//! [`crate::extract_diffs`] run the same code on a fresh scratch.
+//! deeper than [`Path`]'s inline steps.  [`leaf_changes`] and [`crate::extract_changes`] run
+//! the same code on a fresh scratch.
 //!
 //! [`DiffStore`]: crate::DiffStore
 //! [`DiffStore::push_alignment`]: crate::DiffStore::push_alignment
@@ -28,46 +28,17 @@
 use crate::record::TreeChange;
 use pi_ast::{Node, Path};
 
-/// One minimal changed subtree between two trees.
+/// Computes the minimal changed subtrees that transform `a` into `b`, in matcher order, each
+/// marked `is_leaf`.
 ///
-/// Both sides alias their source queries: [`Node`] is a copy-on-write handle, so "cloning a
-/// subtree out" of a query at extraction time is a refcount bump, after which diff records,
-/// stores, widget domains and applied interactions all share the same allocation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LeafChange {
-    /// Location of the change.  For replacements and deletions this is the subtree's path in
-    /// the *source* tree; for insertions it is the position (in source coordinates) where the
-    /// new subtree appears.
-    pub path: Path,
-    /// The subtree in the source tree (`None` for insertions).
-    pub before: Option<Node>,
-    /// The subtree in the target tree (`None` for deletions).
-    pub after: Option<Node>,
-}
-
-impl LeafChange {
-    /// True when this change replaces one subtree by another.
-    pub fn is_replacement(&self) -> bool {
-        self.before.is_some() && self.after.is_some()
-    }
-}
-
-/// Computes the minimal changed subtrees that transform `a` into `b`, in matcher order.
-pub fn leaf_changes(a: &Node, b: &Node) -> Vec<LeafChange> {
+/// A change's path locates it in the *source* tree: for replacements and deletions it is the
+/// changed subtree's path, for insertions the position (in source coordinates) where the new
+/// subtree appears.  Both sides alias their source queries: [`Node`] is a copy-on-write
+/// handle, so taking a subtree out of a query is a refcount bump.
+pub fn leaf_changes(a: &Node, b: &Node) -> Vec<TreeChange> {
     let mut out = Vec::new();
     Scratch::default().leaves_into(a, b, &mut out);
-    out.into_iter()
-        .map(|change| LeafChange {
-            path: change.path,
-            before: change.before,
-            after: change.after,
-        })
-        .collect()
-}
-
-/// Convenience alias of [`leaf_changes`], named after its role in the pipeline.
-pub fn diff_trees(a: &Node, b: &Node) -> Vec<LeafChange> {
-    leaf_changes(a, b)
+    out
 }
 
 /// The working state of an alignment and its ancestor closure, shared by every recursion
@@ -240,6 +211,7 @@ impl Scratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ChangeKind;
     use pi_ast::Frontend as _;
     use pi_ast::NodeKind;
 
@@ -259,7 +231,7 @@ mod tests {
         let b = parse("SELECT a FROM t WHERE c = 2").unwrap();
         let changes = leaf_changes(&a, &b);
         assert_eq!(changes.len(), 1);
-        assert!(changes[0].is_replacement());
+        assert_eq!(changes[0].change_kind(), ChangeKind::Replacement);
         assert_eq!(
             changes[0].before.as_ref().unwrap().numeric_value(),
             Some(1.0)
@@ -311,7 +283,9 @@ mod tests {
         let b = parse("SELECT costs, day FROM t WHERE cty = 'EUR' AND y = 1").unwrap();
         let changes = leaf_changes(&a, &b);
         assert_eq!(changes.len(), 2);
-        assert!(changes.iter().all(|c| c.is_replacement()));
+        assert!(changes
+            .iter()
+            .all(|c| c.is_leaf && c.change_kind() == ChangeKind::Replacement));
     }
 
     #[test]

@@ -27,40 +27,24 @@ pub mod codec;
 mod record;
 mod store;
 
-pub use align::{diff_trees, leaf_changes, LeafChange};
-pub use record::{
-    apply_leaf_changes, AncestorPolicy, ChangeKind, DiffRecord, RecordRef, TreeChange,
-};
+pub use align::leaf_changes;
+pub use record::{apply_leaf_changes, AncestorPolicy, ChangeKind, RecordRef, TreeChange};
 pub use store::{DiffId, DiffStore, Run};
 
 use pi_ast::Node;
 
-/// Extracts the full set of diff records between two queries.
-///
-/// `q1_idx` / `q2_idx` are the positions of the two queries in the log (they become the `q1`,
-/// `q2` columns of the diffs table).  `policy` selects between the full ancestor closure and
-/// LCA pruning.
-pub fn extract_diffs(
-    a: &Node,
-    b: &Node,
-    q1_idx: usize,
-    q2_idx: usize,
-    policy: AncestorPolicy,
-) -> Vec<DiffRecord> {
-    record::build_records(a, b, q1_idx, q2_idx, policy)
-}
-
-/// Extracts the *index-free* change list between two trees: exactly the [`extract_diffs`]
-/// records minus the `(q1, q2)` endpoints, which [`TreeChange::to_record`] re-attaches.
+/// Extracts the *index-free* change list between two queries: the `diffs` records of the
+/// pair minus their `(q1, q2)` endpoints, leaf changes first (in matcher order), then the
+/// ancestors `policy` keeps (in path order).  `policy` selects between the full ancestor
+/// closure and LCA pruning.
 ///
 /// This is the memoizable unit of pair mining — alignment depends only on tree structure, so
 /// one change list serves every log pair whose members are structurally identical to
-/// `(a, b)`: a [`DiffStore`] holds the list once and a run row per such pair.  Mining builds
-/// that list with [`DiffStore::push_alignment`], which runs the same matcher and closure on a
-/// reused scratch and writes straight into the store; this function runs them on a fresh
-/// one.  The invariant the memoized graph builder relies on (and property tests pin):
-/// for all `i`, `j`,
-/// `extract_changes(a, b, p).iter().map(|c| c.to_record(i, j)) == extract_diffs(a, b, i, j, p)`.
+/// `(a, b)`: a [`DiffStore`] holds the list once and a run row per such pair, and reads each
+/// record back as a [`RecordRef`] that stamps a change with its pair's endpoints.  Mining
+/// builds that list with [`DiffStore::push_alignment`], which runs the same matcher and
+/// closure on a reused scratch and writes straight into the store; this function runs them
+/// on a fresh one.
 pub fn extract_changes(a: &Node, b: &Node, policy: AncestorPolicy) -> Vec<TreeChange> {
     record::build_changes(a, b, policy)
 }
@@ -101,7 +85,7 @@ mod tests {
     #[test]
     fn table1_leaf_and_ancestor_records() {
         let (q1, q2) = fig3_queries();
-        let diffs = extract_diffs(&q1, &q2, 1, 2, AncestorPolicy::Full);
+        let diffs = extract_changes(&q1, &q2, AncestorPolicy::Full);
 
         // Two leaf diffs: the ColExpr swap and the StrExpr swap (both `str`-typed), plus
         // ancestor records for the projection clause, the predicate, and the whole query.
@@ -128,15 +112,13 @@ mod tests {
 
         // Ancestors include the root (the whole-query replacement a toggle button would use).
         assert!(diffs.iter().any(|d| d.path.is_root() && !d.is_leaf));
-        // All records carry the query endpoints.
-        assert!(diffs.iter().all(|d| d.q1 == 1 && d.q2 == 2));
     }
 
     #[test]
     fn lca_pruning_drops_single_child_ancestors() {
         let (q1, q2) = fig3_queries();
-        let full = extract_diffs(&q1, &q2, 0, 1, AncestorPolicy::Full);
-        let pruned = extract_diffs(&q1, &q2, 0, 1, AncestorPolicy::LcaPruned);
+        let full = extract_changes(&q1, &q2, AncestorPolicy::Full);
+        let pruned = extract_changes(&q1, &q2, AncestorPolicy::LcaPruned);
         assert!(pruned.len() < full.len());
         // Leaf diffs are always preserved.
         assert_eq!(
@@ -158,7 +140,7 @@ mod tests {
     #[test]
     fn identical_queries_produce_no_diffs() {
         let q = parse("SELECT a FROM t WHERE b = 1").unwrap();
-        assert!(extract_diffs(&q, &q, 0, 0, AncestorPolicy::Full).is_empty());
+        assert!(extract_changes(&q, &q, AncestorPolicy::Full).is_empty());
     }
 
     #[test]
@@ -166,7 +148,7 @@ mod tests {
         // Listing 6: a TOP clause is added.
         let q1 = parse("SELECT g.objID FROM Galaxy AS g WHERE d = 1").unwrap();
         let q2 = parse("SELECT TOP 1 g.objID FROM Galaxy AS g WHERE d = 1").unwrap();
-        let diffs = extract_diffs(&q1, &q2, 0, 1, AncestorPolicy::Full);
+        let diffs = extract_changes(&q1, &q2, AncestorPolicy::Full);
         let add = diffs
             .iter()
             .find(|d| d.change_kind() == ChangeKind::Addition)
@@ -180,7 +162,7 @@ mod tests {
         // Listing 2: q1 -> q2 removes the COUNT(Delay) projection.
         let q1 = parse("SELECT COUNT(Delay), DestState FROM ontime GROUP BY DestState").unwrap();
         let q2 = parse("SELECT DestState FROM ontime GROUP BY DestState").unwrap();
-        let diffs = extract_diffs(&q1, &q2, 0, 1, AncestorPolicy::Full);
+        let diffs = extract_changes(&q1, &q2, AncestorPolicy::Full);
         let del = diffs
             .iter()
             .find(|d| d.change_kind() == ChangeKind::Deletion)
@@ -193,7 +175,7 @@ mod tests {
     fn numeric_changes_are_num_typed() {
         let q1 = parse("SELECT DestState FROM ontime WHERE Month = 9").unwrap();
         let q2 = parse("SELECT DestState FROM ontime WHERE Month = 8").unwrap();
-        let diffs = extract_diffs(&q1, &q2, 0, 1, AncestorPolicy::LcaPruned);
+        let diffs = extract_changes(&q1, &q2, AncestorPolicy::LcaPruned);
         let leaf = diffs.iter().find(|d| d.is_leaf).unwrap();
         assert_eq!(leaf.primitive(), pi_ast::PrimitiveType::Num);
         assert_eq!(leaf.before.as_ref().unwrap().numeric_value(), Some(9.0));
@@ -205,7 +187,7 @@ mod tests {
         // Listing 7: the FROM relation toggles between a table and a subquery.
         let q1 = parse("SELECT * FROM T").unwrap();
         let q2 = parse("SELECT * FROM (SELECT a FROM T WHERE b > 10)").unwrap();
-        let diffs = extract_diffs(&q1, &q2, 0, 1, AncestorPolicy::LcaPruned);
+        let diffs = extract_changes(&q1, &q2, AncestorPolicy::LcaPruned);
         let leaf = diffs.iter().find(|d| d.is_leaf).unwrap();
         assert_eq!(leaf.primitive(), pi_ast::PrimitiveType::Tree);
         assert_eq!(leaf.path, "1/0".parse::<Path>().unwrap());
@@ -215,7 +197,7 @@ mod tests {
     fn applying_a_diff_transforms_q1_into_q2() {
         let q1 = parse("SELECT DestState FROM ontime WHERE Month = 9").unwrap();
         let q2 = parse("SELECT DestState FROM ontime WHERE Month = 8").unwrap();
-        let diffs = extract_diffs(&q1, &q2, 0, 1, AncestorPolicy::Full);
+        let diffs = extract_changes(&q1, &q2, AncestorPolicy::Full);
         // Applying every leaf diff to q1 must yield q2 (the d(q)=q' semantics of §4.2).
         let mut q = q1.clone();
         for d in diffs.iter().filter(|d| d.is_leaf) {

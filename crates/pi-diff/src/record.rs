@@ -1,7 +1,5 @@
 //! The `diffs` table: records of subtree transformations between pairs of log queries.
 
-#[cfg(test)]
-use crate::align::LeafChange;
 use crate::align::Scratch;
 use pi_ast::{Node, Path, PrimitiveType, ReplaceError};
 
@@ -29,48 +27,11 @@ pub enum ChangeKind {
     Deletion,
 }
 
-/// One row of the `diffs` table: `d = (q1, q2, p, t1, t2, type)` (paper Table 1), owning
-/// its `(p, t1, t2)` payload — what [`extract_diffs`](crate::extract_diffs) returns for one
-/// pair.  The payload is reachable through `Deref`: `record.path`, `record.before`,
-/// `record.after`, `record.is_leaf` and the [`TreeChange`] methods all read it.  Subtree
-/// sides alias the queries they came from ([`Node`] is a copy-on-write handle), so nothing
-/// here deep-copies a tree.
-///
-/// A [`DiffStore`](crate::DiffStore) does not hold records: it holds each change once and
-/// hands out [`RecordRef`] views.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiffRecord {
-    /// Index of the source query in the log.
-    pub q1: usize,
-    /// Index of the target query in the log.
-    pub q2: usize,
-    /// The index-free transformation.
-    change: TreeChange,
-}
-
-impl std::ops::Deref for DiffRecord {
-    type Target = TreeChange;
-
-    fn deref(&self) -> &TreeChange {
-        &self.change
-    }
-}
-
-impl DiffRecord {
-    /// Builds a record from its log endpoints and its change.
-    pub fn new(q1: usize, q2: usize, change: TreeChange) -> Self {
-        DiffRecord { q1, q2, change }
-    }
-
-    /// The index-free change payload.
-    pub fn change(&self) -> &TreeChange {
-        &self.change
-    }
-}
-
-/// A `diffs` table row read from a [`DiffStore`](crate::DiffStore): the log endpoints of
-/// the record's compared pair and the change the pair's list shares with every other pair
-/// that uses the list.  Derefs to the [`TreeChange`] like [`DiffRecord`] does.
+/// One row of the `diffs` table, `d = (q1, q2, p, t1, t2, type)` (paper Table 1), as read
+/// from a [`DiffStore`](crate::DiffStore): the log endpoints of the record's compared pair
+/// and the change the pair's list shares with every other pair that uses the list.  The
+/// `(p, t1, t2)` payload is reachable through `Deref`: `record.path`, `record.before`,
+/// `record.after`, `record.is_leaf` and the [`TreeChange`] methods all read it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecordRef<'a> {
     /// Index of the source query in the log.
@@ -82,7 +43,7 @@ pub struct RecordRef<'a> {
 
 impl<'a> RecordRef<'a> {
     /// A view of one record: endpoints plus the change it shares.
-    pub(crate) fn new(q1: usize, q2: usize, change: &'a TreeChange) -> Self {
+    pub fn new(q1: usize, q2: usize, change: &'a TreeChange) -> Self {
         RecordRef { q1, q2, change }
     }
 
@@ -97,12 +58,6 @@ impl std::ops::Deref for RecordRef<'_> {
 
     fn deref(&self) -> &TreeChange {
         self.change
-    }
-}
-
-impl<'a> From<&'a DiffRecord> for RecordRef<'a> {
-    fn from(record: &'a DiffRecord) -> Self {
-        RecordRef::new(record.q1, record.q2, &record.change)
     }
 }
 
@@ -195,47 +150,50 @@ fn insert_subtree(q: &Node, path: &Path, subtree: &Node) -> Result<Node, Replace
     q.inserted(path, subtree.clone())
 }
 
-/// Applies a set of *leaf* records (all extracted from the same query pair) to a query.
+/// Applies the *leaf* changes of one alignment (ancestor changes are skipped) to a query.
 ///
-/// Record paths are expressed in the source query's coordinates, so applying them one by one
-/// in arbitrary order can shift sibling indices out from under later records.  This helper
+/// Change paths are expressed in the source query's coordinates, so applying them one by one
+/// in arbitrary order can shift sibling indices out from under later changes.  This helper
 /// applies them in a safe order: replacements first (index-stable), then deletions from the
 /// highest path down (so earlier removals cannot shift later ones), then additions from the
 /// lowest path up (so earlier insertions create the slots later ones expect).
-pub fn apply_leaf_changes(base: &Node, records: &[DiffRecord]) -> Result<Node, ReplaceError> {
+pub fn apply_leaf_changes(base: &Node, changes: &[TreeChange]) -> Result<Node, ReplaceError> {
     let mut out = base.clone();
-    for record in records.iter().filter(|r| r.is_leaf) {
-        if record.change_kind() == ChangeKind::Replacement {
-            out = record.apply(&out)?;
+    for change in changes.iter().filter(|c| c.is_leaf) {
+        if change.change_kind() == ChangeKind::Replacement {
+            out = change.apply(&out)?;
         }
     }
-    let mut deletions: Vec<&DiffRecord> = records
+    let mut deletions: Vec<&TreeChange> = changes
         .iter()
-        .filter(|r| r.is_leaf && r.change_kind() == ChangeKind::Deletion)
+        .filter(|c| c.is_leaf && c.change_kind() == ChangeKind::Deletion)
         .collect();
     deletions.sort_by(|a, b| b.path.cmp(&a.path));
-    for record in deletions {
-        out = record.apply(&out)?;
+    for change in deletions {
+        out = change.apply(&out)?;
     }
-    let mut additions: Vec<&DiffRecord> = records
+    let mut additions: Vec<&TreeChange> = changes
         .iter()
-        .filter(|r| r.is_leaf && r.change_kind() == ChangeKind::Addition)
+        .filter(|c| c.is_leaf && c.change_kind() == ChangeKind::Addition)
         .collect();
     additions.sort_by(|a, b| a.path.cmp(&b.path));
-    for record in additions {
-        out = record.apply(&out)?;
+    for change in additions {
+        out = change.apply(&out)?;
     }
     Ok(out)
 }
 
-/// One change of a pair alignment, *index-free*: a [`DiffRecord`] minus the `(q1, q2)` log
+/// One change of a pair alignment, *index-free*: a `diffs` record minus the `(q1, q2)` log
 /// endpoints.
 ///
 /// Alignment is purely structural — two structurally identical tree pairs produce identical
 /// change lists wherever they sit in the log — so this is the unit worth memoizing per
 /// distinct tree pair.  A [`DiffStore`](crate::DiffStore) keeps one change list per
-/// alignment and lets every compared pair of the same shapes point at it;
-/// [`TreeChange::to_record`] attaches endpoints to a copy of a change.
+/// alignment and lets every compared pair of the same shapes point at it; a [`RecordRef`]
+/// pairs a change with the endpoints of one such pair.
+///
+/// Subtree sides alias the queries they came from ([`Node`] is a copy-on-write handle), so
+/// nothing here deep-copies a tree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TreeChange {
     /// Path of the transformed subtree (source-tree coordinates).
@@ -248,37 +206,14 @@ pub struct TreeChange {
     pub is_leaf: bool,
 }
 
-impl TreeChange {
-    /// Attaches log endpoints, producing the [`DiffRecord`] row for one concrete query pair
-    /// (clones the change: a path copy plus subtree refcount bumps).
-    pub fn to_record(&self, q1: usize, q2: usize) -> DiffRecord {
-        DiffRecord::new(q1, q2, self.clone())
-    }
-}
-
 /// Builds the index-free change list between two trees, expanding (and optionally pruning)
-/// ancestors — everything [`build_records`] computes except the log endpoints.  Leaf changes
-/// come first, in matcher order, then ancestors in [`Path`] order.  Runs on a fresh
-/// [`Scratch`]; a [`DiffStore`](crate::DiffStore) runs the same code on a reused one and
-/// writes the list straight into its change table.
+/// ancestors.  Leaf changes come first, in matcher order, then ancestors in [`Path`] order.
+/// Runs on a fresh [`Scratch`]; a [`DiffStore`](crate::DiffStore) runs the same code on a
+/// reused one and writes the list straight into its change table.
 pub fn build_changes(a: &Node, b: &Node, policy: AncestorPolicy) -> Vec<TreeChange> {
     let mut out = Vec::new();
     Scratch::default().changes_into(a, b, policy, &mut out);
     out
-}
-
-/// Builds the diff records between two queries, expanding (and optionally pruning) ancestors.
-pub fn build_records(
-    a: &Node,
-    b: &Node,
-    q1_idx: usize,
-    q2_idx: usize,
-    policy: AncestorPolicy,
-) -> Vec<DiffRecord> {
-    build_changes(a, b, policy)
-        .into_iter()
-        .map(|change| DiffRecord::new(q1_idx, q2_idx, change))
-        .collect()
 }
 
 impl Scratch {
@@ -362,18 +297,9 @@ impl Scratch {
 
 /// The ancestor closure of `leaves` on a fresh [`Scratch`].
 #[cfg(test)]
-fn ancestor_paths(leaves: &[LeafChange], policy: AncestorPolicy) -> Vec<Path> {
-    let leaves: Vec<TreeChange> = leaves
-        .iter()
-        .map(|leaf| TreeChange {
-            path: leaf.path.clone(),
-            before: leaf.before.clone(),
-            after: leaf.after.clone(),
-            is_leaf: true,
-        })
-        .collect();
+fn ancestor_paths(leaves: &[TreeChange], policy: AncestorPolicy) -> Vec<Path> {
     let mut scratch = Scratch::default();
-    scratch.close(&leaves, policy);
+    scratch.close(leaves, policy);
     scratch.ancestors
 }
 
@@ -395,23 +321,24 @@ mod tests {
             after,
             is_leaf: true,
         };
-        let repl = DiffRecord::new(0, 1, change(Some(n.clone()), Some(Node::int(2))));
+        let repl = change(Some(n.clone()), Some(Node::int(2)));
         assert_eq!(repl.change_kind(), ChangeKind::Replacement);
-        let add = DiffRecord::new(0, 1, change(None, Some(n.clone())));
+        let add = change(None, Some(n.clone()));
         assert_eq!(add.change_kind(), ChangeKind::Addition);
-        let del = DiffRecord::new(0, 1, change(Some(n), None));
+        let del = change(Some(n), None);
         assert_eq!(del.change_kind(), ChangeKind::Deletion);
-        // A view of a record reads the same endpoints and change.
-        let view = RecordRef::from(&repl);
-        assert_eq!((view.q1, view.q2, view.change()), (0, 1, repl.change()));
+        // A view of a record reads its endpoints and the change it borrows.
+        let view = RecordRef::new(0, 1, &repl);
+        assert_eq!((view.q1, view.q2, view.change()), (0, 1, &repl));
+        assert_eq!(view.change_kind(), ChangeKind::Replacement);
     }
 
     #[test]
     fn ancestor_records_are_tree_typed() {
         let a = parse("SELECT sales FROM t WHERE cty = 'USA'").unwrap();
         let b = parse("SELECT costs FROM t WHERE cty = 'EUR'").unwrap();
-        let records = build_records(&a, &b, 0, 1, AncestorPolicy::Full);
-        for r in records.iter().filter(|r| !r.is_leaf) {
+        let changes = build_changes(&a, &b, AncestorPolicy::Full);
+        for r in changes.iter().filter(|r| !r.is_leaf) {
             assert_eq!(r.primitive(), PrimitiveType::Tree);
             assert_eq!(r.change_kind(), ChangeKind::Replacement);
         }
@@ -421,8 +348,8 @@ mod tests {
     fn lca_pruning_keeps_only_lcas() {
         let a = parse("SELECT sales FROM t WHERE cty = 'USA'").unwrap();
         let b = parse("SELECT costs FROM t WHERE cty = 'EUR'").unwrap();
-        let records = build_records(&a, &b, 0, 1, AncestorPolicy::LcaPruned);
-        let ancestors: Vec<&DiffRecord> = records.iter().filter(|r| !r.is_leaf).collect();
+        let changes = build_changes(&a, &b, AncestorPolicy::LcaPruned);
+        let ancestors: Vec<&TreeChange> = changes.iter().filter(|r| !r.is_leaf).collect();
         // Exactly one ancestor: the root, the LCA of the projection change and the predicate
         // change.
         assert_eq!(ancestors.len(), 1);
@@ -433,14 +360,14 @@ mod tests {
     fn single_leaf_change_keeps_only_the_leaf_and_the_root_under_pruning() {
         let a = parse("SELECT a FROM t WHERE x = 1").unwrap();
         let b = parse("SELECT a FROM t WHERE x = 2").unwrap();
-        let records = build_records(&a, &b, 0, 1, AncestorPolicy::LcaPruned);
+        let changes = build_changes(&a, &b, AncestorPolicy::LcaPruned);
         // The leaf itself plus the whole-query transformation; the intermediate Where/BiExpr
         // ancestors are pruned.
-        assert_eq!(records.len(), 2);
-        assert_eq!(records.iter().filter(|r| r.is_leaf).count(), 1);
-        assert!(records.iter().any(|r| !r.is_leaf && r.path.is_root()));
-        let full = build_records(&a, &b, 0, 1, AncestorPolicy::Full);
-        assert!(full.len() > records.len());
+        assert_eq!(changes.len(), 2);
+        assert_eq!(changes.iter().filter(|r| r.is_leaf).count(), 1);
+        assert!(changes.iter().any(|r| !r.is_leaf && r.path.is_root()));
+        let full = build_changes(&a, &b, AncestorPolicy::Full);
+        assert!(full.len() > changes.len());
     }
 
     #[test]
@@ -478,12 +405,13 @@ mod tests {
                 heap_deep += usize::from(path.depth() > 8);
                 paths.push(path);
             }
-            let leaves: Vec<LeafChange> = paths
+            let leaves: Vec<TreeChange> = paths
                 .iter()
-                .map(|path| LeafChange {
+                .map(|path| TreeChange {
                     path: path.clone(),
                     before: None,
                     after: Some(Node::int(0)),
+                    is_leaf: true,
                 })
                 .collect();
             // §6.2 as written: the root plus every pair's least common ancestor; Full: every
@@ -525,8 +453,8 @@ mod tests {
     fn addition_apply_inserts_and_inverse_removes() {
         let a = parse("SELECT a, c FROM t").unwrap();
         let b = parse("SELECT a, b, c FROM t").unwrap();
-        let records = build_records(&a, &b, 0, 1, AncestorPolicy::LcaPruned);
-        let add = records
+        let changes = build_changes(&a, &b, AncestorPolicy::LcaPruned);
+        let add = changes
             .iter()
             .find(|r| r.change_kind() == ChangeKind::Addition)
             .unwrap();
@@ -540,8 +468,8 @@ mod tests {
     fn summary_is_informative() {
         let a = parse("SELECT a FROM t WHERE x = 1").unwrap();
         let b = parse("SELECT a FROM t WHERE x = 2").unwrap();
-        let records = build_records(&a, &b, 3, 4, AncestorPolicy::LcaPruned);
-        let s = records[0].summary();
+        let changes = build_changes(&a, &b, AncestorPolicy::LcaPruned);
+        let s = changes[0].summary();
         assert!(s.contains("repl"));
         assert!(s.contains("1"));
         assert!(s.contains("2"));
@@ -552,7 +480,7 @@ mod tests {
     fn domain_subtrees_returns_both_sides() {
         let a = parse("SELECT a FROM t WHERE x = 1").unwrap();
         let b = parse("SELECT a FROM t WHERE x = 2").unwrap();
-        let records = build_records(&a, &b, 0, 1, AncestorPolicy::LcaPruned);
-        assert_eq!(records[0].domain_subtrees().len(), 2);
+        let changes = build_changes(&a, &b, AncestorPolicy::LcaPruned);
+        assert_eq!(changes[0].domain_subtrees().len(), 2);
     }
 }

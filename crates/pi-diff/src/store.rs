@@ -341,18 +341,21 @@ mod tests {
         let b = parse("SELECT costs FROM t WHERE cty = 'EUR'");
         let c = parse("SELECT costs FROM t WHERE cty = 'CHN'");
         let policy = AncestorPolicy::Full;
-        let expected: Vec<_> = [
-            crate::extract_diffs(&a, &b, 0, 1, policy),
-            crate::extract_diffs(&b, &c, 1, 2, policy),
-            crate::extract_diffs(&a, &b, 2, 3, policy),
-        ]
-        .concat();
+        let lists = [
+            (0, 1, crate::extract_changes(&a, &b, policy)),
+            (1, 2, crate::extract_changes(&b, &c, policy)),
+            (2, 3, crate::extract_changes(&a, &b, policy)),
+        ];
+        let expected: Vec<RecordRef<'_>> = lists
+            .iter()
+            .flat_map(|(q1, q2, changes)| changes.iter().map(|c| RecordRef::new(*q1, *q2, c)))
+            .collect();
         assert_eq!(store.len(), expected.len());
         let iterated: Vec<_> = store.iter().collect();
         for (k, record) in expected.iter().enumerate() {
             let (id, view) = iterated[k];
             assert_eq!(id, DiffId(k));
-            assert_eq!(view, RecordRef::from(record));
+            assert_eq!(view, *record);
             assert_eq!(store.get(id), view);
         }
         // The shared list is stored once: three runs, two lists.

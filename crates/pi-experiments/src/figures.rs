@@ -5,11 +5,8 @@ use pi_ast::Frontend as _;
 use pi_core::precision::{closure_precision, filtered_closure, SchemaMap};
 use pi_core::recall::{cross_recall, holdout_recall, recall_curve, split_log};
 use pi_core::{PiOptions, PrecisionInterfaces};
-use pi_diff::{extract_diffs, AncestorPolicy};
+use pi_diff::{extract_changes, AncestorPolicy};
 use pi_graph::WindowStrategy;
-use pi_study::{
-    group_times, one_way_anova, run_study, summarize, summarize_by_order, Condition, StudyConfig,
-};
 use pi_widgets::fit::fit_cost;
 use pi_widgets::{CostFunction, WidgetType};
 use pi_workloads::{adhoc, mix, olap, sdss, traces, QueryLog};
@@ -50,12 +47,12 @@ pub fn table1() -> ExperimentReport {
     let q2 = pi_sql::SqlFrontend
         .parse_one("SELECT day, costs FROM t WHERE cty = 'EUR'")
         .unwrap();
-    for record in extract_diffs(&q1, &q2, 1, 2, AncestorPolicy::Full) {
+    for change in extract_changes(&q1, &q2, AncestorPolicy::Full) {
         report.push(format!(
             "q1=1 q2=2 p={:<8} {:<30} type={}",
-            record.path.to_string(),
-            record.summary(),
-            record.primitive()
+            change.path.to_string(),
+            change.summary(),
+            change.primitive()
         ));
     }
     report
@@ -422,83 +419,6 @@ pub fn fig10() -> ExperimentReport {
     report
 }
 
-// ---------------------------------------------------------------------------- user study
-
-/// Figure 8c: simulated study — time and accuracy per task per interface.
-pub fn fig8c() -> ExperimentReport {
-    let mut report = ExperimentReport::new(
-        "fig8c",
-        "simulated user study: time and accuracy per task and interface (40 participants)",
-        "Task 1 ≈ 60 s on the SDSS form vs ≈ 10 s on Precision Interfaces; Tasks 2-4 slightly faster on Precision Interfaces; accuracies comparable except Task 1",
-    );
-    let summaries = summarize(&run_study(StudyConfig::default()));
-    for s in summaries {
-        report.push(format!(
-            "{:<22} {:<22} time {:5.1}s ± {:4.1}  accuracy {:.2}  (n={})",
-            s.task.name(),
-            s.condition.name(),
-            s.mean_time_s,
-            s.ci95_s,
-            s.accuracy,
-            s.n
-        ));
-    }
-    report
-}
-
-/// Figure 13: ordering / learning effects.
-pub fn fig13() -> ExperimentReport {
-    let mut report = ExperimentReport::new(
-        "fig13",
-        "task completion time by task order (learning effects)",
-        "times drop as participants complete more tasks, except Task 1 on the SDSS form which stays at the cap",
-    );
-    let by_order = summarize_by_order(&run_study(StudyConfig::default()));
-    for (task, condition, order, time) in by_order {
-        report.push(format!(
-            "{:<22} {:<22} order {order}: {time:5.1}s",
-            task.name(),
-            condition.name()
-        ));
-    }
-    report
-}
-
-/// §7.4 ANOVA: per-factor significance on the simulated study.
-pub fn anova() -> ExperimentReport {
-    let mut report = ExperimentReport::new(
-        "anova",
-        "one-way ANOVA per factor over the simulated study trials",
-        "task, interface and order are each individually significant (paper: p ≤ 2e-12)",
-    );
-    let trials = run_study(StudyConfig::default());
-    let factors: Vec<(&str, Vec<Vec<f64>>)> = vec![
-        ("task", group_times(&trials, |t| t.task, |t| t.time_s)),
-        (
-            "interface",
-            group_times(
-                &trials,
-                |t| t.condition == Condition::SdssForm,
-                |t| t.time_s,
-            ),
-        ),
-        ("order", group_times(&trials, |t| t.order, |t| t.time_s)),
-    ];
-    for (name, groups) in factors {
-        match one_way_anova(&groups) {
-            Some(result) => report.push(format!(
-                "{name:<9} F({}, {}) = {:8.2}  significant at α=0.01: {}",
-                result.df_between,
-                result.df_within,
-                result.f,
-                result.significant()
-            )),
-            None => report.push(format!("{name}: not enough data")),
-        }
-    }
-    report
-}
-
 // ---------------------------------------------------------------------------- runtime
 
 /// Figure 11: effect of the sliding-window size and LCA pruning on edges and runtime.
@@ -618,11 +538,5 @@ mod tests {
         // Mixing more clients never increases precision, and it ends well below 1.
         assert!(precisions.last().unwrap() < &0.7);
         assert!(precisions.first().unwrap() >= precisions.last().unwrap());
-    }
-
-    #[test]
-    fn fig8c_contains_every_task_condition_pair() {
-        let report = fig8c();
-        assert_eq!(report.lines.len(), 8);
     }
 }

@@ -295,6 +295,11 @@ fn is_composite(node: &Node) -> bool {
     matches!(node.kind_ref(), NodeKind::BiExpr | NodeKind::UnExpr)
 }
 
+/// True for a `NOT` (`~`) expression.
+fn is_not(node: &Node) -> bool {
+    node.kind_ref() == &NodeKind::UnExpr && node.attr_str("op").unwrap_or("NOT") == "NOT"
+}
+
 fn render_operand(node: &Node, out: &mut String) {
     if is_composite(node) {
         out.push('(');
@@ -348,6 +353,12 @@ fn render_expr(node: &Node, out: &mut String) {
             let op = node.attr_str("op").unwrap_or("NOT");
             let inner = &node.children()[0];
             match op {
+                // A negated negation is written flat (`~~a`), so a chain renders no deeper
+                // than the nesting bound its parse stayed within.
+                "NOT" if is_not(inner) => {
+                    out.push('~');
+                    render_expr(inner, out);
+                }
                 "NOT" => {
                     out.push('~');
                     render_operand(inner, out);

@@ -515,7 +515,7 @@ impl GraphBuilder {
                 let ca = dedup.class_of(i);
                 if ca == cb {
                     // Structurally identical pair: zero records, no edge — exactly what an
-                    // unmemoized `extract_diffs` of the pair would conclude the hard way.
+                    // unmemoized `extract_changes` of the pair would conclude the hard way.
                     continue;
                 }
                 let list = memo.list(dedup, store, ca, cb, policy);
@@ -922,22 +922,24 @@ mod tests {
             .map(|i| parse(&format!("SELECT a FROM t WHERE x = {}", (i * 5) % 9)).unwrap())
             .collect();
         for window in [WindowStrategy::AllPairs, WindowStrategy::sliding(4)] {
-            for memoize in [true, false] {
-                let reference = GraphBuilder::new()
+            let reference = GraphBuilder::new().window(window).threads(1).build(&log);
+            for threads in 2..=8 {
+                let forced = GraphBuilder::new()
                     .window(window)
-                    .memoize(memoize)
-                    .threads(1)
+                    .threads(threads)
+                    .steal_seed(Some(threads as u64 * 977))
                     .build(&log);
-                for threads in 2..=8 {
-                    let forced = GraphBuilder::new()
-                        .window(window)
-                        .memoize(memoize)
-                        .threads(threads)
-                        .steal_seed(Some(threads as u64 * 977))
-                        .build(&log);
-                    assert_eq!(forced, reference, "{window:?} memo={memoize} t={threads}");
-                }
+                assert_eq!(forced, reference, "{window:?} t={threads}");
             }
+            // The unmemoized builder ignores `threads` and `steal_seed`, so one build under
+            // forced settings stands for every count.
+            let unmemoized = GraphBuilder::new()
+                .window(window)
+                .memoize(false)
+                .threads(8)
+                .steal_seed(Some(8 * 977))
+                .build(&log);
+            assert_eq!(unmemoized, reference, "{window:?} memo=false");
         }
     }
 
@@ -946,11 +948,10 @@ mod tests {
         let log: Vec<Node> = (0..12)
             .map(|i| parse(&format!("SELECT a FROM t WHERE x = {}", i % 4)).unwrap())
             .collect();
+        let serial = GraphBuilder::new()
+            .window(WindowStrategy::AllPairs)
+            .build(&log);
         for memoize in [true, false] {
-            let serial = GraphBuilder::new()
-                .window(WindowStrategy::AllPairs)
-                .memoize(memoize)
-                .build(&log);
             let builder = GraphBuilder::new()
                 .window(WindowStrategy::AllPairs)
                 .memoize(memoize)

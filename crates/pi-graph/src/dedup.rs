@@ -222,7 +222,7 @@ pub(crate) fn pair_key(ca: u32, cb: u32) -> u64 {
 /// Keys are **ordered** `(source class, target class)` pairs, not unordered sets: the
 /// aligner's LCS tie-breaking is direction-sensitive (and change paths are expressed in
 /// source-tree coordinates), so deriving the reverse direction from a forward alignment
-/// could produce a change list a memo-off `extract_diffs(b, a, …)` would not — breaking the
+/// could produce a change list a memo-off `extract_changes(b, a, …)` would not — breaking the
 /// byte-identity contract.  An ordered memo costs at most twice the unordered pair count
 /// and keeps the guarantee unconditional; the alignment budget is still `O(d²)`, not
 /// `O(n²)`.
@@ -431,7 +431,7 @@ mod tests {
     }
 
     #[test]
-    fn memo_aligns_each_recurring_ordered_pair_once_and_matches_extract_diffs() {
+    fn memo_aligns_each_recurring_ordered_pair_once_and_matches_extract_changes() {
         let queries = vec![
             parse("SELECT a FROM t WHERE x = 1"),
             parse("SELECT a FROM t WHERE x = 2"),
@@ -456,15 +456,11 @@ mod tests {
                 let list = memo.list(&dedup, &mut store, ca, cb, policy);
                 // The memoized list is the direct extraction, leaves first — exactly what
                 // the graph's run of the pair reads.
-                let records: Vec<_> = store
-                    .list_changes(list)
-                    .map(|c| c.to_record(i, j))
-                    .collect();
-                let direct = pi_diff::extract_diffs(&queries[i], &queries[j], i, j, policy);
-                assert_eq!(records, direct);
+                let direct = pi_diff::extract_changes(&queries[i], &queries[j], policy);
+                assert!(store.list_changes(list).eq(&direct));
                 assert_eq!(
                     store.list_leaves(list),
-                    direct.iter().filter(|r| r.is_leaf).count()
+                    direct.iter().filter(|c| c.is_leaf).count()
                 );
                 assert!(store.list_len(list) > 0);
             }

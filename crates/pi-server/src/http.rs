@@ -24,8 +24,9 @@
 
 use crate::pool::{EnqueueError, PoolOptions, SessionPool};
 use crate::wire::{decode_batch, DecodedBatch};
+use pi_ast::codec;
 use pi_ui::{interface_spec, EditorLayout, Json};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -213,8 +214,9 @@ impl From<std::io::Error> for ReadError {
 }
 
 /// Parses one request head + body.  `Ok(None)` means the client closed cleanly before
-/// sending another request.
-fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<Request>, ReadError> {
+/// sending another request.  The body buffer grows with the bytes that arrive, so a head
+/// declaring a large body costs what the client sends, not what it declares.
+fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, ReadError> {
     let mut line = String::new();
     if reader.read_line(&mut line)? == 0 {
         return Ok(None);
@@ -261,8 +263,7 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<Request>, Re
     if content_length > MAX_BODY_BYTES {
         return Err(ReadError::TooLarge);
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
+    let body = codec::take_bytes(reader, content_length)?;
     Ok(Some(Request {
         method,
         path,
@@ -632,6 +633,8 @@ mod tests {
     use super::*;
     use crate::client::{http_request as raw_request, Connection, Response};
     use crate::pool::PoolOptions;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
 
     fn test_server(pool: PoolOptions) -> Server {
         Server::bind(
@@ -865,6 +868,107 @@ mod tests {
                 .any(|(n, v)| n.eq_ignore_ascii_case("connection") && v == "keep-alive"));
         }
         server.shutdown();
+    }
+
+    /// A global allocator that keeps a per-thread tally of the bytes requested from it
+    /// (`alloc`, `alloc_zeroed`, and the new size of every `realloc`) and delegates to the
+    /// system allocator.
+    struct CountingAlloc;
+
+    thread_local! {
+        static BYTES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn count(bytes: usize) {
+        // `try_with`: the allocator also runs while thread-locals are being torn down.
+        let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+    }
+
+    fn allocated_bytes() -> u64 {
+        BYTES.with(Cell::get)
+    }
+
+    // SAFETY: every method forwards its arguments unchanged to `System`, which upholds the
+    // `GlobalAlloc` contract; the counter is a thread-local `Cell` that never allocates.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count(layout.size());
+            // SAFETY: the caller's guarantees for `layout` are passed on unchanged.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            count(layout.size());
+            // SAFETY: as for `alloc`.
+            unsafe { System.alloc_zeroed(layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count(new_size);
+            // SAFETY: `ptr` was allocated by `System` through this allocator with `layout`.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` was allocated by `System` through this allocator with `layout`.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: CountingAlloc = CountingAlloc;
+
+    /// A `POST /logs` head declaring `declared` body bytes, followed by `body`.
+    fn post_with_body(declared: usize, body: &[u8]) -> Vec<u8> {
+        let mut input =
+            format!("POST /logs HTTP/1.1\r\nContent-Length: {declared}\r\n\r\n").into_bytes();
+        input.extend_from_slice(body);
+        input
+    }
+
+    #[test]
+    fn a_body_shorter_than_its_declared_length_fails_without_reserving_it() {
+        // The largest body the cap admits, declared by a head followed by 10 bytes and EOF.
+        let input = post_with_body(MAX_BODY_BYTES, b"0123456789");
+        let mut reader = BufReader::new(input.as_slice());
+        let before = allocated_bytes();
+        let result = read_request(&mut reader);
+        let allocated = allocated_bytes() - before;
+        match result {
+            Err(ReadError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+            Ok(_) => panic!("a truncated body must fail to read"),
+            Err(_) => panic!("a truncated body is an I/O error, not a rejected request"),
+        }
+        assert!(
+            allocated < 64 << 10,
+            "reading it allocated {allocated} bytes"
+        );
+        // Past the cap, the declared length alone is refused (413).
+        let input = post_with_body(MAX_BODY_BYTES + 1, b"0123456789");
+        let result = read_request(&mut BufReader::new(input.as_slice()));
+        assert!(matches!(result, Err(ReadError::TooLarge)));
+    }
+
+    #[test]
+    fn bodies_longer_than_the_first_reservation_are_read_in_full() {
+        for len in [0, 10, 1024, 5000] {
+            let body: Vec<u8> = (0..len).map(|i| b'a' + (i % 26) as u8).collect();
+            let mut input = post_with_body(len, &body);
+            input.extend_from_slice(b"GET /healthz HTTP/1.1\r\n\r\n");
+            let mut reader = BufReader::new(input.as_slice());
+            let Ok(Some(request)) = read_request(&mut reader) else {
+                panic!("a complete {len}-byte body must read");
+            };
+            assert_eq!((request.method.as_str(), request.body), ("POST", body));
+            // The read stops at the declared length: the next request follows intact.
+            let Ok(Some(next)) = read_request(&mut reader) else {
+                panic!("the pipelined request must read");
+            };
+            assert_eq!(
+                (next.method.as_str(), next.path.as_str()),
+                ("GET", "/healthz")
+            );
+        }
     }
 
     #[test]

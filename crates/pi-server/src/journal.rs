@@ -20,9 +20,7 @@
 //! **Group commit**: the append (buffered write) and the fsync are split.  Appends from
 //! many tenants accumulate while one committer holds the shard's sync lock inside
 //! `sync_data`; when it finishes, it publishes the durable watermark and every batch at or
-//! below it acknowledges without issuing its own fsync.  An optional
-//! [`DurabilityOptions::group_window`] adds a fixed wait before each fsync to widen the
-//! batch further on high-latency disks.
+//! below it acknowledges without issuing its own fsync.
 //!
 //! **Checkpointing**: [`Journal::rotate_all`] seals the active segments (fsync, then new
 //! epoch) and the pool persists every tenant's session snapshot; once *all* snapshots are
@@ -44,7 +42,6 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 #[cfg(any(test, feature = "faults"))]
 use crate::faults::{FaultOp, FaultPlan};
@@ -55,31 +52,20 @@ use crate::faults::{FaultOp, FaultPlan};
 pub struct DurabilityOptions {
     /// Directory holding journal segments and spill snapshots.  Created if missing.
     pub dir: PathBuf,
-    /// Extra wait before each group-commit fsync, letting concurrent appenders pile onto
-    /// the same sync.  Zero (the default) still group-commits — appends that arrive while
-    /// a sync is in flight ride the next one — but adds no latency.
-    pub group_window: Duration,
     /// Journal bytes accumulated since the last checkpoint that trigger the next one
     /// (bounding both recovery time and disk growth).
     pub checkpoint_bytes: u64,
-    /// Whether to fsync journal appends before acknowledging (and spill files before
-    /// pruning).  Disabling trades the zero-acked-loss guarantee for speed: an ACK then
-    /// only means "written to the OS", and a machine-level crash may lose tail batches.
-    pub fsync: bool,
     /// Deterministic fault injection for the crash-recovery suite.
     #[cfg(any(test, feature = "faults"))]
     pub faults: Option<Arc<FaultPlan>>,
 }
 
 impl DurabilityOptions {
-    /// Durability rooted at `dir` with production defaults: fsync on, no extra group
-    /// window, checkpoint every 8 MiB of journal.
+    /// Durability rooted at `dir`, checkpointing every 8 MiB of journal.
     pub fn new(dir: impl Into<PathBuf>) -> DurabilityOptions {
         DurabilityOptions {
             dir: dir.into(),
-            group_window: Duration::ZERO,
             checkpoint_bytes: 8 * 1024 * 1024,
-            fsync: true,
             #[cfg(any(test, feature = "faults"))]
             faults: None,
         }
@@ -394,11 +380,9 @@ impl Journal {
                 .append(true)
                 .open(&path)
                 .map_err(|e| self.fail(e))?;
-            if self.opts.fsync {
-                // The commit's `sync_data` makes the records durable, but only this makes
-                // the new segment's name durable.
-                sync_dir(&self.opts.dir).map_err(|e| self.fail(e))?;
-            }
+            // The commit's `sync_data` makes the records durable, but only this makes the
+            // new segment's name durable.
+            sync_dir(&self.opts.dir).map_err(|e| self.fail(e))?;
             st.path = Some(path);
             st.file = Some(file);
         }
@@ -423,9 +407,6 @@ impl Journal {
     /// watermark covers it, fsyncing at most once — a sync that was already in flight
     /// when the append landed covers it for free.
     pub fn commit(&self, ticket: Ticket) -> io::Result<()> {
-        if !self.opts.fsync {
-            return Ok(());
-        }
         if self.is_failed() {
             return Err(io::Error::other("journal is failed"));
         }
@@ -434,12 +415,9 @@ impl Journal {
         if sync.epoch > ticket.epoch || (sync.epoch == ticket.epoch && sync.durable >= ticket.end) {
             return Ok(());
         }
-        // Holding the sync lock through the window and the fsync is the group commit:
-        // later committers block here while their records (already appended) accumulate
-        // under this sync; when it publishes the watermark they return without syncing.
-        if !self.opts.group_window.is_zero() {
-            std::thread::sleep(self.opts.group_window);
-        }
+        // Holding the sync lock through the fsync is the group commit: later committers
+        // block here while their records (already appended) accumulate under this sync;
+        // when it publishes the watermark they return without syncing.
         let (file, written, epoch) = {
             let st = sj.state.lock().unwrap_or_else(|p| p.into_inner());
             if st.epoch > ticket.epoch {
@@ -480,10 +458,8 @@ impl Journal {
             if let Some(file) = &st.file {
                 #[cfg(any(test, feature = "faults"))]
                 self.fault(FaultOp::JournalSync).map_err(|e| self.fail(e))?;
-                if self.opts.fsync {
-                    file.sync_data().map_err(|e| self.fail(e))?;
-                    self.syncs.fetch_add(1, Ordering::Relaxed);
-                }
+                file.sync_data().map_err(|e| self.fail(e))?;
+                self.syncs.fetch_add(1, Ordering::Relaxed);
                 st.file = None;
                 if let Some(path) = st.path.take() {
                     st.sealed.push(path);
@@ -551,12 +527,9 @@ impl Journal {
             let sync = sj.sync.lock().unwrap_or_else(|p| p.into_inner());
             let mut st = sj.state.lock().unwrap_or_else(|p| p.into_inner());
             if let Some(file) = &st.file {
-                let durable = if self.opts.fsync && sync.epoch == st.epoch {
+                let durable = if sync.epoch == st.epoch {
                     sync.durable
-                } else if self.opts.fsync {
-                    0
                 } else {
-                    // Without fsync nothing is guaranteed; model total page-cache loss.
                     0
                 };
                 let keep = durable + torn.min(st.written.saturating_sub(durable));

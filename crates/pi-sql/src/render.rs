@@ -180,6 +180,11 @@ fn is_composite(node: &Node) -> bool {
     matches!(node.kind_ref(), NodeKind::BiExpr | NodeKind::UnExpr)
 }
 
+/// True for a `NOT` expression.
+fn is_not(node: &Node) -> bool {
+    node.kind_ref() == &NodeKind::UnExpr && node.attr_str("op").unwrap_or("NOT") == "NOT"
+}
+
 fn render_operand(node: &Node, out: &mut String) {
     if is_composite(node) {
         out.push('(');
@@ -264,6 +269,12 @@ fn render_expr(node: &Node, out: &mut String) {
                 "-" => {
                     out.push('-');
                     render_operand(inner, out);
+                }
+                // A negated negation is written flat (`NOT NOT a`), so a chain renders no
+                // deeper than the nesting bound its parse stayed within.
+                "NOT" if is_not(inner) => {
+                    out.push_str("NOT ");
+                    render_expr(inner, out);
                 }
                 _ => {
                     let _ = write!(out, "{op} ");

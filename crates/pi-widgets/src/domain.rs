@@ -153,13 +153,8 @@ impl Domain {
     /// initialisation of §4.3): both sides of every record are collected, deduplicated by
     /// structural identity, and typed by the join of the member types.  Every member is
     /// tagged with the default dialect; use [`Domain::from_diffs_tagged`] when the
-    /// per-query dialects of the log are known.  Records may be owned
-    /// [`DiffRecord`](pi_diff::DiffRecord)s (by reference) or store views.
-    pub fn from_diffs<'a, I>(records: I) -> Self
-    where
-        I: IntoIterator,
-        I::Item: Into<RecordRef<'a>>,
-    {
+    /// per-query dialects of the log are known.
+    pub fn from_diffs<'a>(records: impl IntoIterator<Item = RecordRef<'a>>) -> Self {
         Self::from_diffs_tagged(records, |_| Dialect::default())
     }
 
@@ -168,15 +163,12 @@ impl Domain {
     /// tagged with its side's query (`q1` resp. `q2`).  When the same subtree occurs in
     /// several dialects, the first observation wins — "originating dialect" is
     /// well-defined because records arrive in deterministic store order.
-    pub fn from_diffs_tagged<'a, I, F>(records: I, tag_of: F) -> Self
-    where
-        I: IntoIterator,
-        I::Item: Into<RecordRef<'a>>,
-        F: Fn(usize) -> Dialect,
-    {
+    pub fn from_diffs_tagged<'a>(
+        records: impl IntoIterator<Item = RecordRef<'a>>,
+        tag_of: impl Fn(usize) -> Dialect,
+    ) -> Self {
         let mut domain = Domain::new();
         for record in records {
-            let record: RecordRef<'a> = record.into();
             match &record.before {
                 Some(node) => domain.insert_tagged(node.clone(), tag_of(record.q1)),
                 None => domain.set_includes_absent(true),
@@ -279,7 +271,7 @@ impl Domain {
 mod tests {
     use super::*;
     use pi_ast::Frontend as _;
-    use pi_diff::{extract_diffs, AncestorPolicy};
+    use pi_diff::{extract_changes, AncestorPolicy};
 
     fn parse(sql: &str) -> Result<Node, pi_ast::FrontendError> {
         pi_sql::SqlFrontend.parse_one(sql)
@@ -325,8 +317,8 @@ mod tests {
     fn from_diffs_collects_both_sides_and_absence() {
         let q1 = parse("SELECT g FROM t").unwrap();
         let q2 = parse("SELECT TOP 1 g FROM t").unwrap();
-        let records = extract_diffs(&q1, &q2, 0, 1, AncestorPolicy::LcaPruned);
-        let d = Domain::from_diffs(records.iter());
+        let changes = extract_changes(&q1, &q2, AncestorPolicy::LcaPruned);
+        let d = Domain::from_diffs(changes.iter().map(|c| RecordRef::new(0, 1, c)));
         assert!(d.includes_absent());
         assert_eq!(d.size(), d.subtrees().len() + 1);
         assert!(d.option_labels().contains(&"(none)".to_string()));
@@ -391,7 +383,7 @@ mod tests {
         use pi_ast::Dialect;
         let q1 = parse("SELECT a FROM t WHERE x = 1").unwrap();
         let q2 = parse("SELECT a FROM t WHERE x = 2").unwrap();
-        let records = extract_diffs(&q1, &q2, 0, 1, AncestorPolicy::LcaPruned);
+        let changes = extract_changes(&q1, &q2, AncestorPolicy::LcaPruned);
         let tag_of = |q: usize| {
             if q == 0 {
                 Dialect::SQL
@@ -399,7 +391,8 @@ mod tests {
                 Dialect::FRAMES
             }
         };
-        let d = Domain::from_diffs_tagged(records.iter(), tag_of);
+        let records = changes.iter().map(|c| RecordRef::new(0, 1, c));
+        let d = Domain::from_diffs_tagged(records, tag_of);
         // The literal 1 came from q1 (SQL), the literal 2 from q2 (frames).
         for (node, dialect) in d.tagged_subtrees() {
             match node.label().as_str() {

@@ -108,7 +108,7 @@ impl Widget {
 mod tests {
     use super::*;
     use pi_ast::Frontend as _;
-    use pi_diff::{extract_diffs, AncestorPolicy};
+    use pi_diff::{extract_changes, AncestorPolicy, RecordRef};
 
     fn parse(sql: &str) -> Result<pi_ast::Node, pi_ast::FrontendError> {
         pi_sql::SqlFrontend.parse_one(sql)
@@ -165,8 +165,8 @@ mod tests {
         let q1 = parse("SELECT a FROM t WHERE x = 1").unwrap();
         let q2 = parse("SELECT a FROM t WHERE x = 50").unwrap();
         let q3 = parse("SELECT b FROM t WHERE x = 1").unwrap();
-        let d_num = &extract_diffs(&q1, &q2, 0, 1, AncestorPolicy::LcaPruned)[0];
-        let d_col = &extract_diffs(&q1, &q3, 0, 2, AncestorPolicy::LcaPruned)[0];
+        let d_num = &extract_changes(&q1, &q2, AncestorPolicy::LcaPruned)[0];
+        let d_col = &extract_changes(&q1, &q3, AncestorPolicy::LcaPruned)[0];
 
         let slider = slider_widget();
         assert!(slider.expresses(d_num));
@@ -180,9 +180,9 @@ mod tests {
     fn presence_domains_express_deletions() {
         let q1 = parse("SELECT g FROM t").unwrap();
         let q2 = parse("SELECT TOP 1 g FROM t").unwrap();
-        let records = extract_diffs(&q1, &q2, 0, 1, AncestorPolicy::LcaPruned);
-        let add = &records[0];
-        let domain = Domain::from_diffs(records.iter());
+        let changes = extract_changes(&q1, &q2, AncestorPolicy::LcaPruned);
+        let add = &changes[0];
+        let domain = Domain::from_diffs(changes.iter().map(|c| RecordRef::new(0, 1, c)));
         let toggle = Widget::new(
             WidgetType::ToggleButton,
             add.path.clone(),
@@ -192,7 +192,7 @@ mod tests {
         );
         assert!(toggle.expresses(add));
         // The inverse direction (deleting the TOP clause) is a diff with after = None.
-        let inverse = extract_diffs(&q2, &q1, 1, 0, AncestorPolicy::LcaPruned);
+        let inverse = extract_changes(&q2, &q1, AncestorPolicy::LcaPruned);
         let del = &inverse[0];
         assert!(toggle.can_express_subtree(del.after.as_ref()));
     }

@@ -19,7 +19,6 @@
 //! | [`engine`] | `pi-engine` | `exec()` / `render()` over an in-memory catalog |
 //! | [`workloads`] | `pi-workloads` | synthetic SDSS / OLAP / ad-hoc query logs |
 //! | [`ui`] | `pi-ui` | editable layout + HTML compiler |
-//! | [`study`] | `pi-study` | simulated user study + ANOVA |
 //!
 //! ## Quickstart
 //!
@@ -68,10 +67,13 @@
 //! chunks through a per-session parse cache (a repeated statement is a hash probe, not a
 //! re-parse), unparseable lines are skipped, counted and sampled
 //! ([`Session::parse_errors`](core::Session::parse_errors)), and
-//! [`Session::memory_footprint`](core::Session::memory_footprint) reports the bytes
-//! retained — bounded by the log's *distinct* content, not its length, because distinct
-//! trees and interned strings are stored once however often they recur.  Streamed ingest
-//! is byte-identical to pushing the same statements one at a time (property-tested):
+//! [`Session::memory_footprint`](core::Session::memory_footprint) estimates the bytes
+//! retained from row sizes and per-node constants.  The estimate is not checked against an
+//! allocator: on the 100k-line `sliding(16)` Zipf trace it reads 48.3 MiB where the whole
+//! process peaks at 39.8 MiB.  Log storage grows with the log's *distinct* content, not its
+//! length, because distinct trees and interned strings are stored once however often they
+//! recur; mined state grows by a 16-byte run row per mined pair.  Streamed ingest is
+//! byte-identical to pushing the same statements one at a time (property-tested):
 //!
 //! ```
 //! use precision_interfaces::prelude::*;
@@ -182,11 +184,6 @@ pub mod workloads {
 /// Interface layout editing and HTML compilation (`pi-ui`).
 pub mod ui {
     pub use pi_ui::*;
-}
-
-/// The simulated user study (`pi-study`).
-pub mod study {
-    pub use pi_study::*;
 }
 
 /// The multi-tenant HTTP interface service (`pi-server`).

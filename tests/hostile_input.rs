@@ -342,3 +342,51 @@ fn every_prefix_of_a_generated_statement_parses_or_fails_cleanly() {
         }
     }
 }
+
+/// A statement filtering on `n` negations of a parenthesised comparison, in `dialect`'s
+/// syntax: `NOT NOT (x = 1)`, `~~(x == 1)`.
+fn negation_chain(dialect: Dialect, n: usize) -> String {
+    if dialect == Dialect::SQL {
+        format!("SELECT a FROM t WHERE {}(x = 1)", "NOT ".repeat(n))
+    } else {
+        format!("t.filter({}(x == 1))", "~".repeat(n))
+    }
+}
+
+#[test]
+fn negation_chains_round_trip_at_every_length_a_front_end_accepts() {
+    // Parsing a chain nests one level per negation, so each front-end accepts chains up to
+    // a longest length set by `MAX_NESTING`; every chain it accepts must re-parse from its
+    // rendering to the same tree.
+    let frontends = standard_frontends();
+    for dialect in [Dialect::SQL, Dialect::FRAMES] {
+        let frontend = frontends
+            .get(dialect)
+            .expect("both dialects are registered");
+        let mut longest = 0;
+        while let Ok(tree) = frontend.parse_one(&negation_chain(dialect, longest + 1)) {
+            longest += 1;
+            let rendered = frontend.render(&tree);
+            match frontend.parse_one(&rendered) {
+                Ok(again) => assert_eq!(
+                    again, tree,
+                    "{dialect}: the {longest}-long chain re-parses to a different tree"
+                ),
+                Err(e) => panic!(
+                    "{dialect}: the {longest}-long chain renders as `{rendered}`, \
+                     which fails to parse: {e}"
+                ),
+            }
+        }
+        // Chains past the longest fail on the nesting bound, not on their syntax, and the
+        // bound admits chains past the 64 that parenthesised renderings stayed within.
+        let err = frontend
+            .parse_one(&negation_chain(dialect, longest + 1))
+            .unwrap_err();
+        assert!(err.to_string().contains("nesting"), "{dialect}: {err}");
+        assert!(
+            longest > 65,
+            "{dialect} accepts chains of at most {longest}"
+        );
+    }
+}

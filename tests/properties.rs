@@ -2,7 +2,7 @@
 
 use pi_ast::builder::SelectBuilder;
 use pi_ast::{ErrorSample, Node, Path};
-use pi_diff::{extract_diffs, AncestorPolicy, ChangeKind};
+use pi_diff::{extract_changes, AncestorPolicy, ChangeKind};
 use precision_interfaces::graph::InteractionGraph;
 use precision_interfaces::prelude::*;
 use proptest::prelude::*;
@@ -220,12 +220,12 @@ proptest! {
     /// both directions.  The diff of a query with itself is empty.
     #[test]
     fn leaf_diffs_transform_between_queries(a in arb_query(), b in arb_query()) {
-        prop_assert!(extract_diffs(&a, &a, 0, 0, AncestorPolicy::Full).is_empty());
-        let records = extract_diffs(&a, &b, 0, 1, AncestorPolicy::Full);
+        prop_assert!(extract_changes(&a, &a, AncestorPolicy::Full).is_empty());
+        let records = extract_changes(&a, &b, AncestorPolicy::Full);
         let forward = pi_diff::apply_leaf_changes(&a, &records).expect("diffs apply");
         prop_assert_eq!(&forward, &b);
 
-        let reverse_records = extract_diffs(&b, &a, 1, 0, AncestorPolicy::Full);
+        let reverse_records = extract_changes(&b, &a, AncestorPolicy::Full);
         let backward = pi_diff::apply_leaf_changes(&b, &reverse_records).expect("reverse diffs apply");
         prop_assert_eq!(&backward, &a);
 
@@ -250,7 +250,7 @@ proptest! {
     fn generated_interfaces_cover_every_compared_pair(queries in prop::collection::vec(arb_query(), 2..10)) {
         let generated = PrecisionInterfaces::default().from_queries(queries.clone());
         for pair in queries.windows(2) {
-            let records = extract_diffs(&pair[0], &pair[1], 0, 1, AncestorPolicy::LcaPruned);
+            let records = extract_changes(&pair[0], &pair[1], AncestorPolicy::LcaPruned);
             let expressed_paths: Vec<Path> = records
                 .iter()
                 .filter(|r| generated.interface.widgets().iter().any(|w| w.expresses(r)))
@@ -548,9 +548,10 @@ proptest! {
     /// steal-order seed (injected through the test-only `steal_seed` hook, which also
     /// bypasses the cost gate so tiny logs exercise real multi-worker schedules), batch
     /// builds and interleaved `push_tagged`/`snapshot` sessions — memo on and off — produce
-    /// outputs byte-identical to the single-threaded build: same graph (same `DiffStore`
-    /// ids and record order), same widgets, same rendered `describe()`.  Block order, not
-    /// steal order, defines the output.
+    /// outputs byte-identical to the single-threaded memoized build: same graph (same
+    /// `DiffStore` ids and record order), same widgets, same rendered `describe()`.  Block
+    /// order, not steal order, defines the output.  The unmemoized builder ignores the
+    /// worker count and the seed, so its arm runs once per log, under the forced settings.
     #[test]
     fn work_stealing_is_byte_identical_across_thread_counts_and_steal_orders(
         base in prop::collection::vec((arb_query(), prop::bool::ANY), 2..8),
@@ -568,32 +569,36 @@ proptest! {
             queries.insert(pos % (queries.len() + 1), entry);
         }
         for window in [WindowStrategy::AllPairs, WindowStrategy::sliding(3)] {
-            for memoize in [true, false] {
-                let serial = PiOptions { window, memoize, threads: 1, ..Default::default() };
-                let stolen = PiOptions {
-                    window,
-                    memoize,
-                    threads,
-                    steal_seed: Some(seed),
-                    ..Default::default()
-                };
-                let (reference, reference_graph) = generate(&serial, queries.clone());
-                let (forced, forced_graph) = generate(&stolen, queries.clone());
+            let serial = PiOptions { window, threads: 1, ..Default::default() };
+            let stolen = PiOptions {
+                window,
+                threads,
+                steal_seed: Some(seed),
+                ..Default::default()
+            };
+            let unmemoized = PiOptions { memoize: false, ..stolen.clone() };
+            let (reference, reference_graph) = generate(&serial, queries.clone());
+            for options in [&stolen, &unmemoized] {
+                let (forced, forced_graph) = generate(options, queries.clone());
                 prop_assert_eq!(forced.graph_stats, reference.graph_stats);
                 prop_assert_eq!(&forced_graph, &reference_graph);
                 prop_assert_eq!(forced.interface.widgets(), reference.interface.widgets());
                 prop_assert_eq!(forced.interface.describe(), reference.interface.describe());
-                // Interleaved streaming under the perturbed schedule: every prefix the
-                // snapshot pattern lands on must match the single-threaded batch build of
-                // exactly that prefix.
-                let mut session = Session::new(stolen);
-                for (k, q) in queries.iter().enumerate() {
+            }
+            // Interleaved streaming under the perturbed schedule: every prefix the snapshot
+            // pattern lands on must match the single-threaded batch build of exactly that
+            // prefix.
+            let mut sessions = [Session::new(stolen), Session::new(unmemoized)];
+            for (k, q) in queries.iter().enumerate() {
+                for session in &mut sessions {
                     prop_assert_eq!(session.push_tagged(Dialect::SQL, q.clone()), k);
-                    if (k + 1) % snap_every != 0 && k + 1 != queries.len() {
-                        continue;
-                    }
+                }
+                if (k + 1) % snap_every != 0 && k + 1 != queries.len() {
+                    continue;
+                }
+                let (batch, batch_graph) = generate(&serial, queries[..=k].to_vec());
+                for session in &mut sessions {
                     let snap = session.snapshot();
-                    let (batch, batch_graph) = generate(&serial, queries[..=k].to_vec());
                     prop_assert_eq!(snap.version, batch.version);
                     prop_assert_eq!(&session.graph(), &batch_graph);
                     prop_assert_eq!(snap.interface.widgets(), batch.interface.widgets());
@@ -607,8 +612,9 @@ proptest! {
 
     /// Every mining path writes each compared pair's records as one contiguous run (see
     /// `assert_one_run_per_pair`): batch builds, streamed pushes with interleaved
-    /// snapshots, memo on and off, 1 and 4 workers (4 under a perturbed steal schedule),
-    /// and a `persist → restore → hydrate` round trip.
+    /// snapshots, memo on with 1 and 4 workers (4 under a perturbed steal schedule), memo
+    /// off (once: it ignores the worker count and the seed), and a
+    /// `persist → restore → hydrate` round trip.
     #[test]
     fn every_pair_is_one_contiguous_run_of_records(
         base in prop::collection::vec(arb_query(), 2..8),
@@ -623,46 +629,45 @@ proptest! {
             queries.insert(pos % (queries.len() + 1), entry);
         }
         for window in [WindowStrategy::AllPairs, WindowStrategy::sliding(3)] {
-            for memoize in [true, false] {
-                for threads in [1, 4] {
-                    let options = PiOptions {
-                        window,
-                        memoize,
-                        threads,
-                        steal_seed: (threads > 1).then_some(seed),
-                        ..Default::default()
-                    };
-                    let what = format!("{window:?} memoize={memoize} threads={threads}");
-                    let batch = PrecisionInterfaces::new(options.clone()).mine(queries.clone());
-                    assert_one_run_per_pair(&batch, &format!("batch {what}"));
+            for (memoize, threads) in [(true, 1), (true, 4), (false, 4)] {
+                let options = PiOptions {
+                    window,
+                    memoize,
+                    threads,
+                    steal_seed: (threads > 1).then_some(seed),
+                    ..Default::default()
+                };
+                let what = format!("{window:?} memoize={memoize} threads={threads}");
+                let batch = PrecisionInterfaces::new(options.clone()).mine(queries.clone());
+                assert_one_run_per_pair(&batch, &format!("batch {what}"));
 
-                    let mut session = Session::new(options.clone());
-                    for (k, q) in queries.iter().enumerate() {
-                        session.push_tagged(Dialect::SQL, q.clone());
-                        if (k + 1) % snap_every == 0 {
-                            let _ = session.snapshot();
-                        }
+                let mut session = Session::new(options.clone());
+                for (k, q) in queries.iter().enumerate() {
+                    session.push_tagged(Dialect::SQL, q.clone());
+                    if (k + 1) % snap_every == 0 {
+                        let _ = session.snapshot();
                     }
-                    let streamed = session.graph();
-                    assert_one_run_per_pair(&streamed, &format!("streamed {what}"));
-
-                    let bytes = session.persist_to_vec().expect("persist");
-                    let mut restored = Session::restore_with(&mut bytes.as_slice(), options)
-                        .expect("restore");
-                    restored.hydrate();
-                    let hydrated = restored.graph();
-                    assert_one_run_per_pair(&hydrated, &format!("restored {what}"));
-                    prop_assert_eq!(&hydrated, &streamed);
                 }
+                let streamed = session.graph();
+                assert_one_run_per_pair(&streamed, &format!("streamed {what}"));
+
+                let bytes = session.persist_to_vec().expect("persist");
+                let mut restored =
+                    Session::restore_with(&mut bytes.as_slice(), options).expect("restore");
+                restored.hydrate();
+                let hydrated = restored.graph();
+                assert_one_run_per_pair(&hydrated, &format!("restored {what}"));
+                prop_assert_eq!(&hydrated, &streamed);
             }
         }
     }
 
     /// A snapshot maps the session's records in place, without freezing a graph: at every
     /// version a streamed session snapshots at, its interface equals `map_tagged` over
-    /// `session.graph()` and its stats equal that graph's — memo on and off, 1 and 4
-    /// workers (4 under a perturbed steal schedule), and after `persist → restore`, both
-    /// before and after the restored session ingests more.
+    /// `session.graph()` and its stats equal that graph's — memo on with 1 and 4 workers
+    /// (4 under a perturbed steal schedule), memo off (once: it ignores the worker count
+    /// and the seed), and after `persist → restore`, both before and after the restored
+    /// session ingests more.
     #[test]
     fn snapshots_equal_mapping_the_session_graph(
         base in prop::collection::vec((arb_query(), prop::bool::ANY), 2..8),
@@ -682,37 +687,35 @@ proptest! {
             log.insert(pos % (log.len() + 1), entry);
         }
         let (head, tail) = log.split_at(log.len() / 2 + 1);
-        for memoize in [true, false] {
-            for threads in [1, 4] {
-                let options = PiOptions {
-                    window: WindowStrategy::sliding(3),
-                    memoize,
-                    threads,
-                    steal_seed: (threads > 1).then_some(seed),
-                    ..Default::default()
-                };
-                let what = format!("memoize={memoize} threads={threads}");
-                let mut session = Session::new(options.clone());
-                for (k, (dialect, q)) in head.iter().enumerate() {
-                    session.push_tagged(*dialect, q.clone());
-                    if (k + 1) % snap_every == 0 {
-                        assert_snapshot_maps_its_graph(&mut session, &format!("streamed {what}"));
-                    }
+        for (memoize, threads) in [(true, 1), (true, 4), (false, 4)] {
+            let options = PiOptions {
+                window: WindowStrategy::sliding(3),
+                memoize,
+                threads,
+                steal_seed: (threads > 1).then_some(seed),
+                ..Default::default()
+            };
+            let what = format!("memoize={memoize} threads={threads}");
+            let mut session = Session::new(options.clone());
+            for (k, (dialect, q)) in head.iter().enumerate() {
+                session.push_tagged(*dialect, q.clone());
+                if (k + 1) % snap_every == 0 {
+                    assert_snapshot_maps_its_graph(&mut session, &format!("streamed {what}"));
                 }
-                assert_snapshot_maps_its_graph(&mut session, &format!("streamed {what}"));
-
-                let bytes = session.persist_to_vec().expect("persist");
-                let mut restored =
-                    Session::restore_with(&mut bytes.as_slice(), options).expect("restore");
-                assert_snapshot_maps_its_graph(&mut restored, &format!("restored {what}"));
-                for (k, (dialect, q)) in tail.iter().enumerate() {
-                    restored.push_tagged(*dialect, q.clone());
-                    if (k + 1) % snap_every == 0 {
-                        assert_snapshot_maps_its_graph(&mut restored, &format!("restored {what}"));
-                    }
-                }
-                assert_snapshot_maps_its_graph(&mut restored, &format!("restored {what}"));
             }
+            assert_snapshot_maps_its_graph(&mut session, &format!("streamed {what}"));
+
+            let bytes = session.persist_to_vec().expect("persist");
+            let mut restored =
+                Session::restore_with(&mut bytes.as_slice(), options).expect("restore");
+            assert_snapshot_maps_its_graph(&mut restored, &format!("restored {what}"));
+            for (k, (dialect, q)) in tail.iter().enumerate() {
+                restored.push_tagged(*dialect, q.clone());
+                if (k + 1) % snap_every == 0 {
+                    assert_snapshot_maps_its_graph(&mut restored, &format!("restored {what}"));
+                }
+            }
+            assert_snapshot_maps_its_graph(&mut restored, &format!("restored {what}"));
         }
     }
 

@@ -5,36 +5,49 @@
 //!
 //! 1. **Initialisation** (Algorithm 1/2): partition the diff records by path, and instantiate
 //!    for every partition the lowest-cost widget type whose rule accepts the partition's
-//!    domain.  The resulting interface expresses every query in the log but usually contains
+//!    domain (none when no type accepts it).  The resulting interface usually contains
 //!    redundant widgets.
 //! 2. **Merging** (Algorithm 3): repeatedly compare an ancestor widget against the set of its
 //!    descendant widgets; the diff records whose incident queries are expressed by both sides
 //!    are assigned exclusively to whichever side yields the larger cost reduction, and widgets
-//!    whose record set becomes empty are dropped.  We additionally guard every contraction
-//!    with an explicit log-coverage check so the `g = 1` constraint of the problem statement
-//!    can never be violated by the greedy choice.
+//!    whose record set becomes empty are dropped.  Every contraction is also guarded by a
+//!    coverage check: each change list the contraction touches must keep every leaf change
+//!    covered under the mapper's own rule, by a widget at the leaf's path or at a prefix of
+//!    it that can place that change's `after` side (`Columns::covers`).  That rule is not
+//!    the interface's closure check, and it does not make an interface express its whole
+//!    training log: measured with [`Interface::expressiveness`], OLAP walks of 50 and 100
+//!    queries read 0.56 and 0.41.  Making the two rules one is item 1 of `ROADMAP.md`.
 //!
 //! **Cost of a mapping.**  A mapping first lays the pair table out as flat per-record
-//! columns: a path id (the distinct paths interned once and ranked in `Path` order), a
-//! member id for each of the record's two subtree sides (the distinct subtrees interned once
-//! by [`NodeId`]), its change list and its compared pair's queries.  Paths and sides are
-//! hashed once per change of the store's change table, not once per record, and the intern
-//! pass records each new member's primitive type and numeric value; each run then copies its
-//! list's ids into the record columns.  Everything after that works on ids, and no `Node` is
-//! read again until the mapper returns.  The path partition is a counting sort on the path
-//! column.  A widget under construction is a slot: its type, cost and records, and its
+//! columns: a member id for each of the record's two subtree sides (the distinct subtrees
+//! interned once by [`NodeId`]), its change list and its compared pair's queries.  Paths and
+//! sides are hashed once per change of the store's change table, not once per record; the
+//! intern pass records each new member's primitive type and numeric value and counts each
+//! path's records, and one copy pass over the runs then writes the record columns and
+//! Algorithm 1's partition by path (the distinct paths ranked in `Path` order) together.
+//! Everything after that works on ids, and no `Node` is read again until the mapper
+//! returns.  A widget under construction is a slot: its type, cost and records, and its
 //! domain as a shape (the sorted member ids, deduplicated against per-member stamps, and
 //! the size, type join, absent flag and numeric range the widget rules and cost functions
 //! read), one slot per path id.  An ancestor's descendants are the path ids of its subtree
 //! range, and a prefix test is two integer comparisons.  One ancestor step of Algorithm 3
-//! reads the records of the ancestor and of its descendants a constant number of times: once
-//! to mark the shared queries `V` in a per-query array, once to split each record list into
-//! overlap and kept records (exact complements), and once per rebuilt slot; the coverage
-//! check then reads each change list the overlap touches once, whatever the number of runs
-//! that share it.  A pass therefore costs time linear in `Σ` over ancestors of the records
-//! they and their descendants hold — each record is touched once per widget path above it.
-//! Only the slots left after the last pass become [`Widget`]s, each with its [`Domain`]
-//! built once from its own records.
+//! reads the records of the ancestor and of its descendants twice: once to mark the shared
+//! queries `V` in a per-query array, and once to split each side into overlap and kept
+//! records while it builds the kept records' slot.  The coverage check then reads each
+//! change list the overlap touches once, whatever the number of runs that share it.  A
+//! step's lists come from the mapping's scratch, and a rebuilt slot reuses the buffers of
+//! slots and candidates dropped before it.
+//!
+//! A step reads nothing but the slots of its subtree range and the slots its coverage check
+//! reads outside it, so a step none of whose slots changed since it last ran would commit
+//! nothing again; it is skipped.  The mapping keeps, per path id, the commit count at which
+//! its slot last changed, and per ancestor the count at its last run and the path ids
+//! outside its range that the run's coverage check read.  The first pass runs every step,
+//! at a cost linear in `Σ` over ancestors of the records they and their descendants hold:
+//! each record is touched once per widget path above it.  A later pass runs only the steps
+//! that can see a slot a commit replaced, so the pass that confirms the last commit costs
+//! a fraction of the first.  Only the slots left after the last pass become [`Widget`]s,
+//! each with its [`Domain`] built once from its own records.
 
 use crate::interface::Interface;
 use pi_ast::{Dialect, IntBuildHasher, Node, NodeId, NodeKind, Path};
@@ -43,6 +56,7 @@ use pi_graph::InteractionGraph;
 use pi_widgets::{Domain, DomainShape, MemberFacts, Widget, WidgetLibrary, WidgetType};
 use std::cmp::Reverse;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Knobs controlling the mapper (exposed for the ablation experiments).
 #[derive(Debug, Clone, Copy)]
@@ -123,36 +137,25 @@ impl InteractionMapper {
         initial_query: Option<&Node>,
         dialects: &[Dialect],
     ) -> Mapping {
-        let initial_query = initial_query
-            .cloned()
-            .unwrap_or_else(|| Node::new(NodeKind::Select));
-        let initial_dialect = dialects.first().copied().unwrap_or_default();
-
-        let columns = Columns::build(store, dialects);
+        let (columns, partition) = Columns::build(store, dialects);
         let mut scratch = Scratch::new(&columns, log_len);
-        let slots = self.slots(&columns, &mut scratch);
-        let widgets = slots
-            .into_iter()
-            .enumerate()
-            .filter_map(|(p, slot)| {
-                let slot = slot?;
-                let domain = columns.domain(&slot.ids, &mut scratch.seen);
-                let path = columns.paths[p].clone();
-                Some(Widget::new(slot.ty, path, domain, slot.ids, slot.cost))
-            })
-            .collect();
+        let slots = self.slots(&columns, partition, &mut scratch);
         Mapping {
-            interface: Interface::new(initial_query, widgets).with_initial_dialect(initial_dialect),
+            interface: columns.interface(slots, initial_query, &mut scratch.seen),
             distinct_paths: columns.paths.len(),
         }
     }
 
     /// Algorithms 1–3 on ids: the slots left at each path id once merging ends.
-    fn slots(&self, columns: &Columns<'_>, scratch: &mut Scratch) -> Vec<Option<Slot>> {
+    fn slots(
+        &self,
+        columns: &Columns<'_>,
+        partition: Vec<Vec<DiffId>>,
+        scratch: &mut Scratch,
+    ) -> Vec<Option<Slot>> {
         // Algorithm 1: one widget per path partition, instantiated by `pickWidget`.  A slot
         // is `None` when no widget type accepts its path's domain.
-        let mut slots: Vec<Option<Slot>> = columns
-            .partition()
+        let mut slots: Vec<Option<Slot>> = partition
             .into_iter()
             .map(|ids| columns.slot(&self.library, ids, &mut scratch.seen))
             .collect();
@@ -166,20 +169,15 @@ impl InteractionMapper {
         slots
     }
 
-    /// One sweep of Algorithm 3 over every ancestor widget, deepest first.  Returns whether
-    /// the total interface cost decreased.
+    /// One sweep of Algorithm 3 over every ancestor widget, deepest first, skipping the
+    /// steps none of whose slots changed since they last ran (see the module doc).  Returns
+    /// whether the total interface cost decreased.
     fn merge_pass(
         &self,
         slots: &mut [Option<Slot>],
         columns: &Columns<'_>,
         scratch: &mut Scratch,
     ) -> bool {
-        let Scratch {
-            seen,
-            queries,
-            queued,
-            expressed,
-        } = scratch;
         let mut improved = false;
 
         // Deepest ancestors first: this collapses widget chains bottom-up so that the cost of
@@ -194,73 +192,50 @@ impl InteractionMapper {
             };
             // The paths that strictly extend `a`'s are exactly the path ids after it in its
             // subtree range.
-            let descendant_ids: Vec<usize> = (a + 1..columns.subtree_end[a])
-                .filter(|&j| slots[j].is_some())
-                .collect();
-            if descendant_ids.is_empty() {
+            let range = a..columns.subtree_end[a];
+            if !scratch.needs_step(&range) {
+                continue;
+            }
+            scratch.freshness.evaluate(a);
+            scratch.descendants.clear();
+            let descendants = (a + 1..range.end).filter(|&j| slots[j].is_some());
+            scratch.descendants.extend(descendants);
+            if scratch.descendants.is_empty() {
                 continue;
             }
             let slot_at = |j: usize| slots[j].as_ref().expect("a listed path id holds a slot");
 
             // V: the queries incident to both the ancestor's and the descendants' records.
-            let descendant_diffs = descendant_ids.iter().map(|&j| &slot_at(j).ids);
-            if !queries.mark_shared(&columns.queries, &ancestor.ids, descendant_diffs) {
-                continue;
-            }
-            let queries = &*queries;
-            let in_v = |id: &DiffId| queries.in_v(&columns.queries, *id);
-
-            // The overlap (records whose incident queries both lie in V) on either side, and
-            // the change lists it touches: only those need re-checking, each once.
-            let mut affected: Vec<u32> = Vec::new();
-            let mut overlap = |ids: &[DiffId]| {
-                let mut any = false;
-                for id in ids.iter().filter(|id| in_v(id)) {
-                    let list = columns.list[id.0];
-                    if queued[list as usize] != queries.stamp {
-                        queued[list as usize] = queries.stamp;
-                        affected.push(list);
-                    }
-                    any = true;
-                }
-                any
-            };
-            let ancestor_overlaps = overlap(&ancestor.ids);
-            let overlapping: Vec<usize> = descendant_ids
-                .into_iter()
-                .filter(|&j| overlap(&slot_at(j).ids))
-                .collect();
-            if affected.is_empty() {
+            let descendant_diffs = scratch.descendants.iter().map(|&j| &slot_at(j).ids);
+            if !scratch
+                .queries
+                .mark_shared(&columns.queries, &ancestor.ids, descendant_diffs)
+            {
                 continue;
             }
 
-            // Each candidate keeps the complement of its side's overlap.  A side without
-            // overlap would be rebuilt into itself (same ids, same widget, a cost change of
-            // exactly 0.0), so it is neither rebuilt nor summed.
-            let kept = |ids: &[DiffId]| -> Vec<DiffId> {
-                ids.iter().copied().filter(|id| !in_v(id)).collect()
-            };
-            let rebuilt = |ids: &[DiffId], seen: &mut MemberMarks| {
-                columns.slot(&self.library, kept(ids), seen)
-            };
+            // Each candidate keeps the complement of its side's overlap (the records whose
+            // incident queries both lie in V), and the change lists the overlap touches are
+            // queued: only those need re-checking, each once.  A side without overlap would
+            // be rebuilt into itself (same ids, same widget, a cost change of exactly 0.0),
+            // so it is neither rebuilt nor summed.
+            scratch.affected.clear();
             // Candidate A: remove the overlap from the ancestor.
-            let (new_ancestor, sa) = if ancestor_overlaps {
-                let newer = rebuilt(&ancestor.ids, seen);
-                let sa = ancestor.cost - newer.as_ref().map(|s| s.cost).unwrap_or(0.0);
-                (newer, sa)
-            } else {
-                (None, 0.0)
+            let mut new_ancestor = scratch.split(columns, &self.library, &ancestor.ids);
+            let sa = match &new_ancestor {
+                Some(newer) => ancestor.cost - cost_of(newer),
+                None => 0.0,
             };
-
             // Candidate B: remove the overlap from every descendant, summed in path order.
-            let mut new_descendants: Vec<(usize, Option<Slot>)> =
-                Vec::with_capacity(overlapping.len());
+            scratch.new_descendants.clear();
             let mut sd = 0.0;
-            for j in overlapping {
+            for k in 0..scratch.descendants.len() {
+                let j = scratch.descendants[k];
                 let descendant = slot_at(j);
-                let replacement = rebuilt(&descendant.ids, seen);
-                sd += descendant.cost - replacement.as_ref().map(|s| s.cost).unwrap_or(0.0);
-                new_descendants.push((j, replacement));
+                if let Some(replacement) = scratch.split(columns, &self.library, &descendant.ids) {
+                    sd += descendant.cost - cost_of(&replacement);
+                    scratch.new_descendants.push((j, replacement));
+                }
             }
 
             // Prefer the larger cost reduction; on a tie keep the fine-grained descendants
@@ -271,44 +246,70 @@ impl InteractionMapper {
                 [false, true]
             };
 
+            let Scratch {
+                queries,
+                affected,
+                expressed,
+                new_descendants,
+                spare,
+                freshness,
+                ..
+            } = &mut *scratch;
             for apply_ancestor_shrink in try_order {
                 let reduction = if apply_ancestor_shrink { sa } else { sd };
                 if reduction <= 0.0 {
                     continue;
                 }
                 // The hypothetical slot set, by path id: the candidate's replacement where it
-                // has one.
-                let candidate_at = |p: usize| -> Option<&Slot> {
+                // has one.  A slot read outside the subtree range is recorded for the skip
+                // rule.
+                let mut candidate_at = |p: usize| -> Option<&Slot> {
                     if apply_ancestor_shrink && p == a {
-                        return new_ancestor.as_ref();
+                        return new_ancestor.as_ref().and_then(Option::as_ref);
                     }
                     if !apply_ancestor_shrink {
                         if let Ok(k) = new_descendants.binary_search_by_key(&p, |(j, _)| *j) {
                             return new_descendants[k].1.as_ref();
                         }
                     }
+                    if !range.contains(&p) {
+                        freshness.read(a, p, queries.stamp);
+                    }
                     slots[p].as_ref()
                 };
                 if !affected
                     .iter()
-                    .all(|&list| columns.covers(list, candidate_at, expressed))
+                    .all(|&list| columns.covers(list, &mut candidate_at, expressed))
                 {
                     continue;
                 }
                 // Commit.
                 if apply_ancestor_shrink {
-                    slots[a] = new_ancestor;
+                    freshness.commit([a]);
+                    let newer = new_ancestor.take().flatten();
+                    spare.put(std::mem::replace(&mut slots[a], newer));
                 } else {
-                    for (j, replacement) in new_descendants {
-                        slots[j] = replacement;
+                    freshness.commit(new_descendants.iter().map(|(j, _)| *j));
+                    for (j, replacement) in new_descendants.drain(..) {
+                        spare.put(std::mem::replace(&mut slots[j], replacement));
                     }
                 }
                 improved = true;
                 break;
             }
+            // The candidates left uncommitted lend their buffers to later ones.
+            spare.put(new_ancestor.flatten());
+            for (_, replacement) in new_descendants.drain(..) {
+                spare.put(replacement);
+            }
         }
         improved
     }
+}
+
+/// The cost a candidate adds to the interface: none when no type accepts its records.
+fn cost_of(slot: &Option<Slot>) -> f64 {
+    slot.as_ref().map_or(0.0, |slot| slot.cost)
 }
 
 /// A widget under construction: its type and cost, its records `w.D`, and its domain as a
@@ -334,6 +335,64 @@ impl Slot {
     }
 }
 
+/// The domain shape of a slot being built: both sides of each record added, in id order,
+/// each member once (a fresh [`MemberMarks`] stamp per build), exactly as
+/// [`Columns::domain`] would insert them.
+struct ShapeBuilder<'s> {
+    shape: DomainShape,
+    members: Vec<u32>,
+    seen: &'s mut MemberMarks,
+}
+
+impl<'s> ShapeBuilder<'s> {
+    /// An empty shape whose member ids go to `members`, an empty buffer.
+    fn new(members: Vec<u32>, seen: &'s mut MemberMarks) -> Self {
+        seen.stamp += 1;
+        ShapeBuilder {
+            shape: DomainShape::default(),
+            members,
+            seen,
+        }
+    }
+
+    /// Adds record `id`'s two sides.
+    fn add(&mut self, columns: &Columns<'_>, id: DiffId) {
+        for member in columns.sides[id.0] {
+            if member == ABSENT {
+                self.shape.set_includes_absent(true);
+            } else if self.seen.first_sight(member) {
+                self.shape.add_member(columns.facts[member as usize]);
+                self.members.push(member);
+            }
+        }
+    }
+
+    /// Algorithm 2 (`pickWidget`) on ids: the slot over records `ids`, the ones added, with
+    /// the type and cost [`WidgetLibrary::pick`] picks for their built domain.  When no type
+    /// in `library` accepts the domain (in particular when `ids` is empty) the record and
+    /// member buffers come back instead.
+    fn pick(
+        self,
+        library: &WidgetLibrary,
+        ids: Vec<DiffId>,
+    ) -> Result<Slot, (Vec<DiffId>, Vec<u32>)> {
+        let ShapeBuilder {
+            shape, mut members, ..
+        } = self;
+        let Some((ty, cost)) = library.choose(&shape) else {
+            return Err((ids, members));
+        };
+        members.sort_unstable();
+        Ok(Slot {
+            ty,
+            cost,
+            ids,
+            members,
+            shape,
+        })
+    }
+}
+
 /// The pair table laid out as flat per-record columns, built once per mapping; record `r`
 /// of the store is row `r` of every per-record column.
 struct Columns<'a> {
@@ -355,8 +414,6 @@ struct Columns<'a> {
     change_path: Vec<u32>,
     /// Per change of the table: the member id of its `after` side, [`ABSENT`] when missing.
     change_after: Vec<u32>,
-    /// Per record: its path id.
-    path: Vec<u32>,
     /// Per record: the member ids of its `before` and `after` subtrees, [`ABSENT`] for a
     /// missing side.
     sides: Vec<[u32; 2]>,
@@ -370,26 +427,45 @@ struct Columns<'a> {
 const UNSEEN: u32 = u32::MAX;
 
 impl<'a> Columns<'a> {
-    /// One pass over the distinct changes the runs use, a sort of the distinct paths, then
-    /// one copy pass over the runs.
+    /// The columns and Algorithm 1's partition: one pass over the runs counting each
+    /// change list's runs, one over the distinct changes they use, a sort of the distinct
+    /// paths, then one copy pass over the runs that writes the record columns and the path
+    /// groups together.
     ///
-    /// The merge check reads a compared pair as its change list, so the build asserts that
-    /// run rows strictly increase in `(to, from)` — the builder's append order, which also
-    /// means no pair has two runs.
-    fn build(store: &'a DiffStore, dialects: &'a [Dialect]) -> Self {
+    /// The partition `W_p` (Algorithm 1, line 3) holds one group per path id, each in id
+    /// order, exactly sized.  The merge check reads a compared pair as its change list, so
+    /// the build asserts that run rows strictly increase in `(to, from)` — the builder's
+    /// append order, which also means no pair has two runs.
+    fn build(store: &'a DiffStore, dialects: &'a [Dialect]) -> (Self, Vec<Vec<DiffId>>) {
         // Path, list and member ids are stored as `u32`: the first two cannot exceed the
         // record count, and member ids stay below twice that, so below `ABSENT`.
         assert!(
             store.len() < 1 << 31,
             "a mapping handles fewer than 2^31 records"
         );
+        let mut runs_of = vec![0usize; store.list_count()];
+        let mut previous = None;
+        for run in store.runs() {
+            assert!(
+                previous < Some((run.to, run.from)),
+                "run ({}, {}) is not after its predecessor in append order",
+                run.from,
+                run.to
+            );
+            previous = Some((run.to, run.from));
+            runs_of[run.list as usize] += 1;
+        }
+
         // Per change of the table: its path id and side member ids, assigned the first time
         // a run's list reaches it, so ids are first-seen in record order.  A new member's
         // facts are read here, the one time the mapping reaches its `Node` before it ends.
+        // Each list is read once, at its first run, and adds a record per run to the count
+        // of each of its changes' paths.
         let table = store.changes();
         let mut change_path = vec![UNSEEN; table.len()];
         let mut sides_of = vec![[ABSENT; 2]; table.len()];
         let mut interned: HashMap<&Path, u32, IntBuildHasher> = HashMap::default();
+        let mut records_at: Vec<usize> = Vec::new();
         let mut member_of: HashMap<NodeId, u32, IntBuildHasher> = HashMap::default();
         let mut nodes = Vec::new();
         let mut facts = Vec::new();
@@ -401,17 +477,10 @@ impl<'a> Columns<'a> {
             }),
             None => ABSENT,
         };
-        let mut listed = vec![false; store.list_count()];
-        let mut previous = None;
         for run in store.runs() {
-            assert!(
-                previous < Some((run.to, run.from)),
-                "run ({}, {}) is not after its predecessor in append order",
-                run.from,
-                run.to
-            );
-            previous = Some((run.to, run.from));
-            if std::mem::replace(&mut listed[run.list as usize], true) {
+            // Zero once the list has been read.
+            let runs = std::mem::take(&mut runs_of[run.list as usize]);
+            if runs == 0 {
                 continue;
             }
             for &c in store.list(run.list) {
@@ -420,8 +489,12 @@ impl<'a> Columns<'a> {
                     let change = &table[c];
                     let fresh = interned.len() as u32;
                     change_path[c] = *interned.entry(&change.path).or_insert(fresh);
+                    if change_path[c] == fresh {
+                        records_at.push(0);
+                    }
                     sides_of[c] = [member(&change.before), member(&change.after)];
                 }
+                records_at[change_path[c] as usize] += runs;
             }
         }
 
@@ -429,23 +502,26 @@ impl<'a> Columns<'a> {
         let mut ranked: Vec<(&Path, u32)> = interned.into_iter().collect();
         ranked.sort_unstable_by(|a, b| a.0.cmp(b.0));
         let mut rank_of = vec![0u32; ranked.len()];
+        let mut partition: Vec<Vec<DiffId>> = Vec::with_capacity(ranked.len());
         for (rank, (_, first_seen)) in ranked.iter().enumerate() {
             rank_of[*first_seen as usize] = rank as u32;
+            partition.push(Vec::with_capacity(records_at[*first_seen as usize]));
         }
         for p in change_path.iter_mut().filter(|p| **p != UNSEEN) {
             *p = rank_of[*p as usize];
         }
         let paths: Vec<Path> = ranked.into_iter().map(|(p, _)| p.clone()).collect();
 
-        // The record columns: each run copies its list's ids.
-        let mut path = Vec::with_capacity(store.len());
+        // The record columns and the path groups: each run copies its list's ids.
         let mut sides = Vec::with_capacity(store.len());
         let mut queries = Vec::with_capacity(store.len());
         let mut list = Vec::with_capacity(store.len());
         for row in store.runs() {
             let changes = store.list(row.list);
-            path.extend(changes.iter().map(|&c| change_path[c as usize]));
-            sides.extend(changes.iter().map(|&c| sides_of[c as usize]));
+            for &c in changes {
+                partition[change_path[c as usize] as usize].push(DiffId(sides.len()));
+                sides.push(sides_of[c as usize]);
+            }
             queries.extend(std::iter::repeat([row.from, row.to]).take(changes.len()));
             list.extend(std::iter::repeat(row.list).take(changes.len()));
         }
@@ -466,7 +542,7 @@ impl<'a> Columns<'a> {
             open.push(p);
         }
 
-        Columns {
+        let columns = Columns {
             store,
             dialects,
             paths,
@@ -475,60 +551,54 @@ impl<'a> Columns<'a> {
             facts,
             change_path,
             change_after: sides_of.into_iter().map(|[_, after]| after).collect(),
-            path,
             sides,
             queries,
             list,
-        }
-    }
-
-    /// Algorithm 1, line 3: the partition `W_p` of the records by path, one group per path
-    /// id, each in id order — a counting sort on the path column.
-    fn partition(&self) -> Vec<Vec<DiffId>> {
-        let mut counts = vec![0usize; self.paths.len()];
-        for &p in &self.path {
-            counts[p as usize] += 1;
-        }
-        let mut groups: Vec<Vec<DiffId>> = counts.into_iter().map(Vec::with_capacity).collect();
-        for (r, &p) in self.path.iter().enumerate() {
-            groups[p as usize].push(DiffId(r));
-        }
-        groups
+        };
+        (columns, partition)
     }
 
     /// Algorithm 2 (`pickWidget`) on ids: the slot over a set of records, or `None` when
-    /// no type in `library` accepts its domain (in particular when `ids` is empty).  The
-    /// domain's shape takes both sides of each record in id order, deduplicated on the
-    /// member-id column, exactly as [`Columns::domain`] would insert them, so the slot
-    /// picks the type and cost [`WidgetLibrary::pick`] picks for the built domain.
+    /// no type in `library` accepts its domain (in particular when `ids` is empty).
     fn slot(
         &self,
         library: &WidgetLibrary,
         ids: Vec<DiffId>,
         seen: &mut MemberMarks,
     ) -> Option<Slot> {
-        seen.stamp += 1;
-        let mut shape = DomainShape::default();
-        let mut members = Vec::new();
-        for id in &ids {
-            for member in self.sides[id.0] {
-                if member == ABSENT {
-                    shape.set_includes_absent(true);
-                } else if seen.first_sight(member) {
-                    shape.add_member(self.facts[member as usize]);
-                    members.push(member);
-                }
-            }
+        let mut shape = ShapeBuilder::new(Vec::new(), seen);
+        for &id in &ids {
+            shape.add(self, id);
         }
-        let (ty, cost) = library.choose(&shape)?;
-        members.sort_unstable();
-        Some(Slot {
-            ty,
-            cost,
-            ids,
-            members,
-            shape,
-        })
+        shape.pick(library, ids).ok()
+    }
+
+    /// The interface of the slots left after the last pass: each becomes a [`Widget`], its
+    /// [`Domain`] built once from its own records.
+    fn interface(
+        &self,
+        slots: Vec<Option<Slot>>,
+        initial_query: Option<&Node>,
+        seen: &mut MemberMarks,
+    ) -> Interface {
+        let initial_query = initial_query
+            .cloned()
+            .unwrap_or_else(|| Node::new(NodeKind::Select));
+        let widgets = slots
+            .into_iter()
+            .enumerate()
+            .filter_map(|(p, slot)| {
+                let Slot {
+                    ty, cost, mut ids, ..
+                } = slot?;
+                // A rebuilt slot's buffer may have held a larger record set.
+                ids.shrink_to_fit();
+                let domain = self.domain(&ids, seen);
+                let path = self.paths[p].clone();
+                Some(Widget::new(ty, path, domain, ids, cost))
+            })
+            .collect();
+        Interface::new(initial_query, widgets).with_initial_dialect(self.dialect(0))
     }
 
     /// The domain of a set of records: both sides of each record in id order, deduplicated
@@ -572,12 +642,12 @@ impl<'a> Columns<'a> {
     /// That depends only on the pair's changes — their paths, `after` sides and leaf flags
     /// — so it is checked once per change `list`, for every run that reads it; the leaves
     /// are the list's first [`DiffStore::list_leaves`] changes.  `slot_at` is the candidate
-    /// interface's slot at a path id; `expressed` is scratch space for the path ids of the
-    /// expressed changes.
+    /// interface's slot at a path id, called once per change of the list; `expressed` is
+    /// scratch space for the path ids of the expressed changes.
     fn covers<'s>(
         &self,
         list: u32,
-        slot_at: impl Fn(usize) -> Option<&'s Slot>,
+        mut slot_at: impl FnMut(usize) -> Option<&'s Slot>,
         expressed: &mut Vec<u32>,
     ) -> bool {
         let changes = self.store.list(list);
@@ -607,6 +677,21 @@ struct Scratch {
     queued: Vec<u64>,
     /// The path ids of one change list's expressed changes, while its coverage is checked.
     expressed: Vec<u32>,
+    /// The step's descendant path ids that hold a slot.
+    descendants: Vec<usize>,
+    /// The change lists the step's overlap touches, each once.
+    affected: Vec<u32>,
+    /// The step's candidate B: each overlapping descendant's path id and rebuilt slot, in
+    /// path order.
+    new_descendants: Vec<(usize, Option<Slot>)>,
+    spare: Spare,
+    freshness: Freshness,
+    /// Run every step, whether the skip rule would skip it or not.
+    #[cfg(test)]
+    every_step: bool,
+    /// The steps the skip rule found unchanged.
+    #[cfg(test)]
+    skipped: usize,
 }
 
 impl Scratch {
@@ -622,6 +707,150 @@ impl Scratch {
             },
             queued: vec![0; columns.store.list_count()],
             expressed: Vec::new(),
+            descendants: Vec::new(),
+            affected: Vec::new(),
+            new_descendants: Vec::new(),
+            spare: Spare::default(),
+            freshness: Freshness::new(columns.paths.len()),
+            #[cfg(test)]
+            every_step: false,
+            #[cfg(test)]
+            skipped: 0,
+        }
+    }
+
+    /// Whether the step of the ancestor whose subtree range is `range` must run.
+    fn needs_step(&mut self, range: &Range<usize>) -> bool {
+        let stale = self.freshness.stale(range);
+        #[cfg(test)]
+        let stale = {
+            self.skipped += usize::from(!stale);
+            stale || self.every_step
+        };
+        stale
+    }
+
+    /// One pass over a side's records: the change lists of its overlap (the records whose
+    /// two queries both lie in the current `V`) are queued in `affected`, and the other
+    /// records are kept.  `None` when the side has no overlap; otherwise the slot over the
+    /// kept records, itself `None` when no type in `library` accepts them.
+    fn split(
+        &mut self,
+        columns: &Columns<'_>,
+        library: &WidgetLibrary,
+        ids: &[DiffId],
+    ) -> Option<Option<Slot>> {
+        let first = ids
+            .iter()
+            .position(|&id| self.queries.in_v(&columns.queries, id))?;
+        let (mut kept, members) = self.spare.take();
+        let mut shape = ShapeBuilder::new(members, &mut self.seen);
+        for &id in &ids[..first] {
+            kept.push(id);
+            shape.add(columns, id);
+        }
+        for &id in &ids[first..] {
+            if self.queries.in_v(&columns.queries, id) {
+                let list = columns.list[id.0];
+                if self.queued[list as usize] != self.queries.stamp {
+                    self.queued[list as usize] = self.queries.stamp;
+                    self.affected.push(list);
+                }
+            } else {
+                kept.push(id);
+                shape.add(columns, id);
+            }
+        }
+        match shape.pick(library, kept) {
+            Ok(slot) => Some(Some(slot)),
+            Err(buffers) => {
+                self.spare.0.push(buffers);
+                Some(None)
+            }
+        }
+    }
+}
+
+/// The record and member buffers of replaced slots and uncommitted candidates, which later
+/// candidates reuse: a merge pass allocates only while the pool grows.
+#[derive(Default)]
+struct Spare(Vec<(Vec<DiffId>, Vec<u32>)>);
+
+impl Spare {
+    /// Two empty buffers.
+    fn take(&mut self) -> (Vec<DiffId>, Vec<u32>) {
+        let (mut ids, mut members) = self.0.pop().unwrap_or_default();
+        ids.clear();
+        members.clear();
+        (ids, members)
+    }
+
+    /// Keeps a slot's buffers.
+    fn put(&mut self, slot: Option<Slot>) {
+        if let Some(slot) = slot {
+            self.0.push((slot.ids, slot.members));
+        }
+    }
+}
+
+/// What the skip rule knows of the merge so far, counted in commits: when each slot last
+/// changed and when each ancestor's step last ran.
+struct Freshness {
+    /// The commits so far.
+    commits: u64,
+    /// Per path id: the commit that last replaced its slot (0 for none).
+    changed: Vec<u64>,
+    /// Per ancestor path id: the commit count when its step last ran, `None` before it runs.
+    evaluated: Vec<Option<u64>>,
+    /// Per ancestor path id: the path ids outside its subtree range whose slots its last
+    /// run's coverage checks read, each once.
+    reads: Vec<Vec<u32>>,
+    /// Per path id: the [`QueryMarks`] stamp of the step that last recorded it as read.
+    read_stamp: Vec<u64>,
+}
+
+impl Freshness {
+    fn new(paths: usize) -> Self {
+        Freshness {
+            commits: 0,
+            changed: vec![0; paths],
+            evaluated: vec![None; paths],
+            reads: vec![Vec::new(); paths],
+            read_stamp: vec![0; paths],
+        }
+    }
+
+    /// Whether a slot the step of the ancestor with subtree range `range` reads may have
+    /// changed since the step last ran.
+    fn stale(&self, range: &Range<usize>) -> bool {
+        let Some(at) = self.evaluated[range.start] else {
+            return true;
+        };
+        self.changed[range.clone()].iter().any(|&c| c > at)
+            || self.reads[range.start]
+                .iter()
+                .any(|&p| self.changed[p as usize] > at)
+    }
+
+    /// Starts a run of ancestor `a`'s step.
+    fn evaluate(&mut self, a: usize) {
+        self.evaluated[a] = Some(self.commits);
+        self.reads[a].clear();
+    }
+
+    /// Records that ancestor `a`'s step, with `V` stamp `stamp`, read the slot at `p`.
+    fn read(&mut self, a: usize, p: usize, stamp: u64) {
+        if self.read_stamp[p] != stamp {
+            self.read_stamp[p] = stamp;
+            self.reads[a].push(p as u32);
+        }
+    }
+
+    /// Counts one commit, which replaced the slots at `paths`.
+    fn commit(&mut self, paths: impl IntoIterator<Item = usize>) {
+        self.commits += 1;
+        for p in paths {
+            self.changed[p] = self.commits;
         }
     }
 }
@@ -648,7 +877,8 @@ impl MemberMarks {
 /// The shared-query set `V` of one ancestor step, as per-query stamps.  Every step takes
 /// two fresh stamps (`stamp - 1`: incident to an ancestor record; `stamp`: also to a
 /// descendant record, so in `V`); stamps only grow, so marks are never cleared.  The same
-/// stamp marks each change list the step queued for re-checking.
+/// stamp marks each change list the step queued for re-checking, and each slot outside the
+/// ancestor's subtree range its coverage checks read.
 struct QueryMarks {
     marks: Vec<u64>,
     stamp: u64,
@@ -692,9 +922,12 @@ impl QueryMarks {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::PiOptions;
+    use crate::session::Session;
     use pi_ast::Frontend as _;
     use pi_diff::{extract_changes, AncestorPolicy};
     use pi_graph::{GraphBuilder, WindowStrategy};
+    use pi_workloads::trace::zipf_trace;
     use std::collections::BTreeSet;
 
     fn parse(sql: &str) -> Result<pi_ast::Node, pi_ast::FrontendError> {
@@ -826,8 +1059,7 @@ mod tests {
             let list = store.push_list(extract_changes(x, y, AncestorPolicy::Full));
             store.push_run(i, i + 1, list);
         }
-        let columns = Columns::build(&store, &[]);
-        let groups = columns.partition();
+        let (columns, groups) = Columns::build(&store, &[]);
         assert_eq!(groups.len(), store.distinct_paths());
         // Path ids rank the paths in `Path` order.
         assert!(columns.paths.windows(2).all(|w| w[0] < w[1]));
@@ -967,13 +1199,9 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn the_id_route_agrees_with_the_node_route() {
-        // For every widget a mapping returns: its slot (the id route) places exactly the
-        // subtrees the widget places — every change of the store at its path, every member
-        // of the store at any path, and absence — and the widget is what `pick` instantiates
-        // from its built domain.  Under several libraries, with merging on and off.
-        let libraries = [
+    /// The standard library and three variants that steer the mapping to other widgets.
+    fn libraries() -> [WidgetLibrary; 4] {
+        [
             WidgetLibrary::standard(),
             WidgetLibrary::restricted([
                 WidgetType::Textbox,
@@ -986,7 +1214,16 @@ mod tests {
                 WidgetType::Checkbox,
                 pi_widgets::CostFunction::constant(1.0),
             ),
-        ];
+        ]
+    }
+
+    #[test]
+    fn the_id_route_agrees_with_the_node_route() {
+        // For every widget a mapping returns: its slot (the id route) places exactly the
+        // subtrees the widget places — every change of the store at its path, every member
+        // of the store at any path, and absence — and the widget is what `pick` instantiates
+        // from its built domain.  Under several libraries, with merging on and off.
+        let libraries = libraries();
         let mut types = BTreeSet::new();
         let mut extrapolated = 0;
         for (window, log) in widget_family_logs() {
@@ -1001,9 +1238,9 @@ mod tests {
                             ..MapperOptions::default()
                         });
                     let iface = mapper.map(&g);
-                    let columns = Columns::build(store, &[]);
+                    let (columns, partition) = Columns::build(store, &[]);
                     let mut scratch = Scratch::new(&columns, g.queries().len());
-                    let slots = mapper.slots(&columns, &mut scratch);
+                    let slots = mapper.slots(&columns, partition, &mut scratch);
                     assert_eq!(slots.iter().flatten().count(), iface.widgets().len());
                     for widget in iface.widgets() {
                         let p = columns.paths.binary_search(&widget.path).unwrap();
@@ -1072,6 +1309,100 @@ mod tests {
             extrapolated > 0,
             "no slider placed a value by extrapolation"
         );
+    }
+
+    /// What a slot holds, with its cost as bits, so that equal means identical.
+    type SlotImage = (WidgetType, u64, Vec<DiffId>, Vec<u32>, DomainShape);
+
+    /// Maps `store` once under the skip rule and once running every merge step, asserts
+    /// that both give the same slots, widgets and description, and returns the steps the
+    /// rule skipped.
+    fn assert_skips_are_exact(
+        mapper: &InteractionMapper,
+        store: &DiffStore,
+        log_len: usize,
+        dialects: &[Dialect],
+    ) -> usize {
+        let map = |every_step: bool| {
+            let (columns, partition) = Columns::build(store, dialects);
+            let mut scratch = Scratch::new(&columns, log_len);
+            scratch.every_step = every_step;
+            let slots = mapper.slots(&columns, partition, &mut scratch);
+            let images: Vec<Option<SlotImage>> = slots
+                .iter()
+                .map(|slot| {
+                    let s = slot.as_ref()?;
+                    Some((
+                        s.ty,
+                        s.cost.to_bits(),
+                        s.ids.clone(),
+                        s.members.clone(),
+                        s.shape,
+                    ))
+                })
+                .collect();
+            let interface = columns.interface(slots, None, &mut scratch.seen);
+            (images, interface, scratch.skipped)
+        };
+        let (skipping, skipped_iface, skipped) = map(false);
+        let (every, every_iface, _) = map(true);
+        assert_eq!(skipping, every, "slots differ");
+        assert_eq!(skipped_iface.widgets(), every_iface.widgets());
+        assert_eq!(skipped_iface.describe(), every_iface.describe());
+        skipped
+    }
+
+    /// A session over `log` at `window`, in 64-line pushes.
+    fn session(window: WindowStrategy, log: &[(Dialect, String)]) -> Session {
+        let mut session = Session::new(PiOptions {
+            window,
+            ..PiOptions::default()
+        });
+        for batch in log.chunks(64) {
+            session.push_stream_tagged(batch.iter().map(|(d, t)| (*d, t)));
+        }
+        session
+    }
+
+    #[test]
+    fn skipped_merge_steps_would_have_committed_nothing() {
+        // The skip rule against running every step: under the four libraries on each
+        // widget family's log, on Zipf traces at windows 2 and 16, and on a trace
+        // persisted, restored and extended as a restarted server's tenant is.
+        let mut skipped = 0;
+        for (window, log) in widget_family_logs() {
+            let queries: Vec<&str> = log.iter().map(String::as_str).collect();
+            let g = graph(&queries, window);
+            for library in libraries() {
+                let mapper = InteractionMapper::new(library);
+                skipped += assert_skips_are_exact(&mapper, g.store(), g.queries().len(), &[]);
+            }
+        }
+        let trace = |n, shapes, seed| -> Vec<(Dialect, String)> {
+            zipf_trace(n, shapes, 0.01, seed).collect()
+        };
+        let restored = {
+            let log = trace(768, 96, 5);
+            let bytes = session(WindowStrategy::sliding(4), &log[..512])
+                .persist_to_vec()
+                .expect("persist");
+            let mut restored = Session::restore(&mut bytes.as_slice()).expect("restore");
+            for batch in log[512..].chunks(64) {
+                restored.push_stream_tagged(batch.iter().map(|(d, t)| (*d, t)));
+            }
+            restored
+        };
+        let sessions = [
+            session(WindowStrategy::sliding(2), &trace(1024, 128, 21)),
+            session(WindowStrategy::sliding(16), &trace(1024, 1024, 21)),
+            restored,
+        ];
+        let mapper = InteractionMapper::new(WidgetLibrary::standard());
+        for s in &sessions {
+            let g = s.graph();
+            skipped += assert_skips_are_exact(&mapper, g.store(), g.queries().len(), &s.dialects());
+        }
+        assert!(skipped > 0, "the skip rule never fired");
     }
 
     #[test]

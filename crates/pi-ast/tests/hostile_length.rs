@@ -1,60 +1,18 @@
 //! A length prefix costs what the input holds, not what it declares.
 //!
-//! A counting global allocator keeps a per-thread tally of the bytes requested from it
-//! (`alloc`, `alloc_zeroed`, and the new size of every `realloc`) and delegates to the
-//! system allocator.  Journal batch records and session snapshots read their strings with
-//! [`codec::take_str`], so a record that declares a string longer than itself must fail
-//! before reserving the declared length.
+//! The workspace's counting global allocator (`tests/support/counting_alloc.rs` at the
+//! repository root) keeps a per-thread tally of the bytes requested from it (`alloc`,
+//! `alloc_zeroed`, and the new size of every `realloc`).  Journal batch records and
+//! session snapshots read their strings with [`codec::take_str`], so a record that declares
+//! a string longer than itself must fail before reserving the declared length.
 
 use pi_ast::codec::{self, CodecError};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::io::ErrorKind;
 
-struct CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-thread_local! {
-    static BYTES: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count(bytes: usize) {
-    // `try_with`: the allocator also runs while thread-locals are being torn down.
-    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
-}
-
-fn allocated_bytes() -> u64 {
-    BYTES.with(Cell::get)
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a thread-local `Cell` that never allocates.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: the caller's guarantees for `layout` are passed on unchanged.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        // SAFETY: `ptr` was allocated by `System` through this allocator with `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was allocated by `System` through this allocator with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+use counting_alloc::allocated_bytes;
 
 /// A length prefix declaring `len` bytes, followed by `payload`.
 fn prefixed(len: u64, payload: &[u8]) -> Vec<u8> {

@@ -628,13 +628,17 @@ fn error_json(message: &str) -> String {
     Json::Object(vec![("error".into(), Json::string(message))]).to_string()
 }
 
+/// The workspace's counting allocator: the tests below count what `read_request` reserves.
+#[cfg(test)]
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
 #[cfg(test)]
 mod tests {
+    use super::counting_alloc::allocated_bytes;
     use super::*;
     use crate::client::{http_request as raw_request, Connection, Response};
     use crate::pool::PoolOptions;
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
 
     fn test_server(pool: PoolOptions) -> Server {
         Server::bind(
@@ -869,54 +873,6 @@ mod tests {
         }
         server.shutdown();
     }
-
-    /// A global allocator that keeps a per-thread tally of the bytes requested from it
-    /// (`alloc`, `alloc_zeroed`, and the new size of every `realloc`) and delegates to the
-    /// system allocator.
-    struct CountingAlloc;
-
-    thread_local! {
-        static BYTES: Cell<u64> = const { Cell::new(0) };
-    }
-
-    fn count(bytes: usize) {
-        // `try_with`: the allocator also runs while thread-locals are being torn down.
-        let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
-    }
-
-    fn allocated_bytes() -> u64 {
-        BYTES.with(Cell::get)
-    }
-
-    // SAFETY: every method forwards its arguments unchanged to `System`, which upholds the
-    // `GlobalAlloc` contract; the counter is a thread-local `Cell` that never allocates.
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            count(layout.size());
-            // SAFETY: the caller's guarantees for `layout` are passed on unchanged.
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            count(layout.size());
-            // SAFETY: as for `alloc`.
-            unsafe { System.alloc_zeroed(layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            count(new_size);
-            // SAFETY: `ptr` was allocated by `System` through this allocator with `layout`.
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            // SAFETY: `ptr` was allocated by `System` through this allocator with `layout`.
-            unsafe { System.dealloc(ptr, layout) }
-        }
-    }
-
-    #[global_allocator]
-    static GLOBAL: CountingAlloc = CountingAlloc;
 
     /// A `POST /logs` head declaring `declared` body bytes, followed by `body`.
     fn post_with_body(declared: usize, body: &[u8]) -> Vec<u8> {

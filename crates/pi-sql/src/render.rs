@@ -180,9 +180,9 @@ fn is_composite(node: &Node) -> bool {
     matches!(node.kind_ref(), NodeKind::BiExpr | NodeKind::UnExpr)
 }
 
-/// True for a `NOT` expression.
-fn is_not(node: &Node) -> bool {
-    node.kind_ref() == &NodeKind::UnExpr && node.attr_str("op").unwrap_or("NOT") == "NOT"
+/// True for an `AND` or `OR` expression, the operators that bind looser than `NOT`.
+fn is_and_or(node: &Node) -> bool {
+    node.kind_ref() == &NodeKind::BiExpr && matches!(node.attr_str("op"), Some("AND" | "OR"))
 }
 
 fn render_operand(node: &Node, out: &mut String) {
@@ -270,11 +270,19 @@ fn render_expr(node: &Node, out: &mut String) {
                     out.push('-');
                     render_operand(inner, out);
                 }
-                // A negated negation is written flat (`NOT NOT a`), so a chain renders no
-                // deeper than the nesting bound its parse stayed within.
-                "NOT" if is_not(inner) => {
+                // `NOT` binds looser than a comparison or another `NOT` and tighter than
+                // `AND` and `OR`, so only those two are parenthesised under it: a chain
+                // (`NOT NOT x = 1`) renders no deeper than the nesting bound its parse
+                // stayed within.
+                "NOT" => {
                     out.push_str("NOT ");
-                    render_expr(inner, out);
+                    if is_and_or(inner) {
+                        out.push('(');
+                        render_expr(inner, out);
+                        out.push(')');
+                    } else {
+                        render_expr(inner, out);
+                    }
                 }
                 _ => {
                     let _ = write!(out, "{op} ");

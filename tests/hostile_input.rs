@@ -343,13 +343,14 @@ fn every_prefix_of_a_generated_statement_parses_or_fails_cleanly() {
     }
 }
 
-/// A statement filtering on `n` negations of a parenthesised comparison, in `dialect`'s
-/// syntax: `NOT NOT (x = 1)`, `~~(x == 1)`.
-fn negation_chain(dialect: Dialect, n: usize) -> String {
-    if dialect == Dialect::SQL {
-        format!("SELECT a FROM t WHERE {}(x = 1)", "NOT ".repeat(n))
-    } else {
-        format!("t.filter({}(x == 1))", "~".repeat(n))
+/// A statement filtering on `n` negations of a comparison, in `dialect`'s syntax: over a
+/// parenthesised one, `NOT NOT (x = 1)` or `~~(x == 1)`, or over a bare one, `NOT NOT x = 1`
+/// (`NOT` binds looser than `=`; `~` binds tighter than `==`, so frames has no bare form).
+fn negation_chain(dialect: Dialect, n: usize, bare: bool) -> String {
+    match (dialect == Dialect::SQL, bare) {
+        (true, false) => format!("SELECT a FROM t WHERE {}(x = 1)", "NOT ".repeat(n)),
+        (true, true) => format!("SELECT a FROM t WHERE {}x = 1", "NOT ".repeat(n)),
+        (false, _) => format!("t.filter({}(x == 1))", "~".repeat(n)),
     }
 }
 
@@ -359,12 +360,16 @@ fn negation_chains_round_trip_at_every_length_a_front_end_accepts() {
     // a longest length set by `MAX_NESTING`; every chain it accepts must re-parse from its
     // rendering to the same tree.
     let frontends = standard_frontends();
-    for dialect in [Dialect::SQL, Dialect::FRAMES] {
+    for (dialect, bare) in [
+        (Dialect::SQL, false),
+        (Dialect::SQL, true),
+        (Dialect::FRAMES, false),
+    ] {
         let frontend = frontends
             .get(dialect)
             .expect("both dialects are registered");
         let mut longest = 0;
-        while let Ok(tree) = frontend.parse_one(&negation_chain(dialect, longest + 1)) {
+        while let Ok(tree) = frontend.parse_one(&negation_chain(dialect, longest + 1, bare)) {
             longest += 1;
             let rendered = frontend.render(&tree);
             match frontend.parse_one(&rendered) {
@@ -381,7 +386,7 @@ fn negation_chains_round_trip_at_every_length_a_front_end_accepts() {
         // Chains past the longest fail on the nesting bound, not on their syntax, and the
         // bound admits chains past the 64 that parenthesised renderings stayed within.
         let err = frontend
-            .parse_one(&negation_chain(dialect, longest + 1))
+            .parse_one(&negation_chain(dialect, longest + 1, bare))
             .unwrap_err();
         assert!(err.to_string().contains("nesting"), "{dialect}: {err}");
         assert!(

@@ -1,8 +1,8 @@
 //! Allocation budget for mining: heap allocations per alignment, counted exactly.
 //!
-//! A counting global allocator keeps a per-thread tally of allocation calls (`alloc`,
-//! `alloc_zeroed` and `realloc`) and delegates to the system allocator.  The test parses
-//! four fixed `zipf_trace` logs uncounted, then mines each the way a session does: a fresh
+//! The counting global allocator of `support/counting_alloc.rs` keeps a per-thread tally of
+//! allocation calls (`alloc`, `alloc_zeroed` and `realloc`).  The test parses four fixed
+//! `zipf_trace` logs uncounted, then mines each the way a session does: a fresh
 //! accumulator, `sliding(16)` pairs, 64-query `GraphBuilder::extend_batch` calls.  Only the
 //! `extend_batch` calls are counted, and the total is divided by the memo's alignments, so
 //! the figure charges a memo miss with everything mining allocates: the aligner's working
@@ -17,8 +17,6 @@ use precision_interfaces::ast::ErrorSample;
 use precision_interfaces::graph::{GraphAccumulator, GraphBuilder, WindowStrategy};
 use precision_interfaces::prelude::*;
 use precision_interfaces::workloads::trace::zipf_trace;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
 /// Most allocations mining may make per alignment over the corpus: the measured 0.018,
 /// almost all of it the amortised growth of the tables mining appends to (before the
@@ -30,50 +28,10 @@ const BUDGET: f64 = 0.02;
 /// 64 lines at a time.
 const BATCH: usize = 64;
 
-struct CountingAlloc;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    // `try_with`: the allocator also runs while thread-locals are being torn down.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a thread-local `Cell` that never allocates.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: the caller's guarantees for `layout` are passed on unchanged.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        // SAFETY: `ptr` was allocated by `System` through this allocator with `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was allocated by `System` through this allocator with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+use counting_alloc::allocations;
 
 /// Parses one trace log in order, each line with its dialect's front-end.
 fn parse_log(seed: u64) -> Vec<Node> {

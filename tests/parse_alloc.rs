@@ -1,10 +1,10 @@
 //! Allocation budget for parsing: heap allocations per statement, counted exactly.
 //!
-//! A counting global allocator keeps a per-thread tally of allocation calls (`alloc`,
-//! `alloc_zeroed` and `realloc`) and delegates to the system allocator.  The test parses a
-//! fixed `zipf_trace` corpus the way a session does (`Frontend::parse_statements_lossy`,
-//! trees dropped after each line), once to intern every literal and once counted, so the
-//! figure is the steady-state cost of a statement whose strings were seen before.
+//! The counting global allocator of `support/counting_alloc.rs` keeps a per-thread tally of
+//! allocation calls (`alloc`, `alloc_zeroed` and `realloc`).  The test parses a fixed
+//! `zipf_trace` corpus the way a session does (`Frontend::parse_statements_lossy`, trees
+//! dropped after each line), once to intern every literal and once counted, so the figure
+//! is the steady-state cost of a statement whose strings were seen before.
 //! Counts repeat exactly from run to run, so the budget guards the parser's allocation
 //! diet without timing noise.
 //!
@@ -14,8 +14,6 @@
 use precision_interfaces::ast::ErrorSample;
 use precision_interfaces::prelude::*;
 use precision_interfaces::workloads::trace::zipf_trace;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
 /// Most allocations an SQL statement of the corpus may cost, parse and drop together: the
 /// measured 40.59 (the front-ends before borrowed tokens and one-shot node construction
@@ -25,50 +23,10 @@ const SQL_BUDGET: f64 = 40.6;
 /// (before: 116.74).
 const FRAMES_BUDGET: f64 = 40.4;
 
-struct CountingAlloc;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    // `try_with`: the allocator also runs while thread-locals are being torn down.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a thread-local `Cell` that never allocates.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: the caller's guarantees for `layout` are passed on unchanged.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        // SAFETY: `ptr` was allocated by `System` through this allocator with `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was allocated by `System` through this allocator with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+use counting_alloc::allocations;
 
 /// Parses every line of one dialect, dropping the trees; returns (statements, allocations).
 fn parse_pass(frontend: &dyn Frontend, lines: &[&str]) -> (usize, u64) {

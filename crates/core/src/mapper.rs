@@ -19,14 +19,18 @@
 //!    queries read 0.56 and 0.41.  Making the two rules one is item 1 of `ROADMAP.md`.
 //!
 //! **Cost of a mapping.**  A mapping first lays the pair table out as flat per-record
-//! columns: a member id for each of the record's two subtree sides (the distinct subtrees
-//! interned once by [`NodeId`]), its change list and its compared pair's queries.  Paths and
-//! sides are hashed once per change of the store's change table, not once per record; the
-//! intern pass records each new member's primitive type and numeric value and counts each
-//! path's records, and one copy pass over the runs then writes the record columns and
-//! Algorithm 1's partition by path (the distinct paths ranked in `Path` order) together.
-//! Everything after that works on ids, and no `Node` is read again until the mapper
-//! returns.  A widget under construction is a slot: its type, cost and records, and its
+//! columns: a member id for each of the record's two subtree sides, its change list and its
+//! compared pair's queries.  The store already holds each change as a row of ids (a path id
+//! and a member id per side, interned by the aligner as it wrote the change; see
+//! [`DiffStore`]), so the column build hashes nothing and reads no `Node` per change.  It
+//! counts each store path's records over the lists the runs use, ranks the paths that have
+//! records in `Path` order, computes each member's primitive type and numeric value once,
+//! and one copy pass over the runs then writes the record columns and Algorithm 1's
+//! partition by path together.  The record columns are this thread's, reused from one
+//! mapping to the next.  Everything after that works on ids, and no `Node` is read again
+//! until the mapper returns.  In process on 16 `mine_distinct`-shaped logs the column
+//! build takes 0.9–1.4 ms a log, where hashing every change's path and sides took 3.5–5.2.
+//! A widget under construction is a slot: its type, cost and records, and its
 //! domain as a shape (the sorted member ids, deduplicated against per-member stamps, and
 //! the size, type join, absent flag and numeric range the widget rules and cost functions
 //! read), one slot per path id.  An ancestor's descendants are the path ids of its subtree
@@ -50,12 +54,12 @@
 //! each with its [`Domain`] built once from its own records.
 
 use crate::interface::Interface;
-use pi_ast::{Dialect, IntBuildHasher, Node, NodeId, NodeKind, Path};
-use pi_diff::{DiffId, DiffStore};
+use pi_ast::{Dialect, Node, NodeKind, Path};
+use pi_diff::{ChangeRow, DiffId, DiffStore, ABSENT};
 use pi_graph::InteractionGraph;
 use pi_widgets::{Domain, DomainShape, MemberFacts, Widget, WidgetLibrary, WidgetType};
+use std::cell::Cell;
 use std::cmp::Reverse;
-use std::collections::HashMap;
 use std::ops::Range;
 
 /// Knobs controlling the mapper (exposed for the ablation experiments).
@@ -207,10 +211,11 @@ impl InteractionMapper {
 
             // V: the queries incident to both the ancestor's and the descendants' records.
             let descendant_diffs = scratch.descendants.iter().map(|&j| &slot_at(j).ids);
-            if !scratch
-                .queries
-                .mark_shared(&columns.queries, &ancestor.ids, descendant_diffs)
-            {
+            if !scratch.queries.mark_shared(
+                &columns.records.queries,
+                &ancestor.ids,
+                descendant_diffs,
+            ) {
                 continue;
             }
 
@@ -357,7 +362,7 @@ impl<'s> ShapeBuilder<'s> {
 
     /// Adds record `id`'s two sides.
     fn add(&mut self, columns: &Columns<'_>, id: DiffId) {
-        for member in columns.sides[id.0] {
+        for member in columns.records.sides[id.0] {
             if member == ABSENT {
                 self.shape.set_includes_absent(true);
             } else if self.seen.first_sight(member) {
@@ -393,52 +398,70 @@ impl<'s> ShapeBuilder<'s> {
     }
 }
 
+/// The per-record columns of a mapping: per record, the member ids of its two sides, the
+/// log indices of its two queries and its change list.
+#[derive(Default)]
+struct RecordColumns {
+    sides: Vec<[u32; 2]>,
+    queries: Vec<[u32; 2]>,
+    list: Vec<u32>,
+}
+
+thread_local! {
+    /// This thread's per-record columns, lent to each mapping it runs and taken back when
+    /// the mapping's [`Columns`] drop, so a mapping refills buffers the previous one grew
+    /// instead of faulting fresh pages in.  Empty until a thread's first mapping, so a new
+    /// session allocates nothing for it.
+    static RECORD_COLUMNS: Cell<RecordColumns> = Cell::default();
+}
+
 /// The pair table laid out as flat per-record columns, built once per mapping; record `r`
-/// of the store is row `r` of every per-record column.
+/// of the store is row `r` of every per-record column.  Paths and members keep the store's
+/// ids: a member id indexes the store's member table, and a store path id maps to the
+/// mapping's path id, its rank in `Path` order among the paths some record has.
 struct Columns<'a> {
     store: &'a DiffStore,
     /// Per-query dialect tags, parallel to the log (missing entries default).
     dialects: &'a [Dialect],
     /// The distinct record paths in `Path` order; a path id indexes this table.
-    paths: Vec<Path>,
+    paths: Vec<&'a Path>,
     /// Per path id `p`: the end of its subtree range.  The ids `p..subtree_end[p]` are
     /// exactly the table's paths that have `paths[p]` as a prefix, since `Path` order keeps
     /// every extension of a path right after it.
     subtree_end: Vec<usize>,
-    /// Per member id: the subtree, one per distinct [`NodeId`] on either side of any record.
-    nodes: Vec<&'a Node>,
+    /// Per path id of the store: the mapping's path id ([`UNSEEN`] for a path no record
+    /// has).
+    rank: Vec<u32>,
     /// Per member id: what the widget rules read of its subtree.
     facts: Vec<MemberFacts>,
-    /// Per change of the store's change table: its path id ([`UNSEEN`] for a change no run
-    /// reaches).
-    change_path: Vec<u32>,
-    /// Per change of the table: the member id of its `after` side, [`ABSENT`] when missing.
-    change_after: Vec<u32>,
-    /// Per record: the member ids of its `before` and `after` subtrees, [`ABSENT`] for a
-    /// missing side.
-    sides: Vec<[u32; 2]>,
-    /// Per record: the log indices of its two queries, `q1` and `q2`.
-    queries: Vec<[u32; 2]>,
-    /// Per record: the change list its run reads.
-    list: Vec<u32>,
+    /// The per-record columns, on loan from this thread's [`RECORD_COLUMNS`].
+    records: RecordColumns,
 }
 
-/// A change-table entry no run has reached yet.
+/// A store path no record has.
 const UNSEEN: u32 = u32::MAX;
+
+impl Drop for Columns<'_> {
+    fn drop(&mut self) {
+        RECORD_COLUMNS.set(std::mem::take(&mut self.records));
+    }
+}
 
 impl<'a> Columns<'a> {
     /// The columns and Algorithm 1's partition: one pass over the runs counting each
-    /// change list's runs, one over the distinct changes they use, a sort of the distinct
-    /// paths, then one copy pass over the runs that writes the record columns and the path
-    /// groups together.
+    /// change list's runs, one over the rows of the lists they use adding each list's runs
+    /// to its rows' paths, a sort of the paths some record has, then one copy pass over the
+    /// runs that writes the record columns and the path groups together.  No change is
+    /// hashed and no subtree is read per change: rows carry path and member ids, and the
+    /// facts the widget rules read are computed once per member.
     ///
     /// The partition `W_p` (Algorithm 1, line 3) holds one group per path id, each in id
     /// order, exactly sized.  The merge check reads a compared pair as its change list, so
     /// the build asserts that run rows strictly increase in `(to, from)` — the builder's
     /// append order, which also means no pair has two runs.
     fn build(store: &'a DiffStore, dialects: &'a [Dialect]) -> (Self, Vec<Vec<DiffId>>) {
-        // Path, list and member ids are stored as `u32`: the first two cannot exceed the
-        // record count, and member ids stay below twice that, so below `ABSENT`.
+        // Path and list ids are stored as `u32` and cannot exceed the record count; member
+        // ids are the store's, below `ABSENT`.
         assert!(
             store.len() < 1 << 31,
             "a mapping handles fewer than 2^31 records"
@@ -456,74 +479,55 @@ impl<'a> Columns<'a> {
             runs_of[run.list as usize] += 1;
         }
 
-        // Per change of the table: its path id and side member ids, assigned the first time
-        // a run's list reaches it, so ids are first-seen in record order.  A new member's
-        // facts are read here, the one time the mapping reaches its `Node` before it ends.
-        // Each list is read once, at its first run, and adds a record per run to the count
-        // of each of its changes' paths.
-        let table = store.changes();
-        let mut change_path = vec![UNSEEN; table.len()];
-        let mut sides_of = vec![[ABSENT; 2]; table.len()];
-        let mut interned: HashMap<&Path, u32, IntBuildHasher> = HashMap::default();
-        let mut records_at: Vec<usize> = Vec::new();
-        let mut member_of: HashMap<NodeId, u32, IntBuildHasher> = HashMap::default();
-        let mut nodes = Vec::new();
-        let mut facts = Vec::new();
-        let mut member = |side: &'a Option<Node>| match side {
-            Some(node) => *member_of.entry(node.id()).or_insert_with(|| {
-                nodes.push(node);
-                facts.push(MemberFacts::of(node));
-                (nodes.len() - 1) as u32
-            }),
-            None => ABSENT,
-        };
+        // Records per store path: each list is read once, at its first run, and adds a
+        // record per run to each of its rows' paths.
+        let mut records_at = vec![0usize; store.paths().len()];
         for run in store.runs() {
             // Zero once the list has been read.
             let runs = std::mem::take(&mut runs_of[run.list as usize]);
             if runs == 0 {
                 continue;
             }
-            for &c in store.list(run.list) {
-                let c = c as usize;
-                if change_path[c] == UNSEEN {
-                    let change = &table[c];
-                    let fresh = interned.len() as u32;
-                    change_path[c] = *interned.entry(&change.path).or_insert(fresh);
-                    if change_path[c] == fresh {
-                        records_at.push(0);
-                    }
-                    sides_of[c] = [member(&change.before), member(&change.after)];
-                }
-                records_at[change_path[c] as usize] += runs;
+            for row in store.list(run.list) {
+                records_at[row.path as usize] += runs;
             }
         }
 
-        // Rank the interned paths in `Path` order and renumber by rank.
-        let mut ranked: Vec<(&Path, u32)> = interned.into_iter().collect();
-        ranked.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        let mut rank_of = vec![0u32; ranked.len()];
+        // Rank the paths records have in `Path` order.
+        let mut ranked: Vec<u32> = (0..records_at.len() as u32)
+            .filter(|&p| records_at[p as usize] > 0)
+            .collect();
+        ranked.sort_unstable_by(|&a, &b| store.path(a).cmp(store.path(b)));
+        let mut rank = vec![UNSEEN; records_at.len()];
         let mut partition: Vec<Vec<DiffId>> = Vec::with_capacity(ranked.len());
-        for (rank, (_, first_seen)) in ranked.iter().enumerate() {
-            rank_of[*first_seen as usize] = rank as u32;
-            partition.push(Vec::with_capacity(records_at[*first_seen as usize]));
+        for (r, &p) in ranked.iter().enumerate() {
+            rank[p as usize] = r as u32;
+            partition.push(Vec::with_capacity(records_at[p as usize]));
         }
-        for p in change_path.iter_mut().filter(|p| **p != UNSEEN) {
-            *p = rank_of[*p as usize];
-        }
-        let paths: Vec<Path> = ranked.into_iter().map(|(p, _)| p.clone()).collect();
+        let paths: Vec<&Path> = ranked.iter().map(|&p| store.path(p)).collect();
+        let facts = store.members().iter().map(MemberFacts::of).collect();
 
-        // The record columns and the path groups: each run copies its list's ids.
-        let mut sides = Vec::with_capacity(store.len());
-        let mut queries = Vec::with_capacity(store.len());
-        let mut list = Vec::with_capacity(store.len());
-        for row in store.runs() {
-            let changes = store.list(row.list);
-            for &c in changes {
-                partition[change_path[c as usize] as usize].push(DiffId(sides.len()));
-                sides.push(sides_of[c as usize]);
+        // The record columns and the path groups: each run copies its list's rows.
+        let mut records = RECORD_COLUMNS.take();
+        let RecordColumns {
+            sides,
+            queries,
+            list,
+        } = &mut records;
+        sides.clear();
+        queries.clear();
+        list.clear();
+        sides.reserve(store.len());
+        queries.reserve(store.len());
+        list.reserve(store.len());
+        for run in store.runs() {
+            let changes = store.list(run.list);
+            for row in changes {
+                partition[rank[row.path as usize] as usize].push(DiffId(sides.len()));
+                sides.push([row.before, row.after]);
             }
-            queries.extend(std::iter::repeat([row.from, row.to]).take(changes.len()));
-            list.extend(std::iter::repeat(row.list).take(changes.len()));
+            queries.extend(std::iter::repeat([run.from, run.to]).take(changes.len()));
+            list.extend(std::iter::repeat(run.list).take(changes.len()));
         }
 
         // Subtree ranges: a path's range closes at the first later path it is not a prefix
@@ -547,15 +551,16 @@ impl<'a> Columns<'a> {
             dialects,
             paths,
             subtree_end,
-            nodes,
+            rank,
             facts,
-            change_path,
-            change_after: sides_of.into_iter().map(|[_, after]| after).collect(),
-            sides,
-            queries,
-            list,
+            records,
         };
         (columns, partition)
+    }
+
+    /// The mapping's path id of a store row.
+    fn path_of(&self, row: &ChangeRow) -> usize {
+        self.rank[row.path as usize] as usize
     }
 
     /// Algorithm 2 (`pickWidget`) on ids: the slot over a set of records, or `None` when
@@ -609,13 +614,14 @@ impl<'a> Columns<'a> {
     fn domain(&self, ids: &[DiffId], seen: &mut MemberMarks) -> Domain {
         seen.stamp += 1;
         let mut domain = Domain::new();
+        let members = self.store.members();
         for &id in ids {
-            for (side, member) in self.sides[id.0].into_iter().enumerate() {
+            for (side, member) in self.records.sides[id.0].into_iter().enumerate() {
                 if member == ABSENT {
                     domain.set_includes_absent(true);
                 } else if seen.first_sight(member) {
-                    let query = self.queries[id.0][side] as usize;
-                    let node = self.nodes[member as usize].clone();
+                    let query = self.records.queries[id.0][side] as usize;
+                    let node = members[member as usize].clone();
                     domain.insert_tagged(node, self.dialect(query));
                 }
             }
@@ -652,22 +658,18 @@ impl<'a> Columns<'a> {
     ) -> bool {
         let changes = self.store.list(list);
         expressed.clear();
-        for &c in changes {
-            let p = self.change_path[c as usize];
-            let after = self.change_after[c as usize];
-            if slot_at(p as usize).is_some_and(|slot| slot.can_place(after, &self.facts)) {
-                expressed.push(p);
+        for row in changes {
+            let p = self.path_of(row);
+            if slot_at(p).is_some_and(|slot| slot.can_place(row.after, &self.facts)) {
+                expressed.push(p as u32);
             }
         }
-        changes[..self.store.list_leaves(list)].iter().all(|&c| {
-            let leaf = self.change_path[c as usize] as usize;
+        changes[..self.store.list_leaves(list)].iter().all(|row| {
+            let leaf = self.path_of(row);
             expressed.iter().any(|&p| self.is_prefix(p as usize, leaf))
         })
     }
 }
-
-/// The member id of an absent record side.
-const ABSENT: u32 = u32::MAX;
 
 /// The reusable state of one mapping's merge passes and domain builds.
 struct Scratch {
@@ -740,9 +742,8 @@ impl Scratch {
         library: &WidgetLibrary,
         ids: &[DiffId],
     ) -> Option<Option<Slot>> {
-        let first = ids
-            .iter()
-            .position(|&id| self.queries.in_v(&columns.queries, id))?;
+        let queries = &columns.records.queries;
+        let first = ids.iter().position(|&id| self.queries.in_v(queries, id))?;
         let (mut kept, members) = self.spare.take();
         let mut shape = ShapeBuilder::new(members, &mut self.seen);
         for &id in &ids[..first] {
@@ -750,8 +751,8 @@ impl Scratch {
             shape.add(columns, id);
         }
         for &id in &ids[first..] {
-            if self.queries.in_v(&columns.queries, id) {
-                let list = columns.list[id.0];
+            if self.queries.in_v(queries, id) {
+                let list = columns.records.list[id.0];
                 if self.queued[list as usize] != self.queries.stamp {
                     self.queued[list as usize] = self.queries.stamp;
                     self.affected.push(list);
@@ -1069,7 +1070,7 @@ mod tests {
             assert!(ids.windows(2).all(|w| w[0] < w[1]));
             for id in ids {
                 hits[id.0] += 1;
-                assert_eq!(store.get(*id).path, columns.paths[p]);
+                assert_eq!(store.get(*id).path(), columns.paths[p]);
             }
         }
         assert!(hits.iter().all(|&n| n == 1));
@@ -1130,7 +1131,7 @@ mod tests {
                 .collect()
         };
         let tag_of = |q: usize| dialects[q];
-        let full = g.store().iter().map(|(_, r)| r).filter(|r| r.path == y);
+        let full = g.store().iter().map(|(_, r)| r).filter(|r| *r.path() == y);
         assert_eq!(
             tags(&Domain::from_diffs_tagged(full, tag_of)),
             [
@@ -1243,7 +1244,7 @@ mod tests {
                     let slots = mapper.slots(&columns, partition, &mut scratch);
                     assert_eq!(slots.iter().flatten().count(), iface.widgets().len());
                     for widget in iface.widgets() {
-                        let p = columns.paths.binary_search(&widget.path).unwrap();
+                        let p = columns.paths.binary_search(&&widget.path).unwrap();
                         let slot = slots[p].as_ref().expect("a widget's path holds a slot");
                         assert_eq!(
                             *widget,
@@ -1258,10 +1259,11 @@ mod tests {
                         assert_eq!((slot.ty, slot.cost), (widget.ty, widget.cost));
                         types.insert((widget.ty, widget.domain.includes_absent()));
                         let place = |member: u32| slot.can_place(member, &columns.facts);
-                        for (c, change) in store.changes().iter().enumerate() {
+                        for &row in store.rows() {
+                            let change = store.change(row);
                             if change.path == widget.path {
                                 assert_eq!(
-                                    place(columns.change_after[c]),
+                                    place(row.after),
                                     widget.can_express_subtree(change.after.as_ref()),
                                     "{} placing {:?}",
                                     widget.describe(),
@@ -1269,7 +1271,7 @@ mod tests {
                                 );
                             }
                         }
-                        for (m, node) in columns.nodes.iter().enumerate() {
+                        for (m, node) in store.members().iter().enumerate() {
                             let by_node = widget.can_express_subtree(Some(node));
                             assert_eq!(
                                 place(m as u32),

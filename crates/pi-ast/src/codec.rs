@@ -479,7 +479,7 @@ pub fn take_path<R: Read>(r: &mut R) -> Result<Path, CodecError> {
     for _ in 0..len {
         steps.push(take_varint(r)? as usize);
     }
-    Ok(Path::from_steps(steps))
+    Ok(Path::from(steps))
 }
 
 /// The tag minted for [`NodeKind::Other`]; named kinds use their declaration index.

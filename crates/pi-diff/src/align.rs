@@ -13,19 +13,22 @@
 //!
 //! All of an alignment's working state lives in one [`Scratch`], cleared and reused from one
 //! alignment to the next: the current path is pushed and popped in place (and copied only
-//! into an emitted change), the anchors of every open level share one stack, the hash and
-//! LCS buffers are refilled per level, and the ancestor closure refills its leaf-order and
-//! ancestor-path buffers per alignment.  The matcher writes each leaf change straight onto
-//! the end of the caller's change vector.  A [`DiffStore`] keeps one scratch per thread and
-//! hands its change table over as that vector ([`DiffStore::push_alignment`]), so once the
-//! buffers have grown to the widest child list an alignment allocates nothing but the paths
-//! deeper than [`Path`]'s inline steps.  [`leaf_changes`] and [`crate::extract_changes`] run
-//! the same code on a fresh scratch.
+//! when the table meets it for the first time), the anchors of every open level share one
+//! stack, the hash and LCS buffers are refilled per level, and the ancestor closure refills
+//! its leaf-order and ancestor-path buffers per alignment.  The matcher writes each leaf
+//! change straight onto the end of a change table, as a row of ids: the current path's id
+//! is one probe of the table's path index, and each side's member id one probe of its
+//! member index, so an emitted change copies no path and clones no subtree handle unless
+//! the path or the subtree is new to the table.  A [`DiffStore`] keeps one scratch per
+//! thread and hands its change table over ([`DiffStore::push_alignment`]), so once the
+//! buffers and tables have grown an alignment allocates nothing.  [`leaf_changes`] and
+//! [`crate::extract_changes`] run the same code on a fresh scratch and a fresh table.
 //!
 //! [`DiffStore`]: crate::DiffStore
 //! [`DiffStore::push_alignment`]: crate::DiffStore::push_alignment
 
 use crate::record::TreeChange;
+use crate::table::ChangeTable;
 use pi_ast::{Node, Path};
 
 /// Computes the minimal changed subtrees that transform `a` into `b`, in matcher order, each
@@ -36,9 +39,9 @@ use pi_ast::{Node, Path};
 /// subtree appears.  Both sides alias their source queries: [`Node`] is a copy-on-write
 /// handle, so taking a subtree out of a query is a refcount bump.
 pub fn leaf_changes(a: &Node, b: &Node) -> Vec<TreeChange> {
-    let mut out = Vec::new();
-    Scratch::default().leaves_into(a, b, &mut out);
-    out
+    let mut table = ChangeTable::default();
+    Scratch::default().leaves_into(a, b, &mut table);
+    table.rows.iter().map(|&row| table.change(row)).collect()
 }
 
 /// The working state of an alignment and its ancestor closure, shared by every recursion
@@ -66,7 +69,7 @@ pub(crate) struct Scratch {
 impl Scratch {
     /// Appends the leaf changes that transform `a` into `b` to `out`, in matcher order,
     /// each marked `is_leaf`.
-    pub(crate) fn leaves_into(&mut self, a: &Node, b: &Node, out: &mut Vec<TreeChange>) {
+    pub(crate) fn leaves_into(&mut self, a: &Node, b: &Node, out: &mut ChangeTable) {
         // Balanced pushes and pops leave both at their base; a panic that unwound out of an
         // earlier alignment may not have.
         self.anchors.clear();
@@ -74,7 +77,7 @@ impl Scratch {
         self.diff_nodes(a, b, out);
     }
 
-    fn diff_nodes(&mut self, a: &Node, b: &Node, out: &mut Vec<TreeChange>) {
+    fn diff_nodes(&mut self, a: &Node, b: &Node, out: &mut ChangeTable) {
         // O(1) equal-subtree short-circuit on the memoized structural hash — this, not the
         // deep `==`, is what makes pairwise alignment cheap on mostly-identical log queries.
         if a.same_tree(b) {
@@ -87,19 +90,13 @@ impl Scratch {
         self.align_children(a, b, out);
     }
 
-    /// Records a leaf change at the current path; the emitted path is rebuilt from the steps
-    /// so it is stored inline whenever it fits.
-    fn emit(&self, before: Option<&Node>, after: Option<&Node>, out: &mut Vec<TreeChange>) {
-        out.push(TreeChange {
-            path: Path::from(self.path.steps()),
-            before: before.cloned(),
-            after: after.cloned(),
-            is_leaf: true,
-        });
+    /// Records a leaf change at the current path.
+    fn emit(&self, before: Option<&Node>, after: Option<&Node>, out: &mut ChangeTable) {
+        out.push(self.path.steps(), before, after, true);
     }
 
     /// Aligns the child lists of two same-labelled nodes and recurses.
-    fn align_children(&mut self, a: &Node, b: &Node, out: &mut Vec<TreeChange>) {
+    fn align_children(&mut self, a: &Node, b: &Node, out: &mut ChangeTable) {
         let ac = a.children();
         let bc = b.children();
         let (n, m) = (ac.len(), bc.len());
@@ -145,7 +142,7 @@ impl Scratch {
 
     /// Everything between two anchors: unmatched children, paired positionally from
     /// source index `at`, then the leftovers of the longer side.
-    fn gap(&mut self, gap_a: &[Node], gap_b: &[Node], at: usize, out: &mut Vec<TreeChange>) {
+    fn gap(&mut self, gap_a: &[Node], gap_b: &[Node], at: usize, out: &mut ChangeTable) {
         let paired = gap_a.len().min(gap_b.len());
         for k in 0..paired {
             self.path.push(at + k);

@@ -18,6 +18,15 @@
 //! The ancestor set can be pruned with **LCA pruning** (paper §6.2): only leaf diffs and least
 //! common ancestors of two leaf diffs can ever matter to the widget mapper, because a non-LCA
 //! ancestor expresses exactly the same edges as its child at strictly higher widget cost.
+//!
+//! The table is kept *logical*, as the paper allows.  A [`DiffStore`] holds one change list
+//! per alignment and one run row per compared pair that uses it, and each change is a
+//! [`ChangeRow`] of ids: a path id into the store's path table, a member id per side into
+//! its member table (one subtree per distinct [`NodeId`](pi_ast::NodeId)), and the leaf
+//! flag.  Both tables fill as changes are written, so writing a change costs a probe per id
+//! and reading one maps ids: a `mine_distinct` log's 44,054 changes hold 43 distinct paths
+//! and 1,321 distinct subtrees.  [`TreeChange`] is the same change as a value, which
+//! [`extract_changes`] returns.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -26,10 +35,12 @@ mod align;
 pub mod codec;
 mod record;
 mod store;
+mod table;
 
 pub use align::leaf_changes;
 pub use record::{apply_leaf_changes, AncestorPolicy, ChangeKind, RecordRef, TreeChange};
 pub use store::{DiffId, DiffStore, Run};
+pub use table::{ChangeRow, ABSENT};
 
 use pi_ast::Node;
 
@@ -40,11 +51,12 @@ use pi_ast::Node;
 ///
 /// This is the memoizable unit of pair mining — alignment depends only on tree structure, so
 /// one change list serves every log pair whose members are structurally identical to
-/// `(a, b)`: a [`DiffStore`] holds the list once and a run row per such pair, and reads each
-/// record back as a [`RecordRef`] that stamps a change with its pair's endpoints.  Mining
-/// builds that list with [`DiffStore::push_alignment`], which runs the same matcher and
-/// closure on a reused scratch and writes straight into the store; this function runs them
-/// on a fresh one.
+/// `(a, b)`: a [`DiffStore`] holds the list once, as rows of path and member ids, and a run
+/// row per such pair, and reads each record back as a [`RecordRef`] that stamps a change
+/// with its pair's endpoints.  Mining builds that list with [`DiffStore::push_alignment`],
+/// which runs the same matcher and closure on a reused scratch and writes rows straight
+/// into the store's tables; this function runs them on a fresh scratch and a fresh table
+/// and returns the changes as values.
 pub fn extract_changes(a: &Node, b: &Node, policy: AncestorPolicy) -> Vec<TreeChange> {
     record::build_changes(a, b, policy)
 }

@@ -1,6 +1,7 @@
 //! The `diffs` table: records of subtree transformations between pairs of log queries.
 
 use crate::align::Scratch;
+use crate::table::{ChangeRow, ChangeTable};
 use pi_ast::{Node, Path, PrimitiveType, ReplaceError};
 
 /// How the ancestor closure of leaf diffs is materialised.
@@ -29,35 +30,63 @@ pub enum ChangeKind {
 
 /// One row of the `diffs` table, `d = (q1, q2, p, t1, t2, type)` (paper Table 1), as read
 /// from a [`DiffStore`](crate::DiffStore): the log endpoints of the record's compared pair
-/// and the change the pair's list shares with every other pair that uses the list.  The
-/// `(p, t1, t2)` payload is reachable through `Deref`: `record.path`, `record.before`,
-/// `record.after`, `record.is_leaf` and the [`TreeChange`] methods all read it.
+/// and the change the pair's list shares with every other pair that uses the list, read off
+/// the store's change row and its path and member tables.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecordRef<'a> {
     /// Index of the source query in the log.
     pub q1: usize,
     /// Index of the target query in the log.
     pub q2: usize,
-    change: &'a TreeChange,
+    path: &'a Path,
+    before: Option<&'a Node>,
+    after: Option<&'a Node>,
+    is_leaf: bool,
 }
 
 impl<'a> RecordRef<'a> {
-    /// A view of one record: endpoints plus the change it shares.
+    /// A view of one record: endpoints plus a change value it borrows.
     pub fn new(q1: usize, q2: usize, change: &'a TreeChange) -> Self {
-        RecordRef { q1, q2, change }
+        RecordRef {
+            q1,
+            q2,
+            path: &change.path,
+            before: change.before.as_ref(),
+            after: change.after.as_ref(),
+            is_leaf: change.is_leaf,
+        }
     }
 
-    /// The shared change payload, borrowed from the store.
-    pub fn change(&self) -> &'a TreeChange {
-        self.change
+    /// A view of one record: endpoints plus a change row, read through its table.
+    pub(crate) fn of_row(q1: usize, q2: usize, table: &'a ChangeTable, row: ChangeRow) -> Self {
+        RecordRef {
+            q1,
+            q2,
+            path: table.paths.get(row.path),
+            before: table.members.get(row.before),
+            after: table.members.get(row.after),
+            is_leaf: row.is_leaf,
+        }
     }
-}
 
-impl std::ops::Deref for RecordRef<'_> {
-    type Target = TreeChange;
+    /// Path of the transformed subtree (source-tree coordinates).
+    pub fn path(&self) -> &'a Path {
+        self.path
+    }
 
-    fn deref(&self) -> &TreeChange {
-        self.change
+    /// Subtree in the source tree; `None` for additions.
+    pub fn before(&self) -> Option<&'a Node> {
+        self.before
+    }
+
+    /// Subtree in the target tree; `None` for deletions.
+    pub fn after(&self) -> Option<&'a Node> {
+        self.after
+    }
+
+    /// True for a minimal changed subtree (leaf diff) rather than an ancestor record.
+    pub fn is_leaf(&self) -> bool {
+        self.is_leaf
     }
 }
 
@@ -189,8 +218,9 @@ pub fn apply_leaf_changes(base: &Node, changes: &[TreeChange]) -> Result<Node, R
 /// Alignment is purely structural — two structurally identical tree pairs produce identical
 /// change lists wherever they sit in the log — so this is the unit worth memoizing per
 /// distinct tree pair.  A [`DiffStore`](crate::DiffStore) keeps one change list per
-/// alignment and lets every compared pair of the same shapes point at it; a [`RecordRef`]
-/// pairs a change with the endpoints of one such pair.
+/// alignment, each change as a row of ids, and lets every compared pair of the same shapes
+/// point at it; a [`RecordRef`] pairs a change with the endpoints of one such pair.  This
+/// value is what [`crate::extract_changes`] returns.
 ///
 /// Subtree sides alias the queries they came from ([`Node`] is a copy-on-write handle), so
 /// nothing here deep-copies a tree.
@@ -208,44 +238,40 @@ pub struct TreeChange {
 
 /// Builds the index-free change list between two trees, expanding (and optionally pruning)
 /// ancestors.  Leaf changes come first, in matcher order, then ancestors in [`Path`] order.
-/// Runs on a fresh [`Scratch`]; a [`DiffStore`](crate::DiffStore) runs the same code on a
-/// reused one and writes the list straight into its change table.
+/// Runs on a fresh [`Scratch`] into a fresh change table; a
+/// [`DiffStore`](crate::DiffStore) runs the same code on a reused scratch and writes the
+/// list straight into its own table.
 pub fn build_changes(a: &Node, b: &Node, policy: AncestorPolicy) -> Vec<TreeChange> {
-    let mut out = Vec::new();
-    Scratch::default().changes_into(a, b, policy, &mut out);
-    out
+    let mut table = ChangeTable::default();
+    Scratch::default().changes_into(a, b, policy, &mut table);
+    table.rows.iter().map(|&row| table.change(row)).collect()
 }
 
 impl Scratch {
-    /// Aligns `a` with `b` and appends their change list to `out`: the leaf changes in
-    /// matcher order, then the ancestors `policy` keeps, in [`Path`] order.  Returns the
+    /// Aligns `a` with `b` and appends their change list to `out`'s rows: the leaf changes
+    /// in matcher order, then the ancestors `policy` keeps, in [`Path`] order.  Returns the
     /// number of leaf changes.
     pub(crate) fn changes_into(
         &mut self,
         a: &Node,
         b: &Node,
         policy: AncestorPolicy,
-        out: &mut Vec<TreeChange>,
+        out: &mut ChangeTable,
     ) -> usize {
-        let first = out.len();
+        let first = out.rows.len();
         self.leaves_into(a, b, out);
-        let leaves = out.len() - first;
+        let leaves = out.rows.len() - first;
         if leaves == 0 {
             return 0;
         }
-        self.close(&out[first..], policy);
+        self.close(out, first, policy);
         for path in self.ancestors.drain(..) {
             // Both sides must exist: an ancestor of a change always exists in the source
             // tree, and in the target tree unless sibling shifts moved it; such rare cases
             // are simply skipped.
             if let (Some(before), Some(after)) = (a.get(&path), b.get(&path)) {
                 if !before.same_tree(after) {
-                    out.push(TreeChange {
-                        before: Some(before.clone()),
-                        after: Some(after.clone()),
-                        path,
-                        is_leaf: false,
-                    });
+                    out.push(path.steps(), Some(before), Some(after), false);
                 }
             }
         }
@@ -265,13 +291,17 @@ impl Scratch {
     /// pairwise LCA is some adjacent pair's, in `O(k log k)` for `k` leaves instead of
     /// `O(k²)`.  Duplicate leaf paths add nothing (a path's LCA with itself is a leaf path)
     /// and are dropped first.  `Full` keeps every proper ancestor of every leaf path.
-    fn close(&mut self, leaves: &[TreeChange], policy: AncestorPolicy) {
-        let path = |i: usize| &leaves[i].path;
+    ///
+    /// The leaves are `table`'s rows from `first` on, and their paths are read from its
+    /// path table, where equal paths have equal ids.
+    fn close(&mut self, table: &ChangeTable, first: usize, policy: AncestorPolicy) {
+        let leaves = &table.rows[first..];
+        let path = |i: usize| table.paths.get(leaves[i].path);
         let (order, out) = (&mut self.leaf_order, &mut self.ancestors);
         order.clear();
         order.extend(0..leaves.len());
         order.sort_unstable_by(|&x, &y| path(x).cmp(path(y)));
-        order.dedup_by(|x, y| path(*x) == path(*y));
+        order.dedup_by(|x, y| leaves[*x].path == leaves[*y].path);
         out.clear();
         match policy {
             AncestorPolicy::Full => {
@@ -295,11 +325,15 @@ impl Scratch {
     }
 }
 
-/// The ancestor closure of `leaves` on a fresh [`Scratch`].
+/// The ancestor closure of `leaves` on a fresh [`Scratch`] and a fresh table.
 #[cfg(test)]
 fn ancestor_paths(leaves: &[TreeChange], policy: AncestorPolicy) -> Vec<Path> {
+    let mut table = ChangeTable::default();
+    for leaf in leaves {
+        table.push_change(leaf);
+    }
     let mut scratch = Scratch::default();
-    scratch.close(leaves, policy);
+    scratch.close(&table, 0, policy);
     scratch.ancestors
 }
 
@@ -329,8 +363,12 @@ mod tests {
         assert_eq!(del.change_kind(), ChangeKind::Deletion);
         // A view of a record reads its endpoints and the change it borrows.
         let view = RecordRef::new(0, 1, &repl);
-        assert_eq!((view.q1, view.q2, view.change()), (0, 1, &repl));
-        assert_eq!(view.change_kind(), ChangeKind::Replacement);
+        assert_eq!((view.q1, view.q2, view.path()), (0, 1, &repl.path));
+        assert_eq!(
+            (view.before(), view.after()),
+            (repl.before.as_ref(), repl.after.as_ref())
+        );
+        assert!(view.is_leaf());
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! The paper notes that the `diffs` table is *logical* and need not be materialised in full.
 //! A [`DiffStore`] keeps it in three parts, the same three a snapshot writes:
 //!
-//! * a **change table** of index-free [`TreeChange`]s;
-//! * **change lists**, each a sequence of change-table indices, leaves first: one per
+//! * a **change table** of index-free changes, each a [`ChangeRow`] of ids: a path id into
+//!   the store's path table, a member id per side into its member table (one [`Node`] per
+//!   distinct subtree), and the leaf flag;
+//! * **change lists**, each a contiguous range of the change table, leaves first: one per
 //!   alignment (a memoized ordered class pair, or an unmemoized compared pair), or one per
-//!   explicit run read from a snapshot;
+//!   memo entry and explicit run read from a snapshot;
 //! * **run rows** `(from, to, list)`, one per compared pair that differs, in append order.
 //!
 //! A record is a position in a run: run `k`'s records are its list's changes stamped with
@@ -14,13 +16,26 @@
 //! the earlier runs' list lengths.  Ids are therefore the ones a per-record arena would
 //! assign, while repeated pairs of the same shapes cost one run row each.
 //!
-//! Mining fills the change table through [`DiffStore::push_alignment`], which aligns a tree
-//! pair straight into it on this thread's reused aligner state.
+//! **What writing and reading cost.**  The path and member tables fill as rows are written,
+//! and every writer writes rows: the aligner as it emits each change
+//! ([`DiffStore::push_alignment`], on this thread's reused aligner state),
+//! [`DiffStore::push_list`] for change values, [`DiffStore::append_lists`], which maps a
+//! parallel block's ids into this store's once per path and per member, and snapshot
+//! restore, straight from the change table it decodes ([`DiffStore::intern_change`] and
+//! [`DiffStore::push_indexed_list`]).  A write costs one probe of the path index and one of
+//! the member index per side, and copies a path or clones a subtree handle only when it is
+//! new to the store.  Rows are not deduplicated when written: equal changes of different
+//! lists keep a row each, so a list is a range of rows, and the snapshot writer folds equal
+//! rows.  A reader maps ids: the widget mapper indexes its per-path and per-member columns
+//! by them, and a [`RecordRef`] resolves them to the path and subtrees it lends out.
 
 use crate::align::Scratch;
 use crate::record::{AncestorPolicy, RecordRef, TreeChange};
-use pi_ast::Node;
+use crate::table::{ChangeRow, ChangeTable, ABSENT};
+use pi_ast::{Node, Path};
 use std::cell::RefCell;
+use std::mem::size_of;
+use std::ops::Range;
 
 /// Identifier of a diff record inside a [`DiffStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -46,8 +61,8 @@ pub struct Run {
     pub first: u32,
 }
 
-/// A change list: `len` change-table indices from `start` in the store's item column, the
-/// first `leaves` of them leaf changes.
+/// A change list: the `len` rows of the change table from `start`, the first `leaves` of
+/// them leaf changes.
 #[derive(Debug, Clone, Copy)]
 struct List {
     start: u32,
@@ -63,13 +78,14 @@ struct List {
 ///
 /// Equality compares runs and records by content in id order: two stores are equal exactly
 /// when their runs have the same endpoints and leaf counts and every `DiffId` resolves to
-/// the same change in both, however the changes are shared between lists.
+/// the same change in both, however the changes are shared between lists and numbered in
+/// the tables.
 #[derive(Debug, Default, Clone)]
 pub struct DiffStore {
-    changes: Vec<TreeChange>,
+    /// The change rows and their path and member tables, allocated by the first write: a
+    /// new store, and so a new session, allocates nothing and stays a few words wide.
+    table: Option<Box<ChangeTable>>,
     lists: Vec<List>,
-    /// The change-table indices of every list, list after list.
-    items: Vec<u32>,
     runs: Vec<Run>,
     records: usize,
 }
@@ -86,99 +102,143 @@ thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
+/// The change table of a store nothing has been written to.
+static EMPTY: ChangeTable = ChangeTable::EMPTY;
+
 impl DiffStore {
-    /// Creates an empty store.
+    /// Creates an empty store.  It allocates nothing until the first row is written.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty store over a change table restored from a snapshot; lists then
-    /// index into it through [`DiffStore::push_shared_list`].
-    pub fn with_changes(changes: Vec<TreeChange>) -> Self {
-        DiffStore {
-            changes,
-            ..DiffStore::default()
-        }
+    fn table(&self) -> &ChangeTable {
+        self.table.as_deref().unwrap_or(&EMPTY)
+    }
+
+    fn table_mut(&mut self) -> &mut ChangeTable {
+        self.table.get_or_insert_with(Box::default)
     }
 
     /// Aligns `a` with `b` under `policy` and appends their change list, returning its id:
     /// the list [`crate::extract_changes`] returns for the pair, leaves first, with the same
     /// paths.  The matcher and the ancestor closure write the changes straight onto the
-    /// change table, on this thread's reused aligner state, so once the table and the
-    /// aligner's buffers have grown an alignment allocates only for paths deeper than
-    /// [`pi_ast::Path`]'s inline steps.
+    /// change table as rows, on this thread's reused aligner state, so once the tables and
+    /// the aligner's buffers have grown an alignment allocates nothing.
     pub fn push_alignment(&mut self, a: &Node, b: &Node, policy: AncestorPolicy) -> u32 {
-        let first = self.changes.len();
-        let leaves = SCRATCH.with(|scratch| {
-            scratch
-                .borrow_mut()
-                .changes_into(a, b, policy, &mut self.changes)
-        });
+        let table = self.table_mut();
+        let first = table.rows.len();
+        let leaves = SCRATCH.with(|scratch| scratch.borrow_mut().changes_into(a, b, policy, table));
         self.close_appended(first, leaves)
     }
 
     /// Appends one alignment's changes to the change table as a new list and returns the
     /// list's id.  The changes come leaves first, as [`crate::extract_changes`] emits them.
     pub fn push_list(&mut self, changes: Vec<TreeChange>) -> u32 {
-        let first = self.changes.len();
+        let table = self.table_mut();
+        let first = table.rows.len();
         let leaves = changes.iter().take_while(|c| c.is_leaf).count();
-        self.changes.extend(changes);
+        for change in &changes {
+            table.push_change(change);
+        }
         self.close_appended(first, leaves)
     }
 
     /// Moves every change list of `other`, a store that holds lists but no runs, to the end
     /// of this store in order, and returns the id its first list takes here: list `k` of
-    /// `other` becomes list `first + k`.
+    /// `other` becomes list `first + k`.  `other`'s path and member ids are mapped into this
+    /// store's tables once each, then its rows are copied with their ids mapped.
     pub fn append_lists(&mut self, other: DiffStore) -> u32 {
         debug_assert!(
             other.runs.is_empty(),
             "only change lists move between stores"
         );
+        let table = self.table.get_or_insert_with(Box::default);
+        let other_table = other.table();
+        let paths: Vec<u32> = (other_table.paths.all().iter())
+            .map(|path| table.paths.intern(path.steps()))
+            .collect();
+        let members: Vec<u32> = (other_table.members.all().iter())
+            .map(|node| table.members.intern(node))
+            .collect();
+        let member = |id: u32| {
+            if id == ABSENT {
+                ABSENT
+            } else {
+                members[id as usize]
+            }
+        };
         let first = column(self.lists.len());
-        let (changes, items) = (self.changes.len(), self.items.len());
-        self.changes.extend(other.changes);
-        self.items
-            .extend(other.items.iter().map(|&c| column(changes + c as usize)));
+        let rows = column(table.rows.len());
+        table
+            .rows
+            .extend(other_table.rows.iter().map(|row| ChangeRow {
+                path: paths[row.path as usize],
+                before: member(row.before),
+                after: member(row.after),
+                is_leaf: row.is_leaf,
+            }));
         self.lists.extend(other.lists.iter().map(|list| List {
-            start: column(items + list.start as usize),
+            start: rows + list.start,
             ..*list
         }));
         first
     }
 
-    /// Registers the changes appended to the table from index `first` on, the first
-    /// `leaves` of them leaf changes, as a new list.
+    /// Registers the rows appended to the table from index `first` on, the first `leaves`
+    /// of them leaf changes, as a new list.
     fn close_appended(&mut self, first: usize, leaves: usize) -> u32 {
         debug_assert!(
-            self.changes[first + leaves..].iter().all(|c| !c.is_leaf),
+            self.table().rows[first + leaves..]
+                .iter()
+                .all(|c| !c.is_leaf),
             "change lists put their leaves first"
         );
-        let indices = first..self.changes.len();
-        self.items.extend(indices.map(column));
-        self.close_list(leaves)
-    }
-
-    /// Adds a list over changes already in the table (snapshot restore, where equal changes
-    /// are stored once).  Returns `None`, adding nothing, when an index is out of range or
-    /// `leaves` exceeds the list's length.
-    pub fn push_shared_list(&mut self, indices: &[u32], leaves: usize) -> Option<u32> {
-        if leaves > indices.len() || indices.iter().any(|&c| c as usize >= self.changes.len()) {
-            return None;
-        }
-        self.items.extend_from_slice(indices);
-        Some(self.close_list(leaves))
-    }
-
-    /// Registers the items appended since the previous list as a new list.
-    fn close_list(&mut self, leaves: usize) -> u32 {
-        let start = self.lists.last().map_or(0, |l| l.start + l.len);
         let id = column(self.lists.len());
         self.lists.push(List {
-            start,
-            len: column(self.items.len()) - start,
+            start: column(first),
+            len: column(self.table().rows.len() - first),
             leaves: column(leaves),
         });
         id
+    }
+
+    /// The row of a change in this store's ids, adding its path and sides to the path and
+    /// member tables if they are new; the row itself is not added.  Snapshot restore reads
+    /// its change table this way, one row per distinct change, and then adds each list with
+    /// [`DiffStore::push_indexed_list`].
+    pub fn intern_change(
+        &mut self,
+        path: &Path,
+        before: Option<&Node>,
+        after: Option<&Node>,
+        is_leaf: bool,
+    ) -> ChangeRow {
+        self.table_mut().row(path.steps(), before, after, is_leaf)
+    }
+
+    /// Adds a list of the rows of `table` at `indices` (rows from
+    /// [`DiffStore::intern_change`] on this store), leaves first, and returns its id.
+    /// Returns `None`, adding nothing, when an index is out of range or `leaves` exceeds the
+    /// list's length.
+    pub fn push_indexed_list(
+        &mut self,
+        table: &[ChangeRow],
+        indices: &[u32],
+        leaves: usize,
+    ) -> Option<u32> {
+        if leaves > indices.len() || indices.iter().any(|&c| c as usize >= table.len()) {
+            return None;
+        }
+        let rows = &mut self.table_mut().rows;
+        let first = rows.len();
+        rows.extend(indices.iter().map(|&c| table[c as usize]));
+        let id = column(self.lists.len());
+        self.lists.push(List {
+            start: column(first),
+            len: column(indices.len()),
+            leaves: column(leaves),
+        });
+        Some(id)
     }
 
     /// Appends compared pair `(from, to)` as a run of list `list`'s changes, unless the list
@@ -199,9 +259,36 @@ impl DiffStore {
         true
     }
 
-    /// The change table.
-    pub fn changes(&self) -> &[TreeChange] {
-        &self.changes
+    /// The change table: one row of ids per change.
+    pub fn rows(&self) -> &[ChangeRow] {
+        &self.table().rows
+    }
+
+    /// The path with id `id`.
+    pub fn path(&self, id: u32) -> &Path {
+        self.table().paths.get(id)
+    }
+
+    /// The path table, in id order: every distinct path of a row, numbered first-come.
+    pub fn paths(&self) -> &[Path] {
+        self.table().paths.all()
+    }
+
+    /// The subtree with member id `id`; `None` for [`ABSENT`].
+    pub(crate) fn member(&self, id: u32) -> Option<&Node> {
+        self.table().members.get(id)
+    }
+
+    /// The member table, in id order: one subtree per distinct [`NodeId`](pi_ast::NodeId)
+    /// on either side of a row, numbered first-come.  Member identity is the `NodeId`, the
+    /// tolerance the aligner's `same_tree` already applies.
+    pub fn members(&self) -> &[Node] {
+        self.table().members.all()
+    }
+
+    /// The change a row stands for, as a value.
+    pub fn change(&self, row: ChangeRow) -> TreeChange {
+        self.table().change(row)
     }
 
     /// The number of change lists.
@@ -209,15 +296,20 @@ impl DiffStore {
         self.lists.len()
     }
 
-    /// List `list`'s change-table indices, leaves first.
-    pub fn list(&self, list: u32) -> &[u32] {
+    /// Where list `list`'s rows lie in the change table.
+    pub fn list_range(&self, list: u32) -> Range<usize> {
         let List { start, len, .. } = self.lists[list as usize];
-        &self.items[start as usize..(start + len) as usize]
+        start as usize..(start + len) as usize
     }
 
-    /// List `list`'s changes, leaves first.
-    pub fn list_changes(&self, list: u32) -> impl Iterator<Item = &TreeChange> + '_ {
-        self.list(list).iter().map(|&c| &self.changes[c as usize])
+    /// List `list`'s rows, leaves first.
+    pub fn list(&self, list: u32) -> &[ChangeRow] {
+        &self.table().rows[self.list_range(list)]
+    }
+
+    /// List `list`'s changes as values, leaves first.
+    pub fn list_changes(&self, list: u32) -> impl Iterator<Item = TreeChange> + '_ {
+        self.list(list).iter().map(|&row| self.table().change(row))
     }
 
     /// The number of changes in list `list`.
@@ -235,17 +327,17 @@ impl DiffStore {
         &self.runs
     }
 
+    /// A row read as a record of `run`'s pair.
+    fn record(&self, run: &Run, row: ChangeRow) -> RecordRef<'_> {
+        RecordRef::of_row(run.from as usize, run.to as usize, self.table(), row)
+    }
+
     /// Looks up a record: a binary search for its run, then an index into the run's list.
     pub fn get(&self, id: DiffId) -> RecordRef<'_> {
         assert!(id.0 < self.records, "{id} is past the store's end");
         let k = self.runs.partition_point(|run| run.first as usize <= id.0) - 1;
-        let run = self.runs[k];
-        let change = self.list(run.list)[id.0 - run.first as usize];
-        RecordRef::new(
-            run.from as usize,
-            run.to as usize,
-            &self.changes[change as usize],
-        )
+        let run = &self.runs[k];
+        self.record(run, self.list(run.list)[id.0 - run.first as usize])
     }
 
     /// Number of records in the store.
@@ -262,25 +354,23 @@ impl DiffStore {
     pub fn iter(&self) -> impl Iterator<Item = (DiffId, RecordRef<'_>)> {
         self.runs
             .iter()
-            .flat_map(move |run| {
-                self.list_changes(run.list)
-                    .map(move |change| RecordRef::new(run.from as usize, run.to as usize, change))
-            })
+            .flat_map(move |run| self.list(run.list).iter().map(|&row| self.record(run, row)))
             .enumerate()
             .map(|(i, record)| (DiffId(i), record))
     }
 
-    /// Estimated heap bytes of what the store holds: run rows, list rows and their item
-    /// column, and the change table's inline payloads.  Subtrees are excluded — they alias
-    /// the distinct-tree arena, which accounts for them once.  A run costs the same however
-    /// many changes its list carries.  O(1); the estimate comes from the row sizes, not the
-    /// allocator, so the figure is stable across platforms.
+    /// Heap bytes the store holds, from its buffers' capacities: run rows, list rows, the
+    /// change rows, and the path and member tables with their indices.  Member subtrees are
+    /// excluded: they alias the queries they came from, which the distinct-tree arena
+    /// accounts for once.  O(paths): a path deeper than a `Path` holds inline adds its heap
+    /// steps.
     pub fn footprint_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.runs.len() * size_of::<Run>()
-            + self.lists.len() * size_of::<List>()
-            + self.items.len() * size_of::<u32>()
-            + self.changes.len() * size_of::<TreeChange>()
+        self.runs.capacity() * size_of::<Run>()
+            + self.lists.capacity() * size_of::<List>()
+            + self
+                .table
+                .as_ref()
+                .map_or(0, |table| size_of::<ChangeTable>() + table.heap_bytes())
     }
 
     /// Number of distinct paths across all records — the mapper's partition count
@@ -288,13 +378,17 @@ impl DiffStore {
     /// so it costs the runs plus the lists' changes, not the records.
     pub fn distinct_paths(&self) -> usize {
         let mut used = vec![false; self.lists.len()];
-        let mut paths = std::collections::HashSet::new();
+        let mut seen = vec![false; self.paths().len()];
+        let mut paths = 0;
         for run in &self.runs {
             if !std::mem::replace(&mut used[run.list as usize], true) {
-                paths.extend(self.list_changes(run.list).map(|change| &change.path));
+                for row in self.list(run.list) {
+                    let path = row.path as usize;
+                    paths += usize::from(!std::mem::replace(&mut seen[path], true));
+                }
             }
         }
-        paths.len()
+        paths
     }
 }
 
@@ -305,7 +399,8 @@ impl PartialEq for DiffStore {
             && self.runs.iter().zip(&other.runs).all(|(a, b)| {
                 (a.from, a.to, a.first) == (b.from, b.to, b.first)
                     && self.list_leaves(a.list) == other.list_leaves(b.list)
-                    && self.list_changes(a.list).eq(other.list_changes(b.list))
+                    && (self.list(a.list).iter().map(|&row| self.record(a, row)))
+                        .eq(other.list(b.list).iter().map(|&row| other.record(b, row)))
             })
     }
 }
@@ -380,18 +475,27 @@ mod tests {
         let shared = populated_store();
         let mut expanded = DiffStore::new();
         for run in shared.runs() {
-            let changes = shared.list_changes(run.list).cloned().collect();
+            let changes = shared.list_changes(run.list).collect();
             let list = expanded.push_list(changes);
             expanded.push_run(run.from as usize, run.to as usize, list);
         }
         assert_eq!(expanded, shared);
         assert_ne!(expanded.list_count(), shared.list_count());
-        // A restored layout: one table entry per distinct change, lists of indices.
-        let mut restored = DiffStore::with_changes(shared.changes().to_vec());
+        // A restored layout: lists copied out of a table of the changes in another order.
+        let mut restored = DiffStore::new();
+        let table: Vec<ChangeRow> = (shared.rows().iter().rev())
+            .map(|&row| {
+                let change = shared.change(row);
+                let (before, after) = (change.before.as_ref(), change.after.as_ref());
+                restored.intern_change(&change.path, before, after, change.is_leaf)
+            })
+            .collect();
+        let last = table.len() as u32 - 1;
         for list in 0..shared.list_count() as u32 {
             let leaves = shared.list_leaves(list);
+            let indices: Vec<u32> = (shared.list_range(list)).map(|c| last - c as u32).collect();
             assert_eq!(
-                restored.push_shared_list(shared.list(list), leaves),
+                restored.push_indexed_list(&table, &indices, leaves),
                 Some(list)
             );
         }
@@ -401,8 +505,8 @@ mod tests {
         assert_eq!(restored, shared);
         assert_eq!(restored.distinct_paths(), shared.distinct_paths());
         // Out-of-range indices and leaf counts are refused.
-        assert_eq!(restored.push_shared_list(&[u32::MAX], 0), None);
-        assert_eq!(restored.push_shared_list(&[0], 2), None);
+        assert_eq!(restored.push_indexed_list(&table, &[u32::MAX], 0), None);
+        assert_eq!(restored.push_indexed_list(&table, &[0], 2), None);
         // A different endpoint is a different store.
         let mut moved = restored.clone();
         moved.runs[1].to += 1;
@@ -452,7 +556,7 @@ mod tests {
             for (a, b) in &pairs {
                 let list = store.push_alignment(a, b, policy);
                 let fresh = crate::extract_changes(a, b, policy);
-                let reused: Vec<TreeChange> = store.list_changes(list).cloned().collect();
+                let reused: Vec<TreeChange> = store.list_changes(list).collect();
                 // `Debug` shows each path's representation, inline or heap, as well as its
                 // steps, so this also pins where every path is stored.
                 assert_eq!(format!("{reused:?}"), format!("{fresh:?}"), "{policy:?}");
@@ -460,7 +564,7 @@ mod tests {
                 assert_eq!(store.list_leaves(list), leaves);
             }
         }
-        assert!(store.changes().iter().any(|c| c.path.depth() > 8));
+        assert!(store.paths().iter().any(|path| path.depth() > 8));
         assert_eq!(store.list_count(), 2 * pairs.len());
     }
 
@@ -469,7 +573,7 @@ mod tests {
         let shared = populated_store();
         let mut worker = DiffStore::new();
         for list in 0..shared.list_count() as u32 {
-            worker.push_list(shared.list_changes(list).cloned().collect());
+            worker.push_list(shared.list_changes(list).collect());
         }
         let mut store = populated_store();
         let first = store.append_lists(worker);
@@ -479,7 +583,10 @@ mod tests {
             assert!(store.list_changes(moved).eq(shared.list_changes(list)));
             assert_eq!(store.list_leaves(moved), shared.list_leaves(list));
         }
-        assert_eq!(store.changes().len(), 2 * shared.changes().len());
+        assert_eq!(store.rows().len(), 2 * shared.rows().len());
+        // The tables hold each path and subtree once, however many blocks brought them.
+        assert_eq!(store.paths().len(), shared.paths().len());
+        assert_eq!(store.members().len(), shared.members().len());
     }
 
     #[test]

@@ -24,12 +24,11 @@
 //! would amortise the thread-scope overhead (`PARALLEL_MIN_COST`), so small batches and
 //! latency-sensitive single-query extends never pay for threads they cannot use.
 
-use crate::dedup::{pair_key, DedupTable, DiffMemo};
+use crate::dedup::{DedupTable, DiffMemo, PairIndex};
 use crate::graph::{edges_of_store, Edge, GraphStats, InteractionGraph, IntoQueryLog, QueryLog};
 use crate::steal;
-use pi_ast::{IntBuildHasher, Node};
+use pi_ast::Node;
 use pi_diff::{align_cost_model, extract_changes, AncestorPolicy, DiffStore, TreeChange};
-use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -476,8 +475,9 @@ impl GraphBuilder {
     ///
     /// When multiple workers are available, the batch's missing distinct pairs are first
     /// aligned together ([`GraphBuilder::align_missing_pairs`]), on the work-stealing
-    /// scheduler when their estimated cost crosses the parallel gate; the append loop then
-    /// only hits the memo.
+    /// scheduler when their estimated cost crosses the parallel gate.  The pre-scan keeps
+    /// each pair's list id, or a miss, so the append loop probes the memo again only for the
+    /// pairs aligned in between.
     ///
     /// Every path is the same fold over the same append order, so the resulting runs and
     /// records are byte-identical to the unmemoized builder's — alignment is purely
@@ -493,22 +493,31 @@ impl GraphBuilder {
         debug_assert!(dedup.len() >= rows.end, "rows ingested before mining");
         let policy = self.policy;
         let threads = self.effective_threads();
+        // The pre-scan's finding per enumerated pair of distinct classes, in append order.
+        let mut found: Vec<Option<u32>> = Vec::new();
         if (threads > 1 && rows.len() > 1) || self.steal_seed.is_some() {
             // The distinct ordered pairs this batch meets but the memo lacks, in
             // first-demand order.
-            let mut queued: HashSet<u64, IntBuildHasher> = HashSet::default();
+            let mut queued = PairIndex::default();
             let mut needed: Vec<(u32, u32)> = Vec::new();
             for j in rows.clone() {
                 let cb = dedup.class_of(j);
                 for i in self.window.prev_pairs(j) {
                     let ca = dedup.class_of(i);
-                    if ca != cb && memo.get(ca, cb).is_none() && queued.insert(pair_key(ca, cb)) {
+                    if ca == cb {
+                        continue;
+                    }
+                    let list = memo.get(ca, cb);
+                    if list.is_none() && queued.get(ca, cb).is_none() {
+                        queued.insert(ca, cb, 0);
                         needed.push((ca, cb));
                     }
+                    found.push(list);
                 }
             }
             self.align_missing_pairs(dedup, memo, store, needed, threads);
         }
+        let mut found = found.into_iter();
         for j in rows {
             let cb = dedup.class_of(j);
             for i in self.window.prev_pairs(j) {
@@ -518,7 +527,10 @@ impl GraphBuilder {
                     // unmemoized `extract_changes` of the pair would conclude the hard way.
                     continue;
                 }
-                let list = memo.list(dedup, store, ca, cb, policy);
+                let list = match found.next() {
+                    Some(Some(list)) => list,
+                    _ => memo.list(dedup, store, ca, cb, policy),
+                };
                 store.push_run(i, j, list);
             }
         }
@@ -622,6 +634,7 @@ mod tests {
     use super::*;
     use pi_ast::Frontend as _;
     use pi_ast::Node;
+    use std::collections::HashSet;
 
     fn parse(sql: &str) -> Result<pi_ast::Node, pi_ast::FrontendError> {
         pi_sql::SqlFrontend.parse_one(sql)
@@ -997,9 +1010,9 @@ mod tests {
             .build(log);
         assert_eq!(g.edges().len(), 1);
         for id in g.edges().next().unwrap().diffs() {
-            assert!(g.store().get(id).is_leaf);
+            assert!(g.store().get(id).is_leaf());
         }
         // Ancestor records are still in the store for the mapper to consider.
-        assert!(g.store().iter().any(|(_, r)| !r.is_leaf));
+        assert!(g.store().iter().any(|(_, r)| !r.is_leaf()));
     }
 }

@@ -13,9 +13,13 @@
 //!   corruption rather than accepted.
 //! * **Change table** — every change a memo list or an explicit run uses, once per
 //!   distinct content, numbered in the order the memo lists (by key) and then the explicit
-//!   runs first use them.
+//!   runs first use them.  The writer reads the store's rows of ids: it interns each
+//!   member's subtree into the node table once, the first time a row names the member, and
+//!   folds equal rows by their ids, so it hashes no path and no subtree per change; the
+//!   numbering, and so the bytes, are what numbering the changes by content gives.
 //! * **Memo** — memoized pairs sorted by packed pair key, each with its list of change
-//!   indices, so identical state always serializes to identical bytes; then a seen-once key
+//!   indices, so identical state always serializes to identical bytes (the memo's index
+//!   lists them in key order); then a seen-once key
 //!   count that is always written as 0 (older writers stored keys of a since-retired
 //!   admission set there; readers skip them).  A restored memo is warm: the first
 //!   post-restore push aligns only genuinely new pairs.
@@ -26,20 +30,23 @@
 //!   aligned without memoizing) are explicit.  A 100k-line session whose naïve record dump
 //!   is >100 MB encodes in a few MB this way.
 //!
-//! Restore decodes everything eagerly into the same layout: each distinct change once,
-//! one list per memo entry and per explicit run.  It validates the run rows as it goes —
-//! endpoints in range, append order, replays naming a present non-empty entry, indices
-//! naming present changes, and the declared record count — so a malformed table is a
-//! [`CodecError`], never a panic later.
+//! Restore decodes everything eagerly into the same layout.  The change table is read into
+//! the store's path and member tables, each distinct path and subtree once, as rows of the
+//! store's ids; each memo entry and each explicit run then gets a list of rows copied out
+//! of it.  A run's replay marker and a memo key are looked up in the memo's index without
+//! hashing.  Memory follows the input: a path costs its steps, whatever their values or
+//! declared count, and a memo key must name classes the dedup section defined.  Restore
+//! validates the run rows as it goes — endpoints in range, append order, replays naming a
+//! present non-empty entry, indices naming present changes, and the declared record count
+//! — so a malformed table is a [`CodecError`], never a panic later.
 
 use crate::builder::GraphAccumulator;
-use crate::dedup::{DedupTable, DiffMemo};
+use crate::dedup::{DedupTable, DiffMemo, PairIndex};
 use pi_ast::codec::{
     corrupt, put_u64, put_u8, put_varint, put_zigzag, read_node_table, CodecError, NodeTableBuilder,
 };
 use pi_diff::codec::{read_change_table, ChangeTableBuilder};
-use pi_diff::{AncestorPolicy, DiffStore};
-use std::collections::HashMap;
+use pi_diff::{AncestorPolicy, ChangeRow, DiffStore};
 use std::io::Write;
 use std::ops::Range;
 
@@ -48,17 +55,12 @@ use std::ops::Range;
 const RUN_MEMOIZED: u8 = 0;
 const RUN_EXPLICIT: u8 = 1;
 
-/// Marks a store change or list the writer has not numbered yet.
-const UNSET: u32 = u32::MAX;
-
 /// The snapshot's change indices of the store's lists, assigned the first time the writer
-/// meets a list: each store change is interned once, so the interner sees every distinct
-/// change of the table, not every record.
+/// meets a list: the change table numbers each store row once, so it sees every distinct
+/// row of the table, not every record.
 struct SnapshotLists<'a> {
     store: &'a DiffStore,
     changes: ChangeTableBuilder<'a>,
-    /// Per store change: its snapshot index, or [`UNSET`].
-    slot: Vec<u32>,
     /// Per store list: the range of `indices` holding its snapshot indices, once met.
     lists: Vec<Option<Range<usize>>>,
     indices: Vec<u32>,
@@ -68,8 +70,7 @@ impl<'a> SnapshotLists<'a> {
     fn new(store: &'a DiffStore) -> Self {
         SnapshotLists {
             store,
-            changes: ChangeTableBuilder::new(),
-            slot: vec![UNSET; store.changes().len()],
+            changes: ChangeTableBuilder::new(store),
             lists: vec![None; store.list_count()],
             indices: Vec::new(),
         }
@@ -82,14 +83,9 @@ impl<'a> SnapshotLists<'a> {
             return range.clone();
         }
         let start = self.indices.len();
-        for &c in self.store.list(list) {
-            let slot = &mut self.slot[c as usize];
-            if *slot == UNSET {
-                *slot = self
-                    .changes
-                    .intern(&self.store.changes()[c as usize], nodes);
-            }
-            self.indices.push(*slot);
+        for c in self.store.list_range(list) {
+            let index = self.changes.intern(c as u32, nodes);
+            self.indices.push(index);
         }
         self.lists[list as usize] = Some(start..self.indices.len());
         start..self.indices.len()
@@ -290,6 +286,7 @@ fn read_runs(
     blob: &[u8],
     dedup: &DedupTable,
     memo: &DiffMemo,
+    table: &[ChangeRow],
     store: &mut DiffStore,
 ) -> Result<(), CodecError> {
     let mut cur = Cur { b: blob, pos: 0 };
@@ -326,7 +323,7 @@ fn read_runs(
                 }
                 cur.indices(total, &mut indices)?;
                 store
-                    .push_shared_list(&indices, leaves)
+                    .push_indexed_list(table, &indices, leaves)
                     .ok_or_else(|| corrupt(format!("run {k} has a malformed change list")))?
             }
             other => return Err(corrupt(format!("invalid run tag {other}"))),
@@ -352,7 +349,8 @@ fn read_runs(
 /// graph, ids, memo and dedup arena, holding each distinct change once.
 pub fn read_accumulator(r: &mut &[u8]) -> Result<GraphAccumulator, CodecError> {
     let nodes = read_node_table(r)?;
-    let mut store = DiffStore::with_changes(read_change_table(r, &nodes)?);
+    let mut store = DiffStore::new();
+    let table = read_change_table(r, &nodes, &mut store)?;
 
     // Everything below the tables is fixed-stride scalars at row/pair volume — hundreds
     // of thousands of tiny varints — so decode through the slice cursor rather than
@@ -401,7 +399,7 @@ pub fn read_accumulator(r: &mut &[u8]) -> Result<GraphAccumulator, CodecError> {
     };
     let alignments = cur.count()?;
     let pair_count = cur.count()?;
-    let mut pairs = HashMap::with_capacity_and_hasher(pair_count.min(1 << 16), Default::default());
+    let mut pairs = PairIndex::default();
     let mut indices = Vec::new();
     let mut prev_key = None;
     for _ in 0..pair_count {
@@ -410,13 +408,17 @@ pub fn read_accumulator(r: &mut &[u8]) -> Result<GraphAccumulator, CodecError> {
             return Err(corrupt(format!("memo pair {key:#x} is out of key order")));
         }
         prev_key = Some(key);
+        let (ca, cb) = ((key >> 32) as u32, key as u32);
+        if ca as usize >= distinct || cb as usize >= distinct {
+            return Err(corrupt(format!("memo pair {key:#x} names a missing class")));
+        }
         let leaves = cur.count()?;
         let total = cur.count()?;
         cur.indices(total, &mut indices)?;
         let list = store
-            .push_shared_list(&indices, leaves)
+            .push_indexed_list(&table, &indices, leaves)
             .ok_or_else(|| corrupt(format!("memo pair {key:#x} has a malformed change list")))?;
-        pairs.insert(key, list);
+        pairs.insert(ca, cb, list);
     }
     // Older writers stored a seen-once admission set here; its keys no longer mean
     // anything, so they are skipped.
@@ -425,13 +427,20 @@ pub fn read_accumulator(r: &mut &[u8]) -> Result<GraphAccumulator, CodecError> {
     let memo = DiffMemo::from_parts(policy, alignments, pairs);
 
     let blob_len = cur.count()?;
-    read_runs(cur.take(blob_len)?, &dedup, &memo, &mut store)?;
+    read_runs(cur.take(blob_len)?, &dedup, &memo, &table, &mut store)?;
     *r = &cur.b[cur.pos..];
     Ok(GraphAccumulator { dedup, store, memo })
 }
 
+/// The workspace's counting allocator: the tests below count what a hostile change path
+/// makes restore request.
+#[cfg(test)]
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
 #[cfg(test)]
 mod tests {
+    use super::counting_alloc::allocated_bytes;
     use super::*;
     use crate::builder::GraphBuilder;
     use pi_ast::Frontend as _;
@@ -491,18 +500,26 @@ mod tests {
     }
 
     #[test]
-    fn restored_tables_hold_each_distinct_change_once() {
+    fn restored_tables_hold_each_distinct_path_and_subtree_once() {
         for memoize in [true, false] {
             let acc = mined_accumulator(memoize);
             let mut buf = Vec::new();
             write_accumulator(&mut buf, &acc).unwrap();
             let restored = read_accumulator(&mut buf.as_slice()).unwrap();
-            let table = restored.store().changes();
-            for (i, change) in table.iter().enumerate() {
-                assert!(!table[..i].contains(change), "change {i} is stored twice");
+            let store = restored.store();
+            let paths = store.paths();
+            for (i, path) in paths.iter().enumerate() {
+                assert!(!paths[..i].contains(path), "path {i} is stored twice");
             }
-            assert!(table.len() < acc.store().changes().len() || !memoize);
-            assert!(table.len() < acc.store().len());
+            let ids: Vec<_> = store.members().iter().map(Node::id).collect();
+            for (i, id) in ids.iter().enumerate() {
+                assert!(!ids[..i].contains(id), "subtree {i} is stored twice");
+            }
+            assert_eq!(paths.len(), acc.store().paths().len());
+            assert_eq!(ids.len(), acc.store().members().len());
+            // A row per change of each restored list: no more than the live store holds.
+            assert!(store.rows().len() <= acc.store().rows().len());
+            assert!(store.rows().len() < acc.store().len() || !memoize);
             // One list per memo entry, and one per run that does not replay its entry.
             assert!(
                 restored.store().list_count() <= acc.memo().memoized_pairs() + acc.edges().len()
@@ -608,5 +625,75 @@ mod tests {
                 write_accumulator(&mut Vec::new(), &restored).unwrap();
             }
         }
+    }
+
+    /// The snapshot of a two-query accumulator with one run, whose one change replaces
+    /// `1` with `2` at `path`.
+    fn snapshot_with_change_at(path: pi_ast::Path) -> Vec<u8> {
+        let mut acc = GraphAccumulator::new();
+        acc.dedup.ingest(&parse("SELECT a FROM t WHERE x = 1"));
+        acc.dedup.ingest(&parse("SELECT a FROM t WHERE x = 2"));
+        let change = pi_diff::TreeChange {
+            path,
+            before: Some(Node::int(1)),
+            after: Some(Node::int(2)),
+            is_leaf: true,
+        };
+        let list = acc.store.push_list(vec![change]);
+        acc.store.push_run(0, 1, list);
+        let mut buf = Vec::new();
+        write_accumulator(&mut buf, &acc).unwrap();
+        buf
+    }
+
+    /// The bytes restoring `buf` requests, and what it returned.
+    fn restore_counted(buf: &[u8]) -> (u64, Result<GraphAccumulator, CodecError>) {
+        let before = allocated_bytes();
+        let restored = read_accumulator(&mut &buf[..]);
+        (allocated_bytes() - before, restored)
+    }
+
+    #[test]
+    fn hostile_change_paths_cost_what_their_bytes_do() {
+        // Restore asks for memory in proportion to the snapshot: a fixed allowance for the
+        // tables' first sizes, then a constant per input byte.  Neither a step's value nor a
+        // path's declared depth may size an allocation.
+        const FIXED: u64 = 64 << 10;
+        const PER_BYTE: u64 = 64;
+        let deep = pi_ast::Path::from_steps((0..100_000).map(|k| k % 3));
+        for path in [pi_ast::Path::from_steps([1usize << 40]), deep] {
+            let buf = snapshot_with_change_at(path.clone());
+            let (requested, restored) = restore_counted(&buf);
+            println!(
+                "a {}-step path: {} snapshot bytes, {requested} requested",
+                path.depth(),
+                buf.len()
+            );
+            let restored = restored.expect("a deep or wide path is a valid change");
+            assert_eq!(restored.store().paths(), std::slice::from_ref(&path));
+            assert!(
+                requested <= FIXED + PER_BYTE * buf.len() as u64,
+                "a {}-step path: restoring {} bytes requested {requested}",
+                path.depth(),
+                buf.len()
+            );
+            // Persisting the restored state reproduces the bytes.
+            let mut again = Vec::new();
+            write_accumulator(&mut again, &restored).unwrap();
+            assert_eq!(again, buf);
+        }
+        // A path that declares 2^27 steps and ends after a few fails as truncated, having
+        // asked for no more than a short path would.
+        let buf = snapshot_with_change_at(pi_ast::Path::from_steps([4, 2]));
+        let mut rest = buf.as_slice();
+        read_node_table(&mut rest).unwrap();
+        // The change table follows the node table: its count, then the path's length.
+        let at = buf.len() - rest.len() + 1;
+        assert_eq!(buf[at..at + 3], [2, 4, 2]);
+        let mut hostile = buf[..at].to_vec();
+        hostile.extend([0x80, 0x80, 0x80, 0x40, 4, 2]);
+        let (requested, restored) = restore_counted(&hostile);
+        assert!(restored.is_err());
+        assert!(requested <= FIXED + PER_BYTE * hostile.len() as u64);
     }
 }

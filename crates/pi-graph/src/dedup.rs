@@ -59,15 +59,13 @@ pub struct DedupTable {
     arena_nodes: usize,
 }
 
-/// Rough per-node heap footprint of a retained tree, in bytes: one `NodeInner` (kind,
-/// hashes, attr/children vector headers) plus its `Arc` header and amortised attribute
-/// entries.  Attribute *strings* are interned process-wide (`pi_ast::IStr`) and therefore
-/// excluded — they are accounted once globally, not per retained tree.
-const NODE_FOOTPRINT_ESTIMATE: usize = 128;
-
-/// Bookkeeping bytes per distinct class: the `classes`/`counts`/`sizes` entries plus the
-/// hash-bucket slot.
-const CLASS_OVERHEAD_ESTIMATE: usize = 64;
+/// Per-node heap footprint of a retained tree, in bytes: one `NodeInner` (kind, hashes,
+/// attr/children vector headers) plus its `Arc` header and amortised attribute entries —
+/// 135.5 bytes a node, measured with a counting allocator over the 167 distinct trees of
+/// `zipf_trace(20_000, 256, 0.01, 7)`.  Attribute *strings* are interned process-wide
+/// (`pi_ast::IStr`) and therefore excluded — they are accounted once globally, not per
+/// retained tree.
+const NODE_FOOTPRINT_ESTIMATE: usize = 136;
 
 /// A bucket of class ids sharing one structural hash: inline for the overwhelmingly common
 /// collision-free case (no heap allocation per distinct shape), a `Vec` under a real 64-bit
@@ -193,13 +191,19 @@ impl DedupTable {
     }
 
     /// Estimated heap bytes this table retains: the distinct-tree arena (grows with the
-    /// number of distinct shapes `d`) plus the 4-byte per-row class index (grows with log
-    /// length `n` — the *only* per-row term).  O(1); the estimate is documented on the
-    /// constants, not measured, so it is stable across allocators.
+    /// number of distinct shapes `d`), the per-class columns and hash buckets, and the
+    /// 4-byte per-row class index (grows with log length `n` — the *only* per-row term).
+    /// The columns count their capacities; the trees count a measured per-node constant
+    /// (136 bytes).  O(1).
     pub fn footprint_bytes(&self) -> usize {
+        use std::mem::size_of;
+        // A bucket slot and its control byte, at the table's 7/8 load.
+        let bucket = (size_of::<(u64, Bucket)>() + 1) * 8 / 7;
         self.arena_nodes * NODE_FOOTPRINT_ESTIMATE
-            + self.classes.len() * CLASS_OVERHEAD_ESTIMATE
-            + self.class_of.len() * std::mem::size_of::<u32>()
+            + self.classes.capacity() * size_of::<Node>()
+            + (self.counts.capacity() + self.sizes.capacity()) * size_of::<u32>()
+            + self.by_hash.capacity() * bucket
+            + self.class_of.capacity() * size_of::<u32>()
     }
 }
 
@@ -209,15 +213,128 @@ fn measured_size(query: &Node) -> u32 {
     u32::try_from(query.size()).unwrap_or(u32::MAX)
 }
 
-/// The memo key of the ordered class pair `(ca, cb)`.
+/// The memo key of the ordered class pair `(ca, cb)`: source class in the high half, so
+/// keys sort by source class, then by target class.
 pub(crate) fn pair_key(ca: u32, cb: u32) -> u64 {
     (u64::from(ca) << 32) | u64::from(cb)
+}
+
+/// A map from ordered class pairs to `u32` values that finds a pair without hashing it:
+/// per source class, its partner classes and their values, sorted by partner class in one
+/// contiguous block of a shared arena.  A lookup indexes the source class's block and
+/// binary-searches it, which reads one or two cache lines for the few dozen partners a
+/// class meets under a sliding window.
+///
+/// Memory is bounded by the pairs met, not by classes²: a block that fills up moves to the
+/// end of the arena with twice the room, so the arena holds at most four slots per pair
+/// plus four per source class, and the block table one row per source class.  Classes are
+/// dense and assigned first-come, so the block table is as long as the largest source
+/// class met.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PairIndex {
+    /// Per source class: where its partners lie in `partners`.
+    blocks: Vec<Block>,
+    /// `(target class, value)` entries, block after block, each block sorted by target
+    /// class; the slots of a block past its length are spare, and blocks that moved leave
+    /// their old slots behind.
+    partners: Vec<(u32, u32)>,
+    len: usize,
+}
+
+/// The block table's and the arena's first sizes, in blocks and in four-slot blocks: an
+/// index that holds anything starts at a few kilobytes, instead of regrowing through the
+/// smallest sizes one allocation at a time.
+const MIN_ROOM: usize = 64;
+
+/// One source class's entries: `len` of them from `start` in the arena, in room for `cap`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Block {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+impl PairIndex {
+    /// Source class `ca`'s `(target class, value)` entries, sorted by target class.
+    fn entries(&self, ca: u32) -> &[(u32, u32)] {
+        self.blocks.get(ca as usize).map_or(&[], |block| {
+            &self.partners[block.start as usize..(block.start + block.len) as usize]
+        })
+    }
+
+    /// The value stored for `(ca, cb)`, or where in `ca`'s block `cb` would go.
+    pub(crate) fn find(&self, ca: u32, cb: u32) -> Result<u32, usize> {
+        let entries = self.entries(ca);
+        let k = entries.partition_point(|&(c, _)| c < cb);
+        match entries.get(k) {
+            Some(&(c, value)) if c == cb => Ok(value),
+            _ => Err(k),
+        }
+    }
+
+    /// The value stored for `(ca, cb)`, if any.
+    pub(crate) fn get(&self, ca: u32, cb: u32) -> Option<u32> {
+        self.find(ca, cb).ok()
+    }
+
+    /// Stores `value` for `(ca, cb)`, a pair not stored yet.
+    pub(crate) fn insert(&mut self, ca: u32, cb: u32, value: u32) {
+        let k = self.find(ca, cb).expect_err("a pair is stored once");
+        self.insert_at(ca, cb, k, value);
+    }
+
+    /// Stores `value` for `(ca, cb)`, a pair not stored yet, at position `k` of `ca`'s
+    /// block, where [`PairIndex::find`] said it goes.
+    pub(crate) fn insert_at(&mut self, ca: u32, cb: u32, k: usize, value: u32) {
+        if ca as usize >= self.blocks.len() {
+            let len = (ca as usize + 1).max(2 * self.blocks.len()).max(MIN_ROOM);
+            self.blocks.resize(len, Block::default());
+        }
+        let mut block = self.blocks[ca as usize];
+        let (start, len) = (block.start as usize, block.len as usize);
+        if block.len == block.cap {
+            if self.partners.capacity() == 0 {
+                self.partners.reserve(4 * MIN_ROOM);
+            }
+            let moved = self.partners.len();
+            block.cap = (2 * block.cap).max(4);
+            block.start = u32::try_from(moved).expect("fewer than 2^32 memo slots");
+            self.partners.extend_from_within(start..start + len);
+            self.partners.resize(moved + block.cap as usize, (0, 0));
+        }
+        let start = block.start as usize;
+        self.partners
+            .copy_within(start + k..start + len, start + k + 1);
+        self.partners[start + k] = (cb, value);
+        block.len += 1;
+        self.blocks[ca as usize] = block;
+        self.len += 1;
+    }
+
+    /// The number of pairs stored.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Every `(source class, target class, value)`, in pair-key order.
+    fn iter(&self) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
+        (0..self.blocks.len() as u32)
+            .flat_map(move |ca| self.entries(ca).iter().map(move |&(cb, v)| (ca, cb, v)))
+    }
+
+    /// Heap bytes held, from the capacities.
+    fn heap_bytes(&self) -> usize {
+        self.blocks.capacity() * std::mem::size_of::<Block>()
+            + self.partners.capacity() * std::mem::size_of::<(u32, u32)>()
+    }
 }
 
 /// The alignment memo: for each distinct ordered pair of tree shapes already aligned, the
 /// id of its change list in the accumulator's [`DiffStore`].  The class vocabulary lives in
 /// the accumulator's [`DedupTable`] and the lists in its store, so the lookup methods borrow
-/// them per call; the memo itself is a map from packed class pairs to list ids.
+/// them per call; the memo itself is an index from class pairs to list ids — per source
+/// class, its partner classes sorted in one block of a shared arena — which a lookup reads
+/// without hashing.
 ///
 /// Keys are **ordered** `(source class, target class)` pairs, not unordered sets: the
 /// aligner's LCS tie-breaking is direction-sensitive (and change paths are expressed in
@@ -236,7 +353,7 @@ pub(crate) fn pair_key(ca: u32, cb: u32) -> u64 {
 /// for the runs that already use them.
 #[derive(Debug, Clone, Default)]
 pub struct DiffMemo {
-    pairs: HashMap<u64, u32, IntBuildHasher>,
+    pairs: PairIndex,
     policy: Option<AncestorPolicy>,
     alignments: usize,
 }
@@ -263,14 +380,14 @@ impl DiffMemo {
     /// Pins the ancestor policy, forgetting memoized pairs computed under a different one.
     pub(crate) fn set_policy(&mut self, policy: AncestorPolicy) {
         if self.policy != Some(policy) {
-            self.pairs.clear();
+            self.pairs = PairIndex::default();
             self.policy = Some(policy);
         }
     }
 
     /// The list id memoized for the ordered pair `(ca, cb)`, if present.
     pub(crate) fn get(&self, ca: u32, cb: u32) -> Option<u32> {
-        self.pairs.get(&pair_key(ca, cb)).copied()
+        self.pairs.get(ca, cb)
     }
 
     /// The list id memoized for the ordered pair `(ca, cb)`.  On a miss the class
@@ -286,18 +403,21 @@ impl DiffMemo {
         policy: AncestorPolicy,
     ) -> u32 {
         debug_assert_eq!(self.policy, Some(policy), "set_policy before list");
-        let alignments = &mut self.alignments;
-        *self.pairs.entry(pair_key(ca, cb)).or_insert_with(|| {
-            *alignments += 1;
-            store.push_alignment(dedup.representative(ca), dedup.representative(cb), policy)
-        })
+        let at = match self.pairs.find(ca, cb) {
+            Ok(list) => return list,
+            Err(at) => at,
+        };
+        let list = store.push_alignment(dedup.representative(ca), dedup.representative(cb), policy);
+        self.alignments += 1;
+        self.pairs.insert_at(ca, cb, at, list);
+        list
     }
 
     /// Records an alignment whose list the caller appended (the parallel pre-alignment
     /// path).
     pub(crate) fn insert(&mut self, ca: u32, cb: u32, list: u32) {
         self.alignments += 1;
-        self.pairs.insert(pair_key(ca, cb), list);
+        self.pairs.insert(ca, cb, list);
     }
 
     /// The pinned ancestor policy, if any (snapshot codec).
@@ -305,10 +425,9 @@ impl DiffMemo {
         self.policy
     }
 
-    /// Iterates the memoized `(pair key, list id)` pairs in arbitrary order (snapshot codec
-    /// sorts by key before writing).
+    /// The memoized `(pair key, list id)` pairs, in key order (snapshot codec).
     pub(crate) fn pairs_iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        self.pairs.iter().map(|(k, v)| (*k, *v))
+        (self.pairs.iter()).map(|(ca, cb, list)| (pair_key(ca, cb), list))
     }
 
     /// Rebuilds a memo from persisted parts — pinned policy, lifetime alignment count and
@@ -317,7 +436,7 @@ impl DiffMemo {
     pub(crate) fn from_parts(
         policy: Option<AncestorPolicy>,
         alignments: usize,
-        pairs: HashMap<u64, u32, IntBuildHasher>,
+        pairs: PairIndex,
     ) -> Self {
         DiffMemo {
             pairs,
@@ -326,14 +445,10 @@ impl DiffMemo {
         }
     }
 
-    /// Estimated heap bytes the memo retains: one map slot per memoized pair (the packed
-    /// key and the list id, plus the table's control byte and load-factor slack).  The
-    /// lists themselves are the store's.  O(1).
+    /// Heap bytes the memo holds, from its capacities: the pair index's block table and
+    /// arena.  The lists themselves are the store's.
     pub fn footprint_bytes(&self) -> usize {
-        /// A 16-byte `(u64, u32)` slot, its control byte, and spare slots at the table's
-        /// maximum 7/8 load.
-        const PAIR_FOOTPRINT_ESTIMATE: usize = 20;
-        self.pairs.len() * PAIR_FOOTPRINT_ESTIMATE
+        self.pairs.heap_bytes()
     }
 }
 
@@ -457,7 +572,7 @@ mod tests {
                 // The memoized list is the direct extraction, leaves first — exactly what
                 // the graph's run of the pair reads.
                 let direct = pi_diff::extract_changes(&queries[i], &queries[j], policy);
-                assert!(store.list_changes(list).eq(&direct));
+                assert!(store.list_changes(list).eq(direct.iter().cloned()));
                 assert_eq!(
                     store.list_leaves(list),
                     direct.iter().filter(|c| c.is_leaf).count()
@@ -492,5 +607,40 @@ mod tests {
         let full = memo.list(&dedup, &mut store, 0, 1, AncestorPolicy::Full);
         assert_ne!(full, pruned);
         assert!(store.list_len(full) > store.list_len(pruned));
+    }
+
+    #[test]
+    fn pair_index_finds_every_pair_in_any_insertion_order() {
+        // A fixed LCG keeps the pairs reproducible; classes repeat, and blocks move several
+        // times as their source classes meet more partners.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |bound: u32| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as u32 % bound
+        };
+        let mut index = PairIndex::default();
+        let mut reference = std::collections::BTreeMap::new();
+        for value in 0..5_000 {
+            let (ca, cb) = (next(40), next(300));
+            match index.find(ca, cb) {
+                Ok(stored) => assert_eq!(Some(&stored), reference.get(&pair_key(ca, cb))),
+                Err(k) => {
+                    index.insert_at(ca, cb, k, value);
+                    reference.insert(pair_key(ca, cb), value);
+                    assert_eq!(index.get(ca, cb), Some(value));
+                }
+            }
+        }
+        assert_eq!(index.len(), reference.len());
+        let listed: Vec<(u64, u32)> = (index.iter())
+            .map(|(ca, cb, v)| (pair_key(ca, cb), v))
+            .collect();
+        assert_eq!(listed, reference.into_iter().collect::<Vec<_>>());
+        assert_eq!(index.get(7, 300), None);
+        assert_eq!(index.get(41, 0), None);
+        // At most four slots per pair plus four per source class.
+        assert!(index.partners.len() <= 4 * (index.len() + index.blocks.len()));
     }
 }

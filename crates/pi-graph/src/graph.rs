@@ -284,7 +284,7 @@ mod tests {
         // Each edge is labelled with its run's leading leaf records.
         for edge in g.edges() {
             assert!(edge.leaves > 0);
-            assert!(edge.diffs().all(|id| g.store().get(id).is_leaf));
+            assert!(edge.diffs().all(|id| g.store().get(id).is_leaf()));
         }
     }
 

@@ -169,11 +169,11 @@ impl Domain {
     ) -> Self {
         let mut domain = Domain::new();
         for record in records {
-            match &record.before {
+            match record.before() {
                 Some(node) => domain.insert_tagged(node.clone(), tag_of(record.q1)),
                 None => domain.set_includes_absent(true),
             }
-            match &record.after {
+            match record.after() {
                 Some(node) => domain.insert_tagged(node.clone(), tag_of(record.q2)),
                 None => domain.set_includes_absent(true),
             }

@@ -63,8 +63,8 @@ impl Widget {
     }
 
     /// The expressiveness check of §4.3: widget `w` expresses diff `d` iff their paths match
-    /// and the target subtree `t2` is within the widget's domain.  Records pass as their
-    /// change (`&record` derefs to it).
+    /// and the target subtree `t2` is within the widget's domain.  `d` is a change value, as
+    /// [`pi_diff::extract_changes`] returns it.
     pub fn expresses(&self, diff: &TreeChange) -> bool {
         self.path == diff.path && self.can_express_subtree(diff.after.as_ref())
     }

@@ -144,7 +144,8 @@ fn assert_one_run_per_pair(graph: &precision_interfaces::graph::InteractionGraph
             );
             let leaf_slot = id - next < edge.leaves;
             assert_eq!(
-                record.is_leaf, leaf_slot,
+                record.is_leaf(),
+                leaf_slot,
                 "{what}: record {id} of run {k}: leaves first"
             );
         }

@@ -49,10 +49,12 @@
 use crate::interface::Interface;
 use crate::pipeline::{GeneratedInterface, PiOptions, StageTimings};
 use pi_ast::codec;
-use pi_ast::{CodecError, Dialect, ErrorSample, FrontendError, Frontends, Node};
+use pi_ast::{CodecError, Dialect, ErrorSample, FrontendError, Frontends, IntBuildHasher, Node};
 use pi_graph::{
-    GraphAccumulator, GraphBuilder, GraphStats, InteractionGraph, QueryLog, WindowStrategy,
+    DedupTable, GraphAccumulator, GraphBuilder, GraphStats, InteractionGraph, QueryLog,
+    WindowStrategy,
 };
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::time::Instant;
@@ -134,9 +136,8 @@ impl ParseCache {
     fn insert(&mut self, dialect: Dialect, text: &str, statements: Vec<Node>) {
         // Entry estimate: the owned text, the statement handles, the fragment's one-entry
         // vector (which a first push sizes for four fragments) and its map bucket.  The
-        // trees are counted as the dedup arena's: the arena's representative of a shape is
-        // physically the tree first parsed here.  A text whose shape the arena already
-        // holds (another dialect or spelling) keeps a second tree that is not counted.
+        // trees are counted as the dedup arena's: every cached statement is the tree the
+        // arena keeps for its shape ([`kept_tree`]).
         use std::mem::size_of;
         let entry = 4 * size_of::<CachedFragment>() + size_of::<(u64, Vec<CachedFragment>)>();
         let cost = text.len() + statements.len() * size_of::<Node>() + entry;
@@ -158,6 +159,28 @@ impl ParseCache {
     /// Estimated bytes retained (text + handles + overhead; shared subtrees excluded).
     fn footprint_bytes(&self) -> usize {
         self.bytes
+    }
+}
+
+/// The tree the dedup arena keeps for `statement`'s shape once the chunk holding it is
+/// appended: the arena's representative when it holds the shape (found without ingesting),
+/// or else the chunk's first tree of the shape, which `firsts` records by structural hash.
+/// A text whose shape came first under another text (the other dialect, or another
+/// spelling) is cached as that tree, and its parsed copy drops after the append.
+fn kept_tree(
+    dedup: &DedupTable,
+    firsts: &mut HashMap<u64, Node, IntBuildHasher>,
+    statement: &Node,
+) -> Node {
+    if let Some(class) = dedup.find(statement) {
+        return dedup.representative(class).clone();
+    }
+    match firsts.entry(statement.structural_hash()) {
+        Entry::Occupied(first) if first.get() == statement => first.get().clone(),
+        // Another shape with the same hash: the arena tells them apart, and this one keeps
+        // its own tree.
+        Entry::Occupied(_) => statement.clone(),
+        Entry::Vacant(slot) => slot.insert(statement.clone()).clone(),
     }
 }
 
@@ -435,6 +458,7 @@ impl Session {
         let mut appended = 0usize;
         let mut chunk: Vec<Node> = Vec::with_capacity(STREAM_CHUNK);
         let mut chunk_tags: Vec<u8> = Vec::with_capacity(STREAM_CHUNK);
+        let mut firsts = HashMap::default();
         let mut scratch: Vec<Node> = Vec::new();
         for (dialect, line) in lines {
             let text = line.as_ref();
@@ -453,9 +477,13 @@ impl Session {
                 self.parse_ms += start.elapsed().as_secs_f64() * 1e3;
                 self.skipped += skipped;
                 if skipped == 0 {
-                    // Clean fragments are cached; the cached handles share the trees the
-                    // dedup arena will retain, so this pins no extra tree memory.
-                    self.parse_cache.insert(dialect, text, scratch.clone());
+                    // Clean fragments are cached, each statement as the tree the dedup
+                    // arena keeps for its shape, so the cache pins no tree of its own.
+                    let dedup = self.acc.dedup();
+                    let cached = (scratch.iter())
+                        .map(|statement| kept_tree(dedup, &mut firsts, statement))
+                        .collect();
+                    self.parse_cache.insert(dialect, text, cached);
                 }
                 chunk.append(&mut scratch);
             }
@@ -465,6 +493,7 @@ impl Session {
             }
             if chunk.len() >= STREAM_CHUNK {
                 appended += self.append(chunk.drain(..), chunk_tags.drain(..)).len();
+                firsts.clear();
             }
         }
         if !chunk.is_empty() {
@@ -508,9 +537,8 @@ impl Session {
     ///
     /// Counts the distinct-tree arena (a per-node constant, one tree per *distinct* query
     /// shape), per-class bookkeeping, the per-row class id (4 bytes) and dialect tag
-    /// (1 byte), the parse cache (fragment text, handles and entries; its trees are counted
-    /// as the arena's, so a second tree a text keeps for a shape the arena already holds is
-    /// missed) and the bounded error sample.  For a repetitive trace this log
+    /// (1 byte), the parse cache (fragment text, handles and entries; its trees are the
+    /// arena's) and the bounded error sample.  For a repetitive trace this log
     /// storage is dominated by the `d` distinct shapes and grows only ~5 bytes per
     /// additional duplicate row (its class id and dialect tag).  The whole estimate grows a
     /// little faster: the mined state below adds one 16-byte run row per pair the window
@@ -1361,6 +1389,22 @@ mod tests {
             grown - warm - mined_growth <= 2 * 5 * session.len(),
             "footprint grew {warm} -> {grown} ({mined_growth} of it mined records) for duplicate-only rows"
         );
+    }
+
+    #[test]
+    fn the_parse_cache_holds_the_arena_trees_and_no_copy_of_its_own() {
+        // Two spellings of one shape, first in one chunk and then with the shape already in
+        // the arena: every cached statement is the arena's representative, physically.
+        let spellings = ["SELECT a FROM t WHERE x = 1", "select a from t where x = 1"];
+        let later = "SELECT  a FROM t WHERE x = 1";
+        let mut session = Session::new(PiOptions::default());
+        session.push_stream_tagged(spellings.map(|text| (Dialect::SQL, text)));
+        session.push_stream_tagged([(Dialect::SQL, later)]);
+        assert_eq!((session.len(), session.distinct()), (3, 1));
+        for text in spellings.into_iter().chain([later]) {
+            let cached = session.parse_cache.get(Dialect::SQL, text).unwrap();
+            assert!(cached[0].ptr_eq(session.query(0)), "{text}");
+        }
     }
 
     #[test]

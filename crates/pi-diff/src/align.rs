@@ -14,20 +14,29 @@
 //! All of an alignment's working state lives in one [`Scratch`], cleared and reused from one
 //! alignment to the next: the current path is pushed and popped in place (and copied only
 //! when the table meets it for the first time), the anchors of every open level share one
-//! stack, the hash and LCS buffers are refilled per level, and the ancestor closure refills
-//! its leaf-order and ancestor-path buffers per alignment.  The matcher writes each leaf
+//! stack, and the hash and LCS buffers are refilled per level.  The matcher writes each leaf
 //! change straight onto the end of a change table, as a row of ids: the current path's id
 //! is one probe of the table's path index, and each side's member id one probe of its
 //! member index, so an emitted change copies no path and clones no subtree handle unless
-//! the path or the subtree is new to the table.  A [`DiffStore`] keeps one scratch per
-//! thread and hands its change table over ([`DiffStore::push_alignment`]), so once the
-//! buffers and tables have grown an alignment allocates nothing.  [`leaf_changes`] and
-//! [`crate::extract_changes`] run the same code on a fresh scratch and a fresh table.
+//! the path or the subtree is new to the table.
+//!
+//! The ancestor closure is found by the same walk.  Every proper prefix of a leaf path is a
+//! node pair whose child lists the matcher aligned, so the walk records those pairs in
+//! preorder, which is [`Path`] order, each with what it saw below it: whether a leaf change
+//! lies below, whether the leaves below take two or more distinct child steps (the pair is
+//! then a least common ancestor of two of them), and whether an earlier gap's insertion
+//! landed on the pair's own path (which makes it a leaf path).  The ancestor rows are read
+//! off that list once the leaves are written; nothing is sorted.
+//!
+//! A [`DiffStore`] keeps one scratch per thread and hands its change table over
+//! ([`DiffStore::push_alignment`]), so once the buffers and tables have grown an alignment
+//! allocates nothing.  [`leaf_changes`] and [`crate::extract_changes`] run the same code on
+//! a fresh scratch and a fresh table.
 //!
 //! [`DiffStore`]: crate::DiffStore
 //! [`DiffStore::push_alignment`]: crate::DiffStore::push_alignment
 
-use crate::record::TreeChange;
+use crate::record::{AncestorPolicy, TreeChange};
 use crate::table::ChangeTable;
 use pi_ast::{Node, Path};
 
@@ -59,25 +68,116 @@ pub(crate) struct Scratch {
     bh: Vec<u64>,
     /// The current level's LCS table.
     dp: Vec<u32>,
-    /// The closure's leaf changes, as indices into the alignment's leaves, sorted by path
-    /// with repeated paths dropped.
-    pub(crate) leaf_order: Vec<usize>,
-    /// The closure's ancestor paths, in [`Path`] order.
-    pub(crate) ancestors: Vec<Path>,
+    /// The node pairs whose child lists this alignment aligned and that have a leaf change
+    /// below them, in preorder.
+    visits: Vec<Visit>,
+}
+
+/// A node pair whose child lists the matcher aligned, with what its walk found below it.
+/// The walk records pairs in preorder and enters children by increasing index, so the
+/// visits of an alignment are in [`Path`] order; a pair with no leaf change below is
+/// dropped, with everything under it, when its walk returns.
+#[derive(Debug, Clone, Copy)]
+struct Visit {
+    /// The pair's depth: its path is its parent's path and then `step`.
+    depth: usize,
+    /// The pair's index in its parent's child list; 0 for the root.
+    step: usize,
+    /// The leaves below take two or more distinct child steps, so the pair is the least
+    /// common ancestor of two of them.
+    branching: bool,
+    /// An earlier gap's insertion landed on the pair's own path, which is therefore a leaf
+    /// path as well.
+    leaf_path: bool,
+}
+
+/// What the walk of one pair's child lists has found so far.
+#[derive(Default)]
+struct Level {
+    /// The first child step a leaf change was emitted under.
+    first_step: Option<usize>,
+    /// A leaf change was emitted under a second, different child step.
+    branching: bool,
+    /// One past the highest child index an insertion landed on.  A later gap's pair whose
+    /// index lies below it sits on an insertion's path: every insertion range starts at the
+    /// anchor that closes its gap, below every later pair.
+    inserted_end: usize,
+}
+
+impl Level {
+    fn leaf_under(&mut self, step: usize) {
+        match self.first_step {
+            None => self.first_step = Some(step),
+            Some(first) => self.branching |= first != step,
+        }
+    }
 }
 
 impl Scratch {
     /// Appends the leaf changes that transform `a` into `b` to `out`, in matcher order,
-    /// each marked `is_leaf`.
+    /// each marked `is_leaf`, and records the walk's visits.
     pub(crate) fn leaves_into(&mut self, a: &Node, b: &Node, out: &mut ChangeTable) {
         // Balanced pushes and pops leave both at their base; a panic that unwound out of an
         // earlier alignment may not have.
         self.anchors.clear();
+        self.visits.clear();
         while self.path.pop().is_some() {}
-        self.diff_nodes(a, b, out);
+        self.diff_nodes(a, b, false, out);
     }
 
-    fn diff_nodes(&mut self, a: &Node, b: &Node, out: &mut ChangeTable) {
+    /// Aligns `a` with `b` and appends their change list to `out`'s rows: the leaf changes
+    /// in matcher order, then the ancestors `policy` keeps, in [`Path`] order.  Returns the
+    /// number of leaf changes.
+    ///
+    /// The ancestors are the recorded visits, less those on a leaf path (a leaf record
+    /// already is that transformation, so a root-level replacement is the whole-tree
+    /// one).  `Full` keeps every other visit: each is a proper prefix of a leaf path, and
+    /// each such prefix is a visit.  `LcaPruned` keeps the root (the whole-query
+    /// transformation is always a viable interaction, Figure 4) and each branching visit:
+    /// the least common ancestor of two leaf paths is either one of them or the node where
+    /// they take different child steps.  A kept path becomes a row only where both trees
+    /// hold differing subtrees there.
+    pub(crate) fn changes_into(
+        &mut self,
+        a: &Node,
+        b: &Node,
+        policy: AncestorPolicy,
+        out: &mut ChangeTable,
+    ) -> usize {
+        let first = out.rows.len();
+        self.leaves_into(a, b, out);
+        let leaves = out.rows.len() - first;
+        for k in 0..self.visits.len() {
+            let visit = self.visits[k];
+            // The path holds the previous visit's, so its first `depth - 1` steps are this
+            // visit's parent's; the root comes first.
+            if visit.depth > 0 {
+                while self.path.depth() >= visit.depth {
+                    self.path.pop();
+                }
+                self.path.push(visit.step);
+            }
+            let kept = match policy {
+                AncestorPolicy::Full => true,
+                AncestorPolicy::LcaPruned => visit.depth == 0 || visit.branching,
+            };
+            if !kept || visit.leaf_path {
+                continue;
+            }
+            // Both sides must exist: an ancestor of a change always exists in the source
+            // tree, and in the target tree unless sibling shifts moved it; such rare cases
+            // are simply skipped.
+            if let (Some(before), Some(after)) = (a.get(&self.path), b.get(&self.path)) {
+                if !before.same_tree(after) {
+                    out.push(self.path.steps(), Some(before), Some(after), false);
+                }
+            }
+        }
+        while self.path.pop().is_some() {}
+        leaves
+    }
+
+    fn diff_nodes(&mut self, a: &Node, b: &Node, leaf_path: bool, out: &mut ChangeTable) {
         // O(1) equal-subtree short-circuit on the memoized structural hash — this, not the
         // deep `==`, is what makes pairwise alignment cheap on mostly-identical log queries.
         if a.same_tree(b) {
@@ -87,7 +187,7 @@ impl Scratch {
             self.emit(Some(a), Some(b), out);
             return;
         }
-        self.align_children(a, b, out);
+        self.align_children(a, b, leaf_path, out);
     }
 
     /// Records a leaf change at the current path.
@@ -95,8 +195,16 @@ impl Scratch {
         out.push(self.path.steps(), before, after, true);
     }
 
-    /// Aligns the child lists of two same-labelled nodes and recurses.
-    fn align_children(&mut self, a: &Node, b: &Node, out: &mut ChangeTable) {
+    /// Aligns the child lists of two same-labelled nodes and recurses, recording the pair
+    /// as a visit.
+    fn align_children(&mut self, a: &Node, b: &Node, leaf_path: bool, out: &mut ChangeTable) {
+        let visit = self.visits.len();
+        self.visits.push(Visit {
+            depth: self.path.depth(),
+            step: self.path.last().unwrap_or(0),
+            branching: false,
+            leaf_path,
+        });
         let ac = a.children();
         let bc = b.children();
         let (n, m) = (ac.len(), bc.len());
@@ -126,6 +234,7 @@ impl Scratch {
         // sentinel when there is no suffix.
         let base = self.anchors.len();
         self.lcs_anchors(&ac[prefix..n - suffix], &bc[prefix..m - suffix], prefix);
+        let mut level = Level::default();
         let (mut ai, mut bi) = (prefix, prefix);
         for k in base..=self.anchors.len() {
             let (anchor_a, anchor_b) = self
@@ -133,21 +242,37 @@ impl Scratch {
                 .get(k)
                 .copied()
                 .unwrap_or((n - suffix, m - suffix));
-            self.gap(&ac[ai..anchor_a], &bc[bi..anchor_b], ai, out);
+            self.gap(&ac[ai..anchor_a], &bc[bi..anchor_b], ai, &mut level, out);
             ai = anchor_a + 1;
             bi = anchor_b + 1;
         }
         self.anchors.truncate(base);
+        match level.first_step {
+            // No leaf below: neither this pair nor any pair under it is an ancestor.
+            None => self.visits.truncate(visit),
+            Some(_) => self.visits[visit].branching = level.branching,
+        }
     }
 
     /// Everything between two anchors: unmatched children, paired positionally from
     /// source index `at`, then the leftovers of the longer side.
-    fn gap(&mut self, gap_a: &[Node], gap_b: &[Node], at: usize, out: &mut ChangeTable) {
+    fn gap(
+        &mut self,
+        gap_a: &[Node],
+        gap_b: &[Node],
+        at: usize,
+        level: &mut Level,
+        out: &mut ChangeTable,
+    ) {
         let paired = gap_a.len().min(gap_b.len());
         for k in 0..paired {
+            let rows = out.rows.len();
             self.path.push(at + k);
-            self.diff_nodes(&gap_a[k], &gap_b[k], out);
+            self.diff_nodes(&gap_a[k], &gap_b[k], at + k < level.inserted_end, out);
             self.path.pop();
+            if out.rows.len() > rows {
+                level.leaf_under(at + k);
+            }
         }
         // Source has extra children: deletions.  Target has extra children: insertions,
         // whose path records where they would be inserted, in source coordinates.  At most
@@ -156,11 +281,14 @@ impl Scratch {
             self.path.push(at + k);
             self.emit(Some(extra), None, out);
             self.path.pop();
+            level.leaf_under(at + k);
         }
         for (k, extra) in gap_b.iter().enumerate().skip(paired) {
             self.path.push(at + k);
             self.emit(None, Some(extra), out);
             self.path.pop();
+            level.leaf_under(at + k);
+            level.inserted_end = level.inserted_end.max(at + k + 1);
         }
     }
 
@@ -169,6 +297,18 @@ impl Scratch {
     fn lcs_anchors(&mut self, a: &[Node], b: &[Node], offset: usize) {
         let (n, m) = (a.len(), b.len());
         if n == 0 || m == 0 {
+            return;
+        }
+        // With one child on either side, the LCS is that child's first match on the other
+        // side, which is also the anchor the table walk below picks, so no table is built.
+        if n == 1 || m == 1 {
+            let first = if n == 1 {
+                b.iter().position(|y| a[0].same_tree(y)).map(|j| (0, j))
+            } else {
+                a.iter().position(|x| x.same_tree(&b[0])).map(|i| (i, 0))
+            };
+            self.anchors
+                .extend(first.map(|(i, j)| (i + offset, j + offset)));
             return;
         }
         self.ah.clear();
@@ -370,6 +510,40 @@ mod tests {
         let a = list([col("p"), x.clone(), y.clone(), x.clone(), col("q")]);
         let b = list([col("r"), y.clone(), x.clone(), y.clone(), col("s")]);
         assert_eq!(show(&a, &b), ["0 p>r", "1 x>-", "4 q>y", "5 ->s"]);
+    }
+
+    #[test]
+    fn a_one_child_middle_anchors_at_its_first_match() {
+        // The DP walk's anchor for a one-child side is that child's first match, and the
+        // scan that replaces the table for it must pick the same one.
+        assert_eq!(lcs_pairs(&[7], &[1, 7, 2, 7]), vec![(0, 1)]);
+        assert_eq!(lcs_pairs(&[1, 7, 2, 7], &[7]), vec![(1, 0)]);
+        assert_eq!(lcs_pairs(&[7], &[1, 2]), vec![]);
+        // Trimmed ends leave the middles `[x]` and `[x, y, x]`: `x` anchors at its first
+        // occurrence, and `y` and the second `x` are inserted after it.
+        let (x, y) = (col("x"), col("y"));
+        let a = list([col("s"), x.clone(), col("t")]);
+        let b = list([col("s"), x.clone(), y.clone(), x.clone(), col("t")]);
+        assert_eq!(show(&a, &b), ["2 ->y", "3 ->x"]);
+        assert_eq!(show(&b, &a), ["2 y>-", "3 x>-"]);
+    }
+
+    #[test]
+    fn an_insertion_on_a_recursed_pairs_path_makes_it_a_leaf_path() {
+        // `x` anchors, so `y` and `z` are inserted at 0 and 1, and the lists after `x` pair
+        // at source index 1, the path `z`'s insertion took.
+        let a = list([col("x"), list([col("c"), col("e")])]);
+        let b = list([col("y"), col("z"), col("x"), list([col("d"), col("f")])]);
+        assert_eq!(show(&a, &b), ["0 ->y", "1 ->z", "1/0 c>d", "1/1 e>f"]);
+        // `1` is the least common ancestor of `1/0` and `1/1` and a prefix of both, but it
+        // is a leaf path, so only the root is an ancestor row.
+        for policy in [AncestorPolicy::LcaPruned, AncestorPolicy::Full] {
+            let changes = crate::extract_changes(&a, &b, policy);
+            let ancestors: Vec<String> = (changes.iter().filter(|c| !c.is_leaf))
+                .map(|c| c.path.to_string())
+                .collect();
+            assert_eq!(ancestors, ["/"], "{policy:?}");
+        }
     }
 
     #[test]

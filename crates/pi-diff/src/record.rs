@@ -1,4 +1,9 @@
 //! The `diffs` table: records of subtree transformations between pairs of log queries.
+//!
+//! A pair's change list is its leaf changes, then the ancestors an [`AncestorPolicy`]
+//! keeps.  The matcher in `align.rs` finds both in one walk: the node pairs whose child
+//! lists it aligns are the proper prefixes of the leaf paths, and it records, for each,
+//! whether the leaves below it branch, which is what LCA pruning keeps.
 
 use crate::align::Scratch;
 use crate::table::{ChangeRow, ChangeTable};
@@ -238,7 +243,7 @@ pub struct TreeChange {
 
 /// Builds the index-free change list between two trees, expanding (and optionally pruning)
 /// ancestors.  Leaf changes come first, in matcher order, then ancestors in [`Path`] order.
-/// Runs on a fresh [`Scratch`] into a fresh change table; a
+/// Runs on a fresh aligner scratch into a fresh change table; a
 /// [`DiffStore`](crate::DiffStore) runs the same code on a reused scratch and writes the
 /// list straight into its own table.
 pub fn build_changes(a: &Node, b: &Node, policy: AncestorPolicy) -> Vec<TreeChange> {
@@ -247,100 +252,11 @@ pub fn build_changes(a: &Node, b: &Node, policy: AncestorPolicy) -> Vec<TreeChan
     table.rows.iter().map(|&row| table.change(row)).collect()
 }
 
-impl Scratch {
-    /// Aligns `a` with `b` and appends their change list to `out`'s rows: the leaf changes
-    /// in matcher order, then the ancestors `policy` keeps, in [`Path`] order.  Returns the
-    /// number of leaf changes.
-    pub(crate) fn changes_into(
-        &mut self,
-        a: &Node,
-        b: &Node,
-        policy: AncestorPolicy,
-        out: &mut ChangeTable,
-    ) -> usize {
-        let first = out.rows.len();
-        self.leaves_into(a, b, out);
-        let leaves = out.rows.len() - first;
-        if leaves == 0 {
-            return 0;
-        }
-        self.close(out, first, policy);
-        for path in self.ancestors.drain(..) {
-            // Both sides must exist: an ancestor of a change always exists in the source
-            // tree, and in the target tree unless sibling shifts moved it; such rare cases
-            // are simply skipped.
-            if let (Some(before), Some(after)) = (a.get(&path), b.get(&path)) {
-                if !before.same_tree(after) {
-                    out.push(path.steps(), Some(before), Some(after), false);
-                }
-            }
-        }
-        leaves
-    }
-
-    /// Fills `self.ancestors` with the ancestor paths to materialise for a set of leaf
-    /// changes, in [`Path`] order, without the leaf paths themselves (those are emitted as
-    /// leaf records, so a root-level replacement already *is* the whole-tree
-    /// transformation).
-    ///
-    /// `LcaPruned` keeps the root — the whole-query transformation is always a viable
-    /// interaction (Figure 4) — and the least common ancestor of every pair of leaf paths.
-    /// Sorted, adjacent pairs alone give every pair's: in `Path` (lexicographic) order, the
-    /// common prefix of `p[i]` and `p[j]` (`i < j`) is the shortest of the adjacent pairs'
-    /// common prefixes between them, and that one is also a prefix of `p[i]` — so each
-    /// pairwise LCA is some adjacent pair's, in `O(k log k)` for `k` leaves instead of
-    /// `O(k²)`.  Duplicate leaf paths add nothing (a path's LCA with itself is a leaf path)
-    /// and are dropped first.  `Full` keeps every proper ancestor of every leaf path.
-    ///
-    /// The leaves are `table`'s rows from `first` on, and their paths are read from its
-    /// path table, where equal paths have equal ids.
-    fn close(&mut self, table: &ChangeTable, first: usize, policy: AncestorPolicy) {
-        let leaves = &table.rows[first..];
-        let path = |i: usize| table.paths.get(leaves[i].path);
-        let (order, out) = (&mut self.leaf_order, &mut self.ancestors);
-        order.clear();
-        order.extend(0..leaves.len());
-        order.sort_unstable_by(|&x, &y| path(x).cmp(path(y)));
-        order.dedup_by(|x, y| leaves[*x].path == leaves[*y].path);
-        out.clear();
-        match policy {
-            AncestorPolicy::Full => {
-                for &i in order.iter() {
-                    let steps = path(i).steps();
-                    out.extend((0..steps.len()).map(|depth| Path::from(&steps[..depth])));
-                }
-            }
-            AncestorPolicy::LcaPruned => {
-                out.push(Path::root());
-                out.extend(
-                    order
-                        .windows(2)
-                        .map(|pair| path(pair[0]).common_prefix(path(pair[1]))),
-                );
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out.retain(|ancestor| order.binary_search_by(|&i| path(i).cmp(ancestor)).is_err());
-    }
-}
-
-/// The ancestor closure of `leaves` on a fresh [`Scratch`] and a fresh table.
-#[cfg(test)]
-fn ancestor_paths(leaves: &[TreeChange], policy: AncestorPolicy) -> Vec<Path> {
-    let mut table = ChangeTable::default();
-    for leaf in leaves {
-        table.push_change(leaf);
-    }
-    let mut scratch = Scratch::default();
-    scratch.close(&table, 0, policy);
-    scratch.ancestors
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pi_ast::Frontend as _;
+    use pi_ast::NodeKind;
 
     fn parse(sql: &str) -> Result<pi_ast::Node, pi_ast::FrontendError> {
         pi_sql::SqlFrontend.parse_one(sql)
@@ -408,82 +324,180 @@ mod tests {
         assert!(full.len() > changes.len());
     }
 
-    #[test]
-    fn ancestor_paths_equal_the_pairwise_definition() {
-        use std::collections::BTreeSet;
-        // A fixed LCG keeps the generated sets reproducible.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = |bound: usize| {
-            state = state
+    /// A fixed LCG, so the generated trees are reproducible.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 = (self.0)
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1_442_695_040_888_963_407);
-            (state >> 33) as usize % bound
+            (self.0 >> 33) as usize % bound
+        }
+    }
+
+    /// A random tree of at most `depth` levels over two list kinds and three column names,
+    /// whose siblings often repeat a shape.
+    fn tree(rng: &mut Lcg, depth: usize) -> Node {
+        if depth == 0 || rng.below(3) == 0 {
+            return Node::column(["x", "y", "z"][rng.below(3)]);
+        }
+        let kind = match rng.below(3) {
+            0 => NodeKind::From,
+            _ => NodeKind::Project,
         };
-        let mut heap_deep = 0;
-        for _ in 0..3_000 {
-            let mut paths: Vec<Path> = Vec::new();
-            for _ in 0..1 + next(8) {
-                let earlier = (!paths.is_empty()).then(|| paths[next(paths.len())].clone());
-                let path = match (next(4), earlier) {
-                    // A duplicate of an earlier leaf path.
-                    (0, Some(earlier)) => earlier,
-                    // An ancestor or a descendant of an earlier leaf path.
-                    (1, Some(earlier)) if next(2) == 0 => {
-                        Path::from(&earlier.steps()[..next(earlier.depth() + 1)])
-                    }
-                    (1, Some(mut earlier)) => {
-                        for _ in 0..1 + next(4) {
-                            earlier.push(next(3));
-                        }
-                        earlier
-                    }
-                    // A fresh path, up to 12 steps: past `Path`'s 8 inline steps.
-                    _ => Path::from_steps((0..next(13)).map(|_| next(3))),
-                };
-                heap_deep += usize::from(path.depth() > 8);
-                paths.push(path);
+        let mut children: Vec<Node> = Vec::new();
+        for _ in 0..1 + rng.below(4) {
+            let child = match children.last() {
+                Some(last) if rng.below(3) == 0 => last.clone(),
+                _ => tree(rng, depth - 1),
+            };
+            children.push(child);
+        }
+        Node::new(kind).with_children(children)
+    }
+
+    /// `t` with one random edit at a random node: the node replaced, one or two children
+    /// inserted before, between or after its siblings (often copies of one), a child
+    /// removed, or a child edited with two insertions in front of its predecessor.
+    fn edit(rng: &mut Lcg, t: &Node) -> Node {
+        let mut path = Path::root();
+        let mut node = t;
+        while !node.children().is_empty() && rng.below(3) != 0 {
+            let k = rng.below(node.children().len());
+            path.push(k);
+            node = &node.children()[k];
+        }
+        let len = node.children().len();
+        match rng.below(5) {
+            0 | 1 if len > 0 => {
+                let at = path.child(rng.below(len + 1));
+                let mut edited = t.clone();
+                for _ in 0..1 + rng.below(2) {
+                    let child = match rng.below(2) {
+                        0 => node.children()[rng.below(len)].clone(),
+                        _ => tree(rng, 2),
+                    };
+                    edited = edited.inserted(&at, child).unwrap();
+                }
+                edited
             }
-            let leaves: Vec<TreeChange> = paths
-                .iter()
-                .map(|path| TreeChange {
-                    path: path.clone(),
-                    before: None,
-                    after: Some(Node::int(0)),
-                    is_leaf: true,
+            2 if len > 1 => t.removed(&path.child(rng.below(len))).unwrap(),
+            3 if len > 1 => {
+                // An edit inside one child and two insertions before the sibling in front
+                // of it: the second insertion takes the edited child's source index.
+                let k = rng.below(len - 1);
+                let inner = edit(rng, &node.children()[k + 1]);
+                let mut edited = t.replaced(&path.child(k + 1), inner).unwrap();
+                for _ in 0..2 {
+                    edited = edited.inserted(&path.child(k), tree(rng, 1)).unwrap();
+                }
+                edited
+            }
+            _ => t.replaced(&path, tree(rng, 2)).unwrap(),
+        }
+    }
+
+    /// The ancestor rows §6.2 defines for a list's leaf paths, pairwise: for `LcaPruned`
+    /// the root and every pair's least common ancestor, for `Full` every proper prefix.
+    /// Leaf paths are removed, and a path is a row only where both trees hold differing
+    /// subtrees.
+    fn pairwise_ancestors(
+        a: &Node,
+        b: &Node,
+        leaves: &[Path],
+        policy: AncestorPolicy,
+    ) -> Vec<TreeChange> {
+        use std::collections::BTreeSet;
+        let mut paths = BTreeSet::new();
+        for (i, path) in leaves.iter().enumerate() {
+            match policy {
+                AncestorPolicy::LcaPruned => {
+                    paths.insert(Path::root());
+                    for other in &leaves[i + 1..] {
+                        paths.insert(path.common_prefix(other));
+                    }
+                }
+                AncestorPolicy::Full => {
+                    let mut cur = path.clone();
+                    while let Some(parent) = cur.parent() {
+                        paths.insert(parent.clone());
+                        cur = parent;
+                    }
+                }
+            }
+        }
+        for path in leaves {
+            paths.remove(path);
+        }
+        (paths.into_iter())
+            .filter_map(|path| {
+                let (before, after) = (a.get(&path)?, b.get(&path)?);
+                (!before.same_tree(after)).then(|| TreeChange {
+                    before: Some(before.clone()),
+                    after: Some(after.clone()),
+                    path,
+                    is_leaf: false,
                 })
-                .collect();
-            // §6.2 as written: the root plus every pair's least common ancestor; Full: every
-            // proper ancestor.  Leaf paths are leaf records, never ancestors.
-            let mut pairwise = BTreeSet::from([Path::root()]);
-            let mut proper = BTreeSet::new();
-            for (i, path) in paths.iter().enumerate() {
-                for other in &paths[i + 1..] {
-                    pairwise.insert(path.common_prefix(other));
-                }
-                let mut cur = path.clone();
-                while let Some(parent) = cur.parent() {
-                    proper.insert(parent.clone());
-                    cur = parent;
-                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ancestor_rows_equal_the_pairwise_definition() {
+        let mut rng = Lcg(0x9E37_79B9_7F4A_7C15);
+        // How often the generated pairs reach the cases the walk has to get right.
+        let (mut deep, mut nested, mut inserted_before, mut repeated) = (0, 0, 0, 0);
+        for _ in 0..3_000 {
+            let base = tree(&mut rng, 4);
+            let mut edited = base.clone();
+            for _ in 0..1 + rng.below(4) {
+                edited = edit(&mut rng, &edited);
             }
-            for path in &paths {
-                pairwise.remove(path);
-                proper.remove(path);
+            // A tower of ten levels, each behind a sibling, over a quarter of the pairs:
+            // their changes lie past `Path`'s 8 inline steps.
+            let tower = |t: Node| {
+                (0..10).fold(t, |inner, _| {
+                    Node::new(NodeKind::Project).with_children([Node::column("s"), inner])
+                })
+            };
+            let (a, b) = match rng.below(4) {
+                0 => (tower(base), tower(edited)),
+                _ => (base, edited),
+            };
+            let leaves: Vec<TreeChange> = crate::leaf_changes(&a, &b);
+            let paths: Vec<Path> = leaves.iter().map(|c| c.path.clone()).collect();
+            for policy in [AncestorPolicy::LcaPruned, AncestorPolicy::Full] {
+                let changes = build_changes(&a, &b, policy);
+                let (head, ancestors) = changes.split_at(leaves.len());
+                assert_eq!(head, &leaves[..], "{policy:?}: the leaves come first");
+                assert_eq!(
+                    ancestors,
+                    &pairwise_ancestors(&a, &b, &paths, policy)[..],
+                    "{policy:?} over the leaf paths {paths:?}"
+                );
             }
-            assert_eq!(
-                ancestor_paths(&leaves, AncestorPolicy::LcaPruned),
-                pairwise.into_iter().collect::<Vec<_>>(),
-                "{paths:?}"
-            );
-            assert_eq!(
-                ancestor_paths(&leaves, AncestorPolicy::Full),
-                proper.into_iter().collect::<Vec<_>>(),
-                "{paths:?}"
-            );
+            deep += usize::from(paths.iter().any(|p| p.depth() > 8));
+            nested +=
+                usize::from((paths.iter()).any(|p| paths.iter().any(|q| p.is_strict_prefix_of(q))));
+            inserted_before += usize::from(leaves.iter().any(|c| {
+                let parent = c.path.parent().and_then(|parent| a.get(&parent));
+                c.before.is_none()
+                    && parent.is_some_and(|p| c.path.last() < Some(p.children().len()))
+            }));
+            repeated += usize::from(leaves.iter().any(|c| {
+                let parent = c.path.parent().and_then(|parent| a.get(&parent));
+                parent.is_some_and(|p| {
+                    let hashes = p.children().iter().map(Node::structural_hash);
+                    let distinct: std::collections::HashSet<u64> = hashes.collect();
+                    distinct.len() < p.children().len()
+                })
+            }));
         }
         assert!(
-            heap_deep > 100,
-            "{heap_deep} heap-depth leaf paths generated"
+            deep > 500 && nested > 50 && inserted_before > 500 && repeated > 500,
+            "{deep} deep, {nested} nested, {inserted_before} inserted before a sibling, \
+             {repeated} under repeated sibling shapes"
         );
     }
 

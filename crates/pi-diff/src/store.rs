@@ -18,7 +18,9 @@
 //!
 //! **What writing and reading cost.**  The path and member tables fill as rows are written,
 //! and every writer writes rows: the aligner as it emits each change
-//! ([`DiffStore::push_alignment`], on this thread's reused aligner state),
+//! ([`DiffStore::push_alignment`], on this thread's reused aligner state; a list's
+//! ancestor rows come from the node pairs its walk recorded, with no sort or pass over the
+//! leaves),
 //! [`DiffStore::push_list`] for change values, [`DiffStore::append_lists`], which maps a
 //! parallel block's ids into this store's once per path and per member, and snapshot
 //! restore, straight from the change table it decodes ([`DiffStore::intern_change`] and
@@ -121,9 +123,10 @@ impl DiffStore {
 
     /// Aligns `a` with `b` under `policy` and appends their change list, returning its id:
     /// the list [`crate::extract_changes`] returns for the pair, leaves first, with the same
-    /// paths.  The matcher and the ancestor closure write the changes straight onto the
-    /// change table as rows, on this thread's reused aligner state, so once the tables and
-    /// the aligner's buffers have grown an alignment allocates nothing.
+    /// paths.  The matcher writes the leaf changes straight onto the change table as rows,
+    /// then the ancestors from the node pairs its walk recorded, on this thread's reused
+    /// aligner state, so once the tables and the aligner's buffers have grown an alignment
+    /// allocates nothing.
     pub fn push_alignment(&mut self, a: &Node, b: &Node, policy: AncestorPolicy) -> u32 {
         let table = self.table_mut();
         let first = table.rows.len();

@@ -148,6 +148,13 @@ impl DedupTable {
         class
     }
 
+    /// The class of `query`'s shape, if the table holds it, found as [`DedupTable::ingest`]
+    /// finds it (bucket by hash, decide by full equality) but without ingesting anything.
+    pub fn find(&self, query: &Node) -> Option<u32> {
+        let bucket = self.by_hash.get(&query.structural_hash())?;
+        (bucket.ids().iter().copied()).find(|&c| self.classes[c as usize] == *query)
+    }
+
     /// Number of queries ingested so far.
     pub fn len(&self) -> usize {
         self.class_of.len()
@@ -477,6 +484,10 @@ mod tests {
         // structurally (a refcount bump of `a`, not of `a_again`).
         assert!(table.representative(0).ptr_eq(&a));
         assert!(!table.is_empty());
+        // A lookup finds a shape's class without ingesting it.
+        assert_eq!(table.find(&a_again), Some(0));
+        assert_eq!(table.find(&parse("SELECT a FROM t WHERE x = 3")), None);
+        assert_eq!((table.len(), table.count(0)), (3, 2));
     }
 
     #[test]

@@ -122,25 +122,26 @@ fn decode_item(entry: &Json, default_dialect: Dialect, known: &[Dialect]) -> Opt
         .or_else(|| entry.get("queries"))
         .and_then(Json::as_array)
         .unwrap_or(&[]);
-    let queries = queries
-        .iter()
-        .filter_map(|q| {
-            let text = q.as_str().or_else(|| q.get("query")?.as_str())?;
-            let dialect = match q.get("dialect").and_then(Json::as_str) {
-                None => default_dialect,
-                Some(name) => known
-                    .iter()
-                    .copied()
-                    .find(|d| d.name() == name)
-                    .unwrap_or(UNRECOGNIZED_DIALECT),
-            };
-            Some((dialect, Arc::from(text)))
-        })
-        .collect();
+    // Sized for every entry at once: collecting the filtered entries would grow the list by
+    // doubling, and a body of many short entries would then request several times its own
+    // length.
+    let mut decoded = Vec::with_capacity(queries.len());
+    decoded.extend(queries.iter().filter_map(|q| {
+        let text = q.as_str().or_else(|| q.get("query")?.as_str())?;
+        let dialect = match q.get("dialect").and_then(Json::as_str) {
+            None => default_dialect,
+            Some(name) => known
+                .iter()
+                .copied()
+                .find(|d| d.name() == name)
+                .unwrap_or(UNRECOGNIZED_DIALECT),
+        };
+        Some((dialect, Arc::from(text)))
+    }));
     Some(LogItem {
         user_id: user_id.to_string(),
         thread_id: thread_id.to_string(),
-        queries,
+        queries: decoded,
     })
 }
 

@@ -299,18 +299,6 @@ impl Scratch {
         if n == 0 || m == 0 {
             return;
         }
-        // With one child on either side, the LCS is that child's first match on the other
-        // side, which is also the anchor the table walk below picks, so no table is built.
-        if n == 1 || m == 1 {
-            let first = if n == 1 {
-                b.iter().position(|y| a[0].same_tree(y)).map(|j| (0, j))
-            } else {
-                a.iter().position(|x| x.same_tree(&b[0])).map(|i| (i, 0))
-            };
-            self.anchors
-                .extend(first.map(|(i, j)| (i + offset, j + offset)));
-            return;
-        }
         self.ah.clear();
         self.ah.extend(a.iter().map(Node::structural_hash));
         self.bh.clear();
@@ -458,6 +446,10 @@ mod tests {
         assert_eq!(lcs_pairs(&[1, 9, 3], &[1, 3]), vec![(0, 0), (2, 1)]);
         assert_eq!(lcs_pairs(&[], &[1]), vec![]);
         assert_eq!(lcs_pairs(&[5, 1, 2], &[1, 2, 5]).len(), 2);
+        // A one-child side anchors at that child's first match.
+        assert_eq!(lcs_pairs(&[7], &[1, 7, 2, 7]), vec![(0, 1)]);
+        assert_eq!(lcs_pairs(&[1, 7, 2, 7], &[7]), vec![(1, 0)]);
+        assert_eq!(lcs_pairs(&[7], &[1, 2]), vec![]);
     }
 
     /// A same-labelled interior node over `children`: aligning two of these recurses into
@@ -510,18 +502,8 @@ mod tests {
         let a = list([col("p"), x.clone(), y.clone(), x.clone(), col("q")]);
         let b = list([col("r"), y.clone(), x.clone(), y.clone(), col("s")]);
         assert_eq!(show(&a, &b), ["0 p>r", "1 x>-", "4 q>y", "5 ->s"]);
-    }
-
-    #[test]
-    fn a_one_child_middle_anchors_at_its_first_match() {
-        // The DP walk's anchor for a one-child side is that child's first match, and the
-        // scan that replaces the table for it must pick the same one.
-        assert_eq!(lcs_pairs(&[7], &[1, 7, 2, 7]), vec![(0, 1)]);
-        assert_eq!(lcs_pairs(&[1, 7, 2, 7], &[7]), vec![(1, 0)]);
-        assert_eq!(lcs_pairs(&[7], &[1, 2]), vec![]);
         // Trimmed ends leave the middles `[x]` and `[x, y, x]`: `x` anchors at its first
         // occurrence, and `y` and the second `x` are inserted after it.
-        let (x, y) = (col("x"), col("y"));
         let a = list([col("s"), x.clone(), col("t")]);
         let b = list([col("s"), x.clone(), y.clone(), x.clone(), col("t")]);
         assert_eq!(show(&a, &b), ["2 ->y", "3 ->x"]);

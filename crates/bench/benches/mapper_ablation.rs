@@ -25,7 +25,6 @@ fn bench_merging(c: &mut Criterion) {
                 let mapper =
                     InteractionMapper::new(WidgetLibrary::standard()).with_options(MapperOptions {
                         enable_merging: merging,
-                        ..MapperOptions::default()
                     });
                 b.iter(|| mapper.map(&graph));
             },

@@ -317,14 +317,14 @@ fn paired_all_pairs_distinct(c: &mut Criterion) {
     }
 }
 
-/// Thread-scaling curves for the two mining shapes the work-stealing scheduler targets:
-/// AllPairs over the duplicate-heavy log (memoized distinct-pair alignment dominated) and
-/// Sliding(16) over the OLAP log (raw per-window alignment dominated).  Each arm forces an
-/// explicit worker count via [`GraphBuilder::threads`], so the curve reflects the scheduler
-/// itself rather than the auto-sizing policy; the `threads` field rides into
-/// `BENCH_mining.json` so successive runs compare like-for-like arms.  On a box with fewer
-/// physical cores than an arm's thread count the extra workers time-slice one core — the
-/// curve then measures scheduler overhead (it should stay flat, not climb), not speedup.
+/// Thread-scaling curves for the two mining shapes the fan-out targets: AllPairs over the
+/// duplicate-heavy log (memoized distinct-pair alignment dominated) and Sliding(16) over the
+/// OLAP log (raw per-window alignment dominated).  Each arm forces an explicit worker count
+/// via [`GraphBuilder::threads`], so the curve reflects the fan-out itself rather than the
+/// auto-sizing policy; the `threads` field rides into `BENCH_mining.json` so successive runs
+/// compare like-for-like arms.  On a box with fewer physical cores than an arm's thread
+/// count the extra workers time-slice the cores — the curve then measures fan-out overhead
+/// (it should stay flat, not climb), not speedup.
 fn thread_scaling(c: &mut Criterion) {
     let olap = olap_log();
     let dedup = dedup_log();
@@ -416,7 +416,7 @@ fn assert_determinism_contracts(queries: &QueryLog) {
     let streamed = session.graph();
     assert_eq!(serial, parallel);
     assert_eq!(serial, streamed);
-    // A forced worker count (spawning real work-stealing threads even on one core) must
+    // A forced worker count (spawning real worker threads even on one core) must
     // also be invisible — this is the identity the scaling-curve arms below rely on.
     let forced = GraphBuilder::new()
         .window(WindowStrategy::Sliding(16))

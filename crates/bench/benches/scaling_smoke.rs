@@ -1,8 +1,9 @@
 //! Release-mode smoke check that parallel mining actually pays for itself.
 //!
 //! CI runs this after the tier-1 suite: it builds the duplicate-heavy AllPairs workload
-//! serially and with the work-stealing scheduler at the box's core count, asserts the two
-//! graphs are byte-identical, and then asserts the parallel mean is no slower than the
+//! serially and with mining's fan-out at the box's core count (scoped workers claiming
+//! chunks of missing shape pairs from one counter), asserts the two graphs are
+//! byte-identical, and then asserts the parallel mean is no slower than the
 //! serial mean over interleaved samples (alternating arms so frequency drift cancels, the
 //! same discipline as the paired benches in `mining_throughput`).
 //!
@@ -18,7 +19,7 @@ const LOG_SIZE: usize = 512;
 const SAMPLES: usize = 5;
 
 /// The same Zipf-repetitive log `mining_throughput` mines: ~64 distinct shapes, so the
-/// memoized distinct-pair alignment is the dominant cost the scheduler spreads out.
+/// memoized distinct-pair alignment is the dominant cost the fan-out spreads out.
 fn dedup_log() -> QueryLog {
     olap::repetitive_walk(3, LOG_SIZE, 64)
         .queries
@@ -42,7 +43,7 @@ fn main() {
         .window(WindowStrategy::AllPairs)
         .threads(cores.max(2));
 
-    // Byte-identity holds on any box: forced worker counts spawn real stealing threads
+    // Byte-identity holds on any box: forced worker counts spawn real worker threads
     // even when they time-slice a single core.
     assert_eq!(
         serial.build(&queries),

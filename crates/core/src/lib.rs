@@ -276,7 +276,6 @@ mod tests {
         let no_merge = PrecisionInterfaces::new(PiOptions {
             mapper: MapperOptions {
                 enable_merging: false,
-                ..MapperOptions::default()
             },
             ..PiOptions::default()
         })

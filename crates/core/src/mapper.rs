@@ -67,18 +67,18 @@ use std::ops::Range;
 pub struct MapperOptions {
     /// Run the merging phase (disable to measure the cost reduction merging provides).
     pub enable_merging: bool,
-    /// Upper bound on merge passes; each pass sweeps every ancestor widget once.
-    pub max_merge_passes: usize,
 }
 
 impl Default for MapperOptions {
     fn default() -> Self {
         MapperOptions {
             enable_merging: true,
-            max_merge_passes: 10,
         }
     }
 }
+
+/// Upper bound on merge passes; each pass sweeps every ancestor widget once.
+const MAX_MERGE_PASSES: usize = 10;
 
 /// Maps interaction graphs to interfaces.
 #[derive(Debug, Clone, Default)]
@@ -164,7 +164,7 @@ impl InteractionMapper {
             .map(|ids| columns.slot(&self.library, ids, &mut scratch.seen))
             .collect();
         if self.options.enable_merging {
-            for _ in 0..self.options.max_merge_passes {
+            for _ in 0..MAX_MERGE_PASSES {
                 if !self.merge_pass(&mut slots, columns, scratch) {
                     break;
                 }
@@ -954,7 +954,6 @@ mod tests {
         let mapper =
             InteractionMapper::new(WidgetLibrary::standard()).with_options(MapperOptions {
                 enable_merging: false,
-                ..MapperOptions::default()
             });
         let iface = mapper.map(&g);
         assert!(
@@ -1043,7 +1042,6 @@ mod tests {
         let unmerged = InteractionMapper::new(WidgetLibrary::standard())
             .with_options(MapperOptions {
                 enable_merging: false,
-                ..MapperOptions::default()
             })
             .map(&g);
         assert!(merged.cost() <= unmerged.cost());
@@ -1233,11 +1231,8 @@ mod tests {
             let store = g.store();
             for library in &libraries {
                 for enable_merging in [true, false] {
-                    let mapper =
-                        InteractionMapper::new(library.clone()).with_options(MapperOptions {
-                            enable_merging,
-                            ..MapperOptions::default()
-                        });
+                    let mapper = InteractionMapper::new(library.clone())
+                        .with_options(MapperOptions { enable_merging });
                     let iface = mapper.map(&g);
                     let (columns, partition) = Columns::build(store, &[]);
                     let mut scratch = Scratch::new(&columns, g.queries().len());

@@ -32,15 +32,13 @@ pub struct PiOptions {
     /// `0` resolves to the `PI_THREADS` environment variable if set to a positive integer,
     /// else to every available core when [`PiOptions::parallel`] is on, else serial.  An
     /// explicit `n ≥ 1` wins over both: `1` forces the serial path, `n > 1` enables the
-    /// work-stealing scheduler with exactly `n` workers even when `parallel` is off.  The
-    /// mined graph is byte-identical at every setting — worker count only redistributes the
-    /// work.
+    /// fan-out with up to `n` workers even when `parallel` is off.  The mined graph is
+    /// byte-identical at every setting — worker count only redistributes the work.
     pub threads: usize,
-    /// Test-only hook: seeds a deterministic perturbation of the work-stealing schedule and
-    /// bypasses the scheduler's cost gate, so property tests can drive tiny logs through
-    /// steal interleavings a natural run would rarely produce.  `None` (the default) in
-    /// production.  Snapshots are byte-identical for every seed — the scheduler merges
-    /// results in block order, never steal order (property-tested).
+    /// Test-only hook: bypasses the fan-out's cost gate, so property tests can drive tiny
+    /// logs through it, and picks which chunk of missing pairs the workers claim first.
+    /// `None` (the default) in production.  Snapshots are byte-identical for every seed —
+    /// chunk results are appended in chunk order, never claim order (property-tested).
     pub steal_seed: Option<u64>,
     /// Collapse duplicate queries and memoize pairwise alignments per distinct tree pair
     /// (on by default; beyond the paper's optimisations).  The mined graph is
@@ -50,7 +48,7 @@ pub struct PiOptions {
     pub memoize: bool,
     /// The widget type library (and cost functions) available to the mapper.
     pub library: WidgetLibrary,
-    /// Mapper options (merging on/off, pass budget).
+    /// Mapper options (merging on or off).
     pub mapper: MapperOptions,
 }
 

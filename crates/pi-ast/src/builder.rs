@@ -55,16 +55,6 @@ impl SelectBuilder {
         self
     }
 
-    /// Adds an aliased projection expression.
-    pub fn project_as(mut self, expr: Node, alias: &str) -> Self {
-        self.projections.push(Node::from_parts(
-            NodeKind::ProjClause,
-            &[(Sym::ALIAS, alias.into())],
-            vec![expr],
-        ));
-        self
-    }
-
     /// Adds an aggregate projection, e.g. `COUNT(Delay)`.
     pub fn project_agg(self, func: &str, arg: Node) -> Self {
         self.project(Self::agg(func, arg))
@@ -78,16 +68,6 @@ impl SelectBuilder {
     /// Adds a base table to the FROM clause.
     pub fn from_table(mut self, name: &str) -> Self {
         self.relations.push(Node::table(name));
-        self
-    }
-
-    /// Adds an aliased base table to the FROM clause.
-    pub fn from_table_as(mut self, name: &str, alias: &str) -> Self {
-        self.relations.push(Node::from_parts(
-            NodeKind::TableRef,
-            &[(Sym::NAME, name.into()), (Sym::ALIAS, alias.into())],
-            Vec::new(),
-        ));
         self
     }
 

@@ -727,15 +727,6 @@ impl Node {
         }
     }
 
-    /// Paths of all nodes whose kind satisfies `pred`.
-    pub fn find_paths<F: Fn(&Node) -> bool>(&self, pred: F) -> Vec<Path> {
-        self.preorder()
-            .into_iter()
-            .filter(|(_, n)| pred(n))
-            .map(|(p, _)| p)
-            .collect()
-    }
-
     /// Iterates over every node in the subtree (pre-order) without materialising paths.
     pub fn visit<F: FnMut(&Node)>(&self, f: &mut F) {
         f(self);

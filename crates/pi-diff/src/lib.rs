@@ -67,11 +67,10 @@ pub fn extract_changes(a: &Node, b: &Node, policy: AncestorPolicy) -> Vec<TreeCh
 /// The matcher descends top-down with hash short-circuits, but its worst case — and, for
 /// trees that actually differ, its typical shape around the changed regions — is the LCS
 /// over child sequences, which is bounded by the product of the subtree sizes.  The product
-/// is therefore the scheduler's load-balancing proxy: cheap to compute (two cached node
-/// counts and a multiply), monotone in both inputs, and proportional enough that blocks of
-/// equal estimated cost take comparable wall-clock time.  One unit corresponds to a few
-/// nanoseconds of alignment work on current hardware; consumers that need an absolute
-/// threshold calibrate against a measured workload (see `pi-graph`'s parallel gate).
+/// is therefore a cheap proxy for alignment work (two cached node counts and a multiply),
+/// monotone in both inputs.  One unit corresponds to a few nanoseconds of alignment work on
+/// current hardware; consumers that need an absolute threshold calibrate against a measured
+/// workload (see `pi-graph`'s parallel gate).
 pub fn align_cost_model(a_nodes: usize, b_nodes: usize) -> u64 {
     (a_nodes as u64).saturating_mul(b_nodes as u64)
 }

@@ -201,11 +201,6 @@ impl Table {
         self.data.iter().map(|col| col[row].clone()).collect()
     }
 
-    /// All values of one column.
-    pub fn column_values(&self, column: usize) -> &[Value] {
-        &self.data[column]
-    }
-
     /// Finds the index of the column answering to a reference; ambiguous unqualified
     /// references resolve to the first match (SQL engines error here; for the synthetic
     /// workloads first-match is sufficient and keeps the executor simple).

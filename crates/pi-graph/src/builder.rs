@@ -15,21 +15,21 @@
 //! aligns every log pair, serially, into a list of its own and stays as the reference the
 //! memoized one is tested against.
 //!
-//! Mining has one fan-out: the memoized builder aligns a batch's missing distinct class
-//! pairs on the work-stealing [`steal`](crate::steal) scheduler, then appends serially.
-//! The pairs are packed into blocks of comparable *estimated alignment cost*
-//! ([`pi_diff::align_cost_model`] over cached node counts), and the scheduler's determinism
-//! contract — block order, not steal order, defines the output — keeps every parallel build
-//! byte-identical to the serial fold.  The fan-out only engages when the estimated work
-//! would amortise the thread-scope overhead (`PARALLEL_MIN_COST`), so small batches and
-//! latency-sensitive single-query extends never pay for threads they cannot use.
+//! Mining has one fan-out: when a batch's missing distinct class pairs bring enough
+//! estimated alignment work ([`pi_diff::align_cost_model`] over cached node counts, gated by
+//! `PARALLEL_MIN_COST`), the memoized builder cuts them into equal-count chunks, aligns the
+//! chunks on scoped workers that claim them from one shared counter, and appends each
+//! chunk's lists in chunk order.  Chunk order, not claim order, defines the output, so every
+//! parallel build is byte-identical to the serial fold.  Below the gate, the append loop
+//! aligns the same pairs itself, so small batches and latency-sensitive single-query
+//! extends never pay for threads they cannot use.
 
 use crate::dedup::{DedupTable, DiffMemo, PairIndex};
 use crate::graph::{edges_of_store, Edge, GraphStats, InteractionGraph, IntoQueryLog, QueryLog};
-use crate::steal;
 use pi_ast::Node;
 use pi_diff::{align_cost_model, extract_changes, AncestorPolicy, DiffStore, TreeChange};
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// The estimated new work, in [`pi_diff::align_cost_model`] units, below which mining stays
@@ -45,15 +45,13 @@ use std::sync::OnceLock;
 /// `mine_sliding16` parallel regression this gate fixes.
 const PARALLEL_MIN_COST: u64 = 600_000;
 
-/// Floor on a block's estimated cost (≈ 25 µs of alignment work) so stealing never
-/// degenerates into per-pair deque traffic when a workload is dominated by near-zero-cost
-/// pairs (identical shapes, memo hits).
-const MIN_BLOCK_COST: u64 = 16_000;
+/// Fewest pairs in a chunk: 16 pairs of ~30-node trees are ≈ 15 k cost units, ≈ 25 µs of
+/// alignment, so a claim (one atomic add and a fresh store) stays small against its chunk.
+const MIN_CHUNK_PAIRS: usize = 16;
 
-/// Target number of blocks dealt per worker: enough slack for stealing to balance the
-/// triangular AllPairs tail (late rows have more predecessors than early ones) without
-/// flooding the deques with tiny blocks.
-const BLOCKS_PER_WORKER: u64 = 8;
+/// Target number of chunks per worker: chunks hold equal pair counts, not equal work, so
+/// a worker that draws cheap chunks claims more of them.
+const CHUNKS_PER_WORKER: usize = 8;
 
 /// Width, in distinct-class ids, of the square tiles the memo pre-alignment pass iterates:
 /// pairs are sorted so one tile touches at most `2 · CLASS_TILE` representatives, keeping
@@ -77,9 +75,9 @@ fn parse_thread_override(value: &str) -> Result<Option<usize>, ()> {
 }
 
 /// The process-wide `PI_THREADS` override, read once per process.  CI sets it before launch
-/// to force every builder in a test run through one scheduler configuration — the serial
-/// and 4-worker runs must both reproduce the same graphs bit for bit, so a single-core
-/// runner cannot mask a multi-thread identity bug.
+/// to force every builder in a test run to one worker count — the serial and 4-worker runs
+/// must both reproduce the same graphs bit for bit, so a single-core runner cannot mask a
+/// multi-thread identity bug.
 ///
 /// A malformed value is ignored, but *loudly*: one `eprintln!` per process (the `OnceLock`
 /// guarantees the once), so a `PI_THREADS=four` typo shows up in the log instead of
@@ -332,8 +330,8 @@ impl GraphBuilder {
     /// missing distinct shape pairs across cores.
     ///
     /// When enabled, a batch whose missing pairs' estimated alignment work crosses the
-    /// cost-model gate has them packed into cost-sized blocks and aligned by the
-    /// work-stealing scheduler; smaller batches — and any build on a single-core host — stay
+    /// cost-model gate has them cut into equal-count chunks that scoped workers claim from
+    /// one shared counter; smaller batches — and any build on a single-core host — stay
     /// serial, so `parallel(true)` is never slower than serial on work too small to share.
     /// The unmemoized builder always runs serially.  The built graph is byte-identical
     /// either way.  See [`GraphBuilder::threads`] for explicit worker counts.
@@ -348,27 +346,26 @@ impl GraphBuilder {
     /// `0` resolves automatically: the `PI_THREADS` environment variable if set to a
     /// positive integer, else every available core when [`GraphBuilder::parallel`] is on,
     /// else serial.  An explicit `n ≥ 1` wins over both: `threads(1)` forces the serial
-    /// path outright, and `threads(n > 1)` enables the work-stealing scheduler with exactly
-    /// `n` workers even when `parallel` was never switched on (asking for workers *is*
-    /// asking for parallelism).  Counts above the physical core count still spawn that many
-    /// real workers — oversubscription costs a little time but lets a single-core host
-    /// exercise genuine multi-worker interleavings.  Whatever the setting, the built graph
-    /// is byte-identical: worker count only changes who does the work, never the output
-    /// (see [`GraphBuilder::steal_seed`]).
+    /// path outright, and `threads(n > 1)` enables the fan-out with up to `n` workers (one
+    /// per chunk at most) even when `parallel` was never switched on (asking for workers *is*
+    /// asking for parallelism).  Counts above the physical core count still run that many
+    /// real threads, the calling thread among them — oversubscription costs a little time
+    /// but lets a single-core host exercise genuine multi-worker interleavings.  Whatever
+    /// the setting, the built graph is byte-identical: worker count only changes who does
+    /// the work, never the output (see [`GraphBuilder::steal_seed`]).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
     }
 
-    /// Test-only hook: seeds a deterministic perturbation of the work-stealing schedule
-    /// *and* bypasses the cost-model gate, so tests can drive logs of any size through the
-    /// memoized builder's pre-alignment and exercise steal interleavings (scattered block
-    /// deals, rotated victim scans) a natural run would rarely produce.
+    /// Test-only hook: bypasses the cost-model gate, so tests can drive logs of any size
+    /// through the memoized builder's fan-out, and picks which chunk is claimed first (the
+    /// seed modulo the chunk count), so the workers meet the chunks in another order than a
+    /// natural run's.
     ///
-    /// The scheduler's determinism contract — results are merged in *block* order, never
-    /// steal order — means the output must not change: every seed, and `None` (the
-    /// production default), yields byte-identical graphs.  Property-tested across thread
-    /// counts 1–8.
+    /// Chunk results are appended in *chunk* order, never claim order, so the output must
+    /// not change: every seed, and `None` (the production default), yields byte-identical
+    /// graphs.  Property-tested across thread counts 1–8.
     pub fn steal_seed(mut self, seed: Option<u64>) -> Self {
         self.steal_seed = seed;
         self
@@ -474,10 +471,10 @@ impl GraphBuilder {
     /// list the first time the memo meets that ordered pair.
     ///
     /// When multiple workers are available, the batch's missing distinct pairs are first
-    /// aligned together ([`GraphBuilder::align_missing_pairs`]), on the work-stealing
-    /// scheduler when their estimated cost crosses the parallel gate.  The pre-scan keeps
-    /// each pair's list id, or a miss, so the append loop probes the memo again only for the
-    /// pairs aligned in between.
+    /// collected, and aligned on the fan-out when their estimated cost crosses the parallel
+    /// gate ([`GraphBuilder::align_missing_pairs`]).  The pre-scan keeps each pair's list
+    /// id, or a miss, so the append loop probes the memo again only for the pairs it
+    /// missed.
     ///
     /// Every path is the same fold over the same append order, so the resulting runs and
     /// records are byte-identical to the unmemoized builder's — alignment is purely
@@ -536,10 +533,11 @@ impl GraphBuilder {
         }
     }
 
-    /// Ensures every pair in `needed` — the distinct ordered class pairs a batch meets but
-    /// the memo lacks — is memoized, its list in `store`, before the append loop runs.
-    /// Small sets are aligned inline, without a thread scope; sets whose estimated cost
-    /// crosses the parallel gate fan out through [`GraphBuilder::align_pairs_parallel`].
+    /// Aligns `needed` — the distinct ordered class pairs a batch meets but the memo lacks,
+    /// in first-demand order — on the fan-out when their estimated cost crosses the parallel
+    /// gate (or a steal seed bypasses it), appending each chunk's lists in chunk order and
+    /// memoizing them.  Below the gate it does nothing: the append loop's `memo.list` aligns
+    /// the same pairs in the same first-demand order, without a thread scope.
     fn align_missing_pairs(
         &self,
         dedup: &DedupTable,
@@ -548,38 +546,33 @@ impl GraphBuilder {
         needed: Vec<(u32, u32)>,
         threads: usize,
     ) {
-        if needed.is_empty() {
-            return;
-        }
         let total: u64 = needed
             .iter()
             .map(|&(ca, cb)| align_cost_model(dedup.tree_size(ca), dedup.tree_size(cb)))
             .sum();
-        if threads > 1 && (total >= PARALLEL_MIN_COST || self.steal_seed.is_some()) {
-            for (block, lists) in self.align_pairs_parallel(dedup, needed, threads) {
-                let first = store.append_lists(lists);
-                for (list, (ca, cb)) in (first..).zip(block) {
-                    memo.insert(ca, cb, list);
-                }
-            }
-        } else {
-            for (ca, cb) in needed {
-                memo.list(dedup, store, ca, cb, self.policy);
+        if threads < 2 || (total < PARALLEL_MIN_COST && self.steal_seed.is_none()) {
+            return;
+        }
+        for (chunk, lists) in self.align_pairs_parallel(dedup, needed, threads) {
+            let first = store.append_lists(lists);
+            for (list, (ca, cb)) in (first..).zip(chunk) {
+                memo.insert(ca, cb, list);
             }
         }
     }
 
-    /// Aligns the given distinct ordered class pairs on the work-stealing scheduler.
+    /// Aligns the given distinct ordered class pairs on up to `threads` workers.
     ///
     /// The pairs are first sorted into [`CLASS_TILE`]-wide square tiles over the
     /// distinct-pair plane — one tile touches at most `2 · CLASS_TILE` representatives, so
-    /// both trees of every alignment in flight stay hot in cache — then packed into blocks
-    /// of comparable estimated cost, so the alignment load balances by work rather than by
-    /// pair count.  Each block aligns its pairs, in order, into a store of its own with
-    /// [`DiffStore::push_alignment`] (on the worker thread's reused aligner state) and
-    /// returns it beside its pairs; list `k` of a block's store is its `k`-th pair's.  Every
-    /// result is keyed by its class pair, so neither block order nor steal order can affect
-    /// the memo's contents.
+    /// both trees of every alignment in flight stay hot in cache — then cut into equal-count
+    /// chunks, about [`CHUNKS_PER_WORKER`] per worker and at least [`MIN_CHUNK_PAIRS`] pairs
+    /// each.  The calling thread and up to `threads - 1` scoped workers claim chunk indices
+    /// from one shared counter until none is left; each aligns its chunk, in order, into a
+    /// store of its own with [`DiffStore::push_alignment`] (on the thread's reused aligner
+    /// state).  The results come back in chunk order, each chunk's pairs beside its store;
+    /// list `k` of a chunk's store is its `k`-th pair's.  A steal seed rotates which chunk is
+    /// claimed first and changes nothing else.
     fn align_pairs_parallel(
         &self,
         dedup: &DedupTable,
@@ -587,28 +580,49 @@ impl GraphBuilder {
         threads: usize,
     ) -> Vec<(Vec<(u32, u32)>, DiffStore)> {
         needed.sort_unstable_by_key(|&(ca, cb)| (ca / CLASS_TILE, cb / CLASS_TILE, ca, cb));
-        let cost =
-            |&(ca, cb): &(u32, u32)| align_cost_model(dedup.tree_size(ca), dedup.tree_size(cb));
-        let total: u64 = needed.iter().map(cost).sum();
-        let target = (total / (threads as u64 * BLOCKS_PER_WORKER)).max(MIN_BLOCK_COST);
-        let blocks = steal::pack_by_cost(needed, cost, target);
+        let size = needed
+            .len()
+            .div_ceil(threads * CHUNKS_PER_WORKER)
+            .max(MIN_CHUNK_PAIRS);
+        let chunks: Vec<&[(u32, u32)]> = needed.chunks(size).collect();
+        let count = chunks.len();
+        let start = self
+            .steal_seed
+            .map_or(0, |seed| (seed % count.max(1) as u64) as usize);
+        let slots: Vec<OnceLock<DiffStore>> =
+            std::iter::repeat_with(OnceLock::new).take(count).collect();
+        // The counter hands out claims and publishes nothing: each store reaches the caller
+        // through its slot, and the scope joins every worker before the slots are read.
+        let claims = AtomicUsize::new(0);
         let policy = self.policy;
-        steal::run_blocks(
-            threads,
-            self.steal_seed,
-            blocks,
-            |_, block: &Vec<(u32, u32)>| {
-                let mut lists = DiffStore::new();
-                for &(ca, cb) in block {
-                    lists.push_alignment(
-                        dedup.representative(ca),
-                        dedup.representative(cb),
-                        policy,
-                    );
-                }
-                (block.clone(), lists)
-            },
-        )
+        let work = || loop {
+            let claim = claims.fetch_add(1, Ordering::Relaxed);
+            if claim >= count {
+                break;
+            }
+            let k = (start + claim) % count;
+            let mut lists = DiffStore::new();
+            for &(ca, cb) in chunks[k] {
+                lists.push_alignment(dedup.representative(ca), dedup.representative(cb), policy);
+            }
+            if slots[k].set(lists).is_err() {
+                unreachable!("chunk {k} claimed twice");
+            }
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..threads.min(count) {
+                scope.spawn(work);
+            }
+            work();
+        });
+        chunks
+            .into_iter()
+            .zip(slots)
+            .map(|(chunk, slot)| {
+                let lists = slot.into_inner().expect("every chunk is claimed");
+                (chunk.to_vec(), lists)
+            })
+            .collect()
     }
 }
 
@@ -930,7 +944,7 @@ mod tests {
     #[test]
     fn forced_thread_counts_build_identical_graphs() {
         // Real multi-worker runs even on a single-core host: an explicit count spawns that
-        // many workers, and the steal-seed hook pushes every pair through the scheduler.
+        // many workers, and the steal-seed hook pushes every pair through the fan-out.
         let log: Vec<Node> = (0..30)
             .map(|i| parse(&format!("SELECT a FROM t WHERE x = {}", (i * 5) % 9)).unwrap())
             .collect();
@@ -972,11 +986,46 @@ mod tests {
                 .steal_seed(Some(0xfeed));
             let mut acc = GraphAccumulator::new();
             // Single-query pushes normally stay serial; the seed drags even those through
-            // the scheduler, so this exercises one-row block mining too.
+            // the fan-out, so this exercises one-row chunks too.
             for q in &log {
                 builder.extend(&mut acc, q.clone());
             }
             assert_eq!(acc.to_graph(), serial, "memo={memoize}");
+        }
+    }
+
+    #[test]
+    fn every_chunk_is_claimed_once_and_comes_back_in_chunk_order() {
+        // 24 shapes: 552 ordered pairs, 8 to 35 chunks from one to eight workers, and seeds
+        // below and above every chunk count.
+        let mut dedup = DedupTable::default();
+        for i in 0..24 {
+            dedup.ingest(&parse(&format!("SELECT a FROM t WHERE x = {i}")).unwrap());
+        }
+        let needed: Vec<(u32, u32)> = (0..24u32)
+            .rev()
+            .flat_map(|ca| {
+                (0..24u32)
+                    .filter(move |&cb| cb != ca)
+                    .map(move |cb| (ca, cb))
+            })
+            .collect();
+        let mut sorted = needed.clone();
+        sorted.sort_unstable_by_key(|&(ca, cb)| (ca / CLASS_TILE, cb / CLASS_TILE, ca, cb));
+        for threads in 1..=8 {
+            for seed in [None, Some(0), Some(5), Some(1 << 40)] {
+                let builder = GraphBuilder::new().steal_seed(seed);
+                let chunks = builder.align_pairs_parallel(&dedup, needed.clone(), threads);
+                let pairs: Vec<(u32, u32)> = chunks.iter().flat_map(|(c, _)| c.clone()).collect();
+                assert_eq!(pairs, sorted, "threads={threads} seed={seed:?}");
+                for (chunk, lists) in &chunks {
+                    assert_eq!(
+                        lists.list_count(),
+                        chunk.len(),
+                        "threads={threads} seed={seed:?}"
+                    );
+                }
+            }
         }
     }
 

@@ -43,8 +43,8 @@ pub struct DedupTable {
     /// How many ingested queries each class has absorbed.
     counts: Vec<u32>,
     /// Node count of each class representative, measured once at class creation.  The
-    /// parallel scheduler's cost model ([`pi_diff::align_cost_model`]) reads these on every
-    /// enumerated pair, and [`Node::size`] is an `O(tree)` walk — caching it here turns the
+    /// parallel gate's cost model ([`pi_diff::align_cost_model`]) reads these on every
+    /// missing pair, and [`Node::size`] is an `O(tree)` walk — caching it here turns the
     /// per-pair estimate into two array loads and a multiply.
     sizes: Vec<u32>,
     /// Structural hash → ids of the classes whose representatives carry that hash.  The
@@ -186,7 +186,7 @@ impl DedupTable {
     }
 
     /// Node count of the class representative, cached at class creation — the input to the
-    /// parallel scheduler's per-pair cost estimate ([`pi_diff::align_cost_model`]).
+    /// parallel gate's per-pair cost estimate ([`pi_diff::align_cost_model`]).
     pub fn tree_size(&self, class: u32) -> usize {
         self.sizes[class as usize] as usize
     }

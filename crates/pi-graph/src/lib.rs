@@ -22,18 +22,17 @@
 //! default and *invisible*: graphs are byte-identical with it on or off
 //! ([`GraphBuilder::memoize`] exists for A/B measurement).
 //!
-//! Aligning distinct shape pairs is embarrassingly parallel; the memoized builder fans a
-//! batch's missing pairs out over a deque-based **work-stealing scheduler** — mining's one
-//! fan-out.  The pairs are packed into blocks of comparable *estimated alignment cost*
-//! (cached node counts through `pi_diff::align_cost_model`, so the load balances by work,
-//! not pair count), each worker owns a local deque of blocks and steals from a victim's when
-//! dry, and every block writes its result into a slot indexed by the deterministic global
-//! block order.  **Block order, not steal order, defines the output** — the merged graph is
-//! byte-identical to the serial fold for every worker count and every steal interleaving
-//! (property-tested under seeded schedule perturbation).  The fan-out engages only when the
-//! estimated work would amortise the thread overhead, so small batches and single-query
-//! extends stay serial; worker counts resolve from [`GraphBuilder::threads`], the
-//! `PI_THREADS` environment variable, or the available cores, in that order.  The
+//! Aligning distinct shape pairs is embarrassingly parallel, and it is mining's one fan-out:
+//! the memoized builder cuts a batch's missing pairs into equal-count chunks, and scoped
+//! workers claim the chunks from one shared counter, each aligning its chunk into a store of
+//! its own.  The stores are appended in chunk order after the workers join, so **chunk
+//! order, not claim order, defines the output** — the merged graph is byte-identical to the
+//! serial fold for every worker count and every first claim (property-tested with
+//! [`GraphBuilder::steal_seed`], which picks the chunk claimed first).  The fan-out engages
+//! only when the batch's estimated alignment work (cached node counts through
+//! `pi_diff::align_cost_model`) would amortise the thread overhead, so small batches and
+//! single-query extends stay serial; worker counts resolve from [`GraphBuilder::threads`],
+//! the `PI_THREADS` environment variable, or the available cores, in that order.  The
 //! unmemoized reference builder always mines serially.
 //!
 //! Construction is *incremental at heart*: [`GraphBuilder::extend_batch`] appends queries to
@@ -49,7 +48,6 @@ mod builder;
 pub mod codec;
 mod dedup;
 mod graph;
-mod steal;
 
 pub use builder::{GraphAccumulator, GraphBuilder, WindowStrategy};
 pub use dedup::{DedupTable, DiffMemo};

@@ -42,7 +42,7 @@ fn main() {
     // 3. Probe generalisation: is an unseen month/grouping combination expressible?  For this
     //    log the greedy merger (Algorithm 3) collapses everything into one whole-query radio —
     //    cheaper than the five fine-grained widgets, but it only replays logged queries, so the
-    //    probe reports false.  Disabling merging (`MapperOptions { enable_merging: false, .. }`)
+    //    probe reports false.  Disabling merging (`MapperOptions { enable_merging: false }`)
     //    keeps the sliders/drop-downs and makes the unseen combination expressible.
     let unseen = SqlFrontend
         .parse_one(

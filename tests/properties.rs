@@ -272,7 +272,6 @@ proptest! {
         let unmerged = PrecisionInterfaces::new(precision_interfaces::core::PiOptions {
             mapper: precision_interfaces::core::MapperOptions {
                 enable_merging: false,
-                ..Default::default()
             },
             ..Default::default()
         })
@@ -543,15 +542,15 @@ proptest! {
         }
     }
 
-    // ------------------------------------------------------------ work-stealing determinism
+    // ------------------------------------------------------------ fan-out determinism
 
-    /// The work-stealing scheduler is invisible: for forced worker counts up to 8 and any
-    /// steal-order seed (injected through the test-only `steal_seed` hook, which also
-    /// bypasses the cost gate so tiny logs exercise real multi-worker schedules), batch
+    /// Mining's fan-out is invisible: for forced worker counts up to 8 and any seed
+    /// (injected through the test-only `steal_seed` hook, which picks the chunk claimed
+    /// first and bypasses the cost gate so tiny logs exercise real multi-worker runs), batch
     /// builds and interleaved `push_tagged`/`snapshot` sessions — memo on and off — produce
     /// outputs byte-identical to the single-threaded memoized build: same graph (same
-    /// `DiffStore` ids and record order), same widgets, same rendered `describe()`.  Block
-    /// order, not steal order, defines the output.  The unmemoized builder ignores the
+    /// `DiffStore` ids and record order), same widgets, same rendered `describe()`.  Chunk
+    /// order, not claim order, defines the output.  The unmemoized builder ignores the
     /// worker count and the seed, so its arm runs once per log, under the forced settings.
     #[test]
     fn work_stealing_is_byte_identical_across_thread_counts_and_steal_orders(
@@ -563,7 +562,7 @@ proptest! {
     ) {
         use precision_interfaces::graph::WindowStrategy;
         // Duplicate injection (as in the memo test) so the memoized paths hit every
-        // admission tier while the scheduler is being perturbed.
+        // admission tier while the fan-out runs with a seeded first claim.
         let mut queries: Vec<Node> = base.iter().map(|(q, _)| q.clone()).collect();
         for &(src, pos) in &dups {
             let entry = queries[src % queries.len()].clone();
@@ -586,7 +585,7 @@ proptest! {
                 prop_assert_eq!(forced.interface.widgets(), reference.interface.widgets());
                 prop_assert_eq!(forced.interface.describe(), reference.interface.describe());
             }
-            // Interleaved streaming under the perturbed schedule: every prefix the snapshot
+            // Interleaved streaming with the seeded first claim: every prefix the snapshot
             // pattern lands on must match the single-threaded batch build of exactly that
             // prefix.
             let mut sessions = [Session::new(stolen), Session::new(unmemoized)];
@@ -613,7 +612,7 @@ proptest! {
 
     /// Every mining path writes each compared pair's records as one contiguous run (see
     /// `assert_one_run_per_pair`): batch builds, streamed pushes with interleaved
-    /// snapshots, memo on with 1 and 4 workers (4 under a perturbed steal schedule), memo
+    /// snapshots, memo on with 1 and 4 workers (4 with a seeded first claim), memo
     /// off (once: it ignores the worker count and the seed), and a
     /// `persist → restore → hydrate` round trip.
     #[test]
@@ -666,7 +665,7 @@ proptest! {
     /// A snapshot maps the session's records in place, without freezing a graph: at every
     /// version a streamed session snapshots at, its interface equals `map_tagged` over
     /// `session.graph()` and its stats equal that graph's — memo on with 1 and 4 workers
-    /// (4 under a perturbed steal schedule), memo off (once: it ignores the worker count
+    /// (4 with a seeded first claim), memo off (once: it ignores the worker count
     /// and the seed), and after `persist → restore`, both before and after the restored
     /// session ingests more.
     #[test]

@@ -4,8 +4,7 @@
 //! serially and with mining's fan-out at the box's core count (scoped workers claiming
 //! chunks of missing shape pairs from one counter), asserts the two graphs are
 //! byte-identical, and then asserts the parallel mean is no slower than the
-//! serial mean over interleaved samples (alternating arms so frequency drift cancels, the
-//! same discipline as the paired benches in `mining_throughput`).
+//! serial mean over interleaved samples (alternating arms so frequency drift cancels).
 //!
 //! On a single-core box there is no parallelism to demonstrate — auto-sized parallel mining
 //! correctly falls back to the serial path there, so the timing comparison would measure
@@ -18,8 +17,8 @@ use pi_workloads::olap;
 const LOG_SIZE: usize = 512;
 const SAMPLES: usize = 5;
 
-/// The same Zipf-repetitive log `mining_throughput` mines: ~64 distinct shapes, so the
-/// memoized distinct-pair alignment is the dominant cost the fan-out spreads out.
+/// A Zipf-repetitive log of ~64 distinct shapes, so the memoized distinct-pair alignment
+/// is the dominant cost the fan-out spreads out.
 fn dedup_log() -> QueryLog {
     olap::repetitive_walk(3, LOG_SIZE, 64)
         .queries

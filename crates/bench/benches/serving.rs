@@ -5,7 +5,7 @@
 //! /interfaces/{user}/{thread}` snapshot latency (read-your-writes: queued statements are
 //! applied before the snapshot renders).  p50/p99/mean for both, plus the sustained
 //! statement throughput, land in `BENCH_serving.json` at the workspace root so successive
-//! PRs can track the serving trajectory alongside `BENCH_mining.json`.
+//! runs can track the serving trajectory.
 
 use bench::BenchLine;
 use pi_server::client::Connection;

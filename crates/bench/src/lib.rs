@@ -1,33 +1,15 @@
-//! Shared helpers for the Criterion benchmarks.
+//! Shared helpers for the custom bench harnesses: each one times its workload with
+//! `std::time::Instant` and records its lines in a `BENCH_*.json` trajectory file at the
+//! workspace root.
 //!
-//! The benchmarks mirror the runtime evaluation of the paper (Appendix B): Figure 11 varies
-//! the sliding-window size and LCA pruning on per-client logs, Figure 12 scales the log size
-//! with the optimised configuration, and two extra benches quantify design choices of this
-//! implementation (merging on/off in `mapper_ablation`, and the per-stage micro costs in
-//! `micro`).
-
-use pi_ast::Node;
-use pi_workloads::{mix, sdss};
-
-/// A per-client SDSS-style log of the given size (the Figure 11 workload).
-pub fn client_log(n: usize) -> Vec<Node> {
-    sdss::client_log(sdss::ClientArchetype::ObjectLookup, 3, n).queries
-}
-
-/// An interleaved multi-client log of the given size (the Figure 12 workload).
-pub fn interleaved_log(n: usize) -> Vec<Node> {
-    let per_client = n.div_ceil(20).max(1);
-    let logs = sdss::client_logs(20, per_client);
-    let mut queries = mix::interleave(&logs, 1).queries;
-    queries.truncate(n);
-    queries
-}
+//! The paper's runtime figures (Figures 11 and 12, Appendix B) are timed by
+//! `pi-experiments --exp fig11` and `--exp fig12`, and mining end to end by perfbench's
+//! `mine_distinct` workload (`bash perfbench/run.sh`), not here.
 
 /// One recorded line of a `BENCH_*.json` trajectory file.
 ///
-/// Mirrors the harness's measurement shape without depending on it, so both the Criterion
-/// benches (which convert their measurements) and custom harnesses like the serving load
-/// generator (which compute percentiles by hand) write through the same code path.
+/// Every harness writes through this one shape, whether a line is a mean over repetitions
+/// or a percentile the serving load generator computes by hand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchLine {
     /// Bench id, e.g. `"serving/ingest_post_p99"`.
@@ -121,7 +103,7 @@ pub fn write_bench_json(path: &str, header: &[(&str, String)], lines: &[BenchLin
 /// against a checked-in trajectory file reports the delta without leaving the terminal.
 /// Benches are matched on `(id, threads)`, not id alone — the arms of a scaling curve share
 /// an id and differ only in worker count.  `file_label` names the file the old numbers came
-/// from (`BENCH_mining.json`, `BENCH_serving.json`, …).
+/// from (`BENCH_serving.json`, `BENCH_persist.json`, …).
 pub fn print_comparison(
     file_label: &str,
     previous: &[(String, Option<u64>, f64)],
@@ -155,13 +137,6 @@ pub fn print_comparison(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn workload_helpers_produce_requested_sizes() {
-        assert_eq!(client_log(50).len(), 50);
-        assert_eq!(interleaved_log(100).len(), 100);
-        assert_eq!(interleaved_log(999).len(), 999);
-    }
 
     #[test]
     fn bench_json_round_trips_through_the_line_scanner() {

@@ -160,13 +160,10 @@ impl Interface {
     /// enumerated (sliders contribute only their observed values).  Used by the precision
     /// experiment of Appendix D.
     ///
-    /// One global [`NodeId`]-keyed memo is shared across all widget passes (the ROADMAP's
-    /// "closure dedup at scale" item): `results` is append-only and pass `k` scans the
-    /// queries known so far, appending only never-seen trees.  The previous per-pass
-    /// structural-hash dedup rebuilt its set every pass, re-cloning and re-inserting every
-    /// base query each time — O(|closure|) redundant set work per widget; the shared memo
-    /// pays one O(1) `NodeId` probe per *candidate* instead (`enumerate_closure_512` in
-    /// `BENCH_mining.json` tracks the win).
+    /// One global [`NodeId`]-keyed memo is shared across all widget passes: `results` is
+    /// append-only and pass `k` scans the queries known so far, appending only never-seen
+    /// trees, so each *candidate* costs one `NodeId` probe and no base query is re-inserted
+    /// per pass.
     pub fn enumerate_closure(&self, limit: usize) -> Vec<Node> {
         if limit == 0 {
             return Vec::new();

@@ -71,22 +71,6 @@ impl SelectBuilder {
         self
     }
 
-    /// Adds a derived table (subquery) to the FROM clause.
-    pub fn from_subquery(mut self, subquery: Node) -> Self {
-        self.relations.push(wrap(NodeKind::SubqueryRef, subquery));
-        self
-    }
-
-    /// Adds an aliased table-valued function call to the FROM clause.
-    pub fn from_table_func(mut self, name: &str, args: Vec<Node>, alias: &str) -> Self {
-        self.relations.push(Node::from_parts(
-            NodeKind::TableFunc,
-            &[(Sym::NAME, name.into()), (Sym::ALIAS, alias.into())],
-            args,
-        ));
-        self
-    }
-
     /// Adds a conjunct to the WHERE clause.
     pub fn where_pred(mut self, pred: Node) -> Self {
         self.predicates.push(pred);
@@ -291,27 +275,5 @@ mod tests {
     #[should_panic(expected = "conjunction of zero predicates")]
     fn conjunction_of_nothing_panics() {
         let _ = SelectBuilder::conjunction(vec![]);
-    }
-
-    #[test]
-    fn table_func_and_subquery_relations() {
-        let inner = SelectBuilder::new()
-            .project(Node::column("a"))
-            .from_table("T")
-            .build();
-        let q = SelectBuilder::new()
-            .project_star()
-            .from_subquery(inner)
-            .from_table_func(
-                "dbo.fGetNearbyObjEq",
-                vec![Node::float(5.848), Node::float(0.352), Node::float(2.0616)],
-                "d",
-            )
-            .build();
-        let from = q.get(&"1".parse::<Path>().unwrap()).unwrap();
-        assert_eq!(from.arity(), 2);
-        assert_eq!(from.children()[0].kind(), NodeKind::SubqueryRef);
-        assert_eq!(from.children()[1].kind(), NodeKind::TableFunc);
-        assert_eq!(from.children()[1].attr_str("alias"), Some("d"));
     }
 }

@@ -203,77 +203,34 @@ impl ErrorSample {
 /// dialects produce *identical* trees and therefore diff cleanly against each other —
 /// that is what lets a mixed SQL + dataframe log mine into one interface.
 ///
+/// Text comes in by two routes: [`Frontend::parse_statements_lossy`] for a log fragment,
+/// which every session ingest takes, and [`Frontend::parse_one`] for exactly one statement.
 /// `render` must be total (any tree renders to *something* readable, falling back to a
-/// generic notation for constructs the language lacks); `parse` may be partial.  For trees
-/// the front-end itself produced, `parse(render(t))` must be structurally identical to `t`
-/// (property-tested per front-end in `tests/properties.rs`).
+/// generic notation for constructs the language lacks); parsing may be partial.  For trees
+/// the front-end itself produced, `parse_one(render(t))` must be structurally identical to
+/// `t` (property-tested per front-end in `tests/properties.rs`).
 pub trait Frontend: fmt::Debug + Send + Sync {
     /// The dialect this front-end implements.
     fn dialect(&self) -> Dialect;
 
-    /// Parses a fragment of text — one or more `;`-separated statements — into trees.
-    /// All-or-nothing: the first malformed statement fails the whole fragment.
-    fn parse(&self, text: &str) -> Result<Vec<Node>, FrontendError>;
-
-    /// Per-statement results, for skip-and-count streaming ingestion: a malformed
-    /// statement yields an `Err` entry without discarding its neighbours.
+    /// Skip-and-count streaming parse of a fragment of one or more `;`-separated
+    /// statements: appends each well-formed statement in `text` to `out`, counts every
+    /// malformed one into `errors` (which retains only a bounded sample), and returns the
+    /// number skipped.  A malformed statement never discards its neighbours.
     ///
-    /// The default delegates to [`Frontend::parse`] (all-or-nothing); front-ends with a
-    /// statement splitter should override it.
-    fn parse_statements(&self, text: &str) -> Vec<Result<Node, FrontendError>> {
-        match self.parse(text) {
-            Ok(nodes) => nodes.into_iter().map(Ok).collect(),
-            Err(e) => vec![Err(e)],
-        }
-    }
-
-    /// Skip-and-count streaming parse: appends each well-formed statement in `text` to
-    /// `out`, counts every malformed one into `errors` (which retains only a bounded
-    /// sample), and returns the number skipped.
-    ///
-    /// The default delegates to [`Frontend::parse_statements`], which already pays for a
-    /// formatted [`FrontendError`] per failure; front-ends with a cheaper internal error
-    /// type should override it and hand [`ErrorSample::offer_with`] a closure that formats
-    /// on demand, so a garbage-heavy trace costs no per-failure allocation.
+    /// Implementations should hand [`ErrorSample::offer_with`] a closure that formats the
+    /// [`FrontendError`] on demand, so a garbage-heavy trace costs no per-failure
+    /// allocation.
     fn parse_statements_lossy(
         &self,
         text: &str,
         out: &mut Vec<Node>,
         errors: &mut ErrorSample,
-    ) -> usize {
-        let mut skipped = 0;
-        for result in self.parse_statements(text) {
-            match result {
-                Ok(node) => out.push(node),
-                Err(e) => {
-                    skipped += 1;
-                    errors.offer_with(|| e);
-                }
-            }
-        }
-        skipped
-    }
+    ) -> usize;
 
-    /// Parses exactly one statement.
-    ///
-    /// Front-ends whose statement splitter is lexical (e.g. a naive `;` split) should
-    /// override this with their single-statement parser, so queries whose *literals*
-    /// contain the separator still parse (`… WHERE name = 'a;b'`).  The default delegates
-    /// to [`Frontend::parse`].
-    fn parse_one(&self, text: &str) -> Result<Node, FrontendError> {
-        let mut nodes = self.parse(text)?;
-        match (nodes.len(), nodes.pop()) {
-            (1, Some(node)) => Ok(node),
-            (0, _) => Err(FrontendError::new(
-                self.dialect(),
-                "expected one statement, found none",
-            )),
-            (n, _) => Err(FrontendError::new(
-                self.dialect(),
-                format!("expected one statement, found {n}"),
-            )),
-        }
-    }
+    /// Parses exactly one statement.  The whole text is one statement, so a `;` inside a
+    /// string literal stays part of the literal (`… WHERE name = 'a;b'`).
+    fn parse_one(&self, text: &str) -> Result<Node, FrontendError>;
 
     /// Renders a tree back into this front-end's concrete syntax.
     fn render(&self, node: &Node) -> String;
@@ -366,7 +323,8 @@ mod tests {
     use super::*;
     use crate::NodeKind;
 
-    /// A toy front-end: parses `leaf:<name>` lines, renders column nodes back.
+    /// A toy front-end for the registry tests, which only render: column nodes render as
+    /// `leaf:<name>`.
     #[derive(Debug)]
     struct Toy(Dialect);
 
@@ -375,15 +333,12 @@ mod tests {
             self.0
         }
 
-        fn parse(&self, text: &str) -> Result<Vec<Node>, FrontendError> {
-            text.split(';')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .map(|s| match s.strip_prefix("leaf:") {
-                    Some(name) => Ok(Node::column(name)),
-                    None => Err(FrontendError::new(self.0, format!("bad statement `{s}`"))),
-                })
-                .collect()
+        fn parse_statements_lossy(&self, _: &str, _: &mut Vec<Node>, _: &mut ErrorSample) -> usize {
+            unimplemented!("the registry tests only render")
+        }
+
+        fn parse_one(&self, _: &str) -> Result<Node, FrontendError> {
+            unimplemented!("the registry tests only render")
         }
 
         fn render(&self, node: &Node) -> String {
@@ -398,21 +353,6 @@ mod tests {
         assert_eq!(Dialect::default(), Dialect::SQL);
         assert_ne!(Dialect::SQL, Dialect::FRAMES);
         assert_eq!(Dialect::new("sql"), Dialect::SQL);
-    }
-
-    #[test]
-    fn parse_one_and_parse_statements_defaults() {
-        let toy = Toy(Dialect::new("toy"));
-        assert_eq!(toy.parse_one("leaf:a").unwrap().attr_str("name"), Some("a"));
-        assert!(toy.parse_one("").is_err());
-        assert!(toy.parse_one("leaf:a; leaf:b").is_err());
-        // The default parse_statements is all-or-nothing.
-        let results = toy.parse_statements("leaf:a; nope");
-        assert_eq!(results.len(), 1);
-        assert!(results[0].is_err());
-        let ok = toy.parse_statements("leaf:a; leaf:b");
-        assert_eq!(ok.len(), 2);
-        assert!(ok.iter().all(Result::is_ok));
     }
 
     #[test]
@@ -451,8 +391,16 @@ mod tests {
             fn dialect(&self) -> Dialect {
                 Dialect::new("spacey")
             }
-            fn parse(&self, _: &str) -> Result<Vec<Node>, FrontendError> {
-                Ok(vec![])
+            fn parse_statements_lossy(
+                &self,
+                _: &str,
+                _: &mut Vec<Node>,
+                _: &mut ErrorSample,
+            ) -> usize {
+                unimplemented!("this test only renders")
+            }
+            fn parse_one(&self, _: &str) -> Result<Node, FrontendError> {
+                unimplemented!("this test only renders")
             }
             fn render(&self, _: &Node) -> String {
                 "a   b\n c".to_string()
@@ -494,21 +442,6 @@ mod tests {
         }
         assert_eq!(sample.seen(), 10);
         assert!(sample.is_empty());
-    }
-
-    #[test]
-    fn parse_statements_lossy_default_skips_and_counts() {
-        let toy = Toy(Dialect::new("toy"));
-        let mut out = Vec::new();
-        let mut errors = ErrorSample::new(8);
-        // The default routes through parse_statements, which for Toy is all-or-nothing
-        // per fragment; feed fragments separately to exercise the skip path.
-        let skipped = toy.parse_statements_lossy("leaf:a; leaf:b", &mut out, &mut errors)
-            + toy.parse_statements_lossy("nope", &mut out, &mut errors);
-        assert_eq!(out.len(), 2);
-        assert_eq!(skipped, 1);
-        assert_eq!(errors.seen(), 1);
-        assert_eq!(errors.entries().count(), 1);
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub use istr::{ArenaStats, IStr};
 pub use kind::{CollectionKind, NodeKind, PrimitiveType};
 pub use node::{Node, NodeId, ReplaceError};
 pub use path::{ParsePathError, Path};
-pub use print::{pretty, TreePrinter};
+pub use print::pretty;
 pub use value::AttrValue;
 
 /// Result alias used by fallible tree operations in this crate.

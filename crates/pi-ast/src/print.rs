@@ -1,7 +1,7 @@
 //! Debug pretty-printing of ASTs.
 //!
 //! The printer renders a tree in an indented outline similar to the figures in the paper, with
-//! each node's kind, attributes and (optionally) path, e.g.
+//! each node's kind and attributes, e.g.
 //!
 //! ```text
 //! Select
@@ -13,85 +13,36 @@
 //! ```
 
 use crate::node::Node;
-use crate::path::Path;
 use std::fmt::Write as _;
 
-/// Configurable tree printer.
-#[derive(Debug, Clone, Default)]
-pub struct TreePrinter {
-    show_paths: bool,
-    max_depth: Option<usize>,
-}
-
-impl TreePrinter {
-    /// A printer with default settings.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Also print the `0/1/0`-style path of every node.
-    pub fn with_paths(mut self) -> Self {
-        self.show_paths = true;
-        self
-    }
-
-    /// Truncate the rendering below the given depth.
-    pub fn with_max_depth(mut self, depth: usize) -> Self {
-        self.max_depth = Some(depth);
-        self
-    }
-
-    /// Renders the tree to a string.
-    pub fn print(&self, node: &Node) -> String {
-        let mut out = String::new();
-        self.print_node(node, &Path::root(), "", true, true, &mut out);
-        out
-    }
-
-    fn print_node(
-        &self,
-        node: &Node,
-        path: &Path,
-        prefix: &str,
-        is_last: bool,
-        is_root: bool,
-        out: &mut String,
-    ) {
-        if let Some(max) = self.max_depth {
-            if path.depth() > max {
-                return;
-            }
-        }
-        let connector = if is_root {
-            ""
-        } else if is_last {
-            "└─ "
-        } else {
-            "├─ "
-        };
-        let _ = write!(out, "{prefix}{connector}{node}");
-        if self.show_paths {
-            let _ = write!(out, "   [{path}]");
-        }
-        out.push('\n');
-
-        let child_prefix = if is_root {
-            String::new()
-        } else if is_last {
-            format!("{prefix}   ")
-        } else {
-            format!("{prefix}│  ")
-        };
-        let n = node.children().len();
-        for (i, child) in node.children().iter().enumerate() {
-            self.print_node(child, &path.child(i), &child_prefix, i + 1 == n, false, out);
-        }
-    }
-}
-
-/// Convenience wrapper: pretty-print with default settings.
+/// Pretty-prints a tree as an indented outline, one line per node.
 pub fn pretty(node: &Node) -> String {
-    TreePrinter::new().print(node)
+    let mut out = String::new();
+    print_node(node, "", true, true, &mut out);
+    out
+}
+
+fn print_node(node: &Node, prefix: &str, is_last: bool, is_root: bool, out: &mut String) {
+    let connector = if is_root {
+        ""
+    } else if is_last {
+        "└─ "
+    } else {
+        "├─ "
+    };
+    let _ = writeln!(out, "{prefix}{connector}{node}");
+
+    let child_prefix = if is_root {
+        String::new()
+    } else if is_last {
+        format!("{prefix}   ")
+    } else {
+        format!("{prefix}│  ")
+    };
+    let n = node.children().len();
+    for (i, child) in node.children().iter().enumerate() {
+        print_node(child, &child_prefix, i + 1 == n, false, out);
+    }
 }
 
 #[cfg(test)]
@@ -116,20 +67,6 @@ mod tests {
         assert!(s.contains("Select"));
         assert!(s.contains("ColExpr(name=sales)"));
         assert!(s.contains("TableRef(name=t)"));
-    }
-
-    #[test]
-    fn paths_mode_appends_locations() {
-        let s = TreePrinter::new().with_paths().print(&tree());
-        assert!(s.contains("[0/0/0]"));
-        assert!(s.contains("[/]"));
-    }
-
-    #[test]
-    fn max_depth_truncates() {
-        let s = TreePrinter::new().with_max_depth(1).print(&tree());
-        assert!(s.contains("Project"));
-        assert!(!s.contains("ColExpr"));
     }
 
     #[test]

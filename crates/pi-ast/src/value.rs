@@ -63,11 +63,6 @@ impl AttrValue {
         }
     }
 
-    /// True when the value is numeric (integer or float).
-    pub fn is_numeric(&self) -> bool {
-        matches!(self, AttrValue::Int(_) | AttrValue::Float(_))
-    }
-
     /// A stable textual rendering used for hashing and display.
     pub fn render(&self) -> String {
         match self {
@@ -166,14 +161,6 @@ mod tests {
         assert_eq!(AttrValue::from(true).as_bool(), Some(true));
         assert_eq!(AttrValue::from("abc").as_int(), None);
         assert_eq!(AttrValue::from(1i64).as_str(), None);
-    }
-
-    #[test]
-    fn numeric_detection() {
-        assert!(AttrValue::Int(3).is_numeric());
-        assert!(AttrValue::Float(3.5).is_numeric());
-        assert!(!AttrValue::Str("3".into()).is_numeric());
-        assert!(!AttrValue::Bool(false).is_numeric());
     }
 
     #[test]

@@ -150,11 +150,6 @@ impl TreeChange {
         }
     }
 
-    /// The subtrees this change contributes to a widget domain (both sides when present).
-    pub fn domain_subtrees(&self) -> Vec<&Node> {
-        self.before.iter().chain(self.after.iter()).collect()
-    }
-
     /// A one-line human-readable summary, used by experiment output and debugging.
     pub fn summary(&self) -> String {
         let fmt_side = |side: &Option<Node>| match side {
@@ -526,13 +521,5 @@ mod tests {
         assert!(s.contains("1"));
         assert!(s.contains("2"));
         assert!(s.contains("num"));
-    }
-
-    #[test]
-    fn domain_subtrees_returns_both_sides() {
-        let a = parse("SELECT a FROM t WHERE x = 1").unwrap();
-        let b = parse("SELECT a FROM t WHERE x = 2").unwrap();
-        let changes = build_changes(&a, &b, AncestorPolicy::LcaPruned);
-        assert_eq!(changes[0].domain_subtrees().len(), 2);
     }
 }

@@ -42,7 +42,7 @@ mod render;
 
 pub use error::ParseError;
 pub use lexer::{tokenize, Op, Token, TokenKind};
-pub use parser::{parse, parse_log, Parser};
+pub use parser::{parse, Parser};
 pub use render::{render, render_compact};
 
 use pi_ast::{Dialect, Frontend, FrontendError, Node};
@@ -57,20 +57,6 @@ pub struct FramesFrontend;
 impl Frontend for FramesFrontend {
     fn dialect(&self) -> Dialect {
         Dialect::FRAMES
-    }
-
-    fn parse(&self, text: &str) -> std::result::Result<Vec<Node>, FrontendError> {
-        parse_log(text)
-            .into_iter()
-            .map(|r| r.map_err(|e| FrontendError::new(Dialect::FRAMES, e.to_string())))
-            .collect()
-    }
-
-    fn parse_statements(&self, text: &str) -> Vec<std::result::Result<Node, FrontendError>> {
-        parse_log(text)
-            .into_iter()
-            .map(|r| r.map_err(|e| FrontendError::new(Dialect::FRAMES, e.to_string())))
-            .collect()
     }
 
     fn parse_statements_lossy(
@@ -96,7 +82,7 @@ impl Frontend for FramesFrontend {
 
     fn parse_one(&self, text: &str) -> std::result::Result<Node, FrontendError> {
         // The single-statement parser lexes the whole text, so `;` inside a string
-        // literal stays part of the literal — unlike parse/parse_statements, whose
+        // literal stays part of the literal — unlike parse_statements_lossy, whose
         // statement splitter is a lexical `;` split.
         parse(text).map_err(|e| FrontendError::new(Dialect::FRAMES, e.to_string()))
     }
@@ -114,12 +100,20 @@ impl Frontend for FramesFrontend {
 mod frontend_tests {
     use super::*;
 
+    /// Parses a fragment through the trait's log route, returning the trees, the skip
+    /// count and the error sample.
+    fn lossy(text: &str) -> (Vec<Node>, usize, pi_ast::ErrorSample) {
+        let mut all = Vec::new();
+        let mut errors = pi_ast::ErrorSample::new(8);
+        let skipped = FramesFrontend.parse_statements_lossy(text, &mut all, &mut errors);
+        (all, skipped, errors)
+    }
+
     #[test]
     fn frontend_routes_to_the_crate_entry_points() {
         assert_eq!(FramesFrontend.dialect(), Dialect::FRAMES);
-        let text = "t.filter(x == 1); t.filter(x == 2);";
-        let all = FramesFrontend.parse(text).unwrap();
-        assert_eq!(all.len(), 2);
+        let (all, skipped, _) = lossy("t.filter(x == 1); t.filter(x == 2);");
+        assert_eq!((all.len(), skipped), (2, 0));
         assert_eq!(all[0], parse("t.filter(x == 1)").unwrap());
         assert_eq!(FramesFrontend.render(&all[0]), render(&all[0]));
     }
@@ -138,9 +132,12 @@ mod frontend_tests {
 
     #[test]
     fn statements_fail_individually_with_the_frames_dialect_tag() {
-        let results = FramesFrontend.parse_statements("t.filter(x == 1); ???; t");
-        assert_eq!(results.len(), 3);
-        assert!(results[0].is_ok() && results[2].is_ok());
-        assert_eq!(results[1].clone().unwrap_err().dialect, Dialect::FRAMES);
+        let (all, skipped, errors) = lossy("t.filter(x == 1); ???; t");
+        assert_eq!(
+            all,
+            [parse("t.filter(x == 1)").unwrap(), parse("t").unwrap()]
+        );
+        assert_eq!((skipped, errors.seen()), (1, 1));
+        assert_eq!(errors.entries().next().unwrap().dialect, Dialect::FRAMES);
     }
 }

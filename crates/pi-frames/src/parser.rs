@@ -32,12 +32,6 @@ pub fn parse(text: &str) -> Result<Node, ParseError> {
     Ok(node)
 }
 
-/// Parses a log of `;`-separated frames statements, reporting per-statement outcomes
-/// (mirrors `pi_sql::parse_log`: one typo must not discard the rest of the log).
-pub fn parse_log(text: &str) -> Vec<Result<Node, ParseError>> {
-    statements(text).map(parse).collect()
-}
-
 /// The statements of a log fragment: its `;`-separated pieces, trimmed, empty ones dropped.
 pub(crate) fn statements(text: &str) -> impl Iterator<Item = &str> {
     text.split(';').map(str::trim).filter(|s| !s.is_empty())
@@ -936,15 +930,5 @@ mod tests {
             let err = parse_on_small_stack(deep).unwrap_err();
             assert!(err.message().contains("nesting deeper than"), "{err}");
         }
-    }
-
-    #[test]
-    fn parse_log_reports_per_statement_outcomes() {
-        let log = "t.filter(x == 1); NOT FRAMES AT ALL; t.filter(x == 2);";
-        let results = parse_log(log);
-        assert_eq!(results.len(), 3);
-        assert!(results[0].is_ok());
-        assert!(results[1].is_err());
-        assert!(results[2].is_ok());
     }
 }

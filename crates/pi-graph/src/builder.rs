@@ -35,14 +35,15 @@ use std::sync::OnceLock;
 /// The estimated new work, in [`pi_diff::align_cost_model`] units, below which mining stays
 /// serial even when multiple workers are available.
 ///
-/// Calibration, from the committed `BENCH_mining.json` anchors: `mine_sliding16` runs 7,936
-/// pair alignments over ~30-node trees (≈ 900 units each, ≈ 7.1 M units total) in ≈ 11.5 ms
-/// serial — ≈ 1.6 ns per unit.  600 k units therefore correspond to ≈ 1 ms of serial
-/// alignment work, well above the measured tens-of-microseconds cost of a scoped
-/// spawn/join cycle, so a batch that crosses the gate has real work to amortise the fan-out
-/// against.  The old `new_pairs > 32` gate counted pairs instead of work and sent 32-pair
-/// batches of tiny trees (≈ 30 µs of alignment) through the thread scope — the root of the
-/// `mine_sliding16` parallel regression this gate fixes.
+/// Calibration, as serial mining time over the units this gate sums (the batch's missing
+/// distinct pairs), on 2 vCPUs: `pi-experiments --exp fig12` at |Q| = 10,000 mines 9,990
+/// missing pairs of small SDSS trees (≈ 234 units each, 2.34 M in all) in 34.5–37.9 ms
+/// (3 runs), ≈ 15 ns a unit; a serial Sliding(16) build of `olap::random_walk(3, 512)`
+/// aligns 2,715 distinct pairs of ≈ 25-node trees (1.64 M units) in 4.4 ms (median of 9
+/// builds), ≈ 2.7 ns a unit.  600 k units are therefore ≈ 1.6 ms of serial mining on the
+/// larger trees and more on smaller ones, well above the tens of microseconds of a scoped
+/// spawn/join cycle, so a batch that crosses the gate has real work to amortise the
+/// fan-out against.
 const PARALLEL_MIN_COST: u64 = 600_000;
 
 /// Fewest pairs in a chunk: 16 pairs of ~30-node trees are ≈ 15 k cost units, ≈ 25 µs of

@@ -8,8 +8,8 @@
 //! * **Dedup arena** — class representatives are written as node-table references in
 //!   class-id order, followed by the per-row class ids.  Restore *re-ingests* each row's
 //!   representative through [`DedupTable::ingest`], which deterministically reassigns the
-//!   same first-come class ids and rebuilds every derived cache (hash buckets, counts,
-//!   cached tree sizes, arena totals) — any divergence from the stored ids is reported as
+//!   same first-come class ids and rebuilds every derived cache (hash buckets, cached
+//!   tree sizes, arena totals) — any divergence from the stored ids is reported as
 //!   corruption rather than accepted.
 //! * **Change table** — every change a memo list or an explicit run uses, once per
 //!   distinct content, numbered in the order the memo lists (by key) and then the explicit
@@ -486,7 +486,6 @@ mod tests {
             assert_eq!(restored.memo().alignments(), acc.memo().alignments());
             assert_eq!(restored.dedup().distinct(), acc.dedup().distinct());
             for class in 0..acc.dedup().distinct() as u32 {
-                assert_eq!(restored.dedup().count(class), acc.dedup().count(class));
                 assert_eq!(
                     restored.dedup().tree_size(class),
                     acc.dedup().tree_size(class)

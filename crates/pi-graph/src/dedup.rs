@@ -40,8 +40,6 @@ pub struct DedupTable {
     /// Canonical representative per class, indexed by distinct-tree id: the first query of
     /// that shape to be ingested (a refcount bump, never a tree copy).
     classes: Vec<Node>,
-    /// How many ingested queries each class has absorbed.
-    counts: Vec<u32>,
     /// Node count of each class representative, measured once at class creation.  The
     /// parallel gate's cost model ([`pi_diff::align_cost_model`]) reads these on every
     /// missing pair, and [`Node::size`] is an `O(tree)` walk — caching it here turns the
@@ -119,14 +117,10 @@ impl DedupTable {
                     .copied()
                     .find(|&c| self.classes[c as usize] == *query)
                 {
-                    Some(class) => {
-                        self.counts[class as usize] += 1;
-                        class
-                    }
+                    Some(class) => class,
                     None => {
                         slot.get_mut().push(fresh);
                         self.classes.push(query.clone());
-                        self.counts.push(1);
                         let size = measured_size(query);
                         self.sizes.push(size);
                         self.arena_nodes += size as usize;
@@ -137,7 +131,6 @@ impl DedupTable {
             std::collections::hash_map::Entry::Vacant(slot) => {
                 slot.insert(Bucket::One(fresh));
                 self.classes.push(query.clone());
-                self.counts.push(1);
                 let size = measured_size(query);
                 self.sizes.push(size);
                 self.arena_nodes += size as usize;
@@ -175,11 +168,6 @@ impl DedupTable {
         self.class_of[idx]
     }
 
-    /// How many ingested queries share the shape of class `class` (≥ 1).
-    pub fn count(&self, class: u32) -> u32 {
-        self.counts[class as usize]
-    }
-
     /// The canonical representative of a class: the first ingested query of that shape.
     pub fn representative(&self, class: u32) -> &Node {
         &self.classes[class as usize]
@@ -208,7 +196,7 @@ impl DedupTable {
         let bucket = (size_of::<(u64, Bucket)>() + 1) * 8 / 7;
         self.arena_nodes * NODE_FOOTPRINT_ESTIMATE
             + self.classes.capacity() * size_of::<Node>()
-            + (self.counts.capacity() + self.sizes.capacity()) * size_of::<u32>()
+            + self.sizes.capacity() * size_of::<u32>()
             + self.by_hash.capacity() * bucket
             + self.class_of.capacity() * size_of::<u32>()
     }
@@ -479,7 +467,6 @@ mod tests {
         assert_eq!(table.ingest(&a_again), 0);
         assert_eq!((table.len(), table.distinct()), (3, 2));
         assert_eq!(table.class_of(2), table.class_of(0));
-        assert_eq!((table.count(0), table.count(1)), (2, 1));
         // The representative is the *first* ingested query — physically, not just
         // structurally (a refcount bump of `a`, not of `a_again`).
         assert!(table.representative(0).ptr_eq(&a));
@@ -487,7 +474,7 @@ mod tests {
         // A lookup finds a shape's class without ingesting it.
         assert_eq!(table.find(&a_again), Some(0));
         assert_eq!(table.find(&parse("SELECT a FROM t WHERE x = 3")), None);
-        assert_eq!((table.len(), table.count(0)), (3, 2));
+        assert_eq!(table.len(), 3);
     }
 
     #[test]
@@ -517,7 +504,6 @@ mod tests {
         // And re-probing the shared bucket still resolves each shape to its own class.
         assert_eq!(table.ingest_hashed(forced, &a), 0);
         assert_eq!(table.ingest_hashed(forced, &b), 1);
-        assert_eq!((table.count(0), table.count(1)), (2, 2));
     }
 
     #[test]
@@ -548,7 +534,6 @@ mod tests {
         }
         assert_eq!((table.len(), table.distinct()), (2 * SHAPES, SHAPES));
         for (class, shape) in shapes.iter().enumerate() {
-            assert_eq!(table.count(class as u32), 2);
             // Representatives are the first pass's trees, physically.
             assert!(table.representative(class as u32).ptr_eq(shape));
         }

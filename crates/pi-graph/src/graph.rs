@@ -195,12 +195,6 @@ impl InteractionGraph {
         }
     }
 
-    /// Edges incident to a query.
-    pub fn edges_of(&self, query: usize) -> impl Iterator<Item = Edge> + '_ {
-        self.edges()
-            .filter(move |e| e.from == query || e.to == query)
-    }
-
     /// True when every *distinct* query is reachable from the first query, treating edges as
     /// undirected (each interaction has an inverse).  Duplicate queries share their vertex's
     /// connectivity.
@@ -286,14 +280,6 @@ mod tests {
             assert!(edge.leaves > 0);
             assert!(edge.diffs().all(|id| g.store().get(id).is_leaf()));
         }
-    }
-
-    #[test]
-    fn edges_of_filters_by_incidence() {
-        let g = tiny_graph();
-        assert_eq!(g.edges_of(0).count(), 1);
-        assert_eq!(g.edges_of(1).count(), 2);
-        assert_eq!(g.edges_of(2).count(), 1);
     }
 
     #[test]

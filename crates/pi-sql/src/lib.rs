@@ -35,7 +35,7 @@ mod render;
 
 pub use error::{ParseError, ParseErrorKind};
 pub use lexer::{Keyword, Lexer, Op, Token, TokenKind};
-pub use parser::{parse, parse_log, Parser};
+pub use parser::{parse, Parser};
 pub use render::{render, render_compact};
 
 use pi_ast::{Dialect, Frontend, FrontendError, Node};
@@ -65,30 +65,14 @@ impl Frontend for SqlFrontend {
         Dialect::SQL
     }
 
-    fn parse(&self, text: &str) -> std::result::Result<Vec<Node>, FrontendError> {
-        parse_log(text)
-            .into_iter()
-            .map(|r| r.map_err(|e| FrontendError::new(Dialect::SQL, e.to_string())))
-            .collect()
-    }
-
-    fn parse_statements(&self, text: &str) -> Vec<std::result::Result<Node, FrontendError>> {
-        parse_log(text)
-            .into_iter()
-            .map(|r| r.map_err(|e| FrontendError::new(Dialect::SQL, e.to_string())))
-            .collect()
-    }
-
     fn parse_statements_lossy(
         &self,
         text: &str,
         out: &mut Vec<Node>,
         errors: &mut pi_ast::ErrorSample,
     ) -> usize {
-        // Unlike the default (which routes through `parse_statements` and formats a
-        // `FrontendError` per failure), this formats the message only when the sample will
-        // actually retain it — on a garbage-heavy trace the steady state is a counter bump
-        // per bad line.
+        // Formats the failure message only when the sample will retain it; the steady
+        // state on a garbage-heavy trace is a counter bump per bad line.
         let mut skipped = 0;
         for result in parser::statements(text).map(parse) {
             match result {
@@ -104,7 +88,7 @@ impl Frontend for SqlFrontend {
 
     fn parse_one(&self, text: &str) -> std::result::Result<Node, FrontendError> {
         // The single-statement parser lexes the whole text, so `;` inside a string
-        // literal stays part of the literal — unlike parse/parse_statements, whose
+        // literal stays part of the literal — unlike parse_statements_lossy, whose
         // statement splitter is a lexical `;` split.
         parse(text).map_err(|e| FrontendError::new(Dialect::SQL, e.to_string()))
     }
@@ -122,12 +106,20 @@ impl Frontend for SqlFrontend {
 mod frontend_tests {
     use super::*;
 
+    /// Parses a fragment through the trait's log route, returning the trees, the skip
+    /// count and the error sample.
+    fn lossy(text: &str) -> (Vec<Node>, usize, pi_ast::ErrorSample) {
+        let mut all = Vec::new();
+        let mut errors = pi_ast::ErrorSample::new(8);
+        let skipped = SqlFrontend.parse_statements_lossy(text, &mut all, &mut errors);
+        (all, skipped, errors)
+    }
+
     #[test]
     fn frontend_routes_to_the_crate_entry_points() {
         assert_eq!(SqlFrontend.dialect(), Dialect::SQL);
-        let sql = "SELECT a FROM t WHERE x = 1; SELECT a FROM t WHERE x = 2;";
-        let all = SqlFrontend.parse(sql).unwrap();
-        assert_eq!(all.len(), 2);
+        let (all, skipped, _) = lossy("SELECT a FROM t WHERE x = 1; SELECT a FROM t WHERE x = 2;");
+        assert_eq!((all.len(), skipped), (2, 0));
         assert_eq!(all[0], parse("SELECT a FROM t WHERE x = 1").unwrap());
         assert_eq!(SqlFrontend.render(&all[0]), render(&all[0]));
         assert_eq!(SqlFrontend.render_compact(&all[0]), render_compact(&all[0]));
@@ -135,9 +127,8 @@ mod frontend_tests {
 
     #[test]
     fn parse_one_keeps_semicolons_inside_string_literals() {
-        // Regression: the default trait parse_one routed through the `;`-splitting
-        // parse_log, so a literal containing `;` became unparseable through the trait
-        // even though pi_sql::parse accepted it.
+        // Regression: parse_one once split on `;` first, so a literal containing `;`
+        // became unparseable through the trait even though pi_sql::parse accepted it.
         let q = SqlFrontend
             .parse_one("SELECT a FROM t WHERE name = 'a;b'")
             .unwrap();
@@ -146,13 +137,16 @@ mod frontend_tests {
     }
 
     #[test]
-    fn parse_is_all_or_nothing_but_statements_are_individual() {
-        let sql = "SELECT a FROM t; NOT SQL; SELECT b FROM t;";
-        assert!(SqlFrontend.parse(sql).is_err());
-        let results = SqlFrontend.parse_statements(sql);
-        assert_eq!(results.len(), 3);
-        assert!(results[0].is_ok() && results[1].is_err() && results[2].is_ok());
-        let err = results[1].clone().unwrap_err();
-        assert_eq!(err.dialect, Dialect::SQL);
+    fn statements_fail_individually_with_the_sql_dialect_tag() {
+        let (all, skipped, errors) = lossy("SELECT a FROM t; NOT SQL; SELECT b FROM t;");
+        assert_eq!(
+            all,
+            [
+                parse("SELECT a FROM t").unwrap(),
+                parse("SELECT b FROM t").unwrap()
+            ]
+        );
+        assert_eq!((skipped, errors.seen()), (1, 1));
+        assert_eq!(errors.entries().next().unwrap().dialect, Dialect::SQL);
     }
 }

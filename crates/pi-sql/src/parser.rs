@@ -24,15 +24,6 @@ pub fn parse(sql: &str) -> Result<Node, ParseError> {
     Ok(node)
 }
 
-/// Parses a query log: statements separated by semicolons (and/or blank lines).
-///
-/// Each statement parses independently; the result preserves log order and reports per-query
-/// outcomes so that a single malformed query does not discard the rest of the log — real query
-/// logs routinely contain typos.
-pub fn parse_log(text: &str) -> Vec<Result<Node, ParseError>> {
-    statements(text).map(parse).collect()
-}
-
 /// The statements of a log fragment: its `;`-separated pieces, trimmed, empty ones dropped.
 pub(crate) fn statements(text: &str) -> impl Iterator<Item = &str> {
     text.split(';').map(str::trim).filter(|s| !s.is_empty())
@@ -967,16 +958,6 @@ mod tests {
             .group_by(Node::column("DestState"))
             .build();
         assert_eq!(parsed, built);
-    }
-
-    #[test]
-    fn parse_log_splits_statements_and_reports_errors_individually() {
-        let log = "SELECT a FROM t; SELECT b FROM; SELECT c FROM t;";
-        let results = parse_log(log);
-        assert_eq!(results.len(), 3);
-        assert!(results[0].is_ok());
-        assert!(results[1].is_err());
-        assert!(results[2].is_ok());
     }
 
     #[test]

@@ -95,14 +95,6 @@ impl Json {
         }
     }
 
-    /// The fields, if this is an object.
-    pub fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Object(fields) => Some(fields),
-            _ => None,
-        }
-    }
-
     fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
@@ -550,7 +542,6 @@ mod tests {
         assert_eq!(value.get("n").and_then(Json::as_f64), Some(7.0));
         assert_eq!(value.get("b").and_then(Json::as_bool), Some(true));
         assert_eq!(value.get("a").and_then(Json::as_array), Some(&[][..]));
-        assert!(value.as_object().is_some());
         // Wrong-shape lookups answer None, never panic.
         assert_eq!(Json::Null.get("s"), None);
         assert_eq!(value.get("s").and_then(Json::as_f64), None);

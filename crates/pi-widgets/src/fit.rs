@@ -105,21 +105,6 @@ fn solve3(mut a: [[f64; 3]; 3], mut b: [f64; 3]) -> Option<[f64; 3]> {
     Some(x)
 }
 
-/// Mean squared error of a cost function against a trace, for goodness-of-fit reporting.
-pub fn mse(cost: &CostFunction, points: &[TracePoint]) -> f64 {
-    if points.is_empty() {
-        return 0.0;
-    }
-    points
-        .iter()
-        .map(|p| {
-            let err = cost.eval(p.n) - p.millis;
-            err * err
-        })
-        .sum::<f64>()
-        / points.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,7 +129,6 @@ mod tests {
         assert!((fitted.a0 - truth.a0).abs() < 1e-6, "{fitted:?}");
         assert!((fitted.a1 - truth.a1).abs() < 1e-6);
         assert!((fitted.a2 - truth.a2).abs() < 1e-6);
-        assert!(mse(&fitted, &pts) < 1e-6);
     }
 
     #[test]

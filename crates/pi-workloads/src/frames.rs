@@ -55,22 +55,10 @@ pub fn mixed_walk(seed: u64, n: usize) -> QueryLog {
     QueryLog::from_tagged(&both_frontends(), &format!("mixed-walk-{seed}"), entries)
 }
 
-/// The duplicate-heavy walk of [`crate::olap::repetitive_walk`], rendered in the frames
-/// dialect: same seed ⇒ the same Zipf-revisited state sequence ⇒ structurally identical
-/// queries, different surface language.
-pub fn repetitive_dataframe_walk(seed: u64, n: usize, distinct: usize) -> QueryLog {
-    QueryLog::from_text(
-        &pi_frames::FramesFrontend,
-        &format!("frames-repetitive-{seed}"),
-        repetitive_states(seed, n, distinct)
-            .iter()
-            .map(OlapState::to_frames),
-    )
-}
-
-/// The duplicate-heavy walk with every query independently written in SQL or frames (a fair
-/// coin per entry, deterministic in the seed): a repetitive analyst who mixes a SQL console
-/// with a notebook — the workload the duplicate-collapsing property tests replay.
+/// The duplicate-heavy walk of [`crate::olap::repetitive_walk`] with every query
+/// independently written in SQL or frames (a fair coin per entry, deterministic in the
+/// seed): a repetitive analyst who mixes a SQL console with a notebook — the workload the
+/// duplicate-collapsing property tests replay.
 pub fn repetitive_mixed_walk(seed: u64, n: usize, distinct: usize) -> QueryLog {
     let mut rng = StdRng::seed_from_u64(0x3e9e_0000 ^ seed);
     let entries: Vec<(Dialect, String)> = repetitive_states(seed, n, distinct)
@@ -135,10 +123,6 @@ mod tests {
         assert_eq!(mixed_walk(1, 30).text, mixed_walk(1, 30).text);
         assert_ne!(mixed_walk(1, 30).text, mixed_walk(2, 30).text);
         assert_eq!(
-            repetitive_dataframe_walk(1, 30, 8).text,
-            repetitive_dataframe_walk(1, 30, 8).text
-        );
-        assert_eq!(
             repetitive_mixed_walk(1, 30, 8).text,
             repetitive_mixed_walk(1, 30, 8).text
         );
@@ -147,12 +131,9 @@ mod tests {
     #[test]
     fn repetitive_variants_render_the_same_duplicate_heavy_sequence() {
         let sql = olap::repetitive_walk(5, 96, 16);
-        let frames = repetitive_dataframe_walk(5, 96, 16);
         let mixed = repetitive_mixed_walk(5, 96, 16);
-        // All three spell the same tree sequence, duplicate structure included.
-        assert_eq!(sql.queries, frames.queries);
+        // Both spell the same tree sequence, duplicate structure included.
         assert_eq!(sql.queries, mixed.queries);
-        assert!(frames.dialects.iter().all(|&d| d == Dialect::FRAMES));
         let frames_count = mixed
             .dialects
             .iter()

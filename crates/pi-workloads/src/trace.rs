@@ -9,9 +9,10 @@
 //!
 //! The stream's shape mirrors what the trace studies report for real query logs:
 //!
-//! * a pool of `shapes` distinct analyses, drawn from the same OLAP random walk the other
+//! * a pool of `shapes` analyses, drawn from the same OLAP random walk the other
 //!   generators use (so shapes differ by a filter literal, a dimension, an aggregate —
-//!   paper Listing 2);
+//!   paper Listing 2); the walk returns to states it has visited, so fewer of them are
+//!   distinct (see [`zipf_trace`]);
 //! * positions revisit already-seen shapes **Zipf-style** (weight `1/(r+1)` for the shape
 //!   introduced `r` pool-steps ago), with new shapes front-loaded into a warm-up prefix
 //!   (the pool drains over the first `~n/16` lines) so the remaining stream is
@@ -52,16 +53,18 @@ pub struct ZipfTrace {
     garbage: usize,
 }
 
-/// A stream of `n` query-log lines over `≈ shapes` distinct analyses revisited Zipf-style,
-/// mixed SQL + frames, with a `garbage_rate` fraction of unparseable lines.
+/// A stream of `n` query-log lines over at most `shapes` distinct analyses revisited
+/// Zipf-style, mixed SQL + frames, with a `garbage_rate` fraction of unparseable lines.
 ///
 /// Deterministic for a given `(n, shapes, garbage_rate, seed)`.  Memory is `O(shapes)`:
 /// the distinct pool is rendered up front, each emitted line is a fresh `String` (as it
 /// would be arriving off a socket), and the stream holds nothing else — feed it straight
 /// to `Session::push_stream_tagged`.
 ///
-/// `shapes` is clamped to `1..=n`; `garbage_rate` must be in `[0, 1]`.  (`≈` because the
-/// underlying walk occasionally no-ops, so the pool itself can contain a few repeats.)
+/// `shapes` is clamped to `1..=n`; `garbage_rate` must be in `[0, 1]`.  The pool holds
+/// `shapes` walk states, and the walk returns to states it has visited, so the distinct
+/// analyses are fewer: at seed 7, a pool of 256 holds 167 distinct trees and a pool of 32
+/// holds 27 (a unit test pins both).
 pub fn zipf_trace(n: usize, shapes: usize, garbage_rate: f64, seed: u64) -> ZipfTrace {
     assert!(
         (0.0..=1.0).contains(&garbage_rate),
@@ -86,8 +89,8 @@ pub fn zipf_trace(n: usize, shapes: usize, garbage_rate: f64, seed: u64) -> Zipf
 }
 
 impl ZipfTrace {
-    /// Number of distinct shapes in the pool (≥ the distinct trees a consumer will see,
-    /// since the walk occasionally repeats a state).
+    /// Number of walk states in the pool (≥ the distinct trees a consumer will see, since
+    /// the walk returns to states it has visited; see [`zipf_trace`]).
     pub fn pool_size(&self) -> usize {
         self.sql.len()
     }
@@ -194,6 +197,12 @@ mod tests {
     fn distinct_text_is_bounded_by_the_pool_and_zipf_skews_repeats() {
         let trace = zipf_trace(2000, 32, 0.0, 7);
         let pool = trace.pool_size();
+        // The walk returns to states it has visited, so a pool holds fewer distinct
+        // analyses than `shapes`: at seed 7, 27 of 32, and 167 of 256 (the pool behind
+        // the 256-shape figures README quotes).
+        let distinct = |t: &ZipfTrace| t.sql.iter().collect::<std::collections::HashSet<_>>().len();
+        assert_eq!(distinct(&trace), 27);
+        assert_eq!(distinct(&zipf_trace(256, 256, 0.0, 7)), 167);
         let mut counts: std::collections::HashMap<String, usize> = Default::default();
         for (_, line) in trace {
             *counts.entry(line).or_default() += 1;

@@ -129,7 +129,6 @@ fn main() {
     let max_ns = decile_line_ns.iter().cloned().fold(0.0f64, f64::max);
     let lines_out = vec![bench::BenchLine {
         id: "ingest/per_line".to_string(),
-        threads: None,
         mean_ns: total_s * 1e9 / lines as f64,
         min_ns,
         max_ns,

@@ -202,7 +202,6 @@ fn main() {
 
     let line = |id: &str, (mean_ns, min_ns, max_ns): (f64, f64, f64), iterations: u64| BenchLine {
         id: id.to_string(),
-        threads: None,
         mean_ns,
         min_ns,
         max_ns,

@@ -42,7 +42,6 @@ fn stat_lines(prefix: &str, mut samples: Vec<f64>) -> Vec<BenchLine> {
     let mean = samples.iter().sum::<f64>() / samples.len().max(1) as f64;
     let line = |suffix: &str, value: f64| BenchLine {
         id: format!("{prefix}{suffix}"),
-        threads: None,
         mean_ns: value,
         min_ns: samples.first().copied().unwrap_or(0.0),
         max_ns: samples.last().copied().unwrap_or(0.0),
@@ -178,7 +177,6 @@ fn main() {
     // benches' per-query numbers.
     lines.push(BenchLine {
         id: "serving/ingest_per_statement".into(),
-        threads: None,
         mean_ns: total_ingest_ns / statements as f64,
         min_ns: 0.0,
         max_ns: 0.0,

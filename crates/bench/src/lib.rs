@@ -14,8 +14,6 @@
 pub struct BenchLine {
     /// Bench id, e.g. `"serving/ingest_post_p99"`.
     pub id: String,
-    /// Worker count for scaling-curve arms sharing one id; `None` otherwise.
-    pub threads: Option<u64>,
     /// Mean (or, for percentile lines, the percentile itself), in nanoseconds.
     pub mean_ns: f64,
     /// Fastest sample, ns.
@@ -26,12 +24,10 @@ pub struct BenchLine {
     pub iterations: u64,
 }
 
-/// Parses a previous trajectory file (if any) into `(bench id, threads, mean ns)` tuples,
-/// with a by-hand line scan rather than a JSON dependency — these files are machine-written
-/// by [`write_bench_json`], so the one-line-per-bench shape is known.  The `threads`
-/// component is `None` for lines without a `"threads"` key, so files from before a scaling
-/// curve was added compare cleanly against files from after.
-pub fn read_bench_json(path: &str) -> Vec<(String, Option<u64>, f64)> {
+/// Parses a previous trajectory file (if any) into `(bench id, mean ns)` pairs, with a
+/// by-hand line scan rather than a JSON dependency — these files are machine-written by
+/// [`write_bench_json`], so the one-line-per-bench shape is known.
+pub fn read_bench_json(path: &str) -> Vec<(String, f64)> {
     let Ok(text) = std::fs::read_to_string(path) else {
         return Vec::new();
     };
@@ -52,12 +48,7 @@ pub fn read_bench_json(path: &str) -> Vec<(String, Option<u64>, f64)> {
         else {
             continue;
         };
-        let threads = line
-            .split("\"threads\": ")
-            .nth(1)
-            .and_then(|rest| rest.split([',', '}']).next())
-            .and_then(|v| v.trim().parse::<u64>().ok());
-        out.push((id.to_string(), threads, mean));
+        out.push((id.to_string(), mean));
     }
     out
 }
@@ -71,12 +62,8 @@ pub fn render_bench_json(header: &[(&str, String)], lines: &[BenchLine]) -> Stri
     }
     out.push_str("  \"benches\": [\n");
     for (i, line) in lines.iter().enumerate() {
-        let threads = match line.threads {
-            Some(t) => format!("\"threads\": {t}, "),
-            None => String::new(),
-        };
         out.push_str(&format!(
-            "    {{\"id\": \"{}\", {threads}\"mean_ns\": {:.0}, \"min_ns\": {:.0}, \"max_ns\": {:.0}, \"iterations\": {}}}{}\n",
+            "    {{\"id\": \"{}\", \"mean_ns\": {:.0}, \"min_ns\": {:.0}, \"max_ns\": {:.0}, \"iterations\": {}}}{}\n",
             line.id,
             line.mean_ns,
             line.min_ns,
@@ -101,32 +88,21 @@ pub fn write_bench_json(path: &str, header: &[(&str, String)], lines: &[BenchLin
 
 /// Prints a one-line old-vs-new comparison per bench present in both runs, so a bench run
 /// against a checked-in trajectory file reports the delta without leaving the terminal.
-/// Benches are matched on `(id, threads)`, not id alone — the arms of a scaling curve share
-/// an id and differ only in worker count.  `file_label` names the file the old numbers came
-/// from (`BENCH_serving.json`, `BENCH_persist.json`, …).
-pub fn print_comparison(
-    file_label: &str,
-    previous: &[(String, Option<u64>, f64)],
-    current: &[BenchLine],
-) {
+/// Benches are matched on id.  `file_label` names the file the old numbers came from
+/// (`BENCH_serving.json`, `BENCH_persist.json`, …).
+pub fn print_comparison(file_label: &str, previous: &[(String, f64)], current: &[BenchLine]) {
     if previous.is_empty() {
         return;
     }
     println!("vs previous {file_label}:");
     for line in current {
-        let Some((_, _, old)) = previous
-            .iter()
-            .find(|(id, threads, _)| *id == line.id && *threads == line.threads)
-        else {
+        let Some((_, old)) = previous.iter().find(|(id, _)| *id == line.id) else {
             continue;
         };
         let ratio = old / line.mean_ns;
-        let label = match line.threads {
-            Some(t) => format!("{} [threads={t}]", line.id),
-            None => line.id.clone(),
-        };
         println!(
-            "  {label}: {:.3} ms -> {:.3} ms ({:.2}x)",
+            "  {}: {:.3} ms -> {:.3} ms ({:.2}x)",
+            line.id,
             old / 1e6,
             line.mean_ns / 1e6,
             ratio
@@ -140,24 +116,13 @@ mod tests {
 
     #[test]
     fn bench_json_round_trips_through_the_line_scanner() {
-        let lines = vec![
-            BenchLine {
-                id: "serving/ingest_post".into(),
-                threads: None,
-                mean_ns: 125000.0,
-                min_ns: 90000.0,
-                max_ns: 410000.0,
-                iterations: 384,
-            },
-            BenchLine {
-                id: "mining/scaling".into(),
-                threads: Some(4),
-                mean_ns: 2.5e6,
-                min_ns: 2.1e6,
-                max_ns: 3.0e6,
-                iterations: 6,
-            },
-        ];
+        let lines = vec![BenchLine {
+            id: "serving/ingest_post".into(),
+            mean_ns: 125000.0,
+            min_ns: 90000.0,
+            max_ns: 410000.0,
+            iterations: 384,
+        }];
         let header = [("tenants", "64".to_string())];
         let text = render_bench_json(&header, &lines);
         assert!(text.contains("\"tenants\": 64"));
@@ -166,12 +131,6 @@ mod tests {
         let path = dir.join("BENCH_test.json");
         std::fs::write(&path, &text).unwrap();
         let parsed = read_bench_json(path.to_str().unwrap());
-        assert_eq!(
-            parsed,
-            vec![
-                ("serving/ingest_post".to_string(), None, 125000.0),
-                ("mining/scaling".to_string(), Some(4), 2500000.0),
-            ]
-        );
+        assert_eq!(parsed, vec![("serving/ingest_post".to_string(), 125000.0)]);
     }
 }

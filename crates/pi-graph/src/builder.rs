@@ -770,12 +770,16 @@ mod tests {
 
     #[test]
     fn parallel_large_build_matches_serial() {
+        // Two workers on every host and at every `PI_THREADS`: the 42 missing pairs stay
+        // far below `PARALLEL_MIN_COST`, so this checks the pre-scan path below the gate,
+        // not the fan-out.
         let log: Vec<Node> = (0..40)
             .map(|i| parse(&format!("SELECT a FROM t WHERE x = {}", i % 7)).unwrap())
             .collect();
         let a = GraphBuilder::new()
             .window(WindowStrategy::AllPairs)
             .parallel(true)
+            .threads(2)
             .build(&log);
         let b = GraphBuilder::new()
             .window(WindowStrategy::AllPairs)
@@ -897,8 +901,9 @@ mod tests {
 
     #[test]
     fn parallel_memoized_build_matches_serial_memoized_build() {
-        // Enough distinct shapes (> 32 missing pairs) to cross the parallel pre-alignment
-        // threshold.
+        // Two workers on every host and at every `PI_THREADS`: the 90 missing pairs stay
+        // far below `PARALLEL_MIN_COST`, so the memo is pre-scanned and the append loop
+        // aligns what it missed.  The seeded tests cover the fan-out itself.
         let log: Vec<Node> = (0..60)
             .map(|i| parse(&format!("SELECT a FROM t WHERE x = {}", i % 10)).unwrap())
             .collect();
@@ -909,6 +914,7 @@ mod tests {
         let parallel = GraphBuilder::new()
             .window(WindowStrategy::AllPairs)
             .parallel(true)
+            .threads(2)
             .build(&log);
         assert_eq!(serial, parallel);
     }

@@ -1,4 +1,4 @@
-//! The write-ahead ingest journal: per-shard, segmented, group-committed.
+//! The write-ahead ingest journal: one active segment, group-committed.
 //!
 //! ## Why
 //!
@@ -11,18 +11,19 @@
 //!
 //! ## Layout
 //!
-//! One append-only segment file per pool shard (`shardNNN-EEEEEEEEEE.wal`), so appends
-//! contend only with their shard's other tenants, never globally.  Each record's payload
-//! carries `(user, thread, base sequence number, statements)`; a tenant's records appear
-//! in its per-shard file in sequence order because the append happens under the tenant
+//! One append-only segment file is active at a time, named by its epoch
+//! (`shard000-EEEEEEEEEE.wal`; the `shardNNN` prefix is left from when the journal kept one
+//! segment per pool shard, and a directory written in that layout still recovers).  Each
+//! record's payload carries `(user, thread, base sequence number, statements)`; every
+//! tenant's records appear in sequence order because the append happens under the tenant
 //! lock, atomically with sequence assignment.
 //!
 //! **Group commit**: the append (buffered write) and the fsync are split.  Appends from
-//! many tenants accumulate while one committer holds the shard's sync lock inside
-//! `sync_data`; when it finishes, it publishes the durable watermark and every batch at or
-//! below it acknowledges without issuing its own fsync.
+//! every tenant accumulate while one committer holds the sync lock inside `sync_data`;
+//! when it finishes, it publishes the durable watermark and every batch at or below it
+//! acknowledges without issuing its own fsync.
 //!
-//! **Checkpointing**: [`Journal::rotate_all`] seals the active segments (fsync, then new
+//! **Checkpointing**: [`Journal::rotate_all`] seals the active segment (fsync, then new
 //! epoch) and the pool persists every tenant's session snapshot; once *all* snapshots are
 //! durable, [`Journal::prune`] deletes the sealed segments.  Snapshots record each
 //! tenant's applied sequence number, so replaying an un-pruned segment over a newer
@@ -77,7 +78,6 @@ impl DurabilityOptions {
 /// segment `epoch` is durable.
 #[derive(Debug, Clone, Copy)]
 pub struct Ticket {
-    shard: usize,
     epoch: u64,
     end: u64,
 }
@@ -133,7 +133,8 @@ struct WalState {
     path: Option<PathBuf>,
     /// Bytes written to the active segment (≥ the durable watermark).
     written: u64,
-    /// Sealed (fsynced, rotated-out) segments awaiting a successful checkpoint's prune.
+    /// Sealed (fsynced, rotated-out) segments, and those inherited from the previous
+    /// process, awaiting a successful checkpoint's prune.
     sealed: Vec<PathBuf>,
 }
 
@@ -143,20 +144,13 @@ struct SyncState {
     durable: u64,
 }
 
-struct ShardJournal {
-    state: Mutex<WalState>,
-    sync: Mutex<SyncState>,
-}
-
-/// The write-ahead journal; see the module docs.  Lock order within a shard is
-/// `sync → state` (commit holds `sync` across the fsync while peeking `state` briefly);
-/// `append` takes only `state`, so appends flow while a sync is in flight — that overlap
-/// *is* the group commit.
+/// The write-ahead journal; see the module docs.  Lock order is `sync → state` (commit
+/// holds `sync` across the fsync while peeking `state` briefly); `append` takes only
+/// `state`, so appends flow while a sync is in flight — that overlap *is* the group commit.
 pub struct Journal {
     opts: DurabilityOptions,
-    shards: Vec<ShardJournal>,
-    /// Segments inherited from the previous process, pruned at the next full checkpoint.
-    recovered_files: Mutex<Vec<PathBuf>>,
+    state: Mutex<WalState>,
+    sync: Mutex<SyncState>,
     appended_records: AtomicU64,
     appended_bytes: AtomicU64,
     syncs: AtomicU64,
@@ -167,8 +161,8 @@ pub struct Journal {
 /// The record tag for an ingest batch (room for future record kinds).
 const TAG_BATCH: u8 = 1;
 
-fn segment_path(dir: &Path, shard: usize, epoch: u64) -> PathBuf {
-    dir.join(format!("shard{shard:03}-{epoch:010}.wal"))
+fn segment_path(dir: &Path, epoch: u64) -> PathBuf {
+    dir.join(format!("shard000-{epoch:010}.wal"))
 }
 
 /// Fsyncs a directory, making the entries created or renamed in it durable: a file's own
@@ -241,13 +235,13 @@ fn decode_batch_record(
 }
 
 impl Journal {
-    /// Opens (or creates) the journal under `opts.dir` with `shards` active segments,
-    /// first scanning every segment left by a previous process into a [`RecoveredLog`].
+    /// Opens (or creates) the journal under `opts.dir`, first scanning every segment left
+    /// by a previous process, under any shard number, into a [`RecoveredLog`].
     ///
     /// Scanned segments stay on disk — they are the durable source of truth until the
-    /// first successful checkpoint prunes them — and new appends go to fresh segments at
+    /// first successful checkpoint prunes them — and new appends go to a fresh segment at
     /// an epoch above every recovered one.
-    pub fn open(opts: DurabilityOptions, shards: usize) -> io::Result<(Journal, RecoveredLog)> {
+    pub fn open(opts: DurabilityOptions) -> io::Result<(Journal, RecoveredLog)> {
         fs::create_dir_all(&opts.dir)?;
         let mut segments: Vec<(usize, u64, PathBuf)> = Vec::new();
         for entry in fs::read_dir(&opts.dir)? {
@@ -304,22 +298,17 @@ impl Journal {
         }
         let next_epoch = segments.iter().map(|s| s.1).max().map_or(0, |e| e + 1);
         let journal = Journal {
-            shards: (0..shards.max(1))
-                .map(|_| ShardJournal {
-                    state: Mutex::new(WalState {
-                        epoch: next_epoch,
-                        file: None,
-                        path: None,
-                        written: 0,
-                        sealed: Vec::new(),
-                    }),
-                    sync: Mutex::new(SyncState {
-                        epoch: next_epoch,
-                        durable: 0,
-                    }),
-                })
-                .collect(),
-            recovered_files: Mutex::new(segments.into_iter().map(|s| s.2).collect()),
+            state: Mutex::new(WalState {
+                epoch: next_epoch,
+                file: None,
+                path: None,
+                written: 0,
+                sealed: segments.into_iter().map(|s| s.2).collect(),
+            }),
+            sync: Mutex::new(SyncState {
+                epoch: next_epoch,
+                durable: 0,
+            }),
             appended_records: AtomicU64::new(0),
             appended_bytes: AtomicU64::new(0),
             syncs: AtomicU64::new(0),
@@ -353,7 +342,7 @@ impl Journal {
         self.failed.load(Ordering::SeqCst)
     }
 
-    /// Appends one record frame to a shard's active segment, returning the [`Ticket`] to
+    /// Appends one record frame to the active segment, returning the [`Ticket`] to
     /// [`commit`](Journal::commit) before acknowledging.
     ///
     /// Callers invoke this under the tenant lock, together with sequence assignment and
@@ -363,18 +352,17 @@ impl Journal {
     /// Any failure marks the whole journal failed: a partial append leaves bytes a later
     /// append would follow, so continuing could make recovery discard *good* records
     /// behind a bad prefix.  Fail-stop is the safe degradation.
-    pub fn append(&self, shard: usize, payload: &[u8]) -> io::Result<Ticket> {
+    pub fn append(&self, payload: &[u8]) -> io::Result<Ticket> {
         if self.is_failed() {
             return Err(io::Error::other("journal is failed"));
         }
         let frame = codec::record_frame(payload);
-        let sj = &self.shards[shard % self.shards.len()];
-        let mut st = sj.state.lock().unwrap_or_else(|p| p.into_inner());
+        let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
         #[cfg(any(test, feature = "faults"))]
         self.fault(FaultOp::JournalAppend)
             .map_err(|e| self.fail(e))?;
         if st.file.is_none() {
-            let path = segment_path(&self.opts.dir, shard % self.shards.len(), st.epoch);
+            let path = segment_path(&self.opts.dir, st.epoch);
             let file = OpenOptions::new()
                 .create(true)
                 .append(true)
@@ -390,7 +378,6 @@ impl Journal {
         file.write_all(&frame).map_err(|e| self.fail(e))?;
         st.written += frame.len() as u64;
         let ticket = Ticket {
-            shard: shard % self.shards.len(),
             epoch: st.epoch,
             end: st.written,
         };
@@ -403,15 +390,14 @@ impl Journal {
         Ok(ticket)
     }
 
-    /// Makes a ticket's bytes durable (group commit): returns once the shard's durable
-    /// watermark covers it, fsyncing at most once — a sync that was already in flight
-    /// when the append landed covers it for free.
+    /// Makes a ticket's bytes durable (group commit): returns once the durable watermark
+    /// covers it, fsyncing at most once — a sync that was already in flight when the
+    /// append landed covers it for free.
     pub fn commit(&self, ticket: Ticket) -> io::Result<()> {
         if self.is_failed() {
             return Err(io::Error::other("journal is failed"));
         }
-        let sj = &self.shards[ticket.shard];
-        let mut sync = sj.sync.lock().unwrap_or_else(|p| p.into_inner());
+        let mut sync = self.sync.lock().unwrap_or_else(|p| p.into_inner());
         if sync.epoch > ticket.epoch || (sync.epoch == ticket.epoch && sync.durable >= ticket.end) {
             return Ok(());
         }
@@ -419,7 +405,7 @@ impl Journal {
         // block here while their records (already appended) accumulate under this sync;
         // when it publishes the watermark they return without syncing.
         let (file, written, epoch) = {
-            let st = sj.state.lock().unwrap_or_else(|p| p.into_inner());
+            let st = self.state.lock().unwrap_or_else(|p| p.into_inner());
             if st.epoch > ticket.epoch {
                 // The segment was sealed (rotation fsyncs before sealing): durable.
                 if st.epoch > sync.epoch {
@@ -449,25 +435,22 @@ impl Journal {
         Ok(())
     }
 
-    /// Seals every shard's active segment (fsync, bump epoch) — step one of a
-    /// checkpoint.  Sealed segments are deleted only by [`prune`](Journal::prune), after
-    /// the checkpoint has made every tenant's snapshot durable.
+    /// Seals the active segment (fsync, bump epoch) — step one of a checkpoint.  Sealed
+    /// segments are deleted only by [`prune`](Journal::prune), after the checkpoint has
+    /// made every tenant's snapshot durable.
     pub fn rotate_all(&self) -> io::Result<()> {
-        for (shard, sj) in self.shards.iter().enumerate() {
-            let mut st = sj.state.lock().unwrap_or_else(|p| p.into_inner());
-            if let Some(file) = &st.file {
-                #[cfg(any(test, feature = "faults"))]
-                self.fault(FaultOp::JournalSync).map_err(|e| self.fail(e))?;
-                file.sync_data().map_err(|e| self.fail(e))?;
-                self.syncs.fetch_add(1, Ordering::Relaxed);
-                st.file = None;
-                if let Some(path) = st.path.take() {
-                    st.sealed.push(path);
-                }
-                st.epoch += 1;
-                st.written = 0;
+        let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
+        if let Some(file) = &st.file {
+            #[cfg(any(test, feature = "faults"))]
+            self.fault(FaultOp::JournalSync).map_err(|e| self.fail(e))?;
+            file.sync_data().map_err(|e| self.fail(e))?;
+            self.syncs.fetch_add(1, Ordering::Relaxed);
+            st.file = None;
+            if let Some(path) = st.path.take() {
+                st.sealed.push(path);
             }
-            let _ = shard;
+            st.epoch += 1;
+            st.written = 0;
         }
         Ok(())
     }
@@ -475,22 +458,12 @@ impl Journal {
     /// Deletes every sealed and recovered segment — step three of a checkpoint, only
     /// after every tenant's snapshot is durable.  Returns how many files were removed.
     pub fn prune(&self) -> u64 {
+        // Taken out first, so that appends never wait on the deletions.
+        let sealed =
+            std::mem::take(&mut self.state.lock().unwrap_or_else(|p| p.into_inner()).sealed);
         let mut pruned = 0u64;
-        for sj in &self.shards {
-            let mut st = sj.state.lock().unwrap_or_else(|p| p.into_inner());
-            for path in st.sealed.drain(..) {
-                if fs::remove_file(&path).is_ok() {
-                    pruned += 1;
-                }
-            }
-        }
-        for path in self
-            .recovered_files
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .drain(..)
-        {
-            if fs::remove_file(&path).is_ok() {
+        for path in &sealed {
+            if fs::remove_file(path).is_ok() {
                 pruned += 1;
             }
         }
@@ -514,7 +487,7 @@ impl Journal {
         }
     }
 
-    /// Simulates the on-disk aftermath of a process crash: every *unsynced* byte of each
+    /// Simulates the on-disk aftermath of a process crash: every *unsynced* byte of the
     /// active segment vanishes (lost page cache), except for a deterministic torn tail of
     /// up to the plan's `torn_keep` bytes (a partial sector flush).  Sealed and recovered
     /// segments were fsynced, so they survive whole.  The journal is unusable afterwards;
@@ -523,20 +496,18 @@ impl Journal {
     pub fn simulate_crash(&self) -> io::Result<()> {
         self.failed.store(true, Ordering::SeqCst);
         let torn = self.opts.faults.as_ref().map_or(0, |plan| plan.torn_keep());
-        for sj in &self.shards {
-            let sync = sj.sync.lock().unwrap_or_else(|p| p.into_inner());
-            let mut st = sj.state.lock().unwrap_or_else(|p| p.into_inner());
-            if let Some(file) = &st.file {
-                let durable = if sync.epoch == st.epoch {
-                    sync.durable
-                } else {
-                    0
-                };
-                let keep = durable + torn.min(st.written.saturating_sub(durable));
-                file.set_len(keep)?;
-                file.sync_data()?;
-                st.written = keep;
-            }
+        let sync = self.sync.lock().unwrap_or_else(|p| p.into_inner());
+        let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
+        if let Some(file) = &st.file {
+            let durable = if sync.epoch == st.epoch {
+                sync.durable
+            } else {
+                0
+            };
+            let keep = durable + torn.min(st.written.saturating_sub(durable));
+            file.set_len(keep)?;
+            file.sync_data()?;
+            st.written = keep;
         }
         Ok(())
     }
@@ -546,7 +517,6 @@ impl std::fmt::Debug for Journal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Journal")
             .field("dir", &self.opts.dir)
-            .field("shards", &self.shards.len())
             .field("failed", &self.is_failed())
             .finish_non_exhaustive()
     }
@@ -577,21 +547,23 @@ mod tests {
     #[test]
     fn append_commit_reopen_round_trips_records() {
         let dir = tmp_dir("roundtrip");
-        let (journal, recovered) = Journal::open(DurabilityOptions::new(&dir), 2).unwrap();
+        let (journal, recovered) = Journal::open(DurabilityOptions::new(&dir)).unwrap();
         assert!(recovered.tenants.is_empty());
         let b1 = batch(&["SELECT a FROM t", "SELECT b FROM t"]);
         let b2 = batch(&["SELECT c FROM u"]);
         let t1 = journal
-            .append(0, &encode_batch_record("ada", "t1", 0, &b1))
+            .append(&encode_batch_record("ada", "t1", 0, &b1))
             .unwrap();
         let t2 = journal
-            .append(1, &encode_batch_record("bob", "t1", 0, &b2))
+            .append(&encode_batch_record("bob", "t1", 0, &b2))
             .unwrap();
         let t3 = journal
-            .append(
-                0,
-                &encode_batch_record("ada", "t1", 2, &batch(&["SELECT d FROM t"])),
-            )
+            .append(&encode_batch_record(
+                "ada",
+                "t1",
+                2,
+                &batch(&["SELECT d FROM t"]),
+            ))
             .unwrap();
         journal.commit(t1).unwrap();
         journal.commit(t2).unwrap();
@@ -601,7 +573,7 @@ mod tests {
         assert!(stats.syncs >= 1, "group commit still syncs at least once");
         drop(journal);
 
-        let (journal, recovered) = Journal::open(DurabilityOptions::new(&dir), 4).unwrap();
+        let (journal, recovered) = Journal::open(DurabilityOptions::new(&dir)).unwrap();
         assert_eq!(recovered.records, 3);
         assert_eq!(recovered.statements, 4);
         assert_eq!(recovered.torn_tails, 0);
@@ -613,24 +585,67 @@ mod tests {
         assert_eq!(bob.len(), 1);
         drop(journal);
         let _ = fs::remove_dir_all(&dir);
+
+        // Segments under several shard numbers, as a journal that kept one segment per pool
+        // shard left them: every record recovers, and appends go to an epoch above them all.
+        let layout = tmp_dir("per-shard-layout");
+        fs::create_dir_all(&layout).unwrap();
+        for (name, user, seq, text) in [
+            ("shard000-0000000000.wal", "ada", 0, "SELECT a FROM t"),
+            ("shard005-0000000000.wal", "bob", 0, "SELECT b FROM u"),
+            ("shard005-0000000001.wal", "bob", 1, "SELECT c FROM u"),
+            ("shard012-0000000001.wal", "ada", 1, "SELECT d FROM t"),
+        ] {
+            let record = encode_batch_record(user, "t1", seq, &batch(&[text]));
+            fs::write(layout.join(name), codec::record_frame(&record)).unwrap();
+        }
+        let (journal, recovered) = Journal::open(DurabilityOptions::new(&layout)).unwrap();
+        assert_eq!(recovered.records, 4);
+        let t = journal
+            .append(&encode_batch_record(
+                "ada",
+                "t1",
+                2,
+                &batch(&["SELECT e FROM t"]),
+            ))
+            .unwrap();
+        journal.commit(t).unwrap();
+        drop(journal);
+        assert!(layout.join("shard000-0000000002.wal").exists());
+        let (_, recovered) = Journal::open(DurabilityOptions::new(&layout)).unwrap();
+        assert_eq!(recovered.records, 5);
+        assert_eq!(recovered.torn_tails, 0);
+        let seqs = |user: &str| -> Vec<u64> {
+            recovered.tenants[&(user.to_string(), "t1".to_string())]
+                .iter()
+                .map(|s| s.seq)
+                .collect()
+        };
+        assert_eq!(seqs("ada"), vec![0, 1, 2]);
+        assert_eq!(seqs("bob"), vec![0, 1]);
+        let _ = fs::remove_dir_all(&layout);
     }
 
     #[test]
     fn torn_tails_are_discarded_never_replayed() {
         let dir = tmp_dir("torn");
-        let (journal, _) = Journal::open(DurabilityOptions::new(&dir), 1).unwrap();
+        let (journal, _) = Journal::open(DurabilityOptions::new(&dir)).unwrap();
         let t = journal
-            .append(
+            .append(&encode_batch_record(
+                "ada",
+                "t1",
                 0,
-                &encode_batch_record("ada", "t1", 0, &batch(&["SELECT a FROM t"])),
-            )
+                &batch(&["SELECT a FROM t"]),
+            ))
             .unwrap();
         journal.commit(t).unwrap();
         let t = journal
-            .append(
-                0,
-                &encode_batch_record("ada", "t1", 1, &batch(&["SELECT b FROM t"])),
-            )
+            .append(&encode_batch_record(
+                "ada",
+                "t1",
+                1,
+                &batch(&["SELECT b FROM t"]),
+            ))
             .unwrap();
         journal.commit(t).unwrap();
         drop(journal);
@@ -642,7 +657,7 @@ mod tests {
             .unwrap();
         let bytes = fs::read(&seg).unwrap();
         fs::write(&seg, &bytes[..bytes.len() - 5]).unwrap();
-        let (_, recovered) = Journal::open(DurabilityOptions::new(&dir), 1).unwrap();
+        let (_, recovered) = Journal::open(DurabilityOptions::new(&dir)).unwrap();
         assert_eq!(recovered.records, 1);
         assert_eq!(recovered.torn_tails, 1);
         assert!(recovered.discarded_bytes > 0);
@@ -655,21 +670,25 @@ mod tests {
     #[test]
     fn rotation_seals_segments_and_prune_deletes_them() {
         let dir = tmp_dir("rotate");
-        let (journal, _) = Journal::open(DurabilityOptions::new(&dir), 1).unwrap();
+        let (journal, _) = Journal::open(DurabilityOptions::new(&dir)).unwrap();
         let t = journal
-            .append(
+            .append(&encode_batch_record(
+                "ada",
+                "t1",
                 0,
-                &encode_batch_record("ada", "t1", 0, &batch(&["SELECT a FROM t"])),
-            )
+                &batch(&["SELECT a FROM t"]),
+            ))
             .unwrap();
         journal.commit(t).unwrap();
         journal.rotate_all().unwrap();
         // Post-rotation appends land in a fresh segment; the sealed one still exists.
         let t = journal
-            .append(
-                0,
-                &encode_batch_record("ada", "t1", 1, &batch(&["SELECT b FROM t"])),
-            )
+            .append(&encode_batch_record(
+                "ada",
+                "t1",
+                1,
+                &batch(&["SELECT b FROM t"]),
+            ))
             .unwrap();
         journal.commit(t).unwrap();
         let wal_files = || {
@@ -684,7 +703,7 @@ mod tests {
         assert_eq!(wal_files(), 1);
         // Only the post-checkpoint record survives on disk.
         drop(journal);
-        let (_, recovered) = Journal::open(DurabilityOptions::new(&dir), 1).unwrap();
+        let (_, recovered) = Journal::open(DurabilityOptions::new(&dir)).unwrap();
         let ada = &recovered.tenants[&("ada".to_string(), "t1".to_string())];
         assert_eq!(ada.len(), 1);
         assert_eq!(ada[0].seq, 1);
@@ -698,21 +717,25 @@ mod tests {
         opts.faults = Some(Arc::new(
             FaultPlan::new().with_io_error(FaultOp::JournalSync, 1),
         ));
-        let (journal, _) = Journal::open(opts, 1).unwrap();
+        let (journal, _) = Journal::open(opts).unwrap();
         let t = journal
-            .append(
+            .append(&encode_batch_record(
+                "ada",
+                "t1",
                 0,
-                &encode_batch_record("ada", "t1", 0, &batch(&["SELECT a FROM t"])),
-            )
+                &batch(&["SELECT a FROM t"]),
+            ))
             .unwrap();
         assert!(journal.commit(t).is_err());
         assert!(journal.is_failed());
         // Fail-stop: later appends are refused rather than risking a gapped log.
         assert!(journal
-            .append(
-                0,
-                &encode_batch_record("ada", "t1", 1, &batch(&["SELECT b FROM t"]))
-            )
+            .append(&encode_batch_record(
+                "ada",
+                "t1",
+                1,
+                &batch(&["SELECT b FROM t"])
+            ))
             .is_err());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -722,23 +745,27 @@ mod tests {
         let dir = tmp_dir("crash");
         let mut opts = DurabilityOptions::new(&dir);
         opts.faults = Some(Arc::new(FaultPlan::new().with_torn_keep(7)));
-        let (journal, _) = Journal::open(opts, 1).unwrap();
+        let (journal, _) = Journal::open(opts).unwrap();
         let t = journal
-            .append(
+            .append(&encode_batch_record(
+                "ada",
+                "t1",
                 0,
-                &encode_batch_record("ada", "t1", 0, &batch(&["SELECT a FROM t"])),
-            )
+                &batch(&["SELECT a FROM t"]),
+            ))
             .unwrap();
         journal.commit(t).unwrap();
         // Appended but never committed: not durable.
         journal
-            .append(
-                0,
-                &encode_batch_record("ada", "t1", 1, &batch(&["SELECT b FROM t"])),
-            )
+            .append(&encode_batch_record(
+                "ada",
+                "t1",
+                1,
+                &batch(&["SELECT b FROM t"]),
+            ))
             .unwrap();
         journal.simulate_crash().unwrap();
-        let (_, recovered) = Journal::open(DurabilityOptions::new(&dir), 1).unwrap();
+        let (_, recovered) = Journal::open(DurabilityOptions::new(&dir)).unwrap();
         let ada = &recovered.tenants[&("ada".to_string(), "t1".to_string())];
         assert_eq!(ada.len(), 1, "only the committed record survives");
         assert_eq!(recovered.torn_tails, 1, "the 7-byte torn tail is detected");

@@ -5,12 +5,12 @@
 //!
 //! Tenants key by `(user_id, thread_id)` and hash to one of `shards` independent
 //! [`Mutex`]-guarded maps, so concurrent tenants contend only when they collide on a shard
-//! — never on one global lock.  The shard lock guards only *membership* (map, LRU stamps,
-//! the archive of evicted tenants); each resident tenant carries its own `Mutex` around
-//! its [`Session`], queue and tail, so applying one tenant's mining work never holds a
-//! shard lock.  Lock order is always shard → tenant, and every queue mutation happens with
-//! the shard lock held, which is what makes eviction race-free: once a tenant leaves the
-//! map, nothing can append to it.
+//! — never on one global lock.  The shard lock guards only *membership* (resident and
+//! evicted tenants, LRU stamps); each tenant carries its own `Mutex` around its
+//! [`Session`], queue and tail, so applying one tenant's mining work never holds a shard
+//! lock.  Lock order is always shard → tenant, and every queue mutation happens with the
+//! shard lock held, which is what makes eviction race-free: once a tenant leaves the
+//! residents, nothing can append to it until it returns.
 //!
 //! ## Backpressure
 //!
@@ -28,9 +28,10 @@
 //! plus its **tail**, the statements applied since.  Persisting a tenant makes the
 //! snapshot its new base and clears the tail, so no tenant keeps its whole history.
 //!
-//! - **Eviction** persists a full shard's least-recently-used tenant and keeps the base
-//!   in the shard's archive; a returning tenant restores it — milliseconds where
-//!   re-mining takes seconds — and continues where it stood, warm memo included.
+//! - **Eviction** persists a full shard's least-recently-used tenant as its base and drops
+//!   its session.  The tenant stays in the shard, beside the residents and not counted
+//!   against capacity; when it returns, its base is restored — milliseconds where
+//!   re-mining takes seconds — and it continues where it stood, warm memo included.
 //! - **Restart**: with a *spill directory* ([`SessionPool::with_spill`], wired to
 //!   `ServerOptions::spill_dir`) each base is also written to disk with its `applied`
 //!   watermark; a pool reopened over the directory restores it, and startup recovery
@@ -38,15 +39,18 @@
 //! - **Quarantine**: when a statement panics the miner, the supervisor restores the base
 //!   and replays the tail without it.
 //!
-//! The rebuilt session is **byte-identical** to one never evicted, restarted or rebuilt
-//! (property-tested in `tests/`); only accumulated wall-clock timings differ.  Eviction,
-//! checkpoints and `close` share one spill step, which skips a tenant whose `applied`
-//! watermark equals its last durable spill: a checkpoint writes only the tenants that
-//! changed, and a tenant whose spill write failed stays dirty until a retry lands.
+//! One function rebuilds a tenant in every case, a tenant whose lock was recovered from
+//! poison included.  The rebuilt session is **byte-identical** to one never evicted,
+//! restarted or rebuilt (property-tested in `tests/`); only accumulated wall-clock timings
+//! differ.  Eviction, checkpoints and `close` share one spill step, which skips a tenant
+//! whose `applied` watermark equals its last durable spill: a checkpoint writes only the
+//! tenants that changed, and a tenant whose spill write failed, resident or evicted, stays
+//! dirty until a retry lands.
 
 use crate::journal::{sync_dir, DurabilityOptions, Journal, JournalStats, RecoveredLog};
 use crate::wire::LogItem;
 use pi_core::{GeneratedInterface, InteractionGraph, PiOptions, Session};
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -146,7 +150,8 @@ impl std::error::Error for EnqueueError {}
 pub struct PoolGauge {
     /// Resident sessions.
     pub occupancy: usize,
-    /// Evicted tenants whose snapshot waits in the archive.
+    /// Evicted tenants: their sessions are dropped, and their snapshots wait in memory for
+    /// their return.
     pub archived: usize,
     /// Statements queued but not yet applied, across all tenants.
     pub queued: usize,
@@ -173,8 +178,8 @@ pub struct PoolGauge {
     /// [`GAUGE_ERROR_SAMPLES`] it encounters).  `skipped` has the full count — this is
     /// the *what*, not the *how many*.
     pub parse_error_samples: Vec<String>,
-    /// Bytes of versioned binary snapshots currently held for evicted tenants (the
-    /// in-memory archive; spill files on disk are not counted).
+    /// Bytes of versioned binary snapshots currently held in memory for evicted tenants
+    /// (spill files on disk are not counted).
     pub snapshot_bytes: usize,
     /// Accumulated wall-clock spent persisting tenant snapshots, milliseconds.
     pub persist_ms: f64,
@@ -190,8 +195,8 @@ pub struct PoolGauge {
     pub quarantined_statements: u64,
     /// A bounded sample of quarantined statements (tenant, dialect, text, panic message).
     pub quarantine_samples: Vec<String>,
-    /// Poisoned mutexes recovered instead of propagated (each flags its tenant for a
-    /// rebuild before the session is trusted again).
+    /// Poisoned mutexes recovered instead of propagated (a tenant's session is rebuilt
+    /// before it is trusted again).
     pub lock_poison_recoveries: u64,
     /// Spill snapshots quarantined (renamed `*.corrupt`) after failing integrity checks.
     pub spill_quarantines: u64,
@@ -217,8 +222,11 @@ pub struct PoolGauge {
 /// garbage flood cannot bloat the endpoint.
 pub const GAUGE_ERROR_SAMPLES: usize = 8;
 
+#[derive(Default)]
 struct TenantInner {
-    session: Session,
+    /// `None` from eviction, admission or a recovered poisoned lock until the next use
+    /// rebuilds it from `base` and `tail` ([`SessionPool::rebuild_tenant`]).
+    session: Option<Session>,
     /// The snapshot the tenant was last restored from or persisted to; `None` while it has
     /// been neither, when the base is an empty session.
     base: Option<Arc<Vec<u8>>>,
@@ -236,26 +244,9 @@ struct TenantInner {
     /// The `applied` watermark of the tenant's last durable spill (0 without one).  Equal
     /// to `applied` means the spill already covers the tenant and the spill step skips it.
     spilled: u64,
-    /// Set when a poisoned tenant lock was recovered: the session may be mid-mutation and
-    /// must be rebuilt from durable state before it is trusted again.
-    suspect: bool,
 }
 
 impl TenantInner {
-    /// A tenant with no base, no tail and nothing applied.
-    fn new(session: Session) -> TenantInner {
-        TenantInner {
-            session,
-            base: None,
-            tail: Vec::new(),
-            queue: VecDeque::new(),
-            dispatched: false,
-            applied: 0,
-            spilled: 0,
-            suspect: false,
-        }
-    }
-
     /// The journal sequence number of the next statement accepted.
     fn next_seq(&self) -> u64 {
         self.applied + self.queue.len() as u64
@@ -272,19 +263,12 @@ struct Resident {
     last_used: u64,
 }
 
-/// What the shard keeps for an evicted tenant: its base, persisted at eviction, and the
-/// watermarks `TenantInner::applied` and `TenantInner::spilled` it had then.
-struct ArchiveEntry {
-    snapshot: Arc<Vec<u8>>,
-    applied: u64,
-    spilled: u64,
-}
-
 #[derive(Default)]
 struct Shard {
     tenants: HashMap<TenantId, Resident>,
-    /// Evicted tenants' snapshots, awaiting rehydration if they return.
-    archive: HashMap<TenantId, ArchiveEntry>,
+    /// Evicted tenants, without sessions and not counted against capacity; a touch makes
+    /// one resident again.
+    evicted: HashMap<TenantId, Arc<Tenant>>,
     /// LRU clock: bumps on every touch; the resident with the smallest stamp is evicted.
     clock: u64,
 }
@@ -334,9 +318,7 @@ pub struct SessionPool {
     persist_us: AtomicU64,
     restore_us: AtomicU64,
     last_recovery_us: AtomicU64,
-    /// Numbers spill temp files, so that concurrent writers of one tenant's spill (an
-    /// orphaned incarnation a checkpoint still holds, and the re-admitted tenant) never
-    /// share a temp file.
+    /// Numbers spill temp files, so that no two spill writes share a temp file.
     spill_writes: AtomicU64,
 }
 
@@ -349,14 +331,11 @@ fn lock_or_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// A shard's resident tenants, listed under its lock so that callers lock each tenant
-/// after releasing it.
-fn residents(shard: &Shard) -> Vec<Arc<Tenant>> {
-    shard
-        .tenants
-        .values()
-        .map(|r| Arc::clone(&r.tenant))
-        .collect()
+/// A shard's resident tenants, then its evicted ones, listed under its lock so that
+/// callers lock each tenant after releasing it.
+fn tenants(shard: &Shard) -> Vec<Arc<Tenant>> {
+    let residents = shard.tenants.values().map(|r| &r.tenant);
+    residents.chain(shard.evicted.values()).cloned().collect()
 }
 
 /// Renders a caught panic payload for counters and quarantine samples.
@@ -423,7 +402,7 @@ impl SessionPool {
     /// any spilled tenant's full mining state on first touch instead of starting empty.
     ///
     /// Spilling is best-effort — the directory is created if missing, a failed write
-    /// leaves the tenant dirty for the next spill step to retry (the in-memory archive
+    /// leaves the tenant dirty for the next spill step to retry (its base in memory
     /// preserves all single-process guarantees meanwhile), and a spill file whose
     /// integrity check fails on read is quarantined (renamed `*.corrupt`) and the tenant
     /// starts empty, with journal replay restoring whatever the journal still holds.
@@ -450,7 +429,7 @@ impl SessionPool {
         let (journal, recovered) = match opts.durability.clone() {
             Some(durability) => {
                 let (journal, recovered) =
-                    Journal::open(durability, shards).expect("open write-ahead journal");
+                    Journal::open(durability).expect("open write-ahead journal");
                 (Some(journal), Some(recovered))
             }
             None => (None, None),
@@ -580,8 +559,7 @@ impl SessionPool {
             return Ok(0);
         }
         let key: TenantId = (user_id.to_string(), thread_id.to_string());
-        let shard_idx = self.shard_of(&key);
-        let mut guard = self.lock_shard(&self.shards[shard_idx]);
+        let mut guard = self.lock_shard(&self.shards[self.shard_of(&key)]);
         let tenant = self.resident(&mut guard, &key);
         let (accepted, ticket) = {
             let mut inner = self.lock_tenant(&tenant);
@@ -600,7 +578,7 @@ impl SessionPool {
                         inner.next_seq(),
                         &statements,
                     );
-                    match journal.append(shard_idx, &record) {
+                    match journal.append(&record) {
                         Ok(ticket) => Some(ticket),
                         Err(err) => return Err(EnqueueError::Journal(err.to_string())),
                     }
@@ -658,9 +636,10 @@ impl SessionPool {
         read: impl FnOnce(&mut Session) -> T,
     ) -> Option<T> {
         let key: TenantId = (user_id.to_string(), thread_id.to_string());
-        let mut guard = self.lock_shard(&self.shards[self.shard_of(&key)]);
+        let shard = &self.shards[self.shard_of(&key)];
+        let mut guard = self.lock_shard(shard);
         let known = guard.tenants.contains_key(&key)
-            || guard.archive.contains_key(&key)
+            || guard.evicted.contains_key(&key)
             || self.has_spill(&key);
         if !known {
             return None;
@@ -668,8 +647,16 @@ impl SessionPool {
         let tenant = self.resident(&mut guard, &key);
         drop(guard);
         let mut inner = self.lock_tenant(&tenant);
+        let rebuilds = inner.session.is_none();
         self.apply_supervised(&tenant, &mut inner);
-        Some(read(&mut inner.session))
+        let value = read(self.session(&tenant, &mut inner));
+        drop(inner);
+        // An eviction between the two locks must not leave the tenant the session rebuilt
+        // here (dropping a session is always safe: its base and tail remain).
+        if rebuilds && self.lock_shard(shard).evicted.contains_key(&key) {
+            self.lock_tenant(&tenant).session = None;
+        }
+        Some(value)
     }
 
     /// Applies every queued statement for one tenant without snapshotting.  Used by tests
@@ -711,24 +698,31 @@ impl SessionPool {
             ..PoolGauge::default()
         };
         for shard in &self.shards {
-            let tenants = {
+            let (tenants, evicted) = {
                 let guard = self.lock_shard(shard);
-                gauge.archived += guard.archive.len();
-                let archived = guard.archive.values().map(|e| e.snapshot.len());
-                gauge.snapshot_bytes += archived.sum::<usize>();
-                residents(&guard)
+                (tenants(&guard), guard.evicted.len())
             };
-            gauge.occupancy += tenants.len();
-            for tenant in tenants {
-                let inner = self.lock_tenant(&tenant);
+            let (residents, evicted) = tenants.split_at(tenants.len() - evicted);
+            gauge.occupancy += residents.len();
+            gauge.archived += evicted.len();
+            for tenant in evicted {
+                let base = self.lock_tenant(tenant).base.clone();
+                gauge.snapshot_bytes += base.map_or(0, |base| base.len());
+            }
+            for tenant in residents {
+                let inner = self.lock_tenant(tenant);
                 gauge.queued += inner.queue.len();
-                gauge.queries += inner.session.len();
-                gauge.skipped += inner.session.skipped();
-                let timings = inner.session.timings();
+                // A tenant back from eviction has no session until its first use.
+                let Some(session) = &inner.session else {
+                    continue;
+                };
+                gauge.queries += session.len();
+                gauge.skipped += session.skipped();
+                let timings = session.timings();
                 gauge.parse_ms += timings.parse_ms;
                 gauge.mining_ms += timings.mining_ms;
                 gauge.mapping_ms += timings.mapping_ms;
-                for error in inner.session.parse_errors().entries() {
+                for error in session.parse_errors().entries() {
                     if gauge.parse_error_samples.len() >= GAUGE_ERROR_SAMPLES {
                         break;
                     }
@@ -740,10 +734,10 @@ impl SessionPool {
     }
 
     /// Graceful shutdown: stop accepting, join the workers, then drain every remaining
-    /// queue.  With a spill directory, every resident that changed since its last spill is
-    /// also spilled, so a pool reopened over the same directory rehydrates *all* tenants —
-    /// not just the previously evicted ones.  With durability, a final checkpoint then
-    /// prunes the journal the spills now cover.  Idempotent.
+    /// queue.  With a spill directory, every tenant, resident or evicted, that changed since
+    /// its last spill is also spilled, so a pool reopened over the same directory
+    /// rehydrates *all* tenants.  With durability, a final checkpoint then prunes the
+    /// journal the spills now cover.  Idempotent.
     pub fn close(&self) {
         // Let an in-flight recovery finish first: its replay work must not race the
         // drain, and an interrupted recovery must keep `recovering` set so no checkpoint
@@ -758,7 +752,7 @@ impl SessionPool {
             let _ = handle.join();
         }
         for shard in &self.shards {
-            let tenants = residents(&self.lock_shard(shard));
+            let tenants = tenants(&self.lock_shard(shard));
             for tenant in tenants {
                 let mut inner = self.lock_tenant(&tenant);
                 if self.spill_dir.is_some() {
@@ -768,7 +762,7 @@ impl SessionPool {
                 }
             }
         }
-        // Every resident is drained and spilled: a full checkpoint now prunes the
+        // Every tenant is drained and spilled: a full checkpoint now prunes the
         // journal, so the next open restores from snapshots in milliseconds instead of
         // replaying the whole log.
         if self.journal.is_some() && !self.recovering.load(Ordering::Acquire) {
@@ -783,8 +777,9 @@ impl SessionPool {
         (hasher.finish() as usize) % self.shards.len()
     }
 
-    /// Looks up (or creates / rehydrates) the resident tenant for `key`, touching its LRU
-    /// stamp.  Called with the shard lock held; may evict the shard's LRU tenant.
+    /// Looks up the resident tenant for `key` (bringing it back from eviction, or admitting
+    /// it), touching its LRU stamp.  Called with the shard lock held; may evict the shard's
+    /// LRU tenant.
     fn resident(&self, shard: &mut Shard, key: &TenantId) -> Arc<Tenant> {
         shard.clock += 1;
         let stamp = shard.clock;
@@ -797,36 +792,14 @@ impl SessionPool {
         if shard.tenants.len() >= shard_cap {
             self.evict_lru(shard);
         }
-        // A tenant arriving here has no tail.  An evicted tenant finds its base in the
-        // archive, a tenant from before a restart finds it in its spill file (recovery then
-        // replays the journal past the spill's watermark), and a new tenant has none.
-        let restored = match shard.archive.remove(key) {
-            Some(entry) => self.restore(entry.snapshot, entry.applied, entry.spilled),
-            None => match self.read_spill(key) {
-                SpillRead::Loaded { applied, snapshot } => {
-                    let restored = self.restore(Arc::new(snapshot), applied, applied);
-                    if restored.is_none() {
-                        // The spill framing was intact but the embedded snapshot failed
-                        // its integrity checks.
-                        self.quarantine_spill(key);
-                    }
-                    restored
-                }
-                SpillRead::Corrupt => {
-                    self.quarantine_spill(key);
-                    None
-                }
-                SpillRead::Missing => None,
-            },
+        // An evicted tenant returns as it left, and its first use rebuilds its session.
+        let tenant = match shard.evicted.remove(key) {
+            Some(tenant) => {
+                self.rehydrations.fetch_add(1, Ordering::Relaxed);
+                tenant
+            }
+            None => self.admit(key),
         };
-        // A tenant whose spill was quarantined starts at sequence zero, so an un-pruned
-        // journal replays its whole log over the empty session.
-        let inner =
-            restored.unwrap_or_else(|| TenantInner::new(Session::new(self.opts.session.clone())));
-        let tenant = Arc::new(Tenant {
-            key: key.clone(),
-            inner: Mutex::new(inner),
-        });
         shard.tenants.insert(
             key.clone(),
             Resident {
@@ -837,25 +810,34 @@ impl SessionPool {
         tenant
     }
 
-    /// Restores a tenant from its base snapshot with the given watermarks; `None` when the
-    /// snapshot fails its integrity checks.
-    fn restore(&self, base: Arc<Vec<u8>>, applied: u64, spilled: u64) -> Option<TenantInner> {
-        let start = Instant::now();
-        let session =
-            Session::restore_with(&mut base.as_slice(), self.opts.session.clone()).ok()?;
-        self.restore_us
-            .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
-        self.rehydrations.fetch_add(1, Ordering::Relaxed);
-        Some(TenantInner {
-            base: Some(base),
-            applied,
-            spilled,
-            ..TenantInner::new(session)
-        })
+    /// A tenant the pool does not hold: one from before a restart when its spill file reads,
+    /// else a new one.  A spilled tenant is rebuilt at once, so that a base that fails to
+    /// restore has started over at sequence 0 before recovery or a journaled enqueue reads
+    /// the tenant's next sequence; recovery replays the journal past that sequence.
+    fn admit(&self, key: &TenantId) -> Arc<Tenant> {
+        let tenant = Arc::new(Tenant {
+            key: key.clone(),
+            inner: Mutex::default(),
+        });
+        match self.read_spill(key) {
+            SpillRead::Loaded { applied, snapshot } => {
+                let mut inner = self.lock_tenant(&tenant);
+                inner.base = Some(Arc::new(snapshot));
+                inner.applied = applied;
+                inner.spilled = applied;
+                self.rebuild_tenant(&tenant, &mut inner, None);
+                if inner.base.is_some() {
+                    self.rehydrations.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            SpillRead::Corrupt => self.quarantine_spill(key),
+            SpillRead::Missing => {}
+        }
+        tenant
     }
 
-    /// Evicts the least-recently-used tenant of a shard: spills it and archives its base,
-    /// dropping its session.  Called with the shard lock held.
+    /// Evicts the least-recently-used tenant of a shard: spills it, drops its session and
+    /// moves it among the evicted.  Called with the shard lock held.
     fn evict_lru(&self, shard: &mut Shard) {
         let Some(victim_key) = shard
             .tenants
@@ -865,23 +847,24 @@ impl SessionPool {
         else {
             return;
         };
-        let resident = shard.tenants.remove(&victim_key).expect("victim resident");
-        let mut inner = self.lock_tenant(&resident.tenant);
+        let victim = shard
+            .tenants
+            .remove(&victim_key)
+            .expect("victim resident")
+            .tenant;
+        let mut inner = self.lock_tenant(&victim);
         // This runs under the shard lock — eviction is rare and the backlog small, and it
-        // must be atomic with removal or a late worker would apply to an orphaned session.
-        // The spill step leaves the base current even when its write fails, so the archive
-        // holds the whole tenant; one that never applied a statement has nothing to keep.
-        self.spill(&resident.tenant, &mut inner);
-        if let Some(snapshot) = inner.base.take() {
-            shard.archive.insert(
-                victim_key,
-                ArchiveEntry {
-                    snapshot,
-                    applied: inner.applied,
-                    spilled: inner.spilled,
-                },
-            );
-        }
+        // must be atomic with removal or a late worker would apply to an evicted session.
+        // The spill step leaves the base current even when its write fails, so the base and
+        // tail hold the whole tenant once its session and buffers are dropped.
+        self.spill(&victim, &mut inner);
+        inner.session = None;
+        inner.queue.shrink_to_fit();
+        inner.tail.shrink_to_fit();
+        // A worker skips an evicted tenant's dispatch entry, so a return must dispatch anew.
+        inner.dispatched = false;
+        drop(inner);
+        shard.evicted.insert(victim_key, victim);
         self.evictions.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -897,8 +880,8 @@ impl SessionPool {
         }
         if inner.base.is_none() || !inner.tail.is_empty() {
             let start = Instant::now();
-            let bytes = inner
-                .session
+            let bytes = self
+                .session(tenant, inner)
                 .persist_to_vec()
                 .expect("persisting a session into memory cannot fail");
             self.persist_us
@@ -1129,16 +1112,37 @@ impl SessionPool {
         })
     }
 
-    /// Locks a tenant, recovering a poisoned lock by flagging the tenant `suspect`: its
-    /// session may be mid-mutation, so the next supervised apply rebuilds it from
-    /// durable state (base snapshot + tail) before trusting it again.
+    /// Locks a tenant, recovering a poisoned lock by dropping the tenant's session: it may
+    /// be mid-mutation, so its next use rebuilds it from durable state (base snapshot +
+    /// tail) before it is trusted again.
     fn lock_tenant<'a>(&self, tenant: &'a Tenant) -> MutexGuard<'a, TenantInner> {
         tenant.inner.lock().unwrap_or_else(|poisoned| {
             self.lock_poison_recoveries.fetch_add(1, Ordering::Relaxed);
             let mut inner = poisoned.into_inner();
-            inner.suspect = true;
+            if inner.session.take().is_some() {
+                self.session_rebuilds.fetch_add(1, Ordering::Relaxed);
+                self.sample_rebuild(tenant, "tenant lock was recovered from poison");
+            }
             inner
         })
+    }
+
+    /// Samples why a session is rebuilt; a rebuild that quarantines statements samples
+    /// them instead.
+    fn sample_rebuild(&self, tenant: &Tenant, reason: &str) {
+        let mut samples = lock_or_recover(&self.quarantine_samples);
+        if samples.len() < GAUGE_ERROR_SAMPLES {
+            let (user, thread) = &tenant.key;
+            samples.push(format!("{user}/{thread} session rebuilt: {reason}"));
+        }
+    }
+
+    /// The tenant's session, rebuilt from its base and tail first when it has none.
+    fn session<'i>(&self, tenant: &Tenant, inner: &'i mut TenantInner) -> &'i mut Session {
+        if inner.session.is_none() {
+            self.rebuild_tenant(tenant, inner, None);
+        }
+        inner.session.as_mut().expect("a rebuild leaves a session")
     }
 
     #[cfg(any(test, feature = "faults"))]
@@ -1158,48 +1162,39 @@ impl SessionPool {
     /// cache instead of re-parsing.  Streaming a backlog in one call is byte-identical to
     /// streaming it one statement per call, as `rebuild_tenant` does
     /// (property-tested), so a rebuild reproduces the live session exactly.
-    fn apply_pending(&self, inner: &mut TenantInner) -> usize {
-        let applied = inner.queue.len();
-        if applied == 0 {
-            return 0;
-        }
+    fn apply_pending(&self, inner: &mut TenantInner) {
         let start = inner.tail.len();
+        inner.applied += inner.queue.len() as u64;
         inner.tail.extend(inner.queue.drain(..));
-        inner.applied += applied as u64;
         #[cfg(any(test, feature = "faults"))]
         let plan = self.fault_plan();
-        inner
-            .session
-            .push_stream_tagged(inner.tail[start..].iter().map(|(d, t)| {
-                #[cfg(any(test, feature = "faults"))]
-                if let Some(plan) = plan {
-                    plan.check_statement(t);
-                }
-                (*d, &**t)
-            }));
-        applied
+        let session = inner.session.as_mut().expect("apply_supervised built it");
+        session.push_stream_tagged(inner.tail[start..].iter().map(|(d, t)| {
+            #[cfg(any(test, feature = "faults"))]
+            if let Some(plan) = plan {
+                plan.check_statement(t);
+            }
+            (*d, &**t)
+        }));
     }
 
     /// The supervised apply: drains the queue under `catch_unwind`, so a statement that
     /// panics the miner takes down neither the worker nor the pool.  The unwind is
     /// caught *inside* the caller's lock scope — the tenant mutex is never poisoned by
     /// it — and the session, left in an unknown state by the unwind, is rebuilt from
-    /// durable state with the offending statement quarantined.  Also the entry point
-    /// that heals a `suspect` tenant (poisoned-lock recovery) before its session is
-    /// used.  Returns how many statements left the queue.
+    /// durable state with the offending statement quarantined.  A tenant without a
+    /// session is rebuilt first.  Returns how many statements left the queue.
     fn apply_supervised(&self, tenant: &Tenant, inner: &mut TenantInner) -> usize {
-        if inner.suspect {
-            self.rebuild_tenant(tenant, inner, "tenant lock was recovered from poison");
-        }
         let pending = inner.queue.len();
         if pending == 0 {
             return 0;
         }
+        self.session(tenant, inner);
         let outcome = catch_unwind(AssertUnwindSafe(|| self.apply_pending(inner)));
         if let Err(payload) = outcome {
             self.worker_panics.fetch_add(1, Ordering::Relaxed);
             let message = panic_message(payload.as_ref());
-            self.rebuild_tenant(tenant, inner, &message);
+            self.rebuild_tenant(tenant, inner, Some(&message));
         }
         // Either way the queue was drained into the tail (the drain precedes the mining),
         // so `pending` statements left the queue.
@@ -1207,27 +1202,57 @@ impl SessionPool {
         pending
     }
 
-    /// Rebuilds a tenant's session from durable state: restore the base snapshot (or
-    /// start fresh), then replay the tail through [`Session::push_stream_tagged`] one
-    /// statement per call, each individually supervised — statements that panic even in
-    /// isolation are quarantined (dropped from the tail, counted, sampled) and the rebuild
-    /// restarts without them, so one poisonous statement cannot wedge the tenant forever.
-    fn rebuild_tenant(&self, tenant: &Tenant, inner: &mut TenantInner, reason: &str) {
-        self.session_rebuilds.fetch_add(1, Ordering::Relaxed);
-        // Fold any still-queued statements into the tail so the rebuild covers them
-        // (apply_pending drains before mining, so this is normally a no-op).
-        inner.applied += inner.queue.len() as u64;
-        inner.tail.extend(inner.queue.drain(..));
-        let opts = self.opts.session.clone();
+    /// The one path that rebuilds a tenant's session from durable state: restore the base
+    /// snapshot (a new session without one), then replay the tail through
+    /// [`Session::push_stream_tagged`] one statement per call, each individually
+    /// supervised — statements that panic even in isolation are quarantined (dropped from
+    /// the tail, counted, sampled) and the rebuild restarts without them, so one poisonous
+    /// statement cannot wedge the tenant forever.  Queued statements stay queued.
+    ///
+    /// `reason` is the panic message when a statement panicked the miner, and the rebuild is
+    /// counted and sampled as a session rebuild.  It is `None` for a tenant without a
+    /// session: back from eviction, read from its spill file, new, or with its poisoned
+    /// lock recovered.
+    ///
+    /// A base that fails to restore has one outcome, whether it was read from a spill file
+    /// or persisted by this process (which only a bug can make fail): the tenant starts
+    /// over at sequence 0, as a new tenant does.  Its spill file is quarantined and its
+    /// tail dropped, so the next restart replays whatever the journal still holds of it.
+    fn rebuild_tenant(&self, tenant: &Tenant, inner: &mut TenantInner, reason: Option<&str>) {
+        if reason.is_some() {
+            self.session_rebuilds.fetch_add(1, Ordering::Relaxed);
+        }
+        let opts = &self.opts.session;
         let base = inner.base.clone();
+        let restore = || {
+            let Some(bytes) = &base else {
+                return Some(Session::new(opts.clone()));
+            };
+            let start = Instant::now();
+            let session = Session::restore_with(&mut bytes.as_slice(), opts.clone()).ok();
+            self.restore_us
+                .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
+            session
+        };
+        let Some(restored) = restore() else {
+            self.quarantine_spill(&tenant.key);
+            inner.base = None;
+            inner.tail.clear();
+            inner.applied = 0;
+            inner.spilled = 0;
+            inner.session = Some(Session::new(opts.clone()));
+            return;
+        };
+        // The first attempt takes the session restored above; a restart after a
+        // quarantine restores the base again.
+        let restored = Cell::new(Some(restored));
         let tail = std::mem::take(&mut inner.tail);
         #[cfg(any(test, feature = "faults"))]
         let plan = self.fault_plan().cloned();
         let outcome = Session::rebuild_quarantining(
-            || match &base {
-                Some(bytes) => Session::restore_with(&mut bytes.as_slice(), opts.clone())
-                    .expect("a base restores: this pool restored or persisted it"),
-                None => Session::new(opts.clone()),
+            || {
+                let session = restored.take().or_else(&restore);
+                session.expect("the base restored once")
             },
             &tail,
             |session, dialect, text| {
@@ -1238,17 +1263,12 @@ impl SessionPool {
                 session.push_stream_tagged([(dialect, text)]);
             },
         );
-        inner.session = outcome.session;
+        inner.session = Some(outcome.session);
         if outcome.quarantined.is_empty() {
             inner.tail = tail;
-            // The rebuild replayed cleanly (a transient panic, or a poisoned lock whose
-            // damage never reached the session) — sample why it ran anyway.
-            let mut samples = lock_or_recover(&self.quarantine_samples);
-            if samples.len() < GAUGE_ERROR_SAMPLES {
-                samples.push(format!(
-                    "{}/{} session rebuilt: {reason}",
-                    tenant.key.0, tenant.key.1
-                ));
+            // A transient panic: the rebuild replayed cleanly.
+            if let Some(reason) = reason {
+                self.sample_rebuild(tenant, reason);
             }
         } else {
             self.quarantined_statements
@@ -1276,7 +1296,6 @@ impl SessionPool {
                 .map(|(_, item)| item.clone())
                 .collect();
         }
-        inner.suspect = false;
     }
 
     /// Startup recovery (runs on its own thread): for every tenant the journal scan
@@ -1344,8 +1363,8 @@ impl SessionPool {
             .unwrap_or(crate::wire::UNRECOGNIZED_DIALECT)
     }
 
-    /// Runs a checkpoint: seal the journal's active segments, run the spill step on every
-    /// tenant (resident or archived) that changed since its last durable spill, and — only
+    /// Runs a checkpoint: seal the journal's active segment, run the spill step on every
+    /// tenant (resident or evicted) that changed since its last durable spill, and — only
     /// if *every* tenant is then durably covered — prune the sealed segments.  Incomplete
     /// checkpoints leave the journal intact: recovery replays more than strictly
     /// necessary, never less.  Returns whether the full checkpoint (including the prune)
@@ -1366,20 +1385,7 @@ impl SessionPool {
         }
         let mut all_durable = true;
         for shard in &self.shards {
-            let tenants = {
-                let mut guard = self.lock_shard(shard);
-                // Archived tenants spilled at eviction; retry the ones whose write failed.
-                for (key, entry) in &mut guard.archive {
-                    if entry.spilled != entry.applied {
-                        if self.write_spill(key, &entry.snapshot, entry.applied) {
-                            entry.spilled = entry.applied;
-                        } else {
-                            all_durable = false;
-                        }
-                    }
-                }
-                residents(&guard)
-            };
+            let tenants = tenants(&self.lock_shard(shard));
             for tenant in tenants {
                 let mut inner = self.lock_tenant(&tenant);
                 all_durable &= self.spill(&tenant, &mut inner);
@@ -2183,6 +2189,35 @@ mod tests {
         drop(first);
         let second = durable_pool(1, DurabilityOptions::new(&dir));
         second.wait_ready();
+        assert_same(&second, &script);
+        second.close();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn close_retries_a_failed_eviction_spill_without_a_journal() {
+        let dir = scratch("close-retries-eviction");
+        let opts = PoolOptions {
+            capacity: 1,
+            shards: 1,
+            queue_depth: 64,
+            workers: 1,
+            ..PoolOptions::default()
+        };
+        let first = SessionPool::with_spill(opts.clone(), Some(dir.clone()));
+        let script: Vec<String> = (0..3).map(sql).collect();
+        push(&first, "ada", &script);
+        // A regular file in the spill directory's place fails every spill write, whatever
+        // the user's permissions: bob's arrival evicts ada, and her spill write fails.
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::write(&dir, b"not a directory").unwrap();
+        push(&first, "bob", &[sql(9)]);
+        assert_eq!(first.gauge().evictions, 1);
+        std::fs::remove_file(&dir).unwrap();
+        std::fs::create_dir(&dir).unwrap();
+        first.close();
+        drop(first);
+        let second = SessionPool::with_spill(opts, Some(dir.clone()));
         assert_same(&second, &script);
         second.close();
         let _ = std::fs::remove_dir_all(&dir);

@@ -303,7 +303,10 @@ proptest! {
     }
 
     /// Parallel and serial interaction-graph builds over the same log are identical: same
-    /// edges, same diff ids, same records, in the same order.
+    /// edges, same diff ids, same records, in the same order.  Two workers on every host and
+    /// at every `PI_THREADS`; these logs stay below `PARALLEL_MIN_COST`, so the two-worker
+    /// build takes the memo pre-scan path, not the fan-out, which the seeded tests and
+    /// `--exp all` at 4 threads cover.
     #[test]
     fn parallel_and_serial_graph_builds_are_identical(
         queries in prop::collection::vec(arb_query(), 2..24),
@@ -317,6 +320,7 @@ proptest! {
             let parallel = GraphBuilder::new()
                 .window(window)
                 .parallel(true)
+                .threads(2)
                 .build(queries.clone());
             prop_assert_eq!(&serial, &parallel);
         }

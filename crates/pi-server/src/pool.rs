@@ -2290,6 +2290,176 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The statements behind `tests/persistence.rs`'s golden snapshot: both dialects, a
+    /// repeated shape and one garbage statement.
+    fn golden_statements() -> Vec<(Dialect, &'static str)> {
+        vec![
+            (Dialect::SQL, "SELECT day, sales FROM t WHERE cty = 'USA'"),
+            (Dialect::SQL, "SELECT day, costs FROM t WHERE cty = 'EUR'"),
+            (Dialect::FRAMES, "t.filter(x == 2).select(day)"),
+            (Dialect::SQL, "THIS IS NOT SQL"),
+            (Dialect::SQL, "SELECT day, sales FROM t WHERE cty = 'USA'"),
+            (Dialect::FRAMES, "t.filter(x == 9).select(day)"),
+            (
+                Dialect::SQL,
+                "SELECT day, sales FROM t WHERE cty = 'CHN' ORDER BY day",
+            ),
+        ]
+    }
+
+    /// One batch of the journal fixture: user, base sequence and statements (thread `t1`).
+    type Batch = (&'static str, u64, Vec<(Dialect, &'static str)>);
+
+    /// The journal fixture's batches in append order.
+    fn journal_batches() -> Vec<Batch> {
+        let golden = golden_statements();
+        let frames = [
+            "t.filter(x == 1).select(a)",
+            "t.filter(x == 2).select(a)",
+            "t.filter(y == 2).select(a)",
+        ];
+        vec![
+            ("ada", 0, golden[..3].to_vec()),
+            (
+                "bob",
+                0,
+                frames[..2].iter().map(|t| (Dialect::FRAMES, *t)).collect(),
+            ),
+            ("ada", 3, golden[3..].to_vec()),
+            ("bob", 2, vec![(Dialect::FRAMES, frames[2])]),
+        ]
+    }
+
+    /// The statements the journal fixture holds for `user`, in sequence order.
+    fn journaled_statements(user: &str) -> Vec<(Dialect, &'static str)> {
+        let batches = journal_batches().into_iter().filter(|b| b.0 == user);
+        batches.flat_map(|b| b.2).collect()
+    }
+
+    /// The bytes of fixture `name` under `tests/fixtures/`, written by `generate` first
+    /// when `PI_REGEN_GOLDEN` is set (as `tests/persistence.rs` regenerates its own).
+    fn golden_fixture(name: &str, generate: impl FnOnce() -> Vec<u8>) -> Vec<u8> {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/fixtures")
+            .join(name);
+        if std::env::var_os("PI_REGEN_GOLDEN").is_some() {
+            std::fs::write(&path, generate()).unwrap();
+        }
+        std::fs::read(&path).unwrap_or_else(|_| {
+            panic!("fixture {name} missing: generate it with PI_REGEN_GOLDEN=1 cargo test -p pi-server")
+        })
+    }
+
+    /// Asserts that the pool's tenant `user/t1` serves what a fresh mine of `statements`
+    /// serves: same version, skip count, graph and interface.
+    fn assert_mines(pool: &SessionPool, user: &str, statements: &[(Dialect, &str)]) {
+        let mut fresh = Session::new(PiOptions::default());
+        fresh.push_stream_tagged(statements.iter().copied());
+        let pooled = pool.snapshot(user, "t1").expect("the tenant is known");
+        let mined = fresh.snapshot();
+        assert_eq!(
+            (pooled.version, pooled.skipped),
+            (mined.version, mined.skipped)
+        );
+        assert_eq!(pool.graph(user, "t1").unwrap(), fresh.graph());
+        assert_eq!(pooled.interface.describe(), mined.interface.describe());
+    }
+
+    #[test]
+    fn a_spill_file_from_an_earlier_build_restores() {
+        let key: TenantId = ("ada".to_string(), "t1".to_string());
+        let bytes = golden_fixture("tenant_spill.pisnap", || {
+            let dir = scratch("spill-fixture-regen");
+            let pool = durable_pool(4, DurabilityOptions::new(&dir));
+            pool.wait_ready();
+            pool.enqueue_tagged("ada", "t1", golden_statements())
+                .unwrap();
+            assert!(pool.checkpoint());
+            let bytes = std::fs::read(pool.spill_path(&key).unwrap()).unwrap();
+            pool.close();
+            let _ = std::fs::remove_dir_all(&dir);
+            bytes
+        });
+        let dir = scratch("spill-fixture");
+        let pool = durable_pool(4, DurabilityOptions::new(&dir));
+        pool.wait_ready();
+        std::fs::write(pool.spill_path(&key).unwrap(), &bytes).unwrap();
+        let SpillRead::Loaded { applied, snapshot } = pool.read_spill(&key) else {
+            panic!("the fixture reads as ada/t1's spill");
+        };
+        assert_eq!(applied, golden_statements().len() as u64);
+        assert_mines(&pool, "ada", &golden_statements());
+        let ada = tenant(&pool, "ada");
+        assert_eq!(pool.lock_tenant(&ada).next_seq(), applied);
+        // Writing the spill read back reproduces the fixture's bytes.
+        let again = SessionPool::with_spill(PoolOptions::default(), Some(dir.join("rewritten")));
+        assert!(again.write_spill(&key, &snapshot, applied));
+        assert_eq!(
+            std::fs::read(again.spill_path(&key).unwrap()).unwrap(),
+            bytes
+        );
+        again.close();
+        pool.close();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_journal_segment_from_an_earlier_build_replays() {
+        const SEGMENT: &str = "shard000-0000000000.wal";
+        let bytes = golden_fixture(SEGMENT, || {
+            let dir = scratch("journal-fixture-regen");
+            let pool = durable_pool(4, DurabilityOptions::new(&dir));
+            pool.wait_ready();
+            for (user, _, statements) in journal_batches() {
+                pool.enqueue_tagged(user, "t1", statements).unwrap();
+            }
+            pool.simulate_crash().unwrap();
+            drop(pool);
+            let bytes = std::fs::read(dir.join(SEGMENT)).unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            bytes
+        });
+        // The writer frames each batch into the fixture's bytes.
+        let mut framed = Vec::new();
+        for (user, seq, statements) in journal_batches() {
+            let statements: Vec<_> = statements.into_iter().map(|(d, t)| (d, t.into())).collect();
+            let record = crate::journal::encode_batch_record(user, "t1", seq, &statements);
+            framed.extend(pi_ast::codec::record_frame(&record));
+        }
+        assert_eq!(framed, bytes);
+
+        let dir = scratch("journal-fixture");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(SEGMENT), &bytes).unwrap();
+        let (journal, recovered) = Journal::open(DurabilityOptions::new(&dir)).unwrap();
+        drop(journal);
+        assert_eq!((recovered.records, recovered.statements), (4, 10));
+        assert_eq!((recovered.torn_tails, recovered.discarded_bytes), (0, 0));
+        assert_eq!(recovered.tenants.len(), 2);
+        for user in ["ada", "bob"] {
+            let tail = &recovered.tenants[&(user.to_string(), "t1".to_string())];
+            let read: Vec<_> = tail
+                .iter()
+                .map(|s| (s.seq, s.dialect.as_str(), &*s.text))
+                .collect();
+            let written: Vec<_> = journaled_statements(user)
+                .into_iter()
+                .enumerate()
+                .map(|(seq, (dialect, text))| (seq as u64, dialect.name(), text))
+                .collect();
+            assert_eq!(read, written, "{user}'s tail");
+        }
+        // A pool opened over the segment replays both tenants to what mining gives.
+        let pool = durable_pool(4, DurabilityOptions::new(&dir));
+        pool.wait_ready();
+        assert_eq!(pool.gauge().recovered_statements, 10);
+        for user in ["ada", "bob"] {
+            assert_mines(&pool, user, &journaled_statements(user));
+        }
+        pool.close();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn gauge_does_not_block_a_shard_behind_a_busy_tenant() {
         let pool = pool(4, 1, 64);

@@ -726,31 +726,33 @@ impl Session {
     ///
     /// The writer reads the pair table as it is stored: it numbers each change of the table
     /// once and writes one row per run.  Persisting a restored session reproduces the
-    /// original bytes.
+    /// original bytes.  The frame is built in memory and written with one `write_all`: its
+    /// checksum is [`codec::checksum`] over the finished payload.
     pub fn persist<W: std::io::Write>(&self, w: &mut W) -> Result<(), CodecError> {
-        w.write_all(SNAPSHOT_MAGIC).map_err(CodecError::Io)?;
-        codec::put_u32(w, SNAPSHOT_VERSION)?;
-        let mut cw = codec::ChecksumWriter::new(w);
-        self.write_envelope(&mut cw)?;
-        let sum = cw.sum();
-        codec::put_u64(cw.into_inner(), sum)
+        w.write_all(&self.persist_to_vec()?).map_err(CodecError::Io)
     }
 
     /// [`Session::persist`] into a fresh buffer — the archival convenience used by
     /// eviction-to-snapshot hosts.
     pub fn persist_to_vec(&self) -> Result<Vec<u8>, CodecError> {
-        let mut buf = Vec::new();
-        self.persist(&mut buf)?;
+        let mut buf = SNAPSHOT_MAGIC.to_vec();
+        codec::put_u32(&mut buf, SNAPSHOT_VERSION)?;
+        let header = buf.len();
+        self.write_envelope(&mut buf)?;
+        let sum = codec::checksum(&buf[header..]);
+        codec::put_u64(&mut buf, sum)?;
         Ok(buf)
     }
 
     /// Restores a session persisted by [`Session::persist`] with default options as the
     /// base; see [`Session::restore_with`].
-    pub fn restore<R: std::io::Read>(r: &mut R) -> Result<Session, CodecError> {
+    pub fn restore(r: &mut &[u8]) -> Result<Session, CodecError> {
         Session::restore_with(r, PiOptions::default())
     }
 
-    /// Restores a session from a snapshot, taking library-like configuration from `base`.
+    /// Restores a session from the snapshot bytes `r` holds, taking library-like
+    /// configuration from `base`.  The whole of `r` is the snapshot: restore consumes it,
+    /// and bytes past the snapshot's payload fail its checksum.
     ///
     /// The snapshot's own option *scalars* (window, policy, parallel, threads, steal seed,
     /// memoize) win — they shaped the mined state and must keep shaping it — while the
@@ -761,9 +763,10 @@ impl Session {
     /// same graph, same `DiffId`s, same versions, same snapshot output — and its alignment
     /// memo is warm, so the next push only aligns genuinely new shape pairs.  Restoring is
     /// a deserialization pass over *distinct* state plus one small row per run:
-    /// milliseconds for a trace that took seconds to mine.  The pair table is decoded into
-    /// the live layout and validated here, run by run, so nothing is left for a first
-    /// access to expand.
+    /// milliseconds for a trace that took seconds to mine.  The checksum is verified over
+    /// the frame where it lies, with no copy, and the envelope and pair table are then
+    /// decoded from the same bytes into the live layout and validated, run by run, so
+    /// nothing is left for a first access to expand.
     ///
     /// Any corruption — truncation, bit flips, a foreign file — fails with a clean
     /// [`CodecError`]: the checksum rejects storage damage, and the decoder rejects
@@ -771,13 +774,8 @@ impl Session {
     /// out of range or order, replays of absent memo entries, dangling change indices, a
     /// wrong record count).  A snapshot written by a different format version fails with
     /// [`CodecError::Version`] rather than being misread.
-    pub fn restore_with<R: std::io::Read>(
-        r: &mut R,
-        base: PiOptions,
-    ) -> Result<Session, CodecError> {
-        let mut magic = [0u8; SNAPSHOT_MAGIC.len()];
-        r.read_exact(&mut magic).map_err(CodecError::Io)?;
-        if &magic != SNAPSHOT_MAGIC {
+    pub fn restore_with(r: &mut &[u8], base: PiOptions) -> Result<Session, CodecError> {
+        if codec::take_bytes(r, SNAPSHOT_MAGIC.len())? != SNAPSHOT_MAGIC {
             return Err(codec::corrupt("not a session snapshot (bad magic)"));
         }
         let found = codec::take_u32(r)?;
@@ -787,16 +785,12 @@ impl Session {
                 supported: SNAPSHOT_VERSION,
             });
         }
-        // Buffer the rest of the frame and verify the checksum in one pass over the
-        // slice — folding per `read` call through a checksumming reader costs real
-        // milliseconds against the ms-scale restore budget — then parse the envelope
-        // straight from the verified bytes.
-        let mut frame = Vec::new();
-        r.read_to_end(&mut frame).map_err(CodecError::Io)?;
+        // The rest is the frame: the payload, then its checksum.
+        let frame = std::mem::take(r);
         let Some(payload_len) = frame.len().checked_sub(8) else {
             return Err(codec::corrupt("snapshot truncated before its checksum"));
         };
-        let (payload, mut tail) = frame.split_at(payload_len);
+        let (mut payload, mut tail) = frame.split_at(payload_len);
         let sum = codec::checksum(payload);
         let stored = codec::take_u64(&mut tail)?;
         if stored != sum {
@@ -804,7 +798,6 @@ impl Session {
                 "checksum mismatch (stored {stored:#018x}, computed {sum:#018x})"
             )));
         }
-        let mut payload = payload;
         let session = Session::read_envelope(&mut payload, base)?;
         if !payload.is_empty() {
             return Err(codec::corrupt("trailing bytes inside the snapshot frame"));
@@ -861,8 +854,8 @@ impl Session {
         pi_graph::codec::write_accumulator(w, &self.acc)
     }
 
-    /// Reads the checksummed frame written by [`Session::write_envelope`], from the
-    /// already-verified in-memory payload.
+    /// Reads the checksummed frame written by [`Session::write_envelope`] from its
+    /// already-verified payload.
     fn read_envelope(r: &mut &[u8], base: PiOptions) -> Result<Session, CodecError> {
         let window = match codec::take_u8(r)? {
             0 => WindowStrategy::AllPairs,
@@ -905,7 +898,7 @@ impl Session {
             dialect_table.push(restore_dialect(codec::take_str(r)?));
         }
         let tag_count = codec::take_count(r)?;
-        let dialect_tags = codec::take_bytes(r, tag_count)?;
+        let dialect_tags = codec::take_bytes(r, tag_count)?.to_vec();
         if let Some(&bad) = dialect_tags
             .iter()
             .find(|&&t| usize::from(t) >= dialect_table.len())
@@ -1506,6 +1499,60 @@ mod tests {
                 "{restored_ok} / {rejected}"
             );
         }
+    }
+
+    /// `bytes` with the one-byte varint 0 at `at` spelled as the overflowing 10-byte varint
+    /// `80 80 80 80 80 80 80 80 80 02`, whose bit 64 a wrapping decoder drops to read 0, and
+    /// with its checksum resealed.
+    fn with_overflowing_zero(bytes: &[u8], at: usize) -> Vec<u8> {
+        assert_eq!(bytes[at], 0);
+        let mut bad = bytes[..at].to_vec();
+        bad.extend([0x80; 9]);
+        bad.push(0x02);
+        bad.extend(&bytes[at + 1..bytes.len() - 8]);
+        let sum = codec::checksum(&bad[SNAPSHOT_MAGIC.len() + 4..]);
+        bad.extend(sum.to_le_bytes());
+        bad
+    }
+
+    #[test]
+    fn an_overflowing_varint_fails_restore_in_the_envelope_and_the_node_table() {
+        let mut session = Session::new(PiOptions::default());
+        session.push_stream_tagged([
+            (Dialect::SQL, "SELECT a FROM t WHERE x = 1"),
+            (Dialect::SQL, "SELECT a FROM t WHERE x = 2"),
+        ]);
+        let bytes = session.persist_to_vec().unwrap();
+        let end = bytes.len() - 8;
+        // The envelope's thread count, 0 by default, follows the window, the policy and the
+        // parallel flag.
+        let mut r = &bytes[SNAPSHOT_MAGIC.len() + 4..end];
+        assert_eq!(codec::take_u8(&mut r).unwrap(), 1, "a sliding window");
+        codec::take_varint(&mut r).unwrap();
+        codec::take_u8(&mut r).unwrap();
+        codec::take_bool(&mut r).unwrap();
+        let threads_at = end - r.len();
+        // The node table's first entry is a leaf: its child count, 0, follows its kind and
+        // attributes.
+        let mut mining = Vec::new();
+        pi_graph::codec::write_accumulator(&mut mining, &session.acc).unwrap();
+        let mut r = &bytes[end - mining.len()..end];
+        codec::take_count(&mut r).unwrap();
+        codec::take_kind(&mut r).unwrap();
+        for _ in 0..codec::take_count(&mut r).unwrap() {
+            codec::take_str(&mut r).unwrap();
+            codec::take_attr_value(&mut r).unwrap();
+        }
+        let child_count_at = end - r.len();
+        for at in [threads_at, child_count_at] {
+            let bad = with_overflowing_zero(&bytes, at);
+            match Session::restore(&mut bad.as_slice()) {
+                Err(CodecError::Corrupt(msg)) => assert!(msg.contains("overflows"), "{msg}"),
+                Err(other) => panic!("byte {at}: {other}"),
+                Ok(_) => panic!("byte {at}: an overflowing varint restored"),
+            }
+        }
+        Session::restore(&mut bytes.as_slice()).expect("the snapshot as written restores");
     }
 
     #[test]

@@ -1,18 +1,28 @@
-//! Binary snapshot codec primitives: varints, checksummed IO and a deduplicated node table.
+//! Binary codec primitives: varints, frame checksums and a deduplicated node table.
 //!
 //! Mining state (dedup arenas, diff stores, alignment memos) survives process boundaries as
-//! a compact, version-stamped binary snapshot.  This module holds the language-level layer
-//! of that codec — the byte primitives shared by every section, plus the serialized form of
-//! the tree model itself ([`Node`], [`NodeKind`], [`AttrValue`], [`Path`]):
+//! a compact, version-stamped binary snapshot, and the server's spill files and journal
+//! records use the same grammar.  This module holds the language-level layer of that codec
+//! — the byte primitives shared by every section, plus the serialized form of the tree model
+//! itself ([`Node`], [`NodeKind`], [`AttrValue`], [`Path`]) — and is the one decoder of
+//! those bytes:
 //!
 //! * **Primitives** — LEB128 varints for counts and indices, fixed-width little-endian
 //!   integers for hashes and checksums, zigzag for signed values, length-prefixed UTF-8 for
-//!   strings.  Everything reads/writes through `std::io`, so snapshots stream to files and
-//!   sockets without intermediate buffers.
-//! * **Integrity** — [`ChecksumWriter`] folds every written byte into an FNV-1a checksum
-//!   so a snapshot's producer can stamp a trailing sum, and its consumer recomputes it with
-//!   [`checksum`] over the buffered frame to reject *any* corruption with a clean
-//!   [`CodecError::Corrupt`] — never a panic, never a silently wrong structure.
+//!   strings.  Writers take any [`Write`].  Readers take the bytes they decode as a slice
+//!   (`&mut &[u8]`) and advance it past what they read: every reader's input is a whole
+//!   frame already in memory (a snapshot, a spill file, a journal segment), so a read is a
+//!   bounds check, never a call through `std::io`.
+//! * **One varint rule** — a varint ends within 10 bytes, and its 10th byte may only be 0
+//!   or 1 (bit 63); anything longer or larger is [`CodecError::Corrupt`].  Counts read
+//!   with [`take_count`] are bounded by one sanity cap, a length is checked against the
+//!   bytes left before anything is reserved, and input that ends early is
+//!   `Io(UnexpectedEof)`.
+//! * **Integrity** — [`checksum`] is the one frame checksum: a producer stamps it over its
+//!   finished payload, and a consumer recomputes it over the frame it holds to reject *any*
+//!   corruption with a clean [`CodecError::Corrupt`] — never a panic, never a silently
+//!   wrong structure.  [`put_record`] frames journal records with it, and
+//!   [`RecordScanner`] replays them.
 //! * **Structural sharing** — [`NodeTableBuilder`] serializes a set of trees as one table
 //!   of *distinct* subtrees (children-first, deduplicated by structural identity), so a
 //!   snapshot's size scales with distinct state: a subtree shared by a thousand class
@@ -33,10 +43,10 @@ use crate::path::Path;
 use crate::value::AttrValue;
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
-/// Hard cap on a single length-prefixed string or byte payload (defence against corrupt
-/// length prefixes driving huge allocations before the checksum check is reached).
+/// Hard cap on a count or a length prefix (defence against corrupt prefixes driving huge
+/// loops or allocations before the checksum check is reached).
 const MAX_PAYLOAD: u64 = 1 << 28;
 
 /// Errors produced while writing or reading a binary snapshot.
@@ -93,7 +103,7 @@ pub fn corrupt(msg: impl Into<String>) -> CodecError {
     CodecError::Corrupt(msg.into())
 }
 
-// ------------------------------------------------------------------ checksum adapters
+// ------------------------------------------------------------------ checksum
 
 /// FNV-1a offset basis / prime, matching the deterministic hashing used elsewhere in the
 /// crate.
@@ -115,46 +125,8 @@ fn fnv_fold(mut sum: u64, bytes: &[u8]) -> u64 {
     sum
 }
 
-/// Streaming state for the laned frame checksum; byte position decides the lane, so any
-/// write/read chunking produces the same sum as [`checksum`] over the concatenation.
-#[derive(Debug, Clone)]
-struct LanedFnv {
-    lanes: [u64; LANES],
-    pos: usize,
-}
-
-impl LanedFnv {
-    fn new() -> Self {
-        LanedFnv {
-            lanes: [FNV_OFFSET; LANES],
-            pos: 0,
-        }
-    }
-
-    fn fold(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            let lane = &mut self.lanes[self.pos % LANES];
-            *lane = (*lane ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-            self.pos += 1;
-        }
-    }
-
-    fn sum(&self) -> u64 {
-        finalize_lanes(&self.lanes, self.pos)
-    }
-}
-
-fn finalize_lanes(lanes: &[u64; LANES], len: usize) -> u64 {
-    let mut sum = FNV_OFFSET;
-    for lane in lanes {
-        sum = fnv_fold(sum, &lane.to_le_bytes());
-    }
-    fnv_fold(sum, &(len as u64).to_le_bytes())
-}
-
-/// One-shot checksum over a complete buffer — identical to streaming the same bytes
-/// through [`ChecksumWriter`].  Readers buffer a whole frame and verify it in one pass
-/// here.
+/// The frame checksum over a complete buffer: producers stamp it over their finished
+/// payload, and readers verify the frame they hold against it in one pass.
 pub fn checksum(bytes: &[u8]) -> u64 {
     let mut lanes = [FNV_OFFSET; LANES];
     let mut chunks = bytes.chunks_exact(LANES);
@@ -166,54 +138,11 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     for (lane, &b) in lanes.iter_mut().zip(chunks.remainder()) {
         *lane = (*lane ^ u64::from(b)).wrapping_mul(FNV_PRIME);
     }
-    finalize_lanes(&lanes, bytes.len())
-}
-
-/// A [`Write`] adapter folding every written byte into the laned FNV frame checksum.
-///
-/// Snapshot producers write their payload through this and stamp [`ChecksumWriter::sum`]
-/// at the end, so consumers can verify the whole stream.
-#[derive(Debug)]
-pub struct ChecksumWriter<W> {
-    inner: W,
-    sum: LanedFnv,
-}
-
-impl<W: Write> ChecksumWriter<W> {
-    /// Wraps a writer with a fresh checksum.
-    pub fn new(inner: W) -> Self {
-        ChecksumWriter {
-            inner,
-            sum: LanedFnv::new(),
-        }
+    let mut sum = FNV_OFFSET;
+    for lane in &lanes {
+        sum = fnv_fold(sum, &lane.to_le_bytes());
     }
-
-    /// The checksum over every byte written so far.
-    pub fn sum(&self) -> u64 {
-        self.sum.sum()
-    }
-
-    /// Unwraps the adapter, returning the underlying writer.
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-
-    /// The underlying writer (e.g. to append the checksum itself, outside the sum).
-    pub fn inner_mut(&mut self) -> &mut W {
-        &mut self.inner
-    }
-}
-
-impl<W: Write> Write for ChecksumWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.sum.fold(&buf[..n]);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
+    fnv_fold(sum, &(bytes.len() as u64).to_le_bytes())
 }
 
 // ------------------------------------------------------------------ primitives
@@ -224,10 +153,13 @@ pub fn put_u8<W: Write>(w: &mut W, v: u8) -> Result<(), CodecError> {
 }
 
 /// Reads one byte.
-pub fn take_u8<R: Read>(r: &mut R) -> Result<u8, CodecError> {
-    let mut buf = [0u8; 1];
-    r.read_exact(&mut buf)?;
-    Ok(buf[0])
+#[inline]
+pub fn take_u8(r: &mut &[u8]) -> Result<u8, CodecError> {
+    let (&byte, rest) = r
+        .split_first()
+        .ok_or_else(|| CodecError::Io(io::ErrorKind::UnexpectedEof.into()))?;
+    *r = rest;
+    Ok(byte)
 }
 
 /// Writes a fixed-width little-endian `u32` (version stamps).
@@ -236,10 +168,10 @@ pub fn put_u32<W: Write>(w: &mut W, v: u32) -> Result<(), CodecError> {
 }
 
 /// Reads a fixed-width little-endian `u32`.
-pub fn take_u32<R: Read>(r: &mut R) -> Result<u32, CodecError> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
+#[inline]
+pub fn take_u32(r: &mut &[u8]) -> Result<u32, CodecError> {
+    let bytes = take_bytes(r, 4)?;
+    Ok(u32::from_le_bytes(bytes.try_into().expect("4 bytes")))
 }
 
 /// Writes a fixed-width little-endian `u64` (hashes, checksums).
@@ -248,10 +180,10 @@ pub fn put_u64<W: Write>(w: &mut W, v: u64) -> Result<(), CodecError> {
 }
 
 /// Reads a fixed-width little-endian `u64`.
-pub fn take_u64<R: Read>(r: &mut R) -> Result<u64, CodecError> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
+#[inline]
+pub fn take_u64(r: &mut &[u8]) -> Result<u64, CodecError> {
+    let bytes = take_bytes(r, 8)?;
+    Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
 }
 
 /// Writes an LEB128 varint (counts, indices — small values cost one byte).
@@ -266,21 +198,28 @@ pub fn put_varint<W: Write>(w: &mut W, mut v: u64) -> Result<(), CodecError> {
     }
 }
 
-/// Reads an LEB128 varint, rejecting over-long encodings.
-pub fn take_varint<R: Read>(r: &mut R) -> Result<u64, CodecError> {
+/// Reads an LEB128 varint.  The 10th byte carries bit 63 alone, so it may only be 0 or 1:
+/// a larger one overflows a `u64` or continues past 10 bytes, and is corrupt.
+#[inline]
+pub fn take_varint(r: &mut &[u8]) -> Result<u64, CodecError> {
     let mut v = 0u64;
-    for shift in (0..64).step_by(7) {
+    let mut shift = 0u32;
+    loop {
         let byte = take_u8(r)?;
+        if shift == 63 && byte > 1 {
+            return Err(corrupt("varint overflows u64"));
+        }
         v |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
             return Ok(v);
         }
+        shift += 7;
     }
-    Err(corrupt("varint longer than 10 bytes"))
 }
 
 /// Reads a varint and checks it fits a `usize` count bounded by `MAX_PAYLOAD`.
-pub fn take_count<R: Read>(r: &mut R) -> Result<usize, CodecError> {
+#[inline]
+pub fn take_count(r: &mut &[u8]) -> Result<usize, CodecError> {
     let v = take_varint(r)?;
     if v > MAX_PAYLOAD {
         return Err(corrupt(format!("count {v} exceeds sanity bound")));
@@ -294,7 +233,8 @@ pub fn put_zigzag<W: Write>(w: &mut W, v: i64) -> Result<(), CodecError> {
 }
 
 /// Reads a zigzag-encoded signed integer.
-pub fn take_zigzag<R: Read>(r: &mut R) -> Result<i64, CodecError> {
+#[inline]
+pub fn take_zigzag(r: &mut &[u8]) -> Result<i64, CodecError> {
     let v = take_varint(r)?;
     Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
 }
@@ -305,7 +245,8 @@ pub fn put_f64<W: Write>(w: &mut W, v: f64) -> Result<(), CodecError> {
 }
 
 /// Reads an `f64` by bit pattern.
-pub fn take_f64<R: Read>(r: &mut R) -> Result<f64, CodecError> {
+#[inline]
+pub fn take_f64(r: &mut &[u8]) -> Result<f64, CodecError> {
     Ok(f64::from_bits(take_u64(r)?))
 }
 
@@ -315,7 +256,8 @@ pub fn put_bool<W: Write>(w: &mut W, v: bool) -> Result<(), CodecError> {
 }
 
 /// Reads a boolean, rejecting any byte other than 0 or 1.
-pub fn take_bool<R: Read>(r: &mut R) -> Result<bool, CodecError> {
+#[inline]
+pub fn take_bool(r: &mut &[u8]) -> Result<bool, CodecError> {
     match take_u8(r)? {
         0 => Ok(false),
         1 => Ok(true),
@@ -329,25 +271,26 @@ pub fn put_str<W: Write>(w: &mut W, s: &str) -> Result<(), CodecError> {
     w.write_all(s.as_bytes()).map_err(CodecError::Io)
 }
 
-/// Reads a length-prefixed UTF-8 string, validating the encoding.
-pub fn take_str<R: Read>(r: &mut R) -> Result<String, CodecError> {
+/// Reads a length-prefixed UTF-8 string, validating the encoding.  A length longer than
+/// the input fails before anything is allocated.
+#[inline]
+pub fn take_str(r: &mut &[u8]) -> Result<String, CodecError> {
     let len = take_count(r)?;
-    let buf = take_bytes(r, len)?;
-    String::from_utf8(buf).map_err(|_| corrupt("string payload is not UTF-8"))
+    let bytes = take_bytes(r, len)?;
+    let text = std::str::from_utf8(bytes).map_err(|_| corrupt("string payload is not UTF-8"))?;
+    Ok(text.to_owned())
 }
 
-/// Reads exactly `len` bytes whose length the input declared.
-///
-/// The read goes through [`Read::take`] into a buffer that grows with the bytes actually
-/// read, from at most 1 KiB reserved up front, so a hostile length prefix costs what the
-/// input holds, not what it claims: a short input fails with `UnexpectedEof`.
-pub fn take_bytes<R: Read>(r: &mut R, len: usize) -> io::Result<Vec<u8>> {
-    let mut buf = Vec::with_capacity(len.min(1 << 10));
-    r.take(len as u64).read_to_end(&mut buf)?;
-    if buf.len() < len {
-        return Err(io::ErrorKind::UnexpectedEof.into());
+/// The next `len` bytes, whose length the input declared; a shorter input fails with
+/// `UnexpectedEof`, having reserved nothing.
+#[inline]
+pub fn take_bytes<'a>(r: &mut &'a [u8], len: usize) -> Result<&'a [u8], CodecError> {
+    if r.len() < len {
+        return Err(CodecError::Io(io::ErrorKind::UnexpectedEof.into()));
     }
-    Ok(buf)
+    let (bytes, rest) = r.split_at(len);
+    *r = rest;
+    Ok(bytes)
 }
 
 // ------------------------------------------------------------------ journal records
@@ -377,14 +320,25 @@ pub fn record_frame(payload: &[u8]) -> Vec<u8> {
     buf
 }
 
+/// Reads one [`put_record`] frame, returning its payload once the checksum verifies.
+fn take_record<'a>(r: &mut &'a [u8]) -> Result<&'a [u8], CodecError> {
+    let len = take_count(r)?;
+    let payload = take_bytes(r, len)?;
+    if take_u64(r)? != checksum(payload) {
+        return Err(corrupt("record checksum mismatch"));
+    }
+    Ok(payload)
+}
+
 /// Replays a buffer of [`put_record`] frames, yielding each verified payload in order.
 ///
-/// The scan is *tolerant of torn tails*: a truncated length prefix, a payload shorter than
-/// its declared length, an absurd length, or a checksum mismatch all stop the scan at the
-/// last good frame boundary instead of erroring — exactly the states a crash mid-append
-/// (or a partial page flush) leaves behind.  [`RecordScanner::valid_len`] reports the byte
-/// offset of that boundary (where a recovering writer should truncate and resume) and
-/// [`RecordScanner::torn`] whether anything was discarded.
+/// The scan is *tolerant of torn tails*: a frame that fails to read — a truncated or
+/// corrupt length prefix, a payload shorter than its declared length, an absurd length, or
+/// a checksum mismatch — stops the scan at the last good frame boundary instead of
+/// erroring, exactly the states a crash mid-append (or a partial page flush) leaves behind.
+/// [`RecordScanner::valid_len`] reports the byte offset of that boundary (where a
+/// recovering writer should truncate and resume) and [`RecordScanner::torn`] whether
+/// anything was discarded.
 #[derive(Debug)]
 pub struct RecordScanner<'a> {
     buf: &'a [u8],
@@ -425,39 +379,17 @@ impl<'a> RecordScanner<'a> {
         if self.torn || self.at == self.buf.len() {
             return None;
         }
-        let rest = &self.buf[self.at..];
-        // Decode the varint length prefix by hand so truncation mid-prefix is torn, not Err.
-        let mut len = 0u64;
-        let mut prefix = 0usize;
-        loop {
-            if prefix >= rest.len() || prefix >= 10 {
+        let mut rest = &self.buf[self.at..];
+        match take_record(&mut rest) {
+            Ok(payload) => {
+                self.at = self.buf.len() - rest.len();
+                Some(payload)
+            }
+            Err(_) => {
                 self.torn = true;
-                return None;
-            }
-            let byte = rest[prefix];
-            len |= u64::from(byte & 0x7f) << (7 * prefix as u32);
-            prefix += 1;
-            if byte & 0x80 == 0 {
-                break;
+                None
             }
         }
-        if len > MAX_PAYLOAD {
-            self.torn = true;
-            return None;
-        }
-        let len = len as usize;
-        let Some(frame) = rest.get(prefix..prefix + len + 8) else {
-            self.torn = true;
-            return None;
-        };
-        let payload = &frame[..len];
-        let stored = u64::from_le_bytes(frame[len..].try_into().expect("8-byte checksum"));
-        if checksum(payload) != stored {
-            self.torn = true;
-            return None;
-        }
-        self.at += prefix + len + 8;
-        Some(payload)
     }
 }
 
@@ -473,7 +405,8 @@ pub fn put_path<W: Write>(w: &mut W, path: &Path) -> Result<(), CodecError> {
 }
 
 /// Reads a [`Path`].
-pub fn take_path<R: Read>(r: &mut R) -> Result<Path, CodecError> {
+#[inline]
+pub fn take_path(r: &mut &[u8]) -> Result<Path, CodecError> {
     let len = take_count(r)?;
     let mut steps = Vec::with_capacity(len.min(64));
     for _ in 0..len {
@@ -537,7 +470,8 @@ pub fn put_kind<W: Write>(w: &mut W, kind: &NodeKind) -> Result<(), CodecError> 
 }
 
 /// Reads a [`NodeKind`].
-pub fn take_kind<R: Read>(r: &mut R) -> Result<NodeKind, CodecError> {
+#[inline]
+pub fn take_kind(r: &mut &[u8]) -> Result<NodeKind, CodecError> {
     let tag = take_u8(r)?;
     if tag == KIND_OTHER_TAG {
         return Ok(NodeKind::Other(take_str(r)?));
@@ -571,7 +505,8 @@ pub fn put_attr_value<W: Write>(w: &mut W, value: &AttrValue) -> Result<(), Code
 }
 
 /// Reads an [`AttrValue`]; string payloads re-intern by content.
-pub fn take_attr_value<R: Read>(r: &mut R) -> Result<AttrValue, CodecError> {
+#[inline]
+pub fn take_attr_value(r: &mut &[u8]) -> Result<AttrValue, CodecError> {
     match take_u8(r)? {
         0 => Ok(AttrValue::from(take_str(r)?)),
         1 => Ok(AttrValue::Int(take_zigzag(r)?)),
@@ -678,7 +613,7 @@ impl NodeTableBuilder {
 /// Reads a node table written by [`NodeTableBuilder::write_to`], rebuilding every distinct
 /// subtree exactly once (repeated subtrees are `Arc`-shared) and verifying each rebuilt
 /// tree's structural hash against the stored one.
-pub fn read_node_table<R: Read>(r: &mut R) -> Result<Vec<Node>, CodecError> {
+pub fn read_node_table(r: &mut &[u8]) -> Result<Vec<Node>, CodecError> {
     let count = take_count(r)?;
     let mut nodes: Vec<Node> = Vec::with_capacity(count.min(1 << 16));
     let mut attrs = Vec::new();
@@ -915,19 +850,47 @@ mod tests {
     }
 
     #[test]
-    fn streamed_and_one_shot_checksums_agree_and_detect_flips() {
+    fn checksums_detect_every_single_byte_flip() {
         let payload = b"snapshot payload bytes, folded across lane boundaries".to_vec();
-        let mut sink = Vec::new();
-        let mut cw = ChecksumWriter::new(&mut sink);
-        // Two uneven writes: the streamed fold must not depend on where writes split.
-        cw.write_all(&payload[..11]).unwrap();
-        cw.write_all(&payload[11..]).unwrap();
-        let written_sum = cw.sum();
-        assert_eq!(checksum(&payload), written_sum);
-        assert_eq!(sink, payload);
+        let sum = checksum(&payload);
+        for i in 0..payload.len() {
+            let mut flipped = payload.clone();
+            flipped[i] ^= 1;
+            assert_ne!(checksum(&flipped), sum, "flip at byte {i}");
+        }
+    }
 
-        let mut flipped = payload.clone();
-        flipped[3] ^= 1;
-        assert_ne!(checksum(&flipped), written_sum);
+    #[test]
+    fn the_varint_rule_refuses_a_tenth_byte_above_one() {
+        // u64::MAX and 2^63 end in a 10th byte of 1; both round-trip.
+        for v in [u64::MAX, 1 << 63] {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, v).unwrap();
+            assert_eq!((buf.len(), buf[9]), (10, 1));
+            let mut r = buf.as_slice();
+            assert_eq!(take_varint(&mut r).unwrap(), v);
+            assert!(r.is_empty());
+        }
+        // A 10th byte of 2 sets bit 64, and one with its high bit set continues past 10
+        // bytes: both are corrupt, never a wrapped value.
+        let overflowing = [[0x80; 9].as_slice(), &[0x02]].concat();
+        let too_long = [[0xff; 10].as_slice(), &[0x01]].concat();
+        for bad in [&overflowing, &too_long] {
+            assert!(matches!(
+                take_varint(&mut bad.as_slice()),
+                Err(CodecError::Corrupt(_))
+            ));
+        }
+        // A record frame behind that length prefix (an empty payload's checksum follows)
+        // is a torn tail, not an empty record.
+        let mut log = record_frame(b"good");
+        let intact = log.len();
+        log.extend(&overflowing);
+        log.extend(checksum(b"").to_le_bytes());
+        let mut scan = RecordScanner::new(&log);
+        assert_eq!(scan.next_record(), Some(b"good".as_slice()));
+        assert_eq!(scan.next_record(), None);
+        assert!(scan.torn());
+        assert_eq!(scan.valid_len(), intact);
     }
 }

@@ -22,7 +22,7 @@ use pi_ast::codec::{
 };
 use pi_ast::{IntBuildHasher, Node};
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::Write;
 
 /// Marks a member or a row the builder has not numbered yet.
 const UNSET: u32 = u32::MAX;
@@ -131,8 +131,8 @@ impl<'a> ChangeTableBuilder<'a> {
 /// member tables fill as the rows are read, and lists are added over the returned rows with
 /// [`DiffStore::push_indexed_list`].  A change with neither side is corruption: every
 /// change replaces, adds or removes a subtree.
-pub fn read_change_table<R: Read>(
-    r: &mut R,
+pub fn read_change_table(
+    r: &mut &[u8],
     nodes: &[Node],
     store: &mut DiffStore,
 ) -> Result<Vec<ChangeRow>, CodecError> {

@@ -43,7 +43,8 @@
 use crate::builder::GraphAccumulator;
 use crate::dedup::{DedupTable, DiffMemo, PairIndex};
 use pi_ast::codec::{
-    corrupt, put_u64, put_u8, put_varint, put_zigzag, read_node_table, CodecError, NodeTableBuilder,
+    corrupt, put_u64, put_u8, put_varint, put_zigzag, read_node_table, take_bytes, take_count,
+    take_u64, take_u8, take_varint, take_zigzag, CodecError, NodeTableBuilder,
 };
 use pi_diff::codec::{read_change_table, ChangeTableBuilder};
 use pi_diff::{AncestorPolicy, ChangeRow, DiffStore};
@@ -191,117 +192,38 @@ pub fn write_accumulator<W: Write>(w: &mut W, acc: &GraphAccumulator) -> Result<
     Ok(())
 }
 
-/// A minimal cursor over an in-memory section: the per-byte `io::Read` plumbing is too
-/// slow for millions of tiny varints, and restore always hands us an in-memory frame.
-struct Cur<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    #[inline]
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        let v = *self
-            .b
-            .get(self.pos)
-            .ok_or_else(|| corrupt("mining state truncated"))?;
-        self.pos += 1;
-        Ok(v)
+/// `n` change indices into `out` (cleared first); each must fit a `u32`.
+fn take_indices(r: &mut &[u8], n: usize, out: &mut Vec<u32>) -> Result<(), CodecError> {
+    out.clear();
+    for _ in 0..n {
+        let v = take_varint(r)?;
+        out.push(u32::try_from(v).map_err(|_| corrupt(format!("index {v} overflows u32")))?);
     }
-
-    /// A fixed-width little-endian `u64` (matches `put_u64`).
-    #[inline]
-    fn u64_le(&mut self) -> Result<u64, CodecError> {
-        let bytes = self.take(8)?;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8-byte slice")))
-    }
-
-    /// A varint bounded by the same sanity limit as `take_count`.
-    #[inline]
-    fn count(&mut self) -> Result<usize, CodecError> {
-        const MAX_COUNT: u64 = 1 << 28;
-        let v = self.varint()?;
-        if v > MAX_COUNT {
-            return Err(corrupt(format!("count {v} exceeds sanity bound")));
-        }
-        Ok(v as usize)
-    }
-
-    /// A varint table index, which must fit a `u32`.
-    #[inline]
-    fn index(&mut self) -> Result<u32, CodecError> {
-        let v = self.varint()?;
-        u32::try_from(v).map_err(|_| corrupt(format!("index {v} overflows u32")))
-    }
-
-    /// The next `n` raw bytes.
-    #[inline]
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.b.len())
-            .ok_or_else(|| corrupt("mining state truncated"))?;
-        let slice = &self.b[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    #[inline]
-    fn varint(&mut self) -> Result<u64, CodecError> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift >= 63 && byte > 1 {
-                return Err(corrupt("varint overflows u64"));
-            }
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
-
-    #[inline]
-    fn zigzag(&mut self) -> Result<i64, CodecError> {
-        let v = self.varint()?;
-        Ok((v >> 1) as i64 ^ -((v & 1) as i64))
-    }
-
-    /// `n` change indices into `out` (cleared first).
-    fn indices(&mut self, n: usize, out: &mut Vec<u32>) -> Result<(), CodecError> {
-        out.clear();
-        for _ in 0..n {
-            out.push(self.index()?);
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 /// Decodes the run rows into `store`, validating each against the rows, the memo and the
 /// change table (see the module docs).
 fn read_runs(
-    blob: &[u8],
+    mut blob: &[u8],
     dedup: &DedupTable,
     memo: &DiffMemo,
     table: &[ChangeRow],
     store: &mut DiffStore,
 ) -> Result<(), CodecError> {
-    let mut cur = Cur { b: blob, pos: 0 };
-    let runs = cur.count()?;
-    let declared = cur.count()?;
+    let r = &mut blob;
+    let runs = take_count(r)?;
+    let declared = take_count(r)?;
     let mut indices = Vec::new();
     let mut prev_to = 0i64;
     let mut prev = None;
     for k in 0..runs {
         let to = prev_to
-            .checked_add(cur.zigzag()?)
+            .checked_add(take_zigzag(r)?)
             .filter(|&to| to >= 0 && (to as u64) < dedup.len() as u64)
             .ok_or_else(|| corrupt(format!("run {k} endpoints out of range")))?;
         prev_to = to;
-        let offset = cur.varint()?;
+        let offset = take_varint(r)?;
         if offset == 0 || offset > to as u64 {
             return Err(corrupt(format!("run {k} endpoints out of range")));
         }
@@ -310,18 +232,18 @@ fn read_runs(
             return Err(corrupt(format!("run {k} is out of append order")));
         }
         prev = Some((to, from));
-        let list = match cur.u8()? {
+        let list = match take_u8(r)? {
             RUN_MEMOIZED => memo
                 .get(dedup.class_of(from), dedup.class_of(to))
                 .filter(|&list| store.list_len(list) > 0)
                 .ok_or_else(|| corrupt(format!("run {k} replays an absent or empty memo entry")))?,
             RUN_EXPLICIT => {
-                let leaves = cur.count()?;
-                let total = cur.count()?;
+                let leaves = take_count(r)?;
+                let total = take_count(r)?;
                 if total == 0 || total > declared {
                     return Err(corrupt(format!("run {k} has an impossible record count")));
                 }
-                cur.indices(total, &mut indices)?;
+                take_indices(r, total, &mut indices)?;
                 store
                     .push_indexed_list(table, &indices, leaves)
                     .ok_or_else(|| corrupt(format!("run {k} has a malformed change list")))?
@@ -339,7 +261,7 @@ fn read_runs(
             store.len()
         )));
     }
-    if cur.pos != blob.len() {
+    if !r.is_empty() {
         return Err(corrupt("trailing bytes after the pair table"));
     }
     Ok(())
@@ -352,27 +274,22 @@ pub fn read_accumulator(r: &mut &[u8]) -> Result<GraphAccumulator, CodecError> {
     let mut store = DiffStore::new();
     let table = read_change_table(r, &nodes, &mut store)?;
 
-    // Everything below the tables is fixed-stride scalars at row/pair volume — hundreds
-    // of thousands of tiny varints — so decode through the slice cursor rather than
-    // per-item `io::Read` calls.
-    let mut cur = Cur { b: r, pos: 0 };
-
     // Dedup: re-ingest each row's representative; first-come ids must match the stored
     // sequence exactly.
-    let distinct = cur.count()?;
+    let distinct = take_count(r)?;
     let mut class_nodes = Vec::with_capacity(distinct.min(1 << 16));
     for _ in 0..distinct {
-        let idx = cur.varint()? as usize;
+        let idx = take_varint(r)? as usize;
         class_nodes.push(
             nodes
                 .get(idx)
                 .ok_or_else(|| corrupt(format!("class references missing node {idx}")))?,
         );
     }
-    let rows = cur.count()?;
+    let rows = take_count(r)?;
     let mut dedup = DedupTable::new();
     for row in 0..rows {
-        let class = cur.varint()? as usize;
+        let class = take_varint(r)? as usize;
         let node = *class_nodes
             .get(class)
             .ok_or_else(|| corrupt(format!("row {row} references missing class {class}")))?;
@@ -391,19 +308,19 @@ pub fn read_accumulator(r: &mut &[u8]) -> Result<GraphAccumulator, CodecError> {
     }
 
     // Memo: one shared list per entry, keys strictly increasing as written.
-    let policy = match cur.u8()? {
+    let policy = match take_u8(r)? {
         0 => None,
         1 => Some(AncestorPolicy::Full),
         2 => Some(AncestorPolicy::LcaPruned),
         other => return Err(corrupt(format!("invalid memo policy tag {other}"))),
     };
-    let alignments = cur.count()?;
-    let pair_count = cur.count()?;
+    let alignments = take_count(r)?;
+    let pair_count = take_count(r)?;
     let mut pairs = PairIndex::default();
     let mut indices = Vec::new();
     let mut prev_key = None;
     for _ in 0..pair_count {
-        let key = cur.u64_le()?;
+        let key = take_u64(r)?;
         if prev_key >= Some(key) {
             return Err(corrupt(format!("memo pair {key:#x} is out of key order")));
         }
@@ -412,9 +329,9 @@ pub fn read_accumulator(r: &mut &[u8]) -> Result<GraphAccumulator, CodecError> {
         if ca as usize >= distinct || cb as usize >= distinct {
             return Err(corrupt(format!("memo pair {key:#x} names a missing class")));
         }
-        let leaves = cur.count()?;
-        let total = cur.count()?;
-        cur.indices(total, &mut indices)?;
+        let leaves = take_count(r)?;
+        let total = take_count(r)?;
+        take_indices(r, total, &mut indices)?;
         let list = store
             .push_indexed_list(&table, &indices, leaves)
             .ok_or_else(|| corrupt(format!("memo pair {key:#x} has a malformed change list")))?;
@@ -422,13 +339,12 @@ pub fn read_accumulator(r: &mut &[u8]) -> Result<GraphAccumulator, CodecError> {
     }
     // Older writers stored a seen-once admission set here; its keys no longer mean
     // anything, so they are skipped.
-    let seen_once_count = cur.count()?;
-    cur.take(seen_once_count * 8)?;
+    let seen_once_count = take_count(r)?;
+    take_bytes(r, seen_once_count * 8)?;
     let memo = DiffMemo::from_parts(policy, alignments, pairs);
 
-    let blob_len = cur.count()?;
-    read_runs(cur.take(blob_len)?, &dedup, &memo, &table, &mut store)?;
-    *r = &cur.b[cur.pos..];
+    let blob_len = take_count(r)?;
+    read_runs(take_bytes(r, blob_len)?, &dedup, &memo, &table, &mut store)?;
     Ok(GraphAccumulator { dedup, store, memo })
 }
 

@@ -24,9 +24,8 @@
 
 use crate::pool::{EnqueueError, PoolOptions, SessionPool};
 use crate::wire::{decode_batch, DecodedBatch};
-use pi_ast::codec;
 use pi_ui::{interface_spec, EditorLayout, Json};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -263,13 +262,25 @@ fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, ReadError>
     if content_length > MAX_BODY_BYTES {
         return Err(ReadError::TooLarge);
     }
-    let body = codec::take_bytes(reader, content_length)?;
+    let body = read_body(reader, content_length)?;
     Ok(Some(Request {
         method,
         path,
         body,
         keep_alive,
     }))
+}
+
+/// Reads exactly `len` body bytes through [`Read::take`] into a buffer that grows with the
+/// bytes read, from at most 1 KiB reserved up front: a short body fails with
+/// `UnexpectedEof`, having cost what the client sent.
+fn read_body(reader: &mut impl Read, len: usize) -> std::io::Result<Vec<u8>> {
+    let mut body = Vec::with_capacity(len.min(1 << 10));
+    reader.take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(body)
 }
 
 fn write_response(

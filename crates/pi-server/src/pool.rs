@@ -49,6 +49,7 @@
 
 use crate::journal::{sync_dir, DurabilityOptions, Journal, JournalStats, RecoveredLog};
 use crate::wire::LogItem;
+use pi_ast::codec::{self, CodecError};
 use pi_core::{GeneratedInterface, InteractionGraph, PiOptions, Session};
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
@@ -318,8 +319,6 @@ pub struct SessionPool {
     persist_us: AtomicU64,
     restore_us: AtomicU64,
     last_recovery_us: AtomicU64,
-    /// Numbers spill temp files, so that no two spill writes share a temp file.
-    spill_writes: AtomicU64,
 }
 
 /// Recovers a poisoned lock on pool-global state (dispatch queue, worker list, sample
@@ -352,18 +351,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Magic prefix of the versioned spill file format (`applied` watermark + key + snapshot).
 const SPILL_MAGIC: &[u8; 8] = b"PISPILL2";
 
-/// Suffix of a spill write in flight (`tenant-<hash>.pisnap.<write>.tmp`).
+/// Suffix of a spill write in flight (`tenant-<hash>.pisnap.tmp`).
 const SPILL_TEMP_SUFFIX: &str = ".tmp";
 
-/// A spill image written to its own temp file, not yet renamed into place.
-struct StagedSpill {
-    tmp: PathBuf,
-    path: PathBuf,
-}
-
-/// Removes the temp files of spill writes a previous process left unfinished.  A temp
-/// file is only ever a write in flight, and no write outlives the pool that started it,
-/// so at open every one of them is garbage.
+/// Removes the temp files of spill writes a previous process left unfinished, named as
+/// this build names them or with the write number older builds put before the suffix
+/// (`tenant-<hash>.pisnap.<write>.tmp`).  A temp file is only ever a write in flight, and
+/// no write outlives the pool that started it, so at open every one of them is garbage.
 fn remove_spill_temps(dir: &std::path::Path) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
@@ -388,6 +382,22 @@ enum SpillRead {
     Loaded { applied: u64, snapshot: Vec<u8> },
     /// A malformed spill file: the caller quarantines it and falls back.
     Corrupt,
+}
+
+/// Reads a spill file's header (see [`SessionPool::write_spill`]), leaving `r` at the
+/// session snapshot: the `applied` watermark, or `None` when the key is another tenant's.
+fn take_spill_header(r: &mut &[u8], key: &TenantId) -> Result<Option<u64>, CodecError> {
+    if codec::take_bytes(r, SPILL_MAGIC.len())? != SPILL_MAGIC {
+        return Err(codec::corrupt("not a spill file (bad magic)"));
+    }
+    let applied = codec::take_u64(r)?;
+    for expected in [&key.0, &key.1] {
+        let len = codec::take_u32(r)? as usize;
+        if codec::take_bytes(r, len)? != expected.as_bytes() {
+            return Ok(None);
+        }
+    }
+    Ok(Some(applied))
 }
 
 impl SessionPool {
@@ -466,7 +476,6 @@ impl SessionPool {
             persist_us: AtomicU64::new(0),
             restore_us: AtomicU64::new(0),
             last_recovery_us: AtomicU64::new(0),
-            spill_writes: AtomicU64::new(0),
             default_dialect,
             known_dialects,
             spill_dir,
@@ -915,10 +924,12 @@ impl SessionPool {
     }
 
     /// Best-effort spill write:
-    /// `PISPILL2 [applied u64][user_len][user][thread_len][thread][session snapshot]`,
-    /// staged in a temp file of its own and renamed into place, so readers never observe a
-    /// half-written spill.  With durability on, the temp file is fsynced before the rename
-    /// and the directory after it — checkpoint prunes count on the spill surviving a crash.
+    /// `PISPILL2 [applied u64][user_len u32][user][thread_len u32][thread][session snapshot]`,
+    /// written to `tenant-<hash>.pisnap.tmp` and renamed over the spill file, so readers
+    /// never observe a half-written spill.  With durability on, the temp file is fsynced
+    /// before the rename and the directory after it — checkpoint prunes count on the spill
+    /// surviving a crash.  Every spill write runs under its tenant's lock, and a tenant
+    /// keeps one `Arc<Tenant>` for the pool's life, so no two writes share the temp file.
     /// Returns whether the spill is durably (or, without a journal, at least atomically) in
     /// place.
     fn write_spill(&self, key: &TenantId, snapshot: &[u8], applied: u64) -> bool {
@@ -931,60 +942,32 @@ impl SessionPool {
                 return false;
             }
         }
-        self.stage_spill(path, key, snapshot, applied)
-            .and_then(|staged| self.publish_spill(staged))
-            .is_ok()
-    }
-
-    /// The first step of a spill write to `path`: the full spill image, written to a temp
-    /// file whose name no other write shares (`path` plus a pool-wide write number).
-    fn stage_spill(
-        &self,
-        path: PathBuf,
-        key: &TenantId,
-        snapshot: &[u8],
-        applied: u64,
-    ) -> std::io::Result<StagedSpill> {
-        let mut buf =
-            Vec::with_capacity(SPILL_MAGIC.len() + 16 + key.0.len() + key.1.len() + snapshot.len());
-        buf.extend_from_slice(SPILL_MAGIC);
-        buf.extend_from_slice(&applied.to_le_bytes());
+        let mut header = SPILL_MAGIC.to_vec();
+        codec::put_u64(&mut header, applied).expect("vec write");
         for part in [&key.0, &key.1] {
-            buf.extend_from_slice(&(part.len() as u32).to_le_bytes());
-            buf.extend_from_slice(part.as_bytes());
+            codec::put_u32(&mut header, part.len() as u32).expect("vec write");
+            header.extend_from_slice(part.as_bytes());
         }
-        buf.extend_from_slice(snapshot);
-        let write = self.spill_writes.fetch_add(1, Ordering::Relaxed);
-        let tmp = path.with_extension(format!("pisnap.{write}{SPILL_TEMP_SUFFIX}"));
+        let tmp = path.with_extension(format!("pisnap{SPILL_TEMP_SUFFIX}"));
         let written = (|| -> std::io::Result<()> {
             let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(&buf)?;
+            file.write_all(&header)?;
+            file.write_all(snapshot)?;
             if self.journal.is_some() {
                 file.sync_all()?;
             }
+            std::fs::rename(&tmp, &path)?;
+            if self.journal.is_some() {
+                if let Some(dir) = path.parent() {
+                    sync_dir(dir)?;
+                }
+            }
             Ok(())
         })();
-        match written {
-            Ok(()) => Ok(StagedSpill { tmp, path }),
-            Err(err) => {
-                let _ = std::fs::remove_file(&tmp);
-                Err(err)
-            }
+        if written.is_err() {
+            let _ = std::fs::remove_file(&tmp);
         }
-    }
-
-    /// The second step of a spill write: renames the staged temp file over the spill file.
-    fn publish_spill(&self, staged: StagedSpill) -> std::io::Result<()> {
-        if let Err(err) = std::fs::rename(&staged.tmp, &staged.path) {
-            let _ = std::fs::remove_file(&staged.tmp);
-            return Err(err);
-        }
-        if self.journal.is_some() {
-            if let Some(dir) = staged.path.parent() {
-                sync_dir(dir)?;
-            }
-        }
-        Ok(())
+        written.is_ok()
     }
 
     /// Reads this tenant's spill file; see [`SpillRead`] for the outcomes.  A key
@@ -999,29 +982,14 @@ impl SessionPool {
             Err(err) if err.kind() == std::io::ErrorKind::NotFound => return SpillRead::Missing,
             Err(_) => return SpillRead::Corrupt,
         };
-        if data.len() < SPILL_MAGIC.len() + 8 || &data[..SPILL_MAGIC.len()] != SPILL_MAGIC {
-            return SpillRead::Corrupt;
-        }
-        let mut at = SPILL_MAGIC.len();
-        let applied = u64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"));
-        at += 8;
-        for expected in [&key.0, &key.1] {
-            let Some(len_bytes) = data.get(at..at + 4) else {
-                return SpillRead::Corrupt;
-            };
-            let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
-            at += 4;
-            let Some(part) = data.get(at..at + len) else {
-                return SpillRead::Corrupt;
-            };
-            if part != expected.as_bytes() {
-                return SpillRead::Missing;
-            }
-            at += len;
-        }
-        SpillRead::Loaded {
-            applied,
-            snapshot: data[at..].to_vec(),
+        let mut snapshot = data.as_slice();
+        match take_spill_header(&mut snapshot, key) {
+            Ok(Some(applied)) => SpillRead::Loaded {
+                applied,
+                snapshot: snapshot.to_vec(),
+            },
+            Ok(None) => SpillRead::Missing,
+            Err(_) => SpillRead::Corrupt,
         }
     }
 
@@ -1103,21 +1071,24 @@ impl SessionPool {
         }
     }
 
-    /// Locks a shard, recovering (and counting) a poisoned lock: the shard holds
+    /// Locks a shard, recovering (and counting) a poisoned lock once: the shard holds
     /// membership maps whose invariants a panicking thread cannot break mid-operation.
     fn lock_shard<'a>(&self, shard: &'a Mutex<Shard>) -> MutexGuard<'a, Shard> {
         shard.lock().unwrap_or_else(|poisoned| {
             self.lock_poison_recoveries.fetch_add(1, Ordering::Relaxed);
+            shard.clear_poison();
             poisoned.into_inner()
         })
     }
 
-    /// Locks a tenant, recovering a poisoned lock by dropping the tenant's session: it may
-    /// be mid-mutation, so its next use rebuilds it from durable state (base snapshot +
-    /// tail) before it is trusted again.
+    /// Locks a tenant, recovering a poisoned lock once by dropping the tenant's session: it
+    /// may be mid-mutation, so its next use rebuilds it from durable state (base snapshot +
+    /// tail) before it is trusted again.  The poison is cleared, so later locks find a
+    /// healthy tenant.
     fn lock_tenant<'a>(&self, tenant: &'a Tenant) -> MutexGuard<'a, TenantInner> {
         tenant.inner.lock().unwrap_or_else(|poisoned| {
             self.lock_poison_recoveries.fetch_add(1, Ordering::Relaxed);
+            tenant.inner.clear_poison();
             let mut inner = poisoned.into_inner();
             if inner.session.take().is_some() {
                 self.session_rebuilds.fetch_add(1, Ordering::Relaxed);
@@ -1629,9 +1600,9 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_spill_writers_keep_the_spill_intact() {
+    fn a_reopened_pool_removes_stale_spill_temp_files() {
         let dir = std::env::temp_dir().join(format!(
-            "pi-pool-spill-interleave-{}-{:?}",
+            "pi-pool-spill-temps-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
@@ -1650,23 +1621,14 @@ mod tests {
             SpillRead::Loaded { applied, snapshot } => (applied, snapshot),
             _ => panic!("the spill reads back intact"),
         };
-        // Two incarnations of one tenant spill at once: an orphan a checkpoint still holds
-        // and the re-admitted tenant.  Both stage their images before either renames.
-        let orphan = pool
-            .stage_spill(path.clone(), &key, b"orphaned incarnation", 3)
-            .unwrap();
-        let current = pool
-            .stage_spill(path.clone(), &key, b"re-admitted tenant", 5)
-            .unwrap();
-        pool.publish_spill(orphan).unwrap();
-        assert_eq!(read(&pool), (3, b"orphaned incarnation".to_vec()));
-        pool.publish_spill(current).unwrap();
-        assert_eq!(read(&pool), (5, b"re-admitted tenant".to_vec()));
+        assert!(pool.write_spill(&key, b"first image", 3));
+        assert!(pool.write_spill(&key, b"second image", 5));
+        assert_eq!(read(&pool), (5, b"second image".to_vec()));
         pool.close();
         drop(pool);
 
         // Temp files of writes a killed process left unfinished, in this and the older
-        // shared-name form, are gone once a pool reopens the directory.
+        // numbered form, are gone once a pool reopens the directory.
         let stale = [
             path.with_extension("pisnap.7.tmp"),
             path.with_extension("pisnap.tmp"),
@@ -1676,7 +1638,7 @@ mod tests {
         }
         let reopened = SessionPool::with_spill(opts, Some(dir.clone()));
         assert!(stale.iter().all(|tmp| !tmp.exists()));
-        assert_eq!(read(&reopened), (5, b"re-admitted tenant".to_vec()));
+        assert_eq!(read(&reopened), (5, b"second image".to_vec()));
         reopened.close();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2458,6 +2420,32 @@ mod tests {
         }
         pool.close();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_poisoned_tenant_lock_is_recovered_once() {
+        let pool = pool(4, 1, 64);
+        push(&pool, "ada", &[sql(1), sql(2)]);
+        pool.flush("ada", "t1");
+        let ada = tenant(&pool, "ada");
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _inner = ada.inner.lock().unwrap();
+                panic!("a panic while holding ada's lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(ada.inner.is_poisoned());
+        for _ in 0..4 {
+            pool.gauge();
+        }
+        for _ in 0..2 {
+            assert_eq!(pool.snapshot("ada", "t1").unwrap().version, 2);
+        }
+        let gauge = pool.gauge();
+        assert_eq!(gauge.lock_poison_recoveries, 1);
+        assert!(gauge.session_rebuilds <= 1, "{}", gauge.session_rebuilds);
+        pool.close();
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub use interface::Interface;
 pub use mapper::{InteractionMapper, MapperOptions};
 pub use pi_graph::InteractionGraph;
 pub use pipeline::{GeneratedInterface, PiOptions, PrecisionInterfaces, StageTimings};
-pub use session::{RebuildOutcome, Session, SNAPSHOT_VERSION};
+pub use session::{Session, SNAPSHOT_VERSION};
 
 #[cfg(test)]
 mod tests {

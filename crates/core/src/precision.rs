@@ -33,16 +33,6 @@ impl SchemaMap {
         }
     }
 
-    /// Builder-style [`SchemaMap::add_table`].
-    pub fn with_table<'a, I: IntoIterator<Item = &'a str>>(
-        mut self,
-        table: &str,
-        columns: I,
-    ) -> Self {
-        self.add_table(table, columns);
-        self
-    }
-
     /// True when the schema knows the table.
     pub fn has_table(&self, table: &str) -> bool {
         self.tables.contains_key(&table.to_ascii_lowercase())
@@ -54,21 +44,6 @@ impl SchemaMap {
             .get(&table.to_ascii_lowercase())
             .map(|cols| cols.contains(&column.to_ascii_lowercase()))
             .unwrap_or(false)
-    }
-
-    /// The tables that contain a column (the column→table mapping of Appendix D).
-    pub fn tables_containing(&self, column: &str) -> Vec<&str> {
-        let column = column.to_ascii_lowercase();
-        self.tables
-            .iter()
-            .filter(|(_, cols)| cols.contains(&column))
-            .map(|(t, _)| t.as_str())
-            .collect()
-    }
-
-    /// Number of tables in the schema.
-    pub fn table_count(&self) -> usize {
-        self.tables.len()
     }
 }
 
@@ -172,10 +147,11 @@ mod tests {
     }
 
     fn sdss_schema() -> SchemaMap {
-        SchemaMap::new()
-            .with_table("SpecLineIndex", ["specObjId", "z", "ew"])
-            .with_table("XCRedshift", ["specObjId", "z", "tempNo"])
-            .with_table("Galaxy", ["objID", "ra", "dec"])
+        let mut schema = SchemaMap::new();
+        schema.add_table("SpecLineIndex", ["specObjId", "z", "ew"]);
+        schema.add_table("XCRedshift", ["specObjId", "z", "tempNo"]);
+        schema.add_table("Galaxy", ["objID", "ra", "dec"]);
+        schema
     }
 
     #[test]
@@ -203,16 +179,6 @@ mod tests {
         )
         .unwrap();
         assert!(query_is_schema_valid(&udf, &schema));
-    }
-
-    #[test]
-    fn tables_containing_reports_the_column_mapping() {
-        let schema = sdss_schema();
-        let both = schema.tables_containing("specObjId");
-        assert_eq!(both.len(), 2);
-        assert_eq!(schema.tables_containing("ra"), vec!["galaxy"]);
-        assert!(schema.tables_containing("nothere").is_empty());
-        assert_eq!(schema.table_count(), 3);
     }
 
     #[test]

@@ -184,28 +184,6 @@ fn kept_tree(
     }
 }
 
-/// Result of [`Session::rebuild_quarantining`]: the rebuilt session plus the statements
-/// that had to be excluded to complete the rebuild.
-#[derive(Debug)]
-pub struct RebuildOutcome {
-    /// The session rebuilt from the base with every surviving statement replayed in order.
-    pub session: Session,
-    /// `(history index, panic message)` for each quarantined statement, in the order they
-    /// were discovered.  Empty when the whole history replayed cleanly.
-    pub quarantined: Vec<(usize, String)>,
-}
-
-/// Best-effort extraction of a human-readable message from a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// A stateful, append-only ingestion session over one analysis's query stream.
 ///
 /// Sessions are **front-end pluggable**: text arrives through
@@ -367,60 +345,6 @@ impl Session {
         self.dialect_tags.extend(tags);
         debug_assert_eq!(self.dialect_tags.len(), self.acc.len());
         appended
-    }
-
-    /// Rebuilds a session by replaying a statement history over a fresh base, quarantining
-    /// every statement whose replay panics instead of letting it poison the session.
-    ///
-    /// This is the supervisor's recovery primitive: when a worker panics mid-mining, the
-    /// accumulator it was extending may be half-mutated, so the only safe state to return
-    /// to is *base + replay of the surviving history*.  A panic mid-push can likewise
-    /// leave the partially rebuilt session inconsistent, so rather than skipping the bad
-    /// statement and continuing in place, the rebuild **restarts from a fresh base** with
-    /// the offender excluded — `base` is a factory, called once per attempt.  The loop
-    /// terminates after at most `statements.len() + 1` attempts (each restart quarantines
-    /// one more statement).
-    ///
-    /// `push` applies one statement to the session (the plain form is
-    /// `|s, d, t| { s.push_stream_tagged([(d, t)]); }`); callers with fault-injection or
-    /// instrumentation hooks interpose here, and any panic it raises — organic or
-    /// injected — is caught.  Returns the rebuilt session plus `(index, panic message)`
-    /// for each quarantined statement, in quarantine order.
-    ///
-    /// Streaming a history one statement per call is byte-identical to streaming it in one
-    /// call (chunking is invisible, property-tested), so a rebuilt session with nothing
-    /// quarantined matches the session it replaces exactly.
-    pub fn rebuild_quarantining<S, B, P>(
-        base: B,
-        statements: &[(Dialect, S)],
-        mut push: P,
-    ) -> RebuildOutcome
-    where
-        S: AsRef<str>,
-        B: Fn() -> Session,
-        P: FnMut(&mut Session, Dialect, &str),
-    {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        let mut quarantined: Vec<(usize, String)> = Vec::new();
-        'attempt: loop {
-            let mut session = base();
-            for (i, (dialect, text)) in statements.iter().enumerate() {
-                if quarantined.iter().any(|(q, _)| *q == i) {
-                    continue;
-                }
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    push(&mut session, *dialect, text.as_ref());
-                }));
-                if let Err(payload) = outcome {
-                    quarantined.push((i, panic_message(payload.as_ref())));
-                    continue 'attempt;
-                }
-            }
-            return RebuildOutcome {
-                session,
-                quarantined,
-            };
-        }
     }
 
     /// Streams a sequence of `(dialect, text)` fragments of any length through the session
@@ -918,7 +842,7 @@ impl Session {
                 "error sample holds {error_count} entries over a cap of {error_cap}"
             )));
         }
-        let mut error_entries = Vec::with_capacity(error_count.min(64));
+        let mut error_entries = Vec::with_capacity(error_count.min(r.len()));
         for _ in 0..error_count {
             let dialect = restore_dialect(codec::take_str(r)?);
             let message = codec::take_str(r)?;
@@ -1032,57 +956,6 @@ mod tests {
         ser.push_batch(queries.clone());
         assert_eq!(par.graph(), ser.graph());
         assert_batch_identical(&snapped(&mut par), &batch(&parallel_options, queries));
-    }
-
-    #[test]
-    fn rebuild_quarantining_excludes_panicking_statements() {
-        let statements: Vec<(Dialect, &str)> = vec![
-            (Dialect::SQL, "SELECT a FROM t WHERE x = 1"),
-            (Dialect::SQL, "SELECT poison FROM t"),
-            (Dialect::SQL, "SELECT a FROM t WHERE x = 2"),
-            (Dialect::SQL, "SELECT poison2 FROM t"),
-            (Dialect::SQL, "SELECT a FROM t WHERE x = 3"),
-        ];
-        // Suppress the default panic hook's stderr noise for the injected panics.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let outcome = Session::rebuild_quarantining(
-            || Session::new(PiOptions::default()),
-            &statements,
-            |session, dialect, text| {
-                if text.contains("poison") {
-                    panic!("injected miner panic: {text}");
-                }
-                session.push_stream_tagged([(dialect, text)]);
-            },
-        );
-        std::panic::set_hook(prev);
-        let indices: Vec<usize> = outcome.quarantined.iter().map(|(i, _)| *i).collect();
-        assert_eq!(indices, vec![1, 3]);
-        assert!(outcome.quarantined[0].1.contains("injected miner panic"));
-
-        // The rebuilt session equals a clean replay of the surviving statements.
-        let mut clean = Session::new(PiOptions::default());
-        for (i, (dialect, text)) in statements.iter().enumerate() {
-            if !indices.contains(&i) {
-                clean.push_stream_tagged([(*dialect, text)]);
-            }
-        }
-        let mut rebuilt = outcome.session;
-        assert_eq!(rebuilt.len(), clean.len());
-        assert_batch_identical(&snapped(&mut rebuilt), &snapped(&mut clean));
-
-        // A fully clean history quarantines nothing.
-        let clean_history = [(Dialect::SQL, "SELECT a FROM t")];
-        let outcome = Session::rebuild_quarantining(
-            || Session::new(PiOptions::default()),
-            &clean_history,
-            |session, dialect, text| {
-                session.push_stream_tagged([(dialect, text)]);
-            },
-        );
-        assert!(outcome.quarantined.is_empty());
-        assert_eq!(outcome.session.len(), 1);
     }
 
     #[test]

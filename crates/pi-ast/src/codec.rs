@@ -16,7 +16,8 @@
 //! * **One varint rule** — a varint ends within 10 bytes, and its 10th byte may only be 0
 //!   or 1 (bit 63); anything longer or larger is [`CodecError::Corrupt`].  Counts read
 //!   with [`take_count`] are bounded by one sanity cap, a length is checked against the
-//!   bytes left before anything is reserved, and input that ends early is
+//!   bytes left before anything is reserved, a count of entries reserves no more of them
+//!   than the bytes left can hold at one byte an entry, and input that ends early is
 //!   `Io(UnexpectedEof)`.
 //! * **Integrity** — [`checksum`] is the one frame checksum: a producer stamps it over its
 //!   finished payload, and a consumer recomputes it over the frame it holds to reject *any*
@@ -408,7 +409,7 @@ pub fn put_path<W: Write>(w: &mut W, path: &Path) -> Result<(), CodecError> {
 #[inline]
 pub fn take_path(r: &mut &[u8]) -> Result<Path, CodecError> {
     let len = take_count(r)?;
-    let mut steps = Vec::with_capacity(len.min(64));
+    let mut steps = Vec::with_capacity(len.min(r.len()));
     for _ in 0..len {
         steps.push(take_varint(r)? as usize);
     }
@@ -615,7 +616,7 @@ impl NodeTableBuilder {
 /// tree's structural hash against the stored one.
 pub fn read_node_table(r: &mut &[u8]) -> Result<Vec<Node>, CodecError> {
     let count = take_count(r)?;
-    let mut nodes: Vec<Node> = Vec::with_capacity(count.min(1 << 16));
+    let mut nodes: Vec<Node> = Vec::with_capacity(count.min(r.len()));
     let mut attrs = Vec::new();
     for i in 0..count {
         let kind = take_kind(r)?;
@@ -629,7 +630,7 @@ pub fn read_node_table(r: &mut &[u8]) -> Result<Vec<Node>, CodecError> {
             attrs.push((key, take_attr_value(r)?));
         }
         let child_count = take_count(r)?;
-        let mut children = Vec::with_capacity(child_count.min(64));
+        let mut children = Vec::with_capacity(child_count.min(r.len()));
         for _ in 0..child_count {
             let child = take_varint(r)? as usize;
             if child >= i {

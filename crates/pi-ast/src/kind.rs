@@ -8,7 +8,9 @@
 //! 2. knowledge of which node kinds represent *collections* of sub-expressions (the projection
 //!    list, the grouping list, …) so that widgets such as checkbox lists can be mapped to them.
 //!
-//! Both annotations live here, attached to [`NodeKind`].
+//! The first lives here, attached to [`NodeKind`].  The second needs no table: the aligner
+//! treats every node's children as an ordered list, so an insertion into or deletion from
+//! any of them is a change a list widget can map.
 
 use std::fmt;
 
@@ -62,25 +64,6 @@ impl fmt::Display for PrimitiveType {
         };
         f.write_str(s)
     }
-}
-
-/// What a collection node collects, for widgets that operate on lists of options.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CollectionKind {
-    /// Projection list: `SELECT a, b, c`.
-    Projections,
-    /// FROM list (tables, subqueries, UDF table functions).
-    Relations,
-    /// Grouping list: `GROUP BY a, b`.
-    Groupings,
-    /// Ordering list: `ORDER BY a, b`.
-    Orderings,
-    /// Conjunctive predicate list inside WHERE/HAVING.
-    Predicates,
-    /// Argument list of a function call.
-    Arguments,
-    /// WHEN/THEN arms of a CASE expression.
-    CaseArms,
 }
 
 /// The kind of an AST node.
@@ -190,35 +173,6 @@ impl NodeKind {
         }
     }
 
-    /// Whether nodes of this kind are collections of homogeneous sub-expressions, and if so
-    /// what they collect.  Mirrors the `sel_core = sel_result (comma sel_result)*` idiom the
-    /// paper calls out for the SQLite grammar.
-    pub fn collection_kind(&self) -> Option<CollectionKind> {
-        match self {
-            NodeKind::Project => Some(CollectionKind::Projections),
-            NodeKind::From => Some(CollectionKind::Relations),
-            NodeKind::GroupBy => Some(CollectionKind::Groupings),
-            NodeKind::OrderBy => Some(CollectionKind::Orderings),
-            NodeKind::FuncCall | NodeKind::AggCall => Some(CollectionKind::Arguments),
-            NodeKind::CaseExpr => Some(CollectionKind::CaseArms),
-            _ => None,
-        }
-    }
-
-    /// True for kinds that carry a literal payload in their attributes and have no children
-    /// in well-formed trees.
-    pub fn is_literal(&self) -> bool {
-        matches!(
-            self,
-            NodeKind::StrExpr
-                | NodeKind::NumExpr
-                | NodeKind::HexExpr
-                | NodeKind::BoolExpr
-                | NodeKind::Null
-                | NodeKind::Star
-        )
-    }
-
     /// Short display name used by the tree printer and by diff records (`type` column).
     pub fn name(&self) -> &str {
         match self {
@@ -315,31 +269,9 @@ mod tests {
     }
 
     #[test]
-    fn collection_annotations() {
-        assert_eq!(
-            NodeKind::Project.collection_kind(),
-            Some(CollectionKind::Projections)
-        );
-        assert_eq!(
-            NodeKind::From.collection_kind(),
-            Some(CollectionKind::Relations)
-        );
-        assert_eq!(NodeKind::Where.collection_kind(), None);
-        assert_eq!(NodeKind::ColExpr.collection_kind(), None);
-    }
-
-    #[test]
     fn other_kind_displays_its_name() {
         let k = NodeKind::Other("SparqlTriple".into());
         assert_eq!(k.to_string(), "SparqlTriple");
         assert_eq!(k.terminal_type(), None);
-    }
-
-    #[test]
-    fn literal_kinds() {
-        assert!(NodeKind::NumExpr.is_literal());
-        assert!(NodeKind::Star.is_literal());
-        assert!(!NodeKind::ProjClause.is_literal());
-        assert!(!NodeKind::ColExpr.is_literal());
     }
 }

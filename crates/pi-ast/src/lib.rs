@@ -15,9 +15,8 @@
 //! * [`Path`] — the `0/1/0`-style location of a subtree inside a query AST (paper Table 1),
 //! * [`PrimitiveType`] — the minimal type system (`str`, `num`, `tree`) used by widget rules to
 //!   decide which widget types may express a set of subtrees (paper §4.3),
-//! * grammar annotations: which node kinds are terminal literals, and which node kinds are
-//!   *collections* of sub-expressions (e.g. the projection list), mirroring the "lightly
-//!   annotated grammar" assumption of §4.1.
+//! * grammar annotations: which node kinds are terminals of which primitive type, the
+//!   "lightly annotated grammar" assumption of §4.1.
 //!
 //! The crate is deliberately independent of SQL: the [`frontend`] module defines the
 //! [`Frontend`] trait (parse text → trees, render trees → text) plus a per-query
@@ -52,7 +51,6 @@ mod path;
 mod print;
 mod value;
 
-pub mod builder;
 pub mod codec;
 pub mod frontend;
 pub mod hash;
@@ -62,7 +60,7 @@ pub use frontend::{Dialect, ErrorSample, Frontend, FrontendError, Frontends, MAX
 pub use hash::{IntBuildHasher, IntHasher};
 pub use intern::Sym;
 pub use istr::{ArenaStats, IStr};
-pub use kind::{CollectionKind, NodeKind, PrimitiveType};
+pub use kind::{NodeKind, PrimitiveType};
 pub use node::{Node, NodeId, ReplaceError};
 pub use path::{ParsePathError, Path};
 pub use print::pretty;

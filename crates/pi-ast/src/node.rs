@@ -19,9 +19,8 @@
 //!
 //! Every tree is built bottom-up through [`Node::from_parts`]: kind, attributes and the
 //! already-built children in one call, so each node is allocated once and hashed once.  The
-//! parsers, [`SelectBuilder`](crate::builder::SelectBuilder), the convenience constructors
-//! ([`Node::column`], [`Node::int`], …) and the snapshot node-table reader all build through
-//! it.  A node with at most one attribute stores it inline; only longer lists take a shared
+//! parsers, the convenience constructors ([`Node::column`], [`Node::int`], …) and the
+//! snapshot node-table reader all build through it.  A node with at most one attribute stores it inline; only longer lists take a shared
 //! allocation of their own.
 //!
 //! The mutators exist for copy-on-write edits of built trees.  To keep the memo sound, all

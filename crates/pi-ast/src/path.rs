@@ -203,24 +203,6 @@ impl Path {
         let n = a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count();
         Path::from_slice(&a[..n])
     }
-
-    /// The suffix of `other` relative to `self`, if `self` is a prefix of `other`.
-    pub fn relative_to(&self, ancestor: &Path) -> Option<Path> {
-        if ancestor.is_prefix_of(self) {
-            Some(Path::from_slice(&self.steps()[ancestor.depth()..]))
-        } else {
-            None
-        }
-    }
-
-    /// Concatenates two paths.
-    pub fn join(&self, suffix: &Path) -> Path {
-        let mut out = self.clone();
-        for &step in suffix.steps() {
-            out.push(step);
-        }
-        out
-    }
 }
 
 impl fmt::Display for Path {
@@ -332,16 +314,6 @@ mod tests {
         assert_eq!(a.common_prefix(&b).to_string(), "0/1");
         assert_eq!(a.common_prefix(&c), Path::root());
         assert_eq!(a.common_prefix(&a), a);
-    }
-
-    #[test]
-    fn relative_and_join_are_inverses() {
-        let anc: Path = "0/1".parse().unwrap();
-        let full: Path = "0/1/3/2".parse().unwrap();
-        let rel = full.relative_to(&anc).unwrap();
-        assert_eq!(rel.to_string(), "3/2");
-        assert_eq!(anc.join(&rel), full);
-        assert_eq!(full.relative_to(&"4".parse().unwrap()), None);
     }
 
     #[test]

@@ -277,7 +277,7 @@ pub fn read_accumulator(r: &mut &[u8]) -> Result<GraphAccumulator, CodecError> {
     // Dedup: re-ingest each row's representative; first-come ids must match the stored
     // sequence exactly.
     let distinct = take_count(r)?;
-    let mut class_nodes = Vec::with_capacity(distinct.min(1 << 16));
+    let mut class_nodes = Vec::with_capacity(distinct.min(r.len()));
     for _ in 0..distinct {
         let idx = take_varint(r)? as usize;
         class_nodes.push(

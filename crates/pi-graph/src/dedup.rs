@@ -514,16 +514,9 @@ mod tests {
         // first-come, the second pass must resolve every shape to its existing class, and
         // the arena must hold exactly the distinct trees — collision fallback may never
         // mint a duplicate class or merge two shapes.
-        use pi_ast::builder::SelectBuilder;
         const SHAPES: usize = 10_000;
         let shapes: Vec<Node> = (0..SHAPES)
-            .map(|i| {
-                SelectBuilder::new()
-                    .project(Node::column("a"))
-                    .from_table("t")
-                    .where_pred(SelectBuilder::eq(Node::column("x"), Node::int(i as i64)))
-                    .build()
-            })
+            .map(|i| parse(&format!("SELECT a FROM t WHERE x = {i}")))
             .collect();
         let mut table = DedupTable::new();
         for (i, query) in shapes.iter().enumerate() {

@@ -103,7 +103,9 @@ pub struct RecoveredLog {
     pub records: u64,
     /// Statements carried by those records.
     pub statements: u64,
-    /// Segments whose scan stopped at a torn or corrupt record.
+    /// Damage the scan stepped over, one count each: a segment whose scan stopped at a
+    /// torn or corrupt record, a segment that could not be read, and a record whose frame
+    /// verified but whose payload did not decode (the scan goes on past that record).
     pub torn_tails: u64,
     /// Bytes discarded as torn/corrupt (trailing bytes past the last intact record).
     pub discarded_bytes: u64,
@@ -225,7 +227,7 @@ fn decode_batch_record(
     let thread = codec::take_str(r)?;
     let seq = codec::take_varint(r)?;
     let count = codec::take_count(r)?;
-    let mut statements = Vec::with_capacity(count.min(1 << 16));
+    let mut statements = Vec::with_capacity(count.min(r.len()));
     for _ in 0..count {
         let dialect = codec::take_str(r)?;
         let text: Arc<str> = codec::take_str(r)?.into();
@@ -624,6 +626,35 @@ mod tests {
         assert_eq!(seqs("ada"), vec![0, 1, 2]);
         assert_eq!(seqs("bob"), vec![0, 1]);
         let _ = fs::remove_dir_all(&layout);
+    }
+
+    #[test]
+    fn an_undecodable_record_is_skipped_and_the_scan_goes_on() {
+        let dir = tmp_dir("undecodable");
+        fs::create_dir_all(&dir).unwrap();
+        let mut segment = codec::record_frame(&encode_batch_record(
+            "ada",
+            "t1",
+            0,
+            &batch(&["SELECT a FROM t"]),
+        ));
+        // A frame whose checksum verifies over a payload with an unknown tag.
+        segment.extend(codec::record_frame(&[0xee, 1, 2, 3]));
+        segment.extend(codec::record_frame(&encode_batch_record(
+            "ada",
+            "t1",
+            1,
+            &batch(&["SELECT b FROM t"]),
+        )));
+        fs::write(dir.join("shard000-0000000000.wal"), &segment).unwrap();
+        let (_, recovered) = Journal::open(DurabilityOptions::new(&dir)).unwrap();
+        assert_eq!(recovered.records, 2);
+        assert_eq!(recovered.torn_tails, 1);
+        assert_eq!(recovered.discarded_bytes, 0);
+        let ada = &recovered.tenants[&("ada".to_string(), "t1".to_string())];
+        let texts: Vec<&str> = ada.iter().map(|s| &*s.text).collect();
+        assert_eq!(texts, ["SELECT a FROM t", "SELECT b FROM t"]);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -51,7 +51,6 @@ use crate::journal::{sync_dir, DurabilityOptions, Journal, JournalStats, Recover
 use crate::wire::LogItem;
 use pi_ast::codec::{self, CodecError};
 use pi_core::{GeneratedInterface, InteractionGraph, PiOptions, Session};
-use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -1175,10 +1174,14 @@ impl SessionPool {
 
     /// The one path that rebuilds a tenant's session from durable state: restore the base
     /// snapshot (a new session without one), then replay the tail through
-    /// [`Session::push_stream_tagged`] one statement per call, each individually
-    /// supervised — statements that panic even in isolation are quarantined (dropped from
-    /// the tail, counted, sampled) and the rebuild restarts without them, so one poisonous
-    /// statement cannot wedge the tenant forever.  Queued statements stay queued.
+    /// [`Session::push_stream_tagged`] one statement per call, each under `catch_unwind`.
+    /// A statement that panics even alone is quarantined (dropped from the tail, counted,
+    /// sampled), and the rebuild restarts from the base without it, since the unwind may
+    /// have left the session half-mutated.  Each restart drops one statement, so one
+    /// poisonous statement cannot wedge the tenant forever.  Streaming a tail one
+    /// statement per call is byte-identical to streaming it in one call, so a rebuild
+    /// that quarantines nothing equals the session it replaces.  Queued statements stay
+    /// queued.
     ///
     /// `reason` is the panic message when a statement panicked the miner, and the rebuild is
     /// counted and sampled as a session rebuild.  It is `None` for a tenant without a
@@ -1194,78 +1197,64 @@ impl SessionPool {
             self.session_rebuilds.fetch_add(1, Ordering::Relaxed);
         }
         let opts = &self.opts.session;
-        let base = inner.base.clone();
-        let restore = || {
-            let Some(bytes) = &base else {
-                return Some(Session::new(opts.clone()));
+        let mut reason = reason;
+        loop {
+            let restored = match &inner.base {
+                None => Ok(Session::new(opts.clone())),
+                Some(bytes) => {
+                    let start = Instant::now();
+                    let restored = Session::restore_with(&mut bytes.as_slice(), opts.clone());
+                    self.restore_us
+                        .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
+                    restored
+                }
             };
-            let start = Instant::now();
-            let session = Session::restore_with(&mut bytes.as_slice(), opts.clone()).ok();
-            self.restore_us
-                .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
-            session
-        };
-        let Some(restored) = restore() else {
-            self.quarantine_spill(&tenant.key);
-            inner.base = None;
-            inner.tail.clear();
-            inner.applied = 0;
-            inner.spilled = 0;
-            inner.session = Some(Session::new(opts.clone()));
-            return;
-        };
-        // The first attempt takes the session restored above; a restart after a
-        // quarantine restores the base again.
-        let restored = Cell::new(Some(restored));
-        let tail = std::mem::take(&mut inner.tail);
-        #[cfg(any(test, feature = "faults"))]
-        let plan = self.fault_plan().cloned();
-        let outcome = Session::rebuild_quarantining(
-            || {
-                let session = restored.take().or_else(&restore);
-                session.expect("the base restored once")
-            },
-            &tail,
-            |session, dialect, text| {
-                #[cfg(any(test, feature = "faults"))]
-                if let Some(plan) = &plan {
-                    plan.check_statement(text);
-                }
-                session.push_stream_tagged([(dialect, text)]);
-            },
-        );
-        inner.session = Some(outcome.session);
-        if outcome.quarantined.is_empty() {
-            inner.tail = tail;
-            // A transient panic: the rebuild replayed cleanly.
-            if let Some(reason) = reason {
-                self.sample_rebuild(tenant, reason);
-            }
-        } else {
-            self.quarantined_statements
-                .fetch_add(outcome.quarantined.len() as u64, Ordering::Relaxed);
-            let mut samples = lock_or_recover(&self.quarantine_samples);
-            for (index, message) in &outcome.quarantined {
-                if samples.len() >= GAUGE_ERROR_SAMPLES {
-                    break;
-                }
-                let (dialect, text) = &tail[*index];
-                let text: String = text.chars().take(120).collect();
-                samples.push(format!(
-                    "{}/{} [{}] {:?}: {message}",
-                    tenant.key.0,
-                    tenant.key.1,
-                    dialect.name(),
-                    text,
-                ));
-            }
-            drop(samples);
-            inner.tail = tail
+            let Ok(mut session) = restored else {
+                self.quarantine_spill(&tenant.key);
+                inner.base = None;
+                inner.tail.clear();
+                inner.applied = 0;
+                inner.spilled = 0;
+                inner.session = Some(Session::new(opts.clone()));
+                return;
+            };
+            let panicked = inner
+                .tail
                 .iter()
                 .enumerate()
-                .filter(|(i, _)| !outcome.quarantined.iter().any(|(q, _)| q == i))
-                .map(|(_, item)| item.clone())
-                .collect();
+                .find_map(|(i, (dialect, text))| {
+                    let replay = catch_unwind(AssertUnwindSafe(|| {
+                        #[cfg(any(test, feature = "faults"))]
+                        if let Some(plan) = self.fault_plan() {
+                            plan.check_statement(text);
+                        }
+                        session.push_stream_tagged([(*dialect, &**text)]);
+                    }));
+                    replay
+                        .err()
+                        .map(|payload| (i, panic_message(payload.as_ref())))
+                });
+            let Some((i, message)) = panicked else {
+                inner.session = Some(session);
+                break;
+            };
+            let (dialect, text) = inner.tail.remove(i);
+            // The quarantine sample says why the session was rebuilt.
+            reason = None;
+            self.quarantined_statements.fetch_add(1, Ordering::Relaxed);
+            let mut samples = lock_or_recover(&self.quarantine_samples);
+            if samples.len() < GAUGE_ERROR_SAMPLES {
+                let (user, thread) = &tenant.key;
+                let text: String = text.chars().take(120).collect();
+                samples.push(format!(
+                    "{user}/{thread} [{}] {text:?}: {message}",
+                    dialect.name()
+                ));
+            }
+        }
+        // A transient panic: the rebuild replayed cleanly.
+        if let Some(reason) = reason {
+            self.sample_rebuild(tenant, reason);
         }
     }
 
@@ -2004,6 +1993,48 @@ mod tests {
         pool.enqueue_tagged("ada", "t1", [(Dialect::SQL, sql(3).as_str())])
             .unwrap();
         assert_same(&pool, &[sql(1), sql(2), sql(3)]);
+        // A clean tail quarantines nothing and samples nothing: the tenant, rebuilt from
+        // its three-statement tail on its next read, equals the same replay.
+        assert_eq!(base_and_tail(&pool, "ada"), (false, 3));
+        let samples = pool.gauge().quarantine_samples;
+        pool.lock_tenant(&tenant(&pool, "ada")).session = None;
+        assert_same(&pool, &[sql(1), sql(2), sql(3)]);
+        let gauge = pool.gauge();
+        assert_eq!(gauge.quarantined_statements, 1);
+        assert_eq!(gauge.quarantine_samples, samples);
+        pool.close();
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // Two poisoned statements, at indices 1 and 3: each restart quarantines one, and
+        // the session equals a clean replay of the other three.
+        let dir = scratch("quarantine-two");
+        let mut durability = DurabilityOptions::new(&dir);
+        durability.faults = Some(Arc::new(FaultPlan::new().with_panic_marker("POISON")));
+        let pool = durable_pool(4, durability);
+        pool.wait_ready();
+        pool.enqueue_tagged(
+            "ada",
+            "t1",
+            [
+                (Dialect::SQL, sql(1).as_str()),
+                (Dialect::SQL, "SELECT POISON1 FROM t"),
+                (Dialect::SQL, sql(2).as_str()),
+                (Dialect::SQL, "SELECT POISON2 FROM t"),
+                (Dialect::SQL, sql(3).as_str()),
+            ],
+        )
+        .unwrap();
+        assert_same(&pool, &[sql(1), sql(2), sql(3)]);
+        assert_eq!(base_and_tail(&pool, "ada"), (false, 3));
+        let gauge = pool.gauge();
+        assert_eq!(gauge.quarantined_statements, 2);
+        assert_eq!(gauge.quarantine_samples.len(), 2);
+        for (sample, marker) in gauge.quarantine_samples.iter().zip(["POISON1", "POISON2"]) {
+            assert!(
+                sample.contains(marker) && sample.contains("injected fault"),
+                "samples name the offenders in order, with the panic: {sample}"
+            );
+        }
         pool.close();
         let _ = std::fs::remove_dir_all(&dir);
     }

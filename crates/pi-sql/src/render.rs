@@ -3,8 +3,7 @@
 //! The generated interface applies widget interactions by substituting subtrees in the current
 //! query AST; to actually run the query (`exec()`) or show it to the user, the tree must be
 //! turned back into SQL text.  The renderer guarantees a *parse round-trip*: for any tree `t`
-//! produced by the parser or by [`pi_ast::builder::SelectBuilder`],
-//! `parse(&render(&t)) == t`.
+//! produced by the parser, `parse(&render(&t)) == t`.
 
 use pi_ast::{AttrValue, Node, NodeKind};
 use std::fmt::Write as _;
